@@ -209,10 +209,10 @@ def verify_gas_conditions(
     for phi in samples:
         dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
         sup = phi.sup_norm()
-        v = V(phi)
+        est = _derivative(system, V, phi, ladder)
+        v = est.v0
         lower.record(phi, float(constants.alpha1(dnorm)), v, details={"|Dphi|": dnorm})
         upper.record(phi, v, float(constants.alpha2(sup)), details={"sup": sup})
-        est = _derivative(system, V, phi, ladder)
         decay.record(
             phi,
             est.value,
@@ -248,11 +248,11 @@ def verify_ges_conditions(
     for phi in samples:
         dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
         sup = phi.sup_norm()
-        v = V(phi)
+        est = _derivative(system, V, phi, ladder)
+        v = est.v0
         vvals.append(v)
         lower.record(phi, constants.a1 * dnorm, v, details={"|Dphi|": dnorm})
         upper.record(phi, v, constants.a2 * sup, details={"sup": sup})
-        est = _derivative(system, V, phi, ladder)
         decay.record(
             phi,
             est.value,
@@ -292,10 +292,10 @@ def verify_ges_seminorm(
         dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
         sup = phi.sup_norm()
         a_norm = float(seminorm(phi))
-        v = V(phi)
+        est = _derivative(system, V, phi, ladder)
+        v = est.v0
         lower.record(phi, constants.a1 * dnorm, v, details={"|Dphi|": dnorm})
         upper.record(phi, v, constants.a2 * a_norm, details={"seminorm": a_norm})
-        est = _derivative(system, V, phi, ladder)
         decay.record(phi, est.value, -constants.a3 * a_norm, band=est.error_band)
         domination.record(phi, a_norm, constants.a4 * sup, details={"sup": sup})
         report.margins.append(
@@ -317,8 +317,21 @@ def reverify_counterexample(
     phi = ce.history
     dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
     sup = phi.sup_norm()
-    v = V(phi)
     slack = lambda a, b: _SLACK * max(1.0, abs(a), abs(b))
+    if ce.condition == "derivative":
+        est = _derivative(system, V, phi, ladder)
+        if constants.variant == "gas":
+            rhs = -float(constants.alpha3(dnorm))
+        elif constants.variant == "ges-seminorm":
+            rhs = -constants.a3 * float((seminorm or constants.seminorm)(phi))
+        else:
+            rhs = -constants.a3 * est.v0
+        return est.value - est.error_band > rhs + slack(est.value, rhs)
+    if ce.condition == "domination":
+        a_norm = float((seminorm or constants.seminorm)(phi))
+        rhs = constants.a4 * sup
+        return a_norm > rhs + slack(a_norm, rhs)
+    v = V(phi)
     if ce.condition == "lower-bound":
         if constants.variant == "gas":
             lhs = float(constants.alpha1(dnorm))
@@ -333,19 +346,6 @@ def reverify_counterexample(
         else:
             rhs = constants.a2 * sup
         return v > rhs + slack(v, rhs)
-    if ce.condition == "derivative":
-        est = _derivative(system, V, phi, ladder)
-        if constants.variant == "gas":
-            rhs = -float(constants.alpha3(dnorm))
-        elif constants.variant == "ges-seminorm":
-            rhs = -constants.a3 * float((seminorm or constants.seminorm)(phi))
-        else:
-            rhs = -constants.a3 * v
-        return est.value - est.error_band > rhs + slack(est.value, rhs)
-    if ce.condition == "domination":
-        a_norm = float((seminorm or constants.seminorm)(phi))
-        rhs = constants.a4 * sup
-        return a_norm > rhs + slack(a_norm, rhs)
     raise PreconditionError(f"unknown condition {ce.condition!r}")
 
 
@@ -416,8 +416,8 @@ def fit_constants(
     for phi in samples:
         dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
         sup = phi.sup_norm()
-        v = V(phi)
         est = _derivative(system, V, phi, ladder)
+        v = est.v0
         a_norm = float(seminorm(phi)) if seminorm is not None else None
         rows.append((phi, dnorm, sup, v, est, a_norm))
 

@@ -458,14 +458,7 @@ def _parse_tol(pairs: list[str]) -> dict:
 
 def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="global random seed")
     common.add_argument("--out", type=str, default=None, help="output directory")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker-thread cap (evaluations currently run sequentially)",
-    )
     common.add_argument(
         "--tol",
         action="append",
@@ -481,15 +474,19 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command")
 
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=0, help="global random seed")
+
     run_p = sub.add_parser("run", parents=[common], help="execute a scenario file")
     run_p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
+    run_p.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
 
-    cd = sub.add_parser("check-dop", parents=[common], help="strong-stability margin of the difference operator")
+    cd = sub.add_parser("check-dop", parents=[seeded], help="strong-stability margin of the difference operator")
     cd.add_argument("system", help="system description file")
     cd.add_argument("--resolution", type=int, default=64)
     cd.add_argument("--refine-iters", type=int, default=40)
 
-    sim = sub.add_parser("simulate", parents=[common], help="integrate the system from an initial history")
+    sim = sub.add_parser("simulate", parents=[seeded], help="integrate the system from an initial history")
     sim.add_argument("system")
     sim.add_argument("history")
     sim.add_argument("-T", "--horizon", type=float, default=10.0)
@@ -497,20 +494,20 @@ def main(argv=None) -> int:
     sim.add_argument("--input", type=str, default=None, help="input signal JSON file")
     sim.add_argument("--residual-samples", type=int, default=0)
 
-    dp = sub.add_parser("dplus", parents=[common], help="derivative estimate of a functional at a history")
+    dp = sub.add_parser("dplus", parents=[seeded], help="derivative estimate of a functional at a history")
     dp.add_argument("system")
     dp.add_argument("functional")
     dp.add_argument("history")
     dp.add_argument("--u", type=float, nargs="*", default=None, help="input value")
 
-    ver = sub.add_parser("verify-lk", parents=[common], help="verify certificate conditions by sampling")
+    ver = sub.add_parser("verify-lk", parents=[seeded], help="verify certificate conditions by sampling")
     ver.add_argument("system")
     ver.add_argument("--functional", required=True)
     ver.add_argument("--constants", required=True)
     ver.add_argument("--per-shell", type=int, default=20)
     ver.add_argument("--shells", type=float, nargs="*", default=None)
 
-    fit = sub.add_parser("fit-lk", parents=[common], help="fit certificate constants from samples")
+    fit = sub.add_parser("fit-lk", parents=[seeded], help="fit certificate constants from samples")
     fit.add_argument("system")
     fit.add_argument("--functional", required=True)
     fit.add_argument("--variant", choices=["gas", "ges", "ges-seminorm"], default="ges")
@@ -518,13 +515,13 @@ def main(argv=None) -> int:
     fit.add_argument("--per-shell", type=int, default=100)
     fit.add_argument("--shells", type=float, nargs="*", default=None)
 
-    ges = sub.add_parser("estimate-ges", parents=[common], help="estimate exponential decay from trajectories")
+    ges = sub.add_parser("estimate-ges", parents=[seeded], help="estimate exponential decay from trajectories")
     ges.add_argument("system")
     ges.add_argument("--trajectories", type=int, default=20)
     ges.add_argument("-T", "--horizon", type=float, default=10.0)
     ges.add_argument("--step", type=float, default=None)
 
-    att = sub.add_parser("attraction", parents=[common], help="uniform attraction probe")
+    att = sub.add_parser("attraction", parents=[seeded], help="uniform attraction probe")
     att.add_argument("system")
     att.add_argument("--bound", type=float, default=1.0)
     att.add_argument("--eps", type=float, default=0.1)
@@ -532,13 +529,13 @@ def main(argv=None) -> int:
     att.add_argument("-T", "--horizon", type=float, default=20.0)
     att.add_argument("--step", type=float, default=None)
 
-    con = sub.add_parser("construct-converse", parents=[common], help="build the trajectory-based witness functional")
+    con = sub.add_parser("construct-converse", parents=[seeded], help="build the trajectory-based witness functional")
     con.add_argument("system")
     con.add_argument("--rate", type=float, default=None)
     con.add_argument("-T", "--horizon", type=float, default=None)
     con.add_argument("--step", type=float, default=None)
 
-    iss = sub.add_parser("iss-probe", parents=[common], help="input-to-state bound fitting")
+    iss = sub.add_parser("iss-probe", parents=[seeded], help="input-to-state bound fitting")
     iss.add_argument("system")
     iss.add_argument("--signals", type=str, default=None, help="JSON file with a list of input signals")
     iss.add_argument("-T", "--horizon", type=float, default=10.0)
@@ -557,7 +554,7 @@ def main(argv=None) -> int:
             scenario = read_json(path)
             if args.out:
                 scenario["out"] = args.out
-            if args.seed:
+            if args.seed is not None:
                 scenario["seed"] = args.seed
             scenario.setdefault("tolerances", {}).update(tolerances)
             return run_scenario(scenario, path.parent, scenario.get("out"))

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError
 from .histories import CUBIC, HistorySegment
+from .integrate import _breakpoint_gap, segment
 from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, dop_apply, rhs_eval
 
 _TOL = 1e-12
@@ -263,49 +264,43 @@ def phi_h_extend(
     dphi = dop_apply(system.dop, phi)
     fval = rhs_eval(system.rhs, phi, u)
 
-    knots = [-delta, -h]
+    dop = system.dop
     shifted = phi.grid - h
-    knots.extend(shifted[(shifted > -delta) & (shifted < -h)])
-    for d in system.dop.delays:
-        knots.append(-float(d))
-    for d in system.rhs.positive_delays():
-        if d >= h:
-            knots.append(-float(d))
-    for j in range(system.dop.p):
-        back = phi.grid + system.dop.delays[j] - h
-        knots.extend(back[(back > -h) & (back < 0.0)])
-    knots.append(-h + 1e-3 * h)
-    for k in range(1, extra_nodes + 1):
-        knots.append(-h + k * h / (extra_nodes + 1))
-    knots.append(0.0)
-    grid = np.unique(np.asarray(knots, dtype=float))
+    back = (phi.grid[None, :] + dop.delays[:, None] - h).ravel()
+    grid = np.unique(np.concatenate([
+        [-delta, -h],
+        shifted[(shifted > -delta) & (shifted < -h)],
+        -dop.delays,
+        [-float(d) for d in system.rhs.positive_delays() if d >= h],
+        back[(back > -h) & (back < 0.0)],
+        [-h + 1e-3 * h],
+        -h + np.arange(1, extra_nodes + 1) * h / (extra_nodes + 1),
+        [0.0],
+    ]))
     keep = np.r_[True, np.diff(grid) > 1e-14 * max(1.0, delta)]
     grid = grid[keep]
     grid[0], grid[-1] = -delta, 0.0
 
     left = grid <= -h
+    s_left = grid[left] + h
+    s_right = grid[~left] + h
+    backs = [s_right - d for d in dop.delays]
     values = np.empty((grid.size, phi.n))
-    values[left] = phi.eval(grid[left] + h)
-    sliver = grid[~left]
-    if sliver.size:
-        acc = dphi[None, :] + np.outer(sliver + h, fval)
-        for j in range(system.dop.p):
-            acc += phi.eval(sliver + h - system.dop.delays[j]) @ system.dop.matrices[j].T
-        values[~left] = acc
+    values[left] = phi.eval(s_left)
+    acc = dphi[None, :] + np.outer(s_right, fval)
+    for b, a in zip(backs, dop.matrices):
+        acc += phi.eval(b) @ a.T
+    values[~left] = acc
     kinks = np.concatenate([[-h], np.asarray(phi.kink_times) - h])
     if phi.interp != CUBIC:
         return HistorySegment(delta, grid, values, phi.interp, kink_times=kinks)
     slopes = np.empty_like(values)
-    for k in np.nonzero(left)[0]:
-        side = "-" if grid[k] == -h else "+"
-        slopes[k] = phi.deriv_scalar(grid[k] + h, side)
-    right_idx = np.nonzero(~left)[0]
-    if right_idx.size:
-        acc = np.broadcast_to(fval, (right_idx.size, phi.n)).copy()
-        for j in range(system.dop.p):
-            back = grid[right_idx] + h - system.dop.delays[j]
-            acc += phi.deriv(back) @ system.dop.matrices[j].T
-        slopes[right_idx] = acc
+    # the junction -h maps to s = 0, where both sides of phi' agree
+    slopes[left] = phi.deriv(s_left, "+")
+    acc = np.broadcast_to(fval, (s_right.size, phi.n)).copy()
+    for b, a in zip(backs, dop.matrices):
+        acc += phi.deriv(b) @ a.T
+    slopes[~left] = acc
     return HistorySegment(delta, grid, values, CUBIC, slopes, kink_times=kinks)
 
 
@@ -332,13 +327,15 @@ class DerivativeEstimate:
 
     error_band is a half-width derived from the tail spread, scaled by
     h_first / (h_first - h_last) over the tail so that quotients varying
-    linearly in h are covered down to their h -> 0 limit.
+    linearly in h are covered down to their h -> 0 limit. v0 is V(phi), the
+    base value of every quotient.
     """
 
     value: float
     h_ladder: np.ndarray
     quotients: np.ndarray
     error_band: float
+    v0: float
     nonsmooth: bool = False
 
 
@@ -371,7 +368,7 @@ def driver_derivative(
     ]
     med = float(np.median(spreads))
     nonsmooth = bool(band > 10.0 * med) if med > 0 else False
-    return DerivativeEstimate(value, hs, quotients, band, nonsmooth)
+    return DerivativeEstimate(value, hs, quotients, band, v0, nonsmooth)
 
 
 @dataclass(frozen=True)
@@ -387,9 +384,7 @@ def trajectory_grid(traj, count: int, margin_steps: int = 2) -> np.ndarray:
     times = traj.times
     h_local = float(np.min(np.diff(times)))
     guard = margin_steps * h_local
-    bps = np.concatenate([traj.breakpoints, [0.0, traj.t_end]])
-    ok = np.array([np.min(np.abs(bps - tv)) >= guard for tv in times])
-    cand = times[ok]
+    cand = times[_breakpoint_gap(traj, times) >= guard]
     if cand.size == 0:
         raise PreconditionError("no mesh times clear of breakpoints")
     sel = np.unique(np.linspace(0, cand.size - 1, min(count, cand.size)).astype(int))
@@ -406,8 +401,6 @@ def trajectory_consistency(
 ) -> ConsistencyResult:
     """Deviation between forward differences of V along the trajectory and the
     extension-based derivative estimate at the same segments."""
-    from .integrate import segment
-
     t_grid = np.asarray(t_grid, dtype=float)
     t_grid = t_grid[t_grid + h_fd <= traj.t_end]
     if t_grid.size == 0:
@@ -418,7 +411,7 @@ def trajectory_consistency(
         seg_t = segment(traj, float(t))
         u_t = traj.input.eval(float(t)) if traj.input is not None else None
         est = driver_derivative(system, V, seg_t, u_t, ladder)
-        fd = (V(segment(traj, float(t) + h_fd)) - V(seg_t)) / h_fd
+        fd = (V(segment(traj, float(t) + h_fd)) - est.v0) / h_fd
         devs[i] = abs(fd - est.value)
         scale = max(scale, abs(est.value))
     rel = float(np.max(devs) / max(scale, 1e-300))

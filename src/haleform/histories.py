@@ -20,23 +20,28 @@ CUBIC = "cubic-hermite"
 _DOMAIN_TOL = 1e-9
 
 
-def _hermite_basis(theta: np.ndarray):
+def _hermite(theta, length, y0, y1, s0, s1):
+    """Cubic Hermite value at theta in [0, 1] of a panel of the given length
+    with end values y0, y1 and end slopes s0, s1 (scalars or broadcast arrays)."""
     t2 = theta * theta
     t3 = t2 * theta
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + theta
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return h00, h10, h01, h11
+    return (
+        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
+        + (t3 - 2.0 * t2 + theta) * (s0 * length)
+        + (-2.0 * t3 + 3.0 * t2) * y1
+        + (t3 - t2) * (s1 * length)
+    )
 
 
-def _hermite_basis_deriv(theta: np.ndarray):
+def _hermite_deriv(theta, length, y0, y1, s0, s1):
+    """Time derivative of `_hermite` with the same arguments."""
     t2 = theta * theta
-    d00 = 6.0 * t2 - 6.0 * theta
-    d10 = 3.0 * t2 - 4.0 * theta + 1.0
-    d01 = -6.0 * t2 + 6.0 * theta
-    d11 = 3.0 * t2 - 2.0 * theta
-    return d00, d10, d01, d11
+    return (
+        (6.0 * t2 - 6.0 * theta) * y0
+        + (3.0 * t2 - 4.0 * theta + 1.0) * (s0 * length)
+        + (-6.0 * t2 + 6.0 * theta) * y1
+        + (3.0 * t2 - 2.0 * theta) * (s1 * length)
+    ) / length
 
 
 def fd_slopes(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -153,26 +158,17 @@ class HistorySegment:
 
     def eval(self, s) -> np.ndarray:
         """Value at s in [-delta, 0]; scalar s gives (n,), array (m,) gives (m, n)."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        if scalar:
+        if np.isscalar(s) or np.ndim(s) == 0:
             return self.eval_scalar(float(s))
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         idx, theta, length = self._locate(s_arr)
         y0 = self.values[idx]
         y1 = self.values[idx + 1]
         if self.interp == LINEAR:
-            out = y0 + theta[:, None] * (y1 - y0)
-        else:
-            h00, h10, h01, h11 = _hermite_basis(theta)
-            m0 = self.slopes[idx] * length[:, None]
-            m1 = self.slopes[idx + 1] * length[:, None]
-            out = (
-                h00[:, None] * y0
-                + h10[:, None] * m0
-                + h01[:, None] * y1
-                + h11[:, None] * m1
-            )
-        return out[0] if scalar else out
+            return y0 + theta[:, None] * (y1 - y0)
+        return _hermite(
+            theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1]
+        )
 
     def eval_scalar(self, s: float) -> np.ndarray:
         """Fast scalar-time evaluation (same result as eval)."""
@@ -190,14 +186,7 @@ class HistorySegment:
         y1 = self.values[i + 1]
         if self.interp == LINEAR:
             return y0 + theta * (y1 - y0)
-        t2 = theta * theta
-        t3 = t2 * theta
-        return (
-            (2.0 * t3 - 3.0 * t2 + 1.0) * y0
-            + (t3 - 2.0 * t2 + theta) * (self.slopes[i] * length)
-            + (-2.0 * t3 + 3.0 * t2) * y1
-            + (t3 - t2) * (self.slopes[i + 1] * length)
-        )
+        return _hermite(theta, length, y0, y1, self.slopes[i], self.slopes[i + 1])
 
     def deriv_scalar(self, s: float, side: str = "+") -> np.ndarray:
         """Fast scalar-time derivative (same result as deriv)."""
@@ -213,21 +202,12 @@ class HistorySegment:
         y0, y1 = self.values[i], self.values[i + 1]
         if self.interp == LINEAR:
             return (y1 - y0) / length
-        t2 = theta * theta
-        m0 = self.slopes[i] * length
-        m1 = self.slopes[i + 1] * length
-        return (
-            (6.0 * t2 - 6.0 * theta) * y0
-            + (3.0 * t2 - 4.0 * theta + 1.0) * m0
-            + (-6.0 * t2 + 6.0 * theta) * y1
-            + (3.0 * t2 - 2.0 * theta) * m1
-        ) / length
+        return _hermite_deriv(theta, length, y0, y1, self.slopes[i], self.slopes[i + 1])
 
     def deriv(self, s, side: str = "+") -> np.ndarray:
         """Interpolant derivative at s. `side` picks the branch at interior nodes
         (relevant for linear interpolation, where the slope jumps at nodes)."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        if scalar:
+        if np.isscalar(s) or np.ndim(s) == 0:
             return self.deriv_scalar(float(s), side)
         s_arr = np.atleast_1d(np.asarray(s, dtype=float))
         idx, theta, length = self._locate(s_arr)
@@ -239,18 +219,10 @@ class HistorySegment:
         y0 = self.values[idx]
         y1 = self.values[idx + 1]
         if self.interp == LINEAR:
-            out = (y1 - y0) / length[:, None]
-        else:
-            d00, d10, d01, d11 = _hermite_basis_deriv(theta)
-            m0 = self.slopes[idx] * length[:, None]
-            m1 = self.slopes[idx + 1] * length[:, None]
-            out = (
-                d00[:, None] * y0
-                + d10[:, None] * m0
-                + d01[:, None] * y1
-                + d11[:, None] * m1
-            ) / length[:, None]
-        return out[0] if scalar else out
+            return (y1 - y0) / length[:, None]
+        return _hermite_deriv(
+            theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1]
+        )
 
     def quad_panels(self) -> np.ndarray:
         """Panel boundaries for quadrature against this history."""

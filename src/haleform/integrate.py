@@ -7,6 +7,12 @@ x(t) = z(t) + sum_j A_j x(t - Delta_j) from the dense store. A classical
 store (cubic Hermite between accepted nodes, the initial history for t <= 0)
 and never extrapolate. Breakpoints sum_j k_j Delta_j are inserted into the
 mesh so derivative jumps stay aligned with step boundaries.
+
+The mesh is complete before the first step, so the dense store is a set of
+preallocated (mesh size, n) arrays (x, z and their sided slopes) filled one
+row per accepted node, and every lookup, scalar or vectorized, reads them in
+place. Stages at the same time share their delayed reads: the terms
+A_j x(s - Delta_j) and the right-hand side's reads of the accepted past.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment
+from .histories import CUBIC, HistorySegment, _hermite, _hermite_deriv
 from .operators import NfdeSystem, dop_apply, rhs_eval
 from .signals import InputSignal
 
@@ -84,155 +90,166 @@ def _build_mesh(step: float, horizon: float, anchors: np.ndarray) -> np.ndarray:
 
 
 class _DenseStore:
-    """Accepted knots of x and z with sided Hermite slopes for x."""
+    """Accepted knots of x and z with sided Hermite slopes, preallocated on the mesh.
 
-    def __init__(self, xi0: HistorySegment, n: int):
+    The mesh is fixed before the first step, so every array holds one row per
+    mesh node and rows [0, count) are the accepted knots (rows beyond stay
+    NaN). Node times return the stored rows; times in between use the cubic
+    Hermite of the enclosing interval, with right slopes at its left end and
+    left slopes at its right.
+    """
+
+    def __init__(self, xi0: HistorySegment, mesh: np.ndarray, n: int):
         self.xi0 = xi0
         self.n = n
-        self.times: list[float] = []
-        self.x: list[np.ndarray] = []
-        self.z: list[np.ndarray] = []
-        self.zdot_left: list[np.ndarray] = []
-        self.zdot_right: list[np.ndarray] = []
-        self.xdot_left: list[np.ndarray] = []
-        self.xdot_right: list[np.ndarray] = []
+        self.mesh = mesh
+        self._mesh_list = mesh.tolist()
+        self.count = 0
+        self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right = (
+            np.full((mesh.size, n), np.nan) for _ in range(6)
+        )
 
     @property
-    def _t_arr(self) -> np.ndarray:
-        return np.asarray(self.times)
+    def times(self) -> np.ndarray:
+        return self.mesh[: self.count]
 
-    def append(self, t, x, z, zdl, zdr, xdl, xdr):
-        self.times.append(float(t))
-        self.x.append(np.asarray(x, float))
-        self.z.append(np.asarray(z, float))
-        self.zdot_left.append(np.asarray(zdl, float))
-        self.zdot_right.append(np.asarray(zdr, float))
-        self.xdot_left.append(np.asarray(xdl, float))
-        self.xdot_right.append(np.asarray(xdr, float))
+    def append(self, x, z, zdl, zdr, xdl, xdr):
+        self.x[self.count] = x
+        self.z[self.count] = z
+        self.count += 1
+        self.set_last_slopes(zdl, zdr, xdl, xdr)
 
     def set_last_slopes(self, zdl, zdr, xdl, xdr):
-        self.zdot_left[-1] = np.asarray(zdl, float)
-        self.zdot_right[-1] = np.asarray(zdr, float)
-        self.xdot_left[-1] = np.asarray(xdl, float)
-        self.xdot_right[-1] = np.asarray(xdr, float)
+        k = self.count - 1
+        self.zdot_left[k] = zdl
+        self.zdot_right[k] = zdr
+        self.xdot_left[k] = xdl
+        self.xdot_right[k] = xdr
 
-    def _interval(self, t: float) -> int:
-        i = bisect.bisect_right(self.times, t) - 1
-        return min(max(i, 0), len(self.times) - 2)
+    def _at(self, t: float, kernel, y, right, left, node) -> np.ndarray:
+        tl = self._mesh_list
+        i = bisect.bisect_right(tl, t, 0, self.count) - 1
+        i = min(max(i, 0), self.count - 2)
+        if t == tl[i]:
+            return node[i]
+        if t == tl[i + 1]:
+            return node[i + 1]
+        length = tl[i + 1] - tl[i]
+        return kernel((t - tl[i]) / length, length, y[i], y[i + 1], right[i], left[i + 1])
 
-    def _hermite(self, i: int, t: float, want_deriv: bool, side: str):
-        t0, t1 = self.times[i], self.times[i + 1]
-        length = t1 - t0
-        theta = (t - t0) / length
-        y0, y1 = self.x[i], self.x[i + 1]
-        m0 = self.xdot_right[i] * length
-        m1 = self.xdot_left[i + 1] * length
-        return _cubic(theta, y0, y1, m0, m1, length, want_deriv)
+    def _many(self, ts: np.ndarray, kernel, y, right, left, node) -> np.ndarray:
+        """`_at` on every time of ts at once."""
+        times = self.times
+        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+        length = times[i + 1] - times[i]
+        theta = (ts - times[i]) / length
+        out = kernel(theta[:, None], length[:, None], y[i], y[i + 1], right[i], left[i + 1])
+        at_left = ts == times[i]
+        at_right = ts == times[i + 1]
+        out[at_left] = node[i[at_left]]
+        out[at_right] = node[i[at_right] + 1]
+        return out
 
     def x_at(self, t: float) -> np.ndarray:
         if t <= 0.0:
             return self.xi0.eval_scalar(t)
-        i = self._interval(t)
-        if t == self.times[i]:
-            return self.x[i]
-        if t == self.times[i + 1]:
-            return self.x[i + 1]
-        return self._hermite(i, t, want_deriv=False, side="+")
+        return self._at(t, _hermite, self.x, self.xdot_right, self.xdot_left, self.x)
+
+    def x_many(self, ts: np.ndarray) -> np.ndarray:
+        out = np.empty((ts.size, self.n))
+        past = ts <= 0.0
+        if past.any():
+            out[past] = self.xi0.eval(ts[past])
+        if not past.all():
+            out[~past] = self._many(
+                ts[~past], _hermite, self.x, self.xdot_right, self.xdot_left, self.x
+            )
+        return out
 
     def xdot_at(self, t: float, side: str = "+") -> np.ndarray:
         if t < 0.0 or (t == 0.0 and side == "-"):
-            return self.xi0.deriv(min(t, 0.0), side)
-        if t == 0.0:
-            return self.xdot_right[0]
-        i = self._interval(t)
-        if t == self.times[i]:
-            return self.xdot_right[i] if side == "+" else self.xdot_left[i]
-        if t == self.times[i + 1]:
-            return self.xdot_left[i + 1] if side == "-" else self.xdot_right[i + 1]
-        return self._hermite(i, t, want_deriv=True, side=side)
+            return self.xi0.deriv_scalar(min(t, 0.0), side)
+        node = self.xdot_right if side == "+" else self.xdot_left
+        return self._at(t, _hermite_deriv, self.x, self.xdot_right, self.xdot_left, node)
+
+    def xdot_many(self, ts: np.ndarray, side: str = "+") -> np.ndarray:
+        out = np.empty((ts.size, self.n))
+        past = (ts < 0.0) | ((ts == 0.0) & (side == "-"))
+        if past.any():
+            out[past] = self.xi0.deriv(ts[past], side)
+        if not past.all():
+            node = self.xdot_right if side == "+" else self.xdot_left
+            out[~past] = self._many(
+                ts[~past], _hermite_deriv, self.x, self.xdot_right, self.xdot_left, node
+            )
+        return out
 
     def z_at(self, t: float) -> np.ndarray:
         if t < 0.0:
             raise PreconditionError("z is defined for t >= 0 only")
-        i = self._interval(t)
-        if t == self.times[i]:
-            return self.z[i]
-        if t == self.times[i + 1]:
-            return self.z[i + 1]
-        t0, t1 = self.times[i], self.times[i + 1]
-        length = t1 - t0
-        theta = (t - t0) / length
-        return _cubic(
-            theta,
-            self.z[i],
-            self.z[i + 1],
-            self.zdot_right[i] * length,
-            self.zdot_left[i + 1] * length,
-            length,
-            False,
-        )
+        return self._at(t, _hermite, self.z, self.zdot_right, self.zdot_left, self.z)
 
-
-def _cubic(theta, y0, y1, m0, m1, length, want_deriv):
-    t2 = theta * theta
-    t3 = t2 * theta
-    if want_deriv:
-        d00 = 6.0 * t2 - 6.0 * theta
-        d10 = 3.0 * t2 - 4.0 * theta + 1.0
-        d01 = -d00
-        d11 = 3.0 * t2 - 2.0 * theta
-        return (d00 * y0 + d10 * m0 + d01 * y1 + d11 * m1) / length
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + theta
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return h00 * y0 + h10 * m0 + h01 * y1 + h11 * m1
+    def z_many(self, ts: np.ndarray) -> np.ndarray:
+        return self._many(ts, _hermite, self.z, self.zdot_right, self.zdot_left, self.z)
 
 
 class _StageView:
     """History x_s seen by the right-hand side during a stage evaluation.
 
-    Times at or before the anchor (last accepted node) read the dense store;
-    the sliver (anchor, s] interpolates linearly to the stage tip. Only rhs
+    Times at or before the anchor (last accepted node) read the dense store
+    through `past`, a cache shared by every view at the same stage time; the
+    sliver (anchor, s] interpolates linearly to the stage tip. Only rhs
     delays shorter than one step ever read the sliver.
     """
 
-    def __init__(self, store: _DenseStore, delta: float, tip_t: float, tip_x, anchor_t: float):
+    def __init__(
+        self, store: _DenseStore, delta: float, tip_t: float, tip_x, anchor_t: float, past: dict
+    ):
         self.store = store
         self.delta = delta
         self.tip_t = tip_t
-        self.tip_x = np.asarray(tip_x, float)
+        self.tip_x = tip_x
         self.anchor_t = anchor_t
-        self.anchor_x = store.x[-1]
+        self.anchor_x = store.x[store.count - 1]
+        self.past = past
         self.interp = CUBIC
-
-    def _eval_scalar(self, tau: float) -> np.ndarray:
-        t = self.tip_t + tau
-        if t <= self.anchor_t:
-            return self.store.x_at(t)
-        if t >= self.tip_t or self.tip_t == self.anchor_t:
-            return self.tip_x
-        w = (t - self.anchor_t) / (self.tip_t - self.anchor_t)
-        return (1.0 - w) * self.anchor_x + w * self.tip_x
 
     def eval(self, tau):
         if np.isscalar(tau) or np.ndim(tau) == 0:
-            return self._eval_scalar(float(tau))
-        taus = np.asarray(tau, dtype=float).ravel()
-        out = np.empty((taus.size, self.store.n))
-        for k, tv in enumerate(taus):
-            out[k] = self._eval_scalar(float(tv))
+            t = self.tip_t + float(tau)
+            if t <= self.anchor_t:
+                x = self.past.get(t)
+                if x is None:
+                    x = self.past[t] = self.store.x_at(t)
+                return x
+            if t >= self.tip_t or self.tip_t == self.anchor_t:
+                return self.tip_x
+            w = (t - self.anchor_t) / (self.tip_t - self.anchor_t)
+            return (1.0 - w) * self.anchor_x + w * self.tip_x
+        t = self.tip_t + np.asarray(tau, dtype=float).ravel()
+        out = np.empty((t.size, self.store.n))
+        past = t <= self.anchor_t
+        if past.any():
+            key = t[past].tobytes()
+            x = self.past.get(key)
+            if x is None:
+                x = self.past[key] = self.store.x_many(t[past])
+            out[past] = x
+        sliver = ~past & (t < self.tip_t) & (self.tip_t != self.anchor_t)
+        out[~past & ~sliver] = self.tip_x
+        if sliver.any():
+            w = ((t[sliver] - self.anchor_t) / (self.tip_t - self.anchor_t))[:, None]
+            out[sliver] = (1.0 - w) * self.anchor_x + w * self.tip_x
         return out
 
     def quad_panels(self) -> np.ndarray:
         lo = self.tip_t - self.delta
         past = self.store.xi0.grid + 0.0
         past = past[(past >= lo) & (past <= 0.0)]
-        accepted = self.store._t_arr
-        accepted = accepted[(accepted >= lo) & (accepted <= self.anchor_t)]
+        times = self.store.times
+        accepted = times[np.searchsorted(times, lo) : np.searchsorted(times, self.anchor_t, "right")]
         pts = np.concatenate([past, accepted, [self.anchor_t, self.tip_t]])
-        taus = np.unique(np.clip(pts - self.tip_t, -self.delta, 0.0))
-        return taus
+        return np.unique(np.clip(pts - self.tip_t, -self.delta, 0.0))
 
 
 @dataclass
@@ -254,7 +271,7 @@ class Trajectory:
     def x_at(self, t):
         if np.ndim(t) == 0:
             return self._store.x_at(float(t))
-        return np.stack([self._store.x_at(float(tv)) for tv in np.asarray(t).ravel()])
+        return self._store.x_many(np.asarray(t, dtype=float).ravel())
 
     def z_at(self, t):
         if np.ndim(t) == 0:
@@ -263,25 +280,7 @@ class Trajectory:
 
     def z_dense(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized Hermite evaluation of z on times in [0, t_end]."""
-        times = self.times
-        idx = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
-        length = times[idx + 1] - times[idx]
-        theta = (ts - times[idx]) / length
-        zdr = np.asarray(self._store.zdot_right)
-        zdl = np.asarray(self._store.zdot_left)
-        t2 = theta * theta
-        t3 = t2 * theta
-        h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-        h10 = t3 - 2.0 * t2 + theta
-        h01 = -2.0 * t3 + 3.0 * t2
-        h11 = t3 - t2
-        ln = length[:, None]
-        return (
-            h00[:, None] * self.z[idx]
-            + h10[:, None] * (zdr[idx] * ln)
-            + h01[:, None] * self.z[idx + 1]
-            + h11[:, None] * (zdl[idx + 1] * ln)
-        )
+        return self._store.z_many(ts)
 
     def xdot_at(self, t, side: str = "+"):
         return self._store.xdot_at(float(t), side)
@@ -333,20 +332,25 @@ def integrate(
         anchors = np.concatenate([anchors, u.jump_times(horizon)])
     mesh = _build_mesh(h, horizon, anchors)
 
-    dop = system.dop
     rhs = system.rhs
-    store = _DenseStore(xi0, system.n)
+    delta = system.delta
+    store = _DenseStore(xi0, mesh, system.n)
+    dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
 
-    def recon(t: float, z_val: np.ndarray) -> np.ndarray:
-        out = np.asarray(z_val, float).copy()
-        for j in range(dop.p):
-            out += dop.matrices[j] @ store.x_at(t - dop.delays[j])
+    def delayed(t: float) -> list[np.ndarray]:
+        """The terms A_j x(t - Delta_j), in summation order."""
+        return [a @ store.x_at(t - d) for d, a in dop_terms]
+
+    def recon(z_val: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
+        out = z_val.copy()
+        for term in terms:
+            out += term
         return out
 
     def delayed_slope_sum(t: float, side: str) -> np.ndarray:
         out = np.zeros(system.n)
-        for j in range(dop.p):
-            out += dop.matrices[j] @ store.xdot_at(t - dop.delays[j], side)
+        for d, a in dop_terms:
+            out += a @ store.xdot_at(t - d, side)
         return out
 
     def u_at(t: float, side: str = "+"):
@@ -356,35 +360,39 @@ def integrate(
         return rhs.eval(view, u_at(t, side))
 
     # seed node at t = 0
-    z0 = dop_apply(dop, xi0)
+    z0 = dop_apply(system.dop, xi0)
     x0 = xi0.eval(0.0)
     zdr0 = rhs.eval(xi0, u_at(0.0, "+"))
     xdl0 = xi0.deriv(0.0, "-")
-    store.append(0.0, x0, z0, zdr0, zdr0, xdl0, xdl0)
+    store.append(x0, z0, zdr0, zdr0, xdl0, xdl0)
     xdr0 = zdr0 + delayed_slope_sum(0.0, "+")
     store.set_last_slopes(zdr0, zdr0, xdl0, xdr0)
 
     blowup = False
     u_jumps = set(np.round(u.jump_times(horizon) / _BP_TOL).astype(np.int64)) if u is not None else set()
+    mesh_list = store._mesh_list
 
     for i in range(mesh.size - 1):
-        t = mesh[i]
-        t_next = mesh[i + 1]
+        t = mesh_list[i]
+        t_next = mesh_list[i + 1]
         hh = t_next - t
-        z_cur = store.z[-1]
-        k1 = store.zdot_right[-1]
+        z_cur = store.z[i]
+        k1 = store.zdot_right[i]
 
+        # stages at one time share their delayed reads: D-terms and rhs past
         s_mid = t + 0.5 * hh
+        mid_terms, mid_past = delayed(s_mid), {}
         z2 = z_cur + 0.5 * hh * k1
-        k2 = f_for(_StageView(store, system.delta, s_mid, recon(s_mid, z2), t), s_mid)
+        k2 = f_for(_StageView(store, delta, s_mid, recon(z2, mid_terms), t, mid_past), s_mid)
         z3 = z_cur + 0.5 * hh * k2
-        k3 = f_for(_StageView(store, system.delta, s_mid, recon(s_mid, z3), t), s_mid)
+        k3 = f_for(_StageView(store, delta, s_mid, recon(z3, mid_terms), t, mid_past), s_mid)
         z4 = z_cur + hh * k3
+        end_terms, end_past = delayed(t_next), {}
         # the step integrates the u-branch active on (t, t_next): left limit at t_next
-        k4 = f_for(_StageView(store, system.delta, t_next, recon(t_next, z4), t), t_next, "-")
+        k4 = f_for(_StageView(store, delta, t_next, recon(z4, end_terms), t, end_past), t_next, "-")
 
         z_new = z_cur + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_new = recon(t_next, z_new)
+        x_new = recon(z_new, end_terms)
         mag2 = float(x_new @ x_new)
         if not np.isfinite(mag2) or mag2 > policy.blowup_bound**2:
             blowup = True
@@ -392,9 +400,9 @@ def integrate(
 
         # provisional slopes from the last stage; refreshed right below
         tail_left = delayed_slope_sum(t_next, "-")
-        store.append(t_next, x_new, z_new, k4, k4, k4 + tail_left, k4 + tail_left)
+        store.append(x_new, z_new, k4, k4, k4 + tail_left, k4 + tail_left)
 
-        node_view = _StageView(store, system.delta, t_next, x_new, t_next)
+        node_view = _StageView(store, delta, t_next, x_new, t_next, end_past)
         zdr_new = f_for(node_view, t_next, "+")
         key = int(round(t_next / _BP_TOL))
         zdl_new = f_for(node_view, t_next, "-") if key in u_jumps else zdr_new
@@ -402,13 +410,14 @@ def integrate(
         xdr_new = zdr_new + delayed_slope_sum(t_next, "+")
         store.set_last_slopes(zdl_new, zdr_new, xdl_new, xdr_new)
 
-    times = np.asarray(store.times)
+    times = store.times
+    count = store.count
     return Trajectory(
         system=system,
         xi0=xi0,
         times=times,
-        x=np.asarray(store.x),
-        z=np.asarray(store.z),
+        x=store.x[:count],
+        z=store.z[:count],
         breakpoints=bps[bps <= times[-1] + _BP_TOL],
         t_end=float(times[-1]),
         blowup=blowup,
@@ -431,22 +440,27 @@ def segment(traj: Trajectory, t: float) -> HistorySegment:
     if t == 0.0:
         return traj.xi0
     lo = t - delta
-    knots = [lo]
     past = traj.xi0.grid + 0.0
-    knots.extend(past[(past > lo) & (past < t)])
     pos = traj.times
-    knots.extend(pos[(pos > lo) & (pos < t) & (pos > 0.0)])
-    knots.append(t)
-    grid = np.unique(np.asarray(knots))
+    grid = np.unique(np.concatenate([
+        [lo], past[(past > lo) & (past < t)], pos[(pos > lo) & (pos < t) & (pos > 0.0)], [t]
+    ]))
     keep = np.r_[True, np.diff(grid) > _BP_TOL * max(1.0, delta)]
     grid = grid[keep]
     grid[-1] = t
-    values = np.stack([traj._store.x_at(float(g)) for g in grid])
-    slopes = np.empty_like(values)
-    for k, g in enumerate(grid):
-        side = "-" if k == grid.size - 1 else "+"
-        slopes[k] = traj._store.xdot_at(float(g), side)
+    store = traj._store
+    values = store.x_many(grid)
+    slopes = np.vstack([store.xdot_many(grid[:-1], "+"), store.xdot_at(t, "-")])
     return HistorySegment(delta, grid - t, values, CUBIC, slopes)
+
+
+def _breakpoint_gap(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
+    """Distance from each time in ts to the nearest breakpoint, 0 or t_end."""
+    bps = np.unique(np.concatenate([traj.breakpoints, [0.0, traj.t_end]]))
+    pos = np.searchsorted(bps, ts)
+    below = bps[np.maximum(pos - 1, 0)]
+    above = bps[np.minimum(pos, bps.size - 1)]
+    return np.minimum(np.abs(below - ts), np.abs(above - ts))
 
 
 def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
@@ -464,9 +478,7 @@ def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
     h_local = np.min(np.diff(times))
     mids = 0.5 * (times[:-1] + times[1:])
     guard = 2.0 * h_local
-    bps = np.concatenate([traj.breakpoints, [0.0, traj.t_end]])
-    ok = np.array([np.min(np.abs(bps - tm)) >= guard for tm in mids])
-    cand = mids[ok]
+    cand = mids[_breakpoint_gap(traj, mids) >= guard]
     if cand.size == 0:
         return 0.0
     sel = cand[np.unique(np.linspace(0, cand.size - 1, min(sample_count, cand.size)).astype(int))]

@@ -3,6 +3,7 @@ import pytest
 
 from haleform import (
     DifferenceOperator,
+    DistributedTerm,
     HistorySegment,
     InputTerm,
     LinearTerm,
@@ -76,3 +77,21 @@ def cubic_system():
 @pytest.fixture
 def unit_history():
     return HistorySegment.constant([1.0], 1.0)
+
+
+@pytest.fixture
+def two_delay_system():
+    """Two operator delays and an rhs delay of a quarter."""
+    dop = DifferenceOperator(delays=[0.5, 1.0], matrices=[[[0.3]], [[0.2]]])
+    rhs = RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.2]]), LinearTerm(0.25, [[0.2]])))
+    return NfdeSystem(dop, rhs)
+
+
+@pytest.fixture
+def distributed_system():
+    """Neutral system with a linear-kernel distributed rhs term over [-1, 0]."""
+    grid = np.linspace(-1.0, 0.0, 5)
+    kernel = (0.1 + 0.2 * (grid + 1.0))[:, None, None]
+    dop = DifferenceOperator(delays=[1.0], matrices=[[[0.3]]])
+    rhs = RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.5]]), DistributedTerm(grid, kernel)))
+    return NfdeSystem(dop, rhs)

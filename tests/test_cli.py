@@ -206,6 +206,27 @@ def test_scenario_run_matches_direct_invocation(workdir):
     assert (out / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+def test_run_seed_flag_overrides_scenario_seed_including_zero(workdir):
+    write_json(workdir / "scn.json", {"command": "check-dop", "system": "sys.json", "seed": 5})
+    seeds = {}
+    for name, flags in (("kept", []), ("zero", ["--seed", "0"]), ("seven", ["--seed", "7"])):
+        out = workdir / name
+        assert main(["run", "--scenario", str(workdir / "scn.json"), "--out", str(out), *flags]) == 0
+        seeds[name] = read_json(out / "report.json")["seed"]
+    assert seeds == {"kept": 5, "zero": 0, "seven": 7}
+
+
+def test_subcommand_seed_defaults_to_zero(workdir):
+    out = workdir / "cd"
+    assert main(["check-dop", str(workdir / "sys.json"), "--out", str(out)]) == 0
+    assert read_json(out / "report.json")["seed"] == 0
+
+
+def test_threads_flag_is_gone(workdir, capsys):
+    with pytest.raises(SystemExit):
+        main(["check-dop", str(workdir / "sys.json"), "--threads", "2"])
+
+
 def test_scenario_tolerance_overrides(workdir):
     scenario = {
         "command": "check-dop",

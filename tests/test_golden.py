@@ -1,0 +1,204 @@
+"""Bitwise golden outputs of the numerics core on the benchmark's systems.
+
+The fixture `data/golden.npz` pins integrate (times, x, z), dense lookups,
+segment, phi_h_extend, driver_derivative quotients, history evaluation and
+the report.json bytes of a few CLI scenarios. Regenerate it only when a
+change is meant to alter these numbers:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from haleform import (
+    ConverseFunctional,
+    DifferenceOperator,
+    DistributedTerm,
+    HistorySegment,
+    InputSignal,
+    InputTerm,
+    IntegralQuadraticFunctional,
+    LadderSpec,
+    LinearTerm,
+    NfdeSystem,
+    NonlinearTerm,
+    QuadraticDopFunctional,
+    RhsMap,
+    driver_derivative,
+    integrate,
+    phi_h_extend,
+    residual_check,
+    sample_history,
+    segment,
+    trajectory_consistency,
+    trajectory_grid,
+)
+from haleform.cli import run_scenario
+from haleform.serialization import history_to_dict, system_to_dict
+
+FIXTURE = Path(__file__).parent / "data" / "golden.npz"
+
+
+def _systems() -> dict[str, tuple[NfdeSystem, InputSignal | None]]:
+    grid = np.linspace(-1.0, 0.0, 5)
+    kernel = (0.1 + 0.2 * (grid + 1.0))[:, None, None]
+    pwc = InputSignal("piecewise-constant", {"times": [0.0, 0.7, 1.6], "values": [[0.5], [-1.0], [0.25]]})
+    return {
+        "neutral": (NfdeSystem(
+            DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),))
+        ), None),
+        "planar": (NfdeSystem(
+            DifferenceOperator([0.7], [[[0.3, 0.1], [0.0, 0.2]]]),
+            RhsMap(n=2, terms=(
+                LinearTerm(0.0, [[-1.0, 0.2], [0.0, -0.8]]),
+                LinearTerm(0.5, [[0.1, 0.0], [-0.05, 0.1]]),
+            )),
+            delta=0.7,
+        ), None),
+        "cubic": (NfdeSystem(
+            DifferenceOperator([1.0], [[[0.4]]]),
+            RhsMap(n=1, terms=(NonlinearTerm(0.0, "cubic", [[-1.0]]), LinearTerm(1.0, [[-0.3]]))),
+        ), None),
+        "two_delay": (NfdeSystem(
+            DifferenceOperator([0.5, 1.0], [[[0.3]], [[0.2]]]),
+            RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.2]]), LinearTerm(0.25, [[0.2]]))),
+        ), None),
+        "distributed": (NfdeSystem(
+            DifferenceOperator([1.0], [[[0.3]]]),
+            RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.5]]), DistributedTerm(grid, kernel))),
+        ), None),
+        "input": (NfdeSystem(
+            DifferenceOperator([1.0], [[[0.2]]]),
+            RhsMap(n=1, m=1, terms=(LinearTerm(0.0, [[-1.0]]), InputTerm([[1.0]]))),
+        ), pwc),
+    }
+
+
+def _cli_reports(out: Path) -> dict[str, str]:
+    neutral, _ = _systems()["neutral"]
+    planar, _ = _systems()["planar"]
+    hist = history_to_dict(sample_history(2, 0.7, 1.0, 3, 11))
+    dop_norm = {"kind": "dop-norm", "c": 1.0}
+    samples = {"per_shell": 3, "shells": [0.1, 1.0], "seed": 4}
+    scenarios = {
+        "simulate": {
+            "command": "simulate", "system": system_to_dict(planar),
+            "simulate": {"history": hist, "horizon": 2.0, "step": 0.02, "residual_samples": 8},
+        },
+        "dplus": {
+            "command": "dplus", "system": system_to_dict(planar),
+            "dplus": {"functional": {"kind": "point-quadratic", "P": np.eye(2).tolist()},
+                      "history": hist, "ladder_levels": 8},
+        },
+        "fit": {
+            "command": "fit-lk", "system": system_to_dict(neutral),
+            "fit": {"functional": dop_norm, "variant": "ges", "samples": samples,
+                    "ladder_levels": 5, "headroom": 0.05},
+        },
+        "verify": {
+            "command": "verify-lk", "system": system_to_dict(neutral),
+            "verify": {"functional": dop_norm,
+                       "constants": {"variant": "ges", "a1": 0.9, "a2": 1.6, "a3": 0.2},
+                       "samples": samples, "ladder_levels": 5},
+        },
+        "ges": {
+            "command": "estimate-ges", "system": system_to_dict(neutral), "seed": 3,
+            "ges": {"trajectories": 3, "horizon": 6.0, "step": 0.125},
+        },
+    }
+    digests = {}
+    for name, scn in scenarios.items():
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            run_scenario(scn, out, out / name)
+        for artifact in sorted((out / name).iterdir()):
+            data = artifact.read_bytes()
+            digests[f"cli/{name}/{artifact.name}"] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def golden_outputs() -> dict[str, np.ndarray]:
+    """Every pinned output, keyed by a path-like name."""
+    out: dict[str, np.ndarray] = {}
+    for k, (name, (system, u)) in enumerate(_systems().items()):
+        phi = sample_history(system.n, system.delta, 1.0, 3, 100 + k)
+        traj = integrate(system, phi, 2.5, step=1.0 / 32.0, u=u)
+        out[f"{name}/times"] = traj.times
+        out[f"{name}/x"] = traj.x
+        out[f"{name}/z"] = traj.z
+        probe = np.linspace(-system.delta, traj.t_end, 37)
+        out[f"{name}/x_at"] = traj.x_at(probe)
+        out[f"{name}/z_at"] = traj.z_at(probe[probe >= 0.0])
+        for t in (0.3, 1.37, traj.t_end):
+            seg = segment(traj, t)
+            out[f"{name}/segment/{t:.4f}"] = np.column_stack([seg.grid, seg.values, seg.slopes])
+        out[f"{name}/residual"] = np.array([residual_check(traj, 12)])
+        out[f"{name}/grid"] = trajectory_grid(traj, 9)
+        dmin = system.dop.min_delay
+        u0 = None if u is None else u.eval(0.0)
+        for h in (dmin / 8.0, dmin / 8.0 * 2.0**-5):
+            ext = phi_h_extend(system, phi, h, u0)
+            out[f"{name}/extend/{h:.6g}"] = np.column_stack([ext.grid, ext.values, ext.slopes])
+        V = QuadraticDopFunctional(system.dop, np.eye(system.n))
+        est = driver_derivative(system, V, phi, u0, LadderSpec(levels=8))
+        out[f"{name}/dplus_quadratic"] = est.quotients
+        s = np.linspace(-system.delta, 0.0, 41)
+        lin = HistorySegment(system.delta, phi.grid, phi.values, "linear")
+        out[f"{name}/history"] = np.column_stack([
+            phi.eval(s), phi.deriv(s, "+"), phi.deriv(s, "-"),
+            lin.eval(s), lin.deriv(s, "+"), lin.deriv(s, "-"),
+        ])
+
+    neutral, _ = _systems()["neutral"]
+    phi = sample_history(1, 1.0, 1.0, 4, 7)
+    kgrid = np.linspace(-1.0, 0.0, 6)
+    W = IntegralQuadraticFunctional(neutral.dop, [[2.0]], kgrid, (0.5 + 0.1 * kgrid)[:, None, None])
+    out["neutral/dplus_integral"] = driver_derivative(neutral, W, phi, None, LadderSpec(levels=8)).quotients
+    C = ConverseFunctional(neutral, 0.3, 4.0, step=0.125)
+    out["neutral/converse_v"] = np.array([C(phi)])
+    out["neutral/dplus_converse"] = driver_derivative(neutral, C, phi, None, LadderSpec(levels=4)).quotients
+    traj = integrate(neutral, phi, 3.0, step=1.0 / 64.0)
+    V = QuadraticDopFunctional(neutral.dop, [[1.0]])
+    res = trajectory_consistency(neutral, V, traj, trajectory_grid(traj, 6), 1.0 / 64.0, LadderSpec(levels=6))
+    out["neutral/consistency"] = res.deviations
+    return out
+
+
+def golden_digests() -> dict[str, str]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return _cli_reports(Path(tmp))
+
+
+@pytest.fixture(scope="module")
+def fixture():
+    with np.load(FIXTURE) as data:
+        return {k: data[k] for k in data.files}
+
+
+def test_numerics_bitwise_equal_to_fixture(fixture):
+    got = golden_outputs()
+    arrays = {k: v for k, v in fixture.items() if not k.startswith("cli/")}
+    assert sorted(got) == sorted(arrays)
+    for key, want in arrays.items():
+        assert got[key].shape == want.shape, key
+        assert got[key].tobytes() == want.tobytes(), key
+
+
+def test_cli_artifacts_bitwise_equal_to_fixture(fixture):
+    got = golden_digests()
+    want = {k: str(v) for k, v in fixture.items() if k.startswith("cli/")}
+    assert got == want
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    np.savez_compressed(FIXTURE, **golden_outputs(), **golden_digests())
+    print(f"wrote {FIXTURE}", file=sys.stderr)
