@@ -2,7 +2,8 @@
 
 The fixture `data/golden.npz` pins integrate (times, x, z), dense lookups,
 segment, phi_h_extend, driver_derivative quotients, history evaluation and
-the report.json bytes of a few CLI scenarios. Regenerate it only when a
+the bytes of every artifact of a few CLI scenarios, among them check-dop and
+verify-lk / fit-lk on each certificate variant. Regenerate it only when a
 change is meant to alter these numbers:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -86,9 +87,15 @@ def _systems() -> dict[str, tuple[NfdeSystem, InputSignal | None]]:
 def _cli_reports(out: Path) -> dict[str, str]:
     neutral, _ = _systems()["neutral"]
     planar, _ = _systems()["planar"]
+    unstable = NfdeSystem(
+        DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[0.5]]),))
+    )
     hist = history_to_dict(sample_history(2, 0.7, 1.0, 3, 11))
     dop_norm = {"kind": "dop-norm", "c": 1.0}
+    quadratic = {"kind": "point-quadratic", "P": np.eye(2).tolist()}
+    dop_seminorm = {"kind": "dop-seminorm"}
     samples = {"per_shell": 3, "shells": [0.1, 1.0], "seed": 4}
+    linear = lambda c: {"kind": "Kinf", "form": "linear", "params": {"c": c}}
     scenarios = {
         "simulate": {
             "command": "simulate", "system": system_to_dict(planar),
@@ -113,6 +120,41 @@ def _cli_reports(out: Path) -> dict[str, str]:
         "ges": {
             "command": "estimate-ges", "system": system_to_dict(neutral), "seed": 3,
             "ges": {"trajectories": 3, "horizon": 6.0, "step": 0.125},
+        },
+        "check-dop": {
+            "command": "check-dop", "system": system_to_dict(planar), "check-dop": {"resolution": 16},
+        },
+        "fit_gas": {
+            "command": "fit-lk", "system": system_to_dict(neutral),
+            "fit": {"functional": dop_norm, "variant": "gas", "samples": samples,
+                    "ladder_levels": 5, "headroom": 0.05},
+        },
+        # lower-bound and derivative violations
+        "verify_gas": {
+            "command": "verify-lk", "system": system_to_dict(neutral),
+            "verify": {"functional": dop_norm,
+                       "constants": {"variant": "gas", "alpha1": linear(1.05), "alpha2": linear(0.8),
+                                     "alpha3": {"kind": "K", "form": "power",
+                                                "params": {"c": 3.0, "q": 1.5}}},
+                       "samples": samples, "ladder_levels": 5},
+        },
+        "fit_seminorm": {
+            "command": "fit-lk", "system": system_to_dict(planar),
+            "fit": {"functional": quadratic, "variant": "ges-seminorm", "seminorm": dop_seminorm,
+                    "samples": samples, "ladder_levels": 5, "headroom": 0.05},
+        },
+        # violations of all four conditions, more than the ten counterexamples kept
+        "verify_seminorm": {
+            "command": "verify-lk", "system": system_to_dict(planar),
+            "verify": {"functional": quadratic,
+                       "constants": {"variant": "ges-seminorm", "a1": 0.5, "a2": 0.8, "a3": 0.5,
+                                     "a4": 0.7, "seminorm": dop_seminorm},
+                       "samples": samples, "ladder_levels": 5},
+        },
+        # D+V > 0: the fit refuses the witness with wrong-sign evidence
+        "fit_refused": {
+            "command": "fit-lk", "system": system_to_dict(unstable),
+            "fit": {"functional": dop_norm, "variant": "ges", "samples": samples, "ladder_levels": 5},
         },
     }
     digests = {}
