@@ -1,23 +1,18 @@
 """Certificate verification, constant fitting, and empirical stability probes.
 
-Sampling-based checks of the certificate inequalities
-
-    gas:           alpha1(|D phi|) <= V(phi) <= alpha2(||phi||),
-                   D+V(phi) <= -alpha3(|D phi|)
-    ges:           a1 |D phi| <= V(phi) <= a2 ||phi||,
-                   D+V(phi) <= -a3 V(phi)
-    ges-seminorm:  a1 |D phi| <= V(phi) <= a2 ||phi||_a,
-                   D+V(phi) <= -a3 ||phi||_a,  ||phi||_a <= a4 ||phi||
-
-over histories drawn from nested sup-norm shells. Derivative conditions are
-judged against the ladder error band: a sample only counts as a violation
-when the whole band sits on the wrong side, bands straddling the threshold
-are counted as inconclusive. Verdicts are therefore certificates of
-non-falsification, not proofs.
+The certificate conditions of the three variants (gas, ges, ges-seminorm) are
+stated once, in the table `_CONDITIONS`; verification, constant fitting and
+counterexample re-verification all evaluate that table on sampled histories
+drawn from nested sup-norm shells. Derivative conditions are judged against
+the ladder error band: a sample only counts as a violation when the whole
+band sits on the wrong side, bands straddling the threshold are counted as
+inconclusive. Verdicts are therefore certificates of non-falsification, not
+proofs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +76,83 @@ class CertificateConstants:
             raise PreconditionError(f"unknown certificate variant {self.variant!r}")
 
 
+class _Row:
+    """One sample's evaluations, each made on first use and then kept:
+    |D phi|, the sup norm, the semi-norm, D+V and V.
+
+    With a ladder, V is the ladder's v0, so V(phi) runs once per sample; a
+    row without one evaluates V(phi) alone and never runs the h-ladder.
+    """
+
+    def __init__(self, system, V, phi, ladder: LadderSpec | None, seminorm: SemiNorm | None):
+        self.system = system
+        self.V = V
+        self.phi = phi
+        self.ladder = ladder
+        self.seminorm = seminorm
+
+    @cached_property
+    def dnorm(self) -> float:
+        return float(np.linalg.norm(dop_apply(self.system.dop, self.phi)))
+
+    @cached_property
+    def sup(self) -> float:
+        return self.phi.sup_norm()
+
+    @cached_property
+    def anorm(self) -> float:
+        return float(self.seminorm(self.phi))
+
+    @cached_property
+    def est(self) -> DerivativeEstimate:
+        return driver_derivative(self.system, self.V, self.phi, None, self.ladder)
+
+    @cached_property
+    def v(self) -> float:
+        return self.est.v0 if self.ladder is not None else self.V(self.phi)
+
+    def margins(self) -> dict:
+        out = {"|Dphi|": self.dnorm, "sup": self.sup}
+        if self.seminorm is not None:
+            out["seminorm"] = self.anorm
+        out.update({"V": self.v, "D+V": self.est.value, "band": self.est.error_band})
+        return out
+
+
+# Every certificate condition, lhs(row, c) <= rhs(row, c), per variant and in
+# report order: (name, lhs, rhs, banded). A banded condition is judged against
+# the ladder's error band on D+V.
+_CONDITIONS = {
+    "gas": (
+        ("lower-bound", lambda r, c: float(c.alpha1(r.dnorm)), lambda r, c: r.v, False),
+        ("upper-bound", lambda r, c: r.v, lambda r, c: float(c.alpha2(r.sup)), False),
+        ("derivative", lambda r, c: r.est.value, lambda r, c: -float(c.alpha3(r.dnorm)), True),
+    ),
+    "ges": (
+        ("lower-bound", lambda r, c: c.a1 * r.dnorm, lambda r, c: r.v, False),
+        ("upper-bound", lambda r, c: r.v, lambda r, c: c.a2 * r.sup, False),
+        ("derivative", lambda r, c: r.est.value, lambda r, c: -c.a3 * r.v, True),
+    ),
+    "ges-seminorm": (
+        ("lower-bound", lambda r, c: c.a1 * r.dnorm, lambda r, c: r.v, False),
+        ("upper-bound", lambda r, c: r.v, lambda r, c: c.a2 * r.anorm, False),
+        ("derivative", lambda r, c: r.est.value, lambda r, c: -c.a3 * r.anorm, True),
+        ("domination", lambda r, c: r.anorm, lambda r, c: c.a4 * r.sup, False),
+    ),
+}
+
+
+def _sides(condition, row: _Row, constants: CertificateConstants) -> tuple[float, float, float]:
+    """(lhs, rhs, band) of one table entry on one row."""
+    _, lhs, rhs, banded = condition
+    return lhs(row, constants), rhs(row, constants), row.est.error_band if banded else 0.0
+
+
+def _exceeds(lhs: float, rhs: float, band: float = 0.0) -> bool:
+    """lhs - band > rhs beyond a relative slack of _SLACK."""
+    return lhs - band > rhs + _SLACK * max(1.0, abs(lhs), abs(rhs))
+
+
 @dataclass
 class ConditionStats:
     name: str
@@ -135,24 +207,32 @@ class _Check:
         self.report = report
         self.cap = max_counterexamples
 
-    def record(self, phi: HistorySegment, lhs: float, rhs: float, band: float = 0.0, details=None):
+    def record(self, phi: HistorySegment, lhs: float, rhs: float, band: float = 0.0):
         self.stats.checked += 1
-        slack = _SLACK * max(1.0, abs(lhs), abs(rhs))
-        margin = lhs - rhs
-        self.stats.worst_margin = max(self.stats.worst_margin, margin - band)
-        if lhs - band > rhs + slack:
+        self.stats.worst_margin = max(self.stats.worst_margin, lhs - rhs - band)
+        if _exceeds(lhs, rhs, band):
             self.stats.violations += 1
             if len(self.report.counterexamples) < self.cap:
-                info = {"lhs": lhs, "rhs": rhs, "band": band}
-                info.update(details or {})
                 self.report.counterexamples.append(
-                    Counterexample(self.stats.name, phi, info)
+                    Counterexample(self.stats.name, phi, {"lhs": lhs, "rhs": rhs, "band": band})
                 )
             return "violation"
-        if lhs + band > rhs + slack:
+        if _exceeds(lhs, rhs, -band):
             self.stats.inconclusive += 1
             return "inconclusive"
         return "pass"
+
+
+def _check_rows(constants: CertificateConstants, rows: list[_Row]) -> CertificateReport:
+    """Every condition of the constants' variant on every row, in sample order."""
+    report = CertificateReport(samples_checked=len(rows))
+    conditions = _CONDITIONS[constants.variant]
+    checks = [_Check(report, condition[0]) for condition in conditions]
+    for row in rows:
+        for check, condition in zip(checks, conditions):
+            check.record(row.phi, *_sides(condition, row, constants))
+        report.margins.append(row.margins())
+    return report
 
 
 def sample_shells(
@@ -186,10 +266,6 @@ def sample_shells(
     return out
 
 
-def _derivative(system, V, phi, ladder, u=None) -> DerivativeEstimate:
-    return driver_derivative(system, V, phi, u, ladder)
-
-
 # -- condition verification -------------------------------------------------------
 
 def verify_gas_conditions(
@@ -202,28 +278,7 @@ def verify_gas_conditions(
     """Check the asymptotic-stability certificate conditions on a sample set."""
     if constants.variant != "gas":
         raise PreconditionError("verify_gas_conditions needs gas-variant constants")
-    report = CertificateReport(samples_checked=len(samples))
-    lower = _Check(report, "lower-bound")
-    upper = _Check(report, "upper-bound")
-    decay = _Check(report, "derivative")
-    for phi in samples:
-        dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
-        sup = phi.sup_norm()
-        est = _derivative(system, V, phi, ladder)
-        v = est.v0
-        lower.record(phi, float(constants.alpha1(dnorm)), v, details={"|Dphi|": dnorm})
-        upper.record(phi, v, float(constants.alpha2(sup)), details={"sup": sup})
-        decay.record(
-            phi,
-            est.value,
-            -float(constants.alpha3(dnorm)),
-            band=est.error_band,
-            details={"|Dphi|": dnorm, "V": v},
-        )
-        report.margins.append(
-            {"|Dphi|": dnorm, "sup": sup, "V": v, "D+V": est.value, "band": est.error_band}
-        )
-    return report
+    return _check_rows(constants, [_Row(system, V, phi, ladder, None) for phi in samples])
 
 
 def verify_ges_conditions(
@@ -240,34 +295,13 @@ def verify_ges_conditions(
     """
     if constants.variant != "ges":
         raise PreconditionError("verify_ges_conditions needs ges-variant constants")
-    report = CertificateReport(samples_checked=len(samples))
-    lower = _Check(report, "lower-bound")
-    upper = _Check(report, "upper-bound")
-    decay = _Check(report, "derivative")
-    vvals = []
-    for phi in samples:
-        dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
-        sup = phi.sup_norm()
-        est = _derivative(system, V, phi, ladder)
-        v = est.v0
-        vvals.append(v)
-        lower.record(phi, constants.a1 * dnorm, v, details={"|Dphi|": dnorm})
-        upper.record(phi, v, constants.a2 * sup, details={"sup": sup})
-        decay.record(
-            phi,
-            est.value,
-            -constants.a3 * v,
-            band=est.error_band,
-            details={"V": v},
-        )
-        report.margins.append(
-            {"|Dphi|": dnorm, "sup": sup, "V": v, "D+V": est.value, "band": est.error_band}
-        )
+    rows = [_Row(system, V, phi, ladder, None) for phi in samples]
+    report = _check_rows(constants, rows)
     lip = 0.0
-    for i in range(len(samples) - 1):
-        gap = sup_norm_diff(samples[i], samples[i + 1])
+    for a, b in zip(rows, rows[1:]):
+        gap = sup_norm_diff(a.phi, b.phi)
         if gap > 1e-9:
-            lip = max(lip, abs(vvals[i] - vvals[i + 1]) / gap)
+            lip = max(lip, abs(a.v - b.v) / gap)
     report.lipschitz_estimate = lip
     return report
 
@@ -280,29 +314,10 @@ def verify_ges_seminorm(
     samples: list[HistorySegment],
     ladder: LadderSpec = LadderSpec(),
 ) -> CertificateReport:
-    """Check the semi-norm certificate variant (three conditions per sample)."""
+    """Check the semi-norm certificate variant (four conditions per sample)."""
     if constants.variant != "ges-seminorm":
         raise PreconditionError("verify_ges_seminorm needs ges-seminorm constants")
-    report = CertificateReport(samples_checked=len(samples))
-    lower = _Check(report, "lower-bound")
-    upper = _Check(report, "upper-bound")
-    decay = _Check(report, "derivative")
-    domination = _Check(report, "domination")
-    for phi in samples:
-        dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
-        sup = phi.sup_norm()
-        a_norm = float(seminorm(phi))
-        est = _derivative(system, V, phi, ladder)
-        v = est.v0
-        lower.record(phi, constants.a1 * dnorm, v, details={"|Dphi|": dnorm})
-        upper.record(phi, v, constants.a2 * a_norm, details={"seminorm": a_norm})
-        decay.record(phi, est.value, -constants.a3 * a_norm, band=est.error_band)
-        domination.record(phi, a_norm, constants.a4 * sup, details={"sup": sup})
-        report.margins.append(
-            {"|Dphi|": dnorm, "sup": sup, "seminorm": a_norm, "V": v,
-             "D+V": est.value, "band": est.error_band}
-        )
-    return report
+    return _check_rows(constants, [_Row(system, V, phi, ladder, seminorm) for phi in samples])
 
 
 def reverify_counterexample(
@@ -313,40 +328,18 @@ def reverify_counterexample(
     ladder: LadderSpec = LadderSpec(),
     seminorm: SemiNorm | None = None,
 ) -> bool:
-    """Re-evaluate the violated condition on the stored history."""
-    phi = ce.history
-    dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
-    sup = phi.sup_norm()
-    slack = lambda a, b: _SLACK * max(1.0, abs(a), abs(b))
-    if ce.condition == "derivative":
-        est = _derivative(system, V, phi, ladder)
-        if constants.variant == "gas":
-            rhs = -float(constants.alpha3(dnorm))
-        elif constants.variant == "ges-seminorm":
-            rhs = -constants.a3 * float((seminorm or constants.seminorm)(phi))
-        else:
-            rhs = -constants.a3 * est.v0
-        return est.value - est.error_band > rhs + slack(est.value, rhs)
-    if ce.condition == "domination":
-        a_norm = float((seminorm or constants.seminorm)(phi))
-        rhs = constants.a4 * sup
-        return a_norm > rhs + slack(a_norm, rhs)
-    v = V(phi)
-    if ce.condition == "lower-bound":
-        if constants.variant == "gas":
-            lhs = float(constants.alpha1(dnorm))
-        else:
-            lhs = constants.a1 * dnorm
-        return lhs > v + slack(lhs, v)
-    if ce.condition == "upper-bound":
-        if constants.variant == "gas":
-            rhs = float(constants.alpha2(sup))
-        elif constants.variant == "ges-seminorm":
-            rhs = constants.a2 * float((seminorm or constants.seminorm)(phi))
-        else:
-            rhs = constants.a2 * sup
-        return v > rhs + slack(v, rhs)
-    raise PreconditionError(f"unknown condition {ce.condition!r}")
+    """Re-evaluate the violated condition on the stored history; only a
+    derivative condition runs the h-ladder."""
+    for condition in _CONDITIONS[constants.variant]:
+        if condition[0] == ce.condition:
+            banded = condition[3]
+            row = _Row(
+                system, V, ce.history, ladder if banded else None, seminorm or constants.seminorm
+            )
+            return _exceeds(*_sides(condition, row, constants))
+    raise PreconditionError(
+        f"the {constants.variant} certificate has no condition {ce.condition!r}"
+    )
 
 
 # -- constant fitting --------------------------------------------------------------
@@ -359,34 +352,6 @@ class FitResult:
     @property
     def ok(self) -> bool:
         return self.constants is not None
-
-
-def _report_from_rows(constants: CertificateConstants, rows) -> CertificateReport:
-    """Re-check the fitted conditions on the cached per-sample evaluations."""
-    report = CertificateReport(samples_checked=len(rows))
-    report.fitted = constants
-    lower = _Check(report, "lower-bound")
-    upper = _Check(report, "upper-bound")
-    decay = _Check(report, "derivative")
-    domination = _Check(report, "domination") if constants.variant == "ges-seminorm" else None
-    for phi, dnorm, sup, v, est, a_norm in rows:
-        if constants.variant == "gas":
-            lower.record(phi, float(constants.alpha1(dnorm)), v)
-            upper.record(phi, v, float(constants.alpha2(sup)))
-            decay.record(phi, est.value, -float(constants.alpha3(dnorm)), band=est.error_band)
-        elif constants.variant == "ges":
-            lower.record(phi, constants.a1 * dnorm, v)
-            upper.record(phi, v, constants.a2 * sup)
-            decay.record(phi, est.value, -constants.a3 * v, band=est.error_band)
-        else:
-            lower.record(phi, constants.a1 * dnorm, v)
-            upper.record(phi, v, constants.a2 * (a_norm or 0.0))
-            decay.record(phi, est.value, -constants.a3 * (a_norm or 0.0), band=est.error_band)
-            domination.record(phi, a_norm or 0.0, constants.a4 * sup)
-        report.margins.append(
-            {"|Dphi|": dnorm, "sup": sup, "V": v, "D+V": est.value, "band": est.error_band}
-        )
-    return report
 
 
 def fit_constants(
@@ -405,106 +370,94 @@ def fit_constants(
     -D+V / V over band-definite samples) are relaxed by `headroom` in the
     safe direction so the fitted certificate is robust out of sample;
     headroom 0 recovers the exact envelopes. Returns constants None with a
-    failure report when a derivative has the wrong definite sign, and raises
-    when no admissible sample remains after filtering.
+    failure report when a derivative has the wrong definite sign or a fitted
+    constant is not positive, and raises when no admissible sample remains
+    after filtering.
     """
-    if variant not in ("gas", "ges", "ges-seminorm"):
+    if variant not in _CONDITIONS:
         raise PreconditionError(f"unknown certificate variant {variant!r}")
     if variant == "ges-seminorm" and seminorm is None:
         raise PreconditionError("ges-seminorm fitting needs a semi-norm")
-    rows = []
-    for phi in samples:
-        dnorm = float(np.linalg.norm(dop_apply(system.dop, phi)))
-        sup = phi.sup_norm()
-        est = _derivative(system, V, phi, ladder)
-        v = est.v0
-        a_norm = float(seminorm(phi)) if seminorm is not None else None
-        rows.append((phi, dnorm, sup, v, est, a_norm))
+    rows = [_Row(system, V, phi, ladder, seminorm) for phi in samples]
+    # D+V is judged against V, or against the semi-norm on ges-seminorm: a wrong
+    # sign counts where that scale is above the floor, and a3 is a rate against it
+    scale = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.v)
 
-    failure = None
-    for phi, dnorm, sup, v, est, a_norm in rows:
-        denom = v if variant != "ges-seminorm" else (a_norm or 0.0)
-        if denom > dop_norm_floor and est.value - est.error_band > 0.0:
-            failure = "derivative has the wrong sign on a sample"
-            break
-    if failure is not None:
-        report = CertificateReport(samples_checked=len(samples), failure=failure)
-        bad = [r for r in rows if r[4].value - r[4].error_band > 0.0]
-        for phi, dnorm, sup, v, est, a_norm in bad[:10]:
+    wrong = [r for r in rows if r.est.value - r.est.error_band > 0.0]
+    if any(scale(r) > dop_norm_floor for r in wrong):
+        report = CertificateReport(
+            samples_checked=len(rows), failure="derivative has the wrong sign on a sample"
+        )
+        for r in wrong[:10]:
             report.counterexamples.append(
                 Counterexample(
                     "derivative",
-                    phi,
-                    {"lhs": est.value, "rhs": 0.0, "band": est.error_band, "V": v},
+                    r.phi,
+                    {"lhs": r.est.value, "rhs": 0.0, "band": r.est.error_band, "V": r.v},
                 )
             )
-        stats = ConditionStats("derivative", checked=len(rows), violations=len(bad))
-        report.conditions.append(stats)
+        report.conditions.append(
+            ConditionStats("derivative", checked=len(rows), violations=len(wrong))
+        )
         return FitResult(None, report)
 
     lo = 1.0 - headroom
     hi = 1.0 + headroom
-    if variant == "ges" or variant == "ges-seminorm":
-        r1 = [v / d for _, d, _, v, _, _ in rows if d > dop_norm_floor]
+    if variant == "gas":
+        # monotone piecewise-linear envelopes of the sampled clouds
+        d_arr = np.array([r.dnorm for r in rows])
+        s_arr = np.array([r.sup for r in rows])
+        v_arr = np.array([r.v for r in rows])
+        neg = np.array([-(r.est.value + r.est.error_band) for r in rows])
+        keep = d_arr > dop_norm_floor
+        if not np.any(keep):
+            raise FitImpossibleError("no sample with |D phi| above the floor")
+        if np.any(neg[keep] < 0.0):
+            # indefinite derivative samples already handled above via the band;
+            # clamp at zero so the envelope stays admissible
+            neg = np.maximum(neg, 0.0)
+        try:
+            constants = CertificateConstants(
+                "gas",
+                alpha1=monotone_envelope(
+                    d_arr[keep], v_arr[keep], "lower", headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE
+                ),
+                alpha2=monotone_envelope(
+                    s_arr, v_arr, "upper", headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE
+                ),
+                alpha3=monotone_envelope(d_arr[keep], neg[keep], "lower", headroom, kind=K),
+            )
+        except PreconditionError as exc:
+            return FitResult(None, CertificateReport(samples_checked=len(rows), failure=str(exc)))
+    else:
+        # the ges variants bound V above by the sup norm or the semi-norm
+        upper = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.sup)
+        r1 = [r.v / r.dnorm for r in rows if r.dnorm > dop_norm_floor]
         if not r1:
             raise FitImpossibleError("no sample with |D phi| above the floor")
-        a1 = lo * min(r1)
-        if variant == "ges":
-            r2 = [v / s for _, _, s, v, _, _ in rows if s > dop_norm_floor]
-            r3 = [
-                -(e.value + e.error_band) / v
-                for _, _, _, v, e, _ in rows
-                if v > dop_norm_floor and e.value + e.error_band < 0.0
-            ]
-        else:
-            r2 = [v / a for _, _, _, v, _, a in rows if a > dop_norm_floor]
-            r3 = [
-                -(e.value + e.error_band) / a
-                for _, _, _, _, e, a in rows
-                if a > dop_norm_floor and e.value + e.error_band < 0.0
-            ]
+        r2 = [r.v / upper(r) for r in rows if upper(r) > dop_norm_floor]
+        r3 = [
+            -(r.est.value + r.est.error_band) / scale(r)
+            for r in rows
+            if scale(r) > dop_norm_floor and r.est.value + r.est.error_band < 0.0
+        ]
         if not r2 or not r3:
             raise FitImpossibleError("no admissible sample for a2 or a3 after filtering")
-        a2 = hi * max(r2)
-        a3 = lo * min(r3)
-        if a1 <= 0.0 or a3 <= 0.0:
-            report = CertificateReport(samples_checked=len(samples), failure="nonpositive fitted constant")
-            return FitResult(None, report)
-        if variant == "ges":
-            constants = CertificateConstants("ges", a1=a1, a2=a2, a3=a3)
-        else:
-            r4 = [a / s for _, _, s, _, _, a in rows if s > dop_norm_floor]
+        a4 = None
+        if variant == "ges-seminorm":
+            r4 = [r.anorm / r.sup for r in rows if r.sup > dop_norm_floor]
             a4 = hi * max(r4) if r4 else seminorm.domination_constant()
+        try:
             constants = CertificateConstants(
-                "ges-seminorm", a1=a1, a2=a2, a3=a3, a4=a4, seminorm=seminorm
+                variant, a1=lo * min(r1), a2=hi * max(r2), a3=lo * min(r3), a4=a4,
+                seminorm=seminorm if variant == "ges-seminorm" else None,
             )
-        return FitResult(constants, _report_from_rows(constants, rows))
-
-    # gas variant: monotone piecewise-linear envelopes of the sampled clouds
-    d_arr = np.array([d for _, d, _, _, _, _ in rows])
-    s_arr = np.array([s for _, _, s, _, _, _ in rows])
-    v_arr = np.array([v for _, _, _, v, _, _ in rows])
-    neg = np.array([-(r[4].value + r[4].error_band) for r in rows])
-    keep = d_arr > dop_norm_floor
-    if not np.any(keep):
-        raise FitImpossibleError("no sample with |D phi| above the floor")
-    if np.any(neg[keep] < 0.0):
-        # indefinite derivative samples already handled above via the band;
-        # clamp at zero so the envelope stays admissible
-        neg = np.maximum(neg, 0.0)
-    try:
-        alpha1 = monotone_envelope(
-            d_arr[keep], v_arr[keep], "lower", headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE
-        )
-        alpha2 = monotone_envelope(
-            s_arr, v_arr, "upper", headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE
-        )
-        alpha3 = monotone_envelope(d_arr[keep], neg[keep], "lower", headroom, kind=K)
-    except PreconditionError as exc:
-        report = CertificateReport(samples_checked=len(samples), failure=str(exc))
-        return FitResult(None, report)
-    constants = CertificateConstants("gas", alpha1=alpha1, alpha2=alpha2, alpha3=alpha3)
-    return FitResult(constants, _report_from_rows(constants, rows))
+        except PreconditionError:
+            failure = "nonpositive fitted constant"
+            return FitResult(None, CertificateReport(samples_checked=len(rows), failure=failure))
+    report = _check_rows(constants, rows)
+    report.fitted = constants
+    return FitResult(constants, report)
 
 
 # -- empirical stability estimation -------------------------------------------------
@@ -743,7 +696,7 @@ class ConverseFunctional(Functional):
 
     def __call__(self, phi: HistorySegment) -> float:
         horizon = self.horizon
-        buffer = max(0.5 * self.system.delta, 4.0 * self.system.min_positive_delay() / 8.0)
+        buffer = 0.5 * self.system.delta
         while True:
             traj = integrate(self.system, phi, horizon, step=self.step)
             if traj.blowup:

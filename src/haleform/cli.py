@@ -16,11 +16,9 @@ import numpy as np
 
 from . import __version__
 from .certify import (
-    CertificateConstants,
     check_uniform_attraction,
     construct_converse_ges,
     estimate_ges,
-    estimate_lipschitz,
     fit_constants,
     iss_probe,
     sample_shells,
@@ -30,7 +28,6 @@ from .certify import (
 )
 from .errors import HaleformError
 from .functionals import LadderSpec, driver_derivative
-from .histories import HistorySegment
 from .integrate import StepPolicy, integrate, residual_check
 from .serialization import (
     SCHEMA_VERSION,
@@ -49,7 +46,7 @@ from .serialization import (
     write_json,
 )
 from .signals import InputSignal
-from .stability import INCONCLUSIVE, STABLE, UNSTABLE, gamma0, is_strongly_stable
+from .stability import INCONCLUSIVE, STABLE, UNSTABLE, is_strongly_stable
 
 BLOCK_FOR_COMMAND = {
     "check-dop": "check-dop",

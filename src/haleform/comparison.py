@@ -1,8 +1,8 @@
 """Comparison functions (class K, K-infinity, KL, L) and envelope fitting.
 
 Parametric forms cover power laws c*s^q and linear maps c*s; class-L decay is
-exponential exp(-lam*t); monotone piecewise-linear tables support the fitting
-code, which needs pointwise max/min (lattice) operations.
+exponential exp(-lam*t); monotone piecewise-linear tables hold the envelopes
+that the fitting code builds around sample clouds.
 """
 from __future__ import annotations
 
@@ -148,35 +148,6 @@ class ComparisonFunction:
     def exponential_bound(cls, gain: float, rate: float) -> "ComparisonFunction":
         """KL bound gain * s * exp(-rate * t)."""
         return cls.kl_product(cls.linear(gain), cls.exp_decay(rate))
-
-    # -- lattice operations on tables -------------------------------------------
-
-    def _as_table_on(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self(xs), dtype=float)
-
-    @staticmethod
-    def _lattice_knots(a: "ComparisonFunction", b: "ComparisonFunction") -> np.ndarray:
-        """Union knots plus segment crossings, so pointwise max/min stay exact."""
-        xs = np.union1d(a.params.get("x", [0.0, 1.0]), b.params.get("x", [0.0, 1.0]))
-        gap = a._as_table_on(xs) - b._as_table_on(xs)
-        cross = []
-        for i in range(xs.size - 1):
-            if gap[i] * gap[i + 1] < 0.0:
-                w = gap[i] / (gap[i] - gap[i + 1])
-                cross.append(xs[i] + w * (xs[i + 1] - xs[i]))
-        return np.union1d(xs, np.asarray(cross)) if cross else xs
-
-    @classmethod
-    def table_max(cls, a: "ComparisonFunction", b: "ComparisonFunction", kind=None):
-        xs = cls._lattice_knots(a, b)
-        ys = np.maximum(a._as_table_on(xs), b._as_table_on(xs))
-        return cls.table(xs, ys, kind or a.kind, tail=a.tail)
-
-    @classmethod
-    def table_min(cls, a: "ComparisonFunction", b: "ComparisonFunction", kind=None):
-        xs = cls._lattice_knots(a, b)
-        ys = np.minimum(a._as_table_on(xs), b._as_table_on(xs))
-        return cls.table(xs, ys, kind or a.kind, tail=a.tail)
 
 
 def monotone_envelope(

@@ -19,7 +19,7 @@ the tail spread as an error band.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,31 +88,11 @@ class IntegralQuadraticFunctional(Functional):
 
     def __call__(self, phi):
         d = dop_apply(self.dop, phi)
-        nodes, weights = _quad_nodes(self._term, phi)
+        nodes, weights = self._term._quadrature(phi)
         kmats = self._term._kernel_at(nodes)
         vals = phi.eval(nodes)
         integral = float(np.einsum("k,kj,kij,ki->", weights, vals, kmats, vals))
         return float(d @ self.P @ d) + integral
-
-
-def _quad_nodes(term: DistributedTerm, seg):
-    panels = np.asarray(seg.quad_panels(), dtype=float)
-    edges = np.union1d(
-        term.grid, panels[(panels >= term.grid[0]) & (panels <= term.grid[-1])]
-    )
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    if getattr(seg, "interp", CUBIC) == "linear":
-        nodes = edges
-        weights = np.zeros_like(edges)
-        weights[:-1] += half
-        weights[1:] += half
-    else:
-        off = half / np.sqrt(3.0)
-        nodes = np.concatenate([mid - off, mid + off])
-        weights = np.concatenate([half, half])
-    return nodes, weights
 
 
 class SupNormFunctional(Functional):

@@ -249,14 +249,6 @@ class HistorySegment:
     def zero(cls, n: int, delta: float, interp: str = CUBIC) -> "HistorySegment":
         return cls.constant(np.zeros(n), delta, interp)
 
-    @classmethod
-    def from_function(
-        cls, fn, delta: float, num: int = 33, interp: str = CUBIC
-    ) -> "HistorySegment":
-        grid = np.linspace(-delta, 0.0, num)
-        values = np.stack([np.atleast_1d(np.asarray(fn(s), dtype=float)) for s in grid])
-        return cls(delta, grid, values, interp)
-
 
 def combine(a: float, phi: HistorySegment, b: float, psi: HistorySegment) -> HistorySegment:
     """a*phi + b*psi sampled on the union grid of the two operands."""

@@ -227,7 +227,8 @@ class DistributedTerm:
         theta = (s - self.grid[idx]) / (self.grid[idx + 1] - self.grid[idx])
         return (1.0 - theta)[:, None, None] * self.kernel[idx] + theta[:, None, None] * self.kernel[idx + 1]
 
-    def eval(self, seg, u):
+    def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights of the integral over the kernel's span for `seg`."""
         panels = np.asarray(seg.quad_panels(), dtype=float)
         edges = np.union1d(self.grid, panels[(panels >= self.grid[0]) & (panels <= self.grid[-1])])
         a, b = edges[:-1], edges[1:]
@@ -242,6 +243,10 @@ class DistributedTerm:
             offset = half / np.sqrt(3.0)
             nodes = np.concatenate([mid - offset, mid + offset])
             weights = np.concatenate([half, half])
+        return nodes, weights
+
+    def eval(self, seg, u):
+        nodes, weights = self._quadrature(seg)
         kmats = self._kernel_at(nodes)
         vals = seg.eval(nodes)
         return np.einsum("k,kij,kj->i", weights, kmats, vals)

@@ -218,14 +218,6 @@ def system_from_dict(d: dict) -> NfdeSystem:
     return NfdeSystem(dop, rhs, float(d["delta"]) if "delta" in d else None)
 
 
-def load_system(path) -> NfdeSystem:
-    return system_from_dict(read_json(path))
-
-
-def load_history(path) -> HistorySegment:
-    return history_from_dict(read_json(path))
-
-
 # -- input signals -------------------------------------------------------------------
 
 def signal_to_dict(sig: InputSignal) -> dict:

@@ -5,11 +5,13 @@ from haleform import (
     CertificateConstants,
     ComparisonFunction,
     ConverseFunctional,
+    Counterexample,
     DifferenceOperator,
     DopNormFunctional,
     DopSemiNorm,
     EndpointSemiNorm,
     FitImpossibleError,
+    Functional,
     HistorySegment,
     InputSignal,
     InputTerm,
@@ -22,6 +24,7 @@ from haleform import (
     check_uniform_attraction,
     construct_converse_ges,
     converse_horizon,
+    driver_derivative,
     estimate_ges,
     estimate_lipschitz,
     fit_constants,
@@ -147,6 +150,97 @@ class TestVerifySeminorm:
             scalar_ode_system, V, sn, constants, [unit_history], LADDER
         )
         assert report.stats("domination").violations == 1
+
+
+def _reverify_case(request, variant, condition):
+    """(system, V, constants) under which the shells below hold samples that
+    violate `condition` and samples that pass it."""
+    if variant == "gas":
+        system = request.getfixturevalue("scalar_ode_system")
+        # V = x(0)^2 and D+V = -2 x(0)^2: the linear alpha1 and alpha3 fail
+        # for small |x(0)| and hold for large
+        alpha1 = ComparisonFunction.power(0.5, 2.0)
+        alpha3 = ComparisonFunction.power(1.0, 2.0, kind="K")
+        if condition == "lower-bound":
+            alpha1 = ComparisonFunction.linear(1.0)
+        if condition == "derivative":
+            alpha3 = ComparisonFunction.linear(1.0, kind="K")
+        constants = CertificateConstants(
+            "gas", alpha1=alpha1, alpha2=ComparisonFunction.power(2.0, 2.0), alpha3=alpha3
+        )
+        return system, QuadraticDopFunctional(system.dop, [[1.0]]), constants
+    if variant == "ges":
+        system = request.getfixturevalue("neutral_system")
+        constants = CertificateConstants("ges", a1=1.0, a2=0.45, a3=0.5)
+        return system, DopNormFunctional(system.dop), constants
+    system = request.getfixturevalue("planar_system")
+    sn = DopSemiNorm(system.dop)
+    constants = CertificateConstants("ges-seminorm", a1=0.5, a2=1.0, a3=1.0, a4=0.7, seminorm=sn)
+    return system, QuadraticDopFunctional(system.dop, np.eye(2)), constants
+
+
+class _CountingFunctional(Functional):
+    def __init__(self, V):
+        self.V = V
+        self.calls = 0
+
+    def __call__(self, phi):
+        self.calls += 1
+        return self.V(phi)
+
+
+def _verify(system, V, constants, samples):
+    if constants.variant == "gas":
+        return verify_gas_conditions(system, V, constants, samples, LADDER)
+    if constants.variant == "ges":
+        return verify_ges_conditions(system, V, constants, samples, LADDER)
+    return verify_ges_seminorm(system, V, constants.seminorm, constants, samples, LADDER)
+
+
+@pytest.mark.parametrize(
+    "variant, condition",
+    [
+        ("gas", "lower-bound"),
+        ("gas", "derivative"),
+        ("ges", "upper-bound"),
+        ("ges-seminorm", "upper-bound"),
+        ("ges-seminorm", "derivative"),
+        ("ges-seminorm", "domination"),
+    ],
+)
+def test_reverify_every_variant_and_condition(request, variant, condition):
+    system, V, constants = _reverify_case(request, variant, condition)
+    samples = sample_shells(system.n, system.delta, 5, seed=12, shells=(0.1, 1.0, 10.0))
+    counted = _CountingFunctional(V)
+    driver_derivative(system, counted, samples[0], None, LADDER)
+    # a bound re-check evaluates V once and runs no h-ladder; domination needs no V
+    calls = {"lower-bound": 1, "upper-bound": 1, "domination": 0, "derivative": counted.calls}
+    violated = passed = 0
+    for phi in samples:
+        report = _verify(system, V, constants, [phi])
+        if report.stats(condition).violations:
+            ce = next(c for c in report.counterexamples if c.condition == condition)
+            expected, violated = True, violated + 1
+        elif report.stats(condition).inconclusive == 0:
+            ce = Counterexample(condition, phi)
+            expected, passed = False, passed + 1
+        else:
+            continue
+        counted.calls = 0
+        assert reverify_counterexample(system, counted, constants, ce, LADDER) is expected
+        assert counted.calls == calls[condition]
+    assert violated and passed
+
+
+@pytest.mark.parametrize(
+    "variant, condition",
+    [("ges", "domination"), ("gas", "domination"), ("ges-seminorm", "decay")],
+)
+def test_reverify_rejects_condition_outside_the_variant(request, variant, condition):
+    system, V, constants = _reverify_case(request, variant, condition)
+    phi = HistorySegment.constant(np.ones(system.n), system.delta)
+    with pytest.raises(PreconditionError, match=condition):
+        reverify_counterexample(system, V, constants, Counterexample(condition, phi), LADDER)
 
 
 class TestFitConstants:

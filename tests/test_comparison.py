@@ -55,16 +55,6 @@ def test_kl_product_bound():
     assert beta(3.0, 2.0) == pytest.approx(6.0 * np.exp(-1.0))
 
 
-def test_table_lattice_operations():
-    a = ComparisonFunction.table([0.0, 1.0, 2.0], [0.0, 1.0, 2.0])
-    b = ComparisonFunction.table([0.0, 0.5, 2.0], [0.0, 0.8, 1.5])
-    top = ComparisonFunction.table_max(a, b)
-    bot = ComparisonFunction.table_min(a, b)
-    for s in np.linspace(0.0, 2.0, 21):
-        assert top(s) == pytest.approx(max(a(s), b(s)))
-        assert bot(s) == pytest.approx(min(a(s), b(s)))
-
-
 def test_monotone_envelope_lower_sits_below_cloud():
     rng = np.random.default_rng(0)
     x = rng.uniform(0.1, 3.0, 80)
