@@ -3,8 +3,9 @@
 The fixture `data/golden.npz` pins integrate (times, x, z), dense lookups,
 segment, phi_h_extend, driver_derivative quotients, history evaluation and
 the bytes of every artifact of a few CLI scenarios, among them check-dop and
-verify-lk / fit-lk on each certificate variant. Regenerate it only when a
-change is meant to alter these numbers:
+verify-lk / fit-lk on each certificate variant, and of `main(argv)` runs of
+every subcommand, once at its defaults and once with every flag set.
+Regenerate it only when a change is meant to alter these numbers:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -43,8 +45,8 @@ from haleform import (
     trajectory_consistency,
     trajectory_grid,
 )
-from haleform.cli import run_scenario
-from haleform.serialization import history_to_dict, system_to_dict
+from haleform.cli import main, run_scenario
+from haleform.serialization import history_to_dict, system_to_dict, write_json
 
 FIXTURE = Path(__file__).parent / "data" / "golden.npz"
 
@@ -167,6 +169,72 @@ def _cli_reports(out: Path) -> dict[str, str]:
     return digests
 
 
+def _argv_reports(tmp: Path) -> dict[str, str]:
+    """Every subcommand through `main(argv)`, at its defaults and with each flag set.
+
+    Paths are relative to `tmp`, the working directory during the runs, so
+    that each report's scenario_hash does not depend on where `tmp` is.
+    """
+    neutral, _ = _systems()["neutral"]
+    forced, pwc = _systems()["input"]
+    files = {
+        "sys.json": system_to_dict(neutral),
+        "input.json": system_to_dict(forced),
+        "hist.json": history_to_dict(sample_history(1, 1.0, 1.0, 3, 5)),
+        "V.json": {"kind": "point-quadratic", "P": [[1.0]]},
+        "consts.json": {"variant": "ges", "a1": 0.9, "a2": 1.6, "a3": 0.2},
+        "sn.json": {"kind": "dop-seminorm"},
+        "sig.json": {"kind": pwc.kind, "params": pwc.params},
+        "sigs.json": [{"kind": "constant", "params": {"value": [0.5]}},
+                      {"kind": "sinusoid", "params": {"amplitude": [1.0], "omega": 2.0}}],
+    }
+    for name, data in files.items():
+        write_json(tmp / name, data)
+    step = ["--step", "0.125"]
+    # command: (arguments at the defaults, arguments with every flag set)
+    runs = {
+        "check-dop": (["sys.json"], ["sys.json", "--resolution", "16", "--refine-iters", "5",
+                                     "--seed", "2", "--tol", "margin_tol=0.001"]),
+        "simulate": (["sys.json", "hist.json"],
+                     ["input.json", "hist.json", "-T", "2", "--step", "0.05", "--input", "sig.json",
+                      "--residual-samples", "8", "--seed", "3"]),
+        "dplus": (["sys.json", "V.json", "hist.json"],
+                  ["input.json", "V.json", "hist.json", "--u", "0.5", "--seed", "1",
+                   "--tol", "ladder_levels=6"]),
+        "verify-lk": (["sys.json", "--functional", "V.json", "--constants", "consts.json"],
+                      ["sys.json", "--functional", "V.json", "--constants", "consts.json",
+                       "--per-shell", "3", "--shells", "0.1", "2", "--seed", "4",
+                       "--tol", "ladder_levels=5"]),
+        "fit-lk": (["sys.json", "--functional", "V.json"],
+                   ["sys.json", "--functional", "V.json", "--variant", "ges-seminorm",
+                    "--seminorm", "sn.json", "--per-shell", "3", "--shells", "0.5", "1",
+                    "--seed", "4", "--tol", "ladder_levels=5", "--tol", "headroom=0.05"]),
+        "estimate-ges": (["sys.json"], ["sys.json", "--trajectories", "3", "-T", "6", *step,
+                                        "--seed", "2"]),
+        "attraction": (["sys.json"], ["sys.json", "--bound", "0.5", "--eps", "0.2", "--samples", "4",
+                                      "-T", "5", *step, "--seed", "1"]),
+        "construct-converse": (["sys.json"], ["sys.json", "--rate", "0.3", "-T", "4", *step,
+                                              "--seed", "2"]),
+        "iss-probe": (["input.json"], ["input.json", "--signals", "sigs.json", "-T", "4", *step,
+                                       "--per-shell", "2", "--seed", "3"]),
+    }
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(tmp)
+    try:
+        for command, (defaults, flags) in runs.items():
+            for variant, args in (("defaults", defaults), ("flags", flags)):
+                out = Path(f"argv-{command}-{variant}")
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    main([command, *args, "--out", str(out)])
+                for artifact in sorted(out.iterdir()):
+                    key = f"cli/argv/{command}/{variant}/{artifact.name}"
+                    digests[key] = hashlib.sha256(artifact.read_bytes()).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
 def golden_outputs() -> dict[str, np.ndarray]:
     """Every pinned output, keyed by a path-like name."""
     out: dict[str, np.ndarray] = {}
@@ -216,7 +284,7 @@ def golden_outputs() -> dict[str, np.ndarray]:
 
 def golden_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
-        return _cli_reports(Path(tmp))
+        return {**_cli_reports(Path(tmp)), **_argv_reports(Path(tmp))}
 
 
 @pytest.fixture(scope="module")
