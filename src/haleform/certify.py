@@ -314,9 +314,15 @@ def verify_ges_seminorm(
     samples: list[HistorySegment],
     ladder: LadderSpec = LadderSpec(),
 ) -> CertificateReport:
-    """Check the semi-norm certificate variant (four conditions per sample)."""
+    """Check the semi-norm certificate variant (four conditions per sample).
+
+    `seminorm` must be `constants.seminorm`, the one counterexamples are
+    re-verified with.
+    """
     if constants.variant != "ges-seminorm":
         raise PreconditionError("verify_ges_seminorm needs ges-seminorm constants")
+    if seminorm is not constants.seminorm:
+        raise PreconditionError("verify_ges_seminorm needs seminorm to be constants.seminorm")
     return _check_rows(constants, [_Row(system, V, phi, ladder, seminorm) for phi in samples])
 
 

@@ -11,11 +11,13 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .certify import (
+    DEFAULT_SHELLS,
     check_uniform_attraction,
     construct_converse_ges,
     estimate_ges,
@@ -48,18 +50,6 @@ from .serialization import (
 from .signals import InputSignal
 from .stability import INCONCLUSIVE, STABLE, UNSTABLE, is_strongly_stable
 
-BLOCK_FOR_COMMAND = {
-    "check-dop": "check-dop",
-    "simulate": "simulate",
-    "dplus": "dplus",
-    "verify-lk": "verify",
-    "fit-lk": "fit",
-    "estimate-ges": "ges",
-    "attraction": "attraction",
-    "construct-converse": "converse",
-    "iss-probe": "iss",
-}
-
 EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
@@ -70,22 +60,24 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _resolve(spec, base: Path, loader):
-    """A block entry may be an inline dict or a path to a JSON file."""
+def _resolve(spec, base: Path, loader, inline: type = dict):
+    """A block entry may be inline (an object, or a list where `inline` is list)
+    or a path to a JSON file holding one, relative to `base`."""
     if isinstance(spec, str):
-        return loader(read_json(base / spec))
-    if isinstance(spec, dict):
-        return loader(spec)
-    raise HaleformError(f"expected a file path or inline object, got {type(spec).__name__}")
+        spec = read_json(base / spec)
+    if not isinstance(spec, inline):
+        kind = "object" if inline is dict else inline.__name__
+        raise HaleformError(f"expected a file path or inline {kind}, got {type(spec).__name__}")
+    return loader(spec)
 
 
-def _samples_from_block(block: dict, system, default_per_shell=20):
-    per_shell = int(block.get("per_shell", default_per_shell))
-    shells = tuple(block.get("shells", (0.1, 1.0, 10.0)))
-    seed = int(block.get("seed", 0))
+def _samples_from_block(block: dict, system):
+    shells = tuple(block.get("shells", DEFAULT_SHELLS))
+    if not shells:
+        raise HaleformError("samples: no shells to sample, so nothing would be checked")
     max_roughness = int(block.get("max_roughness", 4))
     return sample_shells(
-        system.n, system.delta, per_shell, seed, shells, max_roughness
+        system.n, system.delta, int(block["per_shell"]), int(block["seed"]), shells, max_roughness
     )
 
 
@@ -143,11 +135,9 @@ def _trajectory_csv(traj, path: Path) -> None:
 
 # -- command executors -------------------------------------------------------------
 
-def _run_check_dop(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("check-dop", {})
-    resolution = int(block.get("resolution", 64))
-    refine = int(block.get("refine_iters", 40))
+def _run_check_dop(system, block: dict, base: Path, out_dir: Path):
+    resolution = int(block["resolution"])
+    refine = int(block["refine_iters"])
     margin_tol = float(block.get("margin_tol", 1e-6))
     verdict, margin = is_strongly_stable(
         system.dop, resolution=resolution, margin_tol=margin_tol, refine_iters=refine
@@ -161,14 +151,12 @@ def _run_check_dop(scn: dict, base: Path, out_dir: Path):
         "margin_tol": margin_tol,
     }
     code = {STABLE: EXIT_PASS, UNSTABLE: EXIT_VIOLATION, INCONCLUSIVE: EXIT_INCONCLUSIVE}[verdict]
-    return code, result, {}
+    return code, result
 
 
-def _run_simulate(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("simulate", {})
+def _run_simulate(system, block: dict, base: Path, out_dir: Path):
     xi0 = _resolve(block["history"], base, history_from_dict)
-    horizon = float(block.get("horizon", 10.0))
+    horizon = float(block["horizon"])
     u = None
     if "input" in block:
         u = _resolve(block["input"], base, signal_from_dict)
@@ -184,12 +172,10 @@ def _run_simulate(scn: dict, base: Path, out_dir: Path):
     }
     if not traj.blowup and block.get("residual_samples"):
         result["max_residual"] = residual_check(traj, int(block["residual_samples"]))
-    return (EXIT_VIOLATION if traj.blowup else EXIT_PASS), result, {}
+    return (EXIT_VIOLATION if traj.blowup else EXIT_PASS), result
 
 
-def _run_dplus(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("dplus", {})
+def _run_dplus(system, block: dict, base: Path, out_dir: Path):
     V = _resolve(block["functional"], base, lambda d: functional_from_dict(d, system))
     phi = _resolve(block["history"], base, history_from_dict)
     u = np.asarray(block["u"], float) if "u" in block else None
@@ -201,7 +187,7 @@ def _run_dplus(scn: dict, base: Path, out_dir: Path):
         "h_ladder": est.h_ladder,
         "nonsmooth": est.nonsmooth,
     }
-    return EXIT_PASS, result, {}
+    return EXIT_PASS, result
 
 
 def _verdict_code(report) -> int:
@@ -212,12 +198,10 @@ def _verdict_code(report) -> int:
     return EXIT_PASS
 
 
-def _run_verify(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("verify", {})
+def _run_verify(system, block: dict, base: Path, out_dir: Path):
     V = _resolve(block["functional"], base, lambda d: functional_from_dict(d, system))
     constants = _resolve(block["constants"], base, lambda d: constants_from_dict(d, system))
-    samples = _samples_from_block(block.get("samples", {}), system)
+    samples = _samples_from_block(block["samples"], system)
     ladder = _ladder_from_block(block)
     if constants.variant == "gas":
         report = verify_gas_conditions(system, V, constants, samples, ladder)
@@ -230,18 +214,16 @@ def _run_verify(scn: dict, base: Path, out_dir: Path):
     csv_name = _write_margins_csv(report, out_dir)
     if csv_name:
         result["margins_csv"] = csv_name
-    return _verdict_code(report), result, {}
+    return _verdict_code(report), result
 
 
-def _run_fit(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("fit", {})
+def _run_fit(system, block: dict, base: Path, out_dir: Path):
     V = _resolve(block["functional"], base, lambda d: functional_from_dict(d, system))
-    variant = block.get("variant", "ges")
+    variant = block["variant"]
     seminorm = None
     if "seminorm" in block:
         seminorm = _resolve(block["seminorm"], base, lambda d: seminorm_from_dict(d, system))
-    samples = _samples_from_block(block.get("samples", {}), system, default_per_shell=100)
+    samples = _samples_from_block(block["samples"], system)
     fit = fit_constants(
         system,
         V,
@@ -256,18 +238,16 @@ def _run_fit(scn: dict, base: Path, out_dir: Path):
         write_json(out_dir / "constants.json", constants_to_dict(fit.constants))
         result["constants_file"] = "constants.json"
     result["counterexample_files"] = _write_counterexamples(fit.report, out_dir)
-    return (EXIT_PASS if fit.ok and fit.report.passed else EXIT_VIOLATION), result, {}
+    return (EXIT_PASS if fit.ok and fit.report.passed else EXIT_VIOLATION), result
 
 
-def _run_ges(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("ges", {})
+def _run_ges(system, block: dict, base: Path, out_dir: Path):
     est = estimate_ges(
         system,
-        int(block.get("trajectories", 20)),
-        float(block.get("horizon", 10.0)),
+        int(block["trajectories"]),
+        float(block["horizon"]),
         step=_step_policy(block),
-        seed=int(block.get("seed", 0)),
+        seed=int(block["seed"]),
         shells=tuple(block.get("shells", (0.1, 1.0))),
     )
     result = {
@@ -281,20 +261,18 @@ def _run_ges(scn: dict, base: Path, out_dir: Path):
     if est.counterexample is not None:
         write_json(out_dir / "escaping_history.json", history_to_dict(est.counterexample))
         result["counterexample_file"] = "escaping_history.json"
-    return (EXIT_PASS if est.is_ges else EXIT_VIOLATION), result, {}
+    return (EXIT_PASS if est.is_ges else EXIT_VIOLATION), result
 
 
-def _run_attraction(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("attraction", {})
+def _run_attraction(system, block: dict, base: Path, out_dir: Path):
     res = check_uniform_attraction(
         system,
-        float(block.get("bound", 1.0)),
-        float(block.get("eps", 0.1)),
-        samples=int(block.get("samples", 20)),
-        horizon=float(block.get("horizon", 20.0)),
+        float(block["bound"]),
+        float(block["eps"]),
+        samples=int(block["samples"]),
+        horizon=float(block["horizon"]),
         step=_step_policy(block),
-        seed=int(block.get("seed", 0)),
+        seed=int(block["seed"]),
     )
     result = {
         "status": res.status,
@@ -304,26 +282,24 @@ def _run_attraction(scn: dict, base: Path, out_dir: Path):
     if res.worst is not None:
         write_json(out_dir / "worst_history.json", history_to_dict(res.worst))
         result["worst_history_file"] = "worst_history.json"
-    return (EXIT_PASS if res.status == "settled" else EXIT_INCONCLUSIVE), result, {}
+    return (EXIT_PASS if res.status == "settled" else EXIT_INCONCLUSIVE), result
 
 
-def _run_converse(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("converse", {})
+def _run_converse(system, block: dict, base: Path, out_dir: Path):
     step = _step_policy(block)
     ges = estimate_ges(
         system,
         int(block.get("trajectories", 20)),
         float(block.get("ges_horizon", 10.0)),
         step=step,
-        seed=int(block.get("seed", 0)),
+        seed=int(block["seed"]),
     )
     if not ges.is_ges:
         result = {"is_ges": False, "note": ges.note}
         if ges.counterexample is not None:
             write_json(out_dir / "escaping_history.json", history_to_dict(ges.counterexample))
             result["counterexample_file"] = "escaping_history.json"
-        return EXIT_VIOLATION, result, {}
+        return EXIT_VIOLATION, result
     rate = float(block.get("rate", ges.lam / 2.0))
     V = construct_converse_ges(system, rate, horizon=block.get("horizon"), ges=ges, step=step)
     spec = functional_to_dict(V)
@@ -334,22 +310,22 @@ def _run_converse(scn: dict, base: Path, out_dir: Path):
         "horizon": V.horizon,
         "ges": {"M": ges.M, "lambda": ges.lam},
     }
-    return EXIT_PASS, result, {}
+    return EXIT_PASS, result
 
 
-def _run_iss(scn: dict, base: Path, out_dir: Path):
-    system = _resolve(scn["system"], base, system_from_dict)
-    block = scn.get("iss", {})
-    ics_block = block.get("initial", {})
+def _run_iss(system, block: dict, base: Path, out_dir: Path):
+    ics_block = block["initial"]
     ics = sample_shells(
         system.n,
         system.delta,
-        int(ics_block.get("per_shell", 10)),
-        int(ics_block.get("seed", 0)),
+        int(ics_block["per_shell"]),
+        int(ics_block["seed"]),
         tuple(ics_block.get("shells", (0.1, 1.0))),
     )
     if "signals" in block:
-        signals = [signal_from_dict(s) for s in block["signals"]]
+        signals = _resolve(
+            block["signals"], base, lambda specs: [signal_from_dict(s) for s in specs], list
+        )
     else:
         signals = [InputSignal.zero(system.m)] + [
             InputSignal.constant(np.full(system.m, c)) for c in (0.25, -0.5, 1.0)
@@ -358,9 +334,9 @@ def _run_iss(scn: dict, base: Path, out_dir: Path):
         system,
         ics,
         signals,
-        horizon=float(block.get("horizon", 10.0)),
+        horizon=float(block["horizon"]),
         step=_step_policy(block),
-        seed=int(block.get("seed", 0)),
+        seed=int(block["seed"]),
     )
     from .serialization import comparison_to_dict
 
@@ -379,43 +355,168 @@ def _run_iss(scn: dict, base: Path, out_dir: Path):
         xi0, sig = est.counterexample
         write_json(out_dir / "probe_history.json", history_to_dict(xi0))
         result["counterexample_file"] = "probe_history.json"
-    return (EXIT_PASS if est.is_iss else EXIT_VIOLATION), result, {}
+    return (EXIT_PASS if est.is_iss else EXIT_VIOLATION), result
 
 
-_EXECUTORS = {
-    "check-dop": _run_check_dop,
-    "simulate": _run_simulate,
-    "dplus": _run_dplus,
-    "verify-lk": _run_verify,
-    "fit-lk": _run_fit,
-    "estimate-ges": _run_ges,
-    "attraction": _run_attraction,
-    "construct-converse": _run_converse,
-    "iss-probe": _run_iss,
+# -- the command table ---------------------------------------------------------------
+
+class _Flag:
+    """One option of a subcommand and the block entry it sets.
+
+    `key` names the entry; "samples.per_shell" is nested. A flag whose default
+    is None enters a block only when given; any other flag always enters, and
+    its default also fills a scenario block that lacks the entry.
+    """
+
+    def __init__(self, names: str, key: str, type: Callable = str, default=None, **options):
+        self.names = names.split()
+        self.key = key
+        self.default = default
+        self.options = dict(type=type, default=default, **options)
+        self.dest = self.names[-1].lstrip("-").replace("-", "_")
+
+
+class _Command(NamedTuple):
+    """One subcommand: its scenario block, executor, help and arguments."""
+
+    block: str
+    run: Callable
+    help: str
+    positionals: tuple[str, ...]  # block entries, after the system file
+    flags: tuple[_Flag, ...]
+    seed_at: str | None = None  # nested seed entry; defaults to the block's seed
+
+
+def _horizon(default=None) -> _Flag:
+    return _Flag("-T --horizon", "horizon", float, default)
+
+
+_STEP = _Flag("--step", "step", float)
+_FUNCTIONAL = _Flag("--functional", "functional", required=True)
+_SHELLS = _Flag("--shells", "samples.shells", float, nargs="*")
+
+_COMMANDS = {
+    "check-dop": _Command(
+        "check-dop", _run_check_dop, "strong-stability margin of the difference operator",
+        (), (
+            _Flag("--resolution", "resolution", int, 64),
+            _Flag("--refine-iters", "refine_iters", int, 40),
+        )),
+    "simulate": _Command(
+        "simulate", _run_simulate, "integrate the system from an initial history",
+        ("history",), (
+            _horizon(10.0),
+            _STEP,
+            _Flag("--input", "input", help="input signal JSON file"),
+            _Flag("--residual-samples", "residual_samples", int),
+        )),
+    "dplus": _Command(
+        "dplus", _run_dplus, "derivative estimate of a functional at a history",
+        ("functional", "history"), (
+            _Flag("--u", "u", float, nargs="*", help="input value"),
+        )),
+    "verify-lk": _Command(
+        "verify", _run_verify, "verify certificate conditions by sampling",
+        (), (
+            _FUNCTIONAL,
+            _Flag("--constants", "constants", required=True),
+            _Flag("--per-shell", "samples.per_shell", int, 20),
+            _SHELLS,
+        ), "samples.seed"),
+    "fit-lk": _Command(
+        "fit", _run_fit, "fit certificate constants from samples",
+        (), (
+            _FUNCTIONAL,
+            _Flag("--variant", "variant", str, "ges", choices=["gas", "ges", "ges-seminorm"]),
+            _Flag("--seminorm", "seminorm"),
+            _Flag("--per-shell", "samples.per_shell", int, 100),
+            _SHELLS,
+        ), "samples.seed"),
+    "estimate-ges": _Command(
+        "ges", _run_ges, "estimate exponential decay from trajectories",
+        (), (
+            _Flag("--trajectories", "trajectories", int, 20),
+            _horizon(10.0),
+            _STEP,
+        )),
+    "attraction": _Command(
+        "attraction", _run_attraction, "uniform attraction probe",
+        (), (
+            _Flag("--bound", "bound", float, 1.0),
+            _Flag("--eps", "eps", float, 0.1),
+            _Flag("--samples", "samples", int, 20),
+            _horizon(20.0),
+            _STEP,
+        )),
+    "construct-converse": _Command(
+        "converse", _run_converse, "build the trajectory-based witness functional",
+        (), (
+            _Flag("--rate", "rate", float),
+            _horizon(),
+            _STEP,
+        )),
+    "iss-probe": _Command(
+        "iss", _run_iss, "input-to-state bound fitting",
+        (), (
+            # read when parsed: a direct invocation's block holds the list itself
+            _Flag("--signals", "signals", read_json, help="JSON file with a list of input signals"),
+            _horizon(10.0),
+            _STEP,
+            _Flag("--per-shell", "initial.per_shell", int, 10),
+        ), "initial.seed"),
 }
+
+
+def _setdefault(block: dict, key: str, value) -> None:
+    """Set a (nested) entry unless present, copying the dicts on its path."""
+    *parents, last = key.split(".")
+    for name in parents:
+        inner = dict(block.get(name, {}))
+        block[name] = inner
+        block = inner
+    block.setdefault(last, value)
+
+
+def _block_from_args(command: _Command, args) -> dict:
+    block = {name: getattr(args, name) for name in command.positionals}
+    for flag in command.flags:
+        value = getattr(args, flag.dest)
+        if value is not None:
+            _setdefault(block, flag.key, value)
+    if command.seed_at:
+        # run_scenario would fill the same value; written here, it is part of the hash
+        _setdefault(block, command.seed_at, args.seed)
+    return block
 
 
 def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int:
     """Execute one scenario dict; write report.json and artifacts; return exit code."""
     command = scenario.get("command")
-    if command not in _EXECUTORS:
+    if command not in _COMMANDS:
         print(f"error: unknown or missing command {command!r}", file=sys.stderr)
         return EXIT_ERROR
     out = Path(out_dir or scenario.get("out", "haleform-out"))
     out.mkdir(parents=True, exist_ok=True)
     tolerances = scenario.get("tolerances", {})
-    block_name = BLOCK_FOR_COMMAND[command]
+    spec = _COMMANDS[command]
     effective = dict(scenario)
     effective.setdefault("seed", 0)
-    block = dict(effective.get(block_name, {}))
+    block = dict(effective.get(spec.block, {}))
     for key, value in tolerances.items():
         block.setdefault(key, value)
     block.setdefault("seed", effective["seed"])
-    effective[block_name] = block
+    effective[spec.block] = block
     hash_source = {k: v for k, v in effective.items() if k != "out"}
     scenario_hash = hashlib.sha256(canonical_json(hash_source).encode()).hexdigest()
+    # defaults fill the block only after hashing, so the hash is of what was given
+    for flag in spec.flags:
+        if flag.default is not None:
+            _setdefault(block, flag.key, flag.default)
+    if spec.seed_at:
+        _setdefault(block, spec.seed_at, block["seed"])
     try:
-        code, result, extra = _EXECUTORS[command](effective, base, out)
+        system = _resolve(effective["system"], base, system_from_dict)
+        code, result = spec.run(system, block, base, out)
     except HaleformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         report = {
@@ -437,7 +538,6 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
         "exit_code": code,
         "result": result,
     }
-    report.update(extra)
     write_json(out / "report.json", report)
     print(f"{command}: exit {code}; report at {out / 'report.json'}")
     return code
@@ -449,7 +549,10 @@ def _parse_tol(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise HaleformError(f"--tol expects name=value, got {pair!r}")
         name, value = pair.split("=", 1)
-        out[name] = float(value)
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise HaleformError(f"--tol {name}: expected a number, got {value!r}") from None
     return out
 
 
@@ -478,74 +581,20 @@ def main(argv=None) -> int:
     run_p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
     run_p.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
 
-    cd = sub.add_parser("check-dop", parents=[seeded], help="strong-stability margin of the difference operator")
-    cd.add_argument("system", help="system description file")
-    cd.add_argument("--resolution", type=int, default=64)
-    cd.add_argument("--refine-iters", type=int, default=40)
-
-    sim = sub.add_parser("simulate", parents=[seeded], help="integrate the system from an initial history")
-    sim.add_argument("system")
-    sim.add_argument("history")
-    sim.add_argument("-T", "--horizon", type=float, default=10.0)
-    sim.add_argument("--step", type=float, default=None)
-    sim.add_argument("--input", type=str, default=None, help="input signal JSON file")
-    sim.add_argument("--residual-samples", type=int, default=0)
-
-    dp = sub.add_parser("dplus", parents=[seeded], help="derivative estimate of a functional at a history")
-    dp.add_argument("system")
-    dp.add_argument("functional")
-    dp.add_argument("history")
-    dp.add_argument("--u", type=float, nargs="*", default=None, help="input value")
-
-    ver = sub.add_parser("verify-lk", parents=[seeded], help="verify certificate conditions by sampling")
-    ver.add_argument("system")
-    ver.add_argument("--functional", required=True)
-    ver.add_argument("--constants", required=True)
-    ver.add_argument("--per-shell", type=int, default=20)
-    ver.add_argument("--shells", type=float, nargs="*", default=None)
-
-    fit = sub.add_parser("fit-lk", parents=[seeded], help="fit certificate constants from samples")
-    fit.add_argument("system")
-    fit.add_argument("--functional", required=True)
-    fit.add_argument("--variant", choices=["gas", "ges", "ges-seminorm"], default="ges")
-    fit.add_argument("--seminorm", default=None)
-    fit.add_argument("--per-shell", type=int, default=100)
-    fit.add_argument("--shells", type=float, nargs="*", default=None)
-
-    ges = sub.add_parser("estimate-ges", parents=[seeded], help="estimate exponential decay from trajectories")
-    ges.add_argument("system")
-    ges.add_argument("--trajectories", type=int, default=20)
-    ges.add_argument("-T", "--horizon", type=float, default=10.0)
-    ges.add_argument("--step", type=float, default=None)
-
-    att = sub.add_parser("attraction", parents=[seeded], help="uniform attraction probe")
-    att.add_argument("system")
-    att.add_argument("--bound", type=float, default=1.0)
-    att.add_argument("--eps", type=float, default=0.1)
-    att.add_argument("--samples", type=int, default=20)
-    att.add_argument("-T", "--horizon", type=float, default=20.0)
-    att.add_argument("--step", type=float, default=None)
-
-    con = sub.add_parser("construct-converse", parents=[seeded], help="build the trajectory-based witness functional")
-    con.add_argument("system")
-    con.add_argument("--rate", type=float, default=None)
-    con.add_argument("-T", "--horizon", type=float, default=None)
-    con.add_argument("--step", type=float, default=None)
-
-    iss = sub.add_parser("iss-probe", parents=[seeded], help="input-to-state bound fitting")
-    iss.add_argument("system")
-    iss.add_argument("--signals", type=str, default=None, help="JSON file with a list of input signals")
-    iss.add_argument("-T", "--horizon", type=float, default=10.0)
-    iss.add_argument("--step", type=float, default=None)
-    iss.add_argument("--per-shell", type=int, default=10)
-
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return EXIT_ERROR
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[seeded], help=command.help)
+        p.add_argument("system", help="system description file")
+        for positional in command.positionals:
+            p.add_argument(positional)
+        for flag in command.flags:
+            p.add_argument(*flag.names, **flag.options)
 
     try:
-        tolerances = _parse_tol(getattr(args, "tol", None))
+        args = parser.parse_args(argv)
+        if args.command is None:
+            parser.print_help()
+            return EXIT_ERROR
+        tolerances = _parse_tol(args.tol)
         if args.command == "run":
             path = Path(args.scenario)
             scenario = read_json(path)
@@ -555,89 +604,18 @@ def main(argv=None) -> int:
                 scenario["seed"] = args.seed
             scenario.setdefault("tolerances", {}).update(tolerances)
             return run_scenario(scenario, path.parent, scenario.get("out"))
-        scenario = _scenario_from_args(args, tolerances)
+        command = _COMMANDS[args.command]
+        scenario = {
+            "command": args.command,
+            "system": args.system,
+            "seed": args.seed,
+            "tolerances": tolerances,
+            command.block: _block_from_args(command, args),
+        }
         return run_scenario(scenario, Path.cwd(), args.out)
     except HaleformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-def _scenario_from_args(args, tolerances: dict) -> dict:
-    scn = {
-        "command": args.command,
-        "system": args.system,
-        "seed": args.seed,
-        "tolerances": tolerances,
-    }
-    if args.out:
-        scn["out"] = args.out
-    block = {}
-    if args.command == "check-dop":
-        block = {"resolution": args.resolution, "refine_iters": args.refine_iters}
-    elif args.command == "simulate":
-        block = {"history": args.history, "horizon": args.horizon}
-        if args.step is not None:
-            block["step"] = args.step
-        if args.input:
-            block["input"] = args.input
-        if args.residual_samples:
-            block["residual_samples"] = args.residual_samples
-    elif args.command == "dplus":
-        block = {"functional": args.functional, "history": args.history}
-        if args.u is not None:
-            block["u"] = args.u
-    elif args.command == "verify-lk":
-        block = {
-            "functional": args.functional,
-            "constants": args.constants,
-            "samples": {"per_shell": args.per_shell, "seed": args.seed},
-        }
-        if args.shells:
-            block["samples"]["shells"] = args.shells
-    elif args.command == "fit-lk":
-        block = {
-            "functional": args.functional,
-            "variant": args.variant,
-            "samples": {"per_shell": args.per_shell, "seed": args.seed},
-        }
-        if args.seminorm:
-            block["seminorm"] = args.seminorm
-        if args.shells:
-            block["samples"]["shells"] = args.shells
-    elif args.command == "estimate-ges":
-        block = {"trajectories": args.trajectories, "horizon": args.horizon, "seed": args.seed}
-        if args.step is not None:
-            block["step"] = args.step
-    elif args.command == "attraction":
-        block = {
-            "bound": args.bound,
-            "eps": args.eps,
-            "samples": args.samples,
-            "horizon": args.horizon,
-            "seed": args.seed,
-        }
-        if args.step is not None:
-            block["step"] = args.step
-    elif args.command == "construct-converse":
-        block = {"seed": args.seed}
-        if args.rate is not None:
-            block["rate"] = args.rate
-        if args.horizon is not None:
-            block["horizon"] = args.horizon
-        if args.step is not None:
-            block["step"] = args.step
-    elif args.command == "iss-probe":
-        block = {
-            "horizon": args.horizon,
-            "seed": args.seed,
-            "initial": {"per_shell": args.per_shell, "seed": args.seed},
-        }
-        if args.step is not None:
-            block["step"] = args.step
-        if args.signals:
-            block["signals"] = read_json(Path(args.signals))
-    scn[BLOCK_FOR_COMMAND[args.command]] = block
-    return scn
 
 
 if __name__ == "__main__":

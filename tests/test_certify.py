@@ -151,6 +151,17 @@ class TestVerifySeminorm:
         )
         assert report.stats("domination").violations == 1
 
+    def test_seminorm_other_than_the_constants_is_rejected(self, scalar_ode_system, unit_history):
+        # counterexamples re-verify with constants.seminorm, so verify must judge with it too
+        V = DopNormFunctional(scalar_ode_system.dop)
+        sn = DopSemiNorm(scalar_ode_system.dop)
+        constants = CertificateConstants(
+            "ges-seminorm", a1=1.0, a2=1.0, a3=1.0, a4=1.0, seminorm=sn
+        )
+        for other in (EndpointSemiNorm(), DopSemiNorm(scalar_ode_system.dop)):
+            with pytest.raises(PreconditionError, match="constants.seminorm"):
+                verify_ges_seminorm(scalar_ode_system, V, other, constants, [unit_history], LADDER)
+
 
 def _reverify_case(request, variant, condition):
     """(system, V, constants) under which the shells below hold samples that

@@ -380,3 +380,85 @@ def test_missing_file_is_clean_error(workdir, capsys):
     code = main(["check-dop", str(workdir / "absent.json"), "--out", str(workdir / "x2")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_tol_value_that_is_not_a_number_is_clean_error(workdir, capsys):
+    code = main([
+        "check-dop", str(workdir / "sys.json"), "--tol", "margin_tol=abc",
+        "--out", str(workdir / "x3"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "margin_tol" in err
+
+
+INPUT_SYSTEM = {
+    "n": 1, "m": 1, "delta": 1.0,
+    "dop": {"delays": [1.0], "matrices": [[[0.2]]]},
+    "rhs": {"terms": [
+        {"type": "linear", "delay": 0.0, "matrix": [[-1.0]]},
+        {"type": "input", "matrix": [[1.0]]},
+    ]},
+}
+
+
+@pytest.mark.parametrize("command, block, system, scenario_block, flags", [
+    ("verify-lk", "verify", "sys.json",
+     {"functional": "V.json", "constants": "consts.json", "samples": {"per_shell": 3},
+      "ladder_levels": 5},
+     ["--functional", "V.json", "--constants", "consts.json", "--per-shell", "3",
+      "--tol", "ladder_levels=5"]),
+    ("fit-lk", "fit", "sys.json",
+     {"functional": "V.json", "samples": {"per_shell": 3}, "ladder_levels": 5},
+     ["--functional", "V.json", "--per-shell", "3", "--tol", "ladder_levels=5"]),
+    ("iss-probe", "iss", "input.json",
+     {"initial": {"per_shell": 2}, "horizon": 4.0, "step": 0.125},
+     ["--per-shell", "2", "-T", "4", "--step", "0.125"]),
+])
+def test_scenario_seed_reaches_the_nested_samples(
+    workdir, monkeypatch, command, block, system, scenario_block, flags
+):
+    """A scenario without a nested seed samples as `--seed` does on the command line."""
+    monkeypatch.chdir(workdir)
+    write_json(workdir / "input.json", INPUT_SYSTEM)
+    write_json(workdir / "scn.json", {
+        "command": command, "system": system, "seed": 5, block: scenario_block,
+    })
+    main(["run", "--scenario", "scn.json", "--out", "from_file"])
+    main([command, system, *flags, "--seed", "5", "--out", "from_argv"])
+    outs = [workdir / "from_file", workdir / "from_argv"]
+    assert read_json(outs[0] / "report.json")["result"] == read_json(outs[1] / "report.json")["result"]
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        if name != "report.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+def test_iss_signals_may_name_a_file_relative_to_the_scenario(workdir):
+    signals = [{"kind": "constant", "params": {"value": [0.5]}},
+               {"kind": "sinusoid", "params": {"amplitude": [1.0], "omega": 2.0}}]
+    sub = workdir / "scenarios"
+    sub.mkdir()
+    write_json(sub / "input.json", INPUT_SYSTEM)
+    write_json(sub / "sigs.json", signals)
+    results = []
+    for name, given in (("by_path", "sigs.json"), ("inline", signals)):
+        write_json(sub / f"{name}.json", {
+            "command": "iss-probe", "system": "input.json", "seed": 1,
+            "iss": {"signals": given, "initial": {"per_shell": 2}, "horizon": 4.0, "step": 0.125},
+        })
+        out = workdir / name
+        assert main(["run", "--scenario", str(sub / f"{name}.json"), "--out", str(out)]) == 0
+        results.append(read_json(out / "report.json")["result"])
+    assert results[0] == results[1]
+    assert results[0]["probes"] > 0
+
+
+def test_empty_shells_is_an_error_not_a_vacuous_pass(workdir, capsys):
+    code = main([
+        "verify-lk", str(workdir / "sys.json"), "--functional", str(workdir / "V.json"),
+        "--constants", str(workdir / "consts.json"), "--shells", "--out", str(workdir / "e"),
+    ])
+    assert code == 1
+    assert "no shells" in capsys.readouterr().err
