@@ -53,12 +53,20 @@ from .functionals import (
     WeightedCompositeFunctional,
     WeightedSemiNorm,
     driver_derivative,
+    driver_derivatives,
     phi_h_extend,
     trajectory_consistency,
     trajectory_grid,
 )
 from .histories import HistorySegment, combine, sample_history, sup_norm_diff
-from .integrate import StepPolicy, Trajectory, integrate, residual_check, segment
+from .integrate import (
+    StepPolicy,
+    Trajectory,
+    integrate,
+    integrate_batch,
+    residual_check,
+    segment,
+)
 from .operators import (
     DifferenceOperator,
     DistributedTerm,

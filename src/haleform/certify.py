@@ -24,9 +24,11 @@ from .functionals import (
     LadderSpec,
     SemiNorm,
     driver_derivative,
+    driver_derivatives,
 )
 from .histories import HistorySegment, sample_history, sup_norm_diff
-from .integrate import StepPolicy, Trajectory, integrate
+# integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
+from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
 from .signals import InputSignal
 
@@ -82,6 +84,7 @@ class _Row:
 
     With a ladder, V is the ladder's v0, so V(phi) runs once per sample; a
     row without one evaluates V(phi) alone and never runs the h-ladder.
+    `_rows` fills D+V for a whole sample list with one batched call.
     """
 
     def __init__(self, system, V, phi, ladder: LadderSpec | None, seminorm: SemiNorm | None):
@@ -140,6 +143,14 @@ _CONDITIONS = {
         ("domination", lambda r, c: r.anorm, lambda r, c: c.a4 * r.sup, False),
     ),
 }
+
+
+def _rows(system, V, samples, ladder: LadderSpec, seminorm: SemiNorm | None) -> list[_Row]:
+    """One row per sample, every row's D+V estimate from one batched ladder evaluation."""
+    rows = [_Row(system, V, phi, ladder, seminorm) for phi in samples]
+    for row, est in zip(rows, driver_derivatives(system, V, [r.phi for r in rows], None, ladder)):
+        row.est = est
+    return rows
 
 
 def _sides(condition, row: _Row, constants: CertificateConstants) -> tuple[float, float, float]:
@@ -225,6 +236,8 @@ class _Check:
 
 def _check_rows(constants: CertificateConstants, rows: list[_Row]) -> CertificateReport:
     """Every condition of the constants' variant on every row, in sample order."""
+    if not rows:
+        raise PreconditionError("verification needs at least one sample")
     report = CertificateReport(samples_checked=len(rows))
     conditions = _CONDITIONS[constants.variant]
     checks = [_Check(report, condition[0]) for condition in conditions]
@@ -278,7 +291,7 @@ def verify_gas_conditions(
     """Check the asymptotic-stability certificate conditions on a sample set."""
     if constants.variant != "gas":
         raise PreconditionError("verify_gas_conditions needs gas-variant constants")
-    return _check_rows(constants, [_Row(system, V, phi, ladder, None) for phi in samples])
+    return _check_rows(constants, _rows(system, V, samples, ladder, None))
 
 
 def verify_ges_conditions(
@@ -295,7 +308,7 @@ def verify_ges_conditions(
     """
     if constants.variant != "ges":
         raise PreconditionError("verify_ges_conditions needs ges-variant constants")
-    rows = [_Row(system, V, phi, ladder, None) for phi in samples]
+    rows = _rows(system, V, samples, ladder, None)
     report = _check_rows(constants, rows)
     lip = 0.0
     for a, b in zip(rows, rows[1:]):
@@ -323,7 +336,7 @@ def verify_ges_seminorm(
         raise PreconditionError("verify_ges_seminorm needs ges-seminorm constants")
     if seminorm is not constants.seminorm:
         raise PreconditionError("verify_ges_seminorm needs seminorm to be constants.seminorm")
-    return _check_rows(constants, [_Row(system, V, phi, ladder, seminorm) for phi in samples])
+    return _check_rows(constants, _rows(system, V, samples, ladder, seminorm))
 
 
 def reverify_counterexample(
@@ -384,7 +397,7 @@ def fit_constants(
         raise PreconditionError(f"unknown certificate variant {variant!r}")
     if variant == "ges-seminorm" and seminorm is None:
         raise PreconditionError("ges-seminorm fitting needs a semi-norm")
-    rows = [_Row(system, V, phi, ladder, seminorm) for phi in samples]
+    rows = _rows(system, V, samples, ladder, seminorm)
     # D+V is judged against V, or against the semi-norm on ges-seminorm: a wrong
     # sign counts where that scale is above the floor, and a3 is a rate against it
     scale = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.v)
@@ -534,15 +547,12 @@ def estimate_ges(
         samples = sample_shells(system.n, system.delta, per_shell, seed, shells)[:seeds]
     else:
         samples = list(seeds)
-    trajs: list[Trajectory] = []
-    for xi0 in samples:
-        traj = integrate(system, xi0, horizon, step=step)
+    trajs: list[Trajectory] = integrate_batch(system, samples, horizon, step=step)
+    for k, (xi0, traj) in enumerate(zip(samples, trajs)):
         if traj.blowup:
             return GesEstimate(
-                np.inf, -np.inf, np.inf, len(trajs) + 1, False, xi0,
-                note=f"blowup at t = {traj.t_end}",
+                np.inf, -np.inf, np.inf, k + 1, False, xi0, note=f"blowup at t = {traj.t_end}"
             )
-        trajs.append(traj)
     slopes, resids = [], []
     for traj in trajs:
         fit = _envelope_slope(traj, horizon / 2.0, horizon)
@@ -602,8 +612,7 @@ def check_uniform_attraction(
     shells = [bound]
     histories = sample_shells(system.n, system.delta, samples, seed, shells)
     settle = 0.0
-    for xi0 in histories:
-        traj = integrate(system, xi0, horizon, step=step)
+    for xi0, traj in zip(histories, integrate_batch(system, histories, horizon, step=step)):
         if traj.blowup:
             return AttractionResult(None, None, "inconclusive", xi0)
         mags = np.linalg.norm(traj.x, axis=1)
@@ -615,13 +624,11 @@ def check_uniform_attraction(
         settle = max(settle, float(traj.times[above[-1] + 1]))
     delta_hat = None
     for cand in [eps * 2.0**k for k in range(-6, 4)]:
-        ok = True
-        for xi0 in sample_shells(system.n, system.delta, max(4, samples // 4), seed + 777, [cand]):
-            traj = integrate(system, xi0, horizon, step=step)
-            if traj.blowup or np.any(np.linalg.norm(traj.x, axis=1) >= eps):
-                ok = False
-                break
-        if ok:
+        shell = sample_shells(system.n, system.delta, max(4, samples // 4), seed + 777, [cand])
+        if not any(
+            traj.blowup or np.any(np.linalg.norm(traj.x, axis=1) >= eps)
+            for traj in integrate_batch(system, shell, horizon, step=step)
+        ):
             delta_hat = cand
     return AttractionResult(settle, delta_hat, "settled")
 
@@ -701,18 +708,40 @@ class ConverseFunctional(Functional):
         return best, t_best
 
     def __call__(self, phi: HistorySegment) -> float:
+        return self.many([phi])[0]
+
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order.
+
+        The histories integrate in shared-mesh batches, and so do the
+        reruns at the extended horizon of those whose maximizer lies at the
+        truncation edge. A blowup raises for the first such history in order.
+        """
+        phis = list(phis)
+        values = [0.0] * len(phis)
+        blowups = {}
+        pending = list(range(len(phis)))
         horizon = self.horizon
         buffer = 0.5 * self.system.delta
-        while True:
-            traj = integrate(self.system, phi, horizon, step=self.step)
-            if traj.blowup:
-                raise EvaluationBlowupError(
-                    f"trajectory from the queried history blew up at t = {traj.t_end}"
-                )
-            best, t_best = self._sup_on(traj)
-            if t_best <= horizon - buffer or horizon >= self.horizon_cap:
-                return best
+        while pending:
+            trajs = integrate_batch(self.system, [phis[k] for k in pending], horizon, step=self.step)
+            rerun = []
+            for k, traj in zip(pending, trajs):
+                if traj.blowup:
+                    blowups[k] = traj.t_end
+                    continue
+                best, t_best = self._sup_on(traj)
+                if t_best <= horizon - buffer or horizon >= self.horizon_cap:
+                    values[k] = best
+                else:
+                    rerun.append(k)
+            pending = rerun
             horizon = min(self.horizon_cap, horizon + max(2.0 * buffer, 0.25 * self.horizon))
+        if blowups:
+            raise EvaluationBlowupError(
+                f"trajectory from the queried history blew up at t = {blowups[min(blowups)]}"
+            )
+        return values
 
 
 def _golden_max(g, lo: float, hi: float, iters: int = 40) -> float:
@@ -880,12 +909,17 @@ def iss_probe(
         samples=lipschitz_samples,
         seed=seed,
     )
+    # one batch per signal; the probes are then read in history-major order
+    by_signal = [
+        integrate_batch(system, initial_histories, horizon, step=step, u=sig)
+        for sig in input_signals
+    ]
     records = []
     probes = 0
-    for xi0 in initial_histories:
+    for k, xi0 in enumerate(initial_histories):
         sup0 = xi0.sup_norm()
-        for sig in input_signals:
-            traj = integrate(system, xi0, horizon, step=step, u=sig)
+        for sig, trajs in zip(input_signals, by_signal):
+            traj = trajs[k]
             probes += 1
             if traj.blowup:
                 beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)

@@ -50,6 +50,10 @@ class Functional:
     def __call__(self, phi: HistorySegment) -> float:
         raise NotImplementedError
 
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order; subclasses may share work across them."""
+        return [self(phi) for phi in phis]
+
 
 class QuadraticDopFunctional(Functional):
     """V(phi) = (D phi)^T P (D phi) with P symmetric positive semidefinite."""
@@ -332,11 +336,41 @@ def driver_derivative(
     their spread; `nonsmooth` flags tails wider than 10x the median spread
     over the whole ladder (oscillating quotients, e.g. sup-norm kinds).
     """
+    return driver_derivatives(system, V, [phi], u, ladder)[0]
+
+
+def driver_derivatives(
+    system: NfdeSystem,
+    V: Functional,
+    phis,
+    u=None,
+    ladder: LadderSpec = LadderSpec(),
+) -> list[DerivativeEstimate]:
+    """`driver_derivative` at every history of phis, in order, under one input value u.
+
+    V is evaluated once, through `V.many`, on every base history and every
+    ladder extension, ordered history by history (phi, then its rungs), so
+    a functional that batches its evaluations shares them across all the
+    histories and a failing evaluation surfaces as it would one at a time.
+    """
     hs = ladder.steps(system.dop.min_delay)
-    v0 = V(phi)
+    queries = []
+    for phi in phis:
+        queries.append(phi)
+        queries.extend(phi_h_extend(system, phi, float(h), u) for h in hs)
+    values = V.many(queries)
+    per = hs.size + 1
+    return [
+        _estimate(hs, values[k], values[k + 1 : k + per], ladder)
+        for k in range(0, len(values), per)
+    ]
+
+
+def _estimate(hs: np.ndarray, v0: float, rung_values, ladder: LadderSpec) -> DerivativeEstimate:
+    """The tail-max estimate from V(phi) and V at each rung's extension."""
     quotients = np.empty(hs.size)
-    for k, h in enumerate(hs):
-        quotients[k] = (V(phi_h_extend(system, phi, float(h), u)) - v0) / h
+    for k, (h, v) in enumerate(zip(hs, rung_values)):
+        quotients[k] = (v - v0) / h
     tail = quotients[-ladder.tail :]
     tail_h = hs[-ladder.tail :]
     value = float(np.max(tail))

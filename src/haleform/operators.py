@@ -18,6 +18,15 @@ from .histories import CUBIC, LINEAR, HistorySegment
 _TOL = 1e-9
 
 
+def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for one vector x (n,), or for each row of a (B, n) stack, where
+    every row rounds as the product with that row alone does."""
+    if x.ndim == 1:
+        return a @ x
+    # one row: the same matrix-vector product, without the stacked-matmul overhead
+    return a.dot(x.T).T if len(x) == 1 else np.matmul(a, x[..., None])[..., 0]
+
+
 def _mat(a, n: int, name: str) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.shape != (n, n):
@@ -146,7 +155,7 @@ class LinearTerm:
         return self.matrix.shape[0]
 
     def eval(self, seg, u):
-        return self.matrix @ seg.eval(-self.delay)
+        return _apply(self.matrix, seg.eval(-self.delay))
 
 
 @dataclass(frozen=True)
@@ -178,7 +187,7 @@ class NonlinearTerm:
         return self.matrix.shape[0]
 
     def eval(self, seg, u):
-        return self.matrix @ self._g(seg.eval(-self.delay))
+        return _apply(self.matrix, self._g(seg.eval(-self.delay)))
 
 
 @dataclass(frozen=True)
@@ -246,6 +255,12 @@ class DistributedTerm:
         return nodes, weights
 
     def eval(self, seg, u):
+        rows = getattr(seg, "rows", None)
+        if rows is not None:  # a stage of several histories: one quadrature each
+            out = np.empty((len(rows), self.n))
+            for b, row in enumerate(rows):
+                out[b] = self.eval(row, u)
+            return out
         nodes, weights = self._quadrature(seg)
         kmats = self._kernel_at(nodes)
         vals = seg.eval(nodes)
@@ -330,9 +345,10 @@ class RhsMap:
         return any(isinstance(t, InputTerm) for t in self.terms)
 
     def eval(self, seg, u=None) -> np.ndarray:
+        """f on a history, or row-wise on a stage view of a batch of them."""
         out = np.zeros(self.n)
         for t in self.terms:
-            out += t.eval(seg, u)
+            out = out + t.eval(seg, u)
         return out
 
 
