@@ -28,7 +28,7 @@ from .functionals import (
 )
 from .histories import HistorySegment, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
-from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
+from .integrate import StepPolicy, Trajectory, _z_lookup, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
 from .signals import InputSignal
 
@@ -670,42 +670,44 @@ class ConverseFunctional(Functional):
         self.refine = int(refine)
         self.horizon_cap = float(horizon_cap) if horizon_cap is not None else 4.0 * float(horizon)
 
-    def _sup_on(self, traj) -> tuple[float, float]:
-        times = traj.times
-        fine = [times]
-        for k in range(1, self.refine):
-            fine.append(times[:-1] + (k / self.refine) * np.diff(times))
-        grid = np.sort(np.concatenate(fine))
-        zmag = np.linalg.norm(traj.z_dense(grid), axis=1)
-        weighted = zmag * np.exp(self.rate * grid)
-        best = float(np.max(weighted))
-        t_best = float(grid[int(np.argmax(weighted))])
-        if best == 0.0:
-            return 0.0, 0.0
-        g = lambda t: float(
-            np.linalg.norm(traj.z_at(float(t))) * np.exp(self.rate * t)
-        )
-        # polish every near-tied local maximum, so the reported sup cannot jump
-        # between rival bumps under small perturbations of the queried history
-        margin = 1e-3 * best
-        interior = np.zeros(grid.size, dtype=bool)
-        interior[1:-1] = (weighted[1:-1] >= weighted[:-2]) & (
-            weighted[1:-1] >= weighted[2:]
-        )
-        interior[0] = weighted[0] >= weighted[1]
-        interior[-1] = weighted[-1] >= weighted[-2]
-        cand = np.nonzero(interior & (weighted >= best - margin))[0]
-        if cand.size > 16:
-            cand = cand[np.argsort(weighted[cand])[-16:]]
-        for k in cand:
-            lo = grid[max(int(k) - 1, 0)]
-            hi = grid[min(int(k) + 1, grid.size - 1)]
-            if hi > lo:
-                val = _golden_max(g, lo, hi)
-                if val > best:
-                    best = val
-                    t_best = 0.5 * (lo + hi)
-        return best, t_best
+    def _sups(self, trajs) -> list[tuple[float, float]]:
+        """(sup, its time) of |z(t)| e^(a t) on each trajectory of trajs; the
+        near-tied maxima of all of them are polished by one golden-section search."""
+        out, which, lo, hi = [], [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]
+        for r, traj in enumerate(trajs):
+            times = traj.times
+            fine = [times[:-1] + (k / self.refine) * np.diff(times) for k in range(1, self.refine)]
+            grid = np.sort(np.concatenate([times, *fine]))
+            weighted = np.linalg.norm(traj.z_dense(grid), axis=1) * np.exp(self.rate * grid)
+            best = float(np.max(weighted))
+            out.append((best, float(grid[int(np.argmax(weighted))])))  # (0, 0) when z vanishes
+            if best == 0.0:
+                continue
+            # polish every near-tied local maximum, so the reported sup cannot jump
+            # between rival bumps under small perturbations of the queried history
+            interior = np.zeros(grid.size, dtype=bool)
+            interior[1:-1] = (weighted[1:-1] >= weighted[:-2]) & (weighted[1:-1] >= weighted[2:])
+            interior[0] = weighted[0] >= weighted[1]
+            interior[-1] = weighted[-1] >= weighted[-2]
+            cand = np.nonzero(interior & (weighted >= best - 1e-3 * best))[0]
+            if cand.size > 16:
+                cand = cand[np.argsort(weighted[cand])[-16:]]
+            a, b = grid[np.maximum(cand - 1, 0)], grid[np.minimum(cand + 1, grid.size - 1)]
+            which.append(np.full(np.count_nonzero(b > a), r))
+            lo.append(a[b > a])
+            hi.append(b[b > a])
+        which, lo, hi = (np.concatenate(parts) for parts in (which, lo, hi))
+        if which.size:
+            z_at = _z_lookup(trajs)
+            vals = _golden_max(
+                lambda t: np.linalg.norm(z_at(which, t), axis=1) * np.exp(self.rate * t), lo, hi
+            )
+            for r in np.unique(which).tolist():
+                # the first of the best candidates, if it beats the grid
+                k = np.flatnonzero(which == r)[int(np.argmax(vals[which == r]))]
+                if vals[k] > out[r][0]:
+                    out[r] = (float(vals[k]), 0.5 * (lo[k] + hi[k]))
+        return out
 
     def __call__(self, phi: HistorySegment) -> float:
         return self.many([phi])[0]
@@ -713,9 +715,9 @@ class ConverseFunctional(Functional):
     def many(self, phis) -> list[float]:
         """V at every history of phis, in order.
 
-        The histories integrate in shared-mesh batches, and so do the
-        reruns at the extended horizon of those whose maximizer lies at the
-        truncation edge. A blowup raises for the first such history in order.
+        The histories integrate in one batch, and so do the reruns at the
+        extended horizon of those whose maximizer lies at the truncation
+        edge. A blowup raises for the first such history in order.
         """
         phis = list(phis)
         values = [0.0] * len(phis)
@@ -725,12 +727,10 @@ class ConverseFunctional(Functional):
         buffer = 0.5 * self.system.delta
         while pending:
             trajs = integrate_batch(self.system, [phis[k] for k in pending], horizon, step=self.step)
+            blowups.update((k, traj.t_end) for k, traj in zip(pending, trajs) if traj.blowup)
+            live = [(k, traj) for k, traj in zip(pending, trajs) if not traj.blowup]
             rerun = []
-            for k, traj in zip(pending, trajs):
-                if traj.blowup:
-                    blowups[k] = traj.t_end
-                    continue
-                best, t_best = self._sup_on(traj)
+            for (k, _), (best, t_best) in zip(live, self._sups([traj for _, traj in live])):
                 if t_best <= horizon - buffer or horizon >= self.horizon_cap:
                     values[k] = best
                 else:
@@ -744,22 +744,25 @@ class ConverseFunctional(Functional):
         return values
 
 
-def _golden_max(g, lo: float, hi: float, iters: int = 40) -> float:
+def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 40) -> np.ndarray:
+    """Golden-section maxima of g on every interval [lo[k], hi[k]] at once;
+    g maps an array of times to their values."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     gc, gd = g(c), g(d)
     for _ in range(iters):
-        if gc >= gd:
-            b, d, gd = d, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + invphi * (b - a)
-            gd = g(d)
-    return max(gc, gd)
+        left = gc >= gd  # keep [a, d], else [c, b]
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = invphi * (b - a)
+        probe = np.where(left, b - step, a + step)
+        gp = g(probe)
+        c, gc, d, gd = (
+            np.where(left, probe, d), np.where(left, gp, gd),
+            np.where(left, c, probe), np.where(left, gc, gp),
+        )
+    return np.maximum(gc, gd)
 
 
 def converse_horizon(ges: GesEstimate, rate: float) -> float:

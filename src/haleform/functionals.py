@@ -92,8 +92,7 @@ class IntegralQuadraticFunctional(Functional):
 
     def __call__(self, phi):
         d = dop_apply(self.dop, phi)
-        nodes, weights = self._term._quadrature(phi)
-        kmats = self._term._kernel_at(nodes)
+        nodes, weights, kmats = self._term._quadrature(phi)
         vals = phi.eval(nodes)
         integral = float(np.einsum("k,kj,kij,ki->", weights, vals, kmats, vals))
         return float(d @ self.P @ d) + integral

@@ -7,7 +7,6 @@ reproduces the stored values exactly.
 """
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,28 +19,34 @@ CUBIC = "cubic-hermite"
 _DOMAIN_TOL = 1e-9
 
 
+def _hermite_basis(theta):
+    """Weights of y0, s0 * length, y1 and s1 * length in `_hermite` at theta."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + theta, -2.0 * t3 + 3.0 * t2, t3 - t2
+
+
+def _hermite_deriv_basis(theta):
+    """The same weights for `_hermite_deriv`, before its division by the length."""
+    t2 = theta * theta
+    return (6.0 * t2 - 6.0 * theta, 3.0 * t2 - 4.0 * theta + 1.0,
+            -6.0 * t2 + 6.0 * theta, 3.0 * t2 - 2.0 * theta)
+
+
+def _hermite_sum(c, length, y0, y1, s0, s1):
+    """c[0] y0 + c[1] s0 length + c[2] y1 + c[3] s1 length, in that order."""
+    return c[0] * y0 + c[1] * (s0 * length) + c[2] * y1 + c[3] * (s1 * length)
+
+
 def _hermite(theta, length, y0, y1, s0, s1):
     """Cubic Hermite value at theta in [0, 1] of a panel of the given length
     with end values y0, y1 and end slopes s0, s1 (scalars or broadcast arrays)."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
-        + (t3 - 2.0 * t2 + theta) * (s0 * length)
-        + (-2.0 * t3 + 3.0 * t2) * y1
-        + (t3 - t2) * (s1 * length)
-    )
+    return _hermite_sum(_hermite_basis(theta), length, y0, y1, s0, s1)
 
 
 def _hermite_deriv(theta, length, y0, y1, s0, s1):
     """Time derivative of `_hermite` with the same arguments."""
-    t2 = theta * theta
-    return (
-        (6.0 * t2 - 6.0 * theta) * y0
-        + (3.0 * t2 - 4.0 * theta + 1.0) * (s0 * length)
-        + (-6.0 * t2 + 6.0 * theta) * y1
-        + (3.0 * t2 - 2.0 * theta) * (s1 * length)
-    ) / length
+    return _hermite_sum(_hermite_deriv_basis(theta), length, y0, y1, s0, s1) / length
 
 
 def fd_slopes(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -133,7 +138,6 @@ class HistorySegment:
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "values", _freeze(values))
-        object.__setattr__(self, "_grid_list", grid.tolist())
 
     @property
     def n(self) -> int:
@@ -143,86 +147,36 @@ class HistorySegment:
     def num_nodes(self) -> int:
         return self.grid.shape[0]
 
-    def _locate(self, s: np.ndarray):
-        tol = _DOMAIN_TOL * max(1.0, self.delta)
-        if np.any(s < -self.delta - tol) or np.any(s > tol):
-            raise PreconditionError(
-                f"evaluation outside [-{self.delta}, 0]: range [{np.min(s)}, {np.max(s)}]"
-            )
-        s = np.clip(s, -self.delta, 0.0)
-        idx = np.searchsorted(self.grid, s, side="right") - 1
-        idx = np.clip(idx, 0, self.num_nodes - 2)
-        length = self.grid[idx + 1] - self.grid[idx]
-        theta = (s - self.grid[idx]) / length
-        return idx, theta, length
-
     def eval(self, s) -> np.ndarray:
         """Value at s in [-delta, 0]; scalar s gives (n,), array (m,) gives (m, n)."""
-        if np.isscalar(s) or np.ndim(s) == 0:
-            return self.eval_scalar(float(s))
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        idx, theta, length = self._locate(s_arr)
-        y0 = self.values[idx]
-        y1 = self.values[idx + 1]
-        if self.interp == LINEAR:
-            return y0 + theta[:, None] * (y1 - y0)
-        return _hermite(
-            theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1]
-        )
-
-    def eval_scalar(self, s: float) -> np.ndarray:
-        """Fast scalar-time evaluation (same result as eval)."""
-        s = float(s)
-        tol = _DOMAIN_TOL * max(1.0, self.delta)
-        if s < -self.delta - tol or s > tol:
-            raise PreconditionError(f"evaluation outside [-{self.delta}, 0]: {s}")
-        s = min(max(s, -self.delta), 0.0)
-        gl = self._grid_list
-        i = bisect.bisect_right(gl, s) - 1
-        i = min(max(i, 0), len(gl) - 2)
-        length = gl[i + 1] - gl[i]
-        theta = (s - gl[i]) / length
-        y0 = self.values[i]
-        y1 = self.values[i + 1]
-        if self.interp == LINEAR:
-            return y0 + theta * (y1 - y0)
-        return _hermite(theta, length, y0, y1, self.slopes[i], self.slopes[i + 1])
-
-    def deriv_scalar(self, s: float, side: str = "+") -> np.ndarray:
-        """Fast scalar-time derivative (same result as deriv)."""
-        s = float(s)
-        s = min(max(s, -self.delta), 0.0)
-        gl = self._grid_list
-        i = bisect.bisect_right(gl, s) - 1
-        i = min(max(i, 0), len(gl) - 2)
-        if side == "-" and i > 0 and s == gl[i]:
-            i -= 1
-        length = gl[i + 1] - gl[i]
-        theta = (s - gl[i]) / length
-        y0, y1 = self.values[i], self.values[i + 1]
-        if self.interp == LINEAR:
-            return (y1 - y0) / length
-        return _hermite_deriv(theta, length, y0, y1, self.slopes[i], self.slopes[i + 1])
+        return self._interpolate(s, None)
 
     def deriv(self, s, side: str = "+") -> np.ndarray:
         """Interpolant derivative at s. `side` picks the branch at interior nodes
         (relevant for linear interpolation, where the slope jumps at nodes)."""
-        if np.isscalar(s) or np.ndim(s) == 0:
-            return self.deriv_scalar(float(s), side)
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        idx, theta, length = self._locate(s_arr)
-        if side == "-":
-            at_node = (theta == 0.0) & (idx > 0)
-            idx = np.where(at_node, idx - 1, idx)
-            length = self.grid[idx + 1] - self.grid[idx]
-            theta = (s_arr.clip(-self.delta, 0.0) - self.grid[idx]) / length
-        y0 = self.values[idx]
-        y1 = self.values[idx + 1]
+        return self._interpolate(s, side)
+
+    def _interpolate(self, s, side: str | None) -> np.ndarray:
+        """The value (side None) or the derivative from `side` at s."""
+        s = np.asarray(s, dtype=float)
+        if s.ndim == 0:
+            return self._interpolate(s[None], side)[0]
+        tol = _DOMAIN_TOL * max(1.0, self.delta)
+        if s.size and (s.min() < -self.delta - tol or s.max() > tol):
+            raise PreconditionError(
+                f"evaluation outside [-{self.delta}, 0]: range [{np.min(s)}, {np.max(s)}]"
+            )
+        s = np.minimum(np.maximum(s, -self.delta), 0.0)
+        idx = np.minimum(np.maximum(np.searchsorted(self.grid, s, side="right") - 1, 0), self.num_nodes - 2)
+        if side == "-":  # a node takes the interval on its left
+            idx = np.where((s == self.grid[idx]) & (idx > 0), idx - 1, idx)
+        length = self.grid[idx + 1] - self.grid[idx]
+        theta = (s - self.grid[idx]) / length
+        y0, y1 = self.values[idx], self.values[idx + 1]
         if self.interp == LINEAR:
-            return (y1 - y0) / length[:, None]
-        return _hermite_deriv(
-            theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1]
-        )
+            return y0 + theta[:, None] * (y1 - y0) if side is None else (y1 - y0) / length[:, None]
+        kernel = _hermite if side is None else _hermite_deriv
+        return kernel(theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1])
 
     def quad_panels(self) -> np.ndarray:
         """Panel boundaries for quadrature against this history."""

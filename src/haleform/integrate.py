@@ -8,18 +8,15 @@ store (cubic Hermite between accepted nodes, the initial history for t <= 0)
 and never extrapolate. Breakpoints sum_j k_j Delta_j are inserted into the
 mesh so derivative jumps stay aligned with step boundaries.
 
-The mesh is complete before the first step, and it depends on the history
-only through its kink times. So histories with the same kinks advance
-together: the dense store is a set of preallocated (mesh size, B, n) arrays
-(x, z and their sided slopes) for B histories, filled one row per accepted
-node, and every lookup reads them in place. Stages at the same time share
-their delayed reads: the terms A_j x(s - Delta_j) and the right-hand side's
-reads of the accepted past. Each history's trajectory keeps a (mesh size, n)
-view of its own column.
+A batch of histories advances in one step loop whatever their meshes (each
+history's kinks seed its own breakpoints): knot k of every history is row k
+of (longest mesh, B, n) arrays, a history parks where its mesh ends or it
+blows up, and each trajectory keeps a view of its own column. The delayed
+reads of the loop (the terms A_j x(s - Delta_j), their slopes and the
+rhs's pointwise reads) are placed ahead, so a step gathers them at once.
 """
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -27,11 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment, _hermite, _hermite_deriv
+from .histories import CUBIC, HistorySegment, _hermite, _hermite_basis, _hermite_deriv
+from .histories import _hermite_deriv_basis, _hermite_sum
 from .operators import NfdeSystem, _apply, dop_apply, rhs_eval
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
+_PLAN_READS = 2048  # delayed reads (per mesh) placed at once ahead of the step loop
 
 
 @dataclass(frozen=True)
@@ -93,23 +92,36 @@ def _build_mesh(step: float, horizon: float, anchors: np.ndarray) -> np.ndarray:
     return np.concatenate(mesh)
 
 
-def _lookup(mesh_list, count, t, kernel, y, right, left, node):
-    """Value at time t of the Hermite interpolant through the first `count` knots.
+class _Knots:
+    """Increasing meshes of two knots or more as one array ordered by (row,
+    time), keyed exactly as row + i * time: numpy orders complex numbers
+    lexicographically, so one searchsorted places the times of every row."""
 
-    y, right, left and node hold one row per mesh node, each row an (n,) vector
-    or a (B, n) stack of them: every row of a stack shares the interval and its
-    weights. Node times return the node row; a single knot holds its value.
-    """
-    if count == 1:
-        return node[0]
-    i = bisect.bisect_right(mesh_list, t, 0, count) - 1
-    i = min(max(i, 0), count - 2)
-    if t == mesh_list[i]:
-        return node[i]
-    if t == mesh_list[i + 1]:
-        return node[i + 1]
-    length = mesh_list[i + 1] - mesh_list[i]
-    return kernel((t - mesh_list[i]) / length, length, y[i], y[i + 1], right[i], left[i + 1])
+    def __init__(self, meshes):
+        self.sizes = np.array([m.size for m in meshes])
+        self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
+        self.last = self.starts + self.sizes - 2  # each row's last interval
+        self.times = np.concatenate(meshes)
+        self.keys = np.repeat(np.arange(len(meshes)), self.sizes) + 1j * self.times
+
+    def locate(self, rows, ts):
+        """(f, theta, length, at_left, at_right) of time ts[k] on row rows[k], f
+        being the flat index of the left knot of its interval (the row's first
+        or last interval for times outside it)."""
+        f = np.searchsorted(self.keys, rows + 1j * ts, side="right") - 1
+        f = np.minimum(np.maximum(f, self.starts[rows]), self.last[rows])
+        lo, hi = self.times[f], self.times[f + 1]
+        return f, (ts - lo) / (hi - lo), hi - lo, ts == lo, ts == hi
+
+
+def _interp(kernel, f, theta, length, at_left, at_right, y, right, left, node) -> np.ndarray:
+    """Hermite values on located times; knot times return the node rows."""
+    out = kernel(theta[:, None], length[:, None], y[f], y[f + 1], right[f], left[f + 1])
+    if at_left.any():
+        out[at_left] = node[f[at_left]]
+    if at_right.any():
+        out[at_right] = node[f[at_right] + 1]
+    return out
 
 
 class _DenseStore:
@@ -121,222 +133,194 @@ class _DenseStore:
     at its right. A trajectory of one knot holds its value.
     """
 
-    def __init__(self, xi0: HistorySegment, mesh: np.ndarray, mesh_list: list, count: int, arrays):
-        self.xi0 = xi0
-        self.n = xi0.n
-        self.mesh = mesh
-        self._mesh_list = mesh_list
-        self.count = count
+    def __init__(self, xi0: HistorySegment, mesh: np.ndarray, count: int, arrays):
+        self.xi0, self.n, self.mesh, self.count = xi0, xi0.n, mesh, count
         self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right = arrays
 
     @property
     def times(self) -> np.ndarray:
         return self.mesh[: self.count]
 
-    def _at(self, t: float, kernel, y, right, left, node) -> np.ndarray:
-        return _lookup(self._mesh_list, self.count, t, kernel, y, right, left, node)
-
     def _many(self, ts: np.ndarray, kernel, y, right, left, node) -> np.ndarray:
-        """`_at` on every time of ts at once."""
         times = self.times
         if times.size == 1:
             return np.repeat(node[:1], ts.size, axis=0)
-        i = np.clip(np.searchsorted(times, ts, side="right") - 1, 0, times.size - 2)
+        i = np.minimum(np.maximum(np.searchsorted(times, ts, side="right") - 1, 0), times.size - 2)
         length = times[i + 1] - times[i]
         theta = (ts - times[i]) / length
-        out = kernel(theta[:, None], length[:, None], y[i], y[i + 1], right[i], left[i + 1])
-        at_left = ts == times[i]
-        at_right = ts == times[i + 1]
-        out[at_left] = node[i[at_left]]
-        out[at_right] = node[i[at_right] + 1]
-        return out
+        return _interp(kernel, i, theta, length, ts == times[i], ts == times[i + 1], y, right, left, node)
 
-    def x_at(self, t: float) -> np.ndarray:
-        if t <= 0.0:
-            return self.xi0.eval_scalar(t)
-        return self._at(t, _hermite, self.x, self.xdot_right, self.xdot_left, self.x)
+    def _x(self, ts, past, history, kernel, node) -> np.ndarray:
+        """The initial history's values at the `past` times, the Hermite's at the others."""
+        out = np.empty((ts.size, self.n))
+        if past.any():
+            out[past] = history(ts[past])
+        if not past.all():
+            out[~past] = self._many(ts[~past], kernel, self.x, self.xdot_right, self.xdot_left, node)
+        return out
 
     def x_many(self, ts: np.ndarray) -> np.ndarray:
-        out = np.empty((ts.size, self.n))
-        past = ts <= 0.0
-        if past.any():
-            out[past] = self.xi0.eval(ts[past])
-        if not past.all():
-            out[~past] = self._many(
-                ts[~past], _hermite, self.x, self.xdot_right, self.xdot_left, self.x
-            )
-        return out
-
-    def xdot_at(self, t: float, side: str = "+") -> np.ndarray:
-        if t < 0.0 or (t == 0.0 and side == "-"):
-            return self.xi0.deriv_scalar(min(t, 0.0), side)
-        node = self.xdot_right if side == "+" else self.xdot_left
-        return self._at(t, _hermite_deriv, self.x, self.xdot_right, self.xdot_left, node)
+        return self._x(ts, ts <= 0.0, self.xi0.eval, _hermite, self.x)
 
     def xdot_many(self, ts: np.ndarray, side: str = "+") -> np.ndarray:
-        out = np.empty((ts.size, self.n))
         past = (ts < 0.0) | ((ts == 0.0) & (side == "-"))
-        if past.any():
-            out[past] = self.xi0.deriv(ts[past], side)
-        if not past.all():
-            node = self.xdot_right if side == "+" else self.xdot_left
-            out[~past] = self._many(
-                ts[~past], _hermite_deriv, self.x, self.xdot_right, self.xdot_left, node
-            )
-        return out
-
-    def z_at(self, t: float) -> np.ndarray:
-        if t < 0.0:
-            raise PreconditionError("z is defined for t >= 0 only")
-        return self._at(t, _hermite, self.z, self.zdot_right, self.zdot_left, self.z)
+        node = self.xdot_right if side == "+" else self.xdot_left
+        return self._x(ts, past, lambda s: self.xi0.deriv(s, side), _hermite_deriv, node)
 
     def z_many(self, ts: np.ndarray) -> np.ndarray:
         return self._many(ts, _hermite, self.z, self.zdot_right, self.zdot_left, self.z)
 
 
 class _BatchStore:
-    """The dense stores of B histories on one mesh, as (mesh size, B, n) arrays.
-
-    The step loop fills one mesh row per accepted step for every history at
-    once, and a lookup at one time shares its interval and Hermite weights
-    across the B rows; reads of the initial histories go history by history.
+    """Accepted knots of B histories as (longest mesh, B, n) arrays, knot k of
+    every history in row k. History b runs on mesh `mesh_of[b]` of the
+    distinct `meshes`, which `times` holds padded with their last knots. The
+    running histories hold `count` knots, a parked one its entry of `counts`.
     """
 
-    def __init__(self, histories, mesh: np.ndarray):
-        self.histories = histories
-        self.mesh = mesh
-        self.mesh_list = mesh.tolist()
-        self.count = 0
+    def __init__(self, histories, meshes, mesh_of):
+        self.histories, self.meshes, self.mesh_of = histories, meshes, np.asarray(mesh_of)
+        self.knots = _Knots(meshes)
+        size = int(self.knots.sizes.max())
         self.shape = (len(histories), histories[0].n)
-        self.arrays = tuple(np.full((mesh.size, *self.shape), np.nan) for _ in range(6))
-        self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right = self.arrays
-        self._row_stores = []
+        # x and its right and left slopes in one block, read by one gather
+        self.block = np.full((3, size, *self.shape), np.nan)
+        self.x, self.xdot_right, self.xdot_left = self.block
+        self.z, self.zdot_left, self.zdot_right = np.full((3, size, *self.shape), np.nan)
+        self.arrays = (self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right)
+        self.times = np.stack([np.pad(m, (0, size - m.size), mode="edge") for m in meshes], axis=1)
+        self.count, self.counts = 0, np.zeros(len(histories), dtype=int)
 
-    def append(self, x, z, zdl, zdr, xdl, xdr):
-        self.x[self.count] = x
-        self.z[self.count] = z
-        self.count += 1
-        for store in self._row_stores:
-            store.count = self.count
-        self.set_last_slopes(zdl, zdr, xdl, xdr)
+    def row(self, b: int, count: int) -> _DenseStore:
+        """History b's store, a view of its column holding `count` knots."""
+        arrays = tuple(a[:, b] for a in self.arrays)
+        return _DenseStore(self.histories[b], self.meshes[self.mesh_of[b]], count, arrays)
 
-    def set_last_slopes(self, zdl, zdr, xdl, xdr):
-        k = self.count - 1
-        self.zdot_left[k] = zdl
-        self.zdot_right[k] = zdr
-        self.xdot_left[k] = xdl
-        self.xdot_right[k] = xdr
 
-    def x_at(self, t: float) -> np.ndarray:
-        if t <= 0.0:
-            out = np.empty(self.shape)
-            for b, xi0 in enumerate(self.histories):
-                out[b] = xi0.eval_scalar(t)
+class _Reads:
+    """The delayed reads of a run of steps, placed before them: read p at step
+    i is x, or x' from the side sides[p] (None for x), at times[p, i, m] for
+    the histories on mesh m. At t <= 0 (for x' from the right, t < 0) that is
+    the initial history, evaluated here; at a knot time, the knot's row; at
+    any other time, the Hermite cubic of its accepted interval, whose knot
+    rows and weights are found here once per mesh, so that a step gathers all
+    its reads, for all histories, with one `take`.
+    """
+
+    def __init__(self, store: _BatchStore, running: np.ndarray, times: np.ndarray, sides, seed=None):
+        shape = times.shape
+        plan, steps, meshes = np.nonzero(np.broadcast_to(running, shape))
+        ts = times[plan, steps, meshes]
+        kind = np.array([(None, "+", "-").index(side) for side in sides])
+        self.deriv = kind[:, None, None] > 0
+        kind = kind[plan]
+        hist = (ts < 0.0) | ((ts == 0.0) & (kind != 1))
+        f, theta, length, at_left, at_right = store.knots.locate(meshes, ts)
+        # reads of the initial history keep to the first knot: their discarded Hermite stays finite
+        k = np.where(hist, 0, f - store.knots.starts[meshes])
+        k1 = np.where(hist, k, k + 1)
+        theta, length = np.where(hist, 0.0, theta), np.where(hist, 1.0, length)
+        basis = np.where(kind == 0, _hermite_basis(theta), _hermite_deriv_basis(theta))
+        # rows in the flattened block (history 0): y0, s0, y1, s1 and the knot of a knot-time read
+        size, width = store.x.shape[:2]
+        rows = np.vstack([k, size + k, k1, 2 * size + k1, kind * size + np.where(at_right, k1, k)])
+
+        def dense(values, fill=0):  # (steps, ..., P, M)
+            out = np.full((shape[1], *values.shape[:-1], shape[0], shape[2]), fill, dtype=values.dtype)
+            out[steps, ..., plan, meshes] = values.T
             return out
-        return _lookup(
-            self.mesh_list, self.count, t, _hermite, self.x, self.xdot_right, self.xdot_left, self.x
-        )
 
-    def xdot_at(self, t: float, side: str) -> np.ndarray:
-        if t < 0.0 or (t == 0.0 and side == "-"):
-            out = np.empty(self.shape)
-            for b, xi0 in enumerate(self.histories):
-                out[b] = xi0.deriv_scalar(min(t, 0.0), side)
-            return out
-        node = self.xdot_right if side == "+" else self.xdot_left
-        return _lookup(
-            self.mesh_list, self.count, t, _hermite_deriv, self.x, self.xdot_right, self.xdot_left, node
-        )
+        self.rows = dense(rows * width)
+        self.coefs = dense(np.vstack([basis, length]), 1.0)[..., None]
+        node, hist_mask = dense(at_left | at_right), dense(hist)
+        self.any_node, self.any_hist = node.any(axis=(1, 2)).tolist(), hist_mask.any(axis=(1, 2)).tolist()
+        self.node, self.hist_mask = node[..., None], hist_mask[..., None]
+        self.flat = store.block.reshape(-1, store.shape[1])
+        # the initial histories, read once per history and kind of read (x,
+        # x' right, x' left), together with the times of that kind in `seed`
+        self.hist = np.zeros((int(steps[hist].max()) + 1 if hist.any() else 0, shape[0], *store.shape))
+        seed = seed or ([], [], [])
+        self.seed = [np.empty((width, len(t), store.shape[1])) for t in seed]
+        for code, extra in enumerate(seed):
+            for b, xi0 in enumerate(store.histories):
+                sel = hist & (meshes == store.mesh_of[b]) & (kind == code)
+                at = np.concatenate([ts[sel], extra])
+                if at.size:
+                    values = xi0.eval(at) if code == 0 else xi0.deriv(at, "+-"[code - 1])
+                    self.hist[steps[sel], plan[sel], b] = values[: at.size - len(extra)]
+                    self.seed[code][b] = values[at.size - len(extra) :]
 
-    def row_stores(self) -> list[_DenseStore]:
-        """One store per history over the batch arrays, kept at the batch's count."""
-        if not self._row_stores:
-            self._row_stores = [self.row(b) for b in range(len(self.histories))]
-        return self._row_stores
-
-    def row(self, b: int, copy: bool = False) -> _DenseStore:
-        """History b's store as it stands; `copy` detaches it from the batch arrays."""
-        arrays = tuple(a[: self.count, b].copy() if copy else a[:, b] for a in self.arrays)
-        return _DenseStore(self.histories[b], self.mesh, self.mesh_list, self.count, arrays)
-
-    def retire(self, b: int):
-        """Zero history b's rows, so that its stages stay finite after a blowup."""
-        for a in self.arrays:
-            a[:, b] = 0.0
+    def step(self, i: int, run) -> np.ndarray:
+        """Every read of step i, (P, running histories, n). run is (act, col,
+        live): the running histories' columns, their meshes and their indices."""
+        act, col, live = run
+        g = self.flat.take(self.rows[i][..., col] + live, axis=0)
+        c = self.coefs[i][..., col, :]
+        out = _hermite_sum(c, c[4], g[0], g[2], g[1], g[3])
+        np.divide(out, c[4], out=out, where=self.deriv)
+        if self.any_node[i]:
+            np.copyto(out, g[4], where=self.node[i][:, col])
+        if self.any_hist[i]:
+            np.copyto(out, self.hist[i][:, act], where=self.hist_mask[i][:, col])
+        return out
 
 
 class _StageView:
-    """History x_s seen by the right-hand side during a stage evaluation.
+    """The running histories' x_s, seen by the right-hand side during a stage.
 
-    Times at or before the anchor (last accepted node) read the dense store
-    through `past`, a cache shared by every view at the same stage time; the
-    sliver (anchor, s] interpolates linearly to the stage tip. Only rhs
-    delays shorter than one step ever read the sliver. On a batch store a
-    scalar-time read returns one (B, n) stack; `rows` splits the view per
-    history for terms that integrate each history on its own panels.
+    tau = 0 reads the stage tip and a pointwise delay tau > 0 reads
+    `reads[-tau]`, x(s - tau) read for the stage. A term that integrates over
+    the window sees one history at a time through `rows`, given `times`:
+    (tip times, anchor times, step), the anchor being the last accepted knot.
     """
 
-    def __init__(self, store, delta: float, tip_t: float, tip_x, anchor_t: float, past: dict):
-        self.store = store
-        self.delta = delta
-        self.tip_t = tip_t
-        self.tip_x = tip_x
-        self.anchor_t = anchor_t
-        self.past = past
-        self.interp = CUBIC
+    interp = CUBIC
 
-    @property
-    def anchor_x(self):
-        return self.store.x[self.store.count - 1]
-
-    @property
-    def rows(self) -> list[_StageView] | None:
-        if not isinstance(self.store, _BatchStore):
-            return None
-        # the row views at one stage time share a read cache per history
-        return [
-            _StageView(
-                store, self.delta, self.tip_t, self.tip_x[b], self.anchor_t,
-                self.past.setdefault(("row", b), {}),
-            )
-            for b, store in enumerate(self.store.row_stores())
-        ]
+    def __init__(self, store: _BatchStore, live, delta, tip_x, reads: dict, times):
+        self.store, self.live, self.delta = store, live, delta
+        self.tip_x, self.reads, self.times = tip_x, reads, times
 
     def eval(self, tau):
-        if type(tau) is float or np.ndim(tau) == 0:
-            t = self.tip_t + float(tau)
-            if t <= self.anchor_t:
-                x = self.past.get(t)
-                if x is None:
-                    x = self.past[t] = self.store.x_at(t)
-                return x
-            if t >= self.tip_t or self.tip_t == self.anchor_t:
-                return self.tip_x
-            w = (t - self.anchor_t) / (self.tip_t - self.anchor_t)
-            return (1.0 - w) * self.anchor_x + w * self.tip_x
+        return self.tip_x if tau == 0.0 else self.reads[tau]
+
+    @property
+    def rows(self) -> list[_RowView]:
+        (tips, anchors, i), count = self.times, self.store.count
+        meshes = self.store.mesh_of[self.live].tolist()
+        return [
+            _RowView(self.store.row(b, count), self.delta, tips[i, m], self.tip_x[k], anchors[i, m])
+            for k, (b, m) in enumerate(zip(self.live.tolist(), meshes))
+        ]
+
+
+class _RowView:
+    """One history's x_s during a stage, for terms that integrate over the window.
+
+    Times at or before the anchor read the dense store; the sliver
+    (anchor, s] interpolates linearly to the stage tip.
+    """
+
+    interp = CUBIC
+
+    def __init__(self, store: _DenseStore, delta: float, tip_t, tip_x, anchor_t):
+        self.store, self.delta = store, delta
+        self.tip_t, self.tip_x, self.anchor_t = tip_t, tip_x, anchor_t
+
+    def eval(self, tau) -> np.ndarray:
         t = self.tip_t + np.asarray(tau, dtype=float).ravel()
         out = np.empty((t.size, self.store.n))
         past = t <= self.anchor_t
         if past.any():
-            key = t[past].tobytes()
-            x = self.past.get(key)
-            if x is None:
-                x = self.past[key] = self.store.x_many(t[past])
-            out[past] = x
+            out[past] = self.store.x_many(t[past])
         sliver = ~past & (t < self.tip_t) & (self.tip_t != self.anchor_t)
         out[~past & ~sliver] = self.tip_x
         if sliver.any():
+            anchor_x = self.store.x[self.store.count - 1]
             w = ((t[sliver] - self.anchor_t) / (self.tip_t - self.anchor_t))[:, None]
-            out[sliver] = (1.0 - w) * self.anchor_x + w * self.tip_x
+            out[sliver] = (1.0 - w) * anchor_x + w * self.tip_x
         return out
 
     def quad_panels(self) -> np.ndarray:
-        key = ("panels", self.anchor_t)
-        if key not in self.past:
-            self.past[key] = self._panels()
-        return self.past[key]
-
-    def _panels(self) -> np.ndarray:
         lo = self.tip_t - self.delta
         past = self.store.xi0.grid + 0.0
         past = past[(past >= lo) & (past <= 0.0)]
@@ -363,21 +347,36 @@ class Trajectory:
     _store: _DenseStore = field(repr=False)
 
     def x_at(self, t):
-        if np.ndim(t) == 0:
-            return self._store.x_at(float(t))
-        return self._store.x_many(np.asarray(t, dtype=float).ravel())
+        return _at(self._store.x_many, t)
 
     def z_at(self, t):
-        if np.ndim(t) == 0:
-            return self._store.z_at(float(t))
-        return self.z_dense(np.asarray(t, dtype=float).ravel())
+        if np.ndim(t) == 0 and t < 0.0:
+            raise PreconditionError("z is defined for t >= 0 only")
+        return _at(self._store.z_many, t)
 
     def z_dense(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized Hermite evaluation of z on times in [0, t_end]."""
         return self._store.z_many(ts)
 
     def xdot_at(self, t, side: str = "+"):
-        return self._store.xdot_at(float(t), side)
+        return _at(self._store.xdot_many, t, side)
+
+
+def _at(many, t, *args):
+    """A store lookup at a time (one (n,) value) or at an array of times (one row each)."""
+    out = many(np.atleast_1d(np.asarray(t, dtype=float)).ravel(), *args)
+    return out[0] if np.ndim(t) == 0 else out
+
+
+def _z_lookup(trajs):
+    """z of trajs[which[k]] at ts[k] for every k, as the function (which, ts),
+    each value the one `z_at` gives; the trajectories need two knots or more."""
+    knots = _Knots([traj.times for traj in trajs])
+    z, right, left = (
+        np.concatenate([getattr(traj._store, name)[: traj.times.size] for traj in trajs])
+        for name in ("z", "zdot_right", "zdot_left")
+    )
+    return lambda which, ts: _interp(_hermite, *knots.locate(which, ts), z, right, left, z)
 
 
 def integrate(
@@ -406,12 +405,11 @@ def integrate_batch(
 ) -> list[Trajectory]:
     """Integrate the system from every history of `histories`; one Trajectory each, in order.
 
-    All histories share the input, horizon and step. Those whose meshes agree
-    (the same kink seeds) advance together in one step loop, on (B, n)
-    stacks; the others go into groups of their own. Matrices apply row by
-    row, with the matrix-vector product a single run uses, so each trajectory
-    is the one `integrate` gives its history alone. A history that blows up
-    stops there, as it would alone, while the rest of its group goes on.
+    All histories share the input, horizon and step, and advance in one step
+    loop on (B, n) stacks, each on its own mesh. Matrices apply row by row,
+    with the matrix-vector product a single run uses, so each trajectory is
+    the one `integrate` gives its history alone. A history that blows up
+    stops there, as it would alone, while the others go on.
     """
     policy = step if isinstance(step, StepPolicy) else StepPolicy(step=step)
     if horizon <= 0.0:
@@ -436,13 +434,14 @@ def integrate_batch(
         raise PreconditionError(
             f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}"
         )
+    if not histories:
+        return []
 
     all_delays = list(system.dop.delays) + system.rhs.positive_delays()
     jumps = u.jump_times(horizon) if u is not None else np.empty(0)
-    lattices = {}  # kink seeds -> (breakpoints, truncated, mesh)
-    lattice_of = []
-    groups = {}  # mesh bytes -> indices of the histories on that mesh
-    for k, xi0 in enumerate(histories):
+    lattices = {}  # kink seeds -> (breakpoints, truncated, mesh, mesh index)
+    rows = []
+    for xi0 in histories:
         seeds = (0.0,) + tuple(float(s) for s in xi0.kink_times if s > -system.delta)
         if seeds not in lattices:
             bps, truncated = propagation_breakpoints(
@@ -450,134 +449,162 @@ def integrate_batch(
             )
             anchors = bps if not truncated else np.array([0.0, horizon])
             mesh = _build_mesh(h, horizon, np.concatenate([anchors, jumps]))
-            lattices[seeds] = (bps, truncated, mesh)
-        lattice_of.append(lattices[seeds])
-        groups.setdefault(lattice_of[k][2].tobytes(), []).append(k)
+            lattices[seeds] = (bps, truncated, mesh, len(lattices))
+        rows.append(lattices[seeds])
 
-    out = [None] * len(histories)
-    for ks in groups.values():
-        mesh = lattice_of[ks[0]][2]
-        rows = _advance(system, [histories[k] for k in ks], mesh, u, jumps, policy.blowup_bound)
-        for k, (store, blowup) in zip(ks, rows):
-            bps, truncated, _ = lattice_of[k]
-            times = store.times
-            out[k] = Trajectory(
-                system=system,
-                xi0=histories[k],
-                times=times,
-                x=store.x[: store.count],
-                z=store.z[: store.count],
-                breakpoints=bps[bps <= times[-1] + _BP_TOL],
-                t_end=float(times[-1]),
-                blowup=blowup,
-                order_reduced=truncated,
-                input=u,
-                _store=store,
-            )
+    store = _BatchStore(histories, [mesh for _, _, mesh, _ in lattices.values()], [r[3] for r in rows])
+    blowups = _advance(system, store, u, jumps, policy.blowup_bound)
+    out = []
+    for b, (bps, truncated, _, _) in enumerate(rows):
+        row = store.row(b, int(store.counts[b]))
+        times = row.times
+        out.append(Trajectory(
+            system=system,
+            xi0=histories[b],
+            times=times,
+            x=row.x[: row.count],
+            z=row.z[: row.count],
+            breakpoints=bps[bps <= times[-1] + _BP_TOL],
+            t_end=float(times[-1]),
+            blowup=bool(blowups[b]),
+            order_reduced=truncated,
+            input=u,
+            _store=row,
+        ))
     return out
 
 
-def _advance(system, histories, mesh, u, jumps, blowup_bound) -> list[tuple[_DenseStore, bool]]:
-    """The method-of-steps loop on one mesh for a batch of histories.
+def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
+    """The method-of-steps loop for every history of the store; returns their blowup flags.
 
-    Returns each history's store and blowup flag. A row that blows up keeps
-    a copy of its accepted knots and is zeroed in the batch arrays, so its
-    later stages, computed with the others but never read, stay finite.
+    Step i takes every running history from its knot i to knot i + 1. A history parks,
+    keeping its knots, where its mesh ends or its state blows up; the rest go on.
     """
     rhs = system.rhs
-    delta = system.delta
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
-    ends = mesh[1:]
-    mids = mesh[:-1] + 0.5 * (ends - mesh[:-1])
-    store = _BatchStore(histories, mesh)
-    size = len(histories)
+    rhs_delays = set(rhs.positive_delays())
+    x, z, zdl, zdr, xdl, xdr = store.arrays
+    size, width = store.x.shape[:2]
+    t0, t1 = store.times[:-1], store.times[1:]
+    mids = t0 + 0.5 * (t1 - t0)
+    hh = (t1 - t0)[:, store.mesh_of, None]  # every history's step lengths
+    half, sixth = 0.5 * hh, hh / 6.0
+    running = np.arange(size - 1)[:, None] < store.knots.sizes - 1
 
-    # the input on the mesh, shared by the batch: "+" at nodes and midpoints,
-    # "-" at step ends (the step integrates the branch active on (t, t_next))
+    # the reads of each step: x at the midpoint and at the step end for each
+    # offset, then x' from the left and from the right at the step end for
+    # each D-term; placed ahead in runs of steps that bound their memory
+    offsets = sorted({d for d, _ in dop_terms} | rhs_delays)
+    specs = [(mids - d, None) for d in offsets] + [(t1 - d, None) for d in offsets]
+    specs += [(t1 - d, side) for side in "-+" for d, _ in dop_terms]
+    chunk = max(1, _PLAN_READS // (len(specs) * len(store.meshes)))
+    cuts = np.cumsum([0, len(offsets), len(offsets), len(dop_terms), len(dop_terms)]).tolist()
+    mid_at, end_at, left_at, right_at = (slice(a, b) for a, b in zip(cuts, cuts[1:]))
+
+    # the input on each mesh: "+" at nodes and midpoints, "-" at step ends
+    # (the step integrates the branch active on (t, t_next))
+    u_node = u_mid = u_end = jump = None
     if u is not None:
-        u_node, u_mid, u_end = u.eval(mesh, "+"), u.eval(mids, "+"), u.eval(ends, "-")
-    else:
-        u_node = u_mid = u_end = [None] * mesh.size
+        u_node, u_mid, u_end = (
+            u.eval(times.ravel(), side).reshape(*times.shape, -1)[:, store.mesh_of]
+            for times, side in ((store.times, "+"), (mids, "+"), (t1, "-"))
+        )
+        jump_keys = np.round(jumps / _BP_TOL).astype(np.int64)
+        jump = np.isin(np.round(t1 / _BP_TOL).astype(np.int64), jump_keys)[:, store.mesh_of]
 
-    def delayed(t: float) -> list[np.ndarray]:
-        """The terms A_j x(t - Delta_j), in summation order."""
-        return [_apply(a, store.x_at(t - d)) for d, a in dop_terms]
+    def u_at(values, i, act):
+        return None if values is None else values[i, act]
 
-    def recon(z_val: np.ndarray, terms: list[np.ndarray]) -> np.ndarray:
-        for term in terms:
-            z_val = z_val + term
-        return z_val
+    def stage(values):
+        """From x(s - d) at each offset d: the D-terms, in summation order, and the rhs reads."""
+        values = dict(zip(offsets, values))
+        return [_apply(a, values[d]) for d, a in dop_terms], {-d: values[d] for d in rhs_delays}
 
-    def delayed_slope_sum(t: float, side: str) -> np.ndarray:
-        out = np.zeros(store.shape)
-        for d, a in dop_terms:
-            out += _apply(a, store.xdot_at(t - d, side))
-        return out
+    def slope_sum(values) -> np.ndarray:  # sum_j A_j x'(t - Delta_j)
+        return sum((_apply(a, v) for (_, a), v in zip(dop_terms, values)), np.zeros(values.shape[1:]))
 
-    # seed node at t = 0
-    for b, xi0 in enumerate(histories):
-        store.x[0, b] = xi0.eval(0.0)
-        store.z[0, b] = dop_apply(system.dop, xi0)
-        store.zdot_left[0, b] = store.zdot_right[0, b] = rhs.eval(xi0, u_node[0])
-        store.xdot_left[0, b] = xi0.deriv(0.0, "-")
+    def plan(start: int, seed=None) -> _Reads:
+        stop = start + chunk
+        times = np.stack([t[start:stop] for t, _ in specs])
+        return _Reads(store, running[start:stop], times, [side for _, side in specs], seed)
+
+    reads = plan(0, ([0.0], [-d for d, _ in dop_terms], [0.0]))  # and the seed node's reads
+    x[0], xdl[0] = reads.seed[0][:, 0], reads.seed[2][:, 0]
+    for b, xi0 in enumerate(store.histories):
+        z[0, b] = dop_apply(system.dop, xi0)
+        zdl[0, b] = zdr[0, b] = rhs.eval(xi0, u_at(u_node, 0, b))
+    xdr[0] = zdr[0] + slope_sum(reads.seed[1].swapaxes(0, 1))
     store.count = 1
-    store.xdot_right[0] = store.zdot_right[0] + delayed_slope_sum(0.0, "+")
 
     bound2 = blowup_bound**2
-    alive = np.ones(size, dtype=bool)
-    done: dict[int, _DenseStore] = {}
-    u_jumps = set(np.round(jumps / _BP_TOL).astype(np.int64))
-    mesh_list = store.mesh_list
-    mids_list = mids.tolist()
+    blowup = np.zeros(width, dtype=bool)
+    ends = store.knots.sizes[store.mesh_of] - 1
+    park = set(ends.tolist())
 
-    for i in range(mesh.size - 1):
-        t = mesh_list[i]
-        t_next = mesh_list[i + 1]
-        hh = t_next - t
-        z_cur = store.z[i]
-        k1 = store.zdot_right[i]
+    def running_rows(live):
+        """(act, col, live): the running histories' columns, meshes and indices."""
+        act = slice(None) if live.size == width else live
+        return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live
+
+    run = act, col, live = running_rows(np.arange(width))
+    for i in range(size - 1):
+        if i in park and (ends[live] == i).any():
+            store.counts[live[ends[live] == i]] = i + 1
+            run = act, col, live = running_rows(live[ends[live] > i])
+        if i and i % chunk == 0:
+            reads = plan(i)
+        values = reads.step(i % chunk, run)
+        z_cur, k1 = z[i, act], zdr[i, act]
 
         # stages at one time share their delayed reads: D-terms and rhs past
-        s_mid = mids_list[i]
-        mid_terms, mid_past = delayed(s_mid), {}
-        z2 = z_cur + 0.5 * hh * k1
-        k2 = rhs.eval(_StageView(store, delta, s_mid, recon(z2, mid_terms), t, mid_past), u_mid[i])
-        z3 = z_cur + 0.5 * hh * k2
-        k3 = rhs.eval(_StageView(store, delta, s_mid, recon(z3, mid_terms), t, mid_past), u_mid[i])
-        z4 = z_cur + hh * k3
-        end_terms, end_past = delayed(t_next), {}
-        k4 = rhs.eval(_StageView(store, delta, t_next, recon(z4, end_terms), t, end_past), u_end[i])
+        mid_terms, mid_reads = stage(values[mid_at])
+        u_mid_i = u_at(u_mid, i, act)
 
-        z_new = z_cur + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_new = recon(z_new, end_terms)
+        def mid_view(z_stage):
+            tip = sum(mid_terms, z_stage)
+            return _StageView(store, live, system.delta, tip, mid_reads, (mids, t0, i))
+
+        h_half = half[i, act]
+        k2 = rhs.eval(mid_view(z_cur + h_half * k1), u_mid_i)
+        k3 = rhs.eval(mid_view(z_cur + h_half * k2), u_mid_i)
+        end_terms, end_reads = stage(values[end_at])
+        tip = sum(end_terms, z_cur + hh[i, act] * k3)
+        end_view = _StageView(store, live, system.delta, tip, end_reads, (t1, t0, i))
+        k4 = rhs.eval(end_view, u_at(u_end, i, act))
+
+        z_new = z_cur + sixth[i, act] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x_new = sum(end_terms, z_new)
         # no row can exceed the bound while the whole batch stays below it
         flat = x_new.ravel()
         total = float(flat @ flat)
         if not math.isfinite(total) or total > bound2:
             mag2 = np.einsum("bi,bi->b", x_new, x_new)
-            for b in np.flatnonzero(alive & (~np.isfinite(mag2) | (mag2 > bound2))).tolist():
-                done[b] = store.row(b, copy=True)
-                store.retire(b)
-                alive[b] = False
-            if len(done) == size:
+            keep = np.isfinite(mag2) & (mag2 <= bound2)
+            blowup[live[~keep]] = True
+            store.counts[live[~keep]] = i + 1
+            run = act, col, live = running_rows(live[keep])
+            if live.size == 0:
                 break
-        if done:
-            keep = alive[:, None]
-            x_new, z_new, k4 = (np.where(keep, a, 0.0) for a in (x_new, z_new, k4))
+            x_new, z_new, k4, values = x_new[keep], z_new[keep], k4[keep], values[:, keep]
+            end_reads = {tau: value[keep] for tau, value in end_reads.items()}
 
         # provisional slopes from the last stage; refreshed right below
-        tail_left = delayed_slope_sum(t_next, "-")
-        store.append(x_new, z_new, k4, k4, k4 + tail_left, k4 + tail_left)
+        tail_left = slope_sum(values[left_at])
+        store.count = i + 2
+        x[i + 1, act], z[i + 1, act] = x_new, z_new
+        zdl[i + 1, act] = zdr[i + 1, act] = k4
+        xdl[i + 1, act] = xdr[i + 1, act] = k4 + tail_left
 
-        node_view = _StageView(store, delta, t_next, x_new, t_next, end_past)
-        zdr_new = rhs.eval(node_view, u_node[i + 1])
-        key = int(round(t_next / _BP_TOL))
-        zdl_new = rhs.eval(node_view, u_end[i]) if key in u_jumps else zdr_new
-        xdl_new = zdl_new + tail_left
-        xdr_new = zdr_new + delayed_slope_sum(t_next, "+")
-        store.set_last_slopes(zdl_new, zdr_new, xdl_new, xdr_new)
+        node_view = _StageView(store, live, system.delta, x_new, end_reads, (t1, t1, i))
+        zdr_new = zdl_new = rhs.eval(node_view, u_at(u_node, i + 1, act))
+        if jump is not None and jump[i, act].any():
+            zdl_new = np.where(jump[i, act][:, None], rhs.eval(node_view, u_at(u_end, i, act)), zdr_new)
+        zdl[i + 1, act], zdr[i + 1, act] = zdl_new, zdr_new
+        xdl[i + 1, act] = zdl_new + tail_left
+        xdr[i + 1, act] = zdr_new + slope_sum(values[right_at])
 
-    return [(done[b], True) if b in done else (store.row(b), False) for b in range(size)]
+    store.counts[live] = store.count
+    return blowup
 
 
 def segment(traj: Trajectory, t: float) -> HistorySegment:
@@ -603,7 +630,7 @@ def segment(traj: Trajectory, t: float) -> HistorySegment:
     grid[-1] = t
     store = traj._store
     values = store.x_many(grid)
-    slopes = np.vstack([store.xdot_many(grid[:-1], "+"), store.xdot_at(t, "-")])
+    slopes = np.vstack([store.xdot_many(grid[:-1], "+"), store.xdot_many(grid[-1:], "-")])
     return HistorySegment(delta, grid - t, values, CUBIC, slopes)
 
 

@@ -27,13 +27,6 @@ def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a.dot(x.T).T if len(x) == 1 else np.matmul(a, x[..., None])[..., 0]
 
 
-def _mat(a, n: int, name: str) -> np.ndarray:
-    m = np.asarray(a, dtype=float)
-    if m.shape != (n, n):
-        raise DimensionError(f"{name} must be {n}x{n}, got {m.shape}")
-    return m
-
-
 @dataclass(frozen=True)
 class DifferenceOperator:
     """D phi = phi(0) - sum_j A_j phi(-Delta_j) with positive, distinct delays."""
@@ -197,7 +190,9 @@ class DistributedTerm:
     The kernel is sampled on its grid and interpolated linearly between nodes;
     the integral uses trapezoid panels for linear histories and two-point
     Gauss-Legendre panels (cubic-exact) for cubic-Hermite histories, on the
-    union of the kernel grid and the history's own panel boundaries.
+    union of the kernel grid and the history's own panel boundaries. The
+    quadrature of each panel set is kept, a bounded number of them at once,
+    since a step evaluates the term several times on the same panels.
     """
 
     grid: np.ndarray
@@ -222,6 +217,7 @@ class DistributedTerm:
         kernel.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "_cache", {})
 
     @property
     def n(self):
@@ -236,14 +232,18 @@ class DistributedTerm:
         theta = (s - self.grid[idx]) / (self.grid[idx + 1] - self.grid[idx])
         return (1.0 - theta)[:, None, None] * self.kernel[idx] + theta[:, None, None] * self.kernel[idx + 1]
 
-    def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the integral over the kernel's span for `seg`."""
+    def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, weights and kernel matrices of the integral over the kernel's span for `seg`."""
         panels = np.asarray(seg.quad_panels(), dtype=float)
+        interp = getattr(seg, "interp", CUBIC)
+        key = (panels.tobytes(), interp)
+        if key in self._cache:
+            return self._cache[key]
         edges = np.union1d(self.grid, panels[(panels >= self.grid[0]) & (panels <= self.grid[-1])])
         a, b = edges[:-1], edges[1:]
         half = 0.5 * (b - a)
         mid = 0.5 * (a + b)
-        if getattr(seg, "interp", CUBIC) == LINEAR:
+        if interp == LINEAR:
             nodes = edges
             weights = np.zeros_like(edges)
             weights[:-1] += half
@@ -252,19 +252,17 @@ class DistributedTerm:
             offset = half / np.sqrt(3.0)
             nodes = np.concatenate([mid - offset, mid + offset])
             weights = np.concatenate([half, half])
-        return nodes, weights
+        if len(self._cache) >= 64:
+            self._cache.clear()
+        self._cache[key] = (nodes, weights, self._kernel_at(nodes))
+        return self._cache[key]
 
     def eval(self, seg, u):
         rows = getattr(seg, "rows", None)
         if rows is not None:  # a stage of several histories: one quadrature each
-            out = np.empty((len(rows), self.n))
-            for b, row in enumerate(rows):
-                out[b] = self.eval(row, u)
-            return out
-        nodes, weights = self._quadrature(seg)
-        kmats = self._kernel_at(nodes)
-        vals = seg.eval(nodes)
-        return np.einsum("k,kij,kj->i", weights, kmats, vals)
+            return np.array([self.eval(row, u) for row in rows])
+        nodes, weights, kmats = self._quadrature(seg)
+        return np.einsum("k,kij,kj->i", weights, kmats, seg.eval(nodes))
 
 
 @dataclass(frozen=True)
@@ -301,7 +299,7 @@ class InputTerm:
         v = np.asarray(u, dtype=float)
         if self._g is not None:
             v = self._g(v)
-        return self.matrix @ v
+        return _apply(self.matrix, v)
 
 
 @dataclass(frozen=True)
@@ -339,10 +337,6 @@ class RhsMap:
             if isinstance(t, (LinearTerm, NonlinearTerm)) and t.delay > 0:
                 out.append(t.delay)
         return out
-
-    @property
-    def has_input(self) -> bool:
-        return any(isinstance(t, InputTerm) for t in self.terms)
 
     def eval(self, seg, u=None) -> np.ndarray:
         """f on a history, or row-wise on a stage view of a batch of them."""

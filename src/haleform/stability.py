@@ -2,9 +2,10 @@
 
 The margin gamma0 is the supremum over the delay torus [0, 2pi)^p of the
 spectral radius of sum_j A_j exp(i theta_j). The associated delay-difference
-equation is strongly stable (robustly to delay perturbations) iff gamma0 < 1;
-for a single delay this reduces to the spectral radius of A_1 being below 1,
-which is tested exactly by eigenvalues.
+equation is strongly stable (robustly to delay perturbations) iff gamma0 < 1.
+Two cases are exact: for a scalar operator gamma0 = sum_j |a_j|, reached with
+theta_j = pi where a_j < 0 and 0 elsewhere, and for a single delay gamma0 is
+the spectral radius of A_1, tested by eigenvalues.
 """
 from __future__ import annotations
 
@@ -59,9 +60,17 @@ def gamma0(
     The grid maximum is monotone nondecreasing when the resolution doubles
     (the coarse grid is a subset of the fine one); refinement only ever
     increases the reported value. Exhaustive sweeps are limited to p <= 4.
+    Scalar operators, at any p, and single delays need no sweep: their
+    margins are exact.
     """
     if resolution < 8:
         raise PreconditionError("resolution must be at least 8 points per dimension")
+    if dop.n == 1:
+        a = dop.matrices[:, 0, 0]
+        return StabilityMargin(np.sum(np.abs(a)), np.where(a < 0.0, np.pi, 0.0), resolution, False)
+    if dop.p == 1:
+        rho = np.max(np.abs(np.linalg.eigvals(dop.matrices[0])))
+        return StabilityMargin(rho, np.zeros(1), resolution, False)
     p = dop.p
     if p > MAX_SWEEP_DELAYS:
         raise UnsupportedDimensionError(
@@ -107,16 +116,12 @@ def is_strongly_stable(
 ) -> tuple[str, StabilityMargin]:
     """Strong-stability verdict plus the margin behind it.
 
-    p = 1 uses the exact eigenvalue test (spectral radius of A_1 against 1);
-    for multiple delays the verdict compares gamma0 from the torus sweep with
-    1 up to margin_tol. Verdicts within margin_tol of the boundary are
-    reported as inconclusive, never coerced.
+    The verdict compares gamma0 (exact for scalar operators and single
+    delays, from the torus sweep otherwise) with 1 up to margin_tol.
+    Verdicts within margin_tol of the boundary are reported as inconclusive,
+    never coerced.
     """
-    if dop.p == 1:
-        rho = float(np.max(np.abs(np.linalg.eigvals(dop.matrices[0]))))
-        margin = StabilityMargin(rho, np.zeros(1), resolution, False)
-    else:
-        margin = gamma0(dop, resolution=resolution, refine_iters=refine_iters)
+    margin = gamma0(dop, resolution=resolution, refine_iters=refine_iters)
     if margin.gamma0 < 1.0 - margin_tol:
         return STABLE, margin
     if margin.gamma0 > 1.0 + margin_tol:

@@ -1,4 +1,6 @@
 """The vectorized lookups agree bitwise with their scalar, per-node references."""
+import bisect
+
 import numpy as np
 
 from haleform import (
@@ -14,7 +16,53 @@ from haleform import (
     segment,
     trajectory_grid,
 )
+from haleform.histories import _hermite, _hermite_deriv
 from haleform.integrate import _BP_TOL, _breakpoint_gap
+
+
+def _point(grid, values, slopes, s, deriv=False, side="+"):
+    """One value (or derivative) of an interpolant at a scalar time: bisect and
+    Python floats, the way a per-point lookup computes it. slopes None is linear."""
+    g = [float(v) for v in grid]
+    i = min(max(bisect.bisect_right(g, s) - 1, 0), len(g) - 2)
+    if deriv and side == "-" and i > 0 and s == g[i]:
+        i -= 1
+    length = g[i + 1] - g[i]
+    theta = (s - g[i]) / length
+    y0, y1 = values[i], values[i + 1]
+    if slopes is None:
+        return (y1 - y0) / length if deriv else y0 + theta * (y1 - y0)
+    return (_hermite_deriv if deriv else _hermite)(theta, length, y0, y1, slopes[i], slopes[i + 1])
+
+
+def _history_point(phi, s, deriv=False, side="+"):
+    s = min(max(float(s), -phi.delta), 0.0)
+    return _point(phi.grid, phi.values, phi.slopes, s, deriv, side)
+
+
+def _store_point(traj, t, name="x", side="+"):
+    """x, z or x' ("dx", from `side`) of a trajectory at time t, one knot pair at a time."""
+    t = float(t)
+    if name == "x" and t <= 0.0:
+        return _history_point(traj.xi0, t)
+    if name == "dx" and (t < 0.0 or (t == 0.0 and side == "-")):
+        return _history_point(traj.xi0, t, True, side)
+    store = traj._store
+    y, right, left = (store.z, store.zdot_right, store.zdot_left) if name == "z" else (
+        store.x, store.xdot_right, store.xdot_left
+    )
+    node = {"x": store.x, "z": store.z, "dx": store.xdot_right if side == "+" else store.xdot_left}[name]
+    times = [float(v) for v in traj.times]
+    if len(times) == 1:
+        return node[0]
+    i = min(max(bisect.bisect_right(times, t) - 1, 0), len(times) - 2)
+    if t == times[i]:
+        return node[i]
+    if t == times[i + 1]:
+        return node[i + 1]
+    length = times[i + 1] - times[i]
+    kernel = _hermite_deriv if name == "dx" else _hermite
+    return kernel((t - times[i]) / length, length, y[i], y[i + 1], right[i], left[i + 1])
 
 
 def _histories(n, delta):
@@ -45,9 +93,9 @@ def _segment_reference(traj, t):
     grid = np.unique(np.asarray(knots))
     grid = grid[np.r_[True, np.diff(grid) > _BP_TOL * max(1.0, delta)]]
     grid[-1] = t
-    values = np.stack([traj._store.x_at(float(g)) for g in grid])
+    values = np.stack([_store_point(traj, g) for g in grid])
     slopes = np.stack([
-        traj._store.xdot_at(float(g), "-" if k == grid.size - 1 else "+") for k, g in enumerate(grid)
+        _store_point(traj, g, "dx", "-" if k == grid.size - 1 else "+") for k, g in enumerate(grid)
     ])
     return HistorySegment(delta, grid - t, values, "cubic-hermite", slopes)
 
@@ -57,7 +105,8 @@ def test_history_eval_matches_scalar_path():
         pts = np.concatenate([phi.grid, np.linspace(-1.5, 0.0, 53)])
         batch = phi.eval(pts)
         for k, s in enumerate(pts):
-            assert _same(batch[k], phi.eval_scalar(float(s)))
+            assert _same(batch[k], _history_point(phi, s))
+            assert _same(phi.eval(float(s)), batch[k])
 
 
 def test_history_deriv_matches_scalar_path_on_both_sides_at_nodes():
@@ -66,7 +115,8 @@ def test_history_deriv_matches_scalar_path_on_both_sides_at_nodes():
         for side in ("+", "-"):
             batch = phi.deriv(pts, side)
             for k, s in enumerate(pts):
-                assert _same(batch[k], phi.deriv_scalar(float(s), side))
+                assert _same(batch[k], _history_point(phi, s, True, side))
+                assert _same(phi.deriv(float(s), side), batch[k])
 
 
 def test_store_array_lookups_match_scalar_lookups(request):
@@ -79,14 +129,17 @@ def test_store_array_lookups_match_scalar_lookups(request):
             ])
             xs = traj.x_at(ts)
             for k, t in enumerate(ts):
-                assert _same(xs[k], store.x_at(float(t)))
+                assert _same(xs[k], _store_point(traj, t))
+                assert _same(traj.x_at(float(t)), xs[k])
             for side in ("+", "-"):
                 xd = store.xdot_many(ts, side)
                 for k, t in enumerate(ts):
-                    assert _same(xd[k], store.xdot_at(float(t), side))
+                    assert _same(xd[k], _store_point(traj, t, "dx", side))
+                    assert _same(traj.xdot_at(float(t), side), xd[k])
             zs = traj.z_dense(ts[ts >= 0.0])
             for k, t in enumerate(ts[ts >= 0.0]):
-                assert _same(zs[k], store.z_at(float(t)))
+                assert _same(zs[k], _store_point(traj, t, "z"))
+                assert _same(traj.z_at(float(t)), zs[k])
 
 
 def test_segment_matches_per_node_reference(request):
@@ -107,7 +160,7 @@ def test_phi_h_extend_matches_per_node_reference(request):
                 ext = phi_h_extend(system, phi, float(h))
                 left = np.nonzero(ext.grid <= -h)[0]
                 ref = np.stack([
-                    phi.deriv_scalar(ext.grid[k] + h, "-" if ext.grid[k] == -h else "+") for k in left
+                    _history_point(phi, ext.grid[k] + h, True, "-" if ext.grid[k] == -h else "+") for k in left
                 ])
                 assert _same(ext.slopes[left], ref)
                 assert _same(ext.values[left], phi.eval(ext.grid[left] + h))

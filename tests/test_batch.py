@@ -1,4 +1,5 @@
 """integrate_batch and its consumers agree with one history at a time."""
+import sys
 import warnings
 
 import numpy as np
@@ -30,8 +31,10 @@ from haleform import (
 )
 from haleform.certify import CertificateConstants
 from haleform.comparison import ComparisonFunction
-from haleform.functionals import DopSemiNorm
+from haleform.functionals import DopSemiNorm, phi_h_extend
 from test_golden import _systems
+
+integrate_module = sys.modules["haleform.integrate"]
 
 SYSTEMS = _systems()
 SIGNALS = {
@@ -73,7 +76,8 @@ histories_st = st.lists(
     st.tuples(
         st.integers(0, 10_000),
         st.sampled_from([0.1, 1.0, 3.0]),
-        st.sampled_from([None, -0.3, -0.55]),
+        # one kink set per mesh; rung-like kinks at -h0 * 2^-k end at steps of their own
+        st.sampled_from([None, -0.3, -0.55, -1.0 / 16.0, -1.0 / 128.0]),
     ),
     min_size=1,
     max_size=5,
@@ -83,7 +87,8 @@ histories_st = st.lists(
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(name=st.sampled_from(sorted(SYSTEMS)), draws=histories_st, signal=st.sampled_from(sorted(SIGNALS)))
 def test_batch_agrees_with_single_runs(name, draws, signal):
-    """Rows drawn at sup-norm 3 can cross the blowup bound next to healthy ones."""
+    """Rows drawn at sup-norm 3 can cross the blowup bound next to healthy ones,
+    and rows with different kinks run on meshes of different lengths."""
     system, pwc = SYSTEMS[name]
     u = (SIGNALS[signal] or pwc) if system.m else None
     histories = [_history(system, seed, bound, kink) for seed, bound, kink in draws]
@@ -211,3 +216,65 @@ def test_one_node_trajectory_lookups_hold_its_value():
     assert _same(traj.z_at(0.25), traj.z[0])
     for side in ("+", "-"):
         assert np.all(np.isfinite(traj._store.xdot_many(np.array([-0.2, 0.0, 0.4]), side)))
+
+
+def _count_loops(monkeypatch) -> list[int]:
+    """Record the batch width of every step loop run from here on."""
+    widths = []
+    advance = integrate_module._advance
+
+    def counted(system, store, *args):
+        widths.append(store.shape[0])
+        return advance(system, store, *args)
+
+    monkeypatch.setattr(integrate_module, "_advance", counted)
+    return widths
+
+
+def _witness():
+    system, _ = SYSTEMS["neutral"]
+    return system, ConverseFunctional(system, 0.3, 10.0, step=0.125)
+
+
+def test_converse_dplus_query_runs_one_step_loop(monkeypatch):
+    """V(phi) and every rung of a levels-5 ladder integrate together, though
+    each rung's kink seeds its own mesh."""
+    system, V = _witness()
+    phi = _history(system, 7, 1.0, None)
+    ladder = LadderSpec(levels=5)
+    rungs = [phi_h_extend(system, phi, float(h)) for h in ladder.steps(system.dop.min_delay)]
+    sizes = {traj.times.size for traj in integrate_batch(system, [phi, *rungs], 10.0, step=0.125)}
+    assert sizes == {81, 91}
+    widths = _count_loops(monkeypatch)
+    est = driver_derivative(system, V, phi, None, ladder)
+    assert widths == [7]
+    assert est.v0 == V(phi)
+
+
+def test_ragged_rows_park_at_their_own_ends_next_to_blowups():
+    """Rows of 81 and 91 knots end at different steps, and rows that blow up
+    stop at steps of their own. Each is the trajectory of its history alone."""
+    growing = NfdeSystem(
+        DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[0.5]]),))
+    )
+    policy = StepPolicy(step=0.125, blowup_bound=2.0)
+    draws = [(0.002, -0.0625), (0.3, None), (0.002, None), (0.1, -0.03125), (0.01, -0.125), (0.002, -0.25)]
+    histories = [_history(growing, 40 + k, bound, kink) for k, (bound, kink) in enumerate(draws)]
+    batch = integrate_batch(growing, histories, 10.0, step=policy)
+    ends = [(traj.blowup, traj.times.size) for traj in batch]
+    assert {(False, 81), (False, 91)} <= set(ends)
+    assert len({size for blowup, size in ends if blowup}) >= 2
+    for phi, traj in zip(histories, batch):
+        _assert_agree(traj, integrate(growing, phi, 10.0, step=policy), growing.n)
+
+
+def test_converse_many_with_reruns_equals_one_at_a_time(monkeypatch):
+    """At a short horizon some maximizers sit at the truncation edge: those
+    rows rerun together at the extended horizon, the others do not."""
+    system, _ = SYSTEMS["neutral"]
+    V = ConverseFunctional(system, 0.3, 1.0, step=0.125)
+    phis = [_history(system, seed, 1.0, -0.3 if seed % 2 else None) for seed in range(8)]
+    single = [V(phi) for phi in phis]
+    widths = _count_loops(monkeypatch)
+    assert _same(V.many(phis), single)
+    assert widths[0] == len(phis) and 0 < widths[1] < len(phis)

@@ -118,7 +118,30 @@ def test_gamma0_dominates_component_radii():
 
 
 def test_sweep_limit():
-    mats = [[[0.1]]] * 5
+    mats = [0.1 * np.eye(2)] * 5
     dop = DifferenceOperator([0.2, 0.4, 0.6, 0.8, 1.0], mats)
     with pytest.raises(UnsupportedDimensionError):
         gamma0(dop)
+
+
+def test_scalar_margin_is_exact_at_any_delay_count():
+    coeffs = [0.2, -0.15, 0.1, -0.05, 0.3]
+    delays = [0.2, 0.4, 0.6, 0.8, 1.0]
+    m = gamma0(DifferenceOperator(delays, [[[c]] for c in coeffs]))
+    assert m.gamma0 == pytest.approx(sum(abs(c) for c in coeffs), abs=1e-15)
+    np.testing.assert_array_equal(m.argmax_theta, [0.0, np.pi, 0.0, np.pi, 0.0])
+    attained = abs(sum(c * np.exp(1j * t) for c, t in zip(coeffs, m.argmax_theta)))
+    assert attained == pytest.approx(m.gamma0, abs=1e-15)
+    for scale, expected in ((1.0, STABLE), (1.5, UNSTABLE)):
+        dop = DifferenceOperator(delays, [[[scale * c]] for c in coeffs])
+        verdict, margin = is_strongly_stable(dop)
+        assert verdict == expected and margin.gamma0 == pytest.approx(0.8 * scale, abs=1e-15)
+
+
+def test_scalar_margin_does_not_rest_on_the_grid():
+    """An odd grid misses theta = pi; the exact margin does not need it, so a
+    margin just inside the boundary is not reported as stable."""
+    dop = DifferenceOperator([0.5, 1.0], [[[0.5]], [[-(0.5 - 5e-7)]]])
+    m = gamma0(dop, resolution=9, refine_iters=0)
+    assert m.gamma0 == pytest.approx(1.0 - 5e-7, abs=1e-15)  # the 9-point grid tops out at 0.985
+    assert is_strongly_stable(dop, resolution=9, refine_iters=0)[0] == INCONCLUSIVE
