@@ -104,12 +104,12 @@ class _Knots:
         self.times = np.concatenate(meshes)
         self.keys = np.repeat(np.arange(len(meshes)), self.sizes) + 1j * self.times
 
-    def locate(self, rows, ts):
+    def locate(self, rows, ts, last=None):
         """(f, theta, length, at_left, at_right) of time ts[k] on row rows[k], f
         being the flat index of the left knot of its interval (the row's first
-        or last interval for times outside it)."""
+        or last interval, or the one at flat index `last`, for times outside it)."""
         f = np.searchsorted(self.keys, rows + 1j * ts, side="right") - 1
-        f = np.minimum(np.maximum(f, self.starts[rows]), self.last[rows])
+        f = np.minimum(np.maximum(f, self.starts[rows]), self.last[rows] if last is None else last)
         lo, hi = self.times[f], self.times[f + 1]
         return f, (ts - lo) / (hi - lo), hi - lo, ts == lo, ts == hi
 
@@ -127,28 +127,27 @@ def _interp(kernel, f, theta, length, at_left, at_right, y, right, left, node) -
 class _DenseStore:
     """Accepted knots of one trajectory's x and z with sided Hermite slopes.
 
-    Rows [0, count) of the (mesh size, n) arrays are the accepted knots. Node
-    times return the stored rows; times in between use the cubic Hermite of
-    the enclosing interval, with right slopes at its left end and left slopes
-    at its right. A trajectory of one knot holds its value.
+    Rows [0, count) of the (mesh size, n) arrays are the accepted knots, the
+    first `count` of row `mesh` of `knots`. Node times return the stored
+    rows; times in between use the cubic Hermite of the enclosing interval,
+    with right slopes at its left end and left slopes at its right. A
+    trajectory of one knot holds its value.
     """
 
-    def __init__(self, xi0: HistorySegment, mesh: np.ndarray, count: int, arrays):
-        self.xi0, self.n, self.mesh, self.count = xi0, xi0.n, mesh, count
+    def __init__(self, xi0: HistorySegment, knots: _Knots, mesh: int, count: int, arrays):
+        self.xi0, self.n, self.knots, self.mesh, self.count = xi0, xi0.n, knots, mesh, count
+        self.start = int(knots.starts[mesh])
         self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right = arrays
 
     @property
     def times(self) -> np.ndarray:
-        return self.mesh[: self.count]
+        return self.knots.times[self.start : self.start + self.count]
 
     def _many(self, ts: np.ndarray, kernel, y, right, left, node) -> np.ndarray:
-        times = self.times
-        if times.size == 1:
+        if self.count == 1:
             return np.repeat(node[:1], ts.size, axis=0)
-        i = np.minimum(np.maximum(np.searchsorted(times, ts, side="right") - 1, 0), times.size - 2)
-        length = times[i + 1] - times[i]
-        theta = (ts - times[i]) / length
-        return _interp(kernel, i, theta, length, ts == times[i], ts == times[i + 1], y, right, left, node)
+        f, *located = self.knots.locate(self.mesh, ts, self.start + self.count - 2)
+        return _interp(kernel, f - self.start, *located, y, right, left, node)
 
     def _x(self, ts, past, history, kernel, node) -> np.ndarray:
         """The initial history's values at the `past` times, the Hermite's at the others."""
@@ -194,7 +193,7 @@ class _BatchStore:
     def row(self, b: int, count: int) -> _DenseStore:
         """History b's store, a view of its column holding `count` knots."""
         arrays = tuple(a[:, b] for a in self.arrays)
-        return _DenseStore(self.histories[b], self.meshes[self.mesh_of[b]], count, arrays)
+        return _DenseStore(self.histories[b], self.knots, self.mesh_of[b], count, arrays)
 
 
 class _Reads:
@@ -551,6 +550,8 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         if i in park and (ends[live] == i).any():
             store.counts[live[ends[live] == i]] = i + 1
             run = act, col, live = running_rows(live[ends[live] > i])
+            if live.size == 0:  # the longer meshes' histories all blew up
+                break
         if i and i % chunk == 0:
             reads = plan(i)
         values = reads.step(i % chunk, run)

@@ -1,10 +1,12 @@
 """integrate_batch and its consumers agree with one history at a time."""
+import contextlib
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from haleform import (
@@ -139,12 +141,22 @@ def test_input_values_on_arrays_equal_scalar_evaluations():
 
 @settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seeds=st.lists(st.integers(0, 10_000), min_size=1, max_size=4), horizon=st.sampled_from([1.0, 4.0]))
+@example(seeds=list(range(8)), horizon=1.0)  # some rows rerun, the others do not
 def test_converse_many_equals_one_at_a_time(seeds, horizon):
-    """Short horizons put the maximizer at the edge and exercise the reruns."""
+    """Short horizons put the maximizer at the edge and exercise the reruns:
+    each horizon integrates, in one loop, the rows that reach it alone."""
     system, _ = SYSTEMS["neutral"]
     V = ConverseFunctional(system, 0.3, horizon, step=0.125)
     phis = [_history(system, seed, 1.0, -0.3 if seed % 3 == 0 else None) for seed in seeds]
-    assert _same(V.many(phis), [V(phi) for phi in phis])
+    with _count_loops() as widths:
+        single, loops = [], []
+        for phi in phis:
+            start = len(widths)
+            single.append(V(phi))
+            loops.append(len(widths) - start)
+        del widths[:]
+        assert _same(V.many(phis), single)
+    assert widths == [sum(n > k for n in loops) for k in range(max(loops))]
 
 
 def test_converse_many_raises_for_the_first_blowup_in_order():
@@ -218,8 +230,9 @@ def test_one_node_trajectory_lookups_hold_its_value():
         assert np.all(np.isfinite(traj._store.xdot_many(np.array([-0.2, 0.0, 0.4]), side)))
 
 
-def _count_loops(monkeypatch) -> list[int]:
-    """Record the batch width of every step loop run from here on."""
+@contextlib.contextmanager
+def _count_loops():
+    """Record the batch width of every step loop run inside the block."""
     widths = []
     advance = integrate_module._advance
 
@@ -227,8 +240,8 @@ def _count_loops(monkeypatch) -> list[int]:
         widths.append(store.shape[0])
         return advance(system, store, *args)
 
-    monkeypatch.setattr(integrate_module, "_advance", counted)
-    return widths
+    with mock.patch.object(integrate_module, "_advance", counted):
+        yield widths
 
 
 def _witness():
@@ -236,7 +249,7 @@ def _witness():
     return system, ConverseFunctional(system, 0.3, 10.0, step=0.125)
 
 
-def test_converse_dplus_query_runs_one_step_loop(monkeypatch):
+def test_converse_dplus_query_runs_one_step_loop():
     """V(phi) and every rung of a levels-5 ladder integrate together, though
     each rung's kink seeds its own mesh."""
     system, V = _witness()
@@ -245,8 +258,8 @@ def test_converse_dplus_query_runs_one_step_loop(monkeypatch):
     rungs = [phi_h_extend(system, phi, float(h)) for h in ladder.steps(system.dop.min_delay)]
     sizes = {traj.times.size for traj in integrate_batch(system, [phi, *rungs], 10.0, step=0.125)}
     assert sizes == {81, 91}
-    widths = _count_loops(monkeypatch)
-    est = driver_derivative(system, V, phi, None, ladder)
+    with _count_loops() as widths:
+        est = driver_derivative(system, V, phi, None, ladder)
     assert widths == [7]
     assert est.v0 == V(phi)
 
@@ -268,13 +281,16 @@ def test_ragged_rows_park_at_their_own_ends_next_to_blowups():
         _assert_agree(traj, integrate(growing, phi, 10.0, step=policy), growing.n)
 
 
-def test_converse_many_with_reruns_equals_one_at_a_time(monkeypatch):
-    """At a short horizon some maximizers sit at the truncation edge: those
-    rows rerun together at the extended horizon, the others do not."""
-    system, _ = SYSTEMS["neutral"]
-    V = ConverseFunctional(system, 0.3, 1.0, step=0.125)
-    phis = [_history(system, seed, 1.0, -0.3 if seed % 2 else None) for seed in range(8)]
-    single = [V(phi) for phi in phis]
-    widths = _count_loops(monkeypatch)
-    assert _same(V.many(phis), single)
-    assert widths[0] == len(phis) and 0 < widths[1] < len(phis)
+def test_short_mesh_row_outlives_a_blown_up_long_one():
+    """The longest mesh's only history blows up at once, and the distributed
+    term's quadrature must not run on the steps left after the short row ends."""
+    system, _ = SYSTEMS["distributed"]
+    policy = StepPolicy(step=1.0 / 16.0, blowup_bound=2.0)
+    big = HistorySegment.constant([3.0], system.delta)
+    kinked = HistorySegment(big.delta, big.grid, big.values, big.interp, big.slopes, [-1.0 / 128.0])
+    histories = [kinked, _history(system, 5, 0.01, None)]
+    batch = integrate_batch(system, histories, 2.0, step=policy)
+    assert [(t.blowup, t.times.size) for t in batch] == [(True, 1), (False, 33)]
+    assert integrate(system, kinked, 2.0, step=StepPolicy(step=1.0 / 16.0)).times.size > 33
+    for phi, traj in zip(histories, batch):
+        _assert_agree(traj, integrate(system, phi, 2.0, step=policy), system.n)
