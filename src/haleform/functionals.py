@@ -238,15 +238,25 @@ def phi_h_extend(
     derivative kink at the junction is confined to a microscopic interval
     right after -h.
     """
+    return _extensions(system, phi, [h], u, extra_nodes)[0]
+
+
+def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u, extra_nodes: int = 5):
+    """`phi_h_extend` at every step of hs; D phi and f(phi, u) are computed once."""
     delta = phi.delta
     dmin = system.dop.min_delay
-    if not 0.0 < h < dmin:
-        raise PreconditionError(f"h must lie in (0, {dmin}), got {h}")
+    for h in hs:
+        if not 0.0 < h < dmin:
+            raise PreconditionError(f"h must lie in (0, {dmin}), got {h}")
     if abs(delta - system.delta) > _TOL * max(1.0, delta):
         raise PreconditionError("history horizon disagrees with system horizon")
     dphi = dop_apply(system.dop, phi)
     fval = rhs_eval(system.rhs, phi, u)
+    return [_extend(system, phi, float(h), dphi, fval, extra_nodes) for h in hs]
 
+
+def _extend(system, phi, h, dphi, fval, extra_nodes):
+    delta = phi.delta
     dop = system.dop
     shifted = phi.grid - h
     back = (phi.grid[None, :] + dop.delays[:, None] - h).ravel()
@@ -356,7 +366,7 @@ def driver_derivatives(
     queries = []
     for phi in phis:
         queries.append(phi)
-        queries.extend(phi_h_extend(system, phi, float(h), u) for h in hs)
+        queries.extend(_extensions(system, phi, hs, u))
     values = V.many(queries)
     per = hs.size + 1
     return [
@@ -367,9 +377,7 @@ def driver_derivatives(
 
 def _estimate(hs: np.ndarray, v0: float, rung_values, ladder: LadderSpec) -> DerivativeEstimate:
     """The tail-max estimate from V(phi) and V at each rung's extension."""
-    quotients = np.empty(hs.size)
-    for k, (h, v) in enumerate(zip(hs, rung_values)):
-        quotients[k] = (v - v0) / h
+    quotients = (np.asarray(rung_values, dtype=float) - v0) / hs
     tail = quotients[-ladder.tail :]
     tail_h = hs[-ladder.tail :]
     value = float(np.max(tail))

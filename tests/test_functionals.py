@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from haleform import functionals
 from haleform import (
     DifferenceOperator,
     DopNormFunctional,
@@ -132,6 +135,17 @@ class TestDriverDerivative:
                 expected = 2.0 * float(d @ f)
                 est = driver_derivative(system, V, phi, ladder=ladder)
                 assert abs(est.value - expected) <= 1e-3 * max(1.0, abs(expected))
+
+    def test_query_applies_d_and_f_once_per_history(self, planar_system):
+        """D phi and f(phi) depend on phi alone: a levels-14 query computes
+        each once for its 15 extensions (V here calls neither)."""
+        phi = sample_history(2, 0.7, 1.0, 3, seed=4)
+        ladder = LadderSpec(levels=14)
+        with mock.patch.object(functionals, "dop_apply", wraps=dop_apply) as dop_calls, \
+                mock.patch.object(functionals, "rhs_eval", wraps=rhs_eval) as rhs_calls:
+            est = driver_derivative(planar_system, SupNormFunctional(1.0), phi, ladder=ladder)
+        assert est.quotients.size == 15
+        assert (dop_calls.call_count, rhs_calls.call_count) == (1, 1)
 
     def test_homogeneity_degree_two(self, neutral_system):
         V = QuadraticDopFunctional(neutral_system.dop, [[1.0]])

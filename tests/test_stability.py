@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from haleform import stability
 from haleform import (
     DifferenceOperator,
     UnsupportedDimensionError,
@@ -16,6 +19,15 @@ def brute_force_gamma0_scalar(coeffs, resolution=512):
     mesh = np.meshgrid(*axes, indexing="ij")
     total = sum(c * m for c, m in zip(coeffs, mesh))
     return float(np.max(np.abs(total)))
+
+
+def brute_force_grid_max(matrices, resolution):
+    """Largest spectral radius on the whole resolution^p grid of the torus."""
+    p = len(matrices)
+    axis = 2.0 * np.pi * np.arange(resolution) / resolution
+    thetas = np.stack(np.meshgrid(*[axis] * p, indexing="ij"), axis=-1).reshape(-1, p)
+    stacked = np.einsum("kj,jab->kab", np.exp(1j * thetas), np.asarray(matrices, dtype=complex))
+    return float(np.max(np.abs(np.linalg.eigvals(stacked))))
 
 
 def test_single_delay_scalar():
@@ -145,3 +157,34 @@ def test_scalar_margin_does_not_rest_on_the_grid():
     m = gamma0(dop, resolution=9, refine_iters=0)
     assert m.gamma0 == pytest.approx(1.0 - 5e-7, abs=1e-15)  # the 9-point grid tops out at 0.985
     assert is_strongly_stable(dop, resolution=9, refine_iters=0)[0] == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("n,p", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_sweep_equals_full_grid_maximum(n, p):
+    """The theta_1 = 0 slice attains the maximum of the whole grid."""
+    rng = np.random.default_rng(100 * n + p)
+    for resolution in (8, 11, 16):
+        mats = rng.standard_normal((p, n, n)) / n
+        m = gamma0(DifferenceOperator(np.linspace(0.4, 1.0, p), mats), resolution, refine_iters=0)
+        assert m.gamma0 == pytest.approx(brute_force_grid_max(mats, resolution), rel=1e-12)
+        assert m.argmax_theta[0] == 0.0
+        phases = np.exp(1j * m.argmax_theta)
+        attained = np.max(np.abs(np.linalg.eigvals(np.einsum("j,jab->ab", phases, mats))))
+        assert attained == pytest.approx(m.gamma0, rel=1e-12)
+
+
+def test_refinement_keeps_the_first_angle_at_zero():
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((3, 2, 2)) / 2
+    m = gamma0(DifferenceOperator([0.3, 0.7, 1.0], mats), resolution=8, refine_iters=40)
+    assert m.refined and m.argmax_theta[0] == 0.0
+    assert m.gamma0 >= brute_force_grid_max(mats, 8) - 1e-12
+
+
+@pytest.mark.parametrize("p,resolution", [(2, 16), (3, 12), (4, 8)])
+def test_sweep_computes_resolution_to_the_p_minus_1_radii(p, resolution):
+    dop = DifferenceOperator(np.linspace(0.4, 1.0, p), np.full((p, 2, 2), 0.1))
+    with mock.patch.object(stability, "_rho_stack", wraps=stability._rho_stack) as rho_stack:
+        gamma0(dop, resolution=resolution, refine_iters=0)
+    rows = sum(call.args[1].shape[0] for call in rho_stack.call_args_list)
+    assert rows == resolution ** (p - 1)
