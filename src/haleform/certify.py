@@ -28,12 +28,17 @@ from .functionals import (
 )
 from .histories import HistorySegment, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
-from .integrate import StepPolicy, Trajectory, _z_lookup, integrate, integrate_batch  # noqa: F401
+from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
 from .signals import InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
 _SLACK = 1e-9
+_MAX_COUNTEREXAMPLES = 10  # kept per verification report, and per failed fit
+_DOP_NORM_FLOOR = 1e-8  # samples with a scale below it carry no ratio into a fit
+_SLOPE_CAP = 1e6  # the largest linear ISS gain before a power law is fitted
+_REFINE = 8  # grid points per mesh step in the converse witness's sup search
+_HORIZON_CAP = 4.0  # the converse horizon extends to at most this multiple of the given one
 
 
 # -- certificate data ------------------------------------------------------------
@@ -212,18 +217,17 @@ class CertificateReport:
 class _Check:
     """One inequality lhs <= rhs with an optional +/- band on the lhs."""
 
-    def __init__(self, report: CertificateReport, name: str, max_counterexamples: int = 10):
+    def __init__(self, report: CertificateReport, name: str):
         self.stats = ConditionStats(name)
         report.conditions.append(self.stats)
         self.report = report
-        self.cap = max_counterexamples
 
     def record(self, phi: HistorySegment, lhs: float, rhs: float, band: float = 0.0):
         self.stats.checked += 1
         self.stats.worst_margin = max(self.stats.worst_margin, lhs - rhs - band)
         if _exceeds(lhs, rhs, band):
             self.stats.violations += 1
-            if len(self.report.counterexamples) < self.cap:
+            if len(self.report.counterexamples) < _MAX_COUNTEREXAMPLES:
                 self.report.counterexamples.append(
                     Counterexample(self.stats.name, phi, {"lhs": lhs, "rhs": rhs, "band": band})
                 )
@@ -255,24 +259,22 @@ def sample_shells(
     seed: int,
     shells=DEFAULT_SHELLS,
     max_roughness: int = 4,
-    include_boundary: bool = True,
 ) -> list[HistorySegment]:
     """Histories over nested sup-norm shells, deterministic per seed.
 
-    Seeds partition as seed + i so batches can be split across workers. When
-    `include_boundary` is set, each shell starts with constant histories
-    pinned at the shell radius (the worst case for several estimates).
+    Seeds partition as seed + i so batches can be split across workers. Each
+    shell starts with a constant history pinned at the shell radius (the worst
+    case for several estimates).
     """
     out = []
     counter = 0
     for shell in shells:
-        if include_boundary:
-            rng = np.random.default_rng(seed + counter)
-            direction = rng.standard_normal(n)
-            direction /= max(np.linalg.norm(direction), 1e-300)
-            out.append(HistorySegment.constant(shell * direction, delta))
-            counter += 1
-        for k in range(per_shell - (1 if include_boundary else 0)):
+        rng = np.random.default_rng(seed + counter)
+        direction = rng.standard_normal(n)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        out.append(HistorySegment.constant(shell * direction, delta))
+        counter += 1
+        for k in range(per_shell - 1):
             roughness = k % (max_roughness + 1)
             out.append(sample_history(n, delta, shell, roughness, seed + counter))
             counter += 1
@@ -381,7 +383,6 @@ def fit_constants(
     ladder: LadderSpec = LadderSpec(),
     seminorm: SemiNorm | None = None,
     headroom: float = 0.01,
-    dop_norm_floor: float = 1e-8,
 ) -> FitResult:
     """Fit witness constants from sample envelopes, then re-verify on them.
 
@@ -403,11 +404,11 @@ def fit_constants(
     scale = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.v)
 
     wrong = [r for r in rows if r.est.value - r.est.error_band > 0.0]
-    if any(scale(r) > dop_norm_floor for r in wrong):
+    if any(scale(r) > _DOP_NORM_FLOOR for r in wrong):
         report = CertificateReport(
             samples_checked=len(rows), failure="derivative has the wrong sign on a sample"
         )
-        for r in wrong[:10]:
+        for r in wrong[:_MAX_COUNTEREXAMPLES]:
             report.counterexamples.append(
                 Counterexample(
                     "derivative",
@@ -428,7 +429,7 @@ def fit_constants(
         s_arr = np.array([r.sup for r in rows])
         v_arr = np.array([r.v for r in rows])
         neg = np.array([-(r.est.value + r.est.error_band) for r in rows])
-        keep = d_arr > dop_norm_floor
+        keep = d_arr > _DOP_NORM_FLOOR
         if not np.any(keep):
             raise FitImpossibleError("no sample with |D phi| above the floor")
         if np.any(neg[keep] < 0.0):
@@ -451,20 +452,20 @@ def fit_constants(
     else:
         # the ges variants bound V above by the sup norm or the semi-norm
         upper = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.sup)
-        r1 = [r.v / r.dnorm for r in rows if r.dnorm > dop_norm_floor]
+        r1 = [r.v / r.dnorm for r in rows if r.dnorm > _DOP_NORM_FLOOR]
         if not r1:
             raise FitImpossibleError("no sample with |D phi| above the floor")
-        r2 = [r.v / upper(r) for r in rows if upper(r) > dop_norm_floor]
+        r2 = [r.v / upper(r) for r in rows if upper(r) > _DOP_NORM_FLOOR]
         r3 = [
             -(r.est.value + r.est.error_band) / scale(r)
             for r in rows
-            if scale(r) > dop_norm_floor and r.est.value + r.est.error_band < 0.0
+            if scale(r) > _DOP_NORM_FLOOR and r.est.value + r.est.error_band < 0.0
         ]
         if not r2 or not r3:
             raise FitImpossibleError("no admissible sample for a2 or a3 after filtering")
         a4 = None
         if variant == "ges-seminorm":
-            r4 = [r.anorm / r.sup for r in rows if r.sup > dop_norm_floor]
+            r4 = [r.anorm / r.sup for r in rows if r.sup > _DOP_NORM_FLOOR]
             a4 = hi * max(r4) if r4 else seminorm.domination_constant()
         try:
             constants = CertificateConstants(
@@ -643,7 +644,7 @@ class ConverseFunctional(Functional):
     maximum by golden-section search; the t = 0 candidate makes
     V(phi) >= |D phi| exact. When the maximizer lands near the truncation edge
     (where the truncated sup would not decay along the flow), the horizon is
-    extended until the maximizer is interior, up to a hard cap. Requires
+    extended until the maximizer is interior, up to four times the given one. Requires
     0 < a below the decay rate and a horizon long enough that the truncated
     tail cannot carry the sup for typical histories.
     """
@@ -656,8 +657,6 @@ class ConverseFunctional(Functional):
         rate: float,
         horizon: float,
         step: StepPolicy | float | None = None,
-        refine: int = 8,
-        horizon_cap: float | None = None,
     ):
         if rate <= 0.0:
             raise PreconditionError("rate must be positive")
@@ -667,16 +666,15 @@ class ConverseFunctional(Functional):
         self.rate = float(rate)
         self.horizon = float(horizon)
         self.step = step
-        self.refine = int(refine)
-        self.horizon_cap = float(horizon_cap) if horizon_cap is not None else 4.0 * float(horizon)
 
     def _sups(self, trajs) -> list[tuple[float, float]]:
-        """(sup, its time) of |z(t)| e^(a t) on each trajectory of trajs; the
-        near-tied maxima of all of them are polished by one golden-section search."""
+        """(sup, its time) of |z(t)| e^(a t) on each trajectory of trajs, all of
+        one batch; the near-tied maxima of all of them are polished by one
+        golden-section search, which reads their store through one lookup."""
         out, which, lo, hi = [], [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]
         for r, traj in enumerate(trajs):
             times = traj.times
-            fine = [times[:-1] + (k / self.refine) * np.diff(times) for k in range(1, self.refine)]
+            fine = [times[:-1] + (k / _REFINE) * np.diff(times) for k in range(1, _REFINE)]
             grid = np.sort(np.concatenate([times, *fine]))
             weighted = np.linalg.norm(traj.z_dense(grid), axis=1) * np.exp(self.rate * grid)
             best = float(np.max(weighted))
@@ -698,9 +696,9 @@ class ConverseFunctional(Functional):
             hi.append(b[b > a])
         which, lo, hi = (np.concatenate(parts) for parts in (which, lo, hi))
         if which.size:
-            z_at = _z_lookup(trajs)
+            read = trajs[0]._batch.lookup(np.array([traj._row for traj in trajs])[which])
             vals = _golden_max(
-                lambda t: np.linalg.norm(z_at(which, t), axis=1) * np.exp(self.rate * t), lo, hi
+                lambda t: np.linalg.norm(read(t, "z"), axis=1) * np.exp(self.rate * t), lo, hi
             )
             for r in np.unique(which).tolist():
                 # the first of the best candidates, if it beats the grid
@@ -723,7 +721,7 @@ class ConverseFunctional(Functional):
         values = [0.0] * len(phis)
         blowups = {}
         pending = list(range(len(phis)))
-        horizon = self.horizon
+        horizon, cap = self.horizon, _HORIZON_CAP * self.horizon
         buffer = 0.5 * self.system.delta
         while pending:
             trajs = integrate_batch(self.system, [phis[k] for k in pending], horizon, step=self.step)
@@ -731,12 +729,12 @@ class ConverseFunctional(Functional):
             live = [(k, traj) for k, traj in zip(pending, trajs) if not traj.blowup]
             rerun = []
             for (k, _), (best, t_best) in zip(live, self._sups([traj for _, traj in live])):
-                if t_best <= horizon - buffer or horizon >= self.horizon_cap:
+                if t_best <= horizon - buffer or horizon >= cap:
                     values[k] = best
                 else:
                     rerun.append(k)
             pending = rerun
-            horizon = min(self.horizon_cap, horizon + max(2.0 * buffer, 0.25 * self.horizon))
+            horizon = min(cap, horizon + max(2.0 * buffer, 0.25 * self.horizon))
         if blowups:
             raise EvaluationBlowupError(
                 f"trajectory from the queried history blew up at t = {blowups[min(blowups)]}"
@@ -889,7 +887,6 @@ def iss_probe(
     step: StepPolicy | float | None = None,
     lipschitz_samples: int = 60,
     seed: int = 0,
-    slope_cap: float = 1e6,
 ) -> IssEstimate:
     """Fit a disturbance-to-state bound |x(t)| <= beta(||xi0||, t) + gamma(||u||).
 
@@ -948,13 +945,13 @@ def iss_probe(
     gamma = None
     gamma_form = "linear"
     gamma_slope = slope
-    if slope <= slope_cap:
+    if slope <= _SLOPE_CAP:
         gamma = ComparisonFunction.linear(max(slope, 1e-12))
     else:
         best = None
         for q in np.arange(0.5, 3.01, 0.25):
             c = fit(float(q))
-            if c <= slope_cap and (best is None or c < best[1]):
+            if c <= _SLOPE_CAP and (best is None or c < best[1]):
                 best = (float(q), c)
         if best is None:
             beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)

@@ -34,6 +34,7 @@ from .integrate import StepPolicy, integrate, residual_check
 from .serialization import (
     SCHEMA_VERSION,
     canonical_json,
+    comparison_to_dict,
     constants_from_dict,
     constants_to_dict,
     functional_from_dict,
@@ -338,8 +339,6 @@ def _run_iss(system, block: dict, base: Path, out_dir: Path):
         step=_step_policy(block),
         seed=int(block["seed"]),
     )
-    from .serialization import comparison_to_dict
-
     result = {
         "is_iss": est.is_iss,
         "violations": est.violations,
@@ -352,8 +351,7 @@ def _run_iss(system, block: dict, base: Path, out_dir: Path):
         "beta": {"M": est.ges.M, "lambda": est.ges.lam},
     }
     if est.counterexample is not None:
-        xi0, sig = est.counterexample
-        write_json(out_dir / "probe_history.json", history_to_dict(xi0))
+        write_json(out_dir / "probe_history.json", history_to_dict(est.counterexample[0]))
         result["counterexample_file"] = "probe_history.json"
     return (EXIT_PASS if est.is_iss else EXIT_VIOLATION), result
 
@@ -514,31 +512,21 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
             _setdefault(block, flag.key, flag.default)
     if spec.seed_at:
         _setdefault(block, spec.seed_at, block["seed"])
-    try:
-        system = _resolve(effective["system"], base, system_from_dict)
-        code, result = spec.run(system, block, base, out)
-    except HaleformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        report = {
-            "schema_version": SCHEMA_VERSION,
-            "tool_version": __version__,
-            "command": command,
-            "seed": effective["seed"],
-            "scenario_hash": scenario_hash,
-            "error": str(exc),
-        }
-        write_json(out / "report.json", report)
-        return EXIT_ERROR
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
         "seed": effective["seed"],
         "scenario_hash": scenario_hash,
-        "exit_code": code,
-        "result": result,
     }
-    write_json(out / "report.json", report)
+    try:
+        system = _resolve(effective["system"], base, system_from_dict)
+        code, result = spec.run(system, block, base, out)
+    except HaleformError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        write_json(out / "report.json", {**report, "error": str(exc)})
+        return EXIT_ERROR
+    write_json(out / "report.json", {**report, "exit_code": code, "result": result})
     print(f"{command}: exit {code}; report at {out / 'report.json'}")
     return code
 

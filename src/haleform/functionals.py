@@ -29,6 +29,8 @@ from .integrate import _breakpoint_gap, segment
 from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, dop_apply, rhs_eval
 
 _TOL = 1e-12
+_EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
+_MARGIN_STEPS = 2  # mesh steps between a `trajectory_grid` time and any breakpoint
 
 
 def _psd_check(mat: np.ndarray, name: str) -> np.ndarray:
@@ -103,14 +105,13 @@ class SupNormFunctional(Functional):
 
     kind = "sup-norm"
 
-    def __init__(self, c: float, refine: int = 10):
+    def __init__(self, c: float):
         if c <= 0:
             raise PreconditionError("coefficient must be positive")
         self.c = float(c)
-        self.refine = refine
 
     def __call__(self, phi):
-        return self.c * phi.sup_norm(self.refine)
+        return self.c * phi.sup_norm()
 
 
 class DopNormFunctional(Functional):
@@ -225,9 +226,7 @@ class WeightedSemiNorm(SemiNorm):
 
 # -- the history extension and derivative ladder --------------------------------
 
-def phi_h_extend(
-    system: NfdeSystem, phi: HistorySegment, h: float, u=None, extra_nodes: int = 5
-) -> HistorySegment:
+def phi_h_extend(system: NfdeSystem, phi: HistorySegment, h: float, u=None) -> HistorySegment:
     """Forward extension phi_h of a history by 0 < h < min_j Delta_j.
 
     The new grid keeps shifted copies of phi's nodes, the junction -h, exact
@@ -238,10 +237,10 @@ def phi_h_extend(
     derivative kink at the junction is confined to a microscopic interval
     right after -h.
     """
-    return _extensions(system, phi, [h], u, extra_nodes)[0]
+    return _extensions(system, phi, [h], u)[0]
 
 
-def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u, extra_nodes: int = 5):
+def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
     """`phi_h_extend` at every step of hs; D phi and f(phi, u) are computed once."""
     delta = phi.delta
     dmin = system.dop.min_delay
@@ -252,10 +251,10 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u, extra_nodes: int
         raise PreconditionError("history horizon disagrees with system horizon")
     dphi = dop_apply(system.dop, phi)
     fval = rhs_eval(system.rhs, phi, u)
-    return [_extend(system, phi, float(h), dphi, fval, extra_nodes) for h in hs]
+    return [_extend(system, phi, float(h), dphi, fval) for h in hs]
 
 
-def _extend(system, phi, h, dphi, fval, extra_nodes):
+def _extend(system, phi, h, dphi, fval):
     delta = phi.delta
     dop = system.dop
     shifted = phi.grid - h
@@ -267,7 +266,7 @@ def _extend(system, phi, h, dphi, fval, extra_nodes):
         [-float(d) for d in system.rhs.positive_delays() if d >= h],
         back[(back > -h) & (back < 0.0)],
         [-h + 1e-3 * h],
-        -h + np.arange(1, extra_nodes + 1) * h / (extra_nodes + 1),
+        -h + np.arange(1, _EXTRA_NODES + 1) * h / (_EXTRA_NODES + 1),
         [0.0],
     ]))
     keep = np.r_[True, np.diff(grid) > 1e-14 * max(1.0, delta)]
@@ -400,11 +399,11 @@ class ConsistencyResult:
     deviations: np.ndarray
 
 
-def trajectory_grid(traj, count: int, margin_steps: int = 2) -> np.ndarray:
-    """Times on the trajectory mesh at least `margin_steps` steps from breakpoints."""
+def trajectory_grid(traj, count: int) -> np.ndarray:
+    """Times on the trajectory mesh at least two mesh steps from breakpoints."""
     times = traj.times
     h_local = float(np.min(np.diff(times)))
-    guard = margin_steps * h_local
+    guard = _MARGIN_STEPS * h_local
     cand = times[_breakpoint_gap(traj, times) >= guard]
     if cand.size == 0:
         raise PreconditionError("no mesh times clear of breakpoints")

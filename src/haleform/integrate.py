@@ -10,10 +10,13 @@ mesh so derivative jumps stay aligned with step boundaries.
 
 A batch of histories advances in one step loop whatever their meshes (each
 history's kinks seed its own breakpoints): knot k of every history is row k
-of (longest mesh, B, n) arrays, a history parks where its mesh ends or it
-blows up, and each trajectory keeps a view of its own column. The delayed
-reads of the loop (the terms A_j x(s - Delta_j), their slopes and the
-rhs's pointwise reads) are placed ahead, so a step gathers them at once.
+of (longest mesh, B, n) arrays, and a history parks where its mesh ends or
+it blows up. A trajectory is a column of that batch store: it keeps the
+store and its row index, and one lookup reads its accepted knots for x, x'
+from either side and z, as it does for the stage views and the converse
+witness's polish. The delayed reads of the loop (the terms A_j x(s -
+Delta_j), their slopes and the rhs's pointwise reads) are placed ahead, so
+a step gathers them at once.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from .signals import InputSignal
 
 _BP_TOL = 1e-9
 _PLAN_READS = 2048  # delayed reads (per mesh) placed at once ahead of the step loop
+_BREAKPOINT_LIMIT = 20000  # lattice points enumerated before a mesh falls back to plain steps
 
 
 @dataclass(frozen=True)
@@ -38,11 +42,10 @@ class StepPolicy:
     """Fixed-step mesh parameters. step defaults to min positive delay / 8."""
 
     step: float | None = None
-    breakpoint_limit: int = 20000
     blowup_bound: float = 1e12
 
 
-def propagation_breakpoints(delays, horizon: float, limit: int = 20000, seeds=(0.0,)):
+def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIMIT, seeds=(0.0,)):
     """Sums seed + nonnegative integer multiples of the delays, up to horizon.
 
     Seeds below zero model derivative kinks inside the initial history; only
@@ -114,67 +117,12 @@ class _Knots:
         return f, (ts - lo) / (hi - lo), hi - lo, ts == lo, ts == hi
 
 
-def _interp(kernel, f, theta, length, at_left, at_right, y, right, left, node) -> np.ndarray:
-    """Hermite values on located times; knot times return the node rows."""
-    out = kernel(theta[:, None], length[:, None], y[f], y[f + 1], right[f], left[f + 1])
-    if at_left.any():
-        out[at_left] = node[f[at_left]]
-    if at_right.any():
-        out[at_right] = node[f[at_right] + 1]
-    return out
-
-
-class _DenseStore:
-    """Accepted knots of one trajectory's x and z with sided Hermite slopes.
-
-    Rows [0, count) of the (mesh size, n) arrays are the accepted knots, the
-    first `count` of row `mesh` of `knots`. Node times return the stored
-    rows; times in between use the cubic Hermite of the enclosing interval,
-    with right slopes at its left end and left slopes at its right. A
-    trajectory of one knot holds its value.
-    """
-
-    def __init__(self, xi0: HistorySegment, knots: _Knots, mesh: int, count: int, arrays):
-        self.xi0, self.n, self.knots, self.mesh, self.count = xi0, xi0.n, knots, mesh, count
-        self.start = int(knots.starts[mesh])
-        self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right = arrays
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.knots.times[self.start : self.start + self.count]
-
-    def _many(self, ts: np.ndarray, kernel, y, right, left, node) -> np.ndarray:
-        if self.count == 1:
-            return np.repeat(node[:1], ts.size, axis=0)
-        f, *located = self.knots.locate(self.mesh, ts, self.start + self.count - 2)
-        return _interp(kernel, f - self.start, *located, y, right, left, node)
-
-    def _x(self, ts, past, history, kernel, node) -> np.ndarray:
-        """The initial history's values at the `past` times, the Hermite's at the others."""
-        out = np.empty((ts.size, self.n))
-        if past.any():
-            out[past] = history(ts[past])
-        if not past.all():
-            out[~past] = self._many(ts[~past], kernel, self.x, self.xdot_right, self.xdot_left, node)
-        return out
-
-    def x_many(self, ts: np.ndarray) -> np.ndarray:
-        return self._x(ts, ts <= 0.0, self.xi0.eval, _hermite, self.x)
-
-    def xdot_many(self, ts: np.ndarray, side: str = "+") -> np.ndarray:
-        past = (ts < 0.0) | ((ts == 0.0) & (side == "-"))
-        node = self.xdot_right if side == "+" else self.xdot_left
-        return self._x(ts, past, lambda s: self.xi0.deriv(s, side), _hermite_deriv, node)
-
-    def z_many(self, ts: np.ndarray) -> np.ndarray:
-        return self._many(ts, _hermite, self.z, self.zdot_right, self.zdot_left, self.z)
-
-
 class _BatchStore:
     """Accepted knots of B histories as (longest mesh, B, n) arrays, knot k of
     every history in row k. History b runs on mesh `mesh_of[b]` of the
     distinct `meshes`, which `times` holds padded with their last knots. The
     running histories hold `count` knots, a parked one its entry of `counts`.
+    A trajectory is a column of this store, read through `lookup`.
     """
 
     def __init__(self, histories, meshes, mesh_of):
@@ -182,18 +130,57 @@ class _BatchStore:
         self.knots = _Knots(meshes)
         size = int(self.knots.sizes.max())
         self.shape = (len(histories), histories[0].n)
-        # x and its right and left slopes in one block, read by one gather
-        self.block = np.full((3, size, *self.shape), np.nan)
-        self.x, self.xdot_right, self.xdot_left = self.block
-        self.z, self.zdot_left, self.zdot_right = np.full((3, size, *self.shape), np.nan)
-        self.arrays = (self.x, self.z, self.zdot_left, self.zdot_right, self.xdot_left, self.xdot_right)
+        # planes x, x' right, x' left, z, z' right, z' left: one gather reads a cubic
+        self.block = np.full((6, size, *self.shape), np.nan)
+        self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = self.block
+        self.flat = self.block.reshape(-1, self.shape[1])
+        # per kind of read, the flat rows of y0, s0, y1, s1 and of the knot a knot
+        # time returns, less knot 0's row in plane 0: values in plane a, knots in k
+        plane, width = self.x.size // self.shape[1], self.shape[0]
+        self.offsets = {
+            kind: np.array([[a], [a + 1], [a], [a + 2], [k]]) * plane + [[0], [0], [width], [width], [0]]
+            for kind, (a, k) in {"x": (0, 0), "+": (0, 1), "-": (0, 2), "z": (3, 3)}.items()
+        }
         self.times = np.stack([np.pad(m, (0, size - m.size), mode="edge") for m in meshes], axis=1)
         self.count, self.counts = 0, np.zeros(len(histories), dtype=int)
 
-    def row(self, b: int, count: int) -> _DenseStore:
-        """History b's store, a view of its column holding `count` knots."""
-        arrays = tuple(a[:, b] for a in self.arrays)
-        return _DenseStore(self.histories[b], self.knots, self.mesh_of[b], count, arrays)
+    def lookup(self, rows, count=None):
+        """The reader of history `rows` (an index, or an array of one index per
+        time read) from its first `count` knots, by default all it holds.
+
+        read(ts, kind) is x ("x"), x' from the right or left ("+", "-") or z
+        ("z") at times ts, one (n,) row each. x and x' at t <= 0 (x' from the
+        right at t < 0) come from the initial history, which needs a single
+        index; a knot time returns the knot's row; any other time, the cubic
+        Hermite of its accepted interval, with right slopes at its left end
+        and left slopes at its right. A history of one knot holds its value.
+        """
+        count = np.asarray(self.counts[rows] if count is None else count)
+        mesh = self.mesh_of[rows]
+        start = self.knots.starts[mesh]
+        last, one = start + np.maximum(count, 2) - 2, count == 1
+        width = self.shape[0]
+        column = rows - start * width  # knot f of `knots` is flat row f * width + column
+
+        def read(ts: np.ndarray, kind: str) -> np.ndarray:
+            f, theta, length, at_left, at_right = self.knots.locate(mesh, ts, last)
+            at_right &= ~one
+            flat = f * width + column + self.offsets[kind]
+            flat[4] += width * at_right
+            g = self.flat.take(flat, axis=0)
+            kernel = _hermite if kind in ("x", "z") else _hermite_deriv
+            out = kernel(theta[:, None], length[:, None], g[0], g[2], g[1], g[3])
+            node = at_left | at_right | one
+            if node.any():
+                np.copyto(out, g[4], where=node[:, None])
+            if kind != "z":
+                past = ts < 0.0 if kind == "+" else ts <= 0.0
+                if past.any():
+                    xi0 = self.histories[rows]
+                    out[past] = xi0.eval(ts[past]) if kind == "x" else xi0.deriv(ts[past], kind)
+            return out
+
+        return read
 
 
 class _Reads:
@@ -234,7 +221,7 @@ class _Reads:
         node, hist_mask = dense(at_left | at_right), dense(hist)
         self.any_node, self.any_hist = node.any(axis=(1, 2)).tolist(), hist_mask.any(axis=(1, 2)).tolist()
         self.node, self.hist_mask = node[..., None], hist_mask[..., None]
-        self.flat = store.block.reshape(-1, store.shape[1])
+        self.flat = store.flat
         # the initial histories, read once per history and kind of read (x,
         # x' right, x' left), together with the times of that kind in `seed`
         self.hist = np.zeros((int(steps[hist].max()) + 1 if hist.any() else 0, shape[0], *store.shape))
@@ -287,43 +274,41 @@ class _StageView:
         (tips, anchors, i), count = self.times, self.store.count
         meshes = self.store.mesh_of[self.live].tolist()
         return [
-            _RowView(self.store.row(b, count), self.delta, tips[i, m], self.tip_x[k], anchors[i, m])
+            _RowView(self.store, b, count, self.delta, tips[i, m], self.tip_x[k], anchors[i, m])
             for k, (b, m) in enumerate(zip(self.live.tolist(), meshes))
         ]
 
 
 class _RowView:
-    """One history's x_s during a stage, for terms that integrate over the window.
+    """History b's x_s during a stage, for terms that integrate over the window.
 
-    Times at or before the anchor read the dense store; the sliver
-    (anchor, s] interpolates linearly to the stage tip.
+    Times at or before the anchor, the last of its `count` accepted knots,
+    read the store; the sliver (anchor, s] interpolates linearly to the stage tip.
     """
 
     interp = CUBIC
 
-    def __init__(self, store: _DenseStore, delta: float, tip_t, tip_x, anchor_t):
-        self.store, self.delta = store, delta
-        self.tip_t, self.tip_x, self.anchor_t = tip_t, tip_x, anchor_t
+    def __init__(self, store: _BatchStore, b: int, count: int, delta: float, tip_t, tip_x, anchor_t):
+        self.read, self.grid = store.lookup(b, count), store.histories[b].grid
+        self.times = store.meshes[store.mesh_of[b]][:count]
+        self.delta, self.tip_t, self.tip_x, self.anchor_t = delta, tip_t, tip_x, anchor_t
 
     def eval(self, tau) -> np.ndarray:
         t = self.tip_t + np.asarray(tau, dtype=float).ravel()
-        out = np.empty((t.size, self.store.n))
-        past = t <= self.anchor_t
-        if past.any():
-            out[past] = self.store.x_many(t[past])
-        sliver = ~past & (t < self.tip_t) & (self.tip_t != self.anchor_t)
-        out[~past & ~sliver] = self.tip_x
+        out = self.read(np.minimum(t, self.anchor_t), "x")  # later times read x at the anchor
+        later = t > self.anchor_t
+        sliver = later & (t < self.tip_t)
         if sliver.any():
-            anchor_x = self.store.x[self.store.count - 1]
             w = ((t[sliver] - self.anchor_t) / (self.tip_t - self.anchor_t))[:, None]
-            out[sliver] = (1.0 - w) * anchor_x + w * self.tip_x
+            out[sliver] = (1.0 - w) * out[sliver] + w * self.tip_x
+        out[later & ~sliver] = self.tip_x
         return out
 
     def quad_panels(self) -> np.ndarray:
         lo = self.tip_t - self.delta
-        past = self.store.xi0.grid + 0.0
+        past = self.grid + 0.0
         past = past[(past >= lo) & (past <= 0.0)]
-        times = self.store.times
+        times = self.times
         accepted = times[np.searchsorted(times, lo) : np.searchsorted(times, self.anchor_t, "right")]
         pts = np.concatenate([past, accepted, [self.anchor_t, self.tip_t]])
         return np.unique(np.clip(pts - self.tip_t, -self.delta, 0.0))
@@ -331,7 +316,8 @@ class _RowView:
 
 @dataclass
 class Trajectory:
-    """Dense solution on [-Delta, t_end] plus the z = D x_t store."""
+    """Dense solution on [-Delta, t_end] plus the z = D x_t store: column
+    `_row` of the batch store `_batch` it was integrated in."""
 
     system: NfdeSystem
     xi0: HistorySegment
@@ -343,39 +329,29 @@ class Trajectory:
     blowup: bool
     order_reduced: bool
     input: InputSignal | None
-    _store: _DenseStore = field(repr=False)
+    _batch: _BatchStore = field(repr=False)
+    _row: int = field(repr=False)
 
     def x_at(self, t):
-        return _at(self._store.x_many, t)
+        return self._read(t, "x")
 
     def z_at(self, t):
-        if np.ndim(t) == 0 and t < 0.0:
-            raise PreconditionError("z is defined for t >= 0 only")
-        return _at(self._store.z_many, t)
+        return self._read(t, "z")
 
     def z_dense(self, ts: np.ndarray) -> np.ndarray:
         """Vectorized Hermite evaluation of z on times in [0, t_end]."""
-        return self._store.z_many(ts)
+        return self._read(ts, "z")
 
     def xdot_at(self, t, side: str = "+"):
-        return _at(self._store.xdot_many, t, side)
+        return self._read(t, "-" if side == "-" else "+")  # as HistorySegment.deriv reads a side
 
-
-def _at(many, t, *args):
-    """A store lookup at a time (one (n,) value) or at an array of times (one row each)."""
-    out = many(np.atleast_1d(np.asarray(t, dtype=float)).ravel(), *args)
-    return out[0] if np.ndim(t) == 0 else out
-
-
-def _z_lookup(trajs):
-    """z of trajs[which[k]] at ts[k] for every k, as the function (which, ts),
-    each value the one `z_at` gives; the trajectories need two knots or more."""
-    knots = _Knots([traj.times for traj in trajs])
-    z, right, left = (
-        np.concatenate([getattr(traj._store, name)[: traj.times.size] for traj in trajs])
-        for name in ("z", "zdot_right", "zdot_left")
-    )
-    return lambda which, ts: _interp(_hermite, *knots.locate(which, ts), z, right, left, z)
+    def _read(self, t, kind: str):
+        """A store lookup at a time (one (n,) value) or at an array of times (one row each)."""
+        ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        if kind == "z" and (ts < 0.0).any():
+            raise PreconditionError("z is defined for t >= 0 only")
+        out = self._batch.lookup(self._row)(ts, kind)
+        return out[0] if np.ndim(t) == 0 else out
 
 
 def integrate(
@@ -443,9 +419,7 @@ def integrate_batch(
     for xi0 in histories:
         seeds = (0.0,) + tuple(float(s) for s in xi0.kink_times if s > -system.delta)
         if seeds not in lattices:
-            bps, truncated = propagation_breakpoints(
-                all_delays, horizon, policy.breakpoint_limit, seeds=seeds
-            )
+            bps, truncated = propagation_breakpoints(all_delays, horizon, seeds=seeds)
             anchors = bps if not truncated else np.array([0.0, horizon])
             mesh = _build_mesh(h, horizon, np.concatenate([anchors, jumps]))
             lattices[seeds] = (bps, truncated, mesh, len(lattices))
@@ -455,20 +429,21 @@ def integrate_batch(
     blowups = _advance(system, store, u, jumps, policy.blowup_bound)
     out = []
     for b, (bps, truncated, _, _) in enumerate(rows):
-        row = store.row(b, int(store.counts[b]))
-        times = row.times
+        count = int(store.counts[b])
+        times = store.meshes[store.mesh_of[b]][:count]
         out.append(Trajectory(
             system=system,
             xi0=histories[b],
             times=times,
-            x=row.x[: row.count],
-            z=row.z[: row.count],
+            x=store.x[:count, b],
+            z=store.z[:count, b],
             breakpoints=bps[bps <= times[-1] + _BP_TOL],
             t_end=float(times[-1]),
             blowup=bool(blowups[b]),
             order_reduced=truncated,
             input=u,
-            _store=row,
+            _batch=store,
+            _row=b,
         ))
     return out
 
@@ -482,7 +457,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     rhs = system.rhs
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
     rhs_delays = set(rhs.positive_delays())
-    x, z, zdl, zdr, xdl, xdr = store.arrays
+    x, xdr, xdl, z, zdr, zdl = store.block
     size, width = store.x.shape[:2]
     t0, t1 = store.times[:-1], store.times[1:]
     mids = t0 + 0.5 * (t1 - t0)
@@ -629,9 +604,9 @@ def segment(traj: Trajectory, t: float) -> HistorySegment:
     keep = np.r_[True, np.diff(grid) > _BP_TOL * max(1.0, delta)]
     grid = grid[keep]
     grid[-1] = t
-    store = traj._store
-    values = store.x_many(grid)
-    slopes = np.vstack([store.xdot_many(grid[:-1], "+"), store.xdot_many(grid[-1:], "-")])
+    read = traj._batch.lookup(traj._row)
+    values = read(grid, "x")
+    slopes = np.vstack([read(grid[:-1], "+"), read(grid[-1:], "-")])
     return HistorySegment(delta, grid - t, values, CUBIC, slopes)
 
 

@@ -47,11 +47,14 @@ def _store_point(traj, t, name="x", side="+"):
         return _history_point(traj.xi0, t)
     if name == "dx" and (t < 0.0 or (t == 0.0 and side == "-")):
         return _history_point(traj.xi0, t, True, side)
-    store = traj._store
-    y, right, left = (store.z, store.zdot_right, store.zdot_left) if name == "z" else (
-        store.x, store.xdot_right, store.xdot_left
+
+    def column(array):  # the trajectory's column of its batch store
+        return getattr(traj._batch, array)[:, traj._row]
+
+    y, right, left = (column("z"), column("zdot_right"), column("zdot_left")) if name == "z" else (
+        column("x"), column("xdot_right"), column("xdot_left")
     )
-    node = {"x": store.x, "z": store.z, "dx": store.xdot_right if side == "+" else store.xdot_left}[name]
+    node = {"x": y, "z": y, "dx": column("xdot_right" if side == "+" else "xdot_left")}[name]
     times = [float(v) for v in traj.times]
     if len(times) == 1:
         return node[0]
@@ -123,7 +126,6 @@ def test_store_array_lookups_match_scalar_lookups(request):
     for system in _systems(request):
         for phi in _histories(system.n, system.delta)[:2]:
             traj = integrate(system, phi, 2.3, step=1.0 / 32.0)
-            store = traj._store
             ts = np.concatenate([
                 traj.times, np.linspace(-system.delta, traj.t_end, 61), [2.0 * traj.t_end / 3.0]
             ])
@@ -132,7 +134,7 @@ def test_store_array_lookups_match_scalar_lookups(request):
                 assert _same(xs[k], _store_point(traj, t))
                 assert _same(traj.x_at(float(t)), xs[k])
             for side in ("+", "-"):
-                xd = store.xdot_many(ts, side)
+                xd = traj.xdot_at(ts, side)
                 for k, t in enumerate(ts):
                     assert _same(xd[k], _store_point(traj, t, "dx", side))
                     assert _same(traj.xdot_at(float(t), side), xd[k])

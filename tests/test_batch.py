@@ -60,14 +60,21 @@ def _history(system, seed: int, bound: float, kink: float | None):
 
 
 def _assert_agree(batch, single, n: int):
-    """Bitwise for n = 1; within 1e-12 of the history scale for n > 1, where a
-    stacked matrix product may round its last bit differently."""
+    """Knots and lookups (x, x' from both sides, z) on [-Delta, t_end], knot
+    times and midpoints among them: bitwise for n = 1; within 1e-12 of the
+    scale for n > 1, where a stacked matrix product may round its last bit
+    differently."""
     assert batch.blowup == single.blowup
     assert batch.order_reduced == single.order_reduced
     assert batch.t_end == single.t_end
     assert _same(batch.times, single.times)
     assert _same(batch.breakpoints, single.breakpoints)
-    for got, want in ((batch.x, single.x), (batch.z, single.z)):
+    mids = 0.5 * (single.times[:-1] + single.times[1:])
+    ts = np.concatenate([np.linspace(-single.system.delta, single.t_end, 13), single.times, mids])
+    pairs = [(batch.x, single.x), (batch.z, single.z), (batch.x_at(ts), single.x_at(ts))]
+    pairs += [(batch.xdot_at(ts, side), single.xdot_at(ts, side)) for side in "+-"]
+    pairs.append((batch.z_at(ts[ts >= 0.0]), single.z_at(ts[ts >= 0.0])))
+    for got, want in pairs:
         if n == 1:
             assert _same(got, want)
         else:
@@ -227,7 +234,20 @@ def test_one_node_trajectory_lookups_hold_its_value():
     assert _same(traj.z_at(np.array([0.0, 0.25])), [traj.z[0], traj.z[0]])
     assert _same(traj.z_at(0.25), traj.z[0])
     for side in ("+", "-"):
-        assert np.all(np.isfinite(traj._store.xdot_many(np.array([-0.2, 0.0, 0.4]), side)))
+        assert np.all(np.isfinite(traj.xdot_at(np.array([-0.2, 0.0, 0.4]), side)))
+
+
+def test_z_lookups_refuse_negative_times():
+    """z = D x_t starts at t = 0: array lookups refuse earlier times as scalar ones do."""
+    system, _ = SYSTEMS["neutral"]
+    traj = integrate(system, HistorySegment.constant([1.0], 1.0), 2.0, step=0.125)
+    for t in (-0.5, np.array([-0.5]), np.array([0.25, -1e-12, 1.0])):
+        with pytest.raises(PreconditionError, match="t >= 0"):
+            traj.z_at(t)
+    for ts in (np.array([-0.5]), np.array([0.0, -0.25])):
+        with pytest.raises(PreconditionError, match="t >= 0"):
+            traj.z_dense(ts)
+    assert _same(traj.z_dense(np.array([0.0, 0.5])), traj.z[[0, 4]])
 
 
 @contextlib.contextmanager
