@@ -266,6 +266,8 @@ def sample_shells(
     shell starts with a constant history pinned at the shell radius (the worst
     case for several estimates).
     """
+    if per_shell < 1:
+        raise PreconditionError(f"per_shell must be at least 1, got {per_shell}")
     out = []
     counter = 0
     for shell in shells:
@@ -916,9 +918,10 @@ def iss_probe(
     ]
     records = []
     probes = 0
+    usups = {}  # each signal's cumulative sup, once per mesh
     for k, xi0 in enumerate(initial_histories):
         sup0 = xi0.sup_norm()
-        for sig, trajs in zip(input_signals, by_signal):
+        for j, (sig, trajs) in enumerate(zip(input_signals, by_signal)):
             traj = trajs[k]
             probes += 1
             if traj.blowup:
@@ -929,8 +932,10 @@ def iss_probe(
                 )
             mags = np.linalg.norm(traj.x, axis=1)
             beta_vals = ges.M * sup0 * np.exp(-ges.lam * traj.times)
-            usup = sig.cumulative_sup(traj.times)
-            records.append((mags, beta_vals, usup, xi0, sig))
+            key = (j, traj.times.tobytes())
+            if key not in usups:
+                usups[key] = sig.cumulative_sup(traj.times)
+            records.append((mags, beta_vals, usups[key], xi0, sig))
 
     def fit(exponent: float):
         g = 0.0

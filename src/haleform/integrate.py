@@ -14,9 +14,12 @@ of (longest mesh, B, n) arrays, and a history parks where its mesh ends or
 it blows up. A trajectory is a column of that batch store: it keeps the
 store and its row index, and one lookup reads its accepted knots for x, x'
 from either side and z, as it does for the stage views and the converse
-witness's polish. The delayed reads of the loop (the terms A_j x(s -
-Delta_j), their slopes and the rhs's pointwise reads) are placed ahead, so
-a step gathers them at once.
+witness's polish. A step is at most a quarter of the smallest delay, so the
+delayed reads of the loop are placed ahead, and a block of steps gathers them
+at once as soon as they touch accepted knots only. Every term that reads no
+stage tip (the D-terms A_j x(s - Delta_j), the slope sums, the rhs's delayed
+pointwise and input terms) then applies to the whole block; only the terms
+that read the tip evaluate stage by stage.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import numpy as np
 from .errors import PreconditionError
 from .histories import CUBIC, HistorySegment, _hermite, _hermite_basis, _hermite_deriv
 from .histories import _hermite_deriv_basis, _hermite_sum
-from .operators import NfdeSystem, _apply, dop_apply, rhs_eval
+from .operators import InputTerm, NfdeSystem, _apply, dop_apply, rhs_eval
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -189,8 +192,9 @@ class _Reads:
     the histories on mesh m. At t <= 0 (for x' from the right, t < 0) that is
     the initial history, evaluated here; at a knot time, the knot's row; at
     any other time, the Hermite cubic of its accepted interval, whose knot
-    rows and weights are found here once per mesh, so that a step gathers all
-    its reads, for all histories, with one `take`.
+    rows and weights are found here once per mesh, so that a block of steps
+    gathers all its reads, for all histories, with one `take`. reach[i] is
+    the last knot that the reads of steps 0..i touch.
     """
 
     def __init__(self, store: _BatchStore, running: np.ndarray, times: np.ndarray, sides, seed=None):
@@ -202,25 +206,24 @@ class _Reads:
         kind = kind[plan]
         hist = (ts < 0.0) | ((ts == 0.0) & (kind != 1))
         f, theta, length, at_left, at_right = store.knots.locate(meshes, ts)
-        # reads of the initial history keep to the first knot: their discarded Hermite stays finite
+        # initial-history and left-knot reads keep to one knot: their discarded Hermite stays finite
         k = np.where(hist, 0, f - store.knots.starts[meshes])
-        k1 = np.where(hist, k, k + 1)
+        k1 = np.where(hist | at_left, k, k + 1)
         theta, length = np.where(hist, 0.0, theta), np.where(hist, 1.0, length)
         basis = np.where(kind == 0, _hermite_basis(theta), _hermite_deriv_basis(theta))
         # rows in the flattened block (history 0): y0, s0, y1, s1 and the knot of a knot-time read
         size, width = store.x.shape[:2]
         rows = np.vstack([k, size + k, k1, 2 * size + k1, kind * size + np.where(at_right, k1, k)])
 
-        def dense(values, fill=0):  # (steps, ..., P, M)
-            out = np.full((shape[1], *values.shape[:-1], shape[0], shape[2]), fill, dtype=values.dtype)
-            out[steps, ..., plan, meshes] = values.T
+        def dense(values, fill=0):  # (..., steps, P, M)
+            out = np.full((*values.shape[:-1], shape[1], shape[0], shape[2]), fill, dtype=values.dtype)
+            out[..., steps, plan, meshes] = values
             return out
 
         self.rows = dense(rows * width)
+        self.reach = np.maximum.accumulate(dense(k1).max(axis=(1, 2)))
         self.coefs = dense(np.vstack([basis, length]), 1.0)[..., None]
-        node, hist_mask = dense(at_left | at_right), dense(hist)
-        self.any_node, self.any_hist = node.any(axis=(1, 2)).tolist(), hist_mask.any(axis=(1, 2)).tolist()
-        self.node, self.hist_mask = node[..., None], hist_mask[..., None]
+        self.node, self.hist_mask = dense(at_left | at_right)[..., None], dense(hist)[..., None]
         self.flat = store.flat
         # the initial histories, read once per history and kind of read (x,
         # x' right, x' left), together with the times of that kind in `seed`
@@ -236,26 +239,28 @@ class _Reads:
                     self.hist[steps[sel], plan[sel], b] = values[: at.size - len(extra)]
                     self.seed[code][b] = values[at.size - len(extra) :]
 
-    def step(self, i: int, run) -> np.ndarray:
-        """Every read of step i, (P, running histories, n). run is (act, col,
-        live): the running histories' columns, their meshes and their indices."""
+    def steps(self, a: int, b: int, run) -> np.ndarray:
+        """Every read of steps a..b-1, (b - a, P, running histories, n). run is
+        (act, col, live): the running histories' columns, meshes and indices."""
         act, col, live = run
-        g = self.flat.take(self.rows[i][..., col] + live, axis=0)
-        c = self.coefs[i][..., col, :]
+        g = self.flat.take(self.rows[:, a:b][..., col] + live, axis=0)
+        c = self.coefs[:, a:b][..., col, :]
         out = _hermite_sum(c, c[4], g[0], g[2], g[1], g[3])
         np.divide(out, c[4], out=out, where=self.deriv)
-        if self.any_node[i]:
-            np.copyto(out, g[4], where=self.node[i][:, col])
-        if self.any_hist[i]:
-            np.copyto(out, self.hist[i][:, act], where=self.hist_mask[i][:, col])
+        np.copyto(out, g[4], where=self.node[a:b][..., col, :])
+        hist = self.hist[a:b]  # kept for the steps up to the last that reads an initial history
+        if len(hist):
+            where = self.hist_mask[a : a + len(hist)][..., col, :]
+            np.copyto(out[: len(hist)], hist[:, :, act], where=where)
         return out
 
 
 class _StageView:
-    """The running histories' x_s, seen by the right-hand side during a stage.
+    """The running histories' x_s, seen by the right-hand side during a stage,
+    or, without a tip, by the tipless terms on a block's stacked reads.
 
     tau = 0 reads the stage tip and a pointwise delay tau > 0 reads
-    `reads[-tau]`, x(s - tau) read for the stage. A term that integrates over
+    `reads[-tau]`, x(s - tau) read for the stages. A term that integrates over
     the window sees one history at a time through `rows`, given `times`:
     (tip times, anchor times, step), the anchor being the last accepted knot.
     """
@@ -452,13 +457,13 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     """The method-of-steps loop for every history of the store; returns their blowup flags.
 
     Step i takes every running history from its knot i to knot i + 1. A history parks,
-    keeping its knots, where its mesh ends or its state blows up; the rest go on.
+    keeping its knots, where its mesh ends or its state blows up; the rest go on. A block
+    of steps ends where its plan of reads ends or the running histories change.
     """
     rhs = system.rhs
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
-    rhs_delays = set(rhs.positive_delays())
     x, xdr, xdl, z, zdr, zdl = store.block
-    size, width = store.x.shape[:2]
+    size, (width, n) = store.x.shape[0], store.shape
     t0, t1 = store.times[:-1], store.times[1:]
     mids = t0 + 0.5 * (t1 - t0)
     hh = (t1 - t0)[:, store.mesh_of, None]  # every history's step lengths
@@ -468,12 +473,15 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     # the reads of each step: x at the midpoint and at the step end for each
     # offset, then x' from the left and from the right at the step end for
     # each D-term; placed ahead in runs of steps that bound their memory
-    offsets = sorted({d for d, _ in dop_terms} | rhs_delays)
+    offsets = sorted({d for d, _ in dop_terms} | set(rhs.positive_delays()))
     specs = [(mids - d, None) for d in offsets] + [(t1 - d, None) for d in offsets]
     specs += [(t1 - d, side) for side in "-+" for d, _ in dop_terms]
     chunk = max(1, _PLAN_READS // (len(specs) * len(store.meshes)))
     cuts = np.cumsum([0, len(offsets), len(offsets), len(dop_terms), len(dop_terms)]).tolist()
     mid_at, end_at, left_at, right_at = (slice(a, b) for a, b in zip(cuts, cuts[1:]))
+    dop_at = [offsets.index(d) for d, _ in dop_terms]
+    # the rhs terms that read no stage tip: inputs, and pointwise terms with a delay
+    tipless = [k for k, t in enumerate(rhs.terms) if isinstance(t, InputTerm) or getattr(t, "delay", 0) > 0]
 
     # the input on each mesh: "+" at nodes and midpoints, "-" at step ends
     # (the step integrates the branch active on (t, t_next))
@@ -486,34 +494,54 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         jump_keys = np.round(jumps / _BP_TOL).astype(np.int64)
         jump = np.isin(np.round(t1 / _BP_TOL).astype(np.int64), jump_keys)[:, store.mesh_of]
 
-    def u_at(values, i, act):
-        return None if values is None else values[i, act]
-
-    def stage(values):
-        """From x(s - d) at each offset d: the D-terms, in summation order, and the rhs reads."""
-        values = dict(zip(offsets, values))
-        return [_apply(a, values[d]) for d, a in dop_terms], {-d: values[d] for d in rhs_delays}
-
-    def slope_sum(values) -> np.ndarray:  # sum_j A_j x'(t - Delta_j)
-        return sum((_apply(a, v) for (_, a), v in zip(dop_terms, values)), np.zeros(values.shape[1:]))
+    def d_terms(values) -> list:  # A_j v_j for each D-term j
+        return [_apply(a, v) for (_, a), v in zip(dop_terms, values)]
 
     def plan(start: int, seed=None) -> _Reads:
         stop = start + chunk
         times = np.stack([t[start:stop] for t, _ in specs])
         return _Reads(store, running[start:stop], times, [side for _, side in specs], seed)
 
+    def block(i: int, stop: int, run) -> tuple:
+        """(steps, running, n) stacks for steps i..stop-1: the D-terms at midpoints and step
+        ends, the slope sums from the left and right, and the tipless rhs terms at
+        midpoints, step ends and new knots."""
+        act, _, live = run
+        values = reads.steps(i % chunk, i % chunk + stop - i, run)
+        shape = values.shape[0], live.size, n
+        v = values.swapaxes(0, 1).reshape(len(specs), -1, n)  # each read's rows, step-major
+        mid, end = v[mid_at], v[end_at]
+
+        def known(at, us, first: int) -> dict:  # the tipless terms, with the inputs from step `first`
+            if us is not None:
+                us = us[first : first + shape[0], act].reshape(-1, u.m)
+            view = _StageView(store, live, system.delta, None, {-d: w for d, w in zip(offsets, at)}, None)
+            return {k: rhs.terms[k].eval(view, us).reshape(shape) for k in tipless}
+
+        def slopes(values) -> np.ndarray:  # sum_j A_j x'(t - Delta_j)
+            return sum(d_terms(values), np.zeros(v.shape[1:])).reshape(shape)
+
+        return (
+            [w.reshape(shape) for w in d_terms(mid[dop_at])],
+            [w.reshape(shape) for w in d_terms(end[dop_at])],
+            slopes(v[left_at]),
+            slopes(v[right_at]),
+            known(mid, u_mid, i),
+            known(end, u_end, i),
+            known(end, u_node, i + 1),
+        )
+
     reads = plan(0, ([0.0], [-d for d, _ in dop_terms], [0.0]))  # and the seed node's reads
     x[0], xdl[0] = reads.seed[0][:, 0], reads.seed[2][:, 0]
     for b, xi0 in enumerate(store.histories):
         z[0, b] = dop_apply(system.dop, xi0)
-        zdl[0, b] = zdr[0, b] = rhs.eval(xi0, u_at(u_node, 0, b))
-    xdr[0] = zdr[0] + slope_sum(reads.seed[1].swapaxes(0, 1))
+        zdl[0, b] = zdr[0, b] = rhs.eval(xi0, None if u_node is None else u_node[0, b])
+    xdr[0] = zdr[0] + sum(d_terms(reads.seed[1].swapaxes(0, 1)), np.zeros((width, n)))
     store.count = 1
 
     bound2 = blowup_bound**2
     blowup = np.zeros(width, dtype=bool)
     ends = store.knots.sizes[store.mesh_of] - 1
-    park = set(ends.tolist())
 
     def running_rows(live):
         """(act, col, live): the running histories' columns, meshes and indices."""
@@ -521,35 +549,43 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live
 
     run = act, col, live = running_rows(np.arange(width))
+    start = stop = 0
     for i in range(size - 1):
-        if i in park and (ends[live] == i).any():
-            store.counts[live[ends[live] == i]] = i + 1
-            run = act, col, live = running_rows(live[ends[live] > i])
-            if live.size == 0:  # the longer meshes' histories all blew up
-                break
-        if i and i % chunk == 0:
-            reads = plan(i)
-        values = reads.step(i % chunk, run)
+        if i == stop:  # a new block: park the histories whose meshes end here
+            if (ends[live] == i).any():
+                store.counts[live[ends[live] == i]] = i + 1
+                run = act, col, live = running_rows(live[ends[live] > i])
+                if live.size == 0:  # the longer meshes' histories all blew up
+                    break
+            if i and i % chunk == 0:
+                reads = plan(i)
+            # the steps whose reads touch knots 0..i only, up to the plan's end,
+            # the next park and the plan's budget of reads
+            ready = i - i % chunk + int(np.searchsorted(reads.reach, i, "right"))
+            budget = max(1, _PLAN_READS // (len(specs) * live.size))
+            start, stop = i, min(ready, int(ends[live].min()), i + budget)
+            mid_terms, end_terms, lefts, rights, mid_known, end_known, node_known = block(i, stop, run)
+        k = i - start
         z_cur, k1 = z[i, act], zdr[i, act]
 
         # stages at one time share their delayed reads: D-terms and rhs past
-        mid_terms, mid_reads = stage(values[mid_at])
-        u_mid_i = u_at(u_mid, i, act)
+        mid_k = {j: w[k] for j, w in mid_known.items()}
 
         def mid_view(z_stage):
-            tip = sum(mid_terms, z_stage)
-            return _StageView(store, live, system.delta, tip, mid_reads, (mids, t0, i))
+            tip = sum((w[k] for w in mid_terms), z_stage)
+            return _StageView(store, live, system.delta, tip, {}, (mids, t0, i))
 
         h_half = half[i, act]
-        k2 = rhs.eval(mid_view(z_cur + h_half * k1), u_mid_i)
-        k3 = rhs.eval(mid_view(z_cur + h_half * k2), u_mid_i)
-        end_terms, end_reads = stage(values[end_at])
-        tip = sum(end_terms, z_cur + hh[i, act] * k3)
-        end_view = _StageView(store, live, system.delta, tip, end_reads, (t1, t0, i))
-        k4 = rhs.eval(end_view, u_at(u_end, i, act))
+        k2 = rhs.eval(mid_view(z_cur + h_half * k1), None, mid_k)
+        k3 = rhs.eval(mid_view(z_cur + h_half * k2), None, mid_k)
+        end_k = {j: w[k] for j, w in end_known.items()}
+        tip = sum((w[k] for w in end_terms), z_cur + hh[i, act] * k3)
+        k4 = rhs.eval(_StageView(store, live, system.delta, tip, {}, (t1, t0, i)), None, end_k)
 
         z_new = z_cur + sixth[i, act] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_new = sum(end_terms, z_new)
+        x_new = sum((w[k] for w in end_terms), z_new)
+        tail_left, tail_right = lefts[k], rights[k]
+        node_k = {j: w[k] for j, w in node_known.items()}
         # no row can exceed the bound while the whole batch stays below it
         flat = x_new.ravel()
         total = float(flat @ flat)
@@ -561,23 +597,24 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
             run = act, col, live = running_rows(live[keep])
             if live.size == 0:
                 break
-            x_new, z_new, k4, values = x_new[keep], z_new[keep], k4[keep], values[:, keep]
-            end_reads = {tau: value[keep] for tau, value in end_reads.items()}
+            x_new, z_new, k4 = x_new[keep], z_new[keep], k4[keep]
+            tail_left, tail_right = tail_left[keep], tail_right[keep]
+            end_k, node_k = ({j: w[keep] for j, w in terms.items()} for terms in (end_k, node_k))
+            stop = i + 1  # the block ends with the running histories
 
         # provisional slopes from the last stage; refreshed right below
-        tail_left = slope_sum(values[left_at])
         store.count = i + 2
         x[i + 1, act], z[i + 1, act] = x_new, z_new
         zdl[i + 1, act] = zdr[i + 1, act] = k4
         xdl[i + 1, act] = xdr[i + 1, act] = k4 + tail_left
 
-        node_view = _StageView(store, live, system.delta, x_new, end_reads, (t1, t1, i))
-        zdr_new = zdl_new = rhs.eval(node_view, u_at(u_node, i + 1, act))
+        node_view = _StageView(store, live, system.delta, x_new, {}, (t1, t1, i))
+        zdr_new = zdl_new = rhs.eval(node_view, None, node_k)
         if jump is not None and jump[i, act].any():
-            zdl_new = np.where(jump[i, act][:, None], rhs.eval(node_view, u_at(u_end, i, act)), zdr_new)
+            zdl_new = np.where(jump[i, act][:, None], rhs.eval(node_view, None, end_k), zdr_new)
         zdl[i + 1, act], zdr[i + 1, act] = zdl_new, zdr_new
         xdl[i + 1, act] = zdl_new + tail_left
-        xdr[i + 1, act] = zdr_new + slope_sum(values[right_at])
+        xdr[i + 1, act] = zdr_new + tail_right
 
     store.counts[live] = store.count
     return blowup

@@ -338,11 +338,12 @@ class RhsMap:
                 out.append(t.delay)
         return out
 
-    def eval(self, seg, u=None) -> np.ndarray:
-        """f on a history, or row-wise on a stage view of a batch of them."""
+    def eval(self, seg, u=None, known=None) -> np.ndarray:
+        """f on a history, or row-wise on a stage view of a batch of them;
+        `known` maps the positions of terms already evaluated to their values."""
         out = np.zeros(self.n)
-        for t in self.terms:
-            out = out + t.eval(seg, u)
+        for k, t in enumerate(self.terms):
+            out = out + (known[k] if known and k in known else t.eval(seg, u))
         return out
 
 

@@ -104,6 +104,11 @@ class InputSignal:
         if self.kind == CONSTANT:
             c = float(np.linalg.norm(np.atleast_1d(self.params["value"])))
             return np.where(times > 0.0, c, 0.0)
+        if self.kind == PIECEWISE_CONSTANT:  # a running maximum of the pieces' norms
+            values = np.atleast_2d(np.asarray(self.params["values"], dtype=float))
+            running = np.maximum.accumulate(np.linalg.norm(values, axis=1))
+            active = np.searchsorted(np.asarray(self.params["times"], dtype=float), times)
+            return np.where(times > 0.0, running[np.maximum(active, 1) - 1], 0.0)
         return np.array([self.sup_norm(t) for t in times])
 
     # -- constructors ----------------------------------------------------------

@@ -15,6 +15,7 @@ from haleform import (
     EvaluationBlowupError,
     HistorySegment,
     InputSignal,
+    InputTerm,
     LadderSpec,
     LinearTerm,
     NfdeSystem,
@@ -34,6 +35,7 @@ from haleform import (
 from haleform.certify import CertificateConstants
 from haleform.comparison import ComparisonFunction
 from haleform.functionals import DopSemiNorm, phi_h_extend
+from haleform.operators import _apply
 from test_golden import _systems
 
 integrate_module = sys.modules["haleform.integrate"]
@@ -314,3 +316,84 @@ def test_short_mesh_row_outlives_a_blown_up_long_one():
     assert integrate(system, kinked, 2.0, step=StepPolicy(step=1.0 / 16.0)).times.size > 33
     for phi, traj in zip(histories, batch):
         _assert_agree(traj, integrate(system, phi, 2.0, step=policy), system.n)
+
+
+@contextlib.contextmanager
+def _count_gathers():
+    """Record the number of steps of every block of reads gathered inside the block."""
+    spans = []
+    steps = integrate_module._Reads.steps
+
+    def spy(self, a, b, run):
+        spans.append(b - a)
+        return steps(self, a, b, run)
+
+    with mock.patch.object(integrate_module._Reads, "steps", spy):
+        yield spans
+
+
+def test_steps_gather_their_reads_in_blocks():
+    """Every step of the neutral system reads x one delay back, so a block
+    runs until those reads reach the knot it starts at, or the plan ends."""
+    system, _ = SYSTEMS["neutral"]
+    phi = _history(system, 7, 1.0, None)
+    with _count_gathers() as spans:
+        traj = integrate(system, phi, 1.5, step=1e-3)
+    assert traj.times.size - 1 == sum(spans) == 1500
+    plan = integrate_module._PLAN_READS // 4  # steps per plan: 4 reads per step
+    assert len(spans) == -(-1500 // plan) == 3
+    with _count_gathers() as spans:
+        traj = integrate(system, phi, 10.0, step=0.125)
+    assert traj.times.size - 1 == sum(spans) == 80
+    assert min(spans[:-1]) >= 6
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_stacked_products_round_as_one_row_products(n):
+    """A block applies each matrix to the rows of all its steps at once, and
+    a single run's one-row products must come out the same, bit for bit."""
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a = rng.standard_normal((n, n))
+        rows = rng.standard_normal((37, n)) * 10.0 ** rng.integers(-3, 4, (37, 1))
+        stacked = _apply(a, rows)
+        for k in range(len(rows)):
+            assert _same(stacked[k], _apply(a, rows[k : k + 1])[0])
+            assert _same(stacked[k], _apply(a, rows[k]))
+
+
+def test_planar_blocks_cross_input_jumps():
+    """Fine steps make blocks of hundreds of steps; they end at plan ends and
+    run across the jumps of the input, which the mesh aligns with knots."""
+    planar, _ = SYSTEMS["planar"]
+    system = NfdeSystem(
+        planar.dop,
+        RhsMap(n=2, m=1, terms=(*planar.rhs.terms, InputTerm([[1.0], [-0.5]]))),
+        delta=planar.delta,
+    )
+    u = InputSignal.piecewise_constant([0.0, 0.37, 0.81, 1.26], [[0.5], [-1.0], [0.25], [2.0]])
+    histories = [_history(system, seed, 1.0, kink) for seed, kink in ((1, None), (2, -0.3), (3, None))]
+    with _count_gathers() as spans:
+        batch = integrate_batch(system, histories, 1.5, step=1e-3, u=u)
+    assert max(spans) > 100
+    for phi, traj in zip(histories, batch):
+        assert 0.81 in traj.times
+        _assert_agree(traj, integrate(system, phi, 1.5, step=1e-3, u=u), system.n)
+
+
+def test_a_row_that_blows_up_mid_block_ends_the_block():
+    """The rows that go on start a new block at the next step; the steps
+    gathered past it for the old running set are dropped."""
+    growing = NfdeSystem(
+        DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[0.5]]),))
+    )
+    policy = StepPolicy(step=1.0 / 64.0, blowup_bound=2.0)
+    histories = [_history(growing, 40 + k, bound, None) for k, bound in enumerate((0.01, 0.3, 0.002, 0.1))]
+    with _count_gathers() as spans:
+        batch = integrate_batch(growing, histories, 6.0, step=policy)
+    ends = [(traj.blowup, traj.times.size) for traj in batch]
+    assert (False, 385) in ends and len({size for blowup, size in ends if blowup}) >= 2
+    assert sum(spans) > 384
+    for phi, traj in zip(histories, batch):
+        _assert_agree(traj, integrate(growing, phi, 6.0, step=policy), growing.n)
+

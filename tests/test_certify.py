@@ -525,3 +525,10 @@ class TestComparisonLemma:
         for t in (0.5, 1.0, 2.0, 3.5):
             vt = V(segment(traj, t))
             assert vt <= v0 * np.exp(-a3 * t * (1.0 - tol)) + 1e-12
+
+
+@pytest.mark.parametrize("per_shell", [0, -2])
+def test_sample_shells_refuses_fewer_than_one_history_per_shell(per_shell):
+    with pytest.raises(PreconditionError, match="per_shell must be at least 1"):
+        sample_shells(1, 1.0, per_shell, 3)
+    assert len(sample_shells(1, 1.0, 1, 3, shells=(0.1, 1.0, 2.0))) == 3

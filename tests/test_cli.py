@@ -462,3 +462,14 @@ def test_empty_shells_is_an_error_not_a_vacuous_pass(workdir, capsys):
     ])
     assert code == 1
     assert "no shells" in capsys.readouterr().err
+
+
+def test_samples_block_with_no_histories_per_shell_is_an_error(workdir, capsys):
+    write_json(workdir / "zero.json", {
+        "command": "verify-lk", "system": "sys.json", "seed": 1,
+        "verify": {"functional": "V.json", "constants": "consts.json",
+                   "samples": {"per_shell": 0, "shells": [0.5]}},
+    })
+    code = main(["run", "--scenario", str(workdir / "zero.json"), "--out", str(workdir / "z")])
+    assert code == 1
+    assert "per_shell must be at least 1" in capsys.readouterr().err

@@ -219,3 +219,18 @@ class TestInputSignals:
         assert np.all(np.diff(cs) >= 0.0)
         assert cs[0] == 0.0
         assert cs[-1] == 3.0
+
+    @pytest.mark.parametrize("u", [
+        InputSignal.zero(2),
+        InputSignal.constant([0.3, -1.2]),
+        InputSignal.piecewise_constant([0.0, 0.7, 1.6, 2.5], [[0.5, 0.1], [-1.0, 2.0], [0.25, 0.0], [3.0, 1.0]]),
+        InputSignal("piecewise-constant", {"times": [0.4, 1.1], "values": [[0.2], [-0.7]]}),
+        InputSignal.sinusoid([0.8, 0.3], 2.3, 0.4),
+        InputSignal.from_table([0.0, 0.45, 1.1, 2.0], [[0.2], [-0.6], [0.9], [0.1]]),
+    ], ids=["zero", "constant", "pwc", "pwc-late-start", "sinusoid", "table"])
+    def test_cumulative_sup_is_sup_norm_at_each_time(self, u):
+        """Bitwise, at switching times and between them, before 0 and past the last piece."""
+        times = np.concatenate([[-0.5, 0.0], np.linspace(0.0, 3.0, 25), [0.7, 1.1, 1.6, 2.5, 2.5 + 1e-12]])
+        want = np.array([u.sup_norm(t) for t in times])
+        got = u.cumulative_sup(times)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
