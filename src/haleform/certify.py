@@ -1,13 +1,14 @@
 """Certificate verification, constant fitting, and empirical stability probes.
 
 The certificate conditions of the three variants (gas, ges, ges-seminorm) are
-stated once, in the table `_CONDITIONS`; verification, constant fitting and
-counterexample re-verification all evaluate that table on sampled histories
-drawn from nested sup-norm shells. Derivative conditions are judged against
-the ladder error band: a sample only counts as a violation when the whole
-band sits on the wrong side, bands straddling the threshold are counted as
-inconclusive. Verdicts are therefore certificates of non-falsification, not
-proofs.
+stated once, as data, in the table `_CONDITIONS`. Verification, constant
+fitting (each constant from its entry's sample cloud), counterexample
+re-verification and the validation of `CertificateConstants` all read that
+table, on sampled histories drawn from nested sup-norm shells. Derivative
+conditions are judged against the ladder error band: a sample only counts as
+a violation when the whole band sits on the wrong side, bands straddling the
+threshold are counted as inconclusive. Verdicts are therefore certificates of
+non-falsification, not proofs.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .histories import HistorySegment, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
-from .signals import InputSignal
+from .signals import ZERO, InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
 _SLACK = 1e-9
@@ -63,24 +64,19 @@ class CertificateConstants:
     seminorm: SemiNorm | None = None
 
     def __post_init__(self):
-        if self.variant == "gas":
-            for name in ("alpha1", "alpha2", "alpha3"):
-                if getattr(self, name) is None:
-                    raise PreconditionError(f"gas variant needs {name}")
-            if self.alpha1.kind != K_INF or self.alpha2.kind != K_INF:
-                raise PreconditionError("alpha1 and alpha2 must be class K-infinity")
-            if self.alpha3.kind not in (K, K_INF):
-                raise PreconditionError("alpha3 must be class K")
-        elif self.variant == "ges":
-            if any(v is None or v <= 0 for v in (self.a1, self.a2, self.a3)):
-                raise PreconditionError("ges variant needs positive a1, a2, a3")
-        elif self.variant == "ges-seminorm":
-            if any(v is None or v <= 0 for v in (self.a1, self.a2, self.a3, self.a4)):
-                raise PreconditionError("ges-seminorm needs positive a1..a4")
-            if self.seminorm is None:
-                raise PreconditionError("ges-seminorm needs a semi-norm")
-        else:
+        if self.variant not in _CONDITIONS:
             raise PreconditionError(f"unknown certificate variant {self.variant!r}")
+        for _, name, _, _, side in _CONDITIONS[self.variant]:
+            c = getattr(self, name)
+            if self.variant == "gas":
+                kinds = (K, K_INF) if side == "decay" else (K_INF,)
+                if c is None or c.kind not in kinds:
+                    kinds = " or ".join(kinds)
+                    raise PreconditionError(f"gas variant needs {name} of class {kinds}")
+            elif c is None or c <= 0:
+                raise PreconditionError(f"{self.variant} variant needs a positive {name}")
+        if self.variant == "ges-seminorm" and self.seminorm is None:
+            raise PreconditionError("ges-seminorm needs a semi-norm")
 
 
 class _Row:
@@ -127,25 +123,28 @@ class _Row:
         return out
 
 
-# Every certificate condition, lhs(row, c) <= rhs(row, c), per variant and in
-# report order: (name, lhs, rhs, banded). A banded condition is judged against
-# the ladder's error band on D+V.
+# Every certificate condition per variant, in report order, as data:
+# (name, constant, scale, value, side), where scale and value name _Row
+# attributes. With c(s) the constant's comparison function on gas and the
+# linear map constant * s otherwise, side "lower" states c(scale) <= value,
+# "upper" value <= c(scale), and "decay" D+V <= -c(scale), where value names
+# the D+V estimate, judged against its ladder error band.
 _CONDITIONS = {
     "gas": (
-        ("lower-bound", lambda r, c: float(c.alpha1(r.dnorm)), lambda r, c: r.v, False),
-        ("upper-bound", lambda r, c: r.v, lambda r, c: float(c.alpha2(r.sup)), False),
-        ("derivative", lambda r, c: r.est.value, lambda r, c: -float(c.alpha3(r.dnorm)), True),
+        ("lower-bound", "alpha1", "dnorm", "v", "lower"),
+        ("upper-bound", "alpha2", "sup", "v", "upper"),
+        ("derivative", "alpha3", "dnorm", "est", "decay"),
     ),
     "ges": (
-        ("lower-bound", lambda r, c: c.a1 * r.dnorm, lambda r, c: r.v, False),
-        ("upper-bound", lambda r, c: r.v, lambda r, c: c.a2 * r.sup, False),
-        ("derivative", lambda r, c: r.est.value, lambda r, c: -c.a3 * r.v, True),
+        ("lower-bound", "a1", "dnorm", "v", "lower"),
+        ("upper-bound", "a2", "sup", "v", "upper"),
+        ("derivative", "a3", "v", "est", "decay"),
     ),
     "ges-seminorm": (
-        ("lower-bound", lambda r, c: c.a1 * r.dnorm, lambda r, c: r.v, False),
-        ("upper-bound", lambda r, c: r.v, lambda r, c: c.a2 * r.anorm, False),
-        ("derivative", lambda r, c: r.est.value, lambda r, c: -c.a3 * r.anorm, True),
-        ("domination", lambda r, c: r.anorm, lambda r, c: c.a4 * r.sup, False),
+        ("lower-bound", "a1", "dnorm", "v", "lower"),
+        ("upper-bound", "a2", "anorm", "v", "upper"),
+        ("derivative", "a3", "anorm", "est", "decay"),
+        ("domination", "a4", "sup", "anorm", "upper"),
     ),
 }
 
@@ -160,8 +159,15 @@ def _rows(system, V, samples, ladder: LadderSpec, seminorm: SemiNorm | None) -> 
 
 def _sides(condition, row: _Row, constants: CertificateConstants) -> tuple[float, float, float]:
     """(lhs, rhs, band) of one table entry on one row."""
-    _, lhs, rhs, banded = condition
-    return lhs(row, constants), rhs(row, constants), row.est.error_band if banded else 0.0
+    _, name, scale, value, side = condition
+    c, s = getattr(constants, name), getattr(row, scale)
+    bound = float(c(s)) if constants.variant == "gas" else c * s
+    if side == "lower":
+        return bound, getattr(row, value), 0.0
+    if side == "upper":
+        return getattr(row, value), bound, 0.0
+    est = getattr(row, value)
+    return est.value, -bound, est.error_band
 
 
 def _exceeds(lhs: float, rhs: float, band: float = 0.0) -> bool:
@@ -268,6 +274,8 @@ def sample_shells(
     """
     if per_shell < 1:
         raise PreconditionError(f"per_shell must be at least 1, got {per_shell}")
+    if not shells:
+        raise PreconditionError("no shells to sample, so nothing would be checked")
     out = []
     counter = 0
     for shell in shells:
@@ -355,7 +363,7 @@ def reverify_counterexample(
     derivative condition runs the h-ladder."""
     for condition in _CONDITIONS[constants.variant]:
         if condition[0] == ce.condition:
-            banded = condition[3]
+            banded = condition[4] == "decay"
             row = _Row(
                 system, V, ce.history, ladder if banded else None, seminorm or constants.seminorm
             )
@@ -388,98 +396,70 @@ def fit_constants(
 ) -> FitResult:
     """Fit witness constants from sample envelopes, then re-verify on them.
 
-    The raw envelopes (min of V / |D phi|, max of V / ||phi||, min of
-    -D+V / V over band-definite samples) are relaxed by `headroom` in the
-    safe direction so the fitted certificate is robust out of sample;
+    Each constant is fitted from its condition's (scale, value) cloud over the
+    samples whose scale is above the floor; on decay the value is
+    -(D+V + band) and only samples where it is positive count, so a band
+    straddling 0 leaves its sample out. Envelopes are relaxed by `headroom`
+    in the safe direction so the fitted certificate is robust out of sample;
     headroom 0 recovers the exact envelopes. Returns constants None with a
     failure report when a derivative has the wrong definite sign or a fitted
-    constant is not positive, and raises when no admissible sample remains
-    after filtering.
+    constant is not admissible, and raises when a constant's cloud is empty.
     """
     if variant not in _CONDITIONS:
         raise PreconditionError(f"unknown certificate variant {variant!r}")
     if variant == "ges-seminorm" and seminorm is None:
         raise PreconditionError("ges-seminorm fitting needs a semi-norm")
     rows = _rows(system, V, samples, ladder, seminorm)
-    # D+V is judged against V, or against the semi-norm on ges-seminorm: a wrong
-    # sign counts where that scale is above the floor, and a3 is a rate against it
-    scale = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.v)
-
-    wrong = [r for r in rows if r.est.value - r.est.error_band > 0.0]
-    if any(scale(r) > _DOP_NORM_FLOOR for r in wrong):
+    # a wrong sign counts where the decay condition's scale is above the floor
+    decay, _, scale, value, _ = next(c for c in _CONDITIONS[variant] if c[4] == "decay")
+    wrong = [(r, getattr(r, value)) for r in rows]
+    wrong = [(r, est) for r, est in wrong if est.value - est.error_band > 0.0]
+    if any(getattr(r, scale) > _DOP_NORM_FLOOR for r, _ in wrong):
         report = CertificateReport(
             samples_checked=len(rows), failure="derivative has the wrong sign on a sample"
         )
-        for r in wrong[:_MAX_COUNTEREXAMPLES]:
-            report.counterexamples.append(
-                Counterexample(
-                    "derivative",
-                    r.phi,
-                    {"lhs": r.est.value, "rhs": 0.0, "band": r.est.error_band, "V": r.v},
-                )
-            )
-        report.conditions.append(
-            ConditionStats("derivative", checked=len(rows), violations=len(wrong))
-        )
+        for r, est in wrong[:_MAX_COUNTEREXAMPLES]:
+            details = {"lhs": est.value, "rhs": 0.0, "band": est.error_band, "V": est.v0}
+            report.counterexamples.append(Counterexample(decay, r.phi, details))
+        report.conditions.append(ConditionStats(decay, checked=len(rows), violations=len(wrong)))
         return FitResult(None, report)
 
-    lo = 1.0 - headroom
-    hi = 1.0 + headroom
-    if variant == "gas":
-        # monotone piecewise-linear envelopes of the sampled clouds
-        d_arr = np.array([r.dnorm for r in rows])
-        s_arr = np.array([r.sup for r in rows])
-        v_arr = np.array([r.v for r in rows])
-        neg = np.array([-(r.est.value + r.est.error_band) for r in rows])
-        keep = d_arr > _DOP_NORM_FLOOR
-        if not np.any(keep):
-            raise FitImpossibleError("no sample with |D phi| above the floor")
-        if np.any(neg[keep] < 0.0):
-            # indefinite derivative samples already handled above via the band;
-            # clamp at zero so the envelope stays admissible
-            neg = np.maximum(neg, 0.0)
-        try:
-            constants = CertificateConstants(
-                "gas",
-                alpha1=monotone_envelope(
-                    d_arr[keep], v_arr[keep], "lower", headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE
-                ),
-                alpha2=monotone_envelope(
-                    s_arr, v_arr, "upper", headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE
-                ),
-                alpha3=monotone_envelope(d_arr[keep], neg[keep], "lower", headroom, kind=K),
-            )
-        except PreconditionError as exc:
-            return FitResult(None, CertificateReport(samples_checked=len(rows), failure=str(exc)))
-    else:
-        # the ges variants bound V above by the sup norm or the semi-norm
-        upper = (lambda r: r.anorm) if variant == "ges-seminorm" else (lambda r: r.sup)
-        r1 = [r.v / r.dnorm for r in rows if r.dnorm > _DOP_NORM_FLOOR]
-        if not r1:
-            raise FitImpossibleError("no sample with |D phi| above the floor")
-        r2 = [r.v / upper(r) for r in rows if upper(r) > _DOP_NORM_FLOOR]
-        r3 = [
-            -(r.est.value + r.est.error_band) / scale(r)
-            for r in rows
-            if scale(r) > _DOP_NORM_FLOOR and r.est.value + r.est.error_band < 0.0
-        ]
-        if not r2 or not r3:
-            raise FitImpossibleError("no admissible sample for a2 or a3 after filtering")
-        a4 = None
-        if variant == "ges-seminorm":
-            r4 = [r.anorm / r.sup for r in rows if r.sup > _DOP_NORM_FLOOR]
-            a4 = hi * max(r4) if r4 else seminorm.domination_constant()
-        try:
-            constants = CertificateConstants(
-                variant, a1=lo * min(r1), a2=hi * max(r2), a3=lo * min(r3), a4=a4,
-                seminorm=seminorm if variant == "ges-seminorm" else None,
-            )
-        except PreconditionError:
-            failure = "nonpositive fitted constant"
-            return FitResult(None, CertificateReport(samples_checked=len(rows), failure=failure))
+    fitted = {}
+    try:
+        for _, constant, scale, value, side in _CONDITIONS[variant]:
+            x = np.array([getattr(r, scale) for r in rows])
+            y = [getattr(r, value) for r in rows]
+            y = np.array([-(est.value + est.error_band) for est in y] if side == "decay" else y)
+            keep = (x > _DOP_NORM_FLOOR) & ((y > 0.0) | (side != "decay"))
+            if not np.any(keep):
+                raise FitImpossibleError(f"no admissible sample for {constant} after filtering")
+            fitted[constant] = _fit_constant(variant, side, x[keep], y[keep], headroom)
+        constants = CertificateConstants(
+            variant, seminorm=seminorm if variant == "ges-seminorm" else None, **fitted
+        )
+    except PreconditionError as exc:
+        return FitResult(None, CertificateReport(samples_checked=len(rows), failure=str(exc)))
     report = _check_rows(constants, rows)
     report.fitted = constants
     return FitResult(constants, report)
+
+
+def _fit_constant(variant: str, side: str, x: np.ndarray, y: np.ndarray, headroom: float):
+    """One constant around the cloud (x, y): on gas the monotone envelope
+    (class K-infinity for a bound, K for decay), otherwise the min (lower,
+    decay) or max (upper) ratio y / x; raises PreconditionError when it is
+    not admissible."""
+    if variant == "gas":
+        if side == "decay":
+            return monotone_envelope(x, y, "lower", headroom, kind=K)
+        return monotone_envelope(x, y, side, headroom, kind=K_INF, tail=TAIL_EXTRAPOLATE)
+    if side == "upper":
+        c = (1.0 + headroom) * float(np.max(y / x))
+    else:
+        c = (1.0 - headroom) * float(np.min(y / x))
+    if c <= 0.0:
+        raise PreconditionError("nonpositive fitted constant")
+    return c
 
 
 # -- empirical stability estimation -------------------------------------------------
@@ -546,11 +526,16 @@ def estimate_ges(
     if isinstance(seeds, int):
         if seeds < 1:
             raise PreconditionError("need at least one trajectory")
-        per_shell = max(1, int(np.ceil(seeds / len(shells))))
+        # sample_shells refuses an empty shell list before anything divides by its length
+        per_shell = max(1, int(np.ceil(seeds / len(shells)))) if shells else 1
         samples = sample_shells(system.n, system.delta, per_shell, seed, shells)[:seeds]
     else:
         samples = list(seeds)
-    trajs: list[Trajectory] = integrate_batch(system, samples, horizon, step=step)
+    return _ges_fit(samples, integrate_batch(system, samples, horizon, step=step), horizon)
+
+
+def _ges_fit(samples: list[HistorySegment], trajs: list[Trajectory], horizon: float) -> GesEstimate:
+    """`estimate_ges`'s verdict on the zero-input runs trajs from samples."""
     for k, (xi0, traj) in enumerate(zip(samples, trajs)):
         if traj.blowup:
             return GesEstimate(
@@ -901,7 +886,14 @@ def iss_probe(
     """
     if system.m == 0:
         raise PreconditionError("iss_probe needs a system with an input")
-    ges = estimate_ges(system, initial_histories, horizon, step=step)
+
+    def runs(sig):
+        return integrate_batch(system, initial_histories, horizon, step=step, u=sig)
+
+    # a zero signal among the probes serves as the zero-input batch, run once
+    zero = next((sig for sig in input_signals if sig.kind == ZERO), InputSignal.zero(system.m))
+    zero_runs = runs(zero)
+    ges = _ges_fit(initial_histories, zero_runs, horizon)
     if not ges.is_ges:
         raise PreconditionError("system is not exponentially stable at zero input")
     lip = estimate_lipschitz(
@@ -912,10 +904,7 @@ def iss_probe(
         seed=seed,
     )
     # one batch per signal; the probes are then read in history-major order
-    by_signal = [
-        integrate_batch(system, initial_histories, horizon, step=step, u=sig)
-        for sig in input_signals
-    ]
+    by_signal = [zero_runs if sig == zero else runs(sig) for sig in input_signals]
     records = []
     probes = 0
     usups = {}  # each signal's cumulative sup, once per mesh

@@ -72,13 +72,11 @@ def _resolve(spec, base: Path, loader, inline: type = dict):
     return loader(spec)
 
 
-def _samples_from_block(block: dict, system):
-    shells = tuple(block.get("shells", DEFAULT_SHELLS))
-    if not shells:
-        raise HaleformError("samples: no shells to sample, so nothing would be checked")
+def _samples_from_block(block: dict, system, shells=DEFAULT_SHELLS):
     max_roughness = int(block.get("max_roughness", 4))
     return sample_shells(
-        system.n, system.delta, int(block["per_shell"]), int(block["seed"]), shells, max_roughness
+        system.n, system.delta, int(block["per_shell"]), int(block["seed"]),
+        tuple(block.get("shells", shells)), max_roughness,
     )
 
 
@@ -239,7 +237,7 @@ def _run_fit(system, block: dict, base: Path, out_dir: Path):
         write_json(out_dir / "constants.json", constants_to_dict(fit.constants))
         result["constants_file"] = "constants.json"
     result["counterexample_files"] = _write_counterexamples(fit.report, out_dir)
-    return (EXIT_PASS if fit.ok and fit.report.passed else EXIT_VIOLATION), result
+    return _verdict_code(fit.report), result
 
 
 def _run_ges(system, block: dict, base: Path, out_dir: Path):
@@ -315,14 +313,7 @@ def _run_converse(system, block: dict, base: Path, out_dir: Path):
 
 
 def _run_iss(system, block: dict, base: Path, out_dir: Path):
-    ics_block = block["initial"]
-    ics = sample_shells(
-        system.n,
-        system.delta,
-        int(ics_block["per_shell"]),
-        int(ics_block["seed"]),
-        tuple(ics_block.get("shells", (0.1, 1.0))),
-    )
+    ics = _samples_from_block(block["initial"], system, shells=(0.1, 1.0))
     if "signals" in block:
         signals = _resolve(
             block["signals"], base, lambda specs: [signal_from_dict(s) for s in specs], list

@@ -1,6 +1,12 @@
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from haleform import certify
 from haleform import (
     CertificateConstants,
     ComparisonFunction,
@@ -37,6 +43,7 @@ from haleform import (
 )
 
 LADDER = LadderSpec(levels=10)
+integrate_module = sys.modules["haleform.integrate"]
 
 
 def gas_constants():
@@ -532,3 +539,116 @@ def test_sample_shells_refuses_fewer_than_one_history_per_shell(per_shell):
     with pytest.raises(PreconditionError, match="per_shell must be at least 1"):
         sample_shells(1, 1.0, per_shell, 3)
     assert len(sample_shells(1, 1.0, 1, 3, shells=(0.1, 1.0, 2.0))) == 3
+
+
+@pytest.mark.parametrize("variant, valid", [
+    ("gas", dict(alpha1=ComparisonFunction.linear(0.5), alpha2=ComparisonFunction.linear(2.0),
+                 alpha3=ComparisonFunction.linear(0.1, kind="K"))),
+    ("ges", dict(a1=0.5, a2=2.0, a3=0.1)),
+    ("ges-seminorm", dict(a1=0.5, a2=2.0, a3=0.1, a4=1.0, seminorm=EndpointSemiNorm())),
+])
+def test_constants_check_every_constant_their_conditions_name(variant, valid):
+    CertificateConstants(variant, **valid)
+    if "seminorm" in valid:
+        with pytest.raises(PreconditionError, match="semi-norm"):
+            CertificateConstants(variant, **{**valid, "seminorm": None})
+    for name in (k for k in valid if k != "seminorm"):
+        with pytest.raises(PreconditionError, match=name):
+            CertificateConstants(variant, **{**valid, name: None})
+        if variant != "gas":
+            with pytest.raises(PreconditionError, match=f"positive {name}"):
+                CertificateConstants(variant, **{**valid, name: 0.0})
+        elif name != "alpha3":  # the bounds are class K-infinity, the decay may be class K
+            with pytest.raises(PreconditionError, match=name):
+                k_only = ComparisonFunction.linear(1.0, kind="K")
+                CertificateConstants(variant, **{**valid, name: k_only})
+
+
+def test_sample_shells_and_estimate_ges_refuse_no_shells(scalar_ode_system):
+    with pytest.raises(PreconditionError, match="no shells"):
+        sample_shells(1, 1.0, 3, 0, shells=())
+    with pytest.raises(PreconditionError, match="no shells"):
+        estimate_ges(scalar_ode_system, 4, horizon=4.0, step=0.125, shells=())
+
+
+def test_iss_probe_integrates_the_zero_input_batch_once(input_system):
+    """A zero signal among the probes is the zero-input batch of the GES estimate."""
+    ics = sample_shells(1, 1.0, 2, seed=3, shells=(0.1, 1.0))
+    signals = [InputSignal.zero(1), InputSignal.constant([0.5])]
+    loops = []
+    advance = integrate_module._advance
+
+    def counted(system, store, u, *args):
+        loops.append((store.shape[0], u.kind))
+        return advance(system, store, u, *args)
+
+    with mock.patch.object(integrate_module, "_advance", counted):
+        est = iss_probe(input_system, ics, signals, horizon=4.0, step=0.125, seed=3)
+    assert loops == [(4, "zero"), (4, "constant")]
+    assert est.ges == estimate_ges(input_system, ics, 4.0, step=0.125)
+    assert est.is_iss
+
+
+def _planar():
+    dop = DifferenceOperator(delays=[0.7], matrices=[[[0.3, 0.1], [0.0, 0.2]]])
+    rhs = RhsMap(n=2, terms=(
+        LinearTerm(0.0, [[-1.0, 0.2], [0.0, -0.8]]),
+        LinearTerm(0.5, [[0.1, 0.0], [-0.05, 0.1]]),
+    ))
+    return NfdeSystem(dop, rhs, delta=0.7)
+
+
+def _neutral():
+    dop = DifferenceOperator(delays=[1.0], matrices=[[[0.5]]])
+    return NfdeSystem(dop, RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),)))
+
+
+def test_gas_and_ges_fits_leave_out_the_same_straddling_rows():
+    """A derivative row whose band straddles 0 enters neither fit's decay cloud;
+    the gas fit used to fail on it while the ges fit left it out."""
+    system = _planar()
+    V = QuadraticDopFunctional(system.dop, np.eye(2))
+    samples = sample_shells(2, 0.7, 4, 0)
+    fits = [
+        fit_constants(system, V, variant, samples, LadderSpec(levels=6), headroom=0.02)
+        for variant in ("gas", "ges")
+    ]
+    assert all(fit.ok for fit in fits)
+    margins = fits[1].report.margins
+    assert any(m["D+V"] + m["band"] >= 0.0 and m["|Dphi|"] > 1e-8 for m in margins)
+    gas, ges = ([(c.name, c.violations, c.inconclusive) for c in f.report.conditions] for f in fits)
+    assert gas == ges
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    variant=st.sampled_from(["gas", "ges", "ges-seminorm/dop", "ges-seminorm/endpoint"]),
+    planar=st.booleans(),
+    quadratic=st.booleans(),
+    seed=st.integers(0, 200),
+    headroom=st.sampled_from([0.0, 0.01, 0.05]),
+)
+def test_no_fitting_row_fails_its_own_condition(variant, planar, quadratic, seed, headroom):
+    """Every row that entered a constant's cloud passes that constant's
+    condition definitely: no violation and no inconclusive band."""
+    system = _planar() if planar else _neutral()
+    V = DopNormFunctional(system.dop)
+    if quadratic:
+        V = QuadraticDopFunctional(system.dop, np.eye(system.n))
+    variant, _, kind = variant.partition("/")
+    seminorm = {"dop": DopSemiNorm(system.dop), "endpoint": EndpointSemiNorm(), "": None}[kind]
+    samples = sample_shells(system.n, system.delta, 3, seed)
+    ladder = LadderSpec(levels=6)
+    fit = fit_constants(system, V, variant, samples, ladder, seminorm=seminorm, headroom=headroom)
+    if not fit.ok:
+        return
+    rows = certify._rows(system, V, samples, ladder, seminorm)
+    for condition in certify._CONDITIONS[variant]:
+        _, _, scale, value, side = condition
+        for row in rows:
+            entered = getattr(row, scale) > certify._DOP_NORM_FLOOR
+            if side == "decay":
+                entered &= getattr(row, value).value + getattr(row, value).error_band < 0.0
+            if entered:
+                lhs, rhs, band = certify._sides(condition, row, fit.constants)
+                assert not certify._exceeds(lhs, rhs, -band), (condition, lhs, rhs, band)

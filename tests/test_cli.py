@@ -473,3 +473,37 @@ def test_samples_block_with_no_histories_per_shell_is_an_error(workdir, capsys):
     code = main(["run", "--scenario", str(workdir / "zero.json"), "--out", str(workdir / "z")])
     assert code == 1
     assert "per_shell must be at least 1" in capsys.readouterr().err
+
+
+def test_fit_lk_exits_inconclusive_when_its_recheck_is(workdir):
+    """The fit's own re-check of its constants is judged as verify-lk judges it."""
+    write_json(workdir / "fit_inc.json", {
+        "command": "fit-lk", "system": "sys.json", "seed": 1,
+        "fit": {
+            "functional": {"kind": "weighted-composite", "weights": [0.05, 1.0], "parts": [
+                {"kind": "sup-norm", "c": 1.0}, {"kind": "point-quadratic", "P": [[1.0]]}]},
+            "variant": "ges", "samples": {"per_shell": 5, "seed": 12}, "ladder_levels": 3,
+        },
+    })
+    out = workdir / "fit_inc"
+    assert main(["run", "--scenario", str(workdir / "fit_inc.json"), "--out", str(out)]) == 3
+    result = read_json(out / "report.json")["result"]
+    assert result["passed"] is True
+    assert result["inconclusive"] == 1
+    assert (out / "constants.json").exists()
+
+
+@pytest.mark.parametrize("command, block, system", [
+    ("estimate-ges", {"ges": {"trajectories": 4, "horizon": 4.0, "step": 0.125, "shells": []}},
+     "sys.json"),
+    ("iss-probe", {"iss": {"initial": {"per_shell": 2, "shells": []}, "horizon": 4.0,
+                           "step": 0.125}}, "input.json"),
+])
+def test_empty_shells_is_an_error_for_every_sampling_command(
+    workdir, capsys, command, block, system
+):
+    write_json(workdir / "input.json", INPUT_SYSTEM)
+    write_json(workdir / "empty.json", {"command": command, "system": system, "seed": 1, **block})
+    code = main(["run", "--scenario", str(workdir / "empty.json"), "--out", str(workdir / "e")])
+    assert code == 1
+    assert "no shells" in capsys.readouterr().err
