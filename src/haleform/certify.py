@@ -27,7 +27,7 @@ from .functionals import (
     driver_derivative,
     driver_derivatives,
 )
-from .histories import HistorySegment, sample_history, sup_norm_diff
+from .histories import HistorySegment, _hermite, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
@@ -38,7 +38,7 @@ _SLACK = 1e-9
 _MAX_COUNTEREXAMPLES = 10  # kept per verification report, and per failed fit
 _DOP_NORM_FLOOR = 1e-8  # samples with a scale below it carry no ratio into a fit
 _SLOPE_CAP = 1e6  # the largest linear ISS gain before a power law is fitted
-_REFINE = 8  # grid points per mesh step in the converse witness's sup search
+_DEGREE_TOL = 1e-13  # scaled coefficients below it are dropped from a panel's critical-point polynomial
 _HORIZON_CAP = 4.0  # the converse horizon extends to at most this multiple of the given one
 
 
@@ -524,13 +524,13 @@ def estimate_ges(
     not-GES verdict with the escaping history attached.
     """
     if isinstance(seeds, int):
-        if seeds < 1:
-            raise PreconditionError("need at least one trajectory")
         # sample_shells refuses an empty shell list before anything divides by its length
         per_shell = max(1, int(np.ceil(seeds / len(shells)))) if shells else 1
-        samples = sample_shells(system.n, system.delta, per_shell, seed, shells)[:seeds]
+        samples = sample_shells(system.n, system.delta, per_shell, seed, shells)[: max(seeds, 0)]
     else:
         samples = list(seeds)
+    if not samples:
+        raise PreconditionError(f"seeds gives no history ({seeds!r}), so nothing would be fitted")
     return _ges_fit(samples, integrate_batch(system, samples, horizon, step=step), horizon)
 
 
@@ -626,14 +626,16 @@ def check_uniform_attraction(
 class ConverseFunctional(Functional):
     """Trajectory-based witness V(phi) = sup over [0, T] of |D x_t(phi)| e^(a t).
 
-    Each evaluation integrates the system from phi and maximizes |z(t)| e^(a t)
-    over a refined dense-output grid, then polishes every near-tied local
-    maximum by golden-section search; the t = 0 candidate makes
-    V(phi) >= |D phi| exact. When the maximizer lands near the truncation edge
-    (where the truncated sup would not decay along the flow), the horizon is
-    extended until the maximizer is interior, up to four times the given one. Requires
-    0 < a below the decay rate and a horizon long enough that the truncated
-    tail cannot carry the sup for typical histories.
+    Each evaluation integrates the system from phi and takes the sup exactly:
+    between knots z is the cubic Hermite of its panel, so the sup lies at a
+    knot (t = 0 makes V(phi) >= |D phi| exact) or at a critical point inside
+    a panel. A panel's cubic lies in the convex hull of its Bernstein control
+    points, so only panels whose hull rises above the best knot are solved.
+    When the maximizer lands near the truncation edge (where the truncated
+    sup would not decay along the flow), the horizon is extended until the
+    maximizer is interior, up to four times the given one. Requires 0 < a
+    below the decay rate and a horizon long enough that the truncated tail
+    cannot carry the sup for typical histories.
     """
 
     kind = "converse"
@@ -656,43 +658,36 @@ class ConverseFunctional(Functional):
 
     def _sups(self, trajs) -> list[tuple[float, float]]:
         """(sup, its time) of |z(t)| e^(a t) on each trajectory of trajs, all of
-        one batch; the near-tied maxima of all of them are polished by one
-        golden-section search, which reads their store through one lookup."""
-        out, which, lo, hi = [], [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]
-        for r, traj in enumerate(trajs):
-            times = traj.times
-            fine = [times[:-1] + (k / _REFINE) * np.diff(times) for k in range(1, _REFINE)]
-            grid = np.sort(np.concatenate([times, *fine]))
-            weighted = np.linalg.norm(traj.z_dense(grid), axis=1) * np.exp(self.rate * grid)
-            best = float(np.max(weighted))
-            out.append((best, float(grid[int(np.argmax(weighted))])))  # (0, 0) when z vanishes
-            if best == 0.0:
-                continue
-            # polish every near-tied local maximum, so the reported sup cannot jump
-            # between rival bumps under small perturbations of the queried history
-            interior = np.zeros(grid.size, dtype=bool)
-            interior[1:-1] = (weighted[1:-1] >= weighted[:-2]) & (weighted[1:-1] >= weighted[2:])
-            interior[0] = weighted[0] >= weighted[1]
-            interior[-1] = weighted[-1] >= weighted[-2]
-            cand = np.nonzero(interior & (weighted >= best - 1e-3 * best))[0]
-            if cand.size > 16:
-                cand = cand[np.argsort(weighted[cand])[-16:]]
-            a, b = grid[np.maximum(cand - 1, 0)], grid[np.minimum(cand + 1, grid.size - 1)]
-            which.append(np.full(np.count_nonzero(b > a), r))
-            lo.append(a[b > a])
-            hi.append(b[b > a])
-        which, lo, hi = (np.concatenate(parts) for parts in (which, lo, hi))
-        if which.size:
-            read = trajs[0]._batch.lookup(np.array([traj._row for traj in trajs])[which])
-            vals = _golden_max(
-                lambda t: np.linalg.norm(read(t, "z"), axis=1) * np.exp(self.rate * t), lo, hi
-            )
-            for r in np.unique(which).tolist():
-                # the first of the best candidates, if it beats the grid
-                k = np.flatnonzero(which == r)[int(np.argmax(vals[which == r]))]
-                if vals[k] > out[r][0]:
-                    out[r] = (float(vals[k]), 0.5 * (lo[k] + hi[k]))
-        return out
+        one batch, whose kept panels are solved together; the earliest time
+        wins a tie, so z = 0 gives (0, 0)."""
+        if not trajs:
+            return []
+        store, cols, rate = trajs[0]._batch, np.array([traj._row for traj in trajs]), self.rate
+        counts = store.counts[cols]
+        r, k = np.nonzero(np.arange(store.z.shape[0]) < counts[:, None])  # knot k of trajectory r
+        col = cols[r]
+        t, z = store.times[k, store.mesh_of[col]], store.z[k, col]
+        g = np.linalg.norm(z, axis=1) * np.exp(rate * t)
+        # panel j spans knots j and j + 1, with the slopes the store's lookups read
+        j = np.flatnonzero(k < counts[r] - 1)
+        z0, z1, length = z[j], z[j + 1], (t[j + 1] - t[j])[:, None]
+        s0, s1 = store.zdot_right[k[j], col[j]], store.zdot_left[k[j] + 1, col[j]]
+        hull = np.stack([z0, z0 + length * s0 / 3.0, z1 - length * s1 / 3.0, z1])
+        bound = np.linalg.norm(hull, axis=2).max(axis=0) * np.exp(rate * t[j + 1])
+        keep = bound > np.maximum.reduceat(g, np.cumsum(counts) - counts)[r[j]]
+        j, z0, z1, length, s0, s1 = (a[keep] for a in (j, z0, z1, length, s0, s1))
+        ls0, ls1 = length * s0, length * s1
+        coefs = np.stack([z0, ls0, 3.0 * (z1 - z0) - 2.0 * ls0 - ls1, 2.0 * (z0 - z1) + ls0 + ls1], axis=1)
+        theta = _critical_points(coefs, rate * length[:, 0]).real
+        p, q = np.nonzero((theta > 0.0) & (theta < 1.0))  # root q of kept panel p
+        theta, length = theta[p, q][:, None], length[p]
+        tc = t[j[p]] + length[:, 0] * theta[:, 0]
+        zc = _hermite(theta, length, z0[p], z1[p], s0[p], s1[p])
+        value = np.concatenate([g, np.linalg.norm(zc, axis=1) * np.exp(rate * tc)])
+        when, owner = np.concatenate([t, tc]), np.concatenate([r, r[j[p]]])
+        order = np.lexsort((-value, owner))  # a stable sort: knots first, in time order
+        top = order[np.searchsorted(owner[order], np.arange(len(trajs)))]
+        return list(zip(value[top].tolist(), when[top].tolist()))
 
     def __call__(self, phi: HistorySegment) -> float:
         return self.many([phi])[0]
@@ -729,25 +724,30 @@ class ConverseFunctional(Functional):
         return values
 
 
-def _golden_max(g, lo: np.ndarray, hi: np.ndarray, iters: int = 40) -> np.ndarray:
-    """Golden-section maxima of g on every interval [lo[k], hi[k]] at once;
-    g maps an array of times to their values."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    gc, gd = g(c), g(d)
-    for _ in range(iters):
-        left = gc >= gd  # keep [a, d], else [c, b]
-        a, b = np.where(left, a, c), np.where(left, d, b)
-        step = invphi * (b - a)
-        probe = np.where(left, b - step, a + step)
-        gp = g(probe)
-        c, gc, d, gd = (
-            np.where(left, probe, d), np.where(left, gp, gd),
-            np.where(left, c, probe), np.where(left, gc, gp),
-        )
-    return np.maximum(gc, gd)
+def _critical_points(coefs: np.ndarray, rate_length: np.ndarray) -> np.ndarray:
+    """Complex roots, (K, 6) or for n = 1 (K, 3), of a polynomial whose real
+    roots hold the critical points of |z(theta)| e^(aL theta) on each of K
+    panels z(theta) = sum_i coefs[k, i] theta^i, aL = rate_length[k]: z . q
+    with q = z_theta + aL z, or q for n = 1. Scaled to a largest coefficient
+    of 1, each is solved at its degree d past coefficients below `_DEGREE_TOL`,
+    as the leading d x d block of a companion whose other diagonal is -1.
+    """
+    q = rate_length[:, None, None] * coefs
+    q[:, :3] += np.arange(1.0, 4.0)[:, None] * coefs[:, 1:]
+    power = 1.0 * (np.add.outer(np.arange(4), np.arange(4)) == np.arange(7)[:, None, None])
+    poly = q[..., 0] if coefs.shape[2] == 1 else np.einsum("kin,kjn,mij->km", coefs, q, power)
+    scale = np.abs(poly).max(axis=1, keepdims=True)
+    poly = np.divide(poly, scale, out=np.zeros_like(poly), where=scale > 0.0)
+    size = poly.shape[1] - 1
+    degree = np.max((np.abs(poly) > _DEGREE_TOL) * np.arange(size + 1), axis=1)
+    lead = np.take_along_axis(poly, degree[:, None], axis=1)
+    i = np.arange(size)
+    block = i < degree[:, None]  # the rows and columns of the companion block
+    below = np.take_along_axis(poly, np.maximum(degree[:, None] - 1 - i, 0), axis=1)
+    companion = np.eye(size, k=-1) * block[..., None] - np.eye(size) * ~block[..., None]
+    # first row: -p_(d-1) / p_d, ..., -p_0 / p_d
+    companion[:, 0] += np.divide(-below, lead, out=np.zeros_like(below), where=block)
+    return np.linalg.eigvals(companion)
 
 
 def converse_horizon(ges: GesEstimate, rate: float) -> float:
@@ -886,6 +886,9 @@ def iss_probe(
     """
     if system.m == 0:
         raise PreconditionError("iss_probe needs a system with an input")
+    for name, given in (("initial_histories", initial_histories), ("input_signals", input_signals)):
+        if not given:
+            raise PreconditionError(f"{name} is empty, so nothing would be probed")
 
     def runs(sig):
         return integrate_batch(system, initial_histories, horizon, step=step, u=sig)
@@ -896,10 +899,11 @@ def iss_probe(
     ges = _ges_fit(initial_histories, zero_runs, horizon)
     if not ges.is_ges:
         raise PreconditionError("system is not exponentially stable at zero input")
+    beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)
     lip = estimate_lipschitz(
         system.rhs,
         max(h.sup_norm() for h in initial_histories),
-        max((s.sup_norm(horizon) for s in input_signals), default=1.0),
+        max(s.sup_norm(horizon) for s in input_signals),
         samples=lipschitz_samples,
         seed=seed,
     )
@@ -914,7 +918,6 @@ def iss_probe(
             traj = trajs[k]
             probes += 1
             if traj.blowup:
-                beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)
                 return IssEstimate(
                     beta, None, None, "none", 1, probes, lip.L0, lip.input_gain,
                     False, (xi0, sig), ges,
@@ -948,7 +951,6 @@ def iss_probe(
             if c <= _SLOPE_CAP and (best is None or c < best[1]):
                 best = (float(q), c)
         if best is None:
-            beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)
             worst = max(records, key=lambda r: float(np.max(r[0] - r[1])))
             return IssEstimate(
                 beta, None, None, "none", probes, probes, lip.L0, lip.input_gain,
@@ -967,7 +969,6 @@ def iss_probe(
         if np.any(bad):
             violations += int(np.sum(bad))
             worst_pair = (xi0, sig)
-    beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)
     return IssEstimate(
         beta, gamma, gamma_slope, gamma_form, violations, probes,
         lip.L0, lip.input_gain, violations == 0, worst_pair, ges,

@@ -13,13 +13,13 @@ history's kinks seed its own breakpoints): knot k of every history is row k
 of (longest mesh, B, n) arrays, and a history parks where its mesh ends or
 it blows up. A trajectory is a column of that batch store: it keeps the
 store and its row index, and one lookup reads its accepted knots for x, x'
-from either side and z, as it does for the stage views and the converse
-witness's polish. A step is at most a quarter of the smallest delay, so the
-delayed reads of the loop are placed ahead, and a block of steps gathers them
-at once as soon as they touch accepted knots only. Every term that reads no
-stage tip (the D-terms A_j x(s - Delta_j), the slope sums, the rhs's delayed
-pointwise and input terms) then applies to the whole block; only the terms
-that read the tip evaluate stage by stage.
+from either side and z; the converse witness reads the z panels of a whole
+batch from the store at once. A step is at most a quarter of the smallest
+delay, so the delayed reads of the loop are placed ahead, and a block of
+steps gathers them at once as soon as they touch accepted knots only. Every
+term that reads no stage tip (the D-terms A_j x(s - Delta_j), the slope
+sums, the rhs's delayed pointwise and input terms) then applies to the whole
+block; only the terms that read the tip evaluate stage by stage.
 """
 from __future__ import annotations
 
@@ -147,27 +147,26 @@ class _BatchStore:
         self.times = np.stack([np.pad(m, (0, size - m.size), mode="edge") for m in meshes], axis=1)
         self.count, self.counts = 0, np.zeros(len(histories), dtype=int)
 
-    def lookup(self, rows, count=None):
-        """The reader of history `rows` (an index, or an array of one index per
-        time read) from its first `count` knots, by default all it holds.
+    def lookup(self, b: int, count=None):
+        """The reader of history b from its first `count` knots, by default all.
 
         read(ts, kind) is x ("x"), x' from the right or left ("+", "-") or z
         ("z") at times ts, one (n,) row each. x and x' at t <= 0 (x' from the
-        right at t < 0) come from the initial history, which needs a single
-        index; a knot time returns the knot's row; any other time, the cubic
-        Hermite of its accepted interval, with right slopes at its left end
-        and left slopes at its right. A history of one knot holds its value.
+        right at t < 0) come from the initial history; a knot time returns the
+        knot's row; any other time, the cubic Hermite of its accepted interval,
+        with right slopes at its left end and left slopes at its right. A
+        history of one knot holds its value.
         """
-        count = np.asarray(self.counts[rows] if count is None else count)
-        mesh = self.mesh_of[rows]
+        count = int(self.counts[b] if count is None else count)
+        mesh = self.mesh_of[b]
         start = self.knots.starts[mesh]
-        last, one = start + np.maximum(count, 2) - 2, count == 1
+        last, one = start + max(count, 2) - 2, count == 1
         width = self.shape[0]
-        column = rows - start * width  # knot f of `knots` is flat row f * width + column
+        column = b - start * width  # knot f of `knots` is flat row f * width + column
 
         def read(ts: np.ndarray, kind: str) -> np.ndarray:
             f, theta, length, at_left, at_right = self.knots.locate(mesh, ts, last)
-            at_right &= ~one
+            at_right &= not one
             flat = f * width + column + self.offsets[kind]
             flat[4] += width * at_right
             g = self.flat.take(flat, axis=0)
@@ -179,7 +178,7 @@ class _BatchStore:
             if kind != "z":
                 past = ts < 0.0 if kind == "+" else ts <= 0.0
                 if past.any():
-                    xi0 = self.histories[rows]
+                    xi0 = self.histories[b]
                     out[past] = xi0.eval(ts[past]) if kind == "x" else xi0.deriv(ts[past], kind)
             return out
 

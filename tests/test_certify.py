@@ -571,6 +571,17 @@ def test_sample_shells_and_estimate_ges_refuse_no_shells(scalar_ode_system):
         estimate_ges(scalar_ode_system, 4, horizon=4.0, step=0.125, shells=())
 
 
+def test_estimate_ges_and_iss_probe_refuse_empty_samples(input_system):
+    """No verdict from zero trajectories: each empty argument is named."""
+    ics = sample_shells(1, 1.0, 1, seed=3, shells=(1.0,))
+    with pytest.raises(PreconditionError, match="seeds"):
+        estimate_ges(input_system, [], 4.0, step=0.125)
+    with pytest.raises(PreconditionError, match="initial_histories"):
+        iss_probe(input_system, [], [InputSignal.zero(1)], horizon=4.0, step=0.125)
+    with pytest.raises(PreconditionError, match="input_signals"):
+        iss_probe(input_system, ics, [], horizon=4.0, step=0.125)
+
+
 def test_iss_probe_integrates_the_zero_input_batch_once(input_system):
     """A zero signal among the probes is the zero-input batch of the GES estimate."""
     ics = sample_shells(1, 1.0, 2, seed=3, shells=(0.1, 1.0))
