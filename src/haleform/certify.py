@@ -66,6 +66,9 @@ class CertificateConstants:
     def __post_init__(self):
         if self.variant not in _CONDITIONS:
             raise PreconditionError(f"unknown certificate variant {self.variant!r}")
+        for name in ("a1", "a2", "a3", "a4"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, float(getattr(self, name)))
         for _, name, _, _, side in _CONDITIONS[self.variant]:
             c = getattr(self, name)
             if self.variant == "gas":
@@ -635,7 +638,9 @@ class ConverseFunctional(Functional):
     sup would not decay along the flow), the horizon is extended until the
     maximizer is interior, up to four times the given one. Requires 0 < a
     below the decay rate and a horizon long enough that the truncated tail
-    cannot carry the sup for typical histories.
+    cannot carry the sup for typical histories. `step` is a mesh step or a
+    StepPolicy; `self.step` keeps the policy's step, None for its default.
+    Its default is a policy, not None, so a written file always carries it.
     """
 
     kind = "converse"
@@ -645,7 +650,7 @@ class ConverseFunctional(Functional):
         system: NfdeSystem,
         rate: float,
         horizon: float,
-        step: StepPolicy | float | None = None,
+        step: StepPolicy | float | None = StepPolicy(),
     ):
         if rate <= 0.0:
             raise PreconditionError("rate must be positive")
@@ -654,7 +659,8 @@ class ConverseFunctional(Functional):
         self.system = system
         self.rate = float(rate)
         self.horizon = float(horizon)
-        self.step = step
+        self.policy = step if isinstance(step, StepPolicy) else StepPolicy(step)
+        self.step = self.policy.step
 
     def _sups(self, trajs) -> list[tuple[float, float]]:
         """(sup, its time) of |z(t)| e^(a t) on each trajectory of trajs, all of
@@ -706,7 +712,7 @@ class ConverseFunctional(Functional):
         horizon, cap = self.horizon, _HORIZON_CAP * self.horizon
         buffer = 0.5 * self.system.delta
         while pending:
-            trajs = integrate_batch(self.system, [phis[k] for k in pending], horizon, step=self.step)
+            trajs = integrate_batch(self.system, [phis[k] for k in pending], horizon, step=self.policy)
             blowups.update((k, traj.t_end) for k, traj in zip(pending, trajs) if traj.blowup)
             live = [(k, traj) for k, traj in zip(pending, trajs) if not traj.blowup]
             rerun = []

@@ -89,6 +89,7 @@ class IntegralQuadraticFunctional(Functional):
         for k in range(kernel.shape[0]):
             _psd_check(kernel[k], f"Q[{k}]")
         self._term = DistributedTerm(kernel_grid, kernel)
+        self.kernel_grid, self.kernel = self._term.grid, self._term.kernel
         if self.P.shape[0] != dop.n or self._term.n != dop.n:
             raise DimensionError("functional dimensions disagree with operator")
 

@@ -129,6 +129,7 @@ def primitive_nonlinearity(name: str, params: dict):
 class LinearTerm:
     """B phi(-tau); tau = 0 reads the endpoint value."""
 
+    type = "linear"
     delay: float
     matrix: np.ndarray
 
@@ -155,6 +156,7 @@ class LinearTerm:
 class NonlinearTerm:
     """C g(phi(-tau)) with g a named componentwise primitive."""
 
+    type = "nonlinear"
     delay: float
     fn: str
     matrix: np.ndarray
@@ -195,6 +197,7 @@ class DistributedTerm:
     since a step evaluates the term several times on the same panels.
     """
 
+    type = "distributed"
     grid: np.ndarray
     kernel: np.ndarray
 
@@ -267,16 +270,19 @@ class DistributedTerm:
 
 @dataclass(frozen=True)
 class InputTerm:
-    """G g(u) with g an optional componentwise primitive (identity when absent)."""
+    """G g(u) with g an optional componentwise primitive (identity when absent,
+    and then params is None)."""
 
+    type = "input"
     matrix: np.ndarray
     fn: str | None = None
-    params: dict = field(default_factory=dict)
+    params: dict | None = None
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise DimensionError("input term matrix must be n x m")
+        object.__setattr__(self, "params", (self.params or {}) if self.fn else None)
         g = primitive_nonlinearity(self.fn, self.params) if self.fn else None
         if g is not None and np.max(np.abs(g(np.zeros(m.shape[1])))) > _TOL:
             raise PreconditionError(f"input nonlinearity {self.fn!r} must vanish at 0")

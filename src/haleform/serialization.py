@@ -1,28 +1,52 @@
 """File schemas and deterministic JSON emission.
 
 All artifacts are JSON: system descriptions, histories, input signals,
-functional and constants specs, and reports. Reports are rendered through
-`canonical_json`, which sorts keys and prints floats with 17 significant
-digits, so identical inputs yield byte-identical files.
+functional and constants specs, and reports. Each file type is stated once,
+as its constructor:
+
+- A family of tagged types is one table from tag to constructor: rhs terms by
+  "type"; input signals, functionals and semi-norms by "kind"; comparison
+  functions by "form". Histories, difference operators and constants are
+  families of one untagged type.
+- The constructor is the schema. Its parameters are the file's keys and the
+  attributes the encoder reads; one without a default is a required key. The
+  decoder passes a file's values through unconverted, since the constructors
+  coerce and check their arguments.
+- A parameter named `dop` or `system` is filled from the system the file is
+  loaded against, never read from the file; a type with one needs a system.
+- A key that defaults to None is left out of a file while it holds nothing
+  (None or an empty array).
+- An input signal's keys sit in its "params" object, which is written whole.
+- A family's nested keys (`parts`, a product's factors, the gas comparison
+  functions, the semi-norm) hold files of another family, or of its own.
+- Where a constructor's signature differs from the file, a thin adapter takes
+  its place in the table.
+
+Malformed input raises `SchemaError` naming the type and the key. The system
+and the report are written by hand: neither is tagged, and a system nests its
+operator and terms. Reports are rendered through `canonical_json`, which sorts
+keys and prints floats with 17 significant digits, so identical inputs yield
+byte-identical files.
 """
 from __future__ import annotations
 
+import inspect
 import json
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .comparison import ComparisonFunction
+from .certify import CertificateConstants, ConverseFunctional
+from .comparison import KL, ComparisonFunction
 from .errors import SchemaError
 from .functionals import (
     DopNormFunctional,
     DopSemiNorm,
     EndpointSemiNorm,
-    Functional,
     IntegralQuadraticFunctional,
     L2SemiNorm,
     QuadraticDopFunctional,
-    SemiNorm,
     SupNormFunctional,
     WeightedCompositeFunctional,
     WeightedSemiNorm,
@@ -108,87 +132,160 @@ def read_json(path) -> dict:
         raise SchemaError(f"{path}: {exc.strerror or exc}")
 
 
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _require(d: dict, key: str, where: str):
     if key not in d:
         raise SchemaError(f"{where}: missing field {key!r}")
     return d[key]
 
 
-# -- histories ---------------------------------------------------------------------
+# -- the schema table ---------------------------------------------------------------
 
-def history_to_dict(phi: HistorySegment) -> dict:
-    out = {
-        "delta": phi.delta,
-        "grid": phi.grid,
-        "values": phi.values,
-        "interp": phi.interp,
-    }
-    if phi.slopes is not None:
-        out["slopes"] = phi.slopes
-    if phi.kink_times.size:
-        out["kink_times"] = phi.kink_times
-    return _clean(out)
+_CONTEXT = ("dop", "system")
+# what a constructor raises on a value of the wrong type or shape
+_MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
 
 
-def history_from_dict(d: dict) -> HistorySegment:
-    return HistorySegment(
-        float(_require(d, "delta", "history")),
-        np.asarray(_require(d, "grid", "history"), float),
-        np.asarray(_require(d, "values", "history"), float),
-        d.get("interp", "cubic-hermite"),
-        np.asarray(d["slopes"], float) if "slopes" in d else None,
-        np.asarray(d["kink_times"], float) if "kink_times" in d else None,
-    )
+class _Schema:
+    """A constructor read as a file type, its keys derived once."""
+
+    def __init__(self, build: Callable):
+        params = inspect.signature(build).parameters.values()
+        self.build = build
+        self.keys = tuple(p.name for p in params if p.name not in _CONTEXT)  # in signature order
+        self.required = {p.name for p in params if p.default is p.empty}
+        self.optional = {p.name for p in params if p.default is None}  # left out while empty
+        self.context = next((p.name for p in params if p.name in _CONTEXT), None)
 
 
-# -- systems -----------------------------------------------------------------------
+class _Family:
+    """The file types under one tag key; `nested` maps a key to the family of
+    the files it holds (None: this one). Untagged types sit under tag None."""
 
-def _term_to_dict(term) -> dict:
-    if isinstance(term, LinearTerm):
-        return {"type": "linear", "delay": term.delay, "matrix": term.matrix}
-    if isinstance(term, NonlinearTerm):
-        return {
-            "type": "nonlinear",
-            "delay": term.delay,
-            "fn": term.fn,
-            "matrix": term.matrix,
-            "params": term.params,
-        }
-    if isinstance(term, DistributedTerm):
-        return {"type": "distributed", "grid": term.grid, "kernel": term.kernel}
-    if isinstance(term, InputTerm):
-        out = {"type": "input", "matrix": term.matrix}
-        if term.fn:
-            out["fn"] = term.fn
-            out["params"] = term.params
-        return out
-    raise SchemaError(f"unknown term type {type(term).__name__}")
+    def __init__(self, what: str, tag: str | None, table: dict, nested=(), in_params=False):
+        self.what, self.tag, self.in_params = what, tag, in_params
+        self.table = {name: _Schema(build) for name, build in table.items()}
+        self.nested = {key: family or self for key, family in dict(nested).items()}
+
+    def _label(self, tag) -> str:
+        return f"{self.what} {self.tag} {tag!r}" if self.tag else self.what
+
+    def _schema_of(self, tag, action: str) -> _Schema:
+        try:
+            return self.table[tag]
+        except (KeyError, TypeError):
+            raise SchemaError(f"{action} {self._label(tag)}") from None
+
+    def decode(self, d: dict, system: NfdeSystem | None = None):
+        d = _object(d, self.what)
+        tag = _require(d, self.tag, self.what) if self.tag else None
+        schema, label = self._schema_of(tag, "unknown"), self._label(tag)
+        if schema.context in schema.required and system is None:
+            raise SchemaError(f"{label} needs a system")
+        fields = _object(d.get("params", {}), f"{label}: params") if self.in_params else d
+        kwargs = {}
+        for key in schema.keys:
+            if key in fields:
+                kwargs[key] = self._decode_nested(key, fields[key], system)
+            elif key in schema.required:
+                raise SchemaError(f"{label}: missing field {key!r}")
+        given = ", ".join(kwargs)
+        if schema.context and system is not None:
+            kwargs[schema.context] = system if schema.context == "system" else system.dop
+        try:
+            return schema.build(**kwargs)
+        except KeyError as exc:
+            raise SchemaError(f"{label}: missing field {exc}") from None
+        except _MALFORMED as exc:
+            raise SchemaError(f"{label}: {exc} (fields {given})") from None
+
+    def _decode_nested(self, key: str, value, system):
+        family = self.nested.get(key)
+        if family is None:
+            return value
+        if isinstance(value, list):
+            return [family.decode(v, system) for v in value]
+        return family.decode(value, system)
+
+    def encode(self, obj) -> dict:
+        tag = getattr(obj, self.tag, None) if self.tag else None
+        schema = self._schema_of(tag, "cannot serialize")
+        out = {self.tag: tag} if self.tag else {}
+        if self.in_params:
+            out["params"] = obj.params
+        for key in () if self.in_params else schema.keys:
+            value = getattr(obj, key) if hasattr(obj, key) else obj.params[key]  # a product's factors
+            if key in schema.optional and (value is None or isinstance(value, np.ndarray) and not value.size):
+                continue
+            family = self.nested.get(key)
+            if family is not None:
+                value = [family.encode(v) for v in value] if isinstance(value, list) else family.encode(value)
+            out[key] = value
+        return _clean(out)
 
 
-def _term_from_dict(d: dict):
-    kind = _require(d, "type", "rhs term")
-    if kind == "linear":
-        return LinearTerm(float(d.get("delay", 0.0)), np.asarray(_require(d, "matrix", "linear term"), float))
-    if kind == "nonlinear":
-        return NonlinearTerm(
-            float(d.get("delay", 0.0)),
-            _require(d, "fn", "nonlinear term"),
-            np.asarray(_require(d, "matrix", "nonlinear term"), float),
-            d.get("params", {}),
-        )
-    if kind == "distributed":
-        return DistributedTerm(
-            np.asarray(_require(d, "grid", "distributed term"), float),
-            np.asarray(_require(d, "kernel", "distributed term"), float),
-        )
-    if kind == "input":
-        return InputTerm(
-            np.asarray(_require(d, "matrix", "input term"), float),
-            d.get("fn"),
-            d.get("params", {}),
-        )
-    raise SchemaError(f"unknown rhs term type {kind!r}")
+def _l2(delta=None, system=None) -> L2SemiNorm:
+    """The l2 semi-norm over the file's delta, or else over the system's horizon."""
+    if delta is None and system is None:
+        raise SchemaError("seminorm kind 'l2' needs a system or a delta")
+    return L2SemiNorm(system.delta if delta is None else delta)
 
+
+_HISTORY = _Family("history", None, {None: HistorySegment})
+_DOP = _Family("dop", None, {None: DifferenceOperator})
+_TERMS = _Family("rhs term", "type", {
+    "linear": lambda matrix, delay=0.0: LinearTerm(delay, matrix),
+    "nonlinear": lambda fn, matrix, delay=0.0, params=None: NonlinearTerm(delay, fn, matrix, params or {}),
+    "distributed": DistributedTerm,
+    "input": InputTerm,
+})
+_SIGNALS = _Family("input signal", "kind", {
+    "zero": InputSignal.zero,
+    "constant": InputSignal.constant,
+    "piecewise-constant": InputSignal.piecewise_constant,
+    "sinusoid": InputSignal.sinusoid,
+    "table": InputSignal.from_table,
+}, in_params=True)
+_FUNCTIONALS = _Family("functional", "kind", {
+    "point-quadratic": QuadraticDopFunctional,
+    "integral-quadratic": IntegralQuadraticFunctional,
+    "sup-norm": SupNormFunctional,
+    "dop-norm": DopNormFunctional,
+    "weighted-composite": WeightedCompositeFunctional,
+    "converse": ConverseFunctional,
+}, nested={"parts": None})
+_SEMINORMS = _Family("seminorm", "kind", {
+    "dop-seminorm": DopSemiNorm,
+    "endpoint": lambda: EndpointSemiNorm(),  # inspect parses object's text signature: 3 ms
+    "l2": _l2,
+    "weighted": WeightedSemiNorm,
+}, nested={"parts": None})
+_COMPARISONS = _Family("comparison function", "form", {
+    "power": ComparisonFunction,
+    "linear": ComparisonFunction,
+    "exp-decay": ComparisonFunction,
+    "table": ComparisonFunction,
+    "product": lambda k_factor, l_factor, kind=KL: ComparisonFunction(
+        kind, "product", {"k_factor": k_factor, "l_factor": l_factor}),
+}, nested={"k_factor": None, "l_factor": None})
+_CONSTANTS = _Family("constants", None, {None: CertificateConstants}, nested={
+    "alpha1": _COMPARISONS, "alpha2": _COMPARISONS, "alpha3": _COMPARISONS, "seminorm": _SEMINORMS,
+})
+
+history_to_dict, history_from_dict = _HISTORY.encode, _HISTORY.decode
+signal_to_dict, signal_from_dict = _SIGNALS.encode, _SIGNALS.decode
+functional_to_dict, functional_from_dict = _FUNCTIONALS.encode, _FUNCTIONALS.decode
+seminorm_to_dict, seminorm_from_dict = _SEMINORMS.encode, _SEMINORMS.decode
+comparison_to_dict, comparison_from_dict = _COMPARISONS.encode, _COMPARISONS.decode
+constants_to_dict, constants_from_dict = _CONSTANTS.encode, _CONSTANTS.decode
+
+
+# -- systems and reports -------------------------------------------------------------
 
 def system_to_dict(system: NfdeSystem) -> dict:
     return _clean(
@@ -196,209 +293,30 @@ def system_to_dict(system: NfdeSystem) -> dict:
             "n": system.n,
             "m": system.m,
             "delta": system.delta,
-            "dop": {
-                "delays": system.dop.delays,
-                "matrices": system.dop.matrices,
-            },
-            "rhs": {"terms": [_term_to_dict(t) for t in system.rhs.terms]},
+            "dop": _DOP.encode(system.dop),
+            "rhs": {"terms": [_TERMS.encode(t) for t in system.rhs.terms]},
         }
     )
+
+
+def _number(d: dict, key: str, cast, default):
+    value = d.get(key, default)
+    try:
+        return value if value is None else cast(value)
+    except _MALFORMED:
+        raise SchemaError(f"system: field {key!r} must be a number, got {value!r}") from None
 
 
 def system_from_dict(d: dict) -> NfdeSystem:
-    n = int(_require(d, "n", "system"))
-    m = int(d.get("m", 0))
-    dop_d = _require(d, "dop", "system")
-    dop = DifferenceOperator(
-        np.asarray(_require(dop_d, "delays", "dop"), float),
-        np.asarray(_require(dop_d, "matrices", "dop"), float),
-    )
-    terms = tuple(_term_from_dict(t) for t in _require(d, "rhs", "system").get("terms", []))
-    rhs = RhsMap(n=n, m=m, terms=terms)
-    return NfdeSystem(dop, rhs, float(d["delta"]) if "delta" in d else None)
+    d = _object(d, "system")
+    n = _number(d, "n", int, _require(d, "n", "system"))
+    dop = _DOP.decode(_require(d, "dop", "system"))
+    terms = _object(_require(d, "rhs", "system"), "system: rhs").get("terms", [])
+    if not isinstance(terms, list):
+        raise SchemaError(f"system: rhs terms must be a list, got {type(terms).__name__}")
+    rhs = RhsMap(n=n, m=_number(d, "m", int, 0), terms=tuple(_TERMS.decode(t) for t in terms))
+    return NfdeSystem(dop, rhs, _number(d, "delta", float, None))
 
-
-# -- input signals -------------------------------------------------------------------
-
-def signal_to_dict(sig: InputSignal) -> dict:
-    return _clean({"kind": sig.kind, "params": sig.params})
-
-
-def signal_from_dict(d: dict) -> InputSignal:
-    kind = _require(d, "kind", "input signal")
-    p = d.get("params", {})
-    if kind == "zero":
-        return InputSignal.zero(int(_require(p, "m", "zero signal")))
-    if kind == "constant":
-        return InputSignal.constant(np.asarray(_require(p, "value", "constant signal"), float))
-    if kind == "piecewise-constant":
-        return InputSignal.piecewise_constant(
-            np.asarray(_require(p, "times", "signal"), float),
-            np.asarray(_require(p, "values", "signal"), float),
-        )
-    if kind == "sinusoid":
-        return InputSignal.sinusoid(
-            np.asarray(_require(p, "amplitude", "signal"), float),
-            float(_require(p, "omega", "signal")),
-            float(p.get("phase", 0.0)),
-        )
-    if kind == "table":
-        return InputSignal.from_table(
-            np.asarray(_require(p, "times", "signal"), float),
-            np.asarray(_require(p, "values", "signal"), float),
-        )
-    raise SchemaError(f"unknown input kind {kind!r}")
-
-
-# -- functionals and semi-norms --------------------------------------------------------
-
-def functional_to_dict(V: Functional) -> dict:
-    if isinstance(V, QuadraticDopFunctional):
-        return _clean({"kind": V.kind, "P": V.P})
-    if isinstance(V, IntegralQuadraticFunctional):
-        return _clean(
-            {"kind": V.kind, "P": V.P, "kernel_grid": V._term.grid, "kernel": V._term.kernel}
-        )
-    if isinstance(V, SupNormFunctional):
-        return {"kind": V.kind, "c": V.c}
-    if isinstance(V, DopNormFunctional):
-        return {"kind": V.kind, "c": V.c}
-    if isinstance(V, WeightedCompositeFunctional):
-        return _clean(
-            {
-                "kind": V.kind,
-                "weights": V.weights,
-                "parts": [functional_to_dict(p) for p in V.parts],
-            }
-        )
-    if V.kind == "converse":
-        return _clean(
-            {"kind": "converse", "rate": V.rate, "horizon": V.horizon,
-             "step": getattr(V.step, "step", V.step)}
-        )
-    raise SchemaError(f"cannot serialize functional kind {V.kind!r}")
-
-
-def functional_from_dict(d: dict, system: NfdeSystem | None = None) -> Functional:
-    kind = _require(d, "kind", "functional")
-    if kind in ("point-quadratic", "integral-quadratic", "dop-norm", "converse") and system is None:
-        raise SchemaError(f"functional kind {kind!r} needs a system")
-    if kind == "point-quadratic":
-        return QuadraticDopFunctional(system.dop, np.asarray(_require(d, "P", "functional"), float))
-    if kind == "integral-quadratic":
-        return IntegralQuadraticFunctional(
-            system.dop,
-            np.asarray(_require(d, "P", "functional"), float),
-            np.asarray(_require(d, "kernel_grid", "functional"), float),
-            np.asarray(_require(d, "kernel", "functional"), float),
-        )
-    if kind == "sup-norm":
-        return SupNormFunctional(float(_require(d, "c", "functional")))
-    if kind == "dop-norm":
-        return DopNormFunctional(system.dop, float(d.get("c", 1.0)))
-    if kind == "weighted-composite":
-        parts = [functional_from_dict(p, system) for p in _require(d, "parts", "functional")]
-        return WeightedCompositeFunctional(parts, _require(d, "weights", "functional"))
-    if kind == "converse":
-        from .certify import ConverseFunctional
-
-        return ConverseFunctional(
-            system,
-            float(_require(d, "rate", "functional")),
-            float(_require(d, "horizon", "functional")),
-            step=d.get("step"),
-        )
-    raise SchemaError(f"unknown functional kind {kind!r}")
-
-
-def seminorm_to_dict(s: SemiNorm) -> dict:
-    if isinstance(s, DopSemiNorm):
-        return {"kind": s.kind}
-    if isinstance(s, EndpointSemiNorm):
-        return {"kind": s.kind}
-    if isinstance(s, L2SemiNorm):
-        return {"kind": s.kind, "delta": s.delta}
-    if isinstance(s, WeightedSemiNorm):
-        return _clean(
-            {"kind": s.kind, "weights": s.weights,
-             "parts": [seminorm_to_dict(p) for p in s.parts]}
-        )
-    raise SchemaError(f"cannot serialize semi-norm kind {s.kind!r}")
-
-
-def seminorm_from_dict(d: dict, system: NfdeSystem | None = None) -> SemiNorm:
-    kind = _require(d, "kind", "seminorm")
-    if kind == "dop-seminorm":
-        if system is None:
-            raise SchemaError("dop-seminorm needs a system")
-        return DopSemiNorm(system.dop)
-    if kind == "endpoint":
-        return EndpointSemiNorm()
-    if kind == "l2":
-        return L2SemiNorm(float(d.get("delta", system.delta if system else 1.0)))
-    if kind == "weighted":
-        parts = [seminorm_from_dict(p, system) for p in _require(d, "parts", "seminorm")]
-        return WeightedSemiNorm(parts, _require(d, "weights", "seminorm"))
-    raise SchemaError(f"unknown seminorm kind {kind!r}")
-
-
-# -- comparison functions and constants ------------------------------------------------
-
-def comparison_to_dict(c: ComparisonFunction) -> dict:
-    if c.form == "product":
-        return {
-            "kind": c.kind,
-            "form": c.form,
-            "k_factor": comparison_to_dict(c.params["k_factor"]),
-            "l_factor": comparison_to_dict(c.params["l_factor"]),
-        }
-    return _clean({"kind": c.kind, "form": c.form, "params": c.params})
-
-
-def comparison_from_dict(d: dict) -> ComparisonFunction:
-    form = _require(d, "form", "comparison function")
-    if form == "product":
-        return ComparisonFunction.kl_product(
-            comparison_from_dict(_require(d, "k_factor", "comparison")),
-            comparison_from_dict(_require(d, "l_factor", "comparison")),
-        )
-    params = dict(d.get("params", {}))
-    for key in ("x", "y"):
-        if key in params:
-            params[key] = np.asarray(params[key], float)
-    return ComparisonFunction(_require(d, "kind", "comparison"), form, params)
-
-
-def constants_to_dict(c) -> dict:
-    out = {"variant": c.variant}
-    for name in ("a1", "a2", "a3", "a4"):
-        if getattr(c, name) is not None:
-            out[name] = getattr(c, name)
-    for name in ("alpha1", "alpha2", "alpha3"):
-        if getattr(c, name) is not None:
-            out[name] = comparison_to_dict(getattr(c, name))
-    if c.seminorm is not None:
-        out["seminorm"] = seminorm_to_dict(c.seminorm)
-    return _clean(out)
-
-
-def constants_from_dict(d: dict, system: NfdeSystem | None = None):
-    from .certify import CertificateConstants
-
-    variant = _require(d, "variant", "constants")
-    kwargs = {}
-    for name in ("a1", "a2", "a3", "a4"):
-        if name in d:
-            kwargs[name] = float(d[name])
-    for name in ("alpha1", "alpha2", "alpha3"):
-        if name in d:
-            kwargs[name] = comparison_from_dict(d[name])
-    if "seminorm" in d:
-        kwargs["seminorm"] = seminorm_from_dict(d["seminorm"], system)
-    return CertificateConstants(variant, **kwargs)
-
-
-# -- reports -----------------------------------------------------------------------------
 
 def report_to_dict(report) -> dict:
     out = {

@@ -507,3 +507,23 @@ def test_empty_shells_is_an_error_for_every_sampling_command(
     code = main(["run", "--scenario", str(workdir / "empty.json"), "--out", str(workdir / "e")])
     assert code == 1
     assert "no shells" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, field", [
+    ({"command": "check-dop", "system": {**SYSTEM, "rhs": []}}, "rhs"),
+    ({"command": "check-dop", "system": {**SYSTEM, "n": "one"}}, "'n'"),
+    ({"command": "check-dop", "system": {**SYSTEM, "rhs": {"terms": [5]}}}, "rhs term"),
+    ({"command": "simulate", "system": INPUT_SYSTEM, "simulate": {
+        "history": HISTORY, "horizon": 1.0, "input": {"kind": "sinusoid", "params": [1.0, 2.0]},
+    }}, "params"),
+    ({"command": "verify-lk", "system": SYSTEM, "verify": {
+        "functional": {"kind": "dop-norm"}, "samples": {"per_shell": 1},
+        "constants": {"variant": "ges", "a1": "x", "a2": 1.0, "a3": 0.5},
+    }}, "a1"),
+], ids=["rhs-list", "n-string", "term-not-object", "signal-params-list", "constant-string"])
+def test_malformed_files_are_clean_errors(workdir, capsys, scenario, field):
+    write_json(workdir / "bad.json", scenario)
+    code = main(["run", "--scenario", str(workdir / "bad.json"), "--out", str(workdir / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert field in read_json(workdir / "bad" / "report.json")["error"]

@@ -1,18 +1,36 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haleform import (
     CertificateConstants,
     ComparisonFunction,
+    ConverseFunctional,
+    DifferenceOperator,
+    DistributedTerm,
+    DopNormFunctional,
     DopSemiNorm,
+    EndpointSemiNorm,
     HistorySegment,
     InputSignal,
+    InputTerm,
+    IntegralQuadraticFunctional,
+    L2SemiNorm,
+    LinearTerm,
+    NfdeSystem,
+    NonlinearTerm,
     QuadraticDopFunctional,
+    RhsMap,
     SchemaError,
     SupNormFunctional,
     WeightedCompositeFunctional,
+    WeightedSemiNorm,
     sample_history,
 )
+from haleform import serialization as S
 from haleform.serialization import (
     canonical_json,
     comparison_from_dict,
@@ -151,6 +169,209 @@ def test_seminorm_round_trip(neutral_system):
     assert again(phi) == pytest.approx(sn(phi), rel=1e-12)
 
 
-def test_schema_errors_carry_field_names():
-    with pytest.raises(SchemaError, match="missing field"):
-        system_from_dict({"n": 1})
+SYSTEM = {"n": 1, "dop": {"delays": [1.0], "matrices": [[[0.5]]]}, "rhs": {"terms": []}}
+FAMILIES = [family for family in vars(S).values() if isinstance(family, S._Family)]
+
+
+@pytest.mark.parametrize("decode, bad, message", [
+    (system_from_dict, {"n": 1}, "system: missing field 'dop'"),
+    (system_from_dict, {**SYSTEM, "m": [1]}, "system: field 'm' must be a number, got [1]"),
+    (system_from_dict, {**SYSTEM, "rhs": {"terms": {}}}, "system: rhs terms must be a list, got dict"),
+    (system_from_dict, {**SYSTEM, "dop": {"delays": [1.0]}}, "dop: missing field 'matrices'"),
+    (history_from_dict, {"grid": [-1.0, 0.0]}, "history: missing field 'delta'"),
+    (system_from_dict, {**SYSTEM, "rhs": {"terms": [{"type": "linear"}]}},
+     "rhs term type 'linear': missing field 'matrix'"),
+    (signal_from_dict, {"kind": "zero"}, "input signal kind 'zero': missing field 'm'"),
+    (signal_from_dict, {"kind": "chirp"}, "unknown input signal kind 'chirp'"),
+    (functional_from_dict, [], "functional: expected an object, got list"),
+    (functional_from_dict, {"kind": "dop-norm"}, "functional kind 'dop-norm' needs a system"),
+    (seminorm_from_dict, {"kind": "weighted", "weights": [1.0]}, "seminorm kind 'weighted': missing field 'parts'"),
+    (comparison_from_dict, {"kind": "K", "form": "power", "params": {"c": 1.0}},
+     "comparison function form 'power': missing field 'q'"),
+    (constants_from_dict, {"a1": 1.0}, "constants: missing field 'variant'"),
+], ids=["system", "system-m", "system-terms", "dop", "history", "rhs-term", "signal", "signal-kind",
+        "functional", "functional-system", "seminorm", "comparison", "constants"])
+def test_schema_errors_carry_field_names(decode, bad, message):
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        decode(bad)
+
+
+def test_a_constructor_error_names_the_type_and_its_fields():
+    with pytest.raises(SchemaError, match=r"^functional kind 'sup-norm': .* \(fields c\)$"):
+        functional_from_dict({"kind": "sup-norm", "c": "x"})
+
+
+def test_l2_seminorm_needs_a_system_or_a_delta(neutral_system):
+    with pytest.raises(SchemaError, match="needs a system"):
+        seminorm_from_dict({"kind": "l2"})
+    assert seminorm_from_dict({"kind": "l2"}, neutral_system).delta == neutral_system.delta
+    assert seminorm_from_dict({"kind": "l2", "delta": 2.5}).domination_constant() == np.sqrt(2.5)
+
+
+# -- a round trip for every tag of every family ------------------------------------------
+
+NEUTRAL = NfdeSystem(DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),)))
+POSITIVE = st.floats(0.05, 5.0)
+REAL = st.floats(-5.0, 5.0)
+
+
+def _arrays(*shape):
+    return st.lists(REAL, min_size=int(np.prod(shape)), max_size=int(np.prod(shape))).map(
+        lambda xs: np.reshape(xs, shape))
+
+
+def _increasing(size, start=None):
+    """`size` strictly increasing reals, the first one `start` if given."""
+    steps = st.lists(POSITIVE, min_size=size, max_size=size).map(np.cumsum)
+    if start is None:
+        return st.tuples(REAL, steps).map(lambda a: a[0] + a[1] - a[1][0])
+    return steps.map(lambda xs: start + xs - xs[0])
+
+
+@st.composite
+def _history(draw):
+    n, k, delta = draw(st.integers(1, 2)), draw(st.integers(2, 6)), draw(POSITIVE)
+    u = draw(_increasing(k, 0.0))
+    interp = draw(st.sampled_from(["linear", "cubic-hermite"]))
+    slopes = draw(st.none() | _arrays(k, n)) if interp == "cubic-hermite" else None
+    kinks = draw(st.none() | st.lists(st.floats(-delta, 0.0), min_size=1, max_size=3))
+    return HistorySegment(delta, delta * (u / u[-1] - 1.0), draw(_arrays(k, n)), interp, slopes, kinks)
+
+
+def _matrices(n):
+    return _arrays(n, n)
+
+
+def _psd(n):
+    return _matrices(n).map(lambda a: a @ a.T)
+
+
+@st.composite
+def _distributed(draw):
+    n, k = draw(st.integers(1, 2)), draw(st.integers(2, 5))
+    grid = -draw(_increasing(k, 0.0))[::-1]
+    return DistributedTerm(grid, draw(_arrays(k, n, n)))
+
+
+@st.composite
+def _input_term(draw):
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    fn = draw(st.sampled_from([None, "saturation", "sine"]))
+    params = draw(st.fixed_dictionaries({}, optional={"limit": POSITIVE})) if fn else None
+    return InputTerm(draw(_arrays(n, m)), fn, params)
+
+
+@st.composite
+def _table(draw, kind):
+    """A comparison table of the given class on 2 to 5 knots."""
+    k, tail = draw(st.integers(2, 5)), draw(st.sampled_from(["hold", "extrapolate"]))
+    x, y = draw(_increasing(k, 0.0)), draw(_increasing(k, 0.0))
+    if kind == "L":
+        return ComparisonFunction.table(x, y[::-1], kind, tail)
+    return ComparisonFunction.table(x, y, kind, "extrapolate" if kind == "Kinf" else tail)
+
+
+K_FUNCTIONS = st.one_of(
+    st.builds(ComparisonFunction.power, POSITIVE, POSITIVE, st.sampled_from(["K", "Kinf"])),
+    st.builds(ComparisonFunction.linear, POSITIVE, st.sampled_from(["K", "Kinf"])),
+    _table("K"), _table("Kinf"),
+)
+KINF_FUNCTIONS = st.one_of(
+    st.builds(ComparisonFunction.power, POSITIVE, POSITIVE, st.just("Kinf")),
+    st.builds(ComparisonFunction.linear, POSITIVE, st.just("Kinf")), _table("Kinf"),
+)
+L_FUNCTIONS = st.one_of(st.builds(ComparisonFunction.exp_decay, POSITIVE), _table("L"))
+BASIC_FUNCTIONALS = st.one_of(
+    st.builds(QuadraticDopFunctional, st.just(NEUTRAL.dop), _psd(1)),
+    st.builds(SupNormFunctional, POSITIVE),
+)
+BASIC_SEMINORMS = st.one_of(
+    st.builds(DopSemiNorm, st.just(NEUTRAL.dop)), st.builds(EndpointSemiNorm),
+    st.builds(L2SemiNorm, POSITIVE),
+)
+WEIGHTS = st.lists(POSITIVE, min_size=1, max_size=3)
+
+
+def _weighted(cls, parts):
+    return WEIGHTS.flatmap(lambda ws: st.builds(
+        cls, st.lists(parts, min_size=len(ws), max_size=len(ws)), st.just(ws)))
+
+
+@st.composite
+def _signal_table(draw, factory, start=None):
+    k, m = draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    return factory(draw(_increasing(k, start)), draw(_arrays(k, m)))
+
+
+@st.composite
+def _integral_quadratic(draw):
+    k = draw(st.integers(2, 5))
+    grid = -draw(_increasing(k, 0.0))[::-1]
+    kernel = np.stack([draw(_psd(1)) for _ in range(k)])
+    return IntegralQuadraticFunctional(NEUTRAL.dop, draw(_psd(1)), grid, kernel)
+
+
+STRATEGIES = {
+    "history": {None: _history()},
+    "dop": {None: st.integers(1, 3).flatmap(lambda p: st.builds(
+        DifferenceOperator, _increasing(p, 0.25), _arrays(p, 2, 2)))},
+    "rhs term": {
+        "linear": st.builds(LinearTerm, st.floats(0.0, 2.0), st.integers(1, 2).flatmap(_matrices)),
+        "nonlinear": st.builds(
+            NonlinearTerm, st.floats(0.0, 2.0), st.sampled_from(["saturation", "sine", "cubic"]),
+            st.integers(1, 2).flatmap(_matrices), st.fixed_dictionaries({}, optional={"limit": POSITIVE})),
+        "distributed": _distributed(),
+        "input": _input_term(),
+    },
+    "input signal": {
+        "zero": st.builds(InputSignal.zero, st.integers(1, 3)),
+        "constant": st.builds(InputSignal.constant, st.lists(REAL, min_size=1, max_size=3)),
+        "piecewise-constant": _signal_table(InputSignal.piecewise_constant, 0.0),
+        "sinusoid": st.builds(InputSignal.sinusoid, st.lists(REAL, min_size=1, max_size=3), REAL, REAL),
+        "table": _signal_table(InputSignal.from_table),
+    },
+    "functional": {
+        "point-quadratic": st.builds(QuadraticDopFunctional, st.just(NEUTRAL.dop), _psd(1)),
+        "integral-quadratic": _integral_quadratic(),
+        "sup-norm": st.builds(SupNormFunctional, POSITIVE),
+        "dop-norm": st.builds(DopNormFunctional, st.just(NEUTRAL.dop), POSITIVE),
+        "weighted-composite": _weighted(WeightedCompositeFunctional, BASIC_FUNCTIONALS),
+        "converse": st.builds(ConverseFunctional, st.just(NEUTRAL), POSITIVE, POSITIVE, st.none() | POSITIVE),
+    },
+    "seminorm": {
+        "dop-seminorm": st.builds(DopSemiNorm, st.just(NEUTRAL.dop)),
+        "endpoint": st.builds(EndpointSemiNorm),
+        "l2": st.builds(L2SemiNorm, POSITIVE),
+        "weighted": _weighted(WeightedSemiNorm, BASIC_SEMINORMS),
+    },
+    "comparison function": {
+        "power": st.builds(ComparisonFunction.power, POSITIVE, POSITIVE, st.sampled_from(["K", "Kinf"])),
+        "linear": st.builds(ComparisonFunction.linear, POSITIVE, st.sampled_from(["K", "Kinf"])),
+        "exp-decay": st.builds(ComparisonFunction.exp_decay, POSITIVE),
+        "table": st.one_of(_table("K"), _table("Kinf"), _table("L")),
+        "product": st.builds(ComparisonFunction.kl_product, K_FUNCTIONS, L_FUNCTIONS),
+    },
+    "constants": {None: st.one_of(
+        st.builds(CertificateConstants, st.just("ges"), POSITIVE, POSITIVE, POSITIVE),
+        st.builds(CertificateConstants, st.just("ges-seminorm"), POSITIVE, POSITIVE, POSITIVE, POSITIVE,
+                  seminorm=st.one_of(BASIC_SEMINORMS, _weighted(WeightedSemiNorm, BASIC_SEMINORMS))),
+        st.builds(CertificateConstants, st.just("gas"), alpha1=KINF_FUNCTIONS, alpha2=KINF_FUNCTIONS,
+                  alpha3=K_FUNCTIONS),
+    )},
+}
+
+
+@pytest.mark.parametrize(
+    "family, tag", [(f, tag) for f in FAMILIES for tag in f.table],
+    ids=lambda v: v.what if isinstance(v, S._Family) else str(v),
+)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_every_tag_round_trips_byte_identically(family, tag, data):
+    obj = data.draw(STRATEGIES[family.what][tag])
+    d = family.encode(obj)
+    assert canonical_json(family.encode(family.decode(d, NEUTRAL))) == canonical_json(d)
+
+
+def test_every_family_has_a_round_trip_strategy():
+    assert set(STRATEGIES) == {f.what for f in FAMILIES}
