@@ -37,11 +37,23 @@ def _psd_check(mat: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{name} must be square")
+    if not np.all(np.isfinite(m)):
+        raise PreconditionError(f"{name} must be finite")
     if np.max(np.abs(m - m.T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
         raise PreconditionError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(m)) < -1e-10 * max(1.0, np.max(np.abs(m))):
         raise PreconditionError(f"{name} must be positive semidefinite")
     return m
+
+
+def _weighted(parts, weights) -> tuple[list, list[float]]:
+    """The parts and weights of a nonnegative combination, checked."""
+    weights = [float(w) for w in weights]
+    if len(parts) != len(weights) or not parts:
+        raise PreconditionError("need matching nonempty parts and weights")
+    if any(w < 0 for w in weights):
+        raise PreconditionError("weights must be nonnegative")
+    return list(parts), weights
 
 
 class Functional:
@@ -136,13 +148,7 @@ class WeightedCompositeFunctional(Functional):
     kind = "weighted-composite"
 
     def __init__(self, parts, weights):
-        weights = [float(w) for w in weights]
-        if len(parts) != len(weights) or not parts:
-            raise PreconditionError("need matching nonempty parts and weights")
-        if any(w < 0 for w in weights):
-            raise PreconditionError("weights must be nonnegative")
-        self.parts = list(parts)
-        self.weights = weights
+        self.parts, self.weights = _weighted(parts, weights)
 
     def __call__(self, phi):
         return float(sum(w * v(phi) for w, v in zip(self.weights, self.parts)))
@@ -209,12 +215,7 @@ class WeightedSemiNorm(SemiNorm):
     kind = "weighted"
 
     def __init__(self, parts, weights):
-        if len(parts) != len(weights) or not parts:
-            raise PreconditionError("need matching nonempty parts and weights")
-        if any(w < 0 for w in weights):
-            raise PreconditionError("weights must be nonnegative")
-        self.parts = list(parts)
-        self.weights = [float(w) for w in weights]
+        self.parts, self.weights = _weighted(parts, weights)
 
     def __call__(self, phi):
         return float(sum(w * s(phi) for w, s in zip(self.weights, self.parts)))

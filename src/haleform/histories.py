@@ -178,10 +178,6 @@ class HistorySegment:
         kernel = _hermite if side is None else _hermite_deriv
         return kernel(theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1])
 
-    def quad_panels(self) -> np.ndarray:
-        """Panel boundaries for quadrature against this history."""
-        return self.grid
-
     def refined_grid(self, refine: int = 10) -> np.ndarray:
         pieces = [self.grid]
         for k in range(1, refine):

@@ -11,15 +11,16 @@ mesh so derivative jumps stay aligned with step boundaries.
 A batch of histories advances in one step loop whatever their meshes (each
 history's kinks seed its own breakpoints): knot k of every history is row k
 of (longest mesh, B, n) arrays, and a history parks where its mesh ends or
-it blows up. A trajectory is a column of that batch store: it keeps the
-store and its row index, and one lookup reads its accepted knots for x, x'
-from either side and z; the converse witness reads the z panels of a whole
-batch from the store at once. A step is at most a quarter of the smallest
+it blows up. A trajectory is a column of that batch store, read by one
+lookup for x, x' from either side and z; the converse witness reads the z
+panels of a whole batch at once. A step is at most a quarter of the smallest
 delay, so the delayed reads of the loop are placed ahead, and a block of
 steps gathers them at once as soon as they touch accepted knots only. Every
 term that reads no stage tip (the D-terms A_j x(s - Delta_j), the slope
 sums, the rhs's delayed pointwise and input terms) then applies to the whole
-block; only the terms that read the tip evaluate stage by stage.
+block. A distributed term's Gauss nodes are placed ahead as well, read at the
+last accepted knot where they pass it: each step gathers its windows with one
+`take`, and a stage evaluates only the sliver past that knot.
 """
 from __future__ import annotations
 
@@ -30,9 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment, _hermite, _hermite_basis, _hermite_deriv
-from .histories import _hermite_deriv_basis, _hermite_sum
-from .operators import InputTerm, NfdeSystem, _apply, dop_apply, rhs_eval
+from .histories import CUBIC, HistorySegment, _hermite_basis, _hermite_deriv_basis, _hermite_sum
+from .operators import DistributedTerm, InputTerm, NfdeSystem, _apply, dop_apply, rhs_eval
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -59,14 +59,16 @@ def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIM
     back to the plain mesh, reducing observed order).
     """
     delays = sorted({float(d) for d in delays if d > 0})
-    out = []
-    seen = set()
-    heap = []
-    for s in seeds:
-        key = int(round(float(s) / _BP_TOL))
+    out, seen, heap = [], set(), []
+
+    def push(v: float):
+        key = int(round(v / _BP_TOL))
         if key not in seen:
             seen.add(key)
-            heapq.heappush(heap, float(s))
+            heapq.heappush(heap, v)
+
+    for s in seeds:
+        push(float(s))
     truncated = False
     while heap:
         v = heapq.heappop(heap)
@@ -78,11 +80,8 @@ def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIM
                 truncated = True
                 break
         for d in delays:
-            w = v + d
-            key = int(round(w / _BP_TOL))
-            if w <= horizon + _BP_TOL and key not in seen:
-                seen.add(key)
-                heapq.heappush(heap, w)
+            if v + d <= horizon + _BP_TOL:
+                push(v + d)
     return np.asarray(out), truncated
 
 
@@ -123,10 +122,13 @@ class _Knots:
 class _BatchStore:
     """Accepted knots of B histories as (longest mesh, B, n) arrays, knot k of
     every history in row k. History b runs on mesh `mesh_of[b]` of the
-    distinct `meshes`, which `times` holds padded with their last knots. The
-    running histories hold `count` knots, a parked one its entry of `counts`.
-    A trajectory is a column of this store, read through `lookup`.
+    distinct `meshes`, which `times` holds padded with their last knots, and
+    holds `counts[b]` of them once it parks. A trajectory is a column of this
+    store, read through `lookup`.
     """
+
+    # per kind of read (x, x' right, x' left, z), the planes of y0, s0, y1, s1 and of a knot time's knot
+    planes = np.array([[0, 1, 0, 2, 0], [0, 1, 0, 2, 1], [0, 1, 0, 2, 2], [3, 4, 3, 5, 3]])
 
     def __init__(self, histories, meshes, mesh_of):
         self.histories, self.meshes, self.mesh_of = histories, meshes, np.asarray(mesh_of)
@@ -137,63 +139,79 @@ class _BatchStore:
         self.block = np.full((6, size, *self.shape), np.nan)
         self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = self.block
         self.flat = self.block.reshape(-1, self.shape[1])
-        # per kind of read, the flat rows of y0, s0, y1, s1 and of the knot a knot
-        # time returns, less knot 0's row in plane 0: values in plane a, knots in k
         plane, width = self.x.size // self.shape[1], self.shape[0]
-        self.offsets = {
-            kind: np.array([[a], [a + 1], [a], [a + 2], [k]]) * plane + [[0], [0], [width], [width], [0]]
-            for kind, (a, k) in {"x": (0, 0), "+": (0, 1), "-": (0, 2), "z": (3, 3)}.items()
-        }
+        self.offsets = self.planes[:, :, None] * plane + [[0], [0], [width], [width], [0]]  # as flat rows
         self.times = np.stack([np.pad(m, (0, size - m.size), mode="edge") for m in meshes], axis=1)
-        self.count, self.counts = 0, np.zeros(len(histories), dtype=int)
+        self.counts = np.zeros(len(histories), dtype=int)
 
-    def lookup(self, b: int, count=None):
-        """The reader of history b from its first `count` knots, by default all.
-
-        read(ts, kind) is x ("x"), x' from the right or left ("+", "-") or z
-        ("z") at times ts, one (n,) row each. x and x' at t <= 0 (x' from the
-        right at t < 0) come from the initial history; a knot time returns the
-        knot's row; any other time, the cubic Hermite of its accepted interval,
-        with right slopes at its left end and left slopes at its right. A
-        history of one knot holds its value.
+    def lookup(self, b: int):
+        """The reader of history b: read(ts, kind) is x ("x"), x' from the right
+        or left ("+", "-") or z ("z") at times ts, one (n,) row each. x and x' at
+        t <= 0 (x' from the right at t < 0) come from the initial history; a knot
+        time returns the knot's row; any other time, the cubic Hermite of its
+        accepted interval, with right slopes at its left end and left slopes at
+        its right. A history of one knot holds its value.
         """
-        count = int(self.counts[b] if count is None else count)
-        mesh = self.mesh_of[b]
+        count, mesh = int(self.counts[b]), self.mesh_of[b]
         start = self.knots.starts[mesh]
         last, one = start + max(count, 2) - 2, count == 1
         width = self.shape[0]
         column = b - start * width  # knot f of `knots` is flat row f * width + column
 
         def read(ts: np.ndarray, kind: str) -> np.ndarray:
+            code = "x+-z".index(kind)
             f, theta, length, at_left, at_right = self.knots.locate(mesh, ts, last)
             at_right &= not one
-            flat = f * width + column + self.offsets[kind]
-            flat[4] += width * at_right
-            g = self.flat.take(flat, axis=0)
-            kernel = _hermite if kind in ("x", "z") else _hermite_deriv
-            out = kernel(theta[:, None], length[:, None], g[0], g[2], g[1], g[3])
-            node = at_left | at_right | one
-            if node.any():
-                np.copyto(out, g[4], where=node[:, None])
-            if kind != "z":
-                past = ts < 0.0 if kind == "+" else ts <= 0.0
+            rows = f * width + column + self.offsets[code]
+            rows[4] += width * at_right
+            basis = (_hermite_deriv_basis if code in (1, 2) else _hermite_basis)(theta)
+            coefs = np.vstack([*basis, length])[..., None]
+            out = _gather(self.flat, rows, coefs, (at_left | at_right | one)[:, None], code in (1, 2) or None)
+            if code < 3:
+                past = ts < 0.0 if code == 1 else ts <= 0.0
                 if past.any():
                     xi0 = self.histories[b]
-                    out[past] = xi0.eval(ts[past]) if kind == "x" else xi0.deriv(ts[past], kind)
+                    out[past] = xi0.eval(ts[past]) if code == 0 else xi0.deriv(ts[past], kind)
             return out
 
         return read
 
 
+def _place(store: _BatchStore, meshes, ts, kind):
+    """Where reads of kind 0 (x), 1 (x' from the right) or 2 (x' from the left) at
+    times ts on `meshes` sit in history 0's column of the flattened block, read as
+    `_BatchStore.lookup` reads: (rows of y0, s0, y1, s1 and of a knot time's knot,
+    Hermite weights and length, knot reads, initial-history reads, right knots)."""
+    hist = (ts < 0.0) | ((ts == 0.0) & (kind != 1))
+    f, theta, length, at_left, at_right = store.knots.locate(meshes, ts)
+    # initial-history and left-knot reads keep to one knot: their discarded Hermite stays finite
+    k = np.where(hist, 0, f - store.knots.starts[meshes])
+    k1 = np.where(hist | at_left, k, k + 1)
+    theta, length = np.where(hist, 0.0, theta), np.where(hist, 1.0, length)
+    basis = np.where((kind == 1) | (kind == 2), _hermite_deriv_basis(theta), _hermite_basis(theta))
+    planes = store.planes[np.atleast_1d(kind)].T * store.x.shape[0]
+    rows = (np.stack([k, k, k1, k1, np.where(at_right, k1, k)]) + planes) * store.x.shape[1]
+    return rows, np.vstack([*basis, length]), at_left | at_right, hist, k1
+
+
+def _gather(flat, rows, coefs, node, deriv=None) -> np.ndarray:
+    """The reads placed at `rows` with `coefs` (see `_place`), from the flattened
+    block; x' where `deriv` is set."""
+    g = flat.take(rows, axis=0)
+    out = _hermite_sum(coefs, coefs[4], g[0], g[2], g[1], g[3])
+    if deriv is not None:
+        np.divide(out, coefs[4], out=out, where=deriv)
+    np.copyto(out, g[4], where=node)
+    return out
+
+
 class _Reads:
-    """The delayed reads of a run of steps, placed before them: read p at step
-    i is x, or x' from the side sides[p] (None for x), at times[p, i, m] for
-    the histories on mesh m. At t <= 0 (for x' from the right, t < 0) that is
-    the initial history, evaluated here; at a knot time, the knot's row; at
-    any other time, the Hermite cubic of its accepted interval, whose knot
-    rows and weights are found here once per mesh, so that a block of steps
-    gathers all its reads, for all histories, with one `take`. reach[i] is
-    the last knot that the reads of steps 0..i touch.
+    """The delayed reads of a run of steps, placed before them (see `_place`):
+    read p at step i is x, or x' from the side sides[p] (None for x), at
+    times[p, i, m] for the histories on mesh m, placed once per mesh so that
+    a block of steps gathers all its reads, for all histories, with one
+    `take`; the initial histories are read here. reach[i] is the last knot
+    that the reads of steps 0..i touch.
     """
 
     def __init__(self, store: _BatchStore, running: np.ndarray, times: np.ndarray, sides, seed=None):
@@ -203,32 +221,23 @@ class _Reads:
         kind = np.array([(None, "+", "-").index(side) for side in sides])
         self.deriv = kind[:, None, None] > 0
         kind = kind[plan]
-        hist = (ts < 0.0) | ((ts == 0.0) & (kind != 1))
-        f, theta, length, at_left, at_right = store.knots.locate(meshes, ts)
-        # initial-history and left-knot reads keep to one knot: their discarded Hermite stays finite
-        k = np.where(hist, 0, f - store.knots.starts[meshes])
-        k1 = np.where(hist | at_left, k, k + 1)
-        theta, length = np.where(hist, 0.0, theta), np.where(hist, 1.0, length)
-        basis = np.where(kind == 0, _hermite_basis(theta), _hermite_deriv_basis(theta))
-        # rows in the flattened block (history 0): y0, s0, y1, s1 and the knot of a knot-time read
-        size, width = store.x.shape[:2]
-        rows = np.vstack([k, size + k, k1, 2 * size + k1, kind * size + np.where(at_right, k1, k)])
+        rows, coefs, node, hist, k1 = _place(store, meshes, ts, kind)
 
         def dense(values, fill=0):  # (..., steps, P, M)
             out = np.full((*values.shape[:-1], shape[1], shape[0], shape[2]), fill, dtype=values.dtype)
             out[..., steps, plan, meshes] = values
             return out
 
-        self.rows = dense(rows * width)
+        self.rows = dense(rows)
         self.reach = np.maximum.accumulate(dense(k1).max(axis=(1, 2)))
-        self.coefs = dense(np.vstack([basis, length]), 1.0)[..., None]
-        self.node, self.hist_mask = dense(at_left | at_right)[..., None], dense(hist)[..., None]
+        self.coefs = dense(coefs, 1.0)[..., None]
+        self.node, self.hist_mask = dense(node)[..., None], dense(hist)[..., None]
         self.flat = store.flat
         # the initial histories, read once per history and kind of read (x,
         # x' right, x' left), together with the times of that kind in `seed`
         self.hist = np.zeros((int(steps[hist].max()) + 1 if hist.any() else 0, shape[0], *store.shape))
         seed = seed or ([], [], [])
-        self.seed = [np.empty((width, len(t), store.shape[1])) for t in seed]
+        self.seed = [np.empty((store.shape[0], len(t), store.shape[1])) for t in seed]
         for code, extra in enumerate(seed):
             for b, xi0 in enumerate(store.histories):
                 sel = hist & (meshes == store.mesh_of[b]) & (kind == code)
@@ -242,11 +251,8 @@ class _Reads:
         """Every read of steps a..b-1, (b - a, P, running histories, n). run is
         (act, col, live): the running histories' columns, meshes and indices."""
         act, col, live = run
-        g = self.flat.take(self.rows[:, a:b][..., col] + live, axis=0)
-        c = self.coefs[:, a:b][..., col, :]
-        out = _hermite_sum(c, c[4], g[0], g[2], g[1], g[3])
-        np.divide(out, c[4], out=out, where=self.deriv)
-        np.copyto(out, g[4], where=self.node[a:b][..., col, :])
+        out = _gather(self.flat, self.rows[:, a:b][..., col] + live, self.coefs[:, a:b][..., col, :],
+                      self.node[a:b][..., col, :], self.deriv)
         hist = self.hist[a:b]  # kept for the steps up to the last that reads an initial history
         if len(hist):
             where = self.hist_mask[a : a + len(hist)][..., col, :]
@@ -254,68 +260,81 @@ class _Reads:
         return out
 
 
-class _StageView:
-    """The running histories' x_s, seen by the right-hand side during a stage,
-    or, without a tip, by the tipless terms on a block's stacked reads.
+class _Window:
+    """A distributed term's window reads for a run of steps, placed before them.
 
-    tau = 0 reads the stage tip and a pointwise delay tau > 0 reads
-    `reads[-tau]`, x(s - tau) read for the stages. A term that integrates over
-    the window sees one history at a time through `rows`, given `times`:
-    (tip times, anchor times, step), the anchor being the last accepted knot.
+    Row r is history rows[2, r]'s window at stage rows[1, r] (midpoint, step end)
+    of step rows[0, r], rows ordered by them, at time s = tips[r] and anchored at
+    a = anchors[r], the last accepted knot: the initial-history grid (`grids`,
+    NaN-padded) and accepted knots in [s - Delta, s], a and s cut the panels of
+    its Gauss nodes s + tau, each read as x at min(s + tau, a). A step gathers its
+    reads with one `take`; its sliver (a, s] runs linearly from x(a) to the tip,
+    and at the new knot (the step end's panels) reads the just-accepted interval.
     """
 
-    interp = CUBIC
+    def __init__(self, store: _BatchStore, term, grids, delta: float, tips, anchors, rows):
+        past, mesh = grids[rows[2]], store.mesh_of[rows[2]]
+        past[~(past >= (tips - delta)[:, None])] = np.nan
+        lo = np.searchsorted(store.knots.keys, mesh + 1j * (tips - delta))
+        hi = np.searchsorted(store.knots.keys, mesh + 1j * anchors, "right")
+        k = lo[:, None] + np.arange((hi - lo).max())  # the accepted knots in the window, NaN-padded
+        knots = np.append(store.knots.times, np.nan)[np.where(k < hi[:, None], k, -1)]
+        panels = np.clip(np.column_stack([past, knots, anchors, tips]) - tips[:, None], -delta, 0.0)
+        nodes, self.weights, counts = term._gauss(term._edges(panels))
+        self.kmats = term._kernel_at(nodes)
+        tip, anchor, owner = (np.repeat(v, counts) for v in (tips, anchors, rows[2]))
+        t = tip + nodes
+        sliver = t > anchor
+        self.sliver = np.flatnonzero(sliver)
+        self.w = ((t[sliver] - anchor[sliver]) / (tip[sliver] - anchor[sliver]))[:, None]
+        # the reads, then the sliver nodes' reads at the new knot
+        times, owner = np.r_[np.minimum(t, anchor), t[sliver]], np.r_[owner, owner[sliver]]
+        place, coefs, node, hist, _ = _place(store, store.mesh_of[owner], times, 0)
+        self.rows, self.coefs, self.node = place + owner, coefs[..., None], node[:, None]
+        self.hist, self.hist_mask = np.zeros((times.size, store.shape[1])), hist[:, None]
+        for b in np.unique(owner[hist]).tolist():
+            sel = hist & (owner == b)
+            self.hist[sel] = store.histories[b].eval(times[sel])
+        self.size, self.fresh = t.size, np.empty((self.sliver.size, store.shape[1]))
+        # each row's reads and sliver nodes, and its sliver nodes' places among its reads
+        starts = np.concatenate([[0], np.cumsum(counts)])
+        slivers = np.searchsorted(self.sliver, starts)
+        self.spans = list(zip(*(v.tolist() for v in (starts[:-1], starts[1:], slivers[:-1], slivers[1:]))))
+        self.slot = self.sliver - starts[np.searchsorted(starts, self.sliver, "right") - 1]
+        self.index = np.zeros((rows[0].max() + 1, 2, store.shape[0]), dtype=int)
+        self.index[tuple(rows)] = np.arange(counts.size)
+        # the first read and sliver node of each stage of each step, and past the last
+        first = np.searchsorted(2 * rows[0] + rows[1], np.arange(self.index[:, :, 0].size + 1))
+        self.bounds, self.flat = list(zip(starts[first].tolist(), slivers[first].tolist())), store.flat
 
-    def __init__(self, store: _BatchStore, live, delta, tip_x, reads: dict, times):
-        self.store, self.live, self.delta = store, live, delta
-        self.tip_x, self.reads, self.times = tip_x, reads, times
+    def gather(self, j: int, new: bool = False):
+        """Read step j's windows from the store; with `new`, its sliver nodes at
+        the new knot, once the step has stored the knot's provisional slopes."""
+        (lo, a), (hi, c) = self.bounds[2 * j], self.bounds[2 * j + 2]
+        span = slice(self.size + a, self.size + c) if new else slice(lo, hi)
+        out = _gather(self.flat, self.rows[:, span], self.coefs[:, span], self.node[span])
+        np.copyto(out, self.hist[span], where=self.hist_mask[span])
+        if new:
+            self.fresh[a:c] = out
+        else:
+            self.values, self.base = out, lo
 
-    def eval(self, tau):
-        return self.tip_x if tau == 0.0 else self.reads[tau]
-
-    @property
-    def rows(self) -> list[_RowView]:
-        (tips, anchors, i), count = self.times, self.store.count
-        meshes = self.store.mesh_of[self.live].tolist()
-        return [
-            _RowView(self.store, b, count, self.delta, tips[i, m], self.tip_x[k], anchors[i, m])
-            for k, (b, m) in enumerate(zip(self.live.tolist(), meshes))
-        ]
+    def value(self, j: int, e: int, tip, live) -> np.ndarray:
+        """The term at stage e of step j (2 the new knot) for each live history, given its tip."""
+        out = []
+        for k, r in enumerate(self.index[j, min(e, 1), live].tolist()):
+            lo, hi, a, c = self.spans[r]
+            v, slot, w = self.values[lo - self.base : hi - self.base].copy(), self.slot[a:c], self.w[a:c]
+            v[slot] = self.fresh[a:c] if e == 2 else (1.0 - w) * v[slot] + w * tip[k]
+            out.append(np.einsum("k,kij,kj->i", self.weights[lo:hi], self.kmats[lo:hi], v))
+        return np.array(out)
 
 
-class _RowView:
-    """History b's x_s during a stage, for terms that integrate over the window.
+class _StageView(dict):
+    """x_s of the running histories as the pointwise rhs terms read it, at a stage or
+    on a block's stacked reads: x(s - tau) is self[-tau], and self[0.0] the stage tip."""
 
-    Times at or before the anchor, the last of its `count` accepted knots,
-    read the store; the sliver (anchor, s] interpolates linearly to the stage tip.
-    """
-
-    interp = CUBIC
-
-    def __init__(self, store: _BatchStore, b: int, count: int, delta: float, tip_t, tip_x, anchor_t):
-        self.read, self.grid = store.lookup(b, count), store.histories[b].grid
-        self.times = store.meshes[store.mesh_of[b]][:count]
-        self.delta, self.tip_t, self.tip_x, self.anchor_t = delta, tip_t, tip_x, anchor_t
-
-    def eval(self, tau) -> np.ndarray:
-        t = self.tip_t + np.asarray(tau, dtype=float).ravel()
-        out = self.read(np.minimum(t, self.anchor_t), "x")  # later times read x at the anchor
-        later = t > self.anchor_t
-        sliver = later & (t < self.tip_t)
-        if sliver.any():
-            w = ((t[sliver] - self.anchor_t) / (self.tip_t - self.anchor_t))[:, None]
-            out[sliver] = (1.0 - w) * out[sliver] + w * self.tip_x
-        out[later & ~sliver] = self.tip_x
-        return out
-
-    def quad_panels(self) -> np.ndarray:
-        lo = self.tip_t - self.delta
-        past = self.grid + 0.0
-        past = past[(past >= lo) & (past <= 0.0)]
-        times = self.times
-        accepted = times[np.searchsorted(times, lo) : np.searchsorted(times, self.anchor_t, "right")]
-        pts = np.concatenate([past, accepted, [self.anchor_t, self.tip_t]])
-        return np.unique(np.clip(pts - self.tip_t, -self.delta, 0.0))
+    eval = dict.__getitem__
 
 
 @dataclass
@@ -342,9 +361,7 @@ class Trajectory:
     def z_at(self, t):
         return self._read(t, "z")
 
-    def z_dense(self, ts: np.ndarray) -> np.ndarray:
-        """Vectorized Hermite evaluation of z on times in [0, t_end]."""
-        return self._read(ts, "z")
+    z_dense = z_at  # the Hermite evaluation of z on an array of times in [0, t_end]
 
     def xdot_at(self, t, side: str = "+"):
         return self._read(t, "-" if side == "-" else "+")  # as HistorySegment.deriv reads a side
@@ -358,13 +375,8 @@ class Trajectory:
         return out[0] if np.ndim(t) == 0 else out
 
 
-def integrate(
-    system: NfdeSystem,
-    xi0: HistorySegment,
-    horizon: float,
-    step: StepPolicy | float | None = None,
-    u: InputSignal | None = None,
-) -> Trajectory:
+def integrate(system: NfdeSystem, xi0: HistorySegment, horizon: float,
+              step: StepPolicy | float | None = None, u: InputSignal | None = None) -> Trajectory:
     """Integrate the system from initial history xi0 over [0, horizon].
 
     The step must not exceed a quarter of the smallest positive delay, so
@@ -375,13 +387,8 @@ def integrate(
     return integrate_batch(system, [xi0], horizon, step, u)[0]
 
 
-def integrate_batch(
-    system: NfdeSystem,
-    histories,
-    horizon: float,
-    step: StepPolicy | float | None = None,
-    u: InputSignal | None = None,
-) -> list[Trajectory]:
+def integrate_batch(system: NfdeSystem, histories, horizon: float, step: StepPolicy | float | None = None,
+                    u: InputSignal | None = None) -> list[Trajectory]:
     """Integrate the system from every history of `histories`; one Trajectory each, in order.
 
     All histories share the input, horizon and step, and advance in one step
@@ -396,9 +403,7 @@ def integrate_batch(
     histories = list(histories)
     for xi0 in histories:
         if abs(xi0.delta - system.delta) > _BP_TOL * max(1.0, system.delta):
-            raise PreconditionError(
-                f"initial history horizon {xi0.delta} != system horizon {system.delta}"
-            )
+            raise PreconditionError(f"initial history horizon {xi0.delta} != system horizon {system.delta}")
         if xi0.n != system.n:
             raise PreconditionError("initial history dimension disagrees with system")
     if system.m > 0 and u is None:
@@ -410,9 +415,7 @@ def integrate_batch(
     if h is None or h <= 0.0:
         raise PreconditionError("step must be positive")
     if h > min_delay / 4.0 + _BP_TOL:
-        raise PreconditionError(
-            f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}"
-        )
+        raise PreconditionError(f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}")
     if not histories:
         return []
 
@@ -436,18 +439,9 @@ def integrate_batch(
         count = int(store.counts[b])
         times = store.meshes[store.mesh_of[b]][:count]
         out.append(Trajectory(
-            system=system,
-            xi0=histories[b],
-            times=times,
-            x=store.x[:count, b],
-            z=store.z[:count, b],
-            breakpoints=bps[bps <= times[-1] + _BP_TOL],
-            t_end=float(times[-1]),
-            blowup=bool(blowups[b]),
-            order_reduced=truncated,
-            input=u,
-            _batch=store,
-            _row=b,
+            system=system, xi0=histories[b], times=times, x=store.x[:count, b], z=store.z[:count, b],
+            breakpoints=bps[bps <= times[-1] + _BP_TOL], t_end=float(times[-1]), blowup=bool(blowups[b]),
+            order_reduced=truncated, input=u, _batch=store, _row=b,
         ))
     return out
 
@@ -514,7 +508,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         def known(at, us, first: int) -> dict:  # the tipless terms, with the inputs from step `first`
             if us is not None:
                 us = us[first : first + shape[0], act].reshape(-1, u.m)
-            view = _StageView(store, live, system.delta, None, {-d: w for d, w in zip(offsets, at)}, None)
+            view = _StageView({-d: w for d, w in zip(offsets, at)})
             return {k: rhs.terms[k].eval(view, us).reshape(shape) for k in tipless}
 
         def slopes(values) -> np.ndarray:  # sum_j A_j x'(t - Delta_j)
@@ -536,7 +530,6 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         z[0, b] = dop_apply(system.dop, xi0)
         zdl[0, b] = zdr[0, b] = rhs.eval(xi0, None if u_node is None else u_node[0, b])
     xdr[0] = zdr[0] + sum(d_terms(reads.seed[1].swapaxes(0, 1)), np.zeros((width, n)))
-    store.count = 1
 
     bound2 = blowup_bound**2
     blowup = np.zeros(width, dtype=bool)
@@ -547,8 +540,38 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         act = slice(None) if live.size == width else live
         return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live
 
+    # each distributed term's window reads, placed in runs of steps (see `_Window`)
+    dist = [(k, t) for k, t in enumerate(rhs.terms) if isinstance(t, DistributedTerm)]
+    if dist:
+        grids = np.full((width, max(xi0.grid.size for xi0 in store.histories)), np.nan)
+        for b, xi0 in enumerate(store.histories):
+            grids[b, : xi0.grid.size] = xi0.grid + 0.0
+        # a bound on a history's reads at a stage of each step, two per panel: the kernel
+        # grid, s and the grid points and knots in [midpoint - Delta, step end] cut them
+        lo = mids - system.delta
+        knots = np.stack([np.searchsorted(m, t1[:, k], "right") - np.searchsorted(m, lo[:, k])
+                          for k, m in enumerate(store.meshes)], axis=1)
+        past = (grids >= lo[:, store.mesh_of, None]).sum(axis=2)
+        bound = 2 * (past + knots[:, store.mesh_of] + max(t.grid.size for _, t in dist))
+
+    def plan_windows(start: int, live) -> tuple:
+        """The windows of a run of steps each of whose stages places at most _PLAN_READS reads."""
+        total = np.cumsum(bound[start:, live].sum(axis=1))
+        stop = start + max(1, int(np.searchsorted(total, _PLAN_READS, "right")))
+        j, e, b = (a.ravel() for a in np.meshgrid(np.arange(start, stop), [0, 1], live, indexing="ij"))
+        j, e, b = (a[j < ends[b]] for a in (j, e, b))
+        m = store.mesh_of[b]  # the midpoint and the step end, each anchored at the step's start
+        tips, rows = np.where(e == 0, mids[j, m], t1[j, m]), np.stack([j - start, e, b])
+        return stop, [(k, _Window(store, t, grids, system.delta, tips, t0[j, m], rows)) for k, t in dist]
+
+    def stage(e: int, tip, known: dict) -> np.ndarray:  # f at stage e of step i, given the tip x(s)
+        if windows:
+            known = {**known, **{k: window.value(i - wstart, e, tip, live) for k, window in windows}}
+        return rhs.eval(_StageView({0.0: tip}), None, known)
+
     run = act, col, live = running_rows(np.arange(width))
-    start = stop = 0
+    start = stop = wstart = wstop = 0
+    windows = []
     for i in range(size - 1):
         if i == stop:  # a new block: park the histories whose meshes end here
             if (ends[live] == i).any():
@@ -564,22 +587,21 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
             budget = max(1, _PLAN_READS // (len(specs) * live.size))
             start, stop = i, min(ready, int(ends[live].min()), i + budget)
             mid_terms, end_terms, lefts, rights, mid_known, end_known, node_known = block(i, stop, run)
+        if dist and i == wstop:
+            wstart, (wstop, windows) = i, plan_windows(i, live)
         k = i - start
         z_cur, k1 = z[i, act], zdr[i, act]
 
+        for _, window in windows:
+            window.gather(i - wstart)
+
         # stages at one time share their delayed reads: D-terms and rhs past
         mid_k = {j: w[k] for j, w in mid_known.items()}
-
-        def mid_view(z_stage):
-            tip = sum((w[k] for w in mid_terms), z_stage)
-            return _StageView(store, live, system.delta, tip, {}, (mids, t0, i))
-
         h_half = half[i, act]
-        k2 = rhs.eval(mid_view(z_cur + h_half * k1), None, mid_k)
-        k3 = rhs.eval(mid_view(z_cur + h_half * k2), None, mid_k)
+        k2 = stage(0, sum((w[k] for w in mid_terms), z_cur + h_half * k1), mid_k)
+        k3 = stage(0, sum((w[k] for w in mid_terms), z_cur + h_half * k2), mid_k)
         end_k = {j: w[k] for j, w in end_known.items()}
-        tip = sum((w[k] for w in end_terms), z_cur + hh[i, act] * k3)
-        k4 = rhs.eval(_StageView(store, live, system.delta, tip, {}, (t1, t0, i)), None, end_k)
+        k4 = stage(1, sum((w[k] for w in end_terms), z_cur + hh[i, act] * k3), end_k)
 
         z_new = z_cur + sixth[i, act] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         x_new = sum((w[k] for w in end_terms), z_new)
@@ -601,21 +623,20 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
             end_k, node_k = ({j: w[keep] for j, w in terms.items()} for terms in (end_k, node_k))
             stop = i + 1  # the block ends with the running histories
 
-        # provisional slopes from the last stage; refreshed right below
-        store.count = i + 2
         x[i + 1, act], z[i + 1, act] = x_new, z_new
-        zdl[i + 1, act] = zdr[i + 1, act] = k4
-        xdl[i + 1, act] = xdr[i + 1, act] = k4 + tail_left
+        if windows:  # the provisional left slope the windows' new-knot reads take; refreshed below
+            xdl[i + 1, act] = k4 + tail_left
 
-        node_view = _StageView(store, live, system.delta, x_new, {}, (t1, t1, i))
-        zdr_new = zdl_new = rhs.eval(node_view, None, node_k)
+        for _, window in windows:
+            window.gather(i - wstart, new=True)
+        zdr_new = zdl_new = stage(2, x_new, node_k)
         if jump is not None and jump[i, act].any():
-            zdl_new = np.where(jump[i, act][:, None], rhs.eval(node_view, None, end_k), zdr_new)
+            zdl_new = np.where(jump[i, act][:, None], stage(2, x_new, end_k), zdr_new)
         zdl[i + 1, act], zdr[i + 1, act] = zdl_new, zdr_new
         xdl[i + 1, act] = zdl_new + tail_left
         xdr[i + 1, act] = zdr_new + tail_right
 
-    store.counts[live] = store.count
+    store.counts[live] = i + 2
     return blowup
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, HorizonError, PreconditionError
-from .histories import CUBIC, LINEAR, HistorySegment
+from .histories import LINEAR, HistorySegment
 
 _TOL = 1e-9
 
@@ -193,8 +193,10 @@ class DistributedTerm:
     the integral uses trapezoid panels for linear histories and two-point
     Gauss-Legendre panels (cubic-exact) for cubic-Hermite histories, on the
     union of the kernel grid and the history's own panel boundaries. The
-    quadrature of each panel set is kept, a bounded number of them at once,
-    since a step evaluates the term several times on the same panels.
+    integrator places its stages' Gauss nodes ahead through `_edges`/`_gauss`;
+    evaluations on histories (a segment's rhs, the integral-quadratic
+    functional, which samples many histories on one grid) keep the
+    quadrature of each grid, a bounded number of them at once.
     """
 
     type = "distributed"
@@ -236,34 +238,46 @@ class DistributedTerm:
         return (1.0 - theta)[:, None, None] * self.kernel[idx] + theta[:, None, None] * self.kernel[idx + 1]
 
     def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and kernel matrices of the integral over the kernel's span for `seg`."""
-        panels = np.asarray(seg.quad_panels(), dtype=float)
-        interp = getattr(seg, "interp", CUBIC)
+        """Nodes, weights and kernel matrices of the integral over the kernel's span
+        against history `seg`, whose grid points are panel boundaries."""
+        panels, interp = seg.grid, seg.interp
         key = (panels.tobytes(), interp)
         if key in self._cache:
             return self._cache[key]
         edges = np.union1d(self.grid, panels[(panels >= self.grid[0]) & (panels <= self.grid[-1])])
-        a, b = edges[:-1], edges[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        if interp == LINEAR:
-            nodes = edges
-            weights = np.zeros_like(edges)
-            weights[:-1] += half
-            weights[1:] += half
+        if interp == LINEAR:  # trapezoid panels
+            half = 0.5 * np.diff(edges)
+            nodes, weights = edges, np.r_[half, 0.0] + np.r_[0.0, half]
         else:
-            offset = half / np.sqrt(3.0)
-            nodes = np.concatenate([mid - offset, mid + offset])
-            weights = np.concatenate([half, half])
+            nodes, weights, _ = self._gauss(edges[None])
         if len(self._cache) >= 64:
             self._cache.clear()
         self._cache[key] = (nodes, weights, self._kernel_at(nodes))
         return self._cache[key]
 
+    def _edges(self, panels: np.ndarray) -> np.ndarray:
+        """Each row of panel boundaries (R, C), NaN-padded, joined with the kernel
+        grid within the kernel's span: increasing distinct edges, NaN-padded."""
+        inside = (panels >= self.grid[0]) & (panels <= self.grid[-1])
+        edges = np.concatenate([self.grid[None].repeat(len(panels), 0), np.where(inside, panels, np.nan)], 1)
+        edges.sort(axis=1)
+        edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # one of each edge, NaN last
+        edges.sort(axis=1)
+        return edges
+
+    def _gauss(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Two-point Gauss-Legendre nodes and weights of the panels between the
+        edges of each row (see `_edges`). Returns (nodes, weights, counts): row
+        r's panels' left nodes, then their right ones, follow row r - 1's."""
+        a, b = edges[:, :-1], edges[:, 1:]
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        offset = half / np.sqrt(3.0)
+        weights = np.concatenate([half, half], 1)
+        valid = ~np.isnan(weights)  # NaN past the row's last edge
+        return np.concatenate([mid - offset, mid + offset], 1)[valid], weights[valid], valid.sum(axis=1)
+
     def eval(self, seg, u):
-        rows = getattr(seg, "rows", None)
-        if rows is not None:  # a stage of several histories: one quadrature each
-            return np.array([self.eval(row, u) for row in rows])
         nodes, weights, kmats = self._quadrature(seg)
         return np.einsum("k,kij,kj->i", weights, kmats, seg.eval(nodes))
 

@@ -92,9 +92,7 @@ def canonical_json(obj) -> str:
         if isinstance(v, dict):
             if not v:
                 return "{}"
-            items = [
-                f'{pad}  "{k}": {render(v[k], indent + 1)}' for k in sorted(v)
-            ]
+            items = [f'{pad}  "{k}": {render(v[k], indent + 1)}' for k in sorted(v)]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
         if isinstance(v, list):
             if not v:
@@ -111,7 +109,7 @@ def canonical_json(obj) -> str:
         if isinstance(v, float):
             if not np.isfinite(v):
                 raise SchemaError("non-finite float in a report")
-            return format(v, ".17g")
+            return format(v + 0.0, ".17g")  # -0.0 as 0, which reads back as the same value
         if isinstance(v, int):
             return str(v)
         return json.dumps(v)

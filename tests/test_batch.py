@@ -397,3 +397,53 @@ def test_a_row_that_blows_up_mid_block_ends_the_block():
     for phi, traj in zip(histories, batch):
         _assert_agree(traj, integrate(growing, phi, 6.0, step=policy), growing.n)
 
+
+
+@contextlib.contextmanager
+def _count_windows():
+    """Record, per window plan, its steps and each stage's reads, and count the gathers."""
+    plans, gathers = [], []
+    init, gather = integrate_module._Window.__init__, integrate_module._Window.gather
+
+    def spy_init(self, store, term, grids, delta, tips, anchors, rows):
+        init(self, store, term, grids, delta, tips, anchors, rows)
+        reads = np.array([hi - lo for lo, hi, _, _ in self.spans])
+        plans.append((int(rows[0].max()) + 1, [int(reads[rows[1] == e].sum()) for e in (0, 1)]))
+
+    def spy_gather(self, j, new=False):
+        gathers.append(new)
+        return gather(self, j, new)
+
+    with mock.patch.object(integrate_module._Window, "__init__", spy_init), \
+            mock.patch.object(integrate_module._Window, "gather", spy_gather):
+        yield plans, gathers
+
+
+def test_distributed_windows_are_gathered_once_per_step():
+    """A step gathers its windows' reads once, and its new knot's sliver once;
+    a system without a distributed term places no window at all."""
+    system, _ = SYSTEMS["distributed"]
+    with _count_windows() as (plans, gathers):
+        traj = integrate(system, _history(system, 3, 1.0, None), 2.0, step=1.0 / 16.0)
+    assert traj.times.size == 33
+    assert gathers == [False, True] * 32
+    assert sum(steps for steps, _ in plans) == 32
+    neutral, _ = SYSTEMS["neutral"]
+    with _count_windows() as (plans, gathers):
+        integrate(neutral, _history(neutral, 3, 1.0, None), 2.0, step=1.0 / 16.0)
+    assert plans == gathers == []
+
+
+def test_window_plans_keep_to_the_read_budget():
+    """Fine steps put hundreds of nodes in a window: each plan places at most
+    _PLAN_READS reads per stage, unless it holds a single step; the trajectory
+    is the one the same histories give alone."""
+    system, _ = SYSTEMS["distributed"]
+    histories = [_history(system, seed, 1.0, kink) for seed, kink in ((4, None), (9, -0.3))]
+    with _count_windows() as (plans, _):
+        batch = integrate_batch(system, histories, 2.5, step=1.0 / 128.0)
+    assert len(plans) > 3
+    for steps, reads in plans:
+        assert steps == 1 or max(reads) <= integrate_module._PLAN_READS
+    for phi, traj in zip(histories, batch):
+        _assert_agree(traj, integrate(system, phi, 2.5, step=1.0 / 128.0), system.n)

@@ -527,3 +527,14 @@ def test_malformed_files_are_clean_errors(workdir, capsys, scenario, field):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert field in read_json(workdir / "bad" / "report.json")["error"]
+
+
+@pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN"])
+def test_non_finite_functional_matrix_is_a_clean_error(workdir, capsys, entry):
+    """JSON reads 1e400 as inf: the loaded P must be refused, not give V = inf."""
+    (workdir / "bad_V.json").write_text(f'{{"kind": "point-quadratic", "P": [[{entry}]]}}')
+    code = main(["dplus", str(workdir / "sys.json"), str(workdir / "bad_V.json"), str(workdir / "hist.json"),
+                 "--out", str(workdir / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert "P must be finite" in read_json(workdir / "bad" / "report.json")["error"]

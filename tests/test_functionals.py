@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from haleform import functionals
+from haleform.serialization import functional_from_dict
 from haleform import (
     DifferenceOperator,
     DopNormFunctional,
@@ -168,6 +169,18 @@ class TestFunctionalKinds:
     def test_quadratic_requires_psd(self, neutral_system):
         with pytest.raises(PreconditionError):
             QuadraticDopFunctional(neutral_system.dop, [[-1.0]])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_matrices_are_refused(self, neutral_system, bad):
+        """Refused by name before the symmetry test, which would warn on inf - inf."""
+        with pytest.raises(PreconditionError, match="P must be finite"):
+            QuadraticDopFunctional(neutral_system.dop, [[bad]])
+        kernel = np.ones((3, 1, 1))
+        kernel[1, 0, 0] = bad
+        with pytest.raises(PreconditionError, match=r"Q\[1\] must be finite"):
+            IntegralQuadraticFunctional(neutral_system.dop, [[1.0]], [-1.0, -0.5, 0.0], kernel)
+        with pytest.raises(PreconditionError, match="P must be finite"):
+            functional_from_dict({"kind": "point-quadratic", "P": [[bad]]}, neutral_system)
 
     def test_integral_quadratic_value(self, neutral_system):
         # V = (D phi)^2 + int_{-1}^{0} phi(s)^2 ds at phi(s) = s + 1:

@@ -1,8 +1,9 @@
+import json
 import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haleform import (
@@ -368,9 +369,25 @@ STRATEGIES = {
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_every_tag_round_trips_byte_identically(family, tag, data):
-    obj = data.draw(STRATEGIES[family.what][tag])
+    _assert_round_trips(family, data.draw(STRATEGIES[family.what][tag]))
+
+
+def _assert_round_trips(family, obj):
+    """decode(encode(obj)) encodes to the same dict, and a file written, read
+    back and written again keeps its bytes."""
     d = family.encode(obj)
     assert canonical_json(family.encode(family.decode(d, NEUTRAL))) == canonical_json(d)
+    text = canonical_json(d)
+    assert canonical_json(family.encode(family.decode(json.loads(text), NEUTRAL))) == text
+
+
+@settings(max_examples=20, deadline=None)
+@given(dop=STRATEGIES["dop"][None])
+@example(dop=DifferenceOperator([1.0], [[[0.0, -0.0], [-0.0, 0.5]]]))
+def test_negative_zero_round_trips_byte_identically(dop):
+    """-0.0 is written as 0, which reads back as the integer 0 and writes as 0 again."""
+    _assert_round_trips(S._DOP, dop)
+    assert "-0" not in canonical_json({"a": [0.0, -0.0], "b": -0.0})
 
 
 def test_every_family_has_a_round_trip_strategy():
