@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Per-step cost of `integrate` (ROADMAP layer L2) on the five golden systems.
 
-Each system integrates `--histories` seeded random histories one at a time,
+Each system integrates 30 random histories, seeded 0..29, one at a time,
 after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
 cubic system. Timings depend on the machine; compare runs made on one.
 
-    PYTHONPATH=src python scripts/step_cost.py [--histories 30] [--seed 0]
+    PYTHONPATH=src python scripts/step_cost.py
 """
-import argparse
 import time
 
 import numpy as np
@@ -58,9 +57,9 @@ def systems():
     }
 
 
-def step_cost(system, horizon: float, step: float, histories: int, seed: int) -> float:
-    """Median microseconds per step over `histories` seeded histories."""
-    phis = [sample_history(system.n, system.delta, 1.0, 1 + k % 4, seed + k) for k in range(histories)]
+def step_cost(system, horizon: float, step: float) -> float:
+    """Median microseconds per step over 30 seeded histories."""
+    phis = [sample_history(system.n, system.delta, 1.0, 1 + k % 4, k) for k in range(30)]
     integrate(system, phis[0], horizon, step=step)
     costs = []
     for phi in phis:
@@ -71,12 +70,8 @@ def step_cost(system, horizon: float, step: float, histories: int, seed: int) ->
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--histories", type=int, default=30)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
     for name, (system, horizon, step) in systems().items():
-        cost = step_cost(system, horizon, step, args.histories, args.seed)
+        cost = step_cost(system, horizon, step)
         print(f"{name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")
     return 0
 

@@ -223,8 +223,15 @@ def _run_fit(system, block: dict, base: Path, out_dir: Path):
     if "seminorm" in block:
         seminorm = _resolve(block["seminorm"], base, lambda d: seminorm_from_dict(d, system))
     samples = _samples_from_block(block["samples"], system)
-    fit = fit_constants(system, V, variant, samples, _ladder_from_block(block), seminorm=seminorm,
-                        headroom=float(block.get("headroom", 0.01)))
+    fit = fit_constants(
+        system,
+        V,
+        variant,
+        samples,
+        _ladder_from_block(block),
+        seminorm=seminorm,
+        headroom=float(block.get("headroom", 0.01)),
+    )
     result = report_to_dict(fit.report)
     if fit.ok:
         write_json(out_dir / "constants.json", constants_to_dict(fit.constants))
@@ -234,8 +241,14 @@ def _run_fit(system, block: dict, base: Path, out_dir: Path):
 
 
 def _run_ges(system, block: dict, base: Path, out_dir: Path):
-    est = estimate_ges(system, int(block["trajectories"]), float(block["horizon"]), step=_step_policy(block),
-                       seed=int(block["seed"]), shells=tuple(block.get("shells", (0.1, 1.0))))
+    est = estimate_ges(
+        system,
+        int(block["trajectories"]),
+        float(block["horizon"]),
+        step=_step_policy(block),
+        seed=int(block["seed"]),
+        shells=tuple(block.get("shells", (0.1, 1.0))),
+    )
     result = {
         "is_ges": est.is_ges,
         "M": est.M if np.isfinite(est.M) else None,
@@ -251,9 +264,15 @@ def _run_ges(system, block: dict, base: Path, out_dir: Path):
 
 
 def _run_attraction(system, block: dict, base: Path, out_dir: Path):
-    res = check_uniform_attraction(system, float(block["bound"]), float(block["eps"]),
-                                   samples=int(block["samples"]), horizon=float(block["horizon"]),
-                                   step=_step_policy(block), seed=int(block["seed"]))
+    res = check_uniform_attraction(
+        system,
+        float(block["bound"]),
+        float(block["eps"]),
+        samples=int(block["samples"]),
+        horizon=float(block["horizon"]),
+        step=_step_policy(block),
+        seed=int(block["seed"]),
+    )
     result = {
         "status": res.status,
         "settle_time": res.settle_time,
@@ -267,8 +286,13 @@ def _run_attraction(system, block: dict, base: Path, out_dir: Path):
 
 def _run_converse(system, block: dict, base: Path, out_dir: Path):
     step = _step_policy(block)
-    ges = estimate_ges(system, int(block.get("trajectories", 20)), float(block.get("ges_horizon", 10.0)),
-                       step=step, seed=int(block["seed"]))
+    ges = estimate_ges(
+        system,
+        int(block.get("trajectories", 20)),
+        float(block.get("ges_horizon", 10.0)),
+        step=step,
+        seed=int(block["seed"]),
+    )
     if not ges.is_ges:
         result = {"is_ges": False, "note": ges.note}
         if ges.counterexample is not None:
@@ -298,8 +322,14 @@ def _run_iss(system, block: dict, base: Path, out_dir: Path):
         signals = [InputSignal.zero(system.m)] + [
             InputSignal.constant(np.full(system.m, c)) for c in (0.25, -0.5, 1.0)
         ]
-    est = iss_probe(system, ics, signals, horizon=float(block["horizon"]), step=_step_policy(block),
-                    seed=int(block["seed"]))
+    est = iss_probe(
+        system,
+        ics,
+        signals,
+        horizon=float(block["horizon"]),
+        step=_step_policy(block),
+        seed=int(block["seed"]),
+    )
     result = {
         "is_iss": est.is_iss,
         "violations": est.violations,

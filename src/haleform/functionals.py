@@ -46,16 +46,6 @@ def _psd_check(mat: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _weighted(parts, weights) -> tuple[list, list[float]]:
-    """The parts and weights of a nonnegative combination, checked."""
-    weights = [float(w) for w in weights]
-    if len(parts) != len(weights) or not parts:
-        raise PreconditionError("need matching nonempty parts and weights")
-    if any(w < 0 for w in weights):
-        raise PreconditionError("weights must be nonnegative")
-    return list(parts), weights
-
-
 class Functional:
     """Evaluatable V: C -> R+ with V(0) = 0. Subclasses implement __call__."""
 
@@ -148,7 +138,13 @@ class WeightedCompositeFunctional(Functional):
     kind = "weighted-composite"
 
     def __init__(self, parts, weights):
-        self.parts, self.weights = _weighted(parts, weights)
+        weights = [float(w) for w in weights]
+        if len(parts) != len(weights) or not parts:
+            raise PreconditionError("need matching nonempty parts and weights")
+        if any(w < 0 for w in weights):
+            raise PreconditionError("weights must be nonnegative")
+        self.parts = list(parts)
+        self.weights = weights
 
     def __call__(self, phi):
         return float(sum(w * v(phi) for w, v in zip(self.weights, self.parts)))
@@ -215,7 +211,12 @@ class WeightedSemiNorm(SemiNorm):
     kind = "weighted"
 
     def __init__(self, parts, weights):
-        self.parts, self.weights = _weighted(parts, weights)
+        if len(parts) != len(weights) or not parts:
+            raise PreconditionError("need matching nonempty parts and weights")
+        if any(w < 0 for w in weights):
+            raise PreconditionError("weights must be nonnegative")
+        self.parts = list(parts)
+        self.weights = [float(w) for w in weights]
 
     def __call__(self, phi):
         return float(sum(w * s(phi) for w, s in zip(self.weights, self.parts)))

@@ -59,16 +59,14 @@ def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIM
     back to the plain mesh, reducing observed order).
     """
     delays = sorted({float(d) for d in delays if d > 0})
-    out, seen, heap = [], set(), []
-
-    def push(v: float):
-        key = int(round(v / _BP_TOL))
+    out = []
+    seen = set()
+    heap = []
+    for s in seeds:
+        key = int(round(float(s) / _BP_TOL))
         if key not in seen:
             seen.add(key)
-            heapq.heappush(heap, v)
-
-    for s in seeds:
-        push(float(s))
+            heapq.heappush(heap, float(s))
     truncated = False
     while heap:
         v = heapq.heappop(heap)
@@ -80,8 +78,11 @@ def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIM
                 truncated = True
                 break
         for d in delays:
-            if v + d <= horizon + _BP_TOL:
-                push(v + d)
+            w = v + d
+            key = int(round(w / _BP_TOL))
+            if w <= horizon + _BP_TOL and key not in seen:
+                seen.add(key)
+                heapq.heappush(heap, w)
     return np.asarray(out), truncated
 
 
@@ -269,7 +270,8 @@ class _Window:
     NaN-padded) and accepted knots in [s - Delta, s], a and s cut the panels of
     its Gauss nodes s + tau, each read as x at min(s + tau, a). A step gathers its
     reads with one `take`; its sliver (a, s] runs linearly from x(a) to the tip,
-    and at the new knot (the step end's panels) reads the just-accepted interval.
+    and at the new knot (the step end's panels) reads the just-accepted interval,
+    placed for the step end's sliver nodes only.
     """
 
     def __init__(self, store: _BatchStore, term, grids, delta: float, tips, anchors, rows):
@@ -287,8 +289,9 @@ class _Window:
         sliver = t > anchor
         self.sliver = np.flatnonzero(sliver)
         self.w = ((t[sliver] - anchor[sliver]) / (tip[sliver] - anchor[sliver]))[:, None]
-        # the reads, then the sliver nodes' reads at the new knot
-        times, owner = np.r_[np.minimum(t, anchor), t[sliver]], np.r_[owner, owner[sliver]]
+        # the reads, then the step end's sliver nodes' reads at the new knot
+        new = sliver & np.repeat(rows[1] == 1, counts)
+        times, owner = np.r_[np.minimum(t, anchor), t[new]], np.r_[owner, owner[new]]
         place, coefs, node, hist, _ = _place(store, store.mesh_of[owner], times, 0)
         self.rows, self.coefs, self.node = place + owner, coefs[..., None], node[:, None]
         self.hist, self.hist_mask = np.zeros((times.size, store.shape[1])), hist[:, None]
@@ -303,18 +306,20 @@ class _Window:
         self.slot = self.sliver - starts[np.searchsorted(starts, self.sliver, "right") - 1]
         self.index = np.zeros((rows[0].max() + 1, 2, store.shape[0]), dtype=int)
         self.index[tuple(rows)] = np.arange(counts.size)
-        # the first read and sliver node of each stage of each step, and past the last
+        # the first read, sliver node and new-knot read of each stage of each step, and past the last
         first = np.searchsorted(2 * rows[0] + rows[1], np.arange(self.index[:, :, 0].size + 1))
-        self.bounds, self.flat = list(zip(starts[first].tolist(), slivers[first].tolist())), store.flat
+        news = np.r_[0, np.cumsum(new[self.sliver])][slivers[first]]
+        self.bounds = list(zip(*(v.tolist() for v in (starts[first], slivers[first], news))))
+        self.flat = store.flat
 
     def gather(self, j: int, new: bool = False):
         """Read step j's windows from the store; with `new`, its sliver nodes at
         the new knot, once the step has stored the knot's provisional slopes."""
-        (lo, a), (hi, c) = self.bounds[2 * j], self.bounds[2 * j + 2]
-        span = slice(self.size + a, self.size + c) if new else slice(lo, hi)
+        (lo, _, _), (_, a, p), (hi, c, q) = self.bounds[2 * j : 2 * j + 3]
+        span = slice(self.size + p, self.size + q) if new else slice(lo, hi)
         out = _gather(self.flat, self.rows[:, span], self.coefs[:, span], self.node[span])
         np.copyto(out, self.hist[span], where=self.hist_mask[span])
-        if new:
+        if new:  # the step end's sliver nodes, a..c-1 of them
             self.fresh[a:c] = out
         else:
             self.values, self.base = out, lo
@@ -361,7 +366,9 @@ class Trajectory:
     def z_at(self, t):
         return self._read(t, "z")
 
-    z_dense = z_at  # the Hermite evaluation of z on an array of times in [0, t_end]
+    def z_dense(self, ts: np.ndarray) -> np.ndarray:
+        """Vectorized Hermite evaluation of z on times in [0, t_end]."""
+        return self._read(ts, "z")
 
     def xdot_at(self, t, side: str = "+"):
         return self._read(t, "-" if side == "-" else "+")  # as HistorySegment.deriv reads a side
@@ -375,8 +382,13 @@ class Trajectory:
         return out[0] if np.ndim(t) == 0 else out
 
 
-def integrate(system: NfdeSystem, xi0: HistorySegment, horizon: float,
-              step: StepPolicy | float | None = None, u: InputSignal | None = None) -> Trajectory:
+def integrate(
+    system: NfdeSystem,
+    xi0: HistorySegment,
+    horizon: float,
+    step: StepPolicy | float | None = None,
+    u: InputSignal | None = None,
+) -> Trajectory:
     """Integrate the system from initial history xi0 over [0, horizon].
 
     The step must not exceed a quarter of the smallest positive delay, so
@@ -387,8 +399,13 @@ def integrate(system: NfdeSystem, xi0: HistorySegment, horizon: float,
     return integrate_batch(system, [xi0], horizon, step, u)[0]
 
 
-def integrate_batch(system: NfdeSystem, histories, horizon: float, step: StepPolicy | float | None = None,
-                    u: InputSignal | None = None) -> list[Trajectory]:
+def integrate_batch(
+    system: NfdeSystem,
+    histories,
+    horizon: float,
+    step: StepPolicy | float | None = None,
+    u: InputSignal | None = None,
+) -> list[Trajectory]:
     """Integrate the system from every history of `histories`; one Trajectory each, in order.
 
     All histories share the input, horizon and step, and advance in one step
@@ -403,7 +420,9 @@ def integrate_batch(system: NfdeSystem, histories, horizon: float, step: StepPol
     histories = list(histories)
     for xi0 in histories:
         if abs(xi0.delta - system.delta) > _BP_TOL * max(1.0, system.delta):
-            raise PreconditionError(f"initial history horizon {xi0.delta} != system horizon {system.delta}")
+            raise PreconditionError(
+                f"initial history horizon {xi0.delta} != system horizon {system.delta}"
+            )
         if xi0.n != system.n:
             raise PreconditionError("initial history dimension disagrees with system")
     if system.m > 0 and u is None:
@@ -415,7 +434,9 @@ def integrate_batch(system: NfdeSystem, histories, horizon: float, step: StepPol
     if h is None or h <= 0.0:
         raise PreconditionError("step must be positive")
     if h > min_delay / 4.0 + _BP_TOL:
-        raise PreconditionError(f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}")
+        raise PreconditionError(
+            f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}"
+        )
     if not histories:
         return []
 
@@ -439,9 +460,18 @@ def integrate_batch(system: NfdeSystem, histories, horizon: float, step: StepPol
         count = int(store.counts[b])
         times = store.meshes[store.mesh_of[b]][:count]
         out.append(Trajectory(
-            system=system, xi0=histories[b], times=times, x=store.x[:count, b], z=store.z[:count, b],
-            breakpoints=bps[bps <= times[-1] + _BP_TOL], t_end=float(times[-1]), blowup=bool(blowups[b]),
-            order_reduced=truncated, input=u, _batch=store, _row=b,
+            system=system,
+            xi0=histories[b],
+            times=times,
+            x=store.x[:count, b],
+            z=store.z[:count, b],
+            breakpoints=bps[bps <= times[-1] + _BP_TOL],
+            t_end=float(times[-1]),
+            blowup=bool(blowups[b]),
+            order_reduced=truncated,
+            input=u,
+            _batch=store,
+            _row=b,
         ))
     return out
 
@@ -547,12 +577,13 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         for b, xi0 in enumerate(store.histories):
             grids[b, : xi0.grid.size] = xi0.grid + 0.0
         # a bound on a history's reads at a stage of each step, two per panel: the kernel
-        # grid, s and the grid points and knots in [midpoint - Delta, step end] cut them
+        # grid, s and the grid points and knots in [midpoint - Delta, step end] cut them;
+        # at the step end, two more per sliver panel, which only the kernel grid cuts
         lo = mids - system.delta
         knots = np.stack([np.searchsorted(m, t1[:, k], "right") - np.searchsorted(m, lo[:, k])
                           for k, m in enumerate(store.meshes)], axis=1)
         past = (grids >= lo[:, store.mesh_of, None]).sum(axis=2)
-        bound = 2 * (past + knots[:, store.mesh_of] + max(t.grid.size for _, t in dist))
+        bound = 2 * (past + knots[:, store.mesh_of] + 2 * max(t.grid.size for _, t in dist))
 
     def plan_windows(start: int, live) -> tuple:
         """The windows of a run of steps each of whose stages places at most _PLAN_READS reads."""

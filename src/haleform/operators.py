@@ -245,9 +245,12 @@ class DistributedTerm:
         if key in self._cache:
             return self._cache[key]
         edges = np.union1d(self.grid, panels[(panels >= self.grid[0]) & (panels <= self.grid[-1])])
-        if interp == LINEAR:  # trapezoid panels
-            half = 0.5 * np.diff(edges)
-            nodes, weights = edges, np.r_[half, 0.0] + np.r_[0.0, half]
+        if interp == LINEAR:
+            half = 0.5 * (edges[1:] - edges[:-1])
+            nodes = edges
+            weights = np.zeros_like(edges)
+            weights[:-1] += half
+            weights[1:] += half
         else:
             nodes, weights, _ = self._gauss(edges[None])
         if len(self._cache) >= 64:

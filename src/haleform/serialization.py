@@ -92,7 +92,9 @@ def canonical_json(obj) -> str:
         if isinstance(v, dict):
             if not v:
                 return "{}"
-            items = [f'{pad}  "{k}": {render(v[k], indent + 1)}' for k in sorted(v)]
+            items = [
+                f'{pad}  "{k}": {render(v[k], indent + 1)}' for k in sorted(v)
+            ]
             return "{\n" + ",\n".join(items) + "\n" + pad + "}"
         if isinstance(v, list):
             if not v:

@@ -401,13 +401,18 @@ def test_a_row_that_blows_up_mid_block_ends_the_block():
 
 @contextlib.contextmanager
 def _count_windows():
-    """Record, per window plan, its steps and each stage's reads, and count the gathers."""
+    """Record, per window plan, its steps and each stage's reads (the step end's
+    with its new-knot reads), and count the gathers."""
     plans, gathers = [], []
     init, gather = integrate_module._Window.__init__, integrate_module._Window.gather
 
     def spy_init(self, store, term, grids, delta, tips, anchors, rows):
         init(self, store, term, grids, delta, tips, anchors, rows)
         reads = np.array([hi - lo for lo, hi, _, _ in self.spans])
+        slivers = np.array([c - a for _, _, a, c in self.spans])
+        new = self.rows.shape[1] - self.size
+        assert new == slivers[rows[1] == 1].sum()  # only the step end's sliver reads the new knot
+        reads[rows[1] == 1] += slivers[rows[1] == 1]
         plans.append((int(rows[0].max()) + 1, [int(reads[rows[1] == e].sum()) for e in (0, 1)]))
 
     def spy_gather(self, j, new=False):
