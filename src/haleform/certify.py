@@ -673,15 +673,18 @@ class ConverseFunctional(Functional):
         r, k = np.nonzero(np.arange(store.z.shape[0]) < counts[:, None])  # knot k of trajectory r
         col = cols[r]
         t, z = store.times[k, store.mesh_of[col]], store.z[k, col]
-        g = np.linalg.norm(z, axis=1) * np.exp(rate * t)
+        norms = np.linalg.norm(z, axis=1)
+        g = norms * np.exp(rate * t)
         # panel j spans knots j and j + 1, with the slopes the store's lookups read
         j = np.flatnonzero(k < counts[r] - 1)
-        z0, z1, length = z[j], z[j + 1], (t[j + 1] - t[j])[:, None]
+        length = (t[j + 1] - t[j])[:, None]
         s0, s1 = store.zdot_right[k[j], col[j]], store.zdot_left[k[j] + 1, col[j]]
-        hull = np.stack([z0, z0 + length * s0 / 3.0, z1 - length * s1 / 3.0, z1])
-        bound = np.linalg.norm(hull, axis=2).max(axis=0) * np.exp(rate * t[j + 1])
-        keep = bound > np.maximum.reduceat(g, np.cumsum(counts) - counts)[r[j]]
-        j, z0, z1, length, s0, s1 = (a[keep] for a in (j, z0, z1, length, s0, s1))
+        bound = np.maximum(norms[j], norms[j + 1])  # the Bernstein control points, one at a time
+        bound = np.maximum(bound, np.linalg.norm(z[j] + length * s0 / 3.0, axis=1))
+        bound = np.maximum(bound, np.linalg.norm(z[j + 1] - length * s1 / 3.0, axis=1))
+        keep = bound * np.exp(rate * t[j + 1]) > np.maximum.reduceat(g, np.cumsum(counts) - counts)[r[j]]
+        j, length, s0, s1 = (a[keep] for a in (j, length, s0, s1))
+        z0, z1 = z[j], z[j + 1]
         ls0, ls1 = length * s0, length * s1
         coefs = np.stack([z0, ls0, 3.0 * (z1 - z0) - 2.0 * ls0 - ls1, 2.0 * (z0 - z1) + ls0 + ls1], axis=1)
         theta = _critical_points(coefs, rate * length[:, 0]).real

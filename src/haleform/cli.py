@@ -496,21 +496,21 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
     block.setdefault("seed", effective["seed"])
     effective[spec.block] = block
     hash_source = {k: v for k, v in effective.items() if k != "out"}
-    scenario_hash = hashlib.sha256(canonical_json(hash_source).encode()).hexdigest()
-    # defaults fill the block only after hashing, so the hash is of what was given
-    for flag in spec.flags:
-        if flag.default is not None:
-            _setdefault(block, flag.key, flag.default)
-    if spec.seed_at:
-        _setdefault(block, spec.seed_at, block["seed"])
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "command": command,
         "seed": effective["seed"],
-        "scenario_hash": scenario_hash,
     }
     try:
+        # refused, as in a report, where the scenario has an inf or NaN (JSON 1e400 reads as inf)
+        report["scenario_hash"] = hashlib.sha256(canonical_json(hash_source).encode()).hexdigest()
+        # defaults fill the block only after hashing, so the hash is of what was given
+        for flag in spec.flags:
+            if flag.default is not None:
+                _setdefault(block, flag.key, flag.default)
+        if spec.seed_at:
+            _setdefault(block, spec.seed_at, block["seed"])
         system = _resolve(effective["system"], base, system_from_dict)
         code, result = spec.run(system, block, base, out)
     except HaleformError as exc:

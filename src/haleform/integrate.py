@@ -15,12 +15,15 @@ it blows up. A trajectory is a column of that batch store, read by one
 lookup for x, x' from either side and z; the converse witness reads the z
 panels of a whole batch at once. A step is at most a quarter of the smallest
 delay, so the delayed reads of the loop are placed ahead, and a block of
-steps gathers them at once as soon as they touch accepted knots only. Every
-term that reads no stage tip (the D-terms A_j x(s - Delta_j), the slope
-sums, the rhs's delayed pointwise and input terms) then applies to the whole
-block. A distributed term's Gauss nodes are placed ahead as well, read at the
-last accepted knot where they pass it: each step gathers its windows with one
-`take`, and a stage evaluates only the sliver past that knot.
+steps gathers them at once as soon as they touch accepted knots only. The
+stage plan, made once per integration, sorts the rhs terms: block terms
+(inputs, delayed pointwise terms) then apply to the whole block, as do the
+D-terms A_j x(s - Delta_j) and slope sums; tip terms (delay-0 pointwise ones)
+take one `at` call per stage; window terms (distributed ones) have their Gauss
+nodes placed ahead, read at the last accepted knot where they pass it, so each
+step gathers its windows with one `take` and a stage evaluates only the sliver
+past that knot. A stage is the tip from z, its scale and D-term rows, and the
+left fold 0 + v_0 + v_1 + ... of the terms in order, as `RhsMap.eval` rounds.
 """
 from __future__ import annotations
 
@@ -38,6 +41,9 @@ from .signals import InputSignal
 _BP_TOL = 1e-9
 _PLAN_READS = 2048  # delayed reads (per mesh) placed at once ahead of the step loop
 _BREAKPOINT_LIMIT = 20000  # lattice points enumerated before a mesh falls back to plain steps
+# a step's evaluations of f: k2, k3 (midpoint), k4 (step end), f at the new knot and, where an
+# input jumps, its left limit; as (block-term values taken: 0 midpoint, 1 end, 2 knot; window stage)
+_STAGES = ((0, 0), (0, 0), (1, 1), (2, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -335,13 +341,6 @@ class _Window:
         return np.array(out)
 
 
-class _StageView(dict):
-    """x_s of the running histories as the pointwise rhs terms read it, at a stage or
-    on a block's stacked reads: x(s - tau) is self[-tau], and self[0.0] the stage tip."""
-
-    eval = dict.__getitem__
-
-
 @dataclass
 class Trajectory:
     """Dense solution on [-Delta, t_end] plus the z = D x_t store: column
@@ -488,9 +487,8 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     x, xdr, xdl, z, zdr, zdl = store.block
     size, (width, n) = store.x.shape[0], store.shape
     t0, t1 = store.times[:-1], store.times[1:]
-    mids = t0 + 0.5 * (t1 - t0)
-    hh = (t1 - t0)[:, store.mesh_of, None]  # every history's step lengths
-    half, sixth = 0.5 * hh, hh / 6.0
+    lengths = t1 - t0  # each mesh's step lengths
+    mids = t0 + 0.5 * lengths
     running = np.arange(size - 1)[:, None] < store.knots.sizes - 1
 
     # the reads of each step: x at the midpoint and at the step end for each
@@ -503,8 +501,20 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     cuts = np.cumsum([0, len(offsets), len(offsets), len(dop_terms), len(dop_terms)]).tolist()
     mid_at, end_at, left_at, right_at = (slice(a, b) for a, b in zip(cuts, cuts[1:]))
     dop_at = [offsets.index(d) for d, _ in dop_terms]
-    # the rhs terms that read no stage tip: inputs, and pointwise terms with a delay
-    tipless = [k for k, t in enumerate(rhs.terms) if isinstance(t, InputTerm) or getattr(t, "delay", 0) > 0]
+
+    # the stage plan, rhs term by term: (0, j) block term j (an input, or a pointwise term with a
+    # delay read at offsets[o]), (1, at) a pointwise term without delay, called on the stage tip,
+    # or (2, j) distributed term j, through its window
+    plan, block_terms, dist = [], [], []
+    for t in rhs.terms:
+        if isinstance(t, DistributedTerm):
+            plan.append((2, len(dist)))
+            dist.append(t)
+        elif isinstance(t, InputTerm) or t.delay > 0:
+            plan.append((0, len(block_terms)))
+            block_terms.append((t, None if isinstance(t, InputTerm) else offsets.index(t.delay)))
+        else:
+            plan.append((1, t.at))
 
     # the input on each mesh: "+" at nodes and midpoints, "-" at step ends
     # (the step integrates the branch active on (t, t_next))
@@ -520,41 +530,34 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     def d_terms(values) -> list:  # A_j v_j for each D-term j
         return [_apply(a, v) for (_, a), v in zip(dop_terms, values)]
 
-    def plan(start: int, seed=None) -> _Reads:
+    def plan_reads(start: int, seed=None) -> _Reads:
         stop = start + chunk
         times = np.stack([t[start:stop] for t, _ in specs])
         return _Reads(store, running[start:stop], times, [side for _, side in specs], seed)
 
     def block(i: int, stop: int, run) -> tuple:
-        """(steps, running, n) stacks for steps i..stop-1: the D-terms at midpoints and step
-        ends, the slope sums from the left and right, and the tipless rhs terms at
-        midpoints, step ends and new knots."""
-        act, _, live = run
+        """Steps i..stop-1 of the running histories: their stage tips' scales, each D-term at
+        midpoints and step ends (a tuple, which a stage loops over faster than over an array),
+        the slope sums from the right and the left, and the block terms at midpoints, step
+        ends and new knots."""
+        act, col, live = run
         values = reads.steps(i % chunk, i % chunk + stop - i, run)
         shape = values.shape[0], live.size, n
         v = values.swapaxes(0, 1).reshape(len(specs), -1, n)  # each read's rows, step-major
         mid, end = v[mid_at], v[end_at]
+        pairs = zip(d_terms(mid[dop_at]), d_terms(end[dop_at]))
+        dterms = tuple(np.stack(pair).reshape(2, *shape) for pair in pairs)
+        tails = np.stack([sum(d_terms(v[at]), np.zeros(v.shape[1:])) for at in (right_at, left_at)])
+        terms_at = np.empty((shape[0], 3, len(block_terms), *shape[1:]))
+        for j, (t, o) in enumerate(block_terms):
+            args = (mid[o], end[o], end[o]) if o is not None else (  # an input, "-" at step ends
+                w[:, act].reshape(-1, u.m) for w in (u_mid[i:stop], u_end[i:stop], u_node[i + 1 : stop + 1]))
+            for c, arg in enumerate(args):
+                terms_at[:, c, j] = t.at(arg).reshape(shape)
+        h = lengths[i:stop, col, None]  # what scales k1, k2, k3 in the stage tips and the RK sum in z
+        return np.stack([0.5 * h, 0.5 * h, h, h / 6.0], axis=1), dterms, tails.reshape(2, *shape), terms_at
 
-        def known(at, us, first: int) -> dict:  # the tipless terms, with the inputs from step `first`
-            if us is not None:
-                us = us[first : first + shape[0], act].reshape(-1, u.m)
-            view = _StageView({-d: w for d, w in zip(offsets, at)})
-            return {k: rhs.terms[k].eval(view, us).reshape(shape) for k in tipless}
-
-        def slopes(values) -> np.ndarray:  # sum_j A_j x'(t - Delta_j)
-            return sum(d_terms(values), np.zeros(v.shape[1:])).reshape(shape)
-
-        return (
-            [w.reshape(shape) for w in d_terms(mid[dop_at])],
-            [w.reshape(shape) for w in d_terms(end[dop_at])],
-            slopes(v[left_at]),
-            slopes(v[right_at]),
-            known(mid, u_mid, i),
-            known(end, u_end, i),
-            known(end, u_node, i + 1),
-        )
-
-    reads = plan(0, ([0.0], [-d for d, _ in dop_terms], [0.0]))  # and the seed node's reads
+    reads = plan_reads(0, ([0.0], [-d for d, _ in dop_terms], [0.0]))  # and the seed node's reads
     x[0], xdl[0] = reads.seed[0][:, 0], reads.seed[2][:, 0]
     for b, xi0 in enumerate(store.histories):
         z[0, b] = dop_apply(system.dop, xi0)
@@ -562,7 +565,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     xdr[0] = zdr[0] + sum(d_terms(reads.seed[1].swapaxes(0, 1)), np.zeros((width, n)))
 
     bound2 = blowup_bound**2
-    blowup = np.zeros(width, dtype=bool)
+    zero, two = np.zeros(()), np.array(2.0)  # 0-d: cheaper operands than Python floats, same sums
     ends = store.knots.sizes[store.mesh_of] - 1
 
     def running_rows(live):
@@ -571,7 +574,6 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live
 
     # each distributed term's window reads, placed in runs of steps (see `_Window`)
-    dist = [(k, t) for k, t in enumerate(rhs.terms) if isinstance(t, DistributedTerm)]
     if dist:
         grids = np.full((width, max(xi0.grid.size for xi0 in store.histories)), np.nan)
         for b, xi0 in enumerate(store.histories):
@@ -583,7 +585,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         knots = np.stack([np.searchsorted(m, t1[:, k], "right") - np.searchsorted(m, lo[:, k])
                           for k, m in enumerate(store.meshes)], axis=1)
         past = (grids >= lo[:, store.mesh_of, None]).sum(axis=2)
-        bound = 2 * (past + knots[:, store.mesh_of] + 2 * max(t.grid.size for _, t in dist))
+        bound = 2 * (past + knots[:, store.mesh_of] + 2 * max(t.grid.size for t in dist))
 
     def plan_windows(start: int, live) -> tuple:
         """The windows of a run of steps each of whose stages places at most _PLAN_READS reads."""
@@ -593,12 +595,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         j, e, b = (a[j < ends[b]] for a in (j, e, b))
         m = store.mesh_of[b]  # the midpoint and the step end, each anchored at the step's start
         tips, rows = np.where(e == 0, mids[j, m], t1[j, m]), np.stack([j - start, e, b])
-        return stop, [(k, _Window(store, t, grids, system.delta, tips, t0[j, m], rows)) for k, t in dist]
-
-    def stage(e: int, tip, known: dict) -> np.ndarray:  # f at stage e of step i, given the tip x(s)
-        if windows:
-            known = {**known, **{k: window.value(i - wstart, e, tip, live) for k, window in windows}}
-        return rhs.eval(_StageView({0.0: tip}), None, known)
+        return stop, [_Window(store, t, grids, system.delta, tips, t0[j, m], rows) for t in dist]
 
     run = act, col, live = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
@@ -611,64 +608,61 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                 if live.size == 0:  # the longer meshes' histories all blew up
                     break
             if i and i % chunk == 0:
-                reads = plan(i)
+                reads = plan_reads(i)
             # the steps whose reads touch knots 0..i only, up to the plan's end,
             # the next park and the plan's budget of reads
             ready = i - i % chunk + int(np.searchsorted(reads.reach, i, "right"))
             budget = max(1, _PLAN_READS // (len(specs) * live.size))
             start, stop = i, min(ready, int(ends[live].min()), i + budget)
-            mid_terms, end_terms, lefts, rights, mid_known, end_known, node_known = block(i, stop, run)
+            tip_scales, dterms, tails, terms_at = block(i, stop, run)
         if dist and i == wstop:
             wstart, (wstop, windows) = i, plan_windows(i, live)
-        k = i - start
-        z_cur, k1 = z[i, act], zdr[i, act]
+        k, w = i - start, i - wstart
+        for window in windows:
+            window.gather(w)
 
-        for _, window in windows:
-            window.gather(i - wstart)
+        scale, row, tail, z_cur = tip_scales[k], terms_at[k], tails[:, k], z[i, act]
+        f = acc = zdr[i, act]  # k1, and the sum k1 + 2 k2 + 2 k3 + k4
+        stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
+        for s, (c, e) in enumerate(stages):
+            if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
+                base = tip = z_cur + scale[s] * (acc if s == 3 else f)
+                for d in dterms:
+                    tip = tip + d[s >> 1, k]  # the midpoint's, then the step end's
+            if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
+                flat = tip.ravel()
+                mag = flat.dot(flat)  # no row can exceed the bound while the batch stays below it
+                if not math.isfinite(mag) or mag > bound2:
+                    mag2 = np.einsum("bi,bi->b", tip, tip)
+                    keep = np.isfinite(mag2) & (mag2 <= bound2)
+                    store.counts[live[~keep]] = i + 1
+                    run = act, col, live = running_rows(live[keep])
+                    if live.size == 0:
+                        break
+                    base, tip, row, tail = base[keep], tip[keep], row[:, :, keep], tail[:, keep]
+                    f = f[keep] if windows else f  # k4, for the windows (an empty rhs folds to 0-d)
+                    stop = i + 1  # the block ends with the running histories
+                x[i + 1, act], z[i + 1, act] = tip, base
+                if windows:  # the provisional left slope the windows' new-knot reads take; refreshed below
+                    xdl[i + 1, act] = f + tail[1]
+                    for window in windows:
+                        window.gather(w, new=True)
+            prev, f = f, zero
+            for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
+                v = j(tip) if kind == 1 else row[c, j] if kind == 0 else windows[j].value(w, e, tip, live)
+                f = f + v
+            if s < 3:
+                acc = acc + (two * f if s < 2 else f)
+        if live.size == 0:  # every running history blew up
+            break
 
-        # stages at one time share their delayed reads: D-terms and rhs past
-        mid_k = {j: w[k] for j, w in mid_known.items()}
-        h_half = half[i, act]
-        k2 = stage(0, sum((w[k] for w in mid_terms), z_cur + h_half * k1), mid_k)
-        k3 = stage(0, sum((w[k] for w in mid_terms), z_cur + h_half * k2), mid_k)
-        end_k = {j: w[k] for j, w in end_known.items()}
-        k4 = stage(1, sum((w[k] for w in end_terms), z_cur + hh[i, act] * k3), end_k)
-
-        z_new = z_cur + sixth[i, act] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        x_new = sum((w[k] for w in end_terms), z_new)
-        tail_left, tail_right = lefts[k], rights[k]
-        node_k = {j: w[k] for j, w in node_known.items()}
-        # no row can exceed the bound while the whole batch stays below it
-        flat = x_new.ravel()
-        total = float(flat @ flat)
-        if not math.isfinite(total) or total > bound2:
-            mag2 = np.einsum("bi,bi->b", x_new, x_new)
-            keep = np.isfinite(mag2) & (mag2 <= bound2)
-            blowup[live[~keep]] = True
-            store.counts[live[~keep]] = i + 1
-            run = act, col, live = running_rows(live[keep])
-            if live.size == 0:
-                break
-            x_new, z_new, k4 = x_new[keep], z_new[keep], k4[keep]
-            tail_left, tail_right = tail_left[keep], tail_right[keep]
-            end_k, node_k = ({j: w[keep] for j, w in terms.items()} for terms in (end_k, node_k))
-            stop = i + 1  # the block ends with the running histories
-
-        x[i + 1, act], z[i + 1, act] = x_new, z_new
-        if windows:  # the provisional left slope the windows' new-knot reads take; refreshed below
-            xdl[i + 1, act] = k4 + tail_left
-
-        for _, window in windows:
-            window.gather(i - wstart, new=True)
-        zdr_new = zdl_new = stage(2, x_new, node_k)
-        if jump is not None and jump[i, act].any():
-            zdl_new = np.where(jump[i, act][:, None], stage(2, x_new, end_k), zdr_new)
-        zdl[i + 1, act], zdr[i + 1, act] = zdl_new, zdr_new
-        xdl[i + 1, act] = zdl_new + tail_left
-        xdr[i + 1, act] = zdr_new + tail_right
+        # z' and then x' at the new knot, from the right and the left: they differ where an input jumps
+        zd = f if len(stages) == 4 else np.stack([prev, np.where(jump[i, act][:, None], f, prev)])
+        store.block[4:6, i + 1, act] = zd
+        store.block[1:3, i + 1, act] = zd + tail
 
     store.counts[live] = i + 2
-    return blowup
+    return store.counts <= ends  # a history that parks before its mesh ends blew up
 
 
 def segment(traj: Trajectory, t: float) -> HistorySegment:

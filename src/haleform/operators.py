@@ -9,6 +9,7 @@ evaluating every term at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -127,7 +128,7 @@ def primitive_nonlinearity(name: str, params: dict):
 
 @dataclass(frozen=True)
 class LinearTerm:
-    """B phi(-tau); tau = 0 reads the endpoint value."""
+    """B phi(-tau); tau = 0 reads the endpoint value. at(x) = B x, for a state or a stack."""
 
     type = "linear"
     delay: float
@@ -143,13 +144,14 @@ class LinearTerm:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "delay", float(self.delay))
+        object.__setattr__(self, "at", partial(_apply, m))  # one Python call per value in a stage
 
     @property
     def n(self):
         return self.matrix.shape[0]
 
     def eval(self, seg, u):
-        return _apply(self.matrix, seg.eval(-self.delay))
+        return self.at(seg.eval(-self.delay))
 
 
 @dataclass(frozen=True)
@@ -181,8 +183,11 @@ class NonlinearTerm:
     def n(self):
         return self.matrix.shape[0]
 
+    def at(self, x):  # C g(x), for a state or a stack of them
+        return _apply(self.matrix, self._g(x))
+
     def eval(self, seg, u):
-        return _apply(self.matrix, self._g(seg.eval(-self.delay)))
+        return self.at(seg.eval(-self.delay))
 
 
 @dataclass(frozen=True)
@@ -316,13 +321,13 @@ class InputTerm:
     def m(self):
         return self.matrix.shape[1]
 
+    def at(self, u):  # G g(u), for an input value or a stack of them
+        return _apply(self.matrix, u if self._g is None else self._g(u))
+
     def eval(self, seg, u):
         if u is None:
             raise PreconditionError("input term evaluated without an input value")
-        v = np.asarray(u, dtype=float)
-        if self._g is not None:
-            v = self._g(v)
-        return _apply(self.matrix, v)
+        return self.at(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -361,13 +366,9 @@ class RhsMap:
                 out.append(t.delay)
         return out
 
-    def eval(self, seg, u=None, known=None) -> np.ndarray:
-        """f on a history, or row-wise on a stage view of a batch of them;
-        `known` maps the positions of terms already evaluated to their values."""
-        out = np.zeros(self.n)
-        for k, t in enumerate(self.terms):
-            out = out + (known[k] if known and k in known else t.eval(seg, u))
-        return out
+    def eval(self, seg, u=None) -> np.ndarray:
+        """f on a history: 0 + v_0 + v_1 + ..., the terms' values in order."""
+        return sum((t.eval(seg, u) for t in self.terms), np.zeros(self.n))
 
 
 def rhs_eval(rhs: RhsMap, phi, u=None) -> np.ndarray:

@@ -110,7 +110,7 @@ def canonical_json(obj) -> str:
             return "null"
         if isinstance(v, float):
             if not np.isfinite(v):
-                raise SchemaError("non-finite float in a report")
+                raise SchemaError("non-finite float (inf or NaN): JSON has no value for it")
             return format(v + 0.0, ".17g")  # -0.0 as 0, which reads back as the same value
         if isinstance(v, int):
             return str(v)

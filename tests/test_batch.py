@@ -126,6 +126,17 @@ def test_blowing_up_row_leaves_its_neighbours_alone(name):
         _assert_agree(traj, integrate(system, phi, 3.0, step=policy, u=u), system.n)
 
 
+def test_rhs_without_terms_parks_a_blown_up_row():
+    """f = 0, so x(t) = z(0) + A x(t - 1): its stages fold no term at all."""
+    system = NfdeSystem(DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=()))
+    policy = StepPolicy(step=0.25, blowup_bound=0.8)
+    histories = [sample_history(1, 1.0, 1.0, 2, seed) for seed in (3, 4)]
+    batch = integrate_batch(system, histories, 4.0, step=policy)
+    assert [(t.blowup, t.t_end) for t in batch] == [(False, 4.0), (True, 0.5)]
+    for phi, traj in zip(histories, batch):
+        _assert_agree(traj, integrate(system, phi, 4.0, step=policy), 1)
+
+
 def test_histories_on_different_meshes_run_as_separate_groups():
     system, _ = SYSTEMS["neutral"]
     histories = [_history(system, 1, 1.0, kink) for kink in (None, -0.3, None, -0.55, -0.3)]

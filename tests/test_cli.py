@@ -538,3 +538,18 @@ def test_non_finite_functional_matrix_is_a_clean_error(workdir, capsys, entry):
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
     assert "P must be finite" in read_json(workdir / "bad" / "report.json")["error"]
+
+
+@pytest.mark.parametrize("entry", ["1e400", "NaN"])
+def test_non_finite_inline_scenario_entry_writes_an_error_report(workdir, capsys, entry):
+    """An inline inf or NaN has no canonical JSON, so the scenario cannot be hashed: that
+    is an error with a report, like any other refused input."""
+    (workdir / "scn.json").write_text(
+        '{"command": "dplus", "system": "sys.json", "dplus": {"history": "hist.json", '
+        f'"functional": {{"kind": "point-quadratic", "P": [[{entry}]]}}}}}}'
+    )
+    code = main(["run", "--scenario", str(workdir / "scn.json"), "--out", str(workdir / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: non-finite float")
+    report = read_json(workdir / "bad" / "report.json")
+    assert "non-finite float" in report["error"] and "scenario_hash" not in report

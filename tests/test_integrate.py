@@ -1,6 +1,10 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import haleform
 from haleform import (
     DifferenceOperator,
     HistorySegment,
@@ -234,3 +238,33 @@ class TestInputSignals:
         want = np.array([u.sup_norm(t) for t in times])
         got = u.cumulative_sup(times)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestStepFrames:
+    """The step loop's Python overhead, counted rather than timed: wall-clock step
+    costs swing by tens of percent between runs of the same code on one host, while
+    the number of haleform frames a step enters does not depend on the host."""
+
+    @staticmethod
+    def frames_per_step(system, horizon, step) -> float:
+        root = str(Path(haleform.__file__).parent)
+        phi = sample_history(system.n, system.delta, 1.0, 2, 0)
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            if event == "call" and frame.f_code.co_filename.startswith(root):
+                count += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            traj = integrate(system, phi, horizon, step=step)
+        finally:
+            sys.setprofile(previous)
+        return count / (traj.times.size - 1)
+
+    @pytest.mark.parametrize("name, horizon, step", [("neutral", 1.5, 1e-3), ("planar", 4.0, 0.01)])
+    def test_at_most_eight_frames_per_step(self, request, name, horizon, step):
+        system = request.getfixturevalue(f"{name}_system")
+        assert self.frames_per_step(system, horizon, step) <= 8.0
