@@ -32,7 +32,10 @@ from .errors import HaleformError
 from .functionals import LadderSpec, driver_derivative
 from .integrate import StepPolicy, integrate, residual_check
 from .serialization import (
+    _REQUIRED,
     SCHEMA_VERSION,
+    _object,
+    _read_field,
     canonical_json,
     comparison_to_dict,
     constants_from_dict,
@@ -72,26 +75,46 @@ def _resolve(spec, base: Path, loader, inline: type = dict):
     return loader(spec)
 
 
-def _samples_from_block(block: dict, system, shells=DEFAULT_SHELLS):
-    max_roughness = int(block.get("max_roughness", 4))
+class _Block(dict):
+    """A scenario block, named by its path ("verify.samples" is nested). Its
+    entries are read through `value`, as `_read_field` reads a file's."""
+
+    def __init__(self, name: str, entries):
+        super().__init__(_object(entries, name))
+        self.name = name
+
+    def value(self, key: str, cast: Callable | None = None, default=_REQUIRED):
+        return _read_field(self, key, self.name, cast, default)
+
+    def inner(self, key: str) -> "_Block":
+        """A copy of the nested block at key, empty where absent."""
+        return _Block(f"{self.name}.{key}", self.get(key, {}))
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _samples_from_block(block: _Block, system, shells=DEFAULT_SHELLS):
+    max_roughness = block.value("max_roughness", int, 4)
     return sample_shells(
-        system.n, system.delta, int(block["per_shell"]), int(block["seed"]),
-        tuple(block.get("shells", shells)), max_roughness,
+        system.n, system.delta, block.value("per_shell", int), block.value("seed", int),
+        block.value("shells", _floats, shells), max_roughness,
     )
 
 
-def _ladder_from_block(block: dict) -> LadderSpec:
+def _ladder_from_block(block: _Block) -> LadderSpec:
     return LadderSpec(
-        h0=block.get("ladder_h0"),
-        levels=int(block.get("ladder_levels", 12)),
-        tail=int(block.get("ladder_tail", 3)),
+        h0=block.value("ladder_h0", float, None),
+        levels=block.value("ladder_levels", int, 12),
+        tail=block.value("ladder_tail", int, 3),
     )
 
 
-def _step_policy(block: dict) -> StepPolicy:
+def _step_policy(block: _Block) -> StepPolicy:
     return StepPolicy(
-        step=block.get("step"),
-        blowup_bound=float(block.get("blowup_bound", 1e12)),
+        step=block.value("step", float, None),
+        blowup_bound=block.value("blowup_bound", float, 1e12),
     )
 
 
@@ -134,10 +157,10 @@ def _trajectory_csv(traj, path: Path) -> None:
 
 # -- command executors -------------------------------------------------------------
 
-def _run_check_dop(system, block: dict, base: Path, out_dir: Path):
-    resolution = int(block["resolution"])
-    refine = int(block["refine_iters"])
-    margin_tol = float(block.get("margin_tol", 1e-6))
+def _run_check_dop(system, block: _Block, base: Path, out_dir: Path):
+    resolution = block.value("resolution", int)
+    refine = block.value("refine_iters", int)
+    margin_tol = block.value("margin_tol", float, 1e-6)
     verdict, margin = is_strongly_stable(
         system.dop, resolution=resolution, margin_tol=margin_tol, refine_iters=refine
     )
@@ -153,12 +176,13 @@ def _run_check_dop(system, block: dict, base: Path, out_dir: Path):
     return code, result
 
 
-def _run_simulate(system, block: dict, base: Path, out_dir: Path):
-    xi0 = _resolve(block["history"], base, history_from_dict)
-    horizon = float(block["horizon"])
+def _run_simulate(system, block: _Block, base: Path, out_dir: Path):
+    xi0 = _resolve(block.value("history"), base, history_from_dict)
+    horizon = block.value("horizon", float)
     u = None
     if "input" in block:
-        u = _resolve(block["input"], base, signal_from_dict)
+        u = _resolve(block.value("input"), base, signal_from_dict)
+    residual_samples = block.value("residual_samples", int, None)
     traj = integrate(system, xi0, horizon, step=_step_policy(block), u=u)
     _trajectory_csv(traj, out_dir / "trajectory.csv")
     result = {
@@ -169,15 +193,15 @@ def _run_simulate(system, block: dict, base: Path, out_dir: Path):
         "breakpoints": traj.breakpoints,
         "trajectory_csv": "trajectory.csv",
     }
-    if not traj.blowup and block.get("residual_samples"):
-        result["max_residual"] = residual_check(traj, int(block["residual_samples"]))
+    if not traj.blowup and residual_samples:
+        result["max_residual"] = residual_check(traj, residual_samples)
     return (EXIT_VIOLATION if traj.blowup else EXIT_PASS), result
 
 
-def _run_dplus(system, block: dict, base: Path, out_dir: Path):
-    V = _resolve(block["functional"], base, lambda d: functional_from_dict(d, system))
-    phi = _resolve(block["history"], base, history_from_dict)
-    u = np.asarray(block["u"], float) if "u" in block else None
+def _run_dplus(system, block: _Block, base: Path, out_dir: Path):
+    V = _resolve(block.value("functional"), base, lambda d: functional_from_dict(d, system))
+    phi = _resolve(block.value("history"), base, history_from_dict)
+    u = block.value("u", lambda v: np.asarray(v, float), None)
     est = driver_derivative(system, V, phi, u, _ladder_from_block(block))
     result = {
         "value": est.value,
@@ -197,10 +221,10 @@ def _verdict_code(report) -> int:
     return EXIT_PASS
 
 
-def _run_verify(system, block: dict, base: Path, out_dir: Path):
-    V = _resolve(block["functional"], base, lambda d: functional_from_dict(d, system))
-    constants = _resolve(block["constants"], base, lambda d: constants_from_dict(d, system))
-    samples = _samples_from_block(block["samples"], system)
+def _run_verify(system, block: _Block, base: Path, out_dir: Path):
+    V = _resolve(block.value("functional"), base, lambda d: functional_from_dict(d, system))
+    constants = _resolve(block.value("constants"), base, lambda d: constants_from_dict(d, system))
+    samples = _samples_from_block(block.inner("samples"), system)
     ladder = _ladder_from_block(block)
     if constants.variant == "gas":
         report = verify_gas_conditions(system, V, constants, samples, ladder)
@@ -216,13 +240,13 @@ def _run_verify(system, block: dict, base: Path, out_dir: Path):
     return _verdict_code(report), result
 
 
-def _run_fit(system, block: dict, base: Path, out_dir: Path):
-    V = _resolve(block["functional"], base, lambda d: functional_from_dict(d, system))
-    variant = block["variant"]
+def _run_fit(system, block: _Block, base: Path, out_dir: Path):
+    V = _resolve(block.value("functional"), base, lambda d: functional_from_dict(d, system))
+    variant = block.value("variant")
     seminorm = None
     if "seminorm" in block:
-        seminorm = _resolve(block["seminorm"], base, lambda d: seminorm_from_dict(d, system))
-    samples = _samples_from_block(block["samples"], system)
+        seminorm = _resolve(block.value("seminorm"), base, lambda d: seminorm_from_dict(d, system))
+    samples = _samples_from_block(block.inner("samples"), system)
     fit = fit_constants(
         system,
         V,
@@ -230,7 +254,7 @@ def _run_fit(system, block: dict, base: Path, out_dir: Path):
         samples,
         _ladder_from_block(block),
         seminorm=seminorm,
-        headroom=float(block.get("headroom", 0.01)),
+        headroom=block.value("headroom", float, 0.01),
     )
     result = report_to_dict(fit.report)
     if fit.ok:
@@ -240,14 +264,14 @@ def _run_fit(system, block: dict, base: Path, out_dir: Path):
     return _verdict_code(fit.report), result
 
 
-def _run_ges(system, block: dict, base: Path, out_dir: Path):
+def _run_ges(system, block: _Block, base: Path, out_dir: Path):
     est = estimate_ges(
         system,
-        int(block["trajectories"]),
-        float(block["horizon"]),
+        block.value("trajectories", int),
+        block.value("horizon", float),
         step=_step_policy(block),
-        seed=int(block["seed"]),
-        shells=tuple(block.get("shells", (0.1, 1.0))),
+        seed=block.value("seed", int),
+        shells=block.value("shells", _floats, (0.1, 1.0)),
     )
     result = {
         "is_ges": est.is_ges,
@@ -263,15 +287,15 @@ def _run_ges(system, block: dict, base: Path, out_dir: Path):
     return (EXIT_PASS if est.is_ges else EXIT_VIOLATION), result
 
 
-def _run_attraction(system, block: dict, base: Path, out_dir: Path):
+def _run_attraction(system, block: _Block, base: Path, out_dir: Path):
     res = check_uniform_attraction(
         system,
-        float(block["bound"]),
-        float(block["eps"]),
-        samples=int(block["samples"]),
-        horizon=float(block["horizon"]),
+        block.value("bound", float),
+        block.value("eps", float),
+        samples=block.value("samples", int),
+        horizon=block.value("horizon", float),
         step=_step_policy(block),
-        seed=int(block["seed"]),
+        seed=block.value("seed", int),
     )
     result = {
         "status": res.status,
@@ -284,14 +308,14 @@ def _run_attraction(system, block: dict, base: Path, out_dir: Path):
     return (EXIT_PASS if res.status == "settled" else EXIT_INCONCLUSIVE), result
 
 
-def _run_converse(system, block: dict, base: Path, out_dir: Path):
+def _run_converse(system, block: _Block, base: Path, out_dir: Path):
     step = _step_policy(block)
     ges = estimate_ges(
         system,
-        int(block.get("trajectories", 20)),
-        float(block.get("ges_horizon", 10.0)),
+        block.value("trajectories", int, 20),
+        block.value("ges_horizon", float, 10.0),
         step=step,
-        seed=int(block["seed"]),
+        seed=block.value("seed", int),
     )
     if not ges.is_ges:
         result = {"is_ges": False, "note": ges.note}
@@ -299,8 +323,8 @@ def _run_converse(system, block: dict, base: Path, out_dir: Path):
             write_json(out_dir / "escaping_history.json", history_to_dict(ges.counterexample))
             result["counterexample_file"] = "escaping_history.json"
         return EXIT_VIOLATION, result
-    rate = float(block.get("rate", ges.lam / 2.0))
-    V = construct_converse_ges(system, rate, horizon=block.get("horizon"), ges=ges, step=step)
+    rate = block.value("rate", float, ges.lam / 2.0)
+    V = construct_converse_ges(system, rate, horizon=block.value("horizon", float, None), ges=ges, step=step)
     spec = functional_to_dict(V)
     write_json(out_dir / "functional.json", spec)
     result = {
@@ -312,11 +336,11 @@ def _run_converse(system, block: dict, base: Path, out_dir: Path):
     return EXIT_PASS, result
 
 
-def _run_iss(system, block: dict, base: Path, out_dir: Path):
-    ics = _samples_from_block(block["initial"], system, shells=(0.1, 1.0))
+def _run_iss(system, block: _Block, base: Path, out_dir: Path):
+    ics = _samples_from_block(block.inner("initial"), system, shells=(0.1, 1.0))
     if "signals" in block:
         signals = _resolve(
-            block["signals"], base, lambda specs: [signal_from_dict(s) for s in specs], list
+            block.value("signals"), base, lambda specs: [signal_from_dict(s) for s in specs], list
         )
     else:
         signals = [InputSignal.zero(system.m)] + [
@@ -326,9 +350,9 @@ def _run_iss(system, block: dict, base: Path, out_dir: Path):
         system,
         ics,
         signals,
-        horizon=float(block["horizon"]),
+        horizon=block.value("horizon", float),
         step=_step_policy(block),
-        seed=int(block["seed"]),
+        seed=block.value("seed", int),
     )
     result = {
         "is_iss": est.is_iss,
@@ -456,18 +480,18 @@ _COMMANDS = {
 }
 
 
-def _setdefault(block: dict, key: str, value) -> None:
-    """Set a (nested) entry unless present, copying the dicts on its path."""
+def _setdefault(block: _Block, key: str, value) -> None:
+    """Set a (nested) entry unless present, copying the blocks on its path."""
     *parents, last = key.split(".")
     for name in parents:
-        inner = dict(block.get(name, {}))
+        inner = block.inner(name)
         block[name] = inner
         block = inner
     block.setdefault(last, value)
 
 
-def _block_from_args(command: _Command, args) -> dict:
-    block = {name: getattr(args, name) for name in command.positionals}
+def _block_from_args(command: _Command, args) -> _Block:
+    block = _Block(command.block, {name: getattr(args, name) for name in command.positionals})
     for flag in command.flags:
         value = getattr(args, flag.dest)
         if value is not None:
@@ -486,16 +510,9 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
         return EXIT_ERROR
     out = Path(out_dir or scenario.get("out", "haleform-out"))
     out.mkdir(parents=True, exist_ok=True)
-    tolerances = scenario.get("tolerances", {})
     spec = _COMMANDS[command]
     effective = dict(scenario)
     effective.setdefault("seed", 0)
-    block = dict(effective.get(spec.block, {}))
-    for key, value in tolerances.items():
-        block.setdefault(key, value)
-    block.setdefault("seed", effective["seed"])
-    effective[spec.block] = block
-    hash_source = {k: v for k, v in effective.items() if k != "out"}
     report = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -503,6 +520,12 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
         "seed": effective["seed"],
     }
     try:
+        block = _Block(spec.block, effective.get(spec.block, {}))
+        for key, value in scenario.get("tolerances", {}).items():
+            block.setdefault(key, value)
+        block.setdefault("seed", effective["seed"])
+        effective[spec.block] = block
+        hash_source = {k: v for k, v in effective.items() if k != "out"}
         # refused, as in a report, where the scenario has an inf or NaN (JSON 1e400 reads as inf)
         report["scenario_hash"] = hashlib.sha256(canonical_json(hash_source).encode()).hexdigest()
         # defaults fill the block only after hashing, so the hash is of what was given
@@ -510,8 +533,8 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
             if flag.default is not None:
                 _setdefault(block, flag.key, flag.default)
         if spec.seed_at:
-            _setdefault(block, spec.seed_at, block["seed"])
-        system = _resolve(effective["system"], base, system_from_dict)
+            _setdefault(block, spec.seed_at, block.value("seed"))
+        system = _resolve(_Block("scenario", effective).value("system"), base, system_from_dict)
         code, result = spec.run(system, block, base, out)
     except HaleformError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
+from .histories import _freeze
 
 K = "K"
 K_INF = "Kinf"
@@ -135,7 +136,7 @@ class ComparisonFunction:
         return cls(
             kind,
             _TABLE,
-            {"x": np.asarray(x, float), "y": np.asarray(y, float), "tail": tail},
+            {"x": _freeze(x), "y": _freeze(y), "tail": tail},
         )
 
     @classmethod

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .histories import CUBIC, HistorySegment
+from .histories import CUBIC, HistorySegment, _freeze
 from .integrate import _breakpoint_gap, segment
 from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, dop_apply, rhs_eval
 
@@ -43,7 +43,17 @@ def _psd_check(mat: np.ndarray, name: str) -> np.ndarray:
         raise PreconditionError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(m)) < -1e-10 * max(1.0, np.max(np.abs(m))):
         raise PreconditionError(f"{name} must be positive semidefinite")
-    return m
+    return _freeze(m)
+
+
+def _parts_and_weights(parts, weights) -> tuple[list, list[float]]:
+    """A weighted sum's parts and their nonnegative weights, one per part."""
+    weights = [float(w) for w in weights]
+    if len(parts) != len(weights) or not parts:
+        raise PreconditionError("need matching nonempty parts and weights")
+    if any(w < 0 for w in weights):
+        raise PreconditionError("weights must be nonnegative")
+    return list(parts), weights
 
 
 class Functional:
@@ -138,13 +148,7 @@ class WeightedCompositeFunctional(Functional):
     kind = "weighted-composite"
 
     def __init__(self, parts, weights):
-        weights = [float(w) for w in weights]
-        if len(parts) != len(weights) or not parts:
-            raise PreconditionError("need matching nonempty parts and weights")
-        if any(w < 0 for w in weights):
-            raise PreconditionError("weights must be nonnegative")
-        self.parts = list(parts)
-        self.weights = weights
+        self.parts, self.weights = _parts_and_weights(parts, weights)
 
     def __call__(self, phi):
         return float(sum(w * v(phi) for w, v in zip(self.weights, self.parts)))
@@ -211,12 +215,7 @@ class WeightedSemiNorm(SemiNorm):
     kind = "weighted"
 
     def __init__(self, parts, weights):
-        if len(parts) != len(weights) or not parts:
-            raise PreconditionError("need matching nonempty parts and weights")
-        if any(w < 0 for w in weights):
-            raise PreconditionError("weights must be nonnegative")
-        self.parts = list(parts)
-        self.weights = [float(w) for w in weights]
+        self.parts, self.weights = _parts_and_weights(parts, weights)
 
     def __call__(self, phi):
         return float(sum(w * s(phi) for w, s in zip(self.weights, self.parts)))

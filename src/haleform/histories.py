@@ -65,19 +65,29 @@ def fd_slopes(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     return slopes
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a) -> np.ndarray:
+    """A read-only float copy of `a`: the one intake of every value type's arrays,
+    so a caller's later edit never reaches the value, nor its edit the caller."""
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
+
+
+def _columns(a) -> np.ndarray:
+    """a as float, a vector read as one column."""
+    a = np.asarray(a, dtype=float)
+    return a[:, None] if a.ndim == 1 else a
 
 
 @dataclass(frozen=True)
 class HistorySegment:
     """A function [-delta, 0] -> R^n on a grid with interpolation.
 
-    Immutable after construction; safe to share between threads. kink_times
-    marks known derivative discontinuities inside [-delta, 0]; the integrator
-    seeds its breakpoint propagation with them so steps never straddle a kink.
+    Immutable: construction copies the arrays it is given and freezes the
+    copies, so a later edit of the caller's arrays does not reach the segment.
+    Safe to share between threads. kink_times marks known derivative
+    discontinuities inside [-delta, 0]; the integrator seeds its breakpoint
+    propagation with them so steps never straddle a kink.
     """
 
     delta: float
@@ -91,10 +101,8 @@ class HistorySegment:
         delta = float(self.delta)
         if not delta > 0.0:
             raise PreconditionError(f"horizon must be positive, got {delta}")
-        grid = np.asarray(self.grid, dtype=float).ravel()
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
+        grid = np.array(self.grid, dtype=float).ravel()  # a copy: its ends are set below
+        values = _columns(self.values)
         if values.ndim != 2 or values.shape[0] != grid.shape[0]:
             raise DimensionError(
                 f"values shape {values.shape} incompatible with grid of {grid.shape[0]} nodes"
@@ -108,31 +116,22 @@ class HistorySegment:
             raise PreconditionError(
                 f"grid must span [-{delta}, 0], got [{grid[0]}, {grid[-1]}]"
             )
-        grid = grid.copy()
         grid[0] = -delta
         grid[-1] = 0.0
         if not np.all(np.isfinite(values)):
             raise PreconditionError("history values must be finite")
         if self.interp not in (LINEAR, CUBIC):
             raise PreconditionError(f"unknown interpolation kind {self.interp!r}")
-        slopes = self.slopes
+        slopes = None
         if self.interp == CUBIC:
-            if slopes is None:
-                slopes = fd_slopes(grid, values)
-            else:
-                slopes = np.asarray(slopes, dtype=float)
-                if slopes.ndim == 1:
-                    slopes = slopes[:, None]
-                if slopes.shape != values.shape:
-                    raise DimensionError("slopes shape must match values shape")
-            object.__setattr__(self, "slopes", _freeze(slopes))
-        else:
-            object.__setattr__(self, "slopes", None)
-        kinks = self.kink_times
-        if kinks is None:
-            kinks = np.empty(0)
-        else:
-            kinks = np.unique(np.asarray(kinks, dtype=float).ravel())
+            slopes = fd_slopes(grid, values) if self.slopes is None else _columns(self.slopes)
+            if slopes.shape != values.shape:
+                raise DimensionError("slopes shape must match values shape")
+            slopes = _freeze(slopes)
+        object.__setattr__(self, "slopes", slopes)
+        kinks = np.empty(0)
+        if self.kink_times is not None:
+            kinks = np.unique(np.asarray(self.kink_times, dtype=float))
             kinks = kinks[(kinks >= -delta) & (kinks <= 0.0)]
         object.__setattr__(self, "kink_times", _freeze(kinks))
         object.__setattr__(self, "delta", delta)

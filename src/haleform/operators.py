@@ -3,8 +3,9 @@
 The difference operator is D phi = phi(0) - sum_j A_j phi(-Delta_j). The
 right-hand side f is a sum of linear pointwise-delay terms, distributed
 (kernel-integral) terms, named pointwise nonlinearities and input terms.
-f(0) = 0 (and f(0, 0) = 0 in the input case) is checked on construction by
-evaluating every term at zero.
+f(0) = 0 (and f(0, 0) = 0 in the input case) holds by construction: linear
+and distributed terms vanish at zero, and every primitive nonlinearity is
+evaluated at zero when a term binds it.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, HorizonError, PreconditionError
-from .histories import LINEAR, HistorySegment
+from .histories import LINEAR, HistorySegment, _freeze
 
 _TOL = 1e-9
 
@@ -51,12 +52,8 @@ class DifferenceOperator:
         if np.unique(np.round(delays / _TOL)).size != delays.size:
             raise PreconditionError("delays must be pairwise distinct")
         order = np.argsort(delays)
-        delays = delays[order].copy()
-        matrices = matrices[order].copy()
-        delays.setflags(write=False)
-        matrices.setflags(write=False)
-        object.__setattr__(self, "delays", delays)
-        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "delays", _freeze(delays[order]))
+        object.__setattr__(self, "matrices", _freeze(matrices[order]))
 
     @property
     def n(self) -> int:
@@ -96,34 +93,45 @@ def dop_apply(dop: DifferenceOperator, phi) -> np.ndarray:
 
 # -- primitive pointwise nonlinearities ---------------------------------------
 
-def _sat(x, limit=1.0):
+def _saturation(params, x):
+    limit = params.get("limit", 1.0)
     return np.clip(x, -limit, limit)
 
 
-_PRIMITIVES = {
-    "saturation": lambda x, params: _sat(x, params.get("limit", 1.0)),
-    "sine": lambda x, params: np.sin(x),
-    "cubic": lambda x, params: x**3,
-    "table": lambda x, params: np.interp(
+_PRIMITIVES = {  # each takes (params, x) for a float array x
+    "saturation": _saturation,
+    "sine": lambda params, x: np.sin(x),
+    "cubic": lambda params, x: x**3,
+    "table": lambda params, x: np.interp(
         x, np.asarray(params["x"], float), np.asarray(params["y"], float)
     ),
 }
 
 
 def primitive_nonlinearity(name: str, params: dict):
+    """g(x), the primitive bound to its params (one Python call per value),
+    checked to vanish at 0."""
     if name not in _PRIMITIVES:
         raise PreconditionError(
             f"unknown primitive nonlinearity {name!r}; known: {sorted(_PRIMITIVES)}"
         )
-    fn = _PRIMITIVES[name]
-    if name == "table":
-        xs = np.asarray(params["x"], float)
-        ys = np.asarray(params["y"], float)
-        if not np.all(np.diff(xs) > 0):
-            raise PreconditionError("table nonlinearity needs increasing x")
-        if abs(float(np.interp(0.0, xs, ys))) > _TOL:
-            raise PreconditionError("table nonlinearity must vanish at 0")
-    return lambda x: fn(np.asarray(x, dtype=float), params)
+    if name == "table" and not np.all(np.diff(np.asarray(params["x"], float)) > 0):
+        raise PreconditionError("table nonlinearity needs increasing x")
+    g = partial(_PRIMITIVES[name], params)
+    if np.max(np.abs(g(np.zeros(1)))) > _TOL:
+        raise PreconditionError(f"nonlinearity {name!r} must vanish at 0")
+    return g
+
+
+def _pointwise(term) -> None:
+    """Check and keep a pointwise term's delay and square matrix."""
+    if term.delay < 0:
+        raise PreconditionError("delay must be >= 0")
+    m = np.asarray(term.matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{term.type} term matrix must be square")
+    object.__setattr__(term, "matrix", _freeze(m))
+    object.__setattr__(term, "delay", float(term.delay))
 
 
 @dataclass(frozen=True)
@@ -135,16 +143,9 @@ class LinearTerm:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise PreconditionError("delay must be >= 0")
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("linear term matrix must be square")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "delay", float(self.delay))
-        object.__setattr__(self, "at", partial(_apply, m))  # one Python call per value in a stage
+        _pointwise(self)
+        # one Python call per value in a stage
+        object.__setattr__(self, "at", partial(_apply, self.matrix))
 
     @property
     def n(self):
@@ -165,19 +166,8 @@ class NonlinearTerm:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.delay < 0:
-            raise PreconditionError("delay must be >= 0")
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionError("nonlinear term matrix must be square")
-        g = primitive_nonlinearity(self.fn, self.params)
-        if np.max(np.abs(g(np.zeros(m.shape[0])))) > _TOL:
-            raise PreconditionError(f"nonlinearity {self.fn!r} must vanish at 0")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "delay", float(self.delay))
-        object.__setattr__(self, "_g", g)
+        _pointwise(self)
+        object.__setattr__(self, "_g", primitive_nonlinearity(self.fn, self.params))
 
     @property
     def n(self):
@@ -221,12 +211,8 @@ class DistributedTerm:
             raise PreconditionError("kernel grid must be strictly increasing")
         if grid[-1] > _TOL or grid[0] > 0:
             raise PreconditionError("kernel grid must lie in [-Delta, 0]")
-        grid = grid.copy()
-        kernel = kernel.copy()
-        grid.setflags(write=False)
-        kernel.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "kernel", kernel)
+        object.__setattr__(self, "grid", _freeze(grid))
+        object.__setattr__(self, "kernel", _freeze(kernel))
         object.__setattr__(self, "_cache", {})
 
     @property
@@ -305,13 +291,8 @@ class InputTerm:
         if m.ndim != 2:
             raise DimensionError("input term matrix must be n x m")
         object.__setattr__(self, "params", (self.params or {}) if self.fn else None)
-        g = primitive_nonlinearity(self.fn, self.params) if self.fn else None
-        if g is not None and np.max(np.abs(g(np.zeros(m.shape[1])))) > _TOL:
-            raise PreconditionError(f"input nonlinearity {self.fn!r} must vanish at 0")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "_g", g)
+        object.__setattr__(self, "matrix", _freeze(m))
+        object.__setattr__(self, "_g", primitive_nonlinearity(self.fn, self.params) if self.fn else None)
 
     @property
     def n(self):

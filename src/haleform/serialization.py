@@ -138,17 +138,32 @@ def _object(value, where: str) -> dict:
     return value
 
 
-def _require(d: dict, key: str, where: str):
+# what a constructor raises on a value of the wrong type or shape
+_MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
+_REQUIRED = object()
+
+
+def _read_field(d: dict, key: str, where: str, cast: Callable | None = None, default=_REQUIRED):
+    """d[key] through `cast` (int, float or a reader of a list of numbers); `default`
+    where absent, if given, or where null, if None. A missing or malformed value
+    raises `SchemaError` naming `where` and the key."""
     if key not in d:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    return d[key]
+        if default is _REQUIRED:
+            raise SchemaError(f"{where}: missing field {key!r}")
+        return default
+    value = d[key]
+    if cast is None or value is None and default is None:
+        return value
+    try:
+        return cast(value)
+    except _MALFORMED:
+        what = "a number" if cast in (int, float) else "a list of numbers"
+        raise SchemaError(f"{where}: field {key!r} must be {what}, got {value!r}") from None
 
 
 # -- the schema table ---------------------------------------------------------------
 
 _CONTEXT = ("dop", "system")
-# what a constructor raises on a value of the wrong type or shape
-_MALFORMED = (TypeError, ValueError, AttributeError, IndexError, OverflowError)
 
 
 class _Schema:
@@ -183,7 +198,7 @@ class _Family:
 
     def decode(self, d: dict, system: NfdeSystem | None = None):
         d = _object(d, self.what)
-        tag = _require(d, self.tag, self.what) if self.tag else None
+        tag = _read_field(d, self.tag, self.what) if self.tag else None
         schema, label = self._schema_of(tag, "unknown"), self._label(tag)
         if schema.context in schema.required and system is None:
             raise SchemaError(f"{label} needs a system")
@@ -299,23 +314,15 @@ def system_to_dict(system: NfdeSystem) -> dict:
     )
 
 
-def _number(d: dict, key: str, cast, default):
-    value = d.get(key, default)
-    try:
-        return value if value is None else cast(value)
-    except _MALFORMED:
-        raise SchemaError(f"system: field {key!r} must be a number, got {value!r}") from None
-
-
 def system_from_dict(d: dict) -> NfdeSystem:
     d = _object(d, "system")
-    n = _number(d, "n", int, _require(d, "n", "system"))
-    dop = _DOP.decode(_require(d, "dop", "system"))
-    terms = _object(_require(d, "rhs", "system"), "system: rhs").get("terms", [])
+    n = _read_field(d, "n", "system", int)
+    dop = _DOP.decode(_read_field(d, "dop", "system"))
+    terms = _object(_read_field(d, "rhs", "system"), "system: rhs").get("terms", [])
     if not isinstance(terms, list):
         raise SchemaError(f"system: rhs terms must be a list, got {type(terms).__name__}")
-    rhs = RhsMap(n=n, m=_number(d, "m", int, 0), terms=tuple(_TERMS.decode(t) for t in terms))
-    return NfdeSystem(dop, rhs, _number(d, "delta", float, None))
+    rhs = RhsMap(n=n, m=_read_field(d, "m", "system", int, 0), terms=tuple(_TERMS.decode(t) for t in terms))
+    return NfdeSystem(dop, rhs, _read_field(d, "delta", "system", float, None))
 
 
 def report_to_dict(report) -> dict:

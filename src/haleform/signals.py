@@ -3,6 +3,12 @@
 All kinds are piecewise-defined and Lebesgue measurable by construction;
 evaluation at jump points is right-continuous (the integrator aligns its mesh
 with the jumps). The essential sup norm over [0, T) is computable for any T.
+
+A signal is read once, when it is built, into pieces: switching or table
+times and one value row per time, copied and frozen. Zero and constant
+signals are one-piece step signals from t = 0, evaluated, bounded and jumped
+exactly as piecewise-constant ones; a sinusoid's one row is its amplitude.
+`params` is kept as given, since a signal file holds it whole.
 """
 from __future__ import annotations
 
@@ -11,12 +17,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
+from .histories import _freeze
 
 ZERO = "zero"
 CONSTANT = "constant"
 PIECEWISE_CONSTANT = "piecewise-constant"
 SINUSOID = "sinusoid"
 TABLE = "table"
+
+_PIECES = {  # kind -> (times, value rows) of its params
+    ZERO: lambda p: ([0.0], np.zeros((1, int(p["m"])))),
+    CONSTANT: lambda p: ([0.0], np.atleast_1d(p["value"])[None]),
+    PIECEWISE_CONSTANT: lambda p: (p["times"], np.atleast_2d(p["values"])),
+    SINUSOID: lambda p: ([0.0], np.atleast_1d(p["amplitude"])[None]),
+    TABLE: lambda p: (p["times"], np.atleast_2d(p["values"])),
+}
 
 
 @dataclass(frozen=True)
@@ -25,48 +40,36 @@ class InputSignal:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in (ZERO, CONSTANT, PIECEWISE_CONSTANT, SINUSOID, TABLE):
+        if self.kind not in _PIECES:
             raise PreconditionError(f"unknown input kind {self.kind!r}")
+        times, values = _PIECES[self.kind](self.params)
+        values = _freeze(values)
+        # the pieces' norms, then each the sup so far; a constant's is the vector norm
+        # of its value, which norm(axis=1) of its row can miss in the last bit for m >= 2
+        norms = np.linalg.norm(values)[None] if self.kind == CONSTANT else np.linalg.norm(values, axis=1)
+        object.__setattr__(self, "_times", _freeze(times))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_running", _freeze(np.maximum.accumulate(norms)))
+        if self.kind == SINUSOID:
+            wave = float(self.params["omega"]), float(self.params.get("phase", 0.0))
+            object.__setattr__(self, "_wave", wave)
 
     @property
     def m(self) -> int:
-        if self.kind == ZERO:
-            return int(self.params["m"])
-        if self.kind == CONSTANT:
-            return np.atleast_1d(self.params["value"]).shape[0]
-        if self.kind == PIECEWISE_CONSTANT:
-            return np.atleast_2d(self.params["values"]).shape[1]
-        if self.kind == SINUSOID:
-            return np.atleast_1d(self.params["amplitude"]).shape[0]
-        return np.atleast_2d(self.params["values"]).shape[1]
+        return self._values.shape[1]
 
     def eval(self, t, side: str = "+") -> np.ndarray:
         scalar = np.isscalar(t) or np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.kind == ZERO:
-            out = np.zeros((ts.size, self.m))
-        elif self.kind == CONSTANT:
-            out = np.broadcast_to(
-                np.atleast_1d(self.params["value"]), (ts.size, self.m)
-            ).copy()
-        elif self.kind == PIECEWISE_CONSTANT:
-            times = np.asarray(self.params["times"], dtype=float)
-            values = np.atleast_2d(np.asarray(self.params["values"], dtype=float))
-            side_kw = "right" if side == "+" else "left"
-            idx = np.clip(np.searchsorted(times, ts, side=side_kw) - 1, 0, values.shape[0] - 1)
-            out = values[idx]
-        elif self.kind == SINUSOID:
-            amp = np.atleast_1d(self.params["amplitude"])
-            omega = float(self.params["omega"])
-            phase = float(self.params.get("phase", 0.0))
-            out = np.outer(np.sin(omega * ts + phase), amp)
+        if self.kind == SINUSOID:
+            omega, phase = self._wave
+            out = np.outer(np.sin(omega * ts + phase), self._values[0])
+        elif self.kind == TABLE:
+            out = np.stack([np.interp(ts, self._times, column) for column in self._values.T], axis=1)
         else:
-            times = np.asarray(self.params["times"], dtype=float)
-            values = np.atleast_2d(np.asarray(self.params["values"], dtype=float))
-            out = np.stack(
-                [np.interp(ts, times, values[:, j]) for j in range(values.shape[1])],
-                axis=1,
-            )
+            side_kw = "right" if side == "+" else "left"
+            idx = np.clip(np.searchsorted(self._times, ts, side=side_kw) - 1, 0, len(self._values) - 1)
+            out = self._values[idx]
         return out[0] if scalar else out
 
     def __call__(self, t):
@@ -74,23 +77,15 @@ class InputSignal:
 
     def jump_times(self, horizon: float) -> np.ndarray:
         """Times in (0, horizon) where the signal is discontinuous or kinked."""
-        if self.kind == PIECEWISE_CONSTANT or self.kind == TABLE:
-            times = np.asarray(self.params["times"], dtype=float)
-            return times[(times > 0.0) & (times < horizon)]
-        return np.empty(0)
+        times = self._times
+        return times[(times > 0.0) & (times < horizon)]
 
     def sup_norm(self, horizon: float) -> float:
         """Essential sup of |u| over [0, horizon)."""
-        if horizon <= 0.0 or self.kind == ZERO:
+        if horizon <= 0.0:
             return 0.0
-        if self.kind == CONSTANT:
-            return float(np.linalg.norm(np.atleast_1d(self.params["value"])))
-        if self.kind == PIECEWISE_CONSTANT:
-            times = np.asarray(self.params["times"], dtype=float)
-            values = np.atleast_2d(np.asarray(self.params["values"], dtype=float))
-            active = times < horizon
-            active[0] = True
-            return float(np.max(np.linalg.norm(values[active], axis=1)))
+        if self.kind not in (SINUSOID, TABLE):
+            return float(self.cumulative_sup(horizon))
         grid = np.linspace(0.0, horizon, 4097)[:-1]
         extra = self.jump_times(horizon)
         pts = np.sort(np.concatenate([grid, extra])) if extra.size else grid
@@ -99,17 +94,10 @@ class InputSignal:
     def cumulative_sup(self, times: np.ndarray) -> np.ndarray:
         """sup of |u| over [0, t) for each t in `times` (nondecreasing)."""
         times = np.asarray(times, dtype=float)
-        if self.kind == ZERO:
-            return np.zeros_like(times)
-        if self.kind == CONSTANT:
-            c = float(np.linalg.norm(np.atleast_1d(self.params["value"])))
-            return np.where(times > 0.0, c, 0.0)
-        if self.kind == PIECEWISE_CONSTANT:  # a running maximum of the pieces' norms
-            values = np.atleast_2d(np.asarray(self.params["values"], dtype=float))
-            running = np.maximum.accumulate(np.linalg.norm(values, axis=1))
-            active = np.searchsorted(np.asarray(self.params["times"], dtype=float), times)
-            return np.where(times > 0.0, running[np.maximum(active, 1) - 1], 0.0)
-        return np.array([self.sup_norm(t) for t in times])
+        if self.kind in (SINUSOID, TABLE):
+            return np.array([self.sup_norm(t) for t in times])
+        active = np.searchsorted(self._times, times)  # the pieces that start before t
+        return np.where(times > 0.0, self._running[np.maximum(active, 1) - 1], 0.0)
 
     # -- constructors ----------------------------------------------------------
 
@@ -119,12 +107,12 @@ class InputSignal:
 
     @classmethod
     def constant(cls, value) -> "InputSignal":
-        return cls(CONSTANT, {"value": np.atleast_1d(np.asarray(value, float))})
+        return cls(CONSTANT, {"value": np.atleast_1d(np.array(value, float))})
 
     @classmethod
     def piecewise_constant(cls, times, values) -> "InputSignal":
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        times = np.array(times, dtype=float)
+        values = np.atleast_2d(np.array(values, dtype=float))
         if times.ndim != 1 or times.size != values.shape[0]:
             raise DimensionError("need one value row per switching time")
         if times[0] != 0.0 or not np.all(np.diff(times) > 0):
@@ -136,7 +124,7 @@ class InputSignal:
         return cls(
             SINUSOID,
             {
-                "amplitude": np.atleast_1d(np.asarray(amplitude, float)),
+                "amplitude": np.atleast_1d(np.array(amplitude, float)),
                 "omega": float(omega),
                 "phase": float(phase),
             },
@@ -144,8 +132,8 @@ class InputSignal:
 
     @classmethod
     def from_table(cls, times, values) -> "InputSignal":
-        times = np.asarray(times, dtype=float)
-        values = np.atleast_2d(np.asarray(values, dtype=float))
+        times = np.array(times, dtype=float)
+        values = np.atleast_2d(np.array(values, dtype=float))
         if times.size != values.shape[0]:
             raise DimensionError("need one value row per table time")
         if not np.all(np.diff(times) > 0):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, UnsupportedDimensionError
+from .histories import _freeze
 from .operators import DifferenceOperator
 
 STABLE = "stable"
@@ -34,9 +35,7 @@ class StabilityMargin:
     refined: bool
 
     def __post_init__(self):
-        theta = np.asarray(self.argmax_theta, dtype=float).copy()
-        theta.setflags(write=False)
-        object.__setattr__(self, "argmax_theta", theta)
+        object.__setattr__(self, "argmax_theta", _freeze(self.argmax_theta))
         object.__setattr__(self, "gamma0", float(self.gamma0))
 
 

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haleform import certify
+from haleform.integrate import integrate_batch
 from haleform import (
     CertificateConstants,
     ComparisonFunction,
@@ -381,6 +382,24 @@ class TestAttraction:
         )
         assert res.status == "inconclusive"
         assert res.worst is not None
+
+    def test_probes_only_radii_that_can_pass(self, scalar_ode_system):
+        """A shell starts with a constant history at its radius, so a radius above eps
+        fails at t = 0: one batch of samples, then one per radius eps 2^-6 ... eps."""
+        radii = []
+
+        def spy(system, histories, *args, **kwargs):
+            radii.append(max(h.sup_norm() for h in histories))
+            return integrate_batch(system, histories, *args, **kwargs)
+
+        eps = float(np.exp(-2.0))
+        with mock.patch.object(certify, "integrate_batch", spy):
+            res = check_uniform_attraction(
+                scalar_ode_system, 1.0, eps, samples=10, horizon=12.0, step=0.125, seed=5
+            )
+        assert len(radii) == 8
+        assert radii[1:] == pytest.approx([eps * 2.0**k for k in range(-6, 1)], rel=1e-12)
+        assert res.delta_hat == eps / 2.0
 
 
 class TestConverse:

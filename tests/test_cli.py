@@ -553,3 +553,30 @@ def test_non_finite_inline_scenario_entry_writes_an_error_report(workdir, capsys
     assert capsys.readouterr().err.startswith("error: non-finite float")
     report = read_json(workdir / "bad" / "report.json")
     assert "non-finite float" in report["error"] and "scenario_hash" not in report
+
+
+@pytest.mark.parametrize("scenario, error", [
+    ({"command": "check-dop", "system": SYSTEM, "check-dop": {"resolution": "abc"}},
+     "check-dop: field 'resolution' must be a number"),
+    ({"command": "simulate", "system": SYSTEM, "simulate": {"history": HISTORY, "horizon": "ten"}},
+     "simulate: field 'horizon' must be a number"),
+    ({"command": "simulate", "system": SYSTEM, "simulate": {"horizon": 1.0}},
+     "simulate: missing field 'history'"),
+    ({"command": "verify-lk", "system": SYSTEM, "verify": {
+        "functional": {"kind": "dop-norm"}, "constants": "consts.json", "samples": {"per_shell": "three"},
+    }}, "verify.samples: field 'per_shell' must be a number"),
+    ({"command": "fit-lk", "system": SYSTEM, "fit": {"functional": {"kind": "dop-norm"}, "samples": 5}},
+     "fit.samples: expected an object"),
+    ({"command": "estimate-ges", "system": SYSTEM, "ges": {"shells": ["a"]}},
+     "ges: field 'shells' must be a list of numbers"),
+    ({"command": "simulate", "system": SYSTEM, "simulate": [HISTORY]}, "simulate: expected an object"),
+    ({"command": "check-dop"}, "scenario: missing field 'system'"),
+], ids=["resolution-string", "horizon-string", "no-history", "per-shell-string", "samples-number",
+        "shells-strings", "block-list", "no-system"])
+def test_malformed_block_values_are_clean_errors(workdir, capsys, scenario, error):
+    """A block value that cannot be read exits 1 with a report naming the block and the key."""
+    write_json(workdir / "bad.json", scenario)
+    code = main(["run", "--scenario", str(workdir / "bad.json"), "--out", str(workdir / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert read_json(workdir / "bad" / "report.json")["error"].startswith(error)

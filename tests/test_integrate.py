@@ -268,3 +268,7 @@ class TestStepFrames:
     def test_at_most_eight_frames_per_step(self, request, name, horizon, step):
         system = request.getfixturevalue(f"{name}_system")
         assert self.frames_per_step(system, horizon, step) <= 8.0
+
+    def test_cubic_system_at_most_sixteen_frames_per_step(self, cubic_system):
+        """A nonlinear term's primitive is bound to its params: one call per value."""
+        assert self.frames_per_step(cubic_system, 1.5, 1.0 / 32.0) <= 16.0
