@@ -58,6 +58,7 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_VIOLATION = 2
 EXIT_INCONCLUSIVE = 3
+_HEADER = {"schema_version": SCHEMA_VERSION, "tool_version": __version__}  # every report.json starts so
 
 
 def _fmt(x: float) -> str:
@@ -502,26 +503,31 @@ def _block_from_args(command: _Command, args) -> _Block:
     return block
 
 
+def _refuse(exc: HaleformError, out, report: dict) -> int:
+    """Print the error and, where the output directory is known, write it to report.json."""
+    print(f"error: {exc}", file=sys.stderr)
+    if out is not None:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        write_json(Path(out) / "report.json", {**report, "error": str(exc)})
+    return EXIT_ERROR
+
+
 def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int:
     """Execute one scenario dict; write report.json and artifacts; return exit code."""
-    command = scenario.get("command")
-    if command not in _COMMANDS:
-        print(f"error: unknown or missing command {command!r}", file=sys.stderr)
-        return EXIT_ERROR
-    out = Path(out_dir or scenario.get("out", "haleform-out"))
-    out.mkdir(parents=True, exist_ok=True)
-    spec = _COMMANDS[command]
-    effective = dict(scenario)
-    effective.setdefault("seed", 0)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "command": command,
-        "seed": effective["seed"],
-    }
+    report, out = dict(_HEADER), out_dir
     try:
+        effective = _Block("scenario", scenario)  # a copy
+        out = out_dir or effective.get("out")
+        command = effective.get("command")
+        if command not in _COMMANDS:
+            raise HaleformError(f"unknown or missing command {command!r}")
+        out = Path(out or "haleform-out")
+        out.mkdir(parents=True, exist_ok=True)
+        spec = _COMMANDS[command]
+        effective.setdefault("seed", 0)
+        report.update(command=command, seed=effective["seed"])
         block = _Block(spec.block, effective.get(spec.block, {}))
-        for key, value in scenario.get("tolerances", {}).items():
+        for key, value in effective.inner("tolerances").items():
             block.setdefault(key, value)
         block.setdefault("seed", effective["seed"])
         effective[spec.block] = block
@@ -534,12 +540,10 @@ def run_scenario(scenario: dict, base: Path, out_dir: Path | None = None) -> int
                 _setdefault(block, flag.key, flag.default)
         if spec.seed_at:
             _setdefault(block, spec.seed_at, block.value("seed"))
-        system = _resolve(_Block("scenario", effective).value("system"), base, system_from_dict)
+        system = _resolve(effective.value("system"), base, system_from_dict)
         code, result = spec.run(system, block, base, out)
     except HaleformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        write_json(out / "report.json", {**report, "error": str(exc)})
-        return EXIT_ERROR
+        return _refuse(exc, out, report)
     write_json(out / "report.json", {**report, "exit_code": code, "result": result})
     print(f"{command}: exit {code}; report at {out / 'report.json'}")
     return code
@@ -591,21 +595,22 @@ def main(argv=None) -> int:
         for flag in command.flags:
             p.add_argument(*flag.names, **flag.options)
 
+    out = None
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_help()
             return EXIT_ERROR
+        out = args.out
         tolerances = _parse_tol(args.tol)
         if args.command == "run":
             path = Path(args.scenario)
-            scenario = read_json(path)
-            if args.out:
-                scenario["out"] = args.out
+            scenario = _Block("scenario", read_json(path))
+            out = out or scenario.get("out")
             if args.seed is not None:
                 scenario["seed"] = args.seed
-            scenario.setdefault("tolerances", {}).update(tolerances)
-            return run_scenario(scenario, path.parent, scenario.get("out"))
+            scenario["tolerances"] = {**scenario.inner("tolerances"), **tolerances}
+            return run_scenario(scenario, path.parent, out)
         command = _COMMANDS[args.command]
         scenario = {
             "command": args.command,
@@ -616,8 +621,7 @@ def main(argv=None) -> int:
         }
         return run_scenario(scenario, Path.cwd(), args.out)
     except HaleformError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        return _refuse(exc, out, _HEADER)
 
 
 if __name__ == "__main__":

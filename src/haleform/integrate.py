@@ -11,9 +11,10 @@ mesh so derivative jumps stay aligned with step boundaries.
 A batch of histories advances in one step loop whatever their meshes (each
 history's kinks seed its own breakpoints): knot k of every history is row k
 of (longest mesh, B, n) arrays, and a history parks where its mesh ends or
-it blows up. A trajectory is a column of that batch store, read by one
-lookup for x, x' from either side and z; the converse witness reads the z
-panels of a whole batch at once. A step is at most a quarter of the smallest
+it blows up. A trajectory is a column of that batch store, whose rows past
+the knots hold its initial history: `_place` places a read of either (x, x'
+from either side, z) and one `take` gathers it; the converse witness reads
+the z panels of a batch at once. A step is at most a quarter of the smallest
 delay, so the delayed reads of the loop are placed ahead, and a block of
 steps gathers them at once as soon as they touch accepted knots only. The
 stage plan, made once per integration, sorts the rhs terms: block terms
@@ -39,7 +40,7 @@ from .operators import DistributedTerm, InputTerm, NfdeSystem, _apply, dop_apply
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
-_PLAN_READS = 2048  # delayed reads (per mesh) placed at once ahead of the step loop
+_PLAN_READS = 2048  # delayed reads (of all histories) placed at once ahead of the step loop
 _BREAKPOINT_LIMIT = 20000  # lattice points enumerated before a mesh falls back to plain steps
 # a step's evaluations of f: k2, k3 (midpoint), k4 (step end), f at the new knot and, where an
 # input jumps, its left limit; as (block-term values taken: 0 midpoint, 1 end, 2 knot; window stage)
@@ -116,12 +117,14 @@ class _Knots:
         self.times = np.concatenate(meshes)
         self.keys = np.repeat(np.arange(len(meshes)), self.sizes) + 1j * self.times
 
-    def locate(self, rows, ts, last=None):
+    def locate(self, rows, ts, left):
         """(f, theta, length, at_left, at_right) of time ts[k] on row rows[k], f
         being the flat index of the left knot of its interval (the row's first
-        or last interval, or the one at flat index `last`, for times outside it)."""
+        or last interval for times outside it); where `left` is set, a knot
+        time takes the interval on its left."""
         f = np.searchsorted(self.keys, rows + 1j * ts, side="right") - 1
-        f = np.minimum(np.maximum(f, self.starts[rows]), self.last[rows] if last is None else last)
+        f -= left & (self.times[f] == ts) & (f > self.starts[rows])
+        f = np.minimum(np.maximum(f, self.starts[rows]), self.last[rows])
         lo, hi = self.times[f], self.times[f + 1]
         return f, (ts - lo) / (hi - lo), hi - lo, ts == lo, ts == hi
 
@@ -130,84 +133,102 @@ class _BatchStore:
     """Accepted knots of B histories as (longest mesh, B, n) arrays, knot k of
     every history in row k. History b runs on mesh `mesh_of[b]` of the
     distinct `meshes`, which `times` holds padded with their last knots, and
-    holds `counts[b]` of them once it parks. A trajectory is a column of this
-    store, read through `lookup`.
+    holds `counts[b]` of them once it parks. Past the knots, column b holds
+    the nodes of its initial history, whose grid `knots` keys after the
+    meshes. A trajectory is a column of this store, read through `lookup`.
     """
 
-    # per kind of read (x, x' right, x' left, z), the planes of y0, s0, y1, s1 and of a knot time's knot
-    planes = np.array([[0, 1, 0, 2, 0], [0, 1, 0, 2, 1], [0, 1, 0, 2, 2], [3, 4, 3, 5, 3]])
+    # per kind of read (x, x' right, x' left, z, a linear history's x'), the planes of y0, s0, y1,
+    # s1 and of a knot time's knot; below which time it reads the initial history (t <= 0 or t < 0)
+    planes = np.array([[0, 1, 0, 2, 0], [0, 1, 0, 2, 1], [0, 1, 0, 2, 2], [3, 4, 3, 5, 3], [3, 3, 3, 3, 3]])
+    past_below = np.array([np.nextafter(0.0, 1.0), 0.0, np.nextafter(0.0, 1.0), -np.inf])
 
     def __init__(self, histories, meshes, mesh_of):
         self.histories, self.meshes, self.mesh_of = histories, meshes, np.asarray(mesh_of)
-        self.knots = _Knots(meshes)
-        size = int(self.knots.sizes.max())
+        self.knots = _Knots([*meshes, *(xi0.grid for xi0 in histories)])
+        size = max(m.size for m in meshes)
         self.shape = (len(histories), histories[0].n)
         # planes x, x' right, x' left, z, z' right, z' left: one gather reads a cubic
-        self.block = np.full((6, size, *self.shape), np.nan)
-        self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = self.block
+        self.block = np.full((6, size + max(xi0.num_nodes for xi0 in histories), *self.shape), np.nan)
+        accepted = self.block[:, :size]  # the knots; the initial histories' nodes follow them
+        self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = accepted
         self.flat = self.block.reshape(-1, self.shape[1])
-        plane, width = self.x.size // self.shape[1], self.shape[0]
-        self.offsets = self.planes[:, :, None] * plane + [[0], [0], [width], [width], [0]]  # as flat rows
+        # an initial history's nodes: values, slopes in both slope planes (a linear
+        # history's panel differences y1 - y0), and a linear history's slopes in plane 3
+        for b, xi0 in enumerate(histories):
+            past = self.block[:4, size : size + xi0.num_nodes, b]
+            past[0] = xi0.values
+            if xi0.interp == CUBIC:
+                past[1] = past[2] = xi0.slopes
+            else:
+                past[1, :-1] = past[2, :-1] = np.diff(xi0.values, axis=0)
+                past[3, :-1] = past[1, :-1] / np.diff(xi0.grid)[:, None]
+        self.linear = np.array([xi0.interp != CUBIC for xi0 in histories])
         self.times = np.stack([np.pad(m, (0, size - m.size), mode="edge") for m in meshes], axis=1)
         self.counts = np.zeros(len(histories), dtype=int)
 
-    def lookup(self, b: int):
-        """The reader of history b: read(ts, kind) is x ("x"), x' from the right
-        or left ("+", "-") or z ("z") at times ts, one (n,) row each. x and x' at
-        t <= 0 (x' from the right at t < 0) come from the initial history; a knot
-        time returns the knot's row; any other time, the cubic Hermite of its
-        accepted interval, with right slopes at its left end and left slopes at
-        its right. A history of one knot holds its value.
-        """
-        count, mesh = int(self.counts[b]), self.mesh_of[b]
-        start = self.knots.starts[mesh]
-        last, one = start + max(count, 2) - 2, count == 1
-        width = self.shape[0]
-        column = b - start * width  # knot f of `knots` is flat row f * width + column
+    def read(self, cols, ts, kind) -> np.ndarray:
+        """x (kind 0), x' from the right or left (1, 2) or z (3) of history cols[k]
+        at time ts[k], one (n,) row each, placed by `_place`."""
+        rows, coefs, node, _ = _place(self, cols, ts, kind)
+        return _gather(self.flat, rows, coefs[..., None], node[:, None])
 
-        def read(ts: np.ndarray, kind: str) -> np.ndarray:
-            code = "x+-z".index(kind)
-            f, theta, length, at_left, at_right = self.knots.locate(mesh, ts, last)
-            at_right &= not one
-            rows = f * width + column + self.offsets[code]
-            rows[4] += width * at_right
-            basis = (_hermite_deriv_basis if code in (1, 2) else _hermite_basis)(theta)
-            coefs = np.vstack([*basis, length])[..., None]
-            out = _gather(self.flat, rows, coefs, (at_left | at_right | one)[:, None], code in (1, 2) or None)
-            if code < 3:
-                past = ts < 0.0 if code == 1 else ts <= 0.0
-                if past.any():
-                    xi0 = self.histories[b]
-                    out[past] = xi0.eval(ts[past]) if code == 0 else xi0.deriv(ts[past], kind)
-            return out
-
-        return read
+    def lookup(self, b: int, ts: np.ndarray, kind: str) -> np.ndarray:
+        """x ("x"), x' from the right or left ("+", "-") or z ("z") of history b at
+        times ts in [-Delta, t_end] ([0, t_end] for z), one (n,) row each; times
+        within _BP_TOL outside are read at the end."""
+        code = "x+-z".index(kind)
+        t_end = float(self.times[self.counts[b] - 1, self.mesh_of[b]])
+        lo = 0.0 if code == 3 else float(self.knots.times[self.knots.starts[len(self.meshes) + b]]) - _BP_TOL
+        if ts.size and (ts.min() < lo or ts.max() > t_end + _BP_TOL):  # z starts at exactly 0
+            raise PreconditionError(f"{kind} is defined for t >= {lo:g} and t <= {t_end:g} only")
+        return self.read(b, np.minimum(ts, t_end), code)
 
 
-def _place(store: _BatchStore, meshes, ts, kind):
-    """Where reads of kind 0 (x), 1 (x' from the right) or 2 (x' from the left) at
-    times ts on `meshes` sit in history 0's column of the flattened block, read as
-    `_BatchStore.lookup` reads: (rows of y0, s0, y1, s1 and of a knot time's knot,
-    Hermite weights and length, knot reads, initial-history reads, right knots)."""
-    hist = (ts < 0.0) | ((ts == 0.0) & (kind != 1))
-    f, theta, length, at_left, at_right = store.knots.locate(meshes, ts)
-    # initial-history and left-knot reads keep to one knot: their discarded Hermite stays finite
-    k = np.where(hist, 0, f - store.knots.starts[meshes])
-    k1 = np.where(hist | at_left, k, k + 1)
-    theta, length = np.where(hist, 0.0, theta), np.where(hist, 1.0, length)
-    basis = np.where((kind == 1) | (kind == 2), _hermite_deriv_basis(theta), _hermite_basis(theta))
-    planes = store.planes[np.atleast_1d(kind)].T * store.x.shape[0]
-    rows = (np.stack([k, k, k1, k1, np.where(at_right, k1, k)]) + planes) * store.x.shape[1]
-    return rows, np.vstack([*basis, length]), at_left | at_right, hist, k1
+def _place(store: _BatchStore, cols, ts, kind):
+    """Where reads of kind[k] (0 x, 1 x' from the right, 2 x' from the left, 3 z)
+    of history cols[k] at time ts[k] (one kind or history may stand for all) sit
+    in the flat buffer: (rows of y0, s0, y1, s1 and of a knot time's knot,
+    `_weights`, knot reads, last knots touched). A knot time reads its knot,
+    another time the cubic Hermite of its interval, right slopes at its left end
+    and left slopes at its right. x and x' at t <= 0 (x' from the right: t < 0)
+    read the initial history as `HistorySegment` does: clamped to -Delta, a node
+    from the left in the panel on its left, a linear history with length 1 and
+    the weights (1, theta, 0, 0) for x and (0, 1, 0, 0) for x'."""
+    knots, kind = store.knots, np.asarray(kind)
+    past = ts < store.past_below[kind]
+    row = np.where(past, len(store.meshes) + cols, store.mesh_of[cols])
+    ts = np.maximum(ts, knots.times[knots.starts[row]])
+    f, theta, length, at_left, at_right = knots.locate(row, ts, past & (kind == 2))
+    at_left, at_right, lin = at_left & ~past, at_right & ~past, past & store.linear[cols]
+    k = f - knots.starts[row] + store.x.shape[0] * past  # a history's nodes follow its knots
+    k1 = k + ~(at_left | lin)  # a left-knot read keeps to its knot: its discarded Hermite stays finite
+    deriv = (kind == 1) | (kind == 2)
+    planes = store.planes[np.where(lin & deriv, 4, kind)].T * store.block.shape[1]
+    rows = (np.array([k, k, k1, k1, k + at_right]) + planes) * store.shape[0] + cols
+    coefs = _weights(theta, np.where(lin, 1.0, length), deriv)
+    if lin.any():
+        zero = 0.0 * theta
+        coefs[:4, lin] = np.array([zero + ~deriv, np.where(deriv, 1.0, theta), zero, zero])[:, lin]
+    return rows, coefs, at_left | at_right, np.where(past, 0, k1)
 
 
-def _gather(flat, rows, coefs, node, deriv=None) -> np.ndarray:
-    """The reads placed at `rows` with `coefs` (see `_place`), from the flattened
-    block; x' where `deriv` is set."""
+def _weights(theta, length, deriv) -> np.ndarray:
+    """The weights of y0, s0 * length, y1 and s1 * length in `_hermite` at theta
+    (in `_hermite_deriv` where `deriv` is set), the length, and the divisor of
+    their sum: the length for a derivative, else 1."""
+    if deriv.all() or not deriv.any():
+        basis = (_hermite_deriv_basis if deriv.all() else _hermite_basis)(theta)
+    else:
+        basis = np.where(deriv, _hermite_deriv_basis(theta), _hermite_basis(theta))
+    return np.array([*basis, length, np.where(deriv, length, 1.0)])
+
+
+def _gather(flat, rows, coefs, node) -> np.ndarray:
+    """The reads placed at `rows` with `coefs` (see `_place`), from the flat buffer."""
     g = flat.take(rows, axis=0)
     out = _hermite_sum(coefs, coefs[4], g[0], g[2], g[1], g[3])
-    if deriv is not None:
-        np.divide(out, coefs[4], out=out, where=deriv)
+    out /= coefs[5]
     np.copyto(out, g[4], where=node)
     return out
 
@@ -215,56 +236,34 @@ def _gather(flat, rows, coefs, node, deriv=None) -> np.ndarray:
 class _Reads:
     """The delayed reads of a run of steps, placed before them (see `_place`):
     read p at step i is x, or x' from the side sides[p] (None for x), at
-    times[p, i, m] for the histories on mesh m, placed once per mesh so that
-    a block of steps gathers all its reads, for all histories, with one
-    `take`; the initial histories are read here. reach[i] is the last knot
-    that the reads of steps 0..i touch.
+    times[p, i, m] for the histories on mesh m that run at step i, placed once
+    so that a block of steps gathers all its reads, for all histories, with
+    one `take`. reach[i] is the last knot that the reads of steps 0..i touch.
     """
 
-    def __init__(self, store: _BatchStore, running: np.ndarray, times: np.ndarray, sides, seed=None):
-        shape = times.shape
-        plan, steps, meshes = np.nonzero(np.broadcast_to(running, shape))
-        ts = times[plan, steps, meshes]
+    def __init__(self, store: _BatchStore, running: np.ndarray, times: np.ndarray, sides):
+        shape = (times.shape[0], *running.shape)  # (P, steps, B)
+        plan, steps, cols = np.nonzero(np.broadcast_to(running, shape))
         kind = np.array([(None, "+", "-").index(side) for side in sides])
-        self.deriv = kind[:, None, None] > 0
-        kind = kind[plan]
-        rows, coefs, node, hist, k1 = _place(store, meshes, ts, kind)
+        rows, coefs, node, k1 = _place(store, cols, times[plan, steps, store.mesh_of[cols]], kind[plan])
 
-        def dense(values, fill=0):  # (..., steps, P, M)
+        def dense(values, fill=0):  # (..., steps, P, B)
             out = np.full((*values.shape[:-1], shape[1], shape[0], shape[2]), fill, dtype=values.dtype)
-            out[..., steps, plan, meshes] = values
+            out[..., steps, plan, cols] = values
             return out
 
         self.rows = dense(rows)
         self.reach = np.maximum.accumulate(dense(k1).max(axis=(1, 2)))
         self.coefs = dense(coefs, 1.0)[..., None]
-        self.node, self.hist_mask = dense(node)[..., None], dense(hist)[..., None]
+        self.node = dense(node)[..., None]
         self.flat = store.flat
-        # the initial histories, read once per history and kind of read (x,
-        # x' right, x' left), together with the times of that kind in `seed`
-        self.hist = np.zeros((int(steps[hist].max()) + 1 if hist.any() else 0, shape[0], *store.shape))
-        seed = seed or ([], [], [])
-        self.seed = [np.empty((store.shape[0], len(t), store.shape[1])) for t in seed]
-        for code, extra in enumerate(seed):
-            for b, xi0 in enumerate(store.histories):
-                sel = hist & (meshes == store.mesh_of[b]) & (kind == code)
-                at = np.concatenate([ts[sel], extra])
-                if at.size:
-                    values = xi0.eval(at) if code == 0 else xi0.deriv(at, "+-"[code - 1])
-                    self.hist[steps[sel], plan[sel], b] = values[: at.size - len(extra)]
-                    self.seed[code][b] = values[at.size - len(extra) :]
 
     def steps(self, a: int, b: int, run) -> np.ndarray:
         """Every read of steps a..b-1, (b - a, P, running histories, n). run is
         (act, col, live): the running histories' columns, meshes and indices."""
-        act, col, live = run
-        out = _gather(self.flat, self.rows[:, a:b][..., col] + live, self.coefs[:, a:b][..., col, :],
-                      self.node[a:b][..., col, :], self.deriv)
-        hist = self.hist[a:b]  # kept for the steps up to the last that reads an initial history
-        if len(hist):
-            where = self.hist_mask[a : a + len(hist)][..., col, :]
-            np.copyto(out[: len(hist)], hist[:, :, act], where=where)
-        return out
+        act = run[0]
+        return _gather(self.flat, self.rows[:, a:b][..., act], self.coefs[:, a:b][..., act, :],
+                       self.node[a:b][..., act, :])
 
 
 class _Window:
@@ -272,22 +271,22 @@ class _Window:
 
     Row r is history rows[2, r]'s window at stage rows[1, r] (midpoint, step end)
     of step rows[0, r], rows ordered by them, at time s = tips[r] and anchored at
-    a = anchors[r], the last accepted knot: the initial-history grid (`grids`,
-    NaN-padded) and accepted knots in [s - Delta, s], a and s cut the panels of
-    its Gauss nodes s + tau, each read as x at min(s + tau, a). A step gathers its
+    a = anchors[r], the last accepted knot: the initial history's grid points and
+    the accepted knots in [s - Delta, s], a and s cut the panels of its Gauss
+    nodes s + tau, each read as x at min(s + tau, a). A step gathers its
     reads with one `take`; its sliver (a, s] runs linearly from x(a) to the tip,
     and at the new knot (the step end's panels) reads the just-accepted interval,
     placed for the step end's sliver nodes only.
     """
 
-    def __init__(self, store: _BatchStore, term, grids, delta: float, tips, anchors, rows):
-        past, mesh = grids[rows[2]], store.mesh_of[rows[2]]
-        past[~(past >= (tips - delta)[:, None])] = np.nan
-        lo = np.searchsorted(store.knots.keys, mesh + 1j * (tips - delta))
-        hi = np.searchsorted(store.knots.keys, mesh + 1j * anchors, "right")
-        k = lo[:, None] + np.arange((hi - lo).max())  # the accepted knots in the window, NaN-padded
-        knots = np.append(store.knots.times, np.nan)[np.where(k < hi[:, None], k, -1)]
-        panels = np.clip(np.column_stack([past, knots, anchors, tips]) - tips[:, None], -delta, 0.0)
+    def __init__(self, store: _BatchStore, term, delta: float, tips, anchors, rows):
+        # the initial history's grid points in [s - Delta, 0], then the knots in [s - Delta, a]
+        at = np.r_[len(store.meshes) + rows[2], store.mesh_of[rows[2]]]
+        lo = np.searchsorted(store.knots.keys, at + 1j * (np.r_[tips, tips] - delta))
+        hi = np.searchsorted(store.knots.keys, at + 1j * np.r_[0.0 * tips, anchors], "right")
+        k = lo[:, None] + np.arange((hi - lo).max())  # NaN-padded
+        cuts = np.split(np.append(store.knots.times, np.nan)[np.where(k < hi[:, None], k, -1)], 2)
+        panels = np.clip(np.column_stack([*cuts, anchors, tips]) - tips[:, None], -delta, 0.0)
         nodes, self.weights, counts = term._gauss(term._edges(panels))
         self.kmats = term._kernel_at(nodes)
         tip, anchor, owner = (np.repeat(v, counts) for v in (tips, anchors, rows[2]))
@@ -298,12 +297,8 @@ class _Window:
         # the reads, then the step end's sliver nodes' reads at the new knot
         new = sliver & np.repeat(rows[1] == 1, counts)
         times, owner = np.r_[np.minimum(t, anchor), t[new]], np.r_[owner, owner[new]]
-        place, coefs, node, hist, _ = _place(store, store.mesh_of[owner], times, 0)
-        self.rows, self.coefs, self.node = place + owner, coefs[..., None], node[:, None]
-        self.hist, self.hist_mask = np.zeros((times.size, store.shape[1])), hist[:, None]
-        for b in np.unique(owner[hist]).tolist():
-            sel = hist & (owner == b)
-            self.hist[sel] = store.histories[b].eval(times[sel])
+        place, coefs, node, _ = _place(store, owner, times, 0)
+        self.rows, self.coefs, self.node = place, coefs[..., None], node[:, None]
         self.size, self.fresh = t.size, np.empty((self.sliver.size, store.shape[1]))
         # each row's reads and sliver nodes, and its sliver nodes' places among its reads
         starts = np.concatenate([[0], np.cumsum(counts)])
@@ -324,7 +319,6 @@ class _Window:
         (lo, _, _), (_, a, p), (hi, c, q) = self.bounds[2 * j : 2 * j + 3]
         span = slice(self.size + p, self.size + q) if new else slice(lo, hi)
         out = _gather(self.flat, self.rows[:, span], self.coefs[:, span], self.node[span])
-        np.copyto(out, self.hist[span], where=self.hist_mask[span])
         if new:  # the step end's sliver nodes, a..c-1 of them
             self.fresh[a:c] = out
         else:
@@ -375,9 +369,7 @@ class Trajectory:
     def _read(self, t, kind: str):
         """A store lookup at a time (one (n,) value) or at an array of times (one row each)."""
         ts = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        if kind == "z" and (ts < 0.0).any():
-            raise PreconditionError("z is defined for t >= 0 only")
-        out = self._batch.lookup(self._row)(ts, kind)
+        out = self._batch.lookup(self._row, ts, kind)
         return out[0] if np.ndim(t) == 0 else out
 
 
@@ -489,7 +481,8 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     t0, t1 = store.times[:-1], store.times[1:]
     lengths = t1 - t0  # each mesh's step lengths
     mids = t0 + 0.5 * lengths
-    running = np.arange(size - 1)[:, None] < store.knots.sizes - 1
+    ends = store.knots.sizes[store.mesh_of] - 1
+    running = np.arange(size - 1)[:, None] < ends
 
     # the reads of each step: x at the midpoint and at the step end for each
     # offset, then x' from the left and from the right at the step end for
@@ -497,7 +490,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     offsets = sorted({d for d, _ in dop_terms} | set(rhs.positive_delays()))
     specs = [(mids - d, None) for d in offsets] + [(t1 - d, None) for d in offsets]
     specs += [(t1 - d, side) for side in "-+" for d, _ in dop_terms]
-    chunk = max(1, _PLAN_READS // (len(specs) * len(store.meshes)))
+    chunk = max(1, _PLAN_READS // (len(specs) * width))
     cuts = np.cumsum([0, len(offsets), len(offsets), len(dop_terms), len(dop_terms)]).tolist()
     mid_at, end_at, left_at, right_at = (slice(a, b) for a, b in zip(cuts, cuts[1:]))
     dop_at = [offsets.index(d) for d, _ in dop_terms]
@@ -530,10 +523,10 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     def d_terms(values) -> list:  # A_j v_j for each D-term j
         return [_apply(a, v) for (_, a), v in zip(dop_terms, values)]
 
-    def plan_reads(start: int, seed=None) -> _Reads:
+    def plan_reads(start: int) -> _Reads:
         stop = start + chunk
         times = np.stack([t[start:stop] for t, _ in specs])
-        return _Reads(store, running[start:stop], times, [side for _, side in specs], seed)
+        return _Reads(store, running[start:stop], times, [side for _, side in specs])
 
     def block(i: int, stop: int, run) -> tuple:
         """Steps i..stop-1 of the running histories: their stage tips' scales, each D-term at
@@ -557,16 +550,20 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         h = lengths[i:stop, col, None]  # what scales k1, k2, k3 in the stage tips and the RK sum in z
         return np.stack([0.5 * h, 0.5 * h, h, h / 6.0], axis=1), dterms, tails.reshape(2, *shape), terms_at
 
-    reads = plan_reads(0, ([0.0], [-d for d, _ in dop_terms], [0.0]))  # and the seed node's reads
-    x[0], xdl[0] = reads.seed[0][:, 0], reads.seed[2][:, 0]
+    # knot 0: x and x' from the left read the initial histories at 0, and x' from the right
+    # is f plus the D-terms of their slopes from the right at -Delta_j
+    at = np.repeat([0.0, 0.0] + [-d for d, _ in dop_terms], width)
+    kinds = np.repeat([0, 2] + [1] * len(dop_terms), width)
+    seeds = store.read(np.tile(np.arange(width), len(dop_terms) + 2), at, kinds).reshape(-1, width, n)
+    x[0], xdl[0] = seeds[:2]
     for b, xi0 in enumerate(store.histories):
         z[0, b] = dop_apply(system.dop, xi0)
         zdl[0, b] = zdr[0, b] = rhs.eval(xi0, None if u_node is None else u_node[0, b])
-    xdr[0] = zdr[0] + sum(d_terms(reads.seed[1].swapaxes(0, 1)), np.zeros((width, n)))
+    xdr[0] = zdr[0] + sum(d_terms(seeds[2:]), np.zeros((width, n)))
+    reads = plan_reads(0)
 
     bound2 = blowup_bound**2
     zero, two = np.zeros(()), np.array(2.0)  # 0-d: cheaper operands than Python floats, same sums
-    ends = store.knots.sizes[store.mesh_of] - 1
 
     def running_rows(live):
         """(act, col, live): the running histories' columns, meshes and indices."""
@@ -575,16 +572,15 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
 
     # each distributed term's window reads, placed in runs of steps (see `_Window`)
     if dist:
-        grids = np.full((width, max(xi0.grid.size for xi0 in store.histories)), np.nan)
-        for b, xi0 in enumerate(store.histories):
-            grids[b, : xi0.grid.size] = xi0.grid + 0.0
         # a bound on a history's reads at a stage of each step, two per panel: the kernel
         # grid, s and the grid points and knots in [midpoint - Delta, step end] cut them;
         # at the step end, two more per sliver panel, which only the kernel grid cuts
         lo = mids - system.delta
         knots = np.stack([np.searchsorted(m, t1[:, k], "right") - np.searchsorted(m, lo[:, k])
                           for k, m in enumerate(store.meshes)], axis=1)
-        past = (grids >= lo[:, store.mesh_of, None]).sum(axis=2)
+        first = len(store.meshes)  # history b's grid is row first + b of the knots
+        past = (store.knots.starts + store.knots.sizes)[first:] - np.searchsorted(
+            store.knots.keys, np.arange(first, first + width) + 1j * lo[:, store.mesh_of])
         bound = 2 * (past + knots[:, store.mesh_of] + 2 * max(t.grid.size for t in dist))
 
     def plan_windows(start: int, live) -> tuple:
@@ -595,7 +591,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         j, e, b = (a[j < ends[b]] for a in (j, e, b))
         m = store.mesh_of[b]  # the midpoint and the step end, each anchored at the step's start
         tips, rows = np.where(e == 0, mids[j, m], t1[j, m]), np.stack([j - start, e, b])
-        return stop, [_Window(store, t, grids, system.delta, tips, t0[j, m], rows) for t in dist]
+        return stop, [_Window(store, t, system.delta, tips, t0[j, m], rows) for t in dist]
 
     run = act, col, live = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
@@ -686,10 +682,10 @@ def segment(traj: Trajectory, t: float) -> HistorySegment:
     keep = np.r_[True, np.diff(grid) > _BP_TOL * max(1.0, delta)]
     grid = grid[keep]
     grid[-1] = t
-    read = traj._batch.lookup(traj._row)
-    values = read(grid, "x")
-    slopes = np.vstack([read(grid[:-1], "+"), read(grid[-1:], "-")])
-    return HistorySegment(delta, grid - t, values, CUBIC, slopes)
+    # x at the nodes, then x' from the right at all but the last, from the left there
+    kinds = np.repeat([0, 1, 2], [grid.size, grid.size - 1, 1])
+    reads = traj._batch.read(traj._row, np.concatenate([grid, grid]), kinds)
+    return HistorySegment(delta, grid - t, reads[: grid.size], CUBIC, reads[grid.size :])
 
 
 def _breakpoint_gap(traj: Trajectory, ts: np.ndarray) -> np.ndarray:

@@ -93,31 +93,28 @@ def dop_apply(dop: DifferenceOperator, phi) -> np.ndarray:
 
 # -- primitive pointwise nonlinearities ---------------------------------------
 
-def _saturation(params, x):
-    limit = params.get("limit", 1.0)
-    return np.clip(x, -limit, limit)
-
-
-_PRIMITIVES = {  # each takes (params, x) for a float array x
-    "saturation": _saturation,
-    "sine": lambda params, x: np.sin(x),
-    "cubic": lambda params, x: x**3,
-    "table": lambda params, x: np.interp(
-        x, np.asarray(params["x"], float), np.asarray(params["y"], float)
-    ),
+_PRIMITIVES = {  # each takes (its parsed params, x) for a float array x
+    "saturation": lambda limit, x: np.clip(x, -limit, limit),
+    "sine": lambda _, x: np.sin(x),
+    "cubic": lambda _, x: x**3,
+    "table": lambda table, x: np.interp(x, *table),
 }
 
 
 def primitive_nonlinearity(name: str, params: dict):
     """g(x), the primitive bound to its params (one Python call per value),
-    checked to vanish at 0."""
+    checked to vanish at 0. The params are parsed here, once: a table's points
+    are copied, so a later edit of `params` does not reach g."""
     if name not in _PRIMITIVES:
         raise PreconditionError(
             f"unknown primitive nonlinearity {name!r}; known: {sorted(_PRIMITIVES)}"
         )
-    if name == "table" and not np.all(np.diff(np.asarray(params["x"], float)) > 0):
-        raise PreconditionError("table nonlinearity needs increasing x")
-    g = partial(_PRIMITIVES[name], params)
+    parsed = params.get("limit", 1.0) if name == "saturation" else None
+    if name == "table":
+        parsed = (_freeze(params["x"]), _freeze(params["y"]))
+        if not np.all(np.diff(parsed[0]) > 0):
+            raise PreconditionError("table nonlinearity needs increasing x")
+    g = partial(_PRIMITIVES[name], parsed)
     if np.max(np.abs(g(np.zeros(1)))) > _TOL:
         raise PreconditionError(f"nonlinearity {name!r} must vanish at 0")
     return g

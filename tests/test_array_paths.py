@@ -124,7 +124,9 @@ def test_history_deriv_matches_scalar_path_on_both_sides_at_nodes():
 
 def test_store_array_lookups_match_scalar_lookups(request):
     for system in _systems(request):
-        for phi in _histories(system.n, system.delta)[:2]:
+        phis = _histories(system.n, system.delta)
+        kinked = HistorySegment(system.delta, phis[1].grid, phis[1].values, kink_times=[-0.3 * system.delta])
+        for phi in [*phis, kinked]:
             traj = integrate(system, phi, 2.3, step=1.0 / 32.0)
             ts = np.concatenate([
                 traj.times, np.linspace(-system.delta, traj.t_end, 61), [2.0 * traj.t_end / 3.0]

@@ -236,18 +236,20 @@ def test_verification_refuses_an_empty_sample_list():
 
 @pytest.mark.filterwarnings("error")
 def test_one_node_trajectory_lookups_hold_its_value():
-    """Blowup on the first step leaves one knot; no lookup divides by a zero panel."""
+    """Blowup on the first step leaves one knot, so t_end = 0: no lookup divides
+    by a zero panel, and a read past t_end is refused."""
     system, _ = SYSTEMS["neutral"]
     traj = integrate(system, HistorySegment.constant([1.0], 1.0), 2.0, StepPolicy(0.125, blowup_bound=0.5))
-    assert traj.blowup and traj.times.size == 1
-    node = traj.x[0]
-    assert _same(traj.x_at(np.array([-0.5, 0.0])), [[1.0], [1.0]])
-    assert _same(traj.x_at(np.array([0.0, 0.5])), [[1.0], node])
-    assert _same(traj.x_at(0.3), node)
-    assert _same(traj.z_at(np.array([0.0, 0.25])), [traj.z[0], traj.z[0]])
-    assert _same(traj.z_at(0.25), traj.z[0])
+    assert traj.blowup and traj.times.size == 1 and traj.t_end == 0.0
+    assert _same(traj.x[0], [1.0])
+    assert _same(traj.x_at(np.array([-0.5, 0.0, 1e-10])), [[1.0], [1.0], [1.0]])
+    assert _same(traj.z_at(np.array([0.0, 1e-10])), [traj.z[0], traj.z[0]])
+    assert _same(traj.z_at(0.0), traj.z[0])
     for side in ("+", "-"):
-        assert np.all(np.isfinite(traj.xdot_at(np.array([-0.2, 0.0, 0.4]), side)))
+        assert np.all(np.isfinite(traj.xdot_at(np.array([-0.2, 0.0, 1e-10]), side)))
+    for read in (traj.x_at, traj.z_at, traj.xdot_at):
+        with pytest.raises(PreconditionError, match="t <= 0 only"):
+            read(0.3)
 
 
 def test_z_lookups_refuse_negative_times():
@@ -261,6 +263,25 @@ def test_z_lookups_refuse_negative_times():
         with pytest.raises(PreconditionError, match="t >= 0"):
             traj.z_dense(ts)
     assert _same(traj.z_dense(np.array([0.0, 0.5])), traj.z[[0, 4]])
+
+
+def test_lookups_refuse_times_outside_the_trajectory():
+    """x and x' from either side are read on [-Delta, t_end] and z on [0, t_end]:
+    a time outside is refused, at either end, rather than read from the last
+    panel's extrapolation; one within 1e-9 of an end reads the end."""
+    system, _ = SYSTEMS["neutral"]
+    traj = integrate(system, _history(system, 7, 1.0, None), 1.0, step=0.125)
+    assert traj.t_end == 1.0
+    reads = {"x": traj.x_at, "x'+": lambda t: traj.xdot_at(t, "+"), "x'-": lambda t: traj.xdot_at(t, "-"),
+             "z": traj.z_at, "z dense": lambda t: traj.z_dense(np.atleast_1d(t))}
+    for name, read in reads.items():
+        lo = 0.0 if name.startswith("z") else -1.0
+        for t in (lo - 0.5, np.array([lo, 1.5]), np.array([0.5, 1.0 + 1e-6]), 2.0):
+            with pytest.raises(PreconditionError, match="defined for"):
+                read(t)
+        assert _same(read(np.array([1.0 + 1e-10])), read(np.array([1.0])))
+        if lo < 0.0:
+            assert _same(read(np.array([lo - 1e-10])), read(np.array([lo])))
 
 
 @contextlib.contextmanager
@@ -417,8 +438,8 @@ def _count_windows():
     plans, gathers = [], []
     init, gather = integrate_module._Window.__init__, integrate_module._Window.gather
 
-    def spy_init(self, store, term, grids, delta, tips, anchors, rows):
-        init(self, store, term, grids, delta, tips, anchors, rows)
+    def spy_init(self, store, term, delta, tips, anchors, rows):
+        init(self, store, term, delta, tips, anchors, rows)
         reads = np.array([hi - lo for lo, hi, _, _ in self.spans])
         slivers = np.array([c - a for _, _, a, c in self.spans])
         new = self.rows.shape[1] - self.size

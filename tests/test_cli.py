@@ -571,10 +571,13 @@ def test_non_finite_inline_scenario_entry_writes_an_error_report(workdir, capsys
      "ges: field 'shells' must be a list of numbers"),
     ({"command": "simulate", "system": SYSTEM, "simulate": [HISTORY]}, "simulate: expected an object"),
     ({"command": "check-dop"}, "scenario: missing field 'system'"),
+    ([1], "scenario: expected an object, got list"),
+    ({"command": "check-dop", "system": SYSTEM, "tolerances": [1]}, "scenario.tolerances: expected an object"),
 ], ids=["resolution-string", "horizon-string", "no-history", "per-shell-string", "samples-number",
-        "shells-strings", "block-list", "no-system"])
+        "shells-strings", "block-list", "no-system", "scenario-list", "tolerances-list"])
 def test_malformed_block_values_are_clean_errors(workdir, capsys, scenario, error):
-    """A block value that cannot be read exits 1 with a report naming the block and the key."""
+    """A block value, a scenario or its tolerances that cannot be read exits 1
+    with a report naming the block and the key."""
     write_json(workdir / "bad.json", scenario)
     code = main(["run", "--scenario", str(workdir / "bad.json"), "--out", str(workdir / "bad")])
     assert code == 1

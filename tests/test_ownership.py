@@ -62,6 +62,14 @@ CASES = {
                     lambda t: (t.matrix, t.at(np.ones(2)))),
     "nonlinear-term": ((np.array([[-1.0]]),), lambda m: NonlinearTerm(0.0, "cubic", m),
                        lambda t: (t.matrix, t.at(np.full(1, 2.0)))),
+    "nonlinear-table": (
+        (np.array([-1.0, 0.0, 1.0]), np.array([-1.0, 0.0, 1.0])),
+        lambda x, y: NonlinearTerm(0.0, "table", [[1.0]], {"x": x, "y": y}),
+        lambda t: (t.at(np.array([[0.5], [-0.25]])),)),
+    "input-table": (
+        (np.array([-1.0, 0.0, 1.0]), np.array([-2.0, 0.0, 1.0])),
+        lambda x, y: InputTerm([[1.0], [2.0]], "table", {"x": x, "y": y}),
+        lambda t: (t.at(np.array([0.5])), t.at(np.array([-0.75])))),
     "distributed-term": (
         (np.linspace(-1.0, 0.0, 3), np.array([0.1, 0.2, 0.4])), DistributedTerm,
         lambda t: (t.grid, t.kernel)),
