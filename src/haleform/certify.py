@@ -481,8 +481,9 @@ class GesEstimate:
         return self.M * sup_xi0 * np.exp(-self.lam * np.asarray(t))
 
 
-def _envelope_slope(traj: Trajectory, t_lo: float, t_hi: float, windows: int = 8):
-    """Least-squares slope of log |x| window maxima over [t_lo, t_hi]."""
+def _envelope_slope(traj: Trajectory, t_lo: float, t_hi: float):
+    """Least-squares slope of log |x| maxima over 8 windows of [t_lo, t_hi]."""
+    windows = 8
     mask = (traj.times >= t_lo) & (traj.times <= t_hi)
     ts = traj.times[mask]
     mags = np.linalg.norm(traj.x[mask], axis=1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .histories import CUBIC, HistorySegment, _freeze
+from .histories import CUBIC, HistorySegment, _freeze, _gauss
 from .integrate import _breakpoint_gap, segment
 from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, dop_apply, rhs_eval
 
@@ -195,7 +195,8 @@ class EndpointSemiNorm(SemiNorm):
 
 
 class L2SemiNorm(SemiNorm):
-    """||phi||_a = (int |phi|^2 ds)^(1/2); dominated by sqrt(Delta) ||phi||."""
+    """||phi||_a = (int |phi|^2 ds)^(1/2), by the Gauss rule on phi's panels
+    (exact on linear histories); dominated by sqrt(Delta) ||phi||."""
 
     kind = "l2"
 
@@ -203,9 +204,9 @@ class L2SemiNorm(SemiNorm):
         self.delta = float(delta)
 
     def __call__(self, phi):
-        grid = phi.refined_grid(4)
-        vals = np.linalg.norm(phi.eval(grid), axis=1) ** 2
-        return float(np.sqrt(np.trapezoid(vals, grid)))
+        nodes, weights, _ = _gauss(phi.grid[None])
+        vals = phi.eval(nodes)
+        return float(np.sqrt(np.einsum("k,ki,ki->", weights, vals, vals)))
 
     def domination_constant(self):
         return float(np.sqrt(self.delta))

@@ -49,6 +49,21 @@ def _hermite_deriv(theta, length, y0, y1, s0, s1):
     return _hermite_sum(_hermite_deriv_basis(theta), length, y0, y1, s0, s1) / length
 
 
+def _gauss(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-point Gauss-Legendre nodes and weights of the panels between the
+    edges of each row (R, C), increasing and NaN-padded: the one rule of every
+    integral against a history, exact for cubics on each panel. Returns (nodes,
+    weights, counts): row r's panels' left nodes, then their right ones, follow
+    row r - 1's."""
+    a, b = edges[:, :-1], edges[:, 1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    offset = half / np.sqrt(3.0)
+    weights = np.concatenate([half, half], 1)
+    valid = ~np.isnan(weights)  # NaN past the row's last edge
+    return np.concatenate([mid - offset, mid + offset], 1)[valid], weights[valid], valid.sum(axis=1)
+
+
 def fd_slopes(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Node slopes from three-point finite differences, exact for quadratics."""
     n_nodes = grid.shape[0]

@@ -55,15 +55,15 @@ class StepPolicy:
     blowup_bound: float = 1e12
 
 
-def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIMIT, seeds=(0.0,)):
+def propagation_breakpoints(delays, horizon: float, seeds=(0.0,)):
     """Sums seed + nonnegative integer multiples of the delays, up to horizon.
 
     Seeds below zero model derivative kinks inside the initial history; only
     the nonnegative part of their lattice is reported. Returns (breakpoints,
     truncated). Sums closer than 1e-9 are merged, which covers rationally
-    commensurate delays; if the lattice has more than `limit` points below
-    the horizon the enumeration stops and `truncated` is True (callers fall
-    back to the plain mesh, reducing observed order).
+    commensurate delays; if the lattice has more than _BREAKPOINT_LIMIT points
+    below the horizon the enumeration stops and `truncated` is True (callers
+    fall back to the plain mesh, reducing observed order).
     """
     delays = sorted({float(d) for d in delays if d > 0})
     out = []
@@ -81,7 +81,7 @@ def propagation_breakpoints(delays, horizon: float, limit: int = _BREAKPOINT_LIM
             break
         if v >= -_BP_TOL:
             out.append(max(v, 0.0))
-            if len(out) > limit:
+            if len(out) > _BREAKPOINT_LIMIT:
                 truncated = True
                 break
         for d in delays:
@@ -287,8 +287,7 @@ class _Window:
         k = lo[:, None] + np.arange((hi - lo).max())  # NaN-padded
         cuts = np.split(np.append(store.knots.times, np.nan)[np.where(k < hi[:, None], k, -1)], 2)
         panels = np.clip(np.column_stack([*cuts, anchors, tips]) - tips[:, None], -delta, 0.0)
-        nodes, self.weights, counts = term._gauss(term._edges(panels))
-        self.kmats = term._kernel_at(nodes)
+        nodes, self.weights, self.kmats, counts = term._rule(panels)
         tip, anchor, owner = (np.repeat(v, counts) for v in (tips, anchors, rows[2]))
         t = tip + nodes
         sliver = t > anchor
@@ -605,11 +604,9 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                     break
             if i and i % chunk == 0:
                 reads = plan_reads(i)
-            # the steps whose reads touch knots 0..i only, up to the plan's end,
-            # the next park and the plan's budget of reads
+            # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
             ready = i - i % chunk + int(np.searchsorted(reads.reach, i, "right"))
-            budget = max(1, _PLAN_READS // (len(specs) * live.size))
-            start, stop = i, min(ready, int(ends[live].min()), i + budget)
+            start, stop = i, min(ready, int(ends[live].min()))
             tip_scales, dterms, tails, terms_at = block(i, stop, run)
         if dist and i == wstop:
             wstart, (wstop, windows) = i, plan_windows(i, live)

@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, HorizonError, PreconditionError
-from .histories import LINEAR, HistorySegment, _freeze
+from .histories import HistorySegment, _freeze, _gauss
 
 _TOL = 1e-9
 
@@ -181,14 +181,14 @@ class NonlinearTerm:
 class DistributedTerm:
     """Integral term int K(s) phi(s) ds over the kernel's grid span in [-Delta, 0].
 
-    The kernel is sampled on its grid and interpolated linearly between nodes;
-    the integral uses trapezoid panels for linear histories and two-point
-    Gauss-Legendre panels (cubic-exact) for cubic-Hermite histories, on the
-    union of the kernel grid and the history's own panel boundaries. The
-    integrator places its stages' Gauss nodes ahead through `_edges`/`_gauss`;
-    evaluations on histories (a segment's rhs, the integral-quadratic
-    functional, which samples many histories on one grid) keep the
-    quadrature of each grid, a bounded number of them at once.
+    The kernel is sampled on its grid and interpolated linearly between nodes.
+    Every integral against a history uses one rule, `_rule`: two-point
+    Gauss-Legendre (cubic-exact) on the panels that the kernel grid and the
+    history's cut points make, so on a linear history, where K phi is
+    piecewise quadratic, it is exact. The integrator places its stages' Gauss
+    nodes ahead through it; evaluations on histories (a segment's rhs, the
+    integral-quadratic functional, which samples many histories on one grid)
+    keep the quadrature of each grid, a bounded number of them at once.
     """
 
     type = "distributed"
@@ -225,48 +225,28 @@ class DistributedTerm:
         theta = (s - self.grid[idx]) / (self.grid[idx + 1] - self.grid[idx])
         return (1.0 - theta)[:, None, None] * self.kernel[idx] + theta[:, None, None] * self.kernel[idx + 1]
 
-    def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and kernel matrices of the integral over the kernel's span
-        against history `seg`, whose grid points are panel boundaries."""
-        panels, interp = seg.grid, seg.interp
-        key = (panels.tobytes(), interp)
-        if key in self._cache:
-            return self._cache[key]
-        edges = np.union1d(self.grid, panels[(panels >= self.grid[0]) & (panels <= self.grid[-1])])
-        if interp == LINEAR:
-            half = 0.5 * (edges[1:] - edges[:-1])
-            nodes = edges
-            weights = np.zeros_like(edges)
-            weights[:-1] += half
-            weights[1:] += half
-        else:
-            nodes, weights, _ = self._gauss(edges[None])
-        if len(self._cache) >= 64:
-            self._cache.clear()
-        self._cache[key] = (nodes, weights, self._kernel_at(nodes))
-        return self._cache[key]
-
-    def _edges(self, panels: np.ndarray) -> np.ndarray:
-        """Each row of panel boundaries (R, C), NaN-padded, joined with the kernel
-        grid within the kernel's span: increasing distinct edges, NaN-padded."""
+    def _rule(self, panels: np.ndarray) -> tuple:
+        """Nodes, weights, kernel matrices and per-row counts of the integral over
+        the kernel's span against each row of cut points (R, C), NaN-padded: the
+        Gauss rule (`histories._gauss`) on the panels that the kernel grid and the
+        row's cuts within the span make."""
         inside = (panels >= self.grid[0]) & (panels <= self.grid[-1])
         edges = np.concatenate([self.grid[None].repeat(len(panels), 0), np.where(inside, panels, np.nan)], 1)
         edges.sort(axis=1)
         edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan  # one of each edge, NaN last
         edges.sort(axis=1)
-        return edges
+        nodes, weights, counts = _gauss(edges)
+        return nodes, weights, self._kernel_at(nodes), counts
 
-    def _gauss(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Two-point Gauss-Legendre nodes and weights of the panels between the
-        edges of each row (see `_edges`). Returns (nodes, weights, counts): row
-        r's panels' left nodes, then their right ones, follow row r - 1's."""
-        a, b = edges[:, :-1], edges[:, 1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        offset = half / np.sqrt(3.0)
-        weights = np.concatenate([half, half], 1)
-        valid = ~np.isnan(weights)  # NaN past the row's last edge
-        return np.concatenate([mid - offset, mid + offset], 1)[valid], weights[valid], valid.sum(axis=1)
+    def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes, weights and kernel matrices of the integral against history
+        `seg`, whose grid points cut the panels."""
+        key = seg.grid.tobytes()
+        if key not in self._cache:
+            if len(self._cache) >= 64:
+                self._cache.clear()
+            self._cache[key] = self._rule(seg.grid[None])[:3]
+        return self._cache[key]
 
     def eval(self, seg, u):
         nodes, weights, kmats = self._quadrature(seg)

@@ -7,6 +7,7 @@ from haleform import functionals
 from haleform.serialization import functional_from_dict
 from haleform import (
     DifferenceOperator,
+    DistributedTerm,
     DopNormFunctional,
     DopSemiNorm,
     EndpointSemiNorm,
@@ -265,3 +266,24 @@ class TestTrajectoryConsistency:
         d1 = trajectory_consistency(neutral_system, V, traj, grid, 2e-4).max_deviation
         d2 = trajectory_consistency(neutral_system, V, traj, grid, 1e-4).max_deviation
         assert d2 <= 0.7 * d1
+
+
+class TestOneQuadratureRule:
+    """Every integral against a history is the Gauss rule on its panels, so
+    each is exact on the linear history phi(s) = 1 + s against K(s) = 1 + s."""
+
+    phi = HistorySegment(1.0, [-1.0, 0.0], [0.0, 1.0], "linear")
+    kernel = DistributedTerm([-1.0, 0.0], np.array([0.0, 1.0])[:, None, None])
+    system = NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]), RhsMap(n=1, terms=(kernel,)))
+
+    def test_linear_history_integrals_are_exact(self):
+        W = IntegralQuadraticFunctional(self.system.dop, [[0.0]], self.kernel.grid, self.kernel.kernel)
+        assert abs(rhs_eval(self.system.rhs, self.phi)[0] - 1.0 / 3.0) <= 1e-14
+        assert abs(W(self.phi) - 0.25) <= 1e-14
+        assert abs(L2SemiNorm(1.0)(self.phi) - np.sqrt(1.0 / 3.0)) <= 1e-14
+
+    def test_knot_zero_agrees_with_the_later_stages(self):
+        # f at knot 0 and at every later stage by one rule: the run is fourth order,
+        # not first, so a coarse and a fine step agree closely
+        ends = [integrate(self.system, self.phi, 0.25, step=h).x_at(0.25)[0] for h in (1 / 16, 1 / 1024)]
+        assert abs(ends[0] - ends[1]) <= 1e-5

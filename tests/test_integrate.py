@@ -20,7 +20,9 @@ from haleform import (
     sample_history,
     segment,
 )
+from haleform.cli import main
 from haleform.integrate import propagation_breakpoints
+from haleform.serialization import history_to_dict, read_json, system_to_dict, write_json
 
 
 def neutral_exact(t):
@@ -179,6 +181,21 @@ class TestBreakpoints:
         bps, truncated = propagation_breakpoints([1.0, 1.0 + 5e-10], 3.0)
         assert not truncated
         assert np.allclose(bps, [0.0, 1.0, 2.0, 3.0], atol=1e-8)
+
+    def test_truncated_lattice_falls_back_to_the_plain_mesh(self, tmp_path):
+        # delays 1, sqrt 2, sqrt 3 up to 70: more lattice points than the enumeration keeps
+        dop = DifferenceOperator([1.0, np.sqrt(2.0), np.sqrt(3.0)], [[[0.2]], [[0.1]], [[0.1]]])
+        system = NfdeSystem(dop, RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),)))
+        history = HistorySegment.constant([1.0], system.delta)
+        traj = integrate(system, history, 70.0)
+        assert traj.order_reduced
+        assert np.array_equal(traj.times, 70.0 * np.arange(561) / 560)  # step 1/8, no anchors
+        write_json(tmp_path / "sys.json", system_to_dict(system))
+        write_json(tmp_path / "hist.json", history_to_dict(history))
+        out = tmp_path / "out"
+        assert main(["simulate", str(tmp_path / "sys.json"), str(tmp_path / "hist.json"),
+                     "-T", "70", "--out", str(out)]) == 0
+        assert read_json(out / "report.json")["result"]["order_reduced"] is True
 
     def test_mesh_hits_breakpoints_exactly(self, neutral_system, unit_history):
         traj = integrate(neutral_system, unit_history, 3.0, step=0.07)
