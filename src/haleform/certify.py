@@ -35,7 +35,7 @@ from .signals import ZERO, InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
 _SLACK = 1e-9
-_MAX_COUNTEREXAMPLES = 10  # kept per verification report, and per failed fit
+_MAX_COUNTEREXAMPLES = 10  # kept per condition of a verification report, and per failed fit
 _DOP_NORM_FLOOR = 1e-8  # samples with a scale below it carry no ratio into a fit
 _SLOPE_CAP = 1e6  # the largest linear ISS gain before a power law is fitted
 _DEGREE_TOL = 1e-13  # scaled coefficients below it are dropped from a panel's critical-point polynomial
@@ -223,40 +223,26 @@ class CertificateReport:
         raise KeyError(name)
 
 
-class _Check:
-    """One inequality lhs <= rhs with an optional +/- band on the lhs."""
-
-    def __init__(self, report: CertificateReport, name: str):
-        self.stats = ConditionStats(name)
-        report.conditions.append(self.stats)
-        self.report = report
-
-    def record(self, phi: HistorySegment, lhs: float, rhs: float, band: float = 0.0):
-        self.stats.checked += 1
-        self.stats.worst_margin = max(self.stats.worst_margin, lhs - rhs - band)
-        if _exceeds(lhs, rhs, band):
-            self.stats.violations += 1
-            if len(self.report.counterexamples) < _MAX_COUNTEREXAMPLES:
-                self.report.counterexamples.append(
-                    Counterexample(self.stats.name, phi, {"lhs": lhs, "rhs": rhs, "band": band})
-                )
-            return "violation"
-        if _exceeds(lhs, rhs, -band):
-            self.stats.inconclusive += 1
-            return "inconclusive"
-        return "pass"
-
-
 def _check_rows(constants: CertificateConstants, rows: list[_Row]) -> CertificateReport:
-    """Every condition of the constants' variant on every row, in sample order."""
+    """Every condition of the constants' variant on every row, in sample order,
+    keeping up to _MAX_COUNTEREXAMPLES violations of each condition."""
     if not rows:
         raise PreconditionError("verification needs at least one sample")
     report = CertificateReport(samples_checked=len(rows))
     conditions = _CONDITIONS[constants.variant]
-    checks = [_Check(report, condition[0]) for condition in conditions]
+    report.conditions = [ConditionStats(condition[0]) for condition in conditions]
     for row in rows:
-        for check, condition in zip(checks, conditions):
-            check.record(row.phi, *_sides(condition, row, constants))
+        for stats, condition in zip(report.conditions, conditions):
+            lhs, rhs, band = _sides(condition, row, constants)
+            stats.checked += 1
+            stats.worst_margin = max(stats.worst_margin, lhs - rhs - band)
+            if _exceeds(lhs, rhs, band):
+                stats.violations += 1
+                if stats.violations <= _MAX_COUNTEREXAMPLES:
+                    details = {"lhs": lhs, "rhs": rhs, "band": band}
+                    report.counterexamples.append(Counterexample(stats.name, row.phi, details))
+            elif _exceeds(lhs, rhs, -band):
+                stats.inconclusive += 1
         report.margins.append(row.margins())
     return report
 

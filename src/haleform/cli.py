@@ -120,10 +120,12 @@ def _step_policy(block: _Block) -> StepPolicy:
 
 
 def _write_counterexamples(report, out_dir: Path) -> list[str]:
+    """Each counterexample as its history's file with the violated condition,
+    its lhs, rhs and band (and a fit's V) beside the history's keys."""
     files = []
     for i, ce in enumerate(report.counterexamples):
         name = f"counterexample_{i:03d}.json"
-        write_json(out_dir / name, history_to_dict(ce.history))
+        write_json(out_dir / name, {**history_to_dict(ce.history), "condition": ce.condition, **ce.details})
         files.append(name)
     return files
 

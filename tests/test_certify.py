@@ -119,6 +119,17 @@ class TestVerifyGes:
         for ce in report.counterexamples:
             assert reverify_counterexample(neutral_system, V, constants, ce, LADDER)
 
+    def test_counterexamples_are_kept_per_condition(self, neutral_system):
+        # 12 lower-bound violations come first in sample order, then 3 upper-bound and 1 decay
+        V = QuadraticDopFunctional(neutral_system.dop, [[1.0]])
+        constants = CertificateConstants("ges", a1=0.9, a2=1.6, a3=0.2)
+        samples = sample_shells(1, 1.0, 6, seed=0)
+        report = verify_ges_conditions(neutral_system, V, constants, samples, LADDER)
+        for stats in report.conditions:
+            kept = [ce for ce in report.counterexamples if ce.condition == stats.name]
+            assert len(kept) == min(stats.violations, certify._MAX_COUNTEREXAMPLES), stats.name
+        assert all(report.stats(name).violations for name in ("lower-bound", "upper-bound", "derivative"))
+
 
 class TestVerifySeminorm:
     def test_dop_seminorm_stable_case(self, scalar_ode_system):

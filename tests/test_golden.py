@@ -46,7 +46,7 @@ from haleform import (
     trajectory_grid,
 )
 from haleform.cli import main, run_scenario
-from haleform.serialization import history_to_dict, system_to_dict, write_json
+from haleform.serialization import history_to_dict, read_json, system_to_dict, write_json
 
 FIXTURE = Path(__file__).parent / "data" / "golden.npz"
 
@@ -86,7 +86,7 @@ def _systems() -> dict[str, tuple[NfdeSystem, InputSignal | None]]:
     }
 
 
-def _cli_reports(out: Path) -> dict[str, str]:
+def _cli_scenarios() -> dict[str, dict]:
     neutral, _ = _systems()["neutral"]
     planar, _ = _systems()["planar"]
     unstable = NfdeSystem(
@@ -98,7 +98,7 @@ def _cli_reports(out: Path) -> dict[str, str]:
     dop_seminorm = {"kind": "dop-seminorm"}
     samples = {"per_shell": 3, "shells": [0.1, 1.0], "seed": 4}
     linear = lambda c: {"kind": "Kinf", "form": "linear", "params": {"c": c}}
-    scenarios = {
+    return {
         "simulate": {
             "command": "simulate", "system": system_to_dict(planar),
             "simulate": {"history": hist, "horizon": 2.0, "step": 0.02, "residual_samples": 8},
@@ -159,8 +159,11 @@ def _cli_reports(out: Path) -> dict[str, str]:
             "fit": {"functional": dop_norm, "variant": "ges", "samples": samples, "ladder_levels": 5},
         },
     }
+
+
+def _cli_reports(out: Path) -> dict[str, str]:
     digests = {}
-    for name, scn in scenarios.items():
+    for name, scn in _cli_scenarios().items():
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             run_scenario(scn, out, out / name)
         for artifact in sorted((out / name).iterdir()):
@@ -306,6 +309,17 @@ def test_cli_artifacts_bitwise_equal_to_fixture(fixture):
     got = golden_digests()
     want = {k: str(v) for k, v in fixture.items() if k.startswith("cli/")}
     assert got == want
+
+
+def test_every_violated_condition_keeps_a_counterexample(tmp_path):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run_scenario(_cli_scenarios()["verify_seminorm"], tmp_path, tmp_path / "out")
+    result = read_json(tmp_path / "out" / "report.json")["result"]
+    violated = {c["name"] for c in result["conditions"] if c["violations"]}
+    kept = [read_json(tmp_path / "out" / name) for name in result["counterexample_files"]]
+    assert len(violated) == 4
+    assert {ce["condition"] for ce in kept} == violated
+    assert all({"lhs", "rhs", "band"} <= set(ce) for ce in kept)
 
 
 if __name__ == "__main__":
