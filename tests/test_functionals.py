@@ -1,7 +1,9 @@
+import hashlib
 from unittest import mock
 
 import numpy as np
 import pytest
+from test_golden import _systems
 
 from haleform import functionals
 from haleform.serialization import functional_from_dict
@@ -34,6 +36,7 @@ from haleform import (
     trajectory_consistency,
     trajectory_grid,
 )
+from haleform.histories import LINEAR
 
 
 class TestPhiHExtend:
@@ -94,6 +97,46 @@ class TestPhiHExtend:
         for a, b in zip(sups, sups[1:]):
             assert b <= 0.7 * a + 1e-12
         assert sups[-1] <= 0.2
+
+
+def _rung_histories(system):
+    """A smooth cubic history, a kinked cubic one and a kinked linear one."""
+    delta, n = system.delta, system.n
+    grid = np.linspace(-delta, 0.0, 9)
+    values = np.cos(3.0 * grid[:, None] + np.arange(n)) + np.abs(grid[:, None] + 0.4 * delta)
+    kinks = [-0.4 * delta]
+    return [
+        sample_history(n, delta, 1.0, 3, seed=7),
+        HistorySegment(delta, np.union1d(grid, kinks), np.cos(np.union1d(grid, kinks))[:, None]
+                       * np.ones(n), kink_times=kinks),
+        HistorySegment(delta, grid, values, LINEAR, kink_times=kinks),
+    ]
+
+
+class TestLadderRungs:
+    # sha256 of every rung's grid, values, slopes and kinks over the cases of
+    # `_rung_digest`, as the rung-at-a-time construction computed them
+    DIGEST = "53154a1e01ad55ab89ec0731b9dc211791dce8ea1ced1a24b31a247d74c3eb62"
+
+    @staticmethod
+    def _rung_digest() -> str:
+        digest = hashlib.sha256()
+        for name, (system, signal) in _systems().items():
+            u = None if signal is None else signal.eval(0.3)
+            for phi in _rung_histories(system):
+                for levels in (3, 5, 8, 12, 14):
+                    hs = LadderSpec(levels=levels).steps(system.dop.min_delay)
+                    for rung in functionals._extensions(system, phi, hs, u):
+                        slopes = b"linear" if rung.slopes is None else rung.slopes.tobytes()
+                        for part in (rung.grid.tobytes(), rung.values.tobytes(), slopes,
+                                     rung.kink_times.tobytes()):
+                            digest.update(part)
+        return digest.hexdigest()
+
+    def test_rungs_are_bitwise_pinned(self):
+        """Every rung of the golden systems (the input system under a value
+        u), from cubic and linear histories, kinked and not, at five depths."""
+        assert self._rung_digest() == self.DIGEST
 
 
 class TestDriverDerivative:
