@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
-"""Per-step cost of `integrate` (ROADMAP layer L2) on the five golden systems.
+"""Per-step cost of `integrate` (ROADMAP layer L2) and cost of a derivative
+ladder (layer L3) on the five golden systems.
 
-Each system integrates 30 random histories, seeded 0..29, one at a time,
+L2: each system integrates 30 random histories, seeded 0..29, one at a time,
 after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system. Timings depend on the machine; compare runs made on one.
+cubic system.
+
+L3: on the same histories, the median wall time of a levels-14
+`driver_derivative` of V(phi) = |D phi|^2 (the bench's `dplus_quadratic`
+query), and the share of it spent building the 15 rungs phi_h
+(`functionals._extensions`), the ratio of the two medians.
+
+Timings depend on the machine; compare runs made on one.
 
     PYTHONPATH=src python scripts/step_cost.py
 """
@@ -17,13 +25,19 @@ import numpy as np
 from haleform import (
     DifferenceOperator,
     DistributedTerm,
+    LadderSpec,
     LinearTerm,
     NfdeSystem,
     NonlinearTerm,
+    QuadraticDopFunctional,
     RhsMap,
+    driver_derivative,
     integrate,
     sample_history,
 )
+from haleform.functionals import _extensions
+
+REPEATS = 5  # L3 calls timed together per history
 
 
 def systems():
@@ -57,9 +71,13 @@ def systems():
     }
 
 
+def _histories(system):
+    return [sample_history(system.n, system.delta, 1.0, 1 + k % 4, k) for k in range(30)]
+
+
 def step_cost(system, horizon: float, step: float) -> float:
     """Median microseconds per step over 30 seeded histories."""
-    phis = [sample_history(system.n, system.delta, 1.0, 1 + k % 4, k) for k in range(30)]
+    phis = _histories(system)
     integrate(system, phis[0], horizon, step=step)
     costs = []
     for phi in phis:
@@ -69,10 +87,37 @@ def step_cost(system, horizon: float, step: float) -> float:
     return 1e6 * float(np.median(costs))
 
 
+def _median_call_s(call, phis) -> float:
+    """Median over phis of the mean wall time of REPEATS calls, in seconds."""
+    call(phis[0])
+    costs = []
+    for phi in phis:
+        start = time.perf_counter()
+        for _ in range(REPEATS):
+            call(phi)
+        costs.append((time.perf_counter() - start) / REPEATS)
+    return float(np.median(costs))
+
+
+def ladder_cost(system) -> tuple[float, float]:
+    """Median milliseconds of a levels-14 quadratic D+V query over 30 seeded
+    histories, and the share of it spent building the rungs."""
+    ladder = LadderSpec(levels=14)
+    V = QuadraticDopFunctional(system.dop, np.eye(system.n))
+    hs = ladder.steps(system.dop.min_delay)
+    phis = _histories(system)
+    query = _median_call_s(lambda phi: driver_derivative(system, V, phi, ladder=ladder), phis)
+    rungs = _median_call_s(lambda phi: _extensions(system, phi, hs, None), phis)
+    return 1e3 * query, rungs / query
+
+
 def main() -> int:
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
-        print(f"{name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")
+        print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")
+    for name, (system, _, _) in systems().items():
+        query, share = ladder_cost(system)
+        print(f"L3 {name:<12} {query:8.2f} ms/query, rungs {100 * share:4.1f}%  (levels 14, |D phi|^2)")
     return 0
 
 

@@ -195,8 +195,9 @@ class EndpointSemiNorm(SemiNorm):
 
 
 class L2SemiNorm(SemiNorm):
-    """||phi||_a = (int |phi|^2 ds)^(1/2), by the Gauss rule on phi's panels
-    (exact on linear histories); dominated by sqrt(Delta) ||phi||."""
+    """||phi||_a = (int_{-delta}^0 |phi|^2 ds)^(1/2), over phi's whole horizon
+    if shorter, by the Gauss rule on phi's panels (exact on linear histories);
+    dominated by sqrt(delta) ||phi||."""
 
     kind = "l2"
 
@@ -204,7 +205,8 @@ class L2SemiNorm(SemiNorm):
         self.delta = float(delta)
 
     def __call__(self, phi):
-        nodes, weights, _ = _gauss(phi.grid[None])
+        lo = -min(self.delta, phi.delta)
+        nodes, weights, _ = _gauss(np.r_[lo, phi.grid[phi.grid > lo]][None])
         vals = phi.eval(nodes)
         return float(np.sqrt(np.einsum("k,ki,ki->", weights, vals, vals)))
 
@@ -244,59 +246,68 @@ def phi_h_extend(system: NfdeSystem, phi: HistorySegment, h: float, u=None) -> H
 
 
 def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
-    """`phi_h_extend` at every step of hs; D phi and f(phi, u) are computed once."""
+    """`phi_h_extend` at every step of hs, in one pass: each rung's candidate
+    nodes are a row of one array (NaN where a rung drops one), sorted and
+    thinned row by row, and phi is read once for the values and once for the
+    slopes at the points of every rung. D phi and f(phi, u) are computed once."""
     delta = phi.delta
-    dmin = system.dop.min_delay
+    dop = system.dop
+    dmin = dop.min_delay
+    hs = np.asarray(hs, dtype=float)
     for h in hs:
         if not 0.0 < h < dmin:
             raise PreconditionError(f"h must lie in (0, {dmin}), got {h}")
     if abs(delta - system.delta) > _TOL * max(1.0, delta):
         raise PreconditionError("history horizon disagrees with system horizon")
-    dphi = dop_apply(system.dop, phi)
+    dphi = dop_apply(dop, phi)
     fval = rhs_eval(system.rhs, phi, u)
-    return [_extend(system, phi, float(h), dphi, fval) for h in hs]
-
-
-def _extend(system, phi, h, dphi, fval):
-    delta = phi.delta
-    dop = system.dop
+    h = hs[:, None]
     shifted = phi.grid - h
-    back = (phi.grid[None, :] + dop.delays[:, None] - h).ravel()
-    grid = np.unique(np.concatenate([
-        [-delta, -h],
-        shifted[(shifted > -delta) & (shifted < -h)],
-        -dop.delays,
-        [-float(d) for d in system.rhs.positive_delays() if d >= h],
-        back[(back > -h) & (back < 0.0)],
-        [-h + 1e-3 * h],
+    back = (phi.grid[None, :] + dop.delays[:, None]).ravel() - h
+    rhs_delays = np.array(system.rhs.positive_delays(), dtype=float)
+    rows = np.sort(np.concatenate([
+        np.full_like(h, -delta),
+        -h,
+        np.where((shifted > -delta) & (shifted < -h), shifted, np.nan),
+        np.broadcast_to(-dop.delays, (hs.size, dop.delays.size)),
+        np.where(rhs_delays >= h, -rhs_delays, np.nan),
+        np.where((back > -h) & (back < 0.0), back, np.nan),
+        -h + 1e-3 * h,
         -h + np.arange(1, _EXTRA_NODES + 1) * h / (_EXTRA_NODES + 1),
-        [0.0],
-    ]))
-    keep = np.r_[True, np.diff(grid) > 1e-14 * max(1.0, delta)]
-    grid = grid[keep]
-    grid[0], grid[-1] = -delta, 0.0
+        np.zeros_like(h),
+    ], axis=1), axis=1)
+    # after a sort with repeats this keeps what np.unique and then this rule keep
+    keep = np.diff(rows, axis=1, prepend=-np.inf) > 1e-14 * max(1.0, delta)
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    grid = rows[keep]
+    grid[starts], grid[ends - 1] = -delta, 0.0
 
-    left = grid <= -h
-    s_left = grid[left] + h
-    s_right = grid[~left] + h
-    backs = [s_right - d for d in dop.delays]
-    values = np.empty((grid.size, phi.n))
-    values[left] = phi.eval(s_left)
-    acc = dphi[None, :] + np.outer(s_right, fval)
-    for b, a in zip(backs, dop.matrices):
-        acc += phi.eval(b) @ a.T
-    values[~left] = acc
-    kinks = np.concatenate([[-h], np.asarray(phi.kink_times) - h])
-    if phi.interp != CUBIC:
-        return HistorySegment(delta, grid, values, phi.interp, kink_times=kinks)
-    slopes = np.empty_like(values)
+    hh = np.repeat(hs, counts)
+    left = grid <= -hh
+    s_right = grid[~left] + hh[~left]
+    points = np.concatenate([grid[left] + hh[left]] + [s_right - d for d in dop.delays])
+    cuts = left.sum() + s_right.size * np.arange(dop.delays.size + 1)
+
+    def rungs(reads, acc):
+        """Per rung: phi read at the shifted nodes, then the sliver's sum."""
+        out = np.empty((grid.size, phi.n))
+        out[left] = reads[: cuts[0]]
+        for j, a in enumerate(dop.matrices):
+            acc += reads[cuts[j] : cuts[j + 1]] @ a.T
+        out[~left] = acc
+        return [out[i:j] for i, j in zip(starts, ends)]
+
+    values = rungs(phi.eval(points), dphi[None, :] + np.outer(s_right, fval))
     # the junction -h maps to s = 0, where both sides of phi' agree
-    slopes[left] = phi.deriv(s_left, "+")
-    acc = np.broadcast_to(fval, (s_right.size, phi.n)).copy()
-    for b, a in zip(backs, dop.matrices):
-        acc += phi.deriv(b) @ a.T
-    slopes[~left] = acc
-    return HistorySegment(delta, grid, values, CUBIC, slopes, kink_times=kinks)
+    slopes = (rungs(phi.deriv(points, "+"), np.broadcast_to(fval, (s_right.size, phi.n)).copy())
+              if phi.interp == CUBIC else [None] * hs.size)
+    kinks = np.concatenate([phi.kink_times - h, -h], axis=1)  # increasing, as phi's are
+    return [
+        HistorySegment(delta, grid[i:j], values[k], phi.interp, slopes[k], kink_times=kinks[k])
+        for k, (i, j) in enumerate(zip(starts, ends))
+    ]
 
 
 @dataclass(frozen=True)

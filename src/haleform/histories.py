@@ -124,7 +124,7 @@ class HistorySegment:
             )
         if grid.shape[0] < 2:
             raise PreconditionError("grid needs at least the two endpoints")
-        if not np.all(np.diff(grid) > 0):
+        if not (grid[1:] > grid[:-1]).all():
             raise PreconditionError("grid must be strictly increasing")
         tol = _DOMAIN_TOL * max(1.0, delta)
         if abs(grid[0] + delta) > tol or abs(grid[-1]) > tol:
@@ -133,7 +133,7 @@ class HistorySegment:
             )
         grid[0] = -delta
         grid[-1] = 0.0
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise PreconditionError("history values must be finite")
         if self.interp not in (LINEAR, CUBIC):
             raise PreconditionError(f"unknown interpolation kind {self.interp!r}")
@@ -146,8 +146,10 @@ class HistorySegment:
         object.__setattr__(self, "slopes", slopes)
         kinks = np.empty(0)
         if self.kink_times is not None:
-            kinks = np.unique(np.asarray(self.kink_times, dtype=float))
-            kinks = kinks[(kinks >= -delta) & (kinks <= 0.0)]
+            kinks = np.asarray(self.kink_times, dtype=float).ravel()
+            if not (kinks[1:] > kinks[:-1]).all():  # else np.unique returns them as they are
+                kinks = np.unique(kinks)
+            kinks = kinks[np.searchsorted(kinks, -delta) : np.searchsorted(kinks, 0.0, "right")]
         object.__setattr__(self, "kink_times", _freeze(kinks))
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "grid", _freeze(grid))

@@ -138,6 +138,23 @@ class TestLadderRungs:
         u), from cubic and linear histories, kinked and not, at five depths."""
         assert self._rung_digest() == self.DIGEST
 
+    def test_rungs_read_phi_once_per_kind(self, planar_system):
+        """A levels-14 query's 15 rungs read phi through one value call and one
+        slope call together; D phi and f(phi), computed once each and read
+        here from mocks, make their own reads."""
+        phi = sample_history(2, 0.7, 1.0, 3, seed=4)
+        hs = LadderSpec(levels=14).steps(planar_system.dop.min_delay)
+        dphi, fval = dop_apply(planar_system.dop, phi), rhs_eval(planar_system.rhs, phi)
+        with mock.patch.object(functionals, "dop_apply", return_value=dphi) as dop_calls, \
+                mock.patch.object(functionals, "rhs_eval", return_value=fval) as rhs_calls, \
+                mock.patch.object(HistorySegment, "_interpolate", autospec=True,
+                                  side_effect=HistorySegment._interpolate) as reads:
+            rungs = functionals._extensions(planar_system, phi, hs, None)
+        assert len(rungs) == 15
+        assert (dop_calls.call_count, rhs_calls.call_count) == (1, 1)
+        sides = [c.args[2] for c in reads.call_args_list if c.args[0] is phi]
+        assert sorted(sides, key=str) == ["+", None]
+
 
 class TestDriverDerivative:
     def test_quadratic_chain_rule_hand_case(self, neutral_system, unit_history):
@@ -277,6 +294,16 @@ class TestSemiNorms:
         assert sn(ab) <= sn(a) + sn(b) + 1e-12
         scaled = HistorySegment(1.0, a.grid, -2.5 * a.values, a.interp, -2.5 * a.slopes)
         assert sn(scaled) == pytest.approx(2.5 * sn(a), rel=1e-12)
+
+    def test_l2_integrates_over_its_own_delta(self):
+        """On a history longer than delta only [-delta, 0] counts, so the
+        domination bound sqrt(delta) sup|phi| holds (and is attained by 1)."""
+        phi = HistorySegment.constant([1.0], 1.0)
+        sn = L2SemiNorm(0.5)
+        assert sn(phi) == pytest.approx(np.sqrt(0.5), rel=1e-14)
+        assert sn(phi) <= sn.domination_constant() * phi.sup_norm() * (1 + 1e-14)
+        wide = sample_history(1, 1.0, 1.0, 3, seed=9)
+        assert L2SemiNorm(2.0)(wide) == L2SemiNorm(1.0)(wide)
 
     def test_endpoint_attains_domination(self):
         phi = HistorySegment.constant([3.0], 1.0)

@@ -129,3 +129,15 @@ def test_sample_history_contract(roughness, seed, bound):
     assert seg.grid[0] == -1.0 and seg.grid[-1] == 0.0
     assert np.all(np.isfinite(seg.values))
     assert seg.sup_norm(10) <= bound + 1e-9 * bound
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, np.nan, -np.inf])
+                | st.floats(-1.5, 0.5), max_size=6))
+def test_kink_times_are_the_sorted_distinct_ones_in_the_horizon(kinks):
+    """Whatever their order, repeats, NaNs or range, the stored kinks are
+    np.unique's, cut to [-delta, 0]."""
+    seg = HistorySegment(1.0, [-1.0, 0.0], [[0.0], [1.0]], kink_times=kinks)
+    expect = np.unique(np.asarray(kinks, dtype=float))
+    expect = expect[(expect >= -1.0) & (expect <= 0.0)]
+    assert seg.kink_times.tobytes() == expect.tobytes()
