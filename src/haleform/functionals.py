@@ -263,7 +263,8 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
     fval = rhs_eval(system.rhs, phi, u)
     h = hs[:, None]
     shifted = phi.grid - h
-    back = (phi.grid[None, :] + dop.delays[:, None]).ravel() - h
+    back = (phi.grid[None, :] + dop.delays[:, None]).ravel()
+    back = back[(back > 0.0) & (back < hs.max())] - h  # the nodes some rung puts in (-h, 0)
     rhs_delays = np.array(system.rhs.positive_delays(), dtype=float)
     rows = np.sort(np.concatenate([
         np.full_like(h, -delta),
@@ -276,7 +277,7 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
         -h + np.arange(1, _EXTRA_NODES + 1) * h / (_EXTRA_NODES + 1),
         np.zeros_like(h),
     ], axis=1), axis=1)
-    # after a sort with repeats this keeps what np.unique and then this rule keep
+    # on sorted rows with repeats this rule keeps what it keeps after np.unique; NaN fails it
     keep = np.diff(rows, axis=1, prepend=-np.inf) > 1e-14 * max(1.0, delta)
     counts = keep.sum(axis=1)
     ends = np.cumsum(counts)
