@@ -261,7 +261,7 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
         raise PreconditionError("history horizon disagrees with system horizon")
     dphi = dop_apply(dop, phi)
     fval = rhs_eval(system.rhs, phi, u)
-    h = hs[:, None]
+    h = hs[:, None]  # one row per rung
     shifted = phi.grid - h
     back = (phi.grid[None, :] + dop.delays[:, None]).ravel()
     back = back[(back > 0.0) & (back < hs.max())] - h  # the nodes some rung puts in (-h, 0)

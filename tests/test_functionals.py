@@ -121,7 +121,7 @@ class TestLadderRungs:
     @staticmethod
     def _rung_digest() -> str:
         digest = hashlib.sha256()
-        for name, (system, signal) in _systems().items():
+        for system, signal in _systems().values():
             u = None if signal is None else signal.eval(0.3)
             for phi in _rung_histories(system):
                 for levels in (3, 5, 8, 12, 14):
