@@ -7,7 +7,10 @@ after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system.
+cubic system. One history of one component steps on Python floats; the two
+"x8" lines time batches of 8 histories (`integrate_batch`), which step on
+arrays: the median, over the 30 batches that start at each history and take
+the next ones in turn, of wall time divided by the batch's number of steps.
 
 L3: on the same histories, the median wall time of a levels-14
 `driver_derivative` of V(phi) = |D phi|^2 (the bench's `dplus_quadratic`
@@ -32,12 +35,13 @@ from haleform import (
     QuadraticDopFunctional,
     RhsMap,
     driver_derivative,
-    integrate,
+    integrate_batch,
     sample_history,
 )
 from haleform.functionals import _extensions
 
 REPEATS = 5  # L3 calls timed together per history
+BATCH = 8  # histories of an "x8" line's batches
 
 
 def systems():
@@ -75,15 +79,17 @@ def _histories(system):
     return [sample_history(system.n, system.delta, 1.0, 1 + k % 4, k) for k in range(30)]
 
 
-def step_cost(system, horizon: float, step: float) -> float:
-    """Median microseconds per step over 30 seeded histories."""
+def step_cost(system, horizon: float, step: float, size: int = 1) -> float:
+    """Median microseconds per step over 30 seeded histories, or over the 30
+    batches of `size` of them."""
     phis = _histories(system)
-    integrate(system, phis[0], horizon, step=step)
+    batches = [[phis[(k + j) % len(phis)] for j in range(size)] for k in range(len(phis))]
+    integrate_batch(system, batches[0], horizon, step=step)
     costs = []
-    for phi in phis:
+    for batch in batches:
         start = time.perf_counter()
-        traj = integrate(system, phi, horizon, step=step)
-        costs.append((time.perf_counter() - start) / (traj.times.size - 1))
+        trajs = integrate_batch(system, batch, horizon, step=step)
+        costs.append((time.perf_counter() - start) / max(t.times.size - 1 for t in trajs))
     return 1e6 * float(np.median(costs))
 
 
@@ -115,6 +121,11 @@ def main() -> int:
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
         print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")
+    for name in ("neutral", "planar"):
+        system, horizon, step = systems()[name]
+        cost = step_cost(system, horizon, step, BATCH)
+        label = f"{name} x{BATCH}"
+        print(f"L2 {label:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}, {BATCH} histories)")
     for name, (system, _, _) in systems().items():
         query, share = ladder_cost(system)
         print(f"L3 {name:<12} {query:8.2f} ms/query, rungs {100 * share:4.1f}%  (levels 14, |D phi|^2)")

@@ -25,18 +25,21 @@ nodes placed ahead, read at the last accepted knot where they pass it, so each
 step gathers its windows with one `take` and a stage evaluates only the sliver
 past that knot. A stage is the tip from z, its scale and D-term rows, and the
 left fold 0 + v_0 + v_1 + ... of the terms in order, as `RhsMap.eval` rounds.
+One history of one component steps on Python floats, any other batch on
+(B, n) arrays, through the same loop.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import PreconditionError
 from .histories import CUBIC, HistorySegment, _hermite_basis, _hermite_deriv_basis, _hermite_sum
-from .operators import DistributedTerm, InputTerm, NfdeSystem, _apply, dop_apply, rhs_eval
+from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, dop_apply, rhs_eval
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -197,20 +200,24 @@ def _place(store: _BatchStore, cols, ts, kind):
     the weights (1, theta, 0, 0) for x and (0, 1, 0, 0) for x'."""
     knots, kind = store.knots, np.asarray(kind)
     past = ts < store.past_below[kind]
-    row = np.where(past, len(store.meshes) + cols, store.mesh_of[cols])
-    ts = np.maximum(ts, knots.times[knots.starts[row]])
-    f, theta, length, at_left, at_right = knots.locate(row, ts, past & (kind == 2))
-    at_left, at_right, lin = at_left & ~past, at_right & ~past, past & store.linear[cols]
-    k = f - knots.starts[row] + store.x.shape[0] * past  # a history's nodes follow its knots
+    some, row, lin = past.any(), store.mesh_of[cols], past & store.linear[cols]
+    if some:  # reads of the initial histories, whose grids the knots key after the meshes
+        row = np.where(past, len(store.meshes) + cols, row)
+        ts = np.maximum(ts, knots.times[knots.starts[row]])
+    f, theta, length, at_left, at_right = knots.locate(row, ts, some and past & (kind == 2))
+    k = f - knots.starts[row]
+    if some:
+        at_left, at_right, length = at_left & ~past, at_right & ~past, np.where(lin, 1.0, length)
+        k = k + store.x.shape[0] * past  # a history's nodes follow its knots
     k1 = k + ~(at_left | lin)  # a left-knot read keeps to its knot: its discarded Hermite stays finite
     deriv = (kind == 1) | (kind == 2)
     planes = store.planes[np.where(lin & deriv, 4, kind)].T * store.block.shape[1]
     rows = (np.array([k, k, k1, k1, k + at_right]) + planes) * store.shape[0] + cols
-    coefs = _weights(theta, np.where(lin, 1.0, length), deriv)
-    if lin.any():
+    coefs = _weights(theta, length, deriv)
+    if some and lin.any():
         zero = 0.0 * theta
         coefs[:4, lin] = np.array([zero + ~deriv, np.where(deriv, 1.0, theta), zero, zero])[:, lin]
-    return rows, coefs, at_left | at_right, np.where(past, 0, k1)
+    return rows, coefs, at_left | at_right, np.where(past, 0, k1) if some else k1
 
 
 def _weights(theta, length, deriv) -> np.ndarray:
@@ -324,14 +331,15 @@ class _Window:
             self.values, self.base = out, lo
 
     def value(self, j: int, e: int, tip, live) -> np.ndarray:
-        """The term at stage e of step j (2 the new knot) for each live history, given its tip."""
-        out = []
+        """The term at stage e of step j (2 the new knot) for each live history, given its tip:
+        (B, n) tips, or one float tip, which gets one float."""
+        out, tips = [], np.reshape(tip, (live.size, -1))
         for k, r in enumerate(self.index[j, min(e, 1), live].tolist()):
             lo, hi, a, c = self.spans[r]
             v, slot, w = self.values[lo - self.base : hi - self.base].copy(), self.slot[a:c], self.w[a:c]
-            v[slot] = self.fresh[a:c] if e == 2 else (1.0 - w) * v[slot] + w * tip[k]
+            v[slot] = self.fresh[a:c] if e == 2 else (1.0 - w) * v[slot] + w * tips[k]
             out.append(np.einsum("k,kij,kj->i", self.weights[lo:hi], self.kmats[lo:hi], v))
-        return np.array(out)
+        return out[0].item() if isinstance(tip, float) else np.array(out)
 
 
 @dataclass
@@ -438,8 +446,9 @@ def integrate_batch(
         seeds = (0.0,) + tuple(float(s) for s in xi0.kink_times if s > -system.delta)
         if seeds not in lattices:
             bps, truncated = propagation_breakpoints(all_delays, horizon, seeds=seeds)
-            anchors = bps if not truncated else np.array([0.0, horizon])
-            mesh = _build_mesh(h, horizon, np.concatenate([anchors, jumps]))
+            if truncated:  # the plain mesh, whose only anchors are 0 and the input's jumps
+                bps = np.concatenate([[0.0], jumps])
+            mesh = _build_mesh(h, horizon, np.concatenate([bps, jumps]))
             lattices[seeds] = (bps, truncated, mesh, len(lattices))
         rows.append(lattices[seeds])
 
@@ -471,12 +480,15 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
 
     Step i takes every running history from its knot i to knot i + 1. A history parks,
     keeping its knots, where its mesh ends or its state blows up; the rest go on. A block
-    of steps ends where its plan of reads ends or the running histories change.
+    of steps ends where its plan of reads ends or the running histories change. One history
+    of one component (B n = 1) steps on Python floats, a wider batch on (B, n) arrays: the
+    same loop, whose float + and * round as numpy's elementwise ones.
     """
     rhs = system.rhs
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
     x, xdr, xdl, z, zdr, zdl = store.block
     size, (width, n) = store.x.shape[0], store.shape
+    scalar = width * n == 1
     t0, t1 = store.times[:-1], store.times[1:]
     lengths = t1 - t0  # each mesh's step lengths
     mids = t0 + 0.5 * lengths
@@ -505,6 +517,9 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         elif isinstance(t, InputTerm) or t.delay > 0:
             plan.append((0, len(block_terms)))
             block_terms.append((t, None if isinstance(t, InputTerm) else offsets.index(t.delay)))
+        elif scalar:  # on one float, C g(x) with a 1 x 1 C is one multiply
+            c = float(t.matrix[0, 0])
+            plan.append((1, c.__mul__ if isinstance(t, LinearTerm) else partial(_times_on_float, c, t._g)))
         else:
             plan.append((1, t.at))
 
@@ -527,27 +542,34 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         times = np.stack([t[start:stop] for t, _ in specs])
         return _Reads(store, running[start:stop], times, [side for _, side in specs])
 
+    def loop_values(a: np.ndarray):
+        """(..., running histories, n) values as the loop takes them: floats for B n = 1."""
+        return a.reshape(a.shape[:-2]).tolist() if scalar else a
+
     def block(i: int, stop: int, run) -> tuple:
-        """Steps i..stop-1 of the running histories: their stage tips' scales, each D-term at
-        midpoints and step ends (a tuple, which a stage loops over faster than over an array),
-        the slope sums from the right and the left, and the block terms at midpoints, step
-        ends and new knots."""
-        act, col, live = run
+        """Steps i..stop-1 of the running histories, as `loop_values` in sequences indexed by
+        step last, which a stage indexes faster than one array: the scales of the four stage
+        tips, each D-term at midpoints and step ends, the slope sums from the right and the
+        left, and each block term at midpoints, step ends and new knots; then z and z' from
+        the right at knot i, which the loop carries on from there."""
+        act, col, live, _ = run
         values = reads.steps(i % chunk, i % chunk + stop - i, run)
         shape = values.shape[0], live.size, n
         v = values.swapaxes(0, 1).reshape(len(specs), -1, n)  # each read's rows, step-major
         mid, end = v[mid_at], v[end_at]
         pairs = zip(d_terms(mid[dop_at]), d_terms(end[dop_at]))
-        dterms = tuple(np.stack(pair).reshape(2, *shape) for pair in pairs)
-        tails = np.stack([sum(d_terms(v[at]), np.zeros(v.shape[1:])) for at in (right_at, left_at)])
-        terms_at = np.empty((shape[0], 3, len(block_terms), *shape[1:]))
-        for j, (t, o) in enumerate(block_terms):
+        dterms = tuple([loop_values(a.reshape(shape)) for a in pair] for pair in pairs)
+        sums = (sum(d_terms(v[at]), np.zeros(v.shape[1:])) for at in (right_at, left_at))
+        tails = [loop_values(a.reshape(shape)) for a in sums]
+        terms = []
+        for t, o in block_terms:
             args = (mid[o], end[o], end[o]) if o is not None else (  # an input, "-" at step ends
                 w[:, act].reshape(-1, u.m) for w in (u_mid[i:stop], u_end[i:stop], u_node[i + 1 : stop + 1]))
-            for c, arg in enumerate(args):
-                terms_at[:, c, j] = t.at(arg).reshape(shape)
+            terms.append([loop_values(t.at(arg).reshape(shape)) for arg in args])
         h = lengths[i:stop, col, None]  # what scales k1, k2, k3 in the stage tips and the RK sum in z
-        return np.stack([0.5 * h, 0.5 * h, h, h / 6.0], axis=1), dterms, tails.reshape(2, *shape), terms_at
+        half = loop_values(0.5 * h)
+        scales = [half, half, loop_values(h), loop_values(h / 6.0)]
+        return scales, dterms, tails, terms, *(loop_values(a[i, act]) for a in (store.z, store.zdot_right))
 
     # knot 0: x and x' from the left read the initial histories at 0, and x' from the right
     # is f plus the D-terms of their slopes from the right at -Delta_j
@@ -562,12 +584,17 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     reads = plan_reads(0)
 
     bound2 = blowup_bound**2
-    zero, two = np.zeros(()), np.array(2.0)  # 0-d: cheaper operands than Python floats, same sums
+    # the fold's start and the RK weight; for arrays, 0-d ones are cheaper operands, with the same sums
+    zero, two = (0.0, 2.0) if scalar else (np.zeros(()), np.array(2.0))
 
     def running_rows(live):
-        """(act, col, live): the running histories' columns, meshes and indices."""
+        """(act, col, live, put): the running histories' columns, meshes and indices, and where
+        the loop writes their knots in its planes."""
         act = slice(None) if live.size == width else live
-        return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live
+        return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live, 0 if scalar else act
+
+    if scalar:  # one float's planes are (rows, 1): numpy sets a fully indexed element fastest
+        x, xdr, xdl, z, zdr, zdl = store.block[..., 0]
 
     # each distributed term's window reads, placed in runs of steps (see `_Window`)
     if dist:
@@ -592,14 +619,14 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         tips, rows = np.where(e == 0, mids[j, m], t1[j, m]), np.stack([j - start, e, b])
         return stop, [_Window(store, t, system.delta, tips, t0[j, m], rows) for t in dist]
 
-    run = act, col, live = running_rows(np.arange(width))
+    run = act, col, live, put = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
     windows = []
     for i in range(size - 1):
         if i == stop:  # a new block: park the histories whose meshes end here
             if (ends[live] == i).any():
                 store.counts[live[ends[live] == i]] = i + 1
-                run = act, col, live = running_rows(live[ends[live] > i])
+                run = act, col, live, put = running_rows(live[ends[live] > i])
                 if live.size == 0:  # the longer meshes' histories all blew up
                     break
             if i and i % chunk == 0:
@@ -607,55 +634,66 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
             # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
             ready = i - i % chunk + int(np.searchsorted(reads.reach, i, "right"))
             start, stop = i, min(ready, int(ends[live].min()))
-            tip_scales, dterms, tails, terms_at = block(i, stop, run)
+            scales, dterms, tails, terms, base, k1 = block(i, stop, run)
         if dist and i == wstop:
             wstart, (wstop, windows) = i, plan_windows(i, live)
         k, w = i - start, i - wstart
         for window in windows:
             window.gather(w)
 
-        scale, row, tail, z_cur = tip_scales[k], terms_at[k], tails[:, k], z[i, act]
-        f = acc = zdr[i, act]  # k1, and the sum k1 + 2 k2 + 2 k3 + k4
+        z_cur = base
+        f = acc = k1  # k1, and the sum k1 + 2 k2 + 2 k3 + k4
         stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
         for s, (c, e) in enumerate(stages):
             if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
-                base = tip = z_cur + scale[s] * (acc if s == 3 else f)
+                base = tip = z_cur + scales[s][k] * (acc if s == 3 else f)
                 for d in dterms:
-                    tip = tip + d[s >> 1, k]  # the midpoint's, then the step end's
+                    tip = tip + d[s >> 1][k]  # the midpoint's, then the step end's
             if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
-                flat = tip.ravel()
-                mag = flat.dot(flat)  # no row can exceed the bound while the batch stays below it
+                # no row can exceed the bound while the batch stays below it
+                mag = tip * tip if scalar else tip.ravel().dot(tip.ravel())
                 if not math.isfinite(mag) or mag > bound2:
-                    mag2 = np.einsum("bi,bi->b", tip, tip)
+                    tips = np.reshape(tip, (live.size, n))
+                    mag2 = np.einsum("bi,bi->b", tips, tips)
                     keep = np.isfinite(mag2) & (mag2 <= bound2)
                     store.counts[live[~keep]] = i + 1
-                    run = act, col, live = running_rows(live[keep])
+                    run = act, col, live, put = running_rows(live[keep])
                     if live.size == 0:
                         break
-                    base, tip, row, tail = base[keep], tip[keep], row[:, :, keep], tail[:, keep]
+                    base, tip = base[keep], tip[keep]
                     f = f[keep] if windows else f  # k4, for the windows (an empty rhs folds to 0-d)
+                    tails, terms = [v[:, keep] for v in tails], [[v[:, keep] for v in t] for t in terms]
                     stop = i + 1  # the block ends with the running histories
-                x[i + 1, act], z[i + 1, act] = tip, base
+                x[i + 1, put], z[i + 1, put] = tip, base
                 if windows:  # the provisional left slope the windows' new-knot reads take; refreshed below
-                    xdl[i + 1, act] = f + tail[1]
+                    xdl[i + 1, put] = f + tails[1][k]
                     for window in windows:
                         window.gather(w, new=True)
             prev, f = f, zero
             for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
-                v = j(tip) if kind == 1 else row[c, j] if kind == 0 else windows[j].value(w, e, tip, live)
+                v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
+                     else windows[j].value(w, e, tip, live))
                 f = f + v
             if s < 3:
                 acc = acc + (two * f if s < 2 else f)
         if live.size == 0:  # every running history blew up
             break
 
-        # z' and then x' at the new knot, from the right and the left: they differ where an input jumps
-        zd = f if len(stages) == 4 else np.stack([prev, np.where(jump[i, act][:, None], f, prev)])
-        store.block[4:6, i + 1, act] = zd
-        store.block[1:3, i + 1, act] = zd + tail
+        # z' and then x' at the new knot, from the right and the left: they differ where an input
+        # jumps (for every running float); z' from the right is the next step's k1
+        k1 = zl = f
+        if len(stages) == 5:
+            k1, zl = prev, f if scalar else np.where(jump[i, act][:, None], f, prev)
+        zdr[i + 1, put], zdl[i + 1, put] = k1, zl
+        xdr[i + 1, put], xdl[i + 1, put] = k1 + tails[0][k], zl + tails[1][k]
 
     store.counts[live] = i + 2
     return store.counts <= ends  # a history that parks before its mesh ends blew up
+
+
+def _times_on_float(c: float, g, x: float) -> float:
+    """c g(x) on one float x, for a primitive g of arrays, which reads x as a (1, 1) array."""
+    return c * g(np.array([[x]])).item()
 
 
 def segment(traj: Trajectory, t: float) -> HistorySegment:

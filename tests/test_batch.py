@@ -19,6 +19,7 @@ from haleform import (
     LadderSpec,
     LinearTerm,
     NfdeSystem,
+    NonlinearTerm,
     PreconditionError,
     QuadraticDopFunctional,
     RhsMap,
@@ -41,6 +42,17 @@ from test_golden import _systems
 integrate_module = sys.modules["haleform.integrate"]
 
 SYSTEMS = _systems()
+
+
+def _primitive_system(fn: str, params: dict) -> NfdeSystem:
+    """A scalar system whose tip term is the primitive fn (golden "cubic" has the cubic)."""
+    return NfdeSystem(DifferenceOperator([1.0], [[[0.4]]]), RhsMap(n=1, terms=(
+        NonlinearTerm(0.0, fn, [[-1.3]], params), LinearTerm(0.5, [[-0.3]]))))
+
+
+TABLE = {"x": [-5.0, -1.0, 0.0, 1.0, 5.0], "y": [-3.0, -0.5, 0.0, 0.7, 2.0]}
+WITH_PRIMITIVES = {**SYSTEMS, **{fn: (_primitive_system(fn, params), None)
+                                 for fn, params in (("sine", {}), ("saturation", {"limit": 0.5}), ("table", TABLE))}}
 SIGNALS = {
     "pwc": None,  # the golden input system's own piecewise-constant signal
     "sinusoid": InputSignal.sinusoid([0.8], 2.3, 0.4),
@@ -95,20 +107,35 @@ histories_st = st.lists(
 )
 
 
+TWO = [(3, 1.0, None), (4, 0.1, -0.3)]  # two rows: a batch on arrays, each alone on floats
+
+
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(name=st.sampled_from(sorted(SYSTEMS)), draws=histories_st, signal=st.sampled_from(sorted(SIGNALS)))
-def test_batch_agrees_with_single_runs(name, draws, signal):
+@given(name=st.sampled_from(sorted(WITH_PRIMITIVES)), draws=histories_st,
+       signal=st.sampled_from(sorted(SIGNALS)), run=st.just((2.0, 1.0 / 16.0)))
+@example(name="sine", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="cubic", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="saturation", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="table", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="input", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))  # jumps at 0.7 and 1.6
+@example(name="distributed", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+# row 0 blows up; then a run across plans of 512 steps alone and of 256 in the batch
+@example(name="neutral", draws=[(10, 3.0, None), (3, 1.0, None)], signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="neutral", draws=TWO[:1] * 2, signal="pwc", run=(1.5, 1e-3))
+def test_batch_agrees_with_single_runs(name, draws, signal, run):
     """Rows drawn at sup-norm 3 can cross the blowup bound next to healthy ones,
-    and rows with different kinks run on meshes of different lengths."""
-    system, pwc = SYSTEMS[name]
+    and rows with different kinks run on meshes of different lengths. A single
+    scalar run steps on floats and a batch of two or more on arrays."""
+    system, pwc = WITH_PRIMITIVES[name]
     u = (SIGNALS[signal] or pwc) if system.m else None
     histories = [_history(system, seed, bound, kink) for seed, bound, kink in draws]
-    policy = StepPolicy(step=1.0 / 16.0, blowup_bound=2.5)
-    batch = integrate_batch(system, histories, 2.0, step=policy, u=u)
+    horizon, step = run
+    policy = StepPolicy(step=step, blowup_bound=2.5)
+    batch = integrate_batch(system, histories, horizon, step=policy, u=u)
     assert len(batch) == len(histories)
     for phi, traj in zip(histories, batch):
         assert traj.xi0 is phi
-        _assert_agree(traj, integrate(system, phi, 2.0, step=policy, u=u), system.n)
+        _assert_agree(traj, integrate(system, phi, horizon, step=policy, u=u), system.n)
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -9,6 +9,7 @@ from haleform import (
     DifferenceOperator,
     HistorySegment,
     InputSignal,
+    InputTerm,
     LinearTerm,
     NfdeSystem,
     PreconditionError,
@@ -16,9 +17,11 @@ from haleform import (
     StepPolicy,
     dop_apply,
     integrate,
+    integrate_batch,
     residual_check,
     sample_history,
     segment,
+    trajectory_grid,
 )
 from haleform.cli import main
 from haleform.integrate import propagation_breakpoints
@@ -190,12 +193,22 @@ class TestBreakpoints:
         traj = integrate(system, history, 70.0)
         assert traj.order_reduced
         assert np.array_equal(traj.times, 70.0 * np.arange(561) / 560)  # step 1/8, no anchors
+        # the breakpoints are the anchors the mesh used, not the cut enumeration, so a
+        # trajectory grid spreads over the whole run
+        assert np.array_equal(traj.breakpoints, [0.0])
+        grid = trajectory_grid(traj, 50)
+        assert grid.min() == 0.25 and grid.max() == 69.75 and np.diff(grid).max() < 2.0
+        jumps = InputSignal.piecewise_constant([0.0, 3.3, 41.0], [[0.0], [1.0], [0.5]])
+        rhs = RhsMap(n=1, m=1, terms=(LinearTerm(0.0, [[-1.0]]), InputTerm([[1.0]])))
+        traj = integrate(NfdeSystem(dop, rhs), history, 70.0, u=jumps)
+        assert np.array_equal(traj.breakpoints, [0.0, 3.3, 41.0])
         write_json(tmp_path / "sys.json", system_to_dict(system))
         write_json(tmp_path / "hist.json", history_to_dict(history))
         out = tmp_path / "out"
         assert main(["simulate", str(tmp_path / "sys.json"), str(tmp_path / "hist.json"),
                      "-T", "70", "--out", str(out)]) == 0
-        assert read_json(out / "report.json")["result"]["order_reduced"] is True
+        result = read_json(out / "report.json")["result"]
+        assert result["order_reduced"] is True and result["breakpoints"] == [0.0]
 
     def test_mesh_hits_breakpoints_exactly(self, neutral_system, unit_history):
         traj = integrate(neutral_system, unit_history, 3.0, step=0.07)
@@ -263,9 +276,10 @@ class TestStepFrames:
     the number of haleform frames a step enters does not depend on the host."""
 
     @staticmethod
-    def frames_per_step(system, horizon, step) -> float:
+    def frames_per_step(system, horizon, step, size: int = 1) -> float:
+        """Frames per step of one run of `size` histories, which share a mesh."""
         root = str(Path(haleform.__file__).parent)
-        phi = sample_history(system.n, system.delta, 1.0, 2, 0)
+        phis = [sample_history(system.n, system.delta, 1.0, 2, seed) for seed in range(size)]
         count = 0
 
         def profile(frame, event, arg):
@@ -276,7 +290,7 @@ class TestStepFrames:
         previous = sys.getprofile()
         sys.setprofile(profile)
         try:
-            traj = integrate(system, phi, horizon, step=step)
+            traj = integrate_batch(system, phis, horizon, step=step)[0]
         finally:
             sys.setprofile(previous)
         return count / (traj.times.size - 1)
@@ -285,6 +299,15 @@ class TestStepFrames:
     def test_at_most_eight_frames_per_step(self, request, name, horizon, step):
         system = request.getfixturevalue(f"{name}_system")
         assert self.frames_per_step(system, horizon, step) <= 8.0
+
+    def test_batch_of_neutral_histories_at_most_eight_frames_per_step(self, neutral_system):
+        """Four histories step on (4, 1) arrays."""
+        assert self.frames_per_step(neutral_system, 1.5, 1e-3, size=4) <= 8.0
+
+    def test_one_neutral_history_at_most_one_frame_per_step(self, neutral_system):
+        """One history of one component steps on floats: a stage calls no haleform
+        function, and only a block of steps does."""
+        assert self.frames_per_step(neutral_system, 1.5, 1e-3) <= 1.0
 
     def test_cubic_system_at_most_sixteen_frames_per_step(self, cubic_system):
         """A nonlinear term's primitive is bound to its params: one call per value."""
