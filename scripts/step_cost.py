@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Per-step cost of `integrate` (ROADMAP layer L2) and cost of a derivative
-ladder (layer L3) on the five golden systems.
+ladder (layer L3) on the five golden systems, and cost of the converse
+witness (layer L4) on the neutral one.
 
 L2: each system integrates 30 random histories, seeded 0..29, one at a time,
 after one warm-up run; the line per system gives the median, over those
@@ -17,6 +18,14 @@ L3: on the same histories, the median wall time of a levels-14
 query), and the share of it spent building the 15 rungs phi_h
 (`functionals._extensions`), the ratio of the two medians.
 
+L4: the converse witness V(phi) = sup |D x_t(phi)| e^(a t) of the neutral
+system at rate 0.2, horizon 10 and step 0.125, as the benchmark's certify
+workload builds it. The "query" line is the median, over the same 30
+histories, of the wall time of the benchmark's converse query: V(phi) and a
+levels-5 `driver_derivative`. The "x105" line is the median wall time of
+`V.many` on 15 of them, each followed by its 6 levels-5 rungs, on 7 meshes:
+the batch that fitting certificate constants on 15 samples evaluates.
+
 Timings depend on the machine; compare runs made on one.
 
     PYTHONPATH=src python scripts/step_cost.py
@@ -26,6 +35,7 @@ import time
 import numpy as np
 
 from haleform import (
+    ConverseFunctional,
     DifferenceOperator,
     DistributedTerm,
     LadderSpec,
@@ -36,6 +46,7 @@ from haleform import (
     RhsMap,
     driver_derivative,
     integrate_batch,
+    phi_h_extend,
     sample_history,
 )
 from haleform.functionals import _extensions
@@ -117,6 +128,20 @@ def ladder_cost(system) -> tuple[float, float]:
     return 1e3 * query, rungs / query
 
 
+def converse_costs() -> tuple[float, float]:
+    """Median milliseconds of a converse query (V(phi) and a levels-5 D+V) over
+    30 seeded histories, and of `V.many` on 15 of them with their rungs."""
+    system = systems()["neutral"][0]
+    V = ConverseFunctional(system, 0.2, 10.0, step=0.125)
+    ladder = LadderSpec(levels=5)
+    phis = _histories(system)
+    query = _median_call_s(lambda phi: (V(phi), driver_derivative(system, V, phi, ladder=ladder)), phis)
+    hs = ladder.steps(system.dop.min_delay)
+    rows = [row for phi in phis[:15] for row in (phi, *(phi_h_extend(system, phi, float(h)) for h in hs))]
+    batch = _median_call_s(lambda _: V.many(rows), [None] * 7)
+    return 1e3 * query, 1e3 * batch
+
+
 def main() -> int:
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
@@ -129,6 +154,9 @@ def main() -> int:
     for name, (system, _, _) in systems().items():
         query, share = ladder_cost(system)
         print(f"L3 {name:<12} {query:8.2f} ms/query, rungs {100 * share:4.1f}%  (levels 14, |D phi|^2)")
+    query, batch = converse_costs()
+    print(f"L4 {'query':<12} {query:8.2f} ms/query  (neutral, V(phi) and levels-5 D+V, step 0.125, horizon 10)")
+    print(f"L4 {'x105':<12} {batch:8.2f} ms/batch  (V.many on 15 histories with their levels-5 rungs)")
     return 0
 
 

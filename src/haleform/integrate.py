@@ -33,13 +33,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment, _hermite_basis, _hermite_deriv_basis, _hermite_sum
-from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, dop_apply, rhs_eval
+from .histories import CUBIC, HistorySegment, _freeze, _hermite_basis, _hermite_deriv_basis, _hermite_sum
+from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, rhs_eval
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -96,16 +96,21 @@ def propagation_breakpoints(delays, horizon: float, seeds=(0.0,)):
     return np.asarray(out), truncated
 
 
-def _build_mesh(step: float, horizon: float, anchors: np.ndarray) -> np.ndarray:
-    anchors = np.unique(np.concatenate([[0.0], anchors]))
+@lru_cache(maxsize=16)
+def _lattice(delays: tuple, horizon: float, step: float, seeds: tuple, jumps: tuple) -> tuple:
+    """(breakpoints, truncated, mesh) for kink seeds `seeds`, frozen, as ladder rungs ask for the same
+    few at every history: the mesh cuts [a, b) between anchors in k steps, knots a + (b - a) j / k."""
+    bps, truncated = propagation_breakpoints(delays, horizon, seeds=seeds)
+    if truncated:  # the plain mesh, whose only anchors are 0 and the input's jumps
+        bps = np.concatenate([[0.0], jumps])
+    anchors = np.unique(np.concatenate([[0.0], bps, jumps]))
     anchors = anchors[(anchors >= 0.0) & (anchors < horizon - _BP_TOL)]
-    keep = np.r_[True, np.diff(anchors) > _BP_TOL]
-    anchors = np.append(anchors[keep], horizon)
-    mesh = [np.array([0.0])]
-    for a, b in zip(anchors[:-1], anchors[1:]):
-        k = max(1, int(np.ceil((b - a) / step - 1e-12)))
-        mesh.append(a + (b - a) * np.arange(1, k + 1) / k)
-    return np.concatenate(mesh)
+    a = anchors[np.r_[True, np.diff(anchors) > _BP_TOL]]
+    width = np.append(a[1:], horizon) - a
+    k = np.maximum(1, np.ceil(width / step - 1e-12).astype(int))
+    j = np.arange(1, k.sum() + 1) - np.repeat(np.cumsum(k) - k, k)  # every interval's j at once
+    mesh = np.r_[0.0, np.repeat(a, k) + np.repeat(width, k) * j / np.repeat(k, k)]
+    return _freeze(bps), truncated, _freeze(mesh)
 
 
 class _Knots:
@@ -138,7 +143,10 @@ class _BatchStore:
     distinct `meshes`, which `times` holds padded with their last knots, and
     holds `counts[b]` of them once it parks. Past the knots, column b holds
     the nodes of its initial history, whose grid `knots` keys after the
-    meshes. A trajectory is a column of this store, read through `lookup`.
+    meshes. The histories of one mesh whose initial histories share a grid and
+    interpolation place every read alike: they are group `group_of[b]`; `firsts`
+    holds the first history of each mesh and of each group. A trajectory is a
+    column of this store, read through `lookup`.
     """
 
     # per kind of read (x, x' right, x' left, z, a linear history's x'), the planes of y0, s0, y1,
@@ -148,6 +156,10 @@ class _BatchStore:
 
     def __init__(self, histories, meshes, mesh_of):
         self.histories, self.meshes, self.mesh_of = histories, meshes, np.asarray(mesh_of)
+        groups = {}
+        self.group_of = np.array([groups.setdefault((m, xi0.interp, xi0.grid.tobytes()), len(groups))
+                                  for m, xi0 in zip(mesh_of, histories)])
+        self.firsts = [(a[:, None] == range(a.max() + 1)).argmax(0) for a in (self.mesh_of, self.group_of)]
         self.knots = _Knots([*meshes, *(xi0.grid for xi0 in histories)])
         size = max(m.size for m in meshes)
         self.shape = (len(histories), histories[0].n)
@@ -156,18 +168,22 @@ class _BatchStore:
         accepted = self.block[:, :size]  # the knots; the initial histories' nodes follow them
         self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = accepted
         self.flat = self.block.reshape(-1, self.shape[1])
-        # an initial history's nodes: values, slopes in both slope planes (a linear
-        # history's panel differences y1 - y0), and a linear history's slopes in plane 3
-        for b, xi0 in enumerate(histories):
-            past = self.block[:4, size : size + xi0.num_nodes, b]
-            past[0] = xi0.values
-            if xi0.interp == CUBIC:
-                past[1] = past[2] = xi0.slopes
-            else:
-                past[1, :-1] = past[2, :-1] = np.diff(xi0.values, axis=0)
-                past[3, :-1] = past[1, :-1] / np.diff(xi0.grid)[:, None]
+        # the initial histories' nodes: values, slopes in both slope planes (a linear history's
+        # panel differences y1 - y0) and a linear history's slopes in plane 3, NaN past its last
         self.linear = np.array([xi0.interp != CUBIC for xi0 in histories])
-        self.times = np.stack([np.pad(m, (0, size - m.size), mode="edge") for m in meshes], axis=1)
+        nodes = self.knots.sizes[len(meshes) :]
+        cols = np.repeat(range(nodes.size), nodes)  # each node's history, then its row in the block
+        at = size + np.arange(cols.size) - (np.cumsum(nodes) - nodes)[cols], cols
+        diffs = [np.diff(xi0.values, axis=0, append=np.full((1, xi0.n), np.nan)) if lin else xi0.slopes
+                 for xi0, lin in zip(histories, self.linear)]
+        self.block[(0, *at)] = np.concatenate([xi0.values for xi0 in histories])
+        self.block[(1, *at)] = self.block[(2, *at)] = np.concatenate(diffs)
+        for b in np.flatnonzero(self.linear).tolist():
+            past = self.block[3, size : size + histories[b].num_nodes - 1, b]
+            past[:] = diffs[b][:-1] / np.diff(histories[b].grid)[:, None]
+        # each mesh's times, padded with its last knot
+        starts, last = self.knots.starts[: len(meshes)], self.knots.sizes[: len(meshes)] - 1
+        self.times = self.knots.times[starts + np.minimum(np.arange(size)[:, None], last)]
         self.counts = np.zeros(len(histories), dtype=int)
 
     def read(self, cols, ts, kind) -> np.ndarray:
@@ -224,10 +240,7 @@ def _weights(theta, length, deriv) -> np.ndarray:
     """The weights of y0, s0 * length, y1 and s1 * length in `_hermite` at theta
     (in `_hermite_deriv` where `deriv` is set), the length, and the divisor of
     their sum: the length for a derivative, else 1."""
-    if deriv.all() or not deriv.any():
-        basis = (_hermite_deriv_basis if deriv.all() else _hermite_basis)(theta)
-    else:
-        basis = np.where(deriv, _hermite_deriv_basis(theta), _hermite_basis(theta))
+    basis = np.where(deriv, _hermite_deriv_basis(theta), _hermite_basis(theta))
     return np.array([*basis, length, np.where(deriv, length, 1.0)])
 
 
@@ -241,36 +254,44 @@ def _gather(flat, rows, coefs, node) -> np.ndarray:
 
 
 class _Reads:
-    """The delayed reads of a run of steps, placed before them (see `_place`):
-    read p at step i is x, or x' from the side sides[p] (None for x), at
-    times[p, i, m] for the histories on mesh m that run at step i, placed once
-    so that a block of steps gathers all its reads, for all histories, with
-    one `take`. reach[i] is the last knot that the reads of steps 0..i touch.
-    """
+    """The delayed reads of steps start..stop-1, placed before them (see `_place`): read p at
+    step i is of kind kind[p] (x, x' from the right or left) at times[p, i, m] on mesh m. The
+    first `prefix` steps, which `early` marks, read back into the initial histories (t <= 0) and
+    place a read once per group of histories (see `_BatchStore`), the later steps once per mesh;
+    a gather broadcasts it over the group or mesh, so a block of steps gathers its reads with one
+    `take` (two across the prefix's end). reach[i] is the last knot steps start..start+i read."""
 
-    def __init__(self, store: _BatchStore, running: np.ndarray, times: np.ndarray, sides):
-        shape = (times.shape[0], *running.shape)  # (P, steps, B)
-        plan, steps, cols = np.nonzero(np.broadcast_to(running, shape))
-        kind = np.array([(None, "+", "-").index(side) for side in sides])
-        rows, coefs, node, k1 = _place(store, cols, times[plan, steps, store.mesh_of[cols]], kind[plan])
-
-        def dense(values, fill=0):  # (..., steps, P, B)
-            out = np.full((*values.shape[:-1], shape[1], shape[0], shape[2]), fill, dtype=values.dtype)
-            out[..., steps, plan, cols] = values
-            return out
-
-        self.rows = dense(rows)
-        self.reach = np.maximum.accumulate(dense(k1).max(axis=(1, 2)))
-        self.coefs = dense(coefs, 1.0)[..., None]
-        self.node = dense(node)[..., None]
-        self.flat = store.flat
+    def __init__(self, store: _BatchStore, start: int, stop: int, times, kind, early, running, extra):
+        self.start, self.stop, self.prefix, self.flat = start, stop, int(np.count_nonzero(early)), store.flat
+        self.group_of, (meshes, groups), of, k = store.group_of, store.firsts, store.mesh_of, self.prefix
+        # (read, step, group) in the prefix, then (read, step, mesh): placed for their first history
+        parts = [np.nonzero(np.broadcast_to(r, (kind.size, *r.shape)))
+                 for r in (running[:k, of[groups]], running[k:])]
+        p, i = np.concatenate([parts[0][0], parts[1][0]]), np.concatenate([parts[0][1], parts[1][1] + k])
+        cols = np.concatenate([groups[parts[0][2]], meshes[parts[1][2]]])
+        # `extra` reads (cols, times, kinds) of the initial histories are placed along and read at once
+        place = [np.concatenate(pair) for pair in zip((cols, times[p, i, of[cols]], kind[p]), extra)]
+        rows, coefs, node, k1 = _place(store, *place)
+        self.extra = _gather(self.flat, rows[:, p.size :], coefs[:, p.size :, None], node[p.size :, None])
+        rows[:, : p.size] -= cols  # each for column 0
+        self.parts, cut = [], [0, parts[0][0].size, p.size]  # rows, coefs, node of the groups, the meshes
+        for at, lo, hi, size in zip(parts, cut, cut[1:], ((k, groups.size), (stop - start - k, meshes.size))):
+            self.parts.append([np.full((*a.shape[:-1], kind.size, *size), fill, a.dtype)
+                               for a, fill in ((rows, 0), (coefs, 1.0), (node, False), (k1, 0))])
+            for out, a in zip(self.parts[-1], (rows, coefs, node, k1)):
+                out[(..., *at)] = a[..., lo:hi]
+        reach = [part.pop().max(axis=(0, 2)) for part in self.parts]  # k1 of each step's reads
+        self.reach = np.maximum.accumulate(np.concatenate(reach))
 
     def steps(self, a: int, b: int, run) -> np.ndarray:
-        """Every read of steps a..b-1, (b - a, P, running histories, n). run is
-        (act, col, live): the running histories' columns, meshes and indices."""
-        act = run[0]
-        return _gather(self.flat, self.rows[:, a:b][..., act], self.coefs[:, a:b][..., act, :],
-                       self.node[a:b][..., act, :])
+        """Every read of steps a..b-1 of the plan, (P, b - a, running histories, n).
+        run is (act, col, live): the running histories' columns, meshes and indices."""
+        col, live = run[1:3]
+        spans = (a, min(b, self.prefix), self.group_of[live]), (max(a - self.prefix, 0), b - self.prefix, col)
+        out = [_gather(self.flat, rows[:, :, lo:hi][..., c] + live, coefs[:, :, lo:hi][..., c, None],
+                       node[:, lo:hi][..., c, None])
+               for (lo, hi, c), (rows, coefs, node) in zip(spans, self.parts) if lo < hi]
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=1)
 
 
 class _Window:
@@ -438,18 +459,14 @@ def integrate_batch(
     if not histories:
         return []
 
-    all_delays = list(system.dop.delays) + system.rhs.positive_delays()
+    all_delays = tuple(system.dop.delays.tolist() + system.rhs.positive_delays())
     jumps = u.jump_times(horizon) if u is not None else np.empty(0)
     lattices = {}  # kink seeds -> (breakpoints, truncated, mesh, mesh index)
     rows = []
     for xi0 in histories:
         seeds = (0.0,) + tuple(float(s) for s in xi0.kink_times if s > -system.delta)
         if seeds not in lattices:
-            bps, truncated = propagation_breakpoints(all_delays, horizon, seeds=seeds)
-            if truncated:  # the plain mesh, whose only anchors are 0 and the input's jumps
-                bps = np.concatenate([[0.0], jumps])
-            mesh = _build_mesh(h, horizon, np.concatenate([bps, jumps]))
-            lattices[seeds] = (bps, truncated, mesh, len(lattices))
+            lattices[seeds] = (*_lattice(all_delays, horizon, h, seeds, tuple(jumps.tolist())), len(lattices))
         rows.append(lattices[seeds])
 
     store = _BatchStore(histories, [mesh for _, _, mesh, _ in lattices.values()], [r[3] for r in rows])
@@ -493,18 +510,22 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     lengths = t1 - t0  # each mesh's step lengths
     mids = t0 + 0.5 * lengths
     ends = store.knots.sizes[store.mesh_of] - 1
-    running = np.arange(size - 1)[:, None] < ends
+    running = np.arange(size - 1)[:, None] < store.knots.sizes[: len(store.meshes)] - 1  # each mesh's
 
     # the reads of each step: x at the midpoint and at the step end for each
     # offset, then x' from the left and from the right at the step end for
-    # each D-term; placed ahead in runs of steps that bound their memory
+    # each D-term; placed ahead in runs of steps that place at most _PLAN_READS
     offsets = sorted({d for d, _ in dop_terms} | set(rhs.positive_delays()))
-    specs = [(mids - d, None) for d in offsets] + [(t1 - d, None) for d in offsets]
-    specs += [(t1 - d, side) for side in "-+" for d, _ in dop_terms]
-    chunk = max(1, _PLAN_READS // (len(specs) * width))
     cuts = np.cumsum([0, len(offsets), len(offsets), len(dop_terms), len(dop_terms)]).tolist()
-    mid_at, end_at, left_at, right_at = (slice(a, b) for a, b in zip(cuts, cuts[1:]))
-    dop_at = [offsets.index(d) for d, _ in dop_terms]
+    read_times = np.stack([mids - d for d in offsets] + [t1 - d for d in offsets]
+                          + [t1 - d for _ in "-+" for d, _ in dop_terms])
+    read_kinds = np.repeat([0, 0, 2, 1], np.diff(cuts))
+    # the steps whose reads reach back into the initial histories, the first ones, place them per group
+    early = ((read_times < store.past_below[read_kinds][:, None, None]) & running).any(axis=(0, 2))
+    groups = running[:, store.mesh_of[store.firsts[1]]].sum(axis=1)
+    placed = np.cumsum(len(read_kinds) * np.where(early, groups, running.sum(axis=1)))  # up to each step
+    dop_at = [[o, o + len(offsets), cuts[3] + j, cuts[2] + j]  # D-term j's x at midpoints and ends,
+              for j, o in enumerate(offsets.index(d) for d, _ in dop_terms)]  # x' from the right, left
 
     # the stage plan, rhs term by term: (0, j) block term j (an input, or a pointwise term with a
     # delay read at offsets[o]), (1, at) a pointwise term without delay, called on the stage tip,
@@ -534,17 +555,20 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         jump_keys = np.round(jumps / _BP_TOL).astype(np.int64)
         jump = np.isin(np.round(t1 / _BP_TOL).astype(np.int64), jump_keys)[:, store.mesh_of]
 
-    def d_terms(values) -> list:  # A_j v_j for each D-term j
-        return [_apply(a, v) for (_, a), v in zip(dop_terms, values)]
-
-    def plan_reads(start: int) -> _Reads:
-        stop = start + chunk
-        times = np.stack([t[start:stop] for t, _ in specs])
-        return _Reads(store, running[start:stop], times, [side for _, side in specs])
+    def plan_reads(start: int, extra=(np.empty(0, dtype=int),) * 3) -> _Reads:
+        budget = (placed[start - 1] if start else 0) + _PLAN_READS
+        stop = max(start + 1, int(np.searchsorted(placed, budget, "right")))
+        at = slice(start, stop)
+        return _Reads(store, start, stop, read_times[:, at], read_kinds, early[at], running[at], extra)
 
     def loop_values(a: np.ndarray):
-        """(..., running histories, n) values as the loop takes them: floats for B n = 1."""
-        return a.reshape(a.shape[:-2]).tolist() if scalar else a
+        """(..., running histories, n) values as the loop takes them: nested lists of floats for
+        B n = 1, else of (running histories, n) rows, which a list indexes faster than an array."""
+        return a.reshape(a.shape[:-2]).tolist() if scalar else a if a.ndim == 2 else (
+            list(a) if a.ndim == 3 else [list(b) for b in a])
+
+    # what scales k1, k2, k3 in the stage tips and the RK sum in z, on each mesh
+    spans = np.stack([0.5 * lengths, 0.5 * lengths, lengths, lengths / 6.0])
 
     def block(i: int, stop: int, run) -> tuple:
         """Steps i..stop-1 of the running histories, as `loop_values` in sequences indexed by
@@ -553,35 +577,35 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         left, and each block term at midpoints, step ends and new knots; then z and z' from
         the right at knot i, which the loop carries on from there."""
         act, col, live, _ = run
-        values = reads.steps(i % chunk, i % chunk + stop - i, run)
-        shape = values.shape[0], live.size, n
-        v = values.swapaxes(0, 1).reshape(len(specs), -1, n)  # each read's rows, step-major
-        mid, end = v[mid_at], v[end_at]
-        pairs = zip(d_terms(mid[dop_at]), d_terms(end[dop_at]))
-        dterms = tuple([loop_values(a.reshape(shape)) for a in pair] for pair in pairs)
-        sums = (sum(d_terms(v[at]), np.zeros(v.shape[1:])) for at in (right_at, left_at))
-        tails = [loop_values(a.reshape(shape)) for a in sums]
+        v = reads.steps(i - reads.start, stop - reads.start, run)  # (reads, steps, histories, n)
+        dv = [_apply(a, v[at]) for (_, a), at in zip(dop_terms, dop_at)]
+        dterms = tuple(loop_values(d[:2]) for d in dv)
+        tails = loop_values(sum((d[2:] for d in dv), np.zeros((2, *v.shape[1:]))))
         terms = []
         for t, o in block_terms:
-            args = (mid[o], end[o], end[o]) if o is not None else (  # an input, "-" at step ends
-                w[:, act].reshape(-1, u.m) for w in (u_mid[i:stop], u_end[i:stop], u_node[i + 1 : stop + 1]))
-            terms.append([loop_values(t.at(arg).reshape(shape)) for arg in args])
-        h = lengths[i:stop, col, None]  # what scales k1, k2, k3 in the stage tips and the RK sum in z
-        half = loop_values(0.5 * h)
-        scales = [half, half, loop_values(h), loop_values(h / 6.0)]
-        return scales, dterms, tails, terms, *(loop_values(a[i, act]) for a in (store.z, store.zdot_right))
+            args = (v[o], v[o + len(offsets)], v[o + len(offsets)]) if o is not None else (  # an input, "-"
+                w[:, act] for w in (u_mid[i:stop], u_end[i:stop], u_node[i + 1 : stop + 1]))  # at step ends
+            terms.append([loop_values(t.at(arg)) for arg in args])
+        knot = (loop_values(a[i, act]) for a in (store.z, store.zdot_right))
+        return loop_values(spans[:, i:stop, col, None]), dterms, tails, terms, *knot
 
-    # knot 0: x and x' from the left read the initial histories at 0, and x' from the right
-    # is f plus the D-terms of their slopes from the right at -Delta_j
-    at = np.repeat([0.0, 0.0] + [-d for d, _ in dop_terms], width)
-    kinds = np.repeat([0, 2] + [1] * len(dop_terms), width)
-    seeds = store.read(np.tile(np.arange(width), len(dop_terms) + 2), at, kinds).reshape(-1, width, n)
+    # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z
+    # and f round as `dop_apply` and `RhsMap.eval` (a distributed term evaluates on each history)
+    at = np.repeat([0.0, 0.0] + [-d for d, _ in dop_terms] + [-d for d in offsets], width)
+    kinds = np.repeat([0, 2] + [1] * len(dop_terms) + [0] * len(offsets), width)
+    reads = plan_reads(0, (np.tile(np.arange(width), len(at) // width), at, kinds))
+    seeds = reads.extra.reshape(-1, width, n)
     x[0], xdl[0] = seeds[:2]
-    for b, xi0 in enumerate(store.histories):
-        z[0, b] = dop_apply(system.dop, xi0)
-        zdl[0, b] = zdr[0, b] = rhs.eval(xi0, None if u_node is None else u_node[0, b])
-    xdr[0] = zdr[0] + sum(d_terms(seeds[2:]), np.zeros((width, n)))
-    reads = plan_reads(0)
+    back = dict(zip([0.0, *offsets], [seeds[0], *seeds[2 + len(dop_terms) :]]))  # x at -d
+    z[0] = seeds[0]
+    for d, a in dop_terms:
+        z[0] -= _apply(a, back[d])
+    f = np.zeros((width, n))
+    for t in rhs.terms:
+        f = f + (np.array([t.eval(xi0, None) for xi0 in store.histories]) if isinstance(t, DistributedTerm)
+                 else t.at(u_node[0]) if isinstance(t, InputTerm) else t.at(back[t.delay]))
+    zdl[0] = zdr[0] = f
+    xdr[0] = f + sum((_apply(a, s) for (_, a), s in zip(dop_terms, seeds[2:])), np.zeros((width, n)))
 
     bound2 = blowup_bound**2
     # the fold's start and the RK weight; for arrays, 0-d ones are cheaper operands, with the same sums
@@ -629,10 +653,10 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                 run = act, col, live, put = running_rows(live[ends[live] > i])
                 if live.size == 0:  # the longer meshes' histories all blew up
                     break
-            if i and i % chunk == 0:
+            if i == reads.stop:
                 reads = plan_reads(i)
             # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
-            ready = i - i % chunk + int(np.searchsorted(reads.reach, i, "right"))
+            ready = reads.start + int(np.searchsorted(reads.reach, i, "right"))
             start, stop = i, min(ready, int(ends[live].min()))
             scales, dterms, tails, terms, base, k1 = block(i, stop, run)
         if dist and i == wstop:
@@ -651,7 +675,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                     tip = tip + d[s >> 1][k]  # the midpoint's, then the step end's
             if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
                 # no row can exceed the bound while the batch stays below it
-                mag = tip * tip if scalar else tip.ravel().dot(tip.ravel())
+                mag = tip * tip if scalar else np.vdot(tip, tip)
                 if not math.isfinite(mag) or mag > bound2:
                     tips = np.reshape(tip, (live.size, n))
                     mag2 = np.einsum("bi,bi->b", tips, tips)
@@ -662,7 +686,8 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                         break
                     base, tip = base[keep], tip[keep]
                     f = f[keep] if windows else f  # k4, for the windows (an empty rhs folds to 0-d)
-                    tails, terms = [v[:, keep] for v in tails], [[v[:, keep] for v in t] for t in terms]
+                    tails = [[r[keep] for r in v] for v in tails]
+                    terms = [[[r[keep] for r in v] for v in t] for t in terms]
                     stop = i + 1  # the block ends with the running histories
                 x[i + 1, put], z[i + 1, put] = tip, base
                 if windows:  # the provisional left slope the windows' new-knot reads take; refreshed below
@@ -751,14 +776,10 @@ def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
     if cand.size == 0:
         return 0.0
     sel = cand[np.unique(np.linspace(0, cand.size - 1, min(sample_count, cand.size)).astype(int))]
+    d = min(h_local, 0.25 * guard)
+    z = traj.z_dense(np.concatenate([sel + d, sel - d])).reshape(2, sel.size, -1)  # one lookup
     worst = 0.0
-    for tm in sel:
-        d = min(h_local, 0.25 * guard)
-        zdot_fd = (traj.z_at(tm + d) - traj.z_at(tm - d)) / (2.0 * d)
-        fval = rhs_eval(
-            traj.system.rhs,
-            segment(traj, tm),
-            traj.input.eval(tm) if traj.input is not None else None,
-        )
-        worst = max(worst, float(np.linalg.norm(zdot_fd - fval)))
+    for tm, zdot_fd in zip(sel.tolist(), (z[0] - z[1]) / (2.0 * d)):
+        u = None if traj.input is None else traj.input.eval(tm)
+        worst = max(worst, float(np.linalg.norm(zdot_fd - rhs_eval(traj.system.rhs, segment(traj, tm), u))))
     return worst

@@ -21,12 +21,15 @@ _TOL = 1e-9
 
 
 def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for one vector x (n,), or for each row of a (B, n) stack, where
-    every row rounds as the product with that row alone does."""
+    """a @ x for one vector x (n,), or for each row of a (..., n) stack, where every row rounds
+    as the product with that row alone does, signed zeros included: a 1 x 1 matrix is one multiply
+    (a stacked matmul adds it to +0, so -1 times a zero row would be +0 there, -0 in one row)."""
+    if a.size == 1:
+        return a[0, 0] * x
     if x.ndim == 1:
         return a @ x
     # one row: the same matrix-vector product, without the stacked-matmul overhead
-    return a.dot(x.T).T if len(x) == 1 else np.matmul(a, x[..., None])[..., 0]
+    return a.dot(x.T).T if x.ndim == 2 and len(x) == 1 else np.matmul(a, x[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,7 @@ def dop_apply(dop: DifferenceOperator, phi) -> np.ndarray:
         raise DimensionError(f"history dimension {pts.shape[1]} != operator dimension {dop.n}")
     out = pts[0].copy()
     for j in range(dop.p):
-        out -= dop.matrices[j] @ pts[j + 1]
+        out -= _apply(dop.matrices[j], pts[j + 1])
     return out
 
 
@@ -141,8 +144,9 @@ class LinearTerm:
 
     def __post_init__(self):
         _pointwise(self)
-        # one Python call per value in a stage
-        object.__setattr__(self, "at", partial(_apply, self.matrix))
+        # one Python call per value in a stage, none for a 1 x 1 matrix
+        object.__setattr__(self, "at", partial(np.multiply, self.matrix[0, 0]) if self.matrix.size == 1
+                           else partial(_apply, self.matrix))
 
     @property
     def n(self):

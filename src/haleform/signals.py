@@ -2,7 +2,7 @@
 
 All kinds are piecewise-defined and Lebesgue measurable by construction;
 evaluation at jump points is right-continuous (the integrator aligns its mesh
-with the jumps). The essential sup norm over [0, T) is computable for any T.
+with the jumps). The essential sup norm over [0, T) is exact for any T.
 
 A signal is read once, when it is built, into pieces: switching or table
 times and one value row per time, copied and frozen. Zero and constant
@@ -82,22 +82,27 @@ class InputSignal:
 
     def sup_norm(self, horizon: float) -> float:
         """Essential sup of |u| over [0, horizon)."""
-        if horizon <= 0.0:
-            return 0.0
-        if self.kind not in (SINUSOID, TABLE):
-            return float(self.cumulative_sup(horizon))
-        grid = np.linspace(0.0, horizon, 4097)[:-1]
-        extra = self.jump_times(horizon)
-        pts = np.sort(np.concatenate([grid, extra])) if extra.size else grid
-        return float(np.max(np.linalg.norm(self.eval(pts), axis=1)))
+        return float(self.cumulative_sup(np.asarray(horizon, dtype=float)))
 
     def cumulative_sup(self, times: np.ndarray) -> np.ndarray:
-        """sup of |u| over [0, t) for each t in `times` (nondecreasing)."""
+        """sup of |u| over [0, t) for each t in `times`, exact: the largest piece begun before t;
+        on a table the largest |u| at 0, at the nodes in (0, t) and at t, as |u| is convex on each
+        panel; on a sinusoid |amplitude| once the phase has passed a peak, else |u| at 0 or t."""
         times = np.asarray(times, dtype=float)
+        active = np.searchsorted(self._times, times)  # the pieces or nodes that start before t
         if self.kind in (SINUSOID, TABLE):
-            return np.array([self.sup_norm(t) for t in times])
-        active = np.searchsorted(self._times, times)  # the pieces that start before t
-        return np.where(times > 0.0, self._running[np.maximum(active, 1) - 1], 0.0)
+            ends = np.linalg.norm(self.eval(np.append(0.0, times)), axis=1)
+            ends = np.maximum(ends[0], ends[1:].reshape(times.shape))
+        if self.kind == SINUSOID:  # the phases, in half turns past the peak at pi / 2
+            omega, phase = self._wave
+            a, b = ((x - 0.5 * np.pi) / np.pi for x in (phase, omega * times + phase))
+            out = np.where(np.ceil(np.minimum(a, b)) <= np.floor(np.maximum(a, b)), self._running[0], ends)
+        elif self.kind == TABLE:
+            nodes = np.maximum.accumulate(np.linalg.norm(self._values, axis=1) * (self._times > 0.0))
+            out = np.maximum(ends, np.append(0.0, nodes)[active])
+        else:
+            out = self._running[np.maximum(active, 1) - 1]
+        return np.where(times > 0.0, out, 0.0)
 
     # -- constructors ----------------------------------------------------------
 

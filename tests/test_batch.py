@@ -24,11 +24,14 @@ from haleform import (
     QuadraticDopFunctional,
     RhsMap,
     StepPolicy,
+    dop_apply,
     driver_derivative,
     driver_derivatives,
     integrate,
     integrate_batch,
+    rhs_eval,
     sample_history,
+    sample_shells,
     verify_gas_conditions,
     verify_ges_conditions,
     verify_ges_seminorm,
@@ -511,3 +514,88 @@ def test_window_plans_keep_to_the_read_budget():
         assert steps == 1 or max(reads) <= integrate_module._PLAN_READS
     for phi, traj in zip(histories, batch):
         _assert_agree(traj, integrate(system, phi, 2.5, step=1.0 / 128.0), system.n)
+
+
+@contextlib.contextmanager
+def _count_plans():
+    """Record the reads that each plan of reads places; a run's first plan also
+    places the reads of knot 0, four per history here."""
+    placed = []
+    place = integrate_module._place
+
+    def spy(store, cols, *args):
+        placed.append(np.size(cols))
+        return place(store, cols, *args)
+
+    with mock.patch.object(integrate_module, "_place", spy):
+        yield placed
+
+
+@pytest.mark.parametrize("name", sorted(set(WITH_PRIMITIVES) - {"distributed"}))
+def test_knot_zero_reads_no_history_one_at_a_time(name):
+    """z(0) and f at knot 0 come from one read of every initial history, with
+    no per-history `dop_apply`, `RhsMap.eval` or `HistorySegment.eval`, and
+    equal those bit for bit (a zero history's signed zeros included)."""
+    system, pwc = WITH_PRIMITIVES[name]
+    u = pwc if system.m else None
+    histories = [_history(system, seed, 1.0, kink) for seed, kink in ((1, None), (2, -0.3), (3, None))]
+    histories += [HistorySegment.zero(system.n, system.delta),
+                  HistorySegment(system.delta, histories[0].grid, histories[0].values, "linear")]
+    calls = []
+
+    def spy(name, real):
+        return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+    with mock.patch.object(HistorySegment, "_interpolate", spy("eval", HistorySegment._interpolate)), \
+            mock.patch.object(RhsMap, "eval", spy("rhs", RhsMap.eval)):
+        batch = integrate_batch(system, histories, 1.0, step=1.0 / 16.0, u=u)
+    assert calls == []
+    for phi, traj in zip(histories, batch):
+        assert _same(traj.z[0], dop_apply(system.dop, phi))
+        f = rhs_eval(system.rhs, phi, None if u is None else u.eval(0.0))
+        assert _same(traj._batch.zdot_right[0, traj._row], f)
+
+
+def test_converse_fit_batch_places_its_reads_in_three_plans():
+    """The fit's batch of 15 samples with their levels-5 rungs, 105 rows on 7
+    meshes: a knot read is placed once per mesh, and a read of the initial
+    histories once per group of histories that share a mesh and a grid."""
+    system, V = _witness()
+    samples = sample_shells(1, system.delta, 5, 1234)
+    ladder = LadderSpec(levels=5)
+    rows = [row for phi in samples
+            for row in (phi, *(phi_h_extend(system, phi, float(h)) for h in ladder.steps(system.dop.min_delay)))]
+    with _count_plans() as placed:
+        batch = integrate_batch(system, rows, V.horizon, step=0.125)
+    assert len(rows) == 105 and len({traj.times.size for traj in batch}) >= 2
+    assert len(placed) <= 3
+    assert placed[0] - 4 * len(rows) <= integrate_module._PLAN_READS
+    assert max(placed[1:]) <= integrate_module._PLAN_READS
+
+
+def test_wide_batches_of_shared_grids_plan_as_one_history():
+    """Plans do not get shorter as the batch grows: 64 histories on one mesh
+    and one grid place the reads of one, and still run as each does alone."""
+    system, _ = SYSTEMS["neutral"]
+    shells = [HistorySegment.constant([c], system.delta) for c in np.linspace(-2.0, 2.0, 64)]
+    with _count_plans() as alone:
+        integrate(system, shells[0], 1.5, step=1e-3)
+    with _count_plans() as wide:
+        batch = integrate_batch(system, shells, 1.5, step=1e-3)
+    assert len(wide) == len(alone) == 3
+    assert wide[0] - 4 * len(shells) == alone[0] - 4 and wide[1:] == alone[1:]
+    for phi, traj in zip(shells[::21], batch[::21]):
+        _assert_agree(traj, integrate(system, phi, 1.5, step=1e-3), system.n)
+
+
+@pytest.mark.parametrize("name", ["planar", "two_delay", "input"])
+def test_mixed_linear_and_cubic_histories_agree_with_single_runs(name):
+    """Linear and cubic histories on one grid fall in different groups, and a
+    linear history's panel slopes are read from its own nodes."""
+    system, pwc = SYSTEMS[name]
+    phi = _history(system, 11, 1.0, None)
+    histories = [phi, HistorySegment(system.delta, phi.grid, phi.values, "linear"), _history(system, 12, 1.0, -0.3),
+                 HistorySegment(system.delta, phi.grid, -phi.values, "linear", kink_times=[-0.3])]
+    batch = integrate_batch(system, histories, 2.0, step=1.0 / 32.0, u=pwc)
+    for history, traj in zip(histories, batch):
+        _assert_agree(traj, integrate(system, history, 2.0, step=1.0 / 32.0, u=pwc), system.n)

@@ -1,5 +1,6 @@
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,12 +20,13 @@ from haleform import (
     integrate,
     integrate_batch,
     residual_check,
+    rhs_eval,
     sample_history,
     segment,
     trajectory_grid,
 )
 from haleform.cli import main
-from haleform.integrate import propagation_breakpoints
+from haleform.integrate import _breakpoint_gap, _lattice, propagation_breakpoints
 from haleform.serialization import history_to_dict, read_json, system_to_dict, write_json
 
 
@@ -34,6 +36,13 @@ def neutral_exact(t):
         return np.exp(-t)
     tau = t - 1.0
     return np.exp(-tau) * (np.exp(-1.0) - 0.5 * tau)
+
+
+def _residual_times(traj, sample_count):
+    """The midpoints `residual_check` samples."""
+    mids = 0.5 * (traj.times[:-1] + traj.times[1:])
+    cand = mids[_breakpoint_gap(traj, mids) >= 2.0 * np.min(np.diff(traj.times))]
+    return cand[np.unique(np.linspace(0, cand.size - 1, min(sample_count, cand.size)).astype(int))]
 
 
 class TestClosedForms:
@@ -110,6 +119,26 @@ class TestResidual:
         traj = integrate(system, unit_history, 2.0, step=0.01)
         assert residual_check(traj, 30) <= 1e-10
 
+    def test_reads_every_z_value_in_one_lookup(self, planar_system):
+        """The centered differences read all their z values at once; the
+        check's value is the per-sample one, bit for bit."""
+        traj = integrate(planar_system, sample_history(2, planar_system.delta, 1.0, 3, seed=4), 3.0, step=0.01)
+        lookups = []
+        lookup = type(traj._batch).lookup
+
+        def spy(store, b, ts, kind):
+            lookups.append((kind, ts.size))
+            return lookup(store, b, ts, kind)
+
+        with mock.patch.object(type(traj._batch), "lookup", spy):
+            worst = residual_check(traj, 25)
+        assert lookups == [("z", 50)]
+        reference, d = 0.0, 0.5 * np.min(np.diff(traj.times))
+        for tm in _residual_times(traj, 25):
+            zdot = (traj.z_at(tm + d) - traj.z_at(tm - d)) / (2.0 * d)
+            reference = max(reference, float(np.linalg.norm(zdot - rhs_eval(planar_system.rhs, segment(traj, tm)))))
+        assert worst == reference
+
     def test_residual_shrinks_with_step(self, neutral_system):
         xi0 = sample_history(1, 1.0, 1.0, 3, seed=2)
         res = []
@@ -175,6 +204,28 @@ class TestGuards:
 
 
 class TestBreakpoints:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mesh_splits_each_anchor_interval_as_alone(self, seed):
+        """One repeat/arange builds the knots a + (b - a) j / k of every anchor
+        interval [a, b), bit for bit as a loop over the intervals does."""
+        rng = np.random.default_rng(seed)
+        step, horizon = rng.uniform(0.01, 0.3), rng.uniform(0.5, 9.0)
+        anchors = np.concatenate([rng.uniform(-1.0, horizon + 1.0, 9), np.arange(0.0, horizon, 0.7), [1e-10]])
+        points = np.unique(np.concatenate([[0.0], anchors]))
+        points = points[(points >= 0.0) & (points < horizon - 1e-9)]
+        points = np.append(points[np.r_[True, np.diff(points) > 1e-9]], horizon)
+        loop = [np.array([0.0])]
+        for a, b in zip(points[:-1], points[1:]):
+            k = max(1, int(np.ceil((b - a) / step - 1e-12)))
+            loop.append(a + (b - a) * np.arange(1, k + 1) / k)
+        mesh = _lattice((2.0 * horizon,), horizon, step, (0.0,), tuple(anchors.tolist()))[2]  # jumps as anchors
+        assert np.concatenate(loop).tobytes() == mesh.tobytes()
+
+    def test_runs_with_one_kink_set_share_a_frozen_mesh(self, neutral_system):
+        runs = [integrate(neutral_system, HistorySegment.constant([c], 1.0), 3.0, step=0.1) for c in (1.0, 2.0)]
+        assert runs[0].times.base is runs[1].times.base is not None
+        assert not runs[0].times.flags.writeable
+
     def test_commensurate_lattice(self):
         bps, truncated = propagation_breakpoints([0.5, 1.0], 2.0)
         assert not truncated

@@ -18,6 +18,7 @@ from haleform import (
     dop_apply,
     rhs_eval,
 )
+from haleform.operators import _apply
 
 
 def ramp_history(delta=1.0, num=9):
@@ -168,3 +169,17 @@ class TestNfdeSystem:
         dop = DifferenceOperator([1.0], [[[0.5]]])
         rhs = RhsMap(n=1, terms=(LinearTerm(0.25, [[-1.0]]),))
         assert NfdeSystem(dop, rhs).min_positive_delay() == 0.25
+
+
+class TestApply:
+    @pytest.mark.parametrize("a", [[[-1.0]], [[-0.5]], [[2.0]]])
+    def test_one_by_one_stack_rounds_each_row_as_alone(self, a):
+        """Signed zeros included: -1 times a zero row is -0 in one row, and
+        must be -0 in a stack too (a stacked matmul would give +0)."""
+        a = np.array(a)
+        rows = np.array([[0.0], [-0.0], [1.5], [-2.25], [0.0]])
+        stacked = _apply(a, rows)
+        for k in range(len(rows)):
+            for alone in (_apply(a, rows[k : k + 1])[0], _apply(a, rows[k]), a[0, 0] * rows[k]):
+                assert stacked[k].tobytes() == alone.tobytes()
+        assert np.signbit(_apply(np.array([[-1.0]]), rows))[[0, 4]].all()
