@@ -33,12 +33,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment, _freeze, _hermite_basis, _hermite_deriv_basis, _hermite_sum
+from .histories import CUBIC, HistorySegment, _hermite_basis, _hermite_deriv_basis, _hermite_sum
 from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, rhs_eval
 from .signals import InputSignal
 
@@ -96,21 +97,15 @@ def propagation_breakpoints(delays, horizon: float, seeds=(0.0,)):
     return np.asarray(out), truncated
 
 
-@lru_cache(maxsize=16)
-def _lattice(delays: tuple, horizon: float, step: float, seeds: tuple, jumps: tuple) -> tuple:
-    """(breakpoints, truncated, mesh) for kink seeds `seeds`, frozen, as ladder rungs ask for the same
-    few at every history: the mesh cuts [a, b) between anchors in k steps, knots a + (b - a) j / k."""
-    bps, truncated = propagation_breakpoints(delays, horizon, seeds=seeds)
-    if truncated:  # the plain mesh, whose only anchors are 0 and the input's jumps
-        bps = np.concatenate([[0.0], jumps])
-    anchors = np.unique(np.concatenate([[0.0], bps, jumps]))
+def _build_mesh(step: float, horizon: float, anchors: np.ndarray) -> np.ndarray:
+    """The mesh that cuts each interval [a, b) between anchors in k steps, knots a + (b - a) j / k."""
+    anchors = np.sort(np.concatenate([[0.0], anchors]))  # equal anchors merge with the close ones
     anchors = anchors[(anchors >= 0.0) & (anchors < horizon - _BP_TOL)]
-    a = anchors[np.r_[True, np.diff(anchors) > _BP_TOL]]
+    a = anchors[np.concatenate([[True], np.diff(anchors) > _BP_TOL])]
     width = np.append(a[1:], horizon) - a
     k = np.maximum(1, np.ceil(width / step - 1e-12).astype(int))
     j = np.arange(1, k.sum() + 1) - np.repeat(np.cumsum(k) - k, k)  # every interval's j at once
-    mesh = np.r_[0.0, np.repeat(a, k) + np.repeat(width, k) * j / np.repeat(k, k)]
-    return _freeze(bps), truncated, _freeze(mesh)
+    return np.concatenate([[0.0], np.repeat(a, k) + np.repeat(width, k) * j / np.repeat(k, k)])
 
 
 class _Knots:
@@ -159,7 +154,7 @@ class _BatchStore:
         groups = {}
         self.group_of = np.array([groups.setdefault((m, xi0.interp, xi0.grid.tobytes()), len(groups))
                                   for m, xi0 in zip(mesh_of, histories)])
-        self.firsts = [(a[:, None] == range(a.max() + 1)).argmax(0) for a in (self.mesh_of, self.group_of)]
+        self.firsts = [np.unique(a, return_index=True)[1] for a in (self.mesh_of, self.group_of)]
         self.knots = _Knots([*meshes, *(xi0.grid for xi0 in histories)])
         size = max(m.size for m in meshes)
         self.shape = (len(histories), histories[0].n)
@@ -459,14 +454,18 @@ def integrate_batch(
     if not histories:
         return []
 
-    all_delays = tuple(system.dop.delays.tolist() + system.rhs.positive_delays())
+    all_delays = list(system.dop.delays) + system.rhs.positive_delays()
     jumps = u.jump_times(horizon) if u is not None else np.empty(0)
     lattices = {}  # kink seeds -> (breakpoints, truncated, mesh, mesh index)
     rows = []
     for xi0 in histories:
         seeds = (0.0,) + tuple(float(s) for s in xi0.kink_times if s > -system.delta)
         if seeds not in lattices:
-            lattices[seeds] = (*_lattice(all_delays, horizon, h, seeds, tuple(jumps.tolist())), len(lattices))
+            bps, truncated = propagation_breakpoints(all_delays, horizon, seeds=seeds)
+            if truncated:  # the plain mesh, whose only anchors are 0 and the input's jumps
+                bps = np.concatenate([[0.0], jumps])
+            mesh = _build_mesh(h, horizon, np.concatenate([bps, jumps]))
+            lattices[seeds] = (bps, truncated, mesh, len(lattices))
         rows.append(lattices[seeds])
 
     store = _BatchStore(histories, [mesh for _, _, mesh, _ in lattices.values()], [r[3] for r in rows])
@@ -589,8 +588,8 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         knot = (loop_values(a[i, act]) for a in (store.z, store.zdot_right))
         return loop_values(spans[:, i:stop, col, None]), dterms, tails, terms, *knot
 
-    # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z
-    # and f round as `dop_apply` and `RhsMap.eval` (a distributed term evaluates on each history)
+    # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z as
+    # `dop_apply`; f is one `RhsMap.eval` on (B, n) stacks of x(-d), or one per history for a distributed term
     at = np.repeat([0.0, 0.0] + [-d for d, _ in dop_terms] + [-d for d in offsets], width)
     kinds = np.repeat([0, 2] + [1] * len(dop_terms) + [0] * len(offsets), width)
     reads = plan_reads(0, (np.tile(np.arange(width), len(at) // width), at, kinds))
@@ -600,10 +599,11 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     z[0] = seeds[0]
     for d, a in dop_terms:
         z[0] -= _apply(a, back[d])
-    f = np.zeros((width, n))
-    for t in rhs.terms:
-        f = f + (np.array([t.eval(xi0, None) for xi0 in store.histories]) if isinstance(t, DistributedTerm)
-                 else t.at(u_node[0]) if isinstance(t, InputTerm) else t.at(back[t.delay]))
+    u0 = None if u_node is None else u_node[0]
+    if any(isinstance(t, DistributedTerm) for t in rhs.terms):
+        f = np.array([rhs.eval(xi0, None if u0 is None else u0[b]) for b, xi0 in enumerate(store.histories)])
+    else:
+        f = rhs.eval(SimpleNamespace(eval=lambda s: back[-s]), u0)
     zdl[0] = zdr[0] = f
     xdr[0] = f + sum((_apply(a, s) for (_, a), s in zip(dop_terms, seeds[2:])), np.zeros((width, n)))
 

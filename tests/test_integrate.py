@@ -26,7 +26,7 @@ from haleform import (
     trajectory_grid,
 )
 from haleform.cli import main
-from haleform.integrate import _breakpoint_gap, _lattice, propagation_breakpoints
+from haleform.integrate import _breakpoint_gap, _build_mesh, propagation_breakpoints
 from haleform.serialization import history_to_dict, read_json, system_to_dict, write_json
 
 
@@ -218,13 +218,8 @@ class TestBreakpoints:
         for a, b in zip(points[:-1], points[1:]):
             k = max(1, int(np.ceil((b - a) / step - 1e-12)))
             loop.append(a + (b - a) * np.arange(1, k + 1) / k)
-        mesh = _lattice((2.0 * horizon,), horizon, step, (0.0,), tuple(anchors.tolist()))[2]  # jumps as anchors
+        mesh = _build_mesh(step, horizon, anchors)
         assert np.concatenate(loop).tobytes() == mesh.tobytes()
-
-    def test_runs_with_one_kink_set_share_a_frozen_mesh(self, neutral_system):
-        runs = [integrate(neutral_system, HistorySegment.constant([c], 1.0), 3.0, step=0.1) for c in (1.0, 2.0)]
-        assert runs[0].times.base is runs[1].times.base is not None
-        assert not runs[0].times.flags.writeable
 
     def test_commensurate_lattice(self):
         bps, truncated = propagation_breakpoints([0.5, 1.0], 2.0)
