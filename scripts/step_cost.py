@@ -8,10 +8,11 @@ after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system. One history of one component steps on Python floats; the two
-"x8" lines time batches of 8 histories (`integrate_batch`), which step on
-arrays: the median, over the 30 batches that start at each history and take
-the next ones in turn, of wall time divided by the batch's number of steps.
+cubic system. One history of one component steps on Python floats; the
+"x8" lines (neutral, planar, distributed) time batches of 8 histories
+(`integrate_batch`), which step on arrays: the median, over the 30 batches
+that start at each history and take the next ones in turn, of wall time
+divided by the batch's number of steps.
 
 L3: on the same histories, the median wall time of a levels-14
 `driver_derivative` of V(phi) = |D phi|^2 (the bench's `dplus_quadratic`
@@ -146,7 +147,7 @@ def main() -> int:
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
         print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")
-    for name in ("neutral", "planar"):
+    for name in ("neutral", "planar", "distributed"):
         system, horizon, step = systems()[name]
         cost = step_cost(system, horizon, step, BATCH)
         label = f"{name} x{BATCH}"

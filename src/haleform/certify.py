@@ -829,7 +829,7 @@ def estimate_lipschitz(
         diff = rhs_eval(rhs, phi1, u0) - rhs_eval(rhs, phi2, u0)
         l0 = max(l0, float(np.linalg.norm(diff)) / gap)
         pairs += 1
-    if m == 0:
+    if m == 0 or input_bound == 0.0:  # no input to sample
         return LipschitzEstimate(l0, None, 0.0, pairs)
     us, gaps = [0.0], [0.0]
     slope = 0.0

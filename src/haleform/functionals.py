@@ -25,12 +25,11 @@ import numpy as np
 
 from .errors import DimensionError, PreconditionError
 from .histories import CUBIC, HistorySegment, _freeze, _gauss
-from .integrate import _breakpoint_gap, segment
+from .integrate import _clear_times, segment
 from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, dop_apply, rhs_eval
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
-_MARGIN_STEPS = 2  # mesh steps between a `trajectory_grid` time and any breakpoint
 
 
 def _psd_check(mat: np.ndarray, name: str) -> np.ndarray:
@@ -323,6 +322,8 @@ class LadderSpec:
         h0 = self.h0 if self.h0 is not None else min_delay / 8.0
         if not 0.0 < h0 < min_delay:
             raise PreconditionError(f"ladder start {h0} not in (0, {min_delay})")
+        if self.tail < 2:  # one quotient has no spread, and its coverage h / (h - h) is inf
+            raise PreconditionError(f"ladder tail {self.tail} must be at least 2")
         if self.levels < self.tail:
             raise PreconditionError("ladder needs at least `tail` levels")
         return h0 * 0.5 ** np.arange(self.levels + 1)
@@ -416,14 +417,10 @@ class ConsistencyResult:
 
 def trajectory_grid(traj, count: int) -> np.ndarray:
     """Times on the trajectory mesh at least two mesh steps from breakpoints."""
-    times = traj.times
-    h_local = float(np.min(np.diff(times)))
-    guard = _MARGIN_STEPS * h_local
-    cand = times[_breakpoint_gap(traj, times) >= guard]
-    if cand.size == 0:
+    grid = _clear_times(traj, traj.times, count)
+    if grid.size == 0 and count > 0:
         raise PreconditionError("no mesh times clear of breakpoints")
-    sel = np.unique(np.linspace(0, cand.size - 1, min(count, cand.size)).astype(int))
-    return cand[sel]
+    return grid
 
 
 def trajectory_consistency(

@@ -20,13 +20,14 @@ steps gathers them at once as soon as they touch accepted knots only. The
 stage plan, made once per integration, sorts the rhs terms: block terms
 (inputs, delayed pointwise terms) then apply to the whole block, as do the
 D-terms A_j x(s - Delta_j) and slope sums; tip terms (delay-0 pointwise ones)
-take one `at` call per stage; window terms (distributed ones) have their Gauss
-nodes placed ahead, read at the last accepted knot where they pass it, so each
-step gathers its windows with one `take` and a stage evaluates only the sliver
-past that knot. A stage is the tip from z, its scale and D-term rows, and the
-left fold 0 + v_0 + v_1 + ... of the terms in order, as `RhsMap.eval` rounds.
-One history of one component steps on Python floats, any other batch on
-(B, n) arrays, through the same loop.
+take one `at` call per stage; window terms (distributed ones) are linear in x,
+so a step gathers their accepted part with one `take` and a stage's value is
+affine in its tip (at the new knot, in the tip and its left slope), with
+matrices fixed ahead. The loop stores final values only. A stage is the tip
+from z, its scale and D-term rows, and the left fold 0 + v_0 + v_1 + ... of
+the terms in order, as `RhsMap.eval` rounds. One history of one component
+steps on Python floats, any other batch on (B, n) arrays, through the same
+loop.
 """
 from __future__ import annotations
 
@@ -290,16 +291,19 @@ class _Reads:
 
 
 class _Window:
-    """A distributed term's window reads for a run of steps, placed before them.
+    """A distributed term's windows for a run of steps, placed before them.
 
     Row r is history rows[2, r]'s window at stage rows[1, r] (midpoint, step end)
     of step rows[0, r], rows ordered by them, at time s = tips[r] and anchored at
     a = anchors[r], the last accepted knot: the initial history's grid points and
     the accepted knots in [s - Delta, s], a and s cut the panels of its Gauss
-    nodes s + tau, each read as x at min(s + tau, a). A step gathers its
-    reads with one `take`; its sliver (a, s] runs linearly from x(a) to the tip,
-    and at the new knot (the step end's panels) reads the just-accepted interval,
-    placed for the step end's sliver nodes only.
+    nodes s + tau. The window is linear in x, so its value is affine in what the
+    step has not accepted. A node past a reads x(a) + w (tip - x(a)) at the stage,
+    w = (s + tau - a) / (s - a), and at the new knot s the Hermite of [a, s] from
+    x(a) and x'(a+) to the tip and its left slope sigma: the value is c + M tip,
+    and c' + M' tip + S sigma at the new knot. M, M' and S are fixed here; a step
+    gathers c and c' from accepted knots with one `take`, of x at min(s + tau, a)
+    and x'(a+).
     """
 
     def __init__(self, store: _BatchStore, term, delta: float, tips, anchors, rows):
@@ -310,52 +314,49 @@ class _Window:
         k = lo[:, None] + np.arange((hi - lo).max())  # NaN-padded
         cuts = np.split(np.append(store.knots.times, np.nan)[np.where(k < hi[:, None], k, -1)], 2)
         panels = np.clip(np.column_stack([*cuts, anchors, tips]) - tips[:, None], -delta, 0.0)
-        nodes, self.weights, self.kmats, counts = term._rule(panels)
+        nodes, weights, kmats, counts = term._rule(panels)
         tip, anchor, owner = (np.repeat(v, counts) for v in (tips, anchors, rows[2]))
-        t = tip + nodes
-        sliver = t > anchor
-        self.sliver = np.flatnonzero(sliver)
-        self.w = ((t[sliver] - anchor[sliver]) / (tip[sliver] - anchor[sliver]))[:, None]
-        # the reads, then the step end's sliver nodes' reads at the new knot
-        new = sliver & np.repeat(rows[1] == 1, counts)
-        times, owner = np.r_[np.minimum(t, anchor), t[new]], np.r_[owner, owner[new]]
-        place, coefs, node, _ = _place(store, owner, times, 0)
-        self.rows, self.coefs, self.node = place, coefs[..., None], node[:, None]
-        self.size, self.fresh = t.size, np.empty((self.sliver.size, store.shape[1]))
-        # each row's reads and sliver nodes, and its sliver nodes' places among its reads
-        starts = np.concatenate([[0], np.cumsum(counts)])
-        slivers = np.searchsorted(self.sliver, starts)
-        self.spans = list(zip(*(v.tolist() for v in (starts[:-1], starts[1:], slivers[:-1], slivers[1:]))))
-        self.slot = self.sliver - starts[np.searchsorted(starts, self.sliver, "right") - 1]
+        t, length, ends = tip + nodes, (tips - anchors)[:, None, None], np.cumsum(counts)
+        w = np.maximum(t - anchor, 0.0) / (tip - anchor)  # 0 up to a
+        wk = weights[:, None, None] * kmats
+        h00, h10, h01, h11 = (b[:, None, None] * wk for b in _hermite_basis(w))
+        row_sum = partial(np.add.reduceat, indices=ends - counts)
+        # per row: M; then M', S and the matrix of x'(a+) at the new knot
+        self.affine = np.stack([row_sum(w[:, None, None] * wk), row_sum(h01), row_sum(h11) * length], 1)
+        xdot = row_sum(h10) * length
+        # each row's reads, x at min(s + tau, a) and then x'(a+), with their matrices in c and c'
+        place = [np.insert(a, ends, b) for a, b in ((owner, rows[2]), (np.minimum(t, anchor), anchors),
+                                                    (0 * owner, 1))]
+        self.mats = np.insert(np.stack([(1.0 - w)[:, None, None] * wk, h00], 1), ends,
+                              np.stack([0.0 * xdot, xdot], 1), axis=0)
+        self.rows, coefs, node, _ = _place(store, *place)
+        self.coefs, self.node, self.flat = coefs[..., None], node[:, None], store.flat
+        self.starts = np.r_[0, ends + np.arange(1, counts.size + 1)]  # each row's first read, then the end
+        self.steps = np.searchsorted(rows[0], np.arange(rows[0].max() + 2)).tolist()  # each step's first row
         self.index = np.zeros((rows[0].max() + 1, 2, store.shape[0]), dtype=int)
         self.index[tuple(rows)] = np.arange(counts.size)
-        # the first read, sliver node and new-knot read of each stage of each step, and past the last
-        first = np.searchsorted(2 * rows[0] + rows[1], np.arange(self.index[:, :, 0].size + 1))
-        news = np.r_[0, np.cumsum(new[self.sliver])][slivers[first]]
-        self.bounds = list(zip(*(v.tolist() for v in (starts[first], slivers[first], news))))
-        self.flat = store.flat
+        self.floats = self.affine.reshape(-1, 3).tolist() if store.shape == (1, 1) else None
 
-    def gather(self, j: int, new: bool = False):
-        """Read step j's windows from the store; with `new`, its sliver nodes at
-        the new knot, once the step has stored the knot's provisional slopes."""
-        (lo, _, _), (_, a, p), (hi, c, q) = self.bounds[2 * j : 2 * j + 3]
-        span = slice(self.size + p, self.size + q) if new else slice(lo, hi)
-        out = _gather(self.flat, self.rows[:, span], self.coefs[:, span], self.node[span])
-        if new:  # the step end's sliver nodes, a..c-1 of them
-            self.fresh[a:c] = out
-        else:
-            self.values, self.base = out, lo
+    def gather(self, j: int):
+        """Read step j's windows from the store: c and c' of each of its rows."""
+        a, b = self.steps[j : j + 2]
+        lo, hi = self.starts[a], self.starts[b]
+        v = _gather(self.flat, self.rows[:, lo:hi], self.coefs[:, lo:hi], self.node[lo:hi])
+        c = np.add.reduceat(np.einsum("kaij,kj->kai", self.mats[lo:hi], v), self.starts[a:b] - lo)
+        self.c, self.base = (c.reshape(-1, 2).tolist() if self.floats else c), a
 
-    def value(self, j: int, e: int, tip, live) -> np.ndarray:
-        """The term at stage e of step j (2 the new knot) for each live history, given its tip:
-        (B, n) tips, or one float tip, which gets one float."""
-        out, tips = [], np.reshape(tip, (live.size, -1))
-        for k, r in enumerate(self.index[j, min(e, 1), live].tolist()):
-            lo, hi, a, c = self.spans[r]
-            v, slot, w = self.values[lo - self.base : hi - self.base].copy(), self.slot[a:c], self.w[a:c]
-            v[slot] = self.fresh[a:c] if e == 2 else (1.0 - w) * v[slot] + w * tips[k]
-            out.append(np.einsum("k,kij,kj->i", self.weights[lo:hi], self.kmats[lo:hi], v))
-        return out[0].item() if isinstance(tip, float) else np.array(out)
+    def value(self, j: int, e: int, tip, live, slope) -> np.ndarray:
+        """The term at stage e of step j (2: the new knot, whose tip has the left slope
+        `slope`) for each live history, given its tip: (B, n) tips and slopes, or one float
+        tip and slope, which get one float."""
+        if self.floats:
+            (c, cn), (m, mn, s) = self.c[min(e, 1)], self.floats[self.base + min(e, 1)]
+            return c + m * tip if e < 2 else cn + mn * tip + s * slope
+        r = self.index[j, min(e, 1), live]
+        c, mats = self.c[r - self.base, e >> 1], self.affine[r]
+        if e < 2:
+            return c + np.einsum("bij,bj->bi", mats[:, 0], tip)
+        return c + np.einsum("bij,bj->bi", mats[:, 1], tip) + np.einsum("bij,bj->bi", mats[:, 2], slope)
 
 
 @dataclass
@@ -622,16 +623,15 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
 
     # each distributed term's window reads, placed in runs of steps (see `_Window`)
     if dist:
-        # a bound on a history's reads at a stage of each step, two per panel: the kernel
-        # grid, s and the grid points and knots in [midpoint - Delta, step end] cut them;
-        # at the step end, two more per sliver panel, which only the kernel grid cuts
+        # a bound on a history's reads at a stage of each step, two per panel and one of x'(a+):
+        # the kernel grid, s and the grid points and knots in [midpoint - Delta, step end] cut them
         lo = mids - system.delta
         knots = np.stack([np.searchsorted(m, t1[:, k], "right") - np.searchsorted(m, lo[:, k])
                           for k, m in enumerate(store.meshes)], axis=1)
         first = len(store.meshes)  # history b's grid is row first + b of the knots
         past = (store.knots.starts + store.knots.sizes)[first:] - np.searchsorted(
             store.knots.keys, np.arange(first, first + width) + 1j * lo[:, store.mesh_of])
-        bound = 2 * (past + knots[:, store.mesh_of] + 2 * max(t.grid.size for t in dist))
+        bound = 2 * (past + knots[:, store.mesh_of] + max(t.grid.size for t in dist))
 
     def plan_windows(start: int, live) -> tuple:
         """The windows of a run of steps each of whose stages places at most _PLAN_READS reads."""
@@ -645,7 +645,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
 
     run = act, col, live, put = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
-    windows = []
+    windows, slope = [], None
     for i in range(size - 1):
         if i == stop:  # a new block: park the histories whose meshes end here
             if (ends[live] == i).any():
@@ -685,19 +685,16 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                     if live.size == 0:
                         break
                     base, tip = base[keep], tip[keep]
-                    f = f[keep] if windows else f  # k4, for the windows (an empty rhs folds to 0-d)
+                    f = f[keep] if windows else f  # k4, for the tip's slope (an empty rhs folds to 0-d)
                     tails = [[r[keep] for r in v] for v in tails]
                     terms = [[[r[keep] for r in v] for v in t] for t in terms]
                     stop = i + 1  # the block ends with the running histories
                 x[i + 1, put], z[i + 1, put] = tip, base
-                if windows:  # the provisional left slope the windows' new-knot reads take; refreshed below
-                    xdl[i + 1, put] = f + tails[1][k]
-                    for window in windows:
-                        window.gather(w, new=True)
+                slope = f + tails[1][k] if windows else None  # the tip's left slope, for the windows
             prev, f = f, zero
             for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
                 v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
-                     else windows[j].value(w, e, tip, live))
+                     else windows[j].value(w, e, tip, live, slope))
                 f = f + v
             if s < 3:
                 acc = acc + (two * f if s < 2 else f)
@@ -757,6 +754,12 @@ def _breakpoint_gap(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     return np.minimum(np.abs(below - ts), np.abs(above - ts))
 
 
+def _clear_times(traj: Trajectory, ts: np.ndarray, count: int) -> np.ndarray:
+    """Up to `count` evenly spread times of ts at least two mesh steps from every breakpoint, 0 and t_end."""
+    cand = ts[_breakpoint_gap(traj, ts) >= 2.0 * np.min(np.diff(traj.times))]
+    return cand[np.unique(np.linspace(0, cand.size - 1, min(count, cand.size)).astype(int))]
+
+
 def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
     """Max |centered difference of D x_t - f(x_t)| at midpoints between breakpoints.
 
@@ -769,14 +772,10 @@ def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
     times = traj.times
     if times.size < 5:
         raise PreconditionError("trajectory too short for a residual check")
-    h_local = np.min(np.diff(times))
-    mids = 0.5 * (times[:-1] + times[1:])
-    guard = 2.0 * h_local
-    cand = mids[_breakpoint_gap(traj, mids) >= guard]
-    if cand.size == 0:
+    sel = _clear_times(traj, 0.5 * (times[:-1] + times[1:]), sample_count)
+    if sel.size == 0:
         return 0.0
-    sel = cand[np.unique(np.linspace(0, cand.size - 1, min(sample_count, cand.size)).astype(int))]
-    d = min(h_local, 0.25 * guard)
+    d = 0.5 * np.min(np.diff(times))
     z = traj.z_dense(np.concatenate([sel + d, sel - d])).reshape(2, sel.size, -1)  # one lookup
     worst = 0.0
     for tm, zdot_fd in zip(sel.tolist(), (z[0] - z[1]) / (2.0 * d)):

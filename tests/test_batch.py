@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from haleform import (
     ConverseFunctional,
     DifferenceOperator,
+    DistributedTerm,
     EvaluationBlowupError,
     HistorySegment,
     InputSignal,
@@ -39,6 +40,7 @@ from haleform import (
 from haleform.certify import CertificateConstants
 from haleform.comparison import ComparisonFunction
 from haleform.functionals import DopSemiNorm, phi_h_extend
+from haleform.histories import _hermite
 from haleform.operators import _apply
 from test_golden import _systems
 
@@ -53,9 +55,20 @@ def _primitive_system(fn: str, params: dict) -> NfdeSystem:
         NonlinearTerm(0.0, fn, [[-1.3]], params), LinearTerm(0.5, [[-0.3]]))))
 
 
+def _distributed_2d() -> NfdeSystem:
+    """A planar system whose distributed term couples the components, with a
+    kernel that starts inside the window."""
+    grid = np.linspace(-0.9, 0.0, 4)
+    kernel = np.array([[[0.2 + 0.1 * g, -0.1], [0.05, 0.15 - 0.1 * g]] for g in grid])
+    return NfdeSystem(DifferenceOperator([1.0], [[[0.3, 0.1], [0.0, 0.2]]]), RhsMap(n=2, terms=(
+        LinearTerm(0.0, [[-1.2, 0.3], [-0.2, -1.0]]), DistributedTerm(grid, kernel))))
+
+
 TABLE = {"x": [-5.0, -1.0, 0.0, 1.0, 5.0], "y": [-3.0, -0.5, 0.0, 0.7, 2.0]}
 WITH_PRIMITIVES = {**SYSTEMS, **{fn: (_primitive_system(fn, params), None)
-                                 for fn, params in (("sine", {}), ("saturation", {"limit": 0.5}), ("table", TABLE))}}
+                                 for fn, params in (("sine", {}), ("saturation", {"limit": 0.5}), ("table", TABLE))},
+                   "distributed_2d": (_distributed_2d(), None)}
+DISTRIBUTED = {"distributed", "distributed_2d"}
 SIGNALS = {
     "pwc": None,  # the golden input system's own piecewise-constant signal
     "sinusoid": InputSignal.sinusoid([0.8], 2.3, 0.4),
@@ -122,6 +135,9 @@ TWO = [(3, 1.0, None), (4, 0.1, -0.3)]  # two rows: a batch on arrays, each alon
 @example(name="table", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
 @example(name="input", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))  # jumps at 0.7 and 1.6
 @example(name="distributed", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="distributed_2d", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="distributed_2d", draws=[(5, 1.0, -1.0 / 16.0), *TWO, (6, 3.0, -0.55)], signal="pwc",
+         run=(2.0, 1.0 / 16.0))
 # row 0 blows up; then a run across plans of 512 steps alone and of 256 in the batch
 @example(name="neutral", draws=[(10, 3.0, None), (3, 1.0, None)], signal="pwc", run=(2.0, 1.0 / 16.0))
 @example(name="neutral", draws=TWO[:1] * 2, signal="pwc", run=(1.5, 1e-3))
@@ -463,23 +479,19 @@ def test_a_row_that_blows_up_mid_block_ends_the_block():
 
 @contextlib.contextmanager
 def _count_windows():
-    """Record, per window plan, its steps and each stage's reads (the step end's
-    with its new-knot reads), and count the gathers."""
+    """Record, per window plan, its steps and each stage's reads, and every
+    gather as (plans placed so far, step of the plan)."""
     plans, gathers = [], []
     init, gather = integrate_module._Window.__init__, integrate_module._Window.gather
 
     def spy_init(self, store, term, delta, tips, anchors, rows):
         init(self, store, term, delta, tips, anchors, rows)
-        reads = np.array([hi - lo for lo, hi, _, _ in self.spans])
-        slivers = np.array([c - a for _, _, a, c in self.spans])
-        new = self.rows.shape[1] - self.size
-        assert new == slivers[rows[1] == 1].sum()  # only the step end's sliver reads the new knot
-        reads[rows[1] == 1] += slivers[rows[1] == 1]
+        reads = np.diff(self.starts)  # each row's: x at its nodes, then x'(a+)
         plans.append((int(rows[0].max()) + 1, [int(reads[rows[1] == e].sum()) for e in (0, 1)]))
 
-    def spy_gather(self, j, new=False):
-        gathers.append(new)
-        return gather(self, j, new)
+    def spy_gather(self, j):
+        gathers.append((len(plans), j))
+        return gather(self, j)
 
     with mock.patch.object(integrate_module._Window, "__init__", spy_init), \
             mock.patch.object(integrate_module._Window, "gather", spy_gather):
@@ -487,14 +499,14 @@ def _count_windows():
 
 
 def test_distributed_windows_are_gathered_once_per_step():
-    """A step gathers its windows' reads once, and its new knot's sliver once;
-    a system without a distributed term places no window at all."""
+    """A step gathers its windows' reads once, the new knot's included; a
+    system without a distributed term places no window at all."""
     system, _ = SYSTEMS["distributed"]
     with _count_windows() as (plans, gathers):
         traj = integrate(system, _history(system, 3, 1.0, None), 2.0, step=1.0 / 16.0)
     assert traj.times.size == 33
-    assert gathers == [False, True] * 32
-    assert sum(steps for steps, _ in plans) == 32
+    assert gathers == [(p + 1, j) for p, (steps, _) in enumerate(plans) for j in range(steps)]
+    assert sum(steps for steps, _ in plans) == len(gathers) == 32
     neutral, _ = SYSTEMS["neutral"]
     with _count_windows() as (plans, gathers):
         integrate(neutral, _history(neutral, 3, 1.0, None), 2.0, step=1.0 / 16.0)
@@ -516,6 +528,68 @@ def test_window_plans_keep_to_the_read_budget():
         _assert_agree(traj, integrate(system, phi, 2.5, step=1.0 / 128.0), system.n)
 
 
+def _windows_at(store, term, delta, start: int, stop: int):
+    """The windows of every history at steps start..stop-1, placed as the step
+    loop places them, with their rows and the Gauss rule `_Window` took."""
+    j, e, b = (a.ravel() for a in np.meshgrid(np.arange(start, stop), [0, 1], np.arange(store.shape[0]),
+                                              indexing="ij"))
+    m = store.mesh_of[b]
+    t0, t1 = store.times[j, m], store.times[j + 1, m]
+    tips, rows, rules = np.where(e == 0, t0 + 0.5 * (t1 - t0), t1), np.stack([j - start, e, b]), []
+    rule = DistributedTerm._rule
+
+    def spy(self, panels):
+        rules.append(rule(self, panels))
+        return rules[-1]
+
+    with mock.patch.object(DistributedTerm, "_rule", spy):
+        window = integrate_module._Window(store, term, delta, tips, t0, rows)
+    return window, tips, t0, rows, rules[0]
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+@pytest.mark.parametrize("kinks", [[None], [None, -0.3, -1.0 / 16.0, -0.55]], ids=["one", "kinked4"])
+def test_window_values_equal_the_sliver_substituted_sum(name, kinks):
+    """At the midpoint, the step end and the new knot, a window's value equals
+    one Gauss sum over its nodes with the sliver past the anchor a substituted:
+    x(a) + w (tip - x(a)) at a stage, and the Hermite of [a, s] from x(a) and
+    x'(a+) to the tip and its left slope at the new knot; the other nodes read
+    x from the store. Tips and slopes are random, so the value is checked as a
+    function of them, on floats for one scalar history."""
+    system, _ = WITH_PRIMITIVES[name]
+    term = system.rhs.terms[-1]
+    trajs = integrate_batch(system, [_history(system, 20 + k, 1.0, kink) for k, kink in enumerate(kinks)],
+                            2.0, step=1.0 / 16.0)
+    store, rng = trajs[0]._batch, np.random.default_rng(len(kinks))
+    scalar, live = store.shape == (1, 1), np.arange(len(trajs))
+    for start, stop in ((0, 4), (17, 20)):  # windows over the initial histories, then over knots only
+        window, tips, anchors, rows, (nodes, weights, kmats, counts) = _windows_at(
+            store, term, system.delta, start, stop)
+        parts = np.split(np.arange(nodes.size), np.cumsum(counts)[:-1])
+        for j in range(stop - start):
+            window.gather(j)
+            tip, slope = rng.standard_normal((2, len(trajs), system.n))
+            for e in (0, 1, 2):
+                got = (window.value(j, e, float(tip[0, 0]), live, float(slope[0, 0])) if scalar
+                       else window.value(j, e, tip, live, slope))
+                want = []
+                for b, traj in enumerate(trajs):
+                    r = int(np.flatnonzero((rows[0] == j) & (rows[1] == min(e, 1)) & (rows[2] == b))[0])
+                    k, a, s = parts[r], anchors[r], tips[r]
+                    t = s + nodes[k]
+                    v, past = traj.x_at(np.minimum(t, a)), t > a
+                    w = ((t[past] - a) / (s - a))[:, None]
+                    if e < 2:
+                        v[past] = (1.0 - w) * v[past] + w * tip[b]
+                    else:
+                        v[past] = _hermite(w, s - a, traj.x_at(a), tip[b], traj.xdot_at(a, "+"), slope[b])
+                    assert past.any()
+                    want.append(np.einsum("k,kij,kj->i", weights[k], kmats[k], v))
+                want = np.array(want)
+                np.testing.assert_allclose(np.reshape(got, want.shape), want, rtol=0.0,
+                                           atol=1e-13 * np.max(np.abs(want)))
+
+
 @contextlib.contextmanager
 def _count_plans():
     """Record the reads that each plan of reads places; a run's first plan also
@@ -531,7 +605,7 @@ def _count_plans():
         yield placed
 
 
-@pytest.mark.parametrize("name", sorted(set(WITH_PRIMITIVES) - {"distributed"}))
+@pytest.mark.parametrize("name", sorted(set(WITH_PRIMITIVES) - DISTRIBUTED))
 def test_knot_zero_reads_no_history_one_at_a_time(name):
     """z(0) and f at knot 0 come from one read of every initial history and
     one `RhsMap.eval` on the batch, with no per-history `dop_apply`, `RhsMap.eval`

@@ -477,6 +477,12 @@ class TestLipschitz:
             true = min(s, 1.0)
             assert est.input_gain(s) == pytest.approx(true, rel=0.05, abs=0.02)
 
+    def test_zero_input_bound_samples_no_input(self, input_system):
+        """Every sampled |u| would be 0, one point, too few for an envelope."""
+        est = estimate_lipschitz(input_system.rhs, 1.0, input_bound=0.0, samples=20, seed=13)
+        assert est.input_gain is None and est.linear_slope == 0.0
+        assert est.L0 == estimate_lipschitz(input_system.rhs, 1.0, 1.0, samples=20, seed=13).L0
+
 
 class TestIssProbe:
     @pytest.fixture()
@@ -507,6 +513,12 @@ class TestIssProbe:
     def test_requires_input_channel(self, scalar_ode_system):
         with pytest.raises(PreconditionError):
             iss_probe(scalar_ode_system, [], [], 5.0)
+
+    def test_zero_amplitude_probes(self, input_system):
+        est = iss_probe(input_system, [HistorySegment.constant([0.5], 1.0)], [InputSignal.zero(1)],
+                        horizon=2.0, step=0.125)
+        assert est.input_gain is None
+        assert est.is_iss and est.violations == 0 and est.probes == 1
 
     def test_sinusoid_probes_hold(self, input_system):
         ics = sample_shells(1, 1.0, 6, seed=17, shells=(0.5,))

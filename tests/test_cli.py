@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from haleform.cli import main
-from haleform.serialization import read_json, write_json
+from haleform import InputSignal
+from haleform.serialization import read_json, signal_to_dict, write_json
 
 SYSTEM = {
     "n": 1,
@@ -109,6 +110,17 @@ def test_dplus_report(workdir):
     assert result["value"] == pytest.approx(-1.0, abs=1e-3)
     assert result["error_band"] >= 0.0
     assert len(result["quotients"]) == len(result["h_ladder"])
+
+
+@pytest.mark.parametrize("tail", ["1", "0"])
+def test_dplus_refuses_a_ladder_tail_below_two(workdir, capsys, tail):
+    """A tail below 2 is an input error, exit 1 with a message naming it."""
+    out = workdir / "dp"
+    code = main(["dplus", str(workdir / "sys.json"), str(workdir / "V.json"), str(workdir / "hist.json"),
+                 "--tol", f"ladder_tail={tail}", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: ladder tail {tail} must be at least 2")
+    assert "ladder tail" in read_json(out / "report.json")["error"]
 
 
 def test_verify_pass_and_violation_exit_codes(workdir):
@@ -312,6 +324,20 @@ def test_iss_probe_command(tmp_path):
     assert result["is_iss"] is True
     assert result["violations"] == 0
     assert 0.9 <= result["gamma_slope"] <= 1.1
+
+
+def test_iss_probe_with_zero_signals_only_reports_no_input_gain(tmp_path):
+    write_json(tmp_path / "sys.json", {
+        "n": 1, "m": 1, "delta": 1.0, "dop": {"delays": [1.0], "matrices": [[[0.0]]]},
+        "rhs": {"terms": [{"type": "linear", "matrix": [[-1.0]]}, {"type": "input", "matrix": [[1.0]]}]},
+    })
+    scenario = {"command": "iss-probe", "system": "sys.json", "iss": {
+        "horizon": 2.0, "step": 0.125, "initial": {"per_shell": 2}, "signals": [signal_to_dict(InputSignal.zero(1))]}}
+    write_json(tmp_path / "scn.json", scenario)
+    code = main(["run", "--scenario", str(tmp_path / "scn.json"), "--out", str(tmp_path / "iss")])
+    assert code == 0
+    result = read_json(tmp_path / "iss" / "report.json")["result"]
+    assert result["input_gain"] is None and result["is_iss"] is True
 
 
 def test_fit_lk_writes_constants(workdir):

@@ -225,6 +225,14 @@ class TestDriverDerivative:
                 neutral_system, V, unit_history, ladder=LadderSpec(h0=2.0)
             )
 
+    @pytest.mark.parametrize("tail", [1, 0, -1])
+    def test_ladder_tail_below_two_is_refused(self, neutral_system, unit_history, tail):
+        """A tail of one quotient has no spread to make a band from (its coverage
+        h / (h - h) is inf), and a tail of none has no value."""
+        V = DopNormFunctional(neutral_system.dop)
+        with pytest.raises(PreconditionError, match=f"ladder tail {tail} must be at least 2"):
+            driver_derivative(neutral_system, V, unit_history, ladder=LadderSpec(levels=5, tail=tail))
+
 
 class TestFunctionalKinds:
     def test_quadratic_requires_psd(self, neutral_system):
