@@ -1,7 +1,11 @@
 #!/usr/bin/env python3
-"""Per-step cost of `integrate` (ROADMAP layer L2) and cost of a derivative
-ladder (layer L3) on the five golden systems, and cost of the converse
-witness (layer L4) on the neutral one.
+"""Cost of the exact sup of a history (ROADMAP layer L0), per-step cost of
+`integrate` (layer L2) and cost of a derivative ladder (layer L3) on the five
+golden systems, and cost of the converse witness (layer L4) on the neutral one.
+
+L0: the median, over 30 random histories of n = 1 and of n = 2 components,
+seeded 0..29, of the wall time of `sup_norm` and of `sup_norm_diff` between
+each history and the next, in microseconds.
 
 L2: each system integrates 30 random histories, seeded 0..29, one at a time,
 after one warm-up run; the line per system gives the median, over those
@@ -49,6 +53,7 @@ from haleform import (
     integrate_batch,
     phi_h_extend,
     sample_history,
+    sup_norm_diff,
 )
 from haleform.functionals import _extensions
 
@@ -89,6 +94,16 @@ def systems():
 
 def _histories(system):
     return [sample_history(system.n, system.delta, 1.0, 1 + k % 4, k) for k in range(30)]
+
+
+def sup_costs(n: int) -> tuple[float, float]:
+    """Median microseconds of `sup_norm` and of `sup_norm_diff` over 30 seeded
+    histories of n components, each differenced with the next."""
+    phis = [sample_history(n, 1.0, 1.0, 1 + k % 4, k) for k in range(30)]
+    pairs = list(zip(phis, phis[1:] + phis[:1]))
+    sup = _median_call_s(lambda phi: phi.sup_norm(), phis)
+    diff = _median_call_s(lambda pair: sup_norm_diff(*pair), pairs)
+    return 1e6 * sup, 1e6 * diff
 
 
 def step_cost(system, horizon: float, step: float, size: int = 1) -> float:
@@ -144,6 +159,10 @@ def converse_costs() -> tuple[float, float]:
 
 
 def main() -> int:
+    for n in (1, 2):
+        sup, diff = sup_costs(n)
+        label = f"sup n={n}"
+        print(f"L0 {label:<12} {sup:8.1f} us/sup_norm, {diff:6.1f} us/sup_norm_diff  (30 sampled histories)")
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
         print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")

@@ -27,7 +27,7 @@ from .functionals import (
     driver_derivative,
     driver_derivatives,
 )
-from .histories import HistorySegment, _hermite, sample_history, sup_norm_diff
+from .histories import HistorySegment, _hermite_sups, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
@@ -38,7 +38,6 @@ _SLACK = 1e-9
 _MAX_COUNTEREXAMPLES = 10  # kept per condition of a verification report, and per failed fit
 _DOP_NORM_FLOOR = 1e-8  # samples with a scale below it carry no ratio into a fit
 _SLOPE_CAP = 1e6  # the largest linear ISS gain before a power law is fitted
-_DEGREE_TOL = 1e-13  # scaled coefficients below it are dropped from a panel's critical-point polynomial
 _HORIZON_CAP = 4.0  # the converse horizon extends to at most this multiple of the given one
 
 
@@ -551,14 +550,21 @@ def _ges_fit(samples: list[HistorySegment], trajs: list[Trajectory], horizon: fl
             np.inf, lam, float(np.max(resids)), len(trajs), False, samples[worst],
             note="fitted decay rate is not positive",
         )
-    big_m = 1.0
-    for xi0, traj in zip(samples, trajs):
-        sup0 = xi0.sup_norm()
-        if sup0 < 1e-300:
-            continue
-        ratio = np.linalg.norm(traj.x, axis=1) * np.exp(lam * traj.times) / sup0
-        big_m = max(big_m, float(np.max(ratio)))
+    value, _, owner = _hermite_sups(*_store_knots(trajs, "x"), lam)
+    sup0 = np.array([xi0.sup_norm() for xi0 in samples])[owner]
+    kept = sup0 >= 1e-300  # a zero history gives no ratio
+    big_m = max(1.0, float(np.max(value[kept] / sup0[kept], initial=1.0)))
     return GesEstimate(big_m, lam, float(np.max(resids)), len(trajs), True)
+
+
+def _store_knots(trajs: list[Trajectory], y: str):
+    """`_hermite_sups`' (times, values, right slopes, left slopes, owners) of y
+    ("x" or "z") on trajs, all of one batch: owner r is trajectory trajs[r]."""
+    store, cols = trajs[0]._batch, np.array([traj._row for traj in trajs])
+    r, k = np.nonzero(np.arange(store.z.shape[0]) < store.counts[cols][:, None])  # knot k of trajectory r
+    col = cols[r]
+    planes = (getattr(store, y + side)[k, col] for side in ("", "dot_right", "dot_left"))
+    return store.times[k, store.mesh_of[col]], *planes, r
 
 
 @dataclass
@@ -620,11 +626,10 @@ class ConverseFunctional(Functional):
     Each evaluation integrates the system from phi and takes the sup exactly:
     between knots z is the cubic Hermite of its panel, so the sup lies at a
     knot (t = 0 makes V(phi) >= |D phi| exact) or at a critical point inside
-    a panel. A panel's cubic lies in the convex hull of its Bernstein control
-    points, so only panels whose hull rises above the best knot are solved.
-    When the maximizer lands near the truncation edge (where the truncated
-    sup would not decay along the flow), the horizon is extended until the
-    maximizer is interior, up to four times the given one. Requires 0 < a
+    a panel, found by `histories._hermite_sups`. When the maximizer lands
+    near the truncation edge (where the truncated sup would not decay along
+    the flow), the horizon is extended until the maximizer is interior, up to
+    four times the given one. Requires 0 < a
     below the decay rate and a horizon long enough that the truncated tail
     cannot carry the sup for typical histories. `step` is a mesh step or a
     StepPolicy; `self.step` keeps the policy's step, None for its default.
@@ -656,32 +661,7 @@ class ConverseFunctional(Functional):
         wins a tie, so z = 0 gives (0, 0)."""
         if not trajs:
             return []
-        store, cols, rate = trajs[0]._batch, np.array([traj._row for traj in trajs]), self.rate
-        counts = store.counts[cols]
-        r, k = np.nonzero(np.arange(store.z.shape[0]) < counts[:, None])  # knot k of trajectory r
-        col = cols[r]
-        t, z = store.times[k, store.mesh_of[col]], store.z[k, col]
-        norms = np.linalg.norm(z, axis=1)
-        g = norms * np.exp(rate * t)
-        # panel j spans knots j and j + 1, with the slopes the store's lookups read
-        j = np.flatnonzero(k < counts[r] - 1)
-        length = (t[j + 1] - t[j])[:, None]
-        s0, s1 = store.zdot_right[k[j], col[j]], store.zdot_left[k[j] + 1, col[j]]
-        bound = np.maximum(norms[j], norms[j + 1])  # the Bernstein control points, one at a time
-        bound = np.maximum(bound, np.linalg.norm(z[j] + length * s0 / 3.0, axis=1))
-        bound = np.maximum(bound, np.linalg.norm(z[j + 1] - length * s1 / 3.0, axis=1))
-        keep = bound * np.exp(rate * t[j + 1]) > np.maximum.reduceat(g, np.cumsum(counts) - counts)[r[j]]
-        j, length, s0, s1 = (a[keep] for a in (j, length, s0, s1))
-        z0, z1 = z[j], z[j + 1]
-        ls0, ls1 = length * s0, length * s1
-        coefs = np.stack([z0, ls0, 3.0 * (z1 - z0) - 2.0 * ls0 - ls1, 2.0 * (z0 - z1) + ls0 + ls1], axis=1)
-        theta = _critical_points(coefs, rate * length[:, 0]).real
-        p, q = np.nonzero((theta > 0.0) & (theta < 1.0))  # root q of kept panel p
-        theta, length = theta[p, q][:, None], length[p]
-        tc = t[j[p]] + length[:, 0] * theta[:, 0]
-        zc = _hermite(theta, length, z0[p], z1[p], s0[p], s1[p])
-        value = np.concatenate([g, np.linalg.norm(zc, axis=1) * np.exp(rate * tc)])
-        when, owner = np.concatenate([t, tc]), np.concatenate([r, r[j[p]]])
+        value, when, owner = _hermite_sups(*_store_knots(trajs, "z"), self.rate)
         order = np.lexsort((-value, owner))  # a stable sort: knots first, in time order
         top = order[np.searchsorted(owner[order], np.arange(len(trajs)))]
         return list(zip(value[top].tolist(), when[top].tolist()))
@@ -719,32 +699,6 @@ class ConverseFunctional(Functional):
                 f"trajectory from the queried history blew up at t = {blowups[min(blowups)]}"
             )
         return values
-
-
-def _critical_points(coefs: np.ndarray, rate_length: np.ndarray) -> np.ndarray:
-    """Complex roots, (K, 6) or for n = 1 (K, 3), of a polynomial whose real
-    roots hold the critical points of |z(theta)| e^(aL theta) on each of K
-    panels z(theta) = sum_i coefs[k, i] theta^i, aL = rate_length[k]: z . q
-    with q = z_theta + aL z, or q for n = 1. Scaled to a largest coefficient
-    of 1, each is solved at its degree d past coefficients below `_DEGREE_TOL`,
-    as the leading d x d block of a companion whose other diagonal is -1.
-    """
-    q = rate_length[:, None, None] * coefs
-    q[:, :3] += np.arange(1.0, 4.0)[:, None] * coefs[:, 1:]
-    power = 1.0 * (np.add.outer(np.arange(4), np.arange(4)) == np.arange(7)[:, None, None])
-    poly = q[..., 0] if coefs.shape[2] == 1 else np.einsum("kin,kjn,mij->km", coefs, q, power)
-    scale = np.abs(poly).max(axis=1, keepdims=True)
-    poly = np.divide(poly, scale, out=np.zeros_like(poly), where=scale > 0.0)
-    size = poly.shape[1] - 1
-    degree = np.max((np.abs(poly) > _DEGREE_TOL) * np.arange(size + 1), axis=1)
-    lead = np.take_along_axis(poly, degree[:, None], axis=1)
-    i = np.arange(size)
-    block = i < degree[:, None]  # the rows and columns of the companion block
-    below = np.take_along_axis(poly, np.maximum(degree[:, None] - 1 - i, 0), axis=1)
-    companion = np.eye(size, k=-1) * block[..., None] - np.eye(size) * ~block[..., None]
-    # first row: -p_(d-1) / p_d, ..., -p_0 / p_d
-    companion[:, 0] += np.divide(-below, lead, out=np.zeros_like(below), where=block)
-    return np.linalg.eigvals(companion)
 
 
 def converse_horizon(ges: GesEstimate, rate: float) -> float:
@@ -801,6 +755,8 @@ def estimate_lipschitz(
     |f(phi, u) - f(phi, 0)| against |u|, with its smallest linear majorant's
     slope reported separately.
     """
+    if samples < 1:
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     if delta is None:
         delta = max(rhs.max_delay, 1.0)
     rng = np.random.default_rng(seed)

@@ -113,7 +113,7 @@ class IntegralQuadraticFunctional(Functional):
 
 
 class SupNormFunctional(Functional):
-    """V(phi) = c ||phi|| with the sup norm estimated on a refined grid."""
+    """V(phi) = c ||phi||, with the exact sup norm of `HistorySegment.sup_norm`."""
 
     kind = "sup-norm"
 

@@ -17,6 +17,7 @@ LINEAR = "linear"
 CUBIC = "cubic-hermite"
 
 _DOMAIN_TOL = 1e-9
+_DEGREE_TOL = 1e-13  # scaled coefficients below it are dropped from a panel's critical-point polynomial
 
 
 def _hermite_basis(theta):
@@ -194,17 +195,13 @@ class HistorySegment:
         kernel = _hermite if side is None else _hermite_deriv
         return kernel(theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1])
 
-    def refined_grid(self, refine: int = 10) -> np.ndarray:
-        pieces = [self.grid]
-        for k in range(1, refine):
-            frac = k / refine
-            pieces.append(self.grid[:-1] + frac * np.diff(self.grid))
-        return np.sort(np.concatenate(pieces))
-
-    def sup_norm(self, refine: int = 10) -> float:
-        """Sup of |phi(s)| (Euclidean) estimated on a `refine`-times finer grid."""
-        pts = self.eval(self.refined_grid(refine))
-        return float(np.max(np.linalg.norm(pts, axis=1)))
+    def sup_norm(self) -> float:
+        """Sup of |phi(s)| (Euclidean) over [-delta, 0], exact: the largest node of
+        a linear history (|phi| is convex on its panels), else the largest
+        candidate of `_hermite_sups`."""
+        if self.interp == LINEAR:
+            return float(np.linalg.norm(self.values, axis=1).max())
+        return float(_hermite_sups(self.grid, self.values, self.slopes, self.slopes)[0].max())
 
     @classmethod
     def constant(cls, value, delta: float, interp: str = CUBIC) -> "HistorySegment":
@@ -218,21 +215,88 @@ class HistorySegment:
 
 def combine(a: float, phi: HistorySegment, b: float, psi: HistorySegment) -> HistorySegment:
     """a*phi + b*psi sampled on the union grid of the two operands."""
-    if abs(phi.delta - psi.delta) > _DOMAIN_TOL * max(1.0, phi.delta):
-        raise PreconditionError("histories must share the same horizon")
-    if phi.n != psi.n:
-        raise DimensionError("histories must share the same dimension")
-    grid = np.union1d(phi.grid, psi.grid)
+    grid = _union_grid(phi, psi)
     values = a * phi.eval(grid) + b * psi.eval(grid)
     interp = CUBIC if CUBIC in (phi.interp, psi.interp) else LINEAR
     return HistorySegment(phi.delta, grid, values, interp)
 
 
-def sup_norm_diff(phi: HistorySegment, psi: HistorySegment, refine: int = 10) -> float:
-    """Sup-norm of phi - psi on the refined union grid."""
-    grid = np.union1d(phi.refined_grid(refine), psi.refined_grid(refine))
-    diff = phi.eval(grid) - psi.eval(grid)
-    return float(np.max(np.linalg.norm(diff, axis=1)))
+def sup_norm_diff(phi: HistorySegment, psi: HistorySegment) -> float:
+    """Sup-norm of phi - psi, exact: on each panel of the union grid the
+    difference is the cubic Hermite of its end values, its right slope at the
+    left end and its left slope at the right end, a linear operand's too."""
+    grid = _union_grid(phi, psi)
+    diff = (phi._interpolate(grid, side) - psi._interpolate(grid, side) for side in (None, "+", "-"))
+    return float(_hermite_sups(grid, *diff)[0].max())
+
+
+def _union_grid(phi: HistorySegment, psi: HistorySegment) -> np.ndarray:
+    """The union of the grids of two histories of one space: one horizon and one n."""
+    if abs(phi.delta - psi.delta) > _DOMAIN_TOL * max(1.0, phi.delta):
+        raise PreconditionError("histories must share the same horizon")
+    if phi.n != psi.n:
+        raise DimensionError("histories must share the same dimension")
+    return np.union1d(phi.grid, psi.grid)
+
+
+def _hermite_sups(times, values, right, left, owners=None, rate: float = 0.0):
+    """(value, time, owner) of every candidate for the sup of |y(t)| e^(rate t),
+    rate >= 0, on cubic Hermite panels: y is values[i] at times[i] and has slope
+    right[i] on the right of knot i and left[i] on its left; a panel joins two
+    consecutive knots of one owner (all of one owner by default), whose knots
+    are in time order. The candidates are the knots and the critical points
+    inside the panels whose Bernstein hull (Farouki, CAGD 29, 2012) rises above
+    their owner's best knot.
+    """
+    owners = np.zeros(times.size, dtype=int) if owners is None else owners
+    norms = np.linalg.norm(values, axis=1)
+    g = norms * np.exp(rate * times)
+    j = np.flatnonzero(owners[:-1] == owners[1:])  # panel j spans knots j and j + 1
+    length = (times[j + 1] - times[j])[:, None]
+    s0, s1 = right[j], left[j + 1]
+    bound = np.maximum(norms[j], norms[j + 1])  # the Bernstein control points, one at a time
+    bound = np.maximum(bound, np.linalg.norm(values[j] + length * s0 / 3.0, axis=1))
+    bound = np.maximum(bound, np.linalg.norm(values[j + 1] - length * s1 / 3.0, axis=1))
+    starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
+    best = np.maximum.reduceat(g, starts)[np.searchsorted(starts, j, "right") - 1]
+    keep = bound * np.exp(rate * times[j + 1]) > best
+    j, length, s0, s1 = (a[keep] for a in (j, length, s0, s1))
+    y0, y1 = values[j], values[j + 1]
+    ls0, ls1 = length * s0, length * s1
+    coefs = np.stack([y0, ls0, 3.0 * (y1 - y0) - 2.0 * ls0 - ls1, 2.0 * (y0 - y1) + ls0 + ls1], axis=1)
+    theta = _critical_points(coefs, rate * length[:, 0]).real
+    p, q = np.nonzero((theta > 0.0) & (theta < 1.0))  # root q of kept panel p
+    theta, length = theta[p, q][:, None], length[p]
+    tc = times[j[p]] + length[:, 0] * theta[:, 0]
+    yc = _hermite(theta, length, y0[p], y1[p], s0[p], s1[p])
+    value = np.concatenate([g, np.linalg.norm(yc, axis=1) * np.exp(rate * tc)])
+    return value, np.concatenate([times, tc]), np.concatenate([owners, owners[j[p]]])
+
+
+def _critical_points(coefs: np.ndarray, rate_length: np.ndarray) -> np.ndarray:
+    """Complex roots, (K, 6) or for n = 1 (K, 3), of a polynomial whose real
+    roots hold the critical points of |z(theta)| e^(aL theta) on each of K
+    panels z(theta) = sum_i coefs[k, i] theta^i, aL = rate_length[k]: z . q
+    with q = z_theta + aL z, or q for n = 1. Scaled to a largest coefficient
+    of 1, each is solved at its degree d past coefficients below `_DEGREE_TOL`,
+    as the leading d x d block of a companion whose other diagonal is -1.
+    """
+    q = rate_length[:, None, None] * coefs
+    q[:, :3] += np.arange(1.0, 4.0)[:, None] * coefs[:, 1:]
+    power = 1.0 * (np.add.outer(np.arange(4), np.arange(4)) == np.arange(7)[:, None, None])
+    poly = q[..., 0] if coefs.shape[2] == 1 else np.einsum("kin,kjn,mij->km", coefs, q, power)
+    scale = np.abs(poly).max(axis=1, keepdims=True)
+    poly = np.divide(poly, scale, out=np.zeros_like(poly), where=scale > 0.0)
+    size = poly.shape[1] - 1
+    degree = np.max((np.abs(poly) > _DEGREE_TOL) * np.arange(size + 1), axis=1)
+    lead = np.take_along_axis(poly, degree[:, None], axis=1)
+    i = np.arange(size)
+    block = i < degree[:, None]  # the rows and columns of the companion block
+    below = np.take_along_axis(poly, np.maximum(degree[:, None] - 1 - i, 0), axis=1)
+    companion = np.eye(size, k=-1) * block[..., None] - np.eye(size) * ~block[..., None]
+    # first row: -p_(d-1) / p_d, ..., -p_0 / p_d
+    companion[:, 0] += np.divide(-below, lead, out=np.zeros_like(below), where=block)
+    return np.linalg.eigvals(companion)
 
 
 def sample_history(
@@ -280,7 +344,8 @@ def sample_history(
         seg = HistorySegment(delta, knots, kv, CUBIC, ks)
         seg = HistorySegment(delta, grid, seg.eval(grid), CUBIC)
 
-    sup = seg.sup_norm(refine=20)
+    fine = seg.grid[:-1] + np.arange(1, 20)[:, None] / 20 * np.diff(seg.grid)  # the 20x refined grid
+    sup = float(np.max(np.linalg.norm(seg.eval(np.concatenate([seg.grid, fine.ravel()])), axis=1)))
     if sup < 1e-300:
         return HistorySegment.zero(n, delta)
     scale = amplitude / sup

@@ -356,6 +356,24 @@ class TestEstimateGes:
         bound = est.bound(xi0.sup_norm(), traj.times)
         assert np.all(mags <= bound * (1.0 + 1e-6) + 1e-12)
 
+    @pytest.mark.parametrize("a", [1.5, 6.0])
+    def test_bound_holds_between_knots(self, a):
+        """A rotation turns |x| between knots: M is the envelope's sup over
+        each panel, not its largest knot, so the fitted bound holds on a dense
+        read of every fitted run (a knots-only M fell short by 2.1e-4 at a = 1.5
+        and by 4.0e-3 at a = 6, where it was clamped to 1)."""
+        system = NfdeSystem(
+            DifferenceOperator([1.0], [[[0.0, 0.0], [0.0, 0.0]]]),
+            RhsMap(n=2, terms=(LinearTerm(0.0, [[-0.3, a], [-a, -0.3]]), LinearTerm(1.0, 0.1 * np.eye(2)))),
+        )
+        samples = sample_shells(2, 1.0, 4, 3)
+        est = estimate_ges(system, samples, 10.0, step=0.25)
+        assert est.is_ges
+        times = np.linspace(0.0, 10.0, 20_001)
+        for xi0, traj in zip(samples, integrate_batch(system, samples, 10.0, step=0.25)):
+            mags = np.linalg.norm(traj.x_at(times), axis=1)
+            assert np.all(mags <= est.bound(xi0.sup_norm(), times) * (1.0 + 1e-12))
+
     def test_unstable_not_ges_with_counterexample(self, unstable_system):
         est = estimate_ges(unstable_system, 10, 10.0, step=0.125, seed=3)
         assert not est.is_ges
@@ -482,6 +500,18 @@ class TestLipschitz:
         est = estimate_lipschitz(input_system.rhs, 1.0, input_bound=0.0, samples=20, seed=13)
         assert est.input_gain is None and est.linear_slope == 0.0
         assert est.L0 == estimate_lipschitz(input_system.rhs, 1.0, 1.0, samples=20, seed=13).L0
+
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_samples_is_refused(self, input_system, samples):
+        """No pair gives no quotient: a vacuous L0 = 0 is refused by name,
+        also where `iss_probe` passes its `lipschitz_samples` on."""
+        with pytest.raises(PreconditionError, match="samples must be at least 1"):
+            estimate_lipschitz(input_system.rhs, 1.0, 1.0, samples=samples)
+        ics = sample_shells(1, 1.0, 1, seed=3, shells=(1.0,))
+        with pytest.raises(PreconditionError, match="samples must be at least 1"):
+            iss_probe(input_system, ics, [InputSignal.zero(1)], horizon=4.0, step=0.125,
+                      lipschitz_samples=samples)
 
 
 class TestIssProbe:

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from haleform import ConverseFunctional, certify, integrate_batch, sample_history
-from haleform.certify import _critical_points
+from haleform.histories import _critical_points
 from test_golden import _systems
 
 SYSTEMS = {name: system for name, (system, _) in _systems().items() if name != "input"}

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haleform import HistorySegment, PreconditionError, combine, sample_history, sup_norm_diff
-from haleform.histories import fd_slopes
+from haleform import DimensionError, HistorySegment, PreconditionError, combine, sample_history, sup_norm_diff
+from haleform.histories import LINEAR, fd_slopes
 
 
 def test_node_values_reproduced_exactly():
@@ -77,12 +77,17 @@ def test_sample_history_roughness_zero_is_constant():
     assert seg.sup_norm() <= 1.0 + 1e-12
 
 
+def _sampled_sup(seg, refine):
+    """The largest |phi| at the nodes and at `refine` - 1 even fractions of each panel."""
+    fine = [seg.grid] + [seg.grid[:-1] + k / refine * np.diff(seg.grid) for k in range(1, refine)]
+    return np.max(np.linalg.norm(seg.eval(np.concatenate(fine)), axis=1))
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_sample_history_sup_norm_bound_on_finer_grid(seed):
     bound = 0.8
     seg = sample_history(2, 1.0, bound, seed % 5, seed)
-    pts = seg.eval(seg.refined_grid(10))
-    assert np.max(np.linalg.norm(pts, axis=1)) <= bound + 1e-12
+    assert _sampled_sup(seg, 10) <= bound + 1e-12
 
 
 def test_sample_history_deterministic_per_seed():
@@ -118,6 +123,53 @@ def test_sup_norm_diff_zero_for_identical():
     assert sup_norm_diff(a, a) == 0.0
 
 
+def test_sup_norm_diff_refuses_histories_of_two_dimensions():
+    with pytest.raises(DimensionError, match="same dimension"):
+        sup_norm_diff(sample_history(1, 1.0, 1.0, 2, 5), sample_history(2, 1.0, 1.0, 2, 6))
+
+
+def test_sup_norm_diff_refuses_histories_of_two_horizons():
+    with pytest.raises(PreconditionError, match="same horizon"):
+        sup_norm_diff(sample_history(1, 1.0, 1.0, 2, 5), sample_history(1, 2.0, 1.0, 2, 6))
+
+
+def _dense_mags(f, grid):
+    """|f| on a 4,000x refined grid of `grid`'s panels, then on 4,001 points
+    between the two neighbours of that grid's argmax. Near a maximum the
+    4,000x grid alone sits up to about 1.5e-9 relative below the sup."""
+    t = np.sort(np.concatenate([grid] + [grid[:-1] + k / 4000 * np.diff(grid) for k in range(1, 4000)]))
+    mags = np.linalg.norm(f(t), axis=1)
+    i = int(np.argmax(mags))
+    local = np.linspace(t[max(i - 1, 0)], t[min(i + 1, t.size - 1)], 4001)
+    return np.concatenate([mags, np.linalg.norm(f(local), axis=1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["cubic", "linear", "linear - cubic", "cubic - linear"]),
+    n=st.integers(1, 3),
+    roughness=st.integers(1, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_sup_norms_are_exact(kind, n, roughness, seed):
+    """The sup of a cubic or linear history, and of the difference of a linear
+    and a cubic one, is at least |phi| at every point of a dense grid and
+    within 1e-12 of the largest. Near a maximum |phi| is flat down to its
+    rounding, so the grid may beat the sup by a few ulps, never by more."""
+    cubic = sample_history(n, 1.0, 1.0, roughness, seed)
+    rng = np.random.default_rng(seed)
+    grid = np.concatenate([[-1.0], np.sort(rng.uniform(-1.0, 0.0, 3 + 2 * roughness)), [0.0]])
+    linear = HistorySegment(1.0, grid, rng.standard_normal((grid.size, n)), LINEAR)
+    if kind in ("cubic", "linear"):
+        phi = cubic if kind == "cubic" else linear
+        sup, mags = phi.sup_norm(), _dense_mags(phi.eval, phi.grid)
+    else:
+        a, b = (linear, cubic) if kind == "linear - cubic" else (cubic, linear)
+        sup = sup_norm_diff(a, b)
+        mags = _dense_mags(lambda t: a.eval(t) - b.eval(t), np.union1d(a.grid, b.grid))
+    assert mags.max() * (1.0 - 1e-14) <= sup <= mags.max() * (1.0 + 1e-12)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(min_value=0, max_value=4),
@@ -128,7 +180,7 @@ def test_sample_history_contract(roughness, seed, bound):
     seg = sample_history(1, 1.0, bound, roughness, seed)
     assert seg.grid[0] == -1.0 and seg.grid[-1] == 0.0
     assert np.all(np.isfinite(seg.values))
-    assert seg.sup_norm(10) <= bound + 1e-9 * bound
+    assert _sampled_sup(seg, 10) <= bound + 1e-9 * bound
 
 
 @settings(max_examples=200, deadline=None)
