@@ -16,7 +16,9 @@ cubic system. One history of one component steps on Python floats; the
 "x8" lines (neutral, planar, distributed) time batches of 8 histories
 (`integrate_batch`), which step on arrays: the median, over the 30 batches
 that start at each history and take the next ones in turn, of wall time
-divided by the batch's number of steps.
+divided by the batch's number of steps. The "one-step" line times a run of
+one neutral history over one step of 0.125, which is all set-up: the median
+wall time per run, in microseconds.
 
 L3: on the same histories, the median wall time of a levels-14
 `driver_derivative` of V(phi) = |D phi|^2 (the bench's `dplus_quadratic`
@@ -29,7 +31,10 @@ workload builds it. The "query" line is the median, over the same 30
 histories, of the wall time of the benchmark's converse query: V(phi) and a
 levels-5 `driver_derivative`. The "x105" line is the median wall time of
 `V.many` on 15 of them, each followed by its 6 levels-5 rungs, on 7 meshes:
-the batch that fitting certificate constants on 15 samples evaluates.
+the batch that fitting certificate constants on 15 samples evaluates. The
+"ladder x7" line is the median wall time of the query's ladder batch, phi
+and its 6 rungs in one `integrate_batch` on 7 meshes, next to the same 7
+rows on one mesh (each given the last rung's kinks, so each takes 90 steps).
 
 Timings depend on the machine; compare runs made on one.
 
@@ -43,6 +48,7 @@ from haleform import (
     ConverseFunctional,
     DifferenceOperator,
     DistributedTerm,
+    HistorySegment,
     LadderSpec,
     LinearTerm,
     NfdeSystem,
@@ -144,18 +150,25 @@ def ladder_cost(system) -> tuple[float, float]:
     return 1e3 * query, rungs / query
 
 
-def converse_costs() -> tuple[float, float]:
+def converse_costs() -> tuple[float, float, float, float]:
     """Median milliseconds of a converse query (V(phi) and a levels-5 D+V) over
-    30 seeded histories, and of `V.many` on 15 of them with their rungs."""
+    30 seeded histories, of `V.many` on 15 of them with their rungs, and of the
+    integration of each history's ladder batch on its 7 meshes and on one."""
     system = systems()["neutral"][0]
     V = ConverseFunctional(system, 0.2, 10.0, step=0.125)
     ladder = LadderSpec(levels=5)
     phis = _histories(system)
     query = _median_call_s(lambda phi: (V(phi), driver_derivative(system, V, phi, ladder=ladder)), phis)
     hs = ladder.steps(system.dop.min_delay)
-    rows = [row for phi in phis[:15] for row in (phi, *(phi_h_extend(system, phi, float(h)) for h in hs))]
+    ladders = [[phi, *(phi_h_extend(system, phi, float(h)) for h in hs)] for phi in phis]
+    rows = [row for rungs in ladders[:15] for row in rungs]
     batch = _median_call_s(lambda _: V.many(rows), [None] * 7)
-    return 1e3 * query, 1e3 * batch
+    costs = ([], [])  # each history's ladder on its 7 meshes, then on one, timed in turn
+    for rungs in ladders:
+        one_mesh = [HistorySegment(r.delta, r.grid, r.values, r.interp, r.slopes, rungs[-1].kink_times) for r in rungs]
+        for cost, rows in zip(costs, (rungs, one_mesh)):
+            cost.append(_median_call_s(lambda batch: integrate_batch(system, batch, 10.0, step=0.125), [rows]))
+    return 1e3 * query, 1e3 * batch, *(1e3 * float(np.median(cost)) for cost in costs)
 
 
 def main() -> int:
@@ -171,12 +184,16 @@ def main() -> int:
         cost = step_cost(system, horizon, step, BATCH)
         label = f"{name} x{BATCH}"
         print(f"L2 {label:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}, {BATCH} histories)")
+    system = systems()["neutral"][0]
+    cost = step_cost(system, 0.125, 0.125)
+    print(f"L2 {'one-step':<12} {cost:8.1f} us/run   (neutral, one step of 0.125: the set-up alone)")
     for name, (system, _, _) in systems().items():
         query, share = ladder_cost(system)
         print(f"L3 {name:<12} {query:8.2f} ms/query, rungs {100 * share:4.1f}%  (levels 14, |D phi|^2)")
-    query, batch = converse_costs()
+    query, batch, ragged, flat = converse_costs()
     print(f"L4 {'query':<12} {query:8.2f} ms/query  (neutral, V(phi) and levels-5 D+V, step 0.125, horizon 10)")
     print(f"L4 {'x105':<12} {batch:8.2f} ms/batch  (V.many on 15 histories with their levels-5 rungs)")
+    print(f"L4 {'ladder x7':<12} {ragged:8.2f} ms/batch  (phi and its 6 rungs on 7 meshes; {flat:.2f} on one mesh)")
     return 0
 
 

@@ -27,7 +27,7 @@ from .functionals import (
     driver_derivative,
     driver_derivatives,
 )
-from .histories import HistorySegment, _hermite_sups, sample_history, sup_norm_diff
+from .histories import HistorySegment, _hermite_sups, _sup_norms, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
@@ -520,11 +520,11 @@ def estimate_ges(
         samples = list(seeds)
     if not samples:
         raise PreconditionError(f"seeds gives no history ({seeds!r}), so nothing would be fitted")
-    return _ges_fit(samples, integrate_batch(system, samples, horizon, step=step), horizon)
+    return _ges_fit(samples, _sup_norms(samples), integrate_batch(system, samples, horizon, step), horizon)
 
 
-def _ges_fit(samples: list[HistorySegment], trajs: list[Trajectory], horizon: float) -> GesEstimate:
-    """`estimate_ges`'s verdict on the zero-input runs trajs from samples."""
+def _ges_fit(samples: list[HistorySegment], sups, trajs: list[Trajectory], horizon: float) -> GesEstimate:
+    """`estimate_ges`'s verdict on the zero-input runs trajs from samples, whose sup norms are sups."""
     for k, (xi0, traj) in enumerate(zip(samples, trajs)):
         if traj.blowup:
             return GesEstimate(
@@ -543,15 +543,14 @@ def _ges_fit(samples: list[HistorySegment], trajs: list[Trajectory], horizon: fl
     if lam <= 0.0:
         worst = max(
             range(len(trajs)),
-            key=lambda i: np.max(np.linalg.norm(trajs[i].x, axis=1))
-            / max(samples[i].sup_norm(), 1e-300),
+            key=lambda i: np.max(np.linalg.norm(trajs[i].x, axis=1)) / max(sups[i], 1e-300),
         )
         return GesEstimate(
             np.inf, lam, float(np.max(resids)), len(trajs), False, samples[worst],
             note="fitted decay rate is not positive",
         )
     value, _, owner = _hermite_sups(*_store_knots(trajs, "x"), lam)
-    sup0 = np.array([xi0.sup_norm() for xi0 in samples])[owner]
+    sup0 = sups[owner]
     kept = sup0 >= 1e-300  # a zero history gives no ratio
     big_m = max(1.0, float(np.max(value[kept] / sup0[kept], initial=1.0)))
     return GesEstimate(big_m, lam, float(np.max(resids)), len(trajs), True)
@@ -662,8 +661,10 @@ class ConverseFunctional(Functional):
         if not trajs:
             return []
         value, when, owner = _hermite_sups(*_store_knots(trajs, "z"), self.rate)
-        order = np.lexsort((-value, owner))  # a stable sort: knots first, in time order
-        top = order[np.searchsorted(owner[order], np.arange(len(trajs)))]
+        best, top = np.full(len(trajs), -np.inf), np.full(len(trajs), value.size)
+        np.maximum.at(best, owner, value)
+        hits = np.flatnonzero(value == best[owner])  # the candidates at their trajectory's sup, in order
+        np.minimum.at(top, owner[hits], hits)  # the first of each: the knots come first, in time order
         return list(zip(value[top].tolist(), when[top].tolist()))
 
     def __call__(self, phi: HistorySegment) -> float:
@@ -849,13 +850,14 @@ def iss_probe(
     # a zero signal among the probes serves as the zero-input batch, run once
     zero = next((sig for sig in input_signals if sig.kind == ZERO), InputSignal.zero(system.m))
     zero_runs = runs(zero)
-    ges = _ges_fit(initial_histories, zero_runs, horizon)
+    sups = _sup_norms(initial_histories)  # each history's sup, once
+    ges = _ges_fit(initial_histories, sups, zero_runs, horizon)
     if not ges.is_ges:
         raise PreconditionError("system is not exponentially stable at zero input")
     beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)
     lip = estimate_lipschitz(
         system.rhs,
-        max(h.sup_norm() for h in initial_histories),
+        float(sups.max()),
         max(s.sup_norm(horizon) for s in input_signals),
         samples=lipschitz_samples,
         seed=seed,
@@ -865,10 +867,8 @@ def iss_probe(
     records = []
     probes = 0
     usups = {}  # each signal's cumulative sup, once per mesh
-    for k, xi0 in enumerate(initial_histories):
-        sup0 = xi0.sup_norm()
-        for j, (sig, trajs) in enumerate(zip(input_signals, by_signal)):
-            traj = trajs[k]
+    for xi0, sup0, *runs_k in zip(initial_histories, sups.tolist(), *by_signal):
+        for j, (sig, traj) in enumerate(zip(input_signals, runs_k)):
             probes += 1
             if traj.blowup:
                 return IssEstimate(

@@ -239,6 +239,21 @@ def _union_grid(phi: HistorySegment, psi: HistorySegment) -> np.ndarray:
     return np.union1d(phi.grid, psi.grid)
 
 
+def _sup_norms(histories) -> np.ndarray:
+    """`sup_norm` of each history: a linear one's largest node, the cubic ones' panels in one
+    `_hermite_sups` call, each owned by its history's index."""
+    sups = np.array([np.linalg.norm(h.values, axis=1).max() for h in histories])
+    cubic = [k for k, h in enumerate(histories) if h.interp == CUBIC]
+    if cubic:
+        grid, values, slopes = (np.concatenate([getattr(histories[k], name) for k in cubic])
+                                for name in ("grid", "values", "slopes"))
+        owners = np.repeat(cubic, [histories[k].num_nodes for k in cubic])
+        value, _, owner = _hermite_sups(grid, values, slopes, slopes, owners)
+        sups[cubic] = -np.inf
+        np.maximum.at(sups, owner, value)
+    return sups
+
+
 def _hermite_sups(times, values, right, left, owners=None, rate: float = 0.0):
     """(value, time, owner) of every candidate for the sup of |y(t)| e^(rate t),
     rate >= 0, on cubic Hermite panels: y is values[i] at times[i] and has slope
@@ -257,10 +272,12 @@ def _hermite_sups(times, values, right, left, owners=None, rate: float = 0.0):
     bound = np.maximum(norms[j], norms[j + 1])  # the Bernstein control points, one at a time
     bound = np.maximum(bound, np.linalg.norm(values[j] + length * s0 / 3.0, axis=1))
     bound = np.maximum(bound, np.linalg.norm(values[j + 1] - length * s1 / 3.0, axis=1))
-    starts = np.flatnonzero(np.r_[True, owners[1:] != owners[:-1]])
-    best = np.maximum.reduceat(g, starts)[np.searchsorted(starts, j, "right") - 1]
-    keep = bound * np.exp(rate * times[j + 1]) > best
-    j, length, s0, s1 = (a[keep] for a in (j, length, s0, s1))
+    starts = np.flatnonzero(np.concatenate([[True], owners[1:] != owners[:-1]]))
+    best = np.maximum.reduceat(g, starts)[starts.searchsorted(j, "right") - 1]
+    keep = np.flatnonzero(bound * np.exp(rate * times[j + 1]) > best)
+    if not keep.size:  # every sup is at a knot
+        return g, times, owners
+    j, length, s0, s1 = j[keep], length[keep], s0[keep], s1[keep]
     y0, y1 = values[j], values[j + 1]
     ls0, ls1 = length * s0, length * s1
     coefs = np.stack([y0, ls0, 3.0 * (y1 - y0) - 2.0 * ls0 - ls1, 2.0 * (y0 - y1) + ls0 + ls1], axis=1)

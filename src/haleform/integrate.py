@@ -31,6 +31,7 @@ loop.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -45,7 +46,8 @@ from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _appl
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
-_PLAN_READS = 2048  # delayed reads (of all histories) placed at once ahead of the step loop
+_PLAN_READS = 2560  # delayed reads (of all histories) placed at once ahead of the step loop; a converse
+# query's levels-5 ladder, 7 meshes over 10 delays at 8 steps a delay, places 2,548
 _BREAKPOINT_LIMIT = 20000  # lattice points enumerated before a mesh falls back to plain steps
 # a step's evaluations of f: k2, k3 (midpoint), k4 (step end), f at the new knot and, where an
 # input jumps, its left limit; as (block-term values taken: 0 midpoint, 1 end, 2 knot; window stage)
@@ -71,42 +73,41 @@ def propagation_breakpoints(delays, horizon: float, seeds=(0.0,)):
     fall back to the plain mesh, reducing observed order).
     """
     delays = sorted({float(d) for d in delays if d > 0})
-    out = []
-    seen = set()
-    heap = []
-    for s in seeds:
-        key = int(round(float(s) / _BP_TOL))
-        if key not in seen:
-            seen.add(key)
-            heapq.heappush(heap, float(s))
-    truncated = False
-    while heap:
-        v = heapq.heappop(heap)
-        if v > horizon + _BP_TOL:
+    reach, pop, push = horizon + _BP_TOL, heapq.heappop, heapq.heappush
+    first = {round(s / _BP_TOL): s for s in [*map(float, seeds)][::-1]}  # each merge key's first seed
+    seen, heap, out = set(first), list(first.values()), []
+    heapq.heapify(heap)  # distinct keys, so distinct sums: they pop in order whatever the heap's shape
+    while heap and len(out) <= _BREAKPOINT_LIMIT:
+        v = pop(heap)
+        if v > reach:
             break
         if v >= -_BP_TOL:
             out.append(max(v, 0.0))
-            if len(out) > _BREAKPOINT_LIMIT:
-                truncated = True
-                break
         for d in delays:
             w = v + d
-            key = int(round(w / _BP_TOL))
-            if w <= horizon + _BP_TOL and key not in seen:
+            if w <= reach and (key := round(w / _BP_TOL)) not in seen:
                 seen.add(key)
-                heapq.heappush(heap, w)
-    return np.asarray(out), truncated
+                push(heap, w)
+    return np.array(out, dtype=float), len(out) > _BREAKPOINT_LIMIT
 
 
-def _build_mesh(step: float, horizon: float, anchors: np.ndarray) -> np.ndarray:
-    """The mesh that cuts each interval [a, b) between anchors in k steps, knots a + (b - a) j / k."""
-    anchors = np.sort(np.concatenate([[0.0], anchors]))  # equal anchors merge with the close ones
-    anchors = anchors[(anchors >= 0.0) & (anchors < horizon - _BP_TOL)]
-    a = anchors[np.concatenate([[True], np.diff(anchors) > _BP_TOL])]
-    width = np.append(a[1:], horizon) - a
+def _meshes(step: float, horizon: float, anchors: np.ndarray, of: np.ndarray, count: int):
+    """The meshes of `count` sets of anchors (anchors[i] is of set of[i]) in one pass, as
+    one array, set by set, and the size of each: set k's mesh cuts each interval [a, b)
+    between 0, its anchors and the horizon in k steps, knots a + (b - a) j / k."""
+    inside = (anchors >= 0.0) & (anchors < horizon - _BP_TOL)
+    # (set, anchor) sorted as complex numbers, each set from its 0; equal anchors merge with close ones
+    keys = np.sort(np.concatenate([np.arange(count) + 0j, of[inside] + 1j * anchors[inside]]))
+    of, a = keys.real, keys.imag
+    head = np.concatenate([[True], of[1:] != of[:-1]])  # each set's first interval, from 0
+    keep = head | np.concatenate([[False], a[1:] - a[:-1] > _BP_TOL])
+    a, head = a[keep], head[keep]
+    width = np.where(np.concatenate([head[1:], [True]]), horizon, np.concatenate([a[1:], [horizon]])) - a
     k = np.maximum(1, np.ceil(width / step - 1e-12).astype(int))
-    j = np.arange(1, k.sum() + 1) - np.repeat(np.cumsum(k) - k, k)  # every interval's j at once
-    return np.concatenate([[0.0], np.repeat(a, k) + np.repeat(width, k) * j / np.repeat(k, k)])
+    c = k + head  # a set's first interval also holds its knot 0
+    total = c.cumsum()
+    j = np.arange(total[-1]) - (total - k - 1).repeat(c)  # every interval's j at once, from 0 or 1
+    return a.repeat(c) + width.repeat(c) * j / k.repeat(c), np.add.reduceat(c, head.nonzero()[0])
 
 
 class _Knots:
@@ -114,12 +115,11 @@ class _Knots:
     time), keyed exactly as row + i * time: numpy orders complex numbers
     lexicographically, so one searchsorted places the times of every row."""
 
-    def __init__(self, meshes):
-        self.sizes = np.array([m.size for m in meshes])
-        self.starts = np.concatenate([[0], np.cumsum(self.sizes)[:-1]])
-        self.last = self.starts + self.sizes - 2  # each row's last interval
-        self.times = np.concatenate(meshes)
-        self.keys = np.repeat(np.arange(len(meshes)), self.sizes) + 1j * self.times
+    def __init__(self, times, sizes):
+        self.times, self.sizes = times, sizes
+        self.starts = sizes.cumsum() - sizes
+        self.last = self.starts + sizes - 2  # each row's last interval
+        self.keys = np.arange(sizes.size).repeat(sizes) + 1j * times
 
     def locate(self, rows, ts, left):
         """(f, theta, length, at_left, at_right) of time ts[k] on row rows[k], f
@@ -136,7 +136,7 @@ class _Knots:
 class _BatchStore:
     """Accepted knots of B histories as (longest mesh, B, n) arrays, knot k of
     every history in row k. History b runs on mesh `mesh_of[b]` of the
-    distinct `meshes`, which `times` holds padded with their last knots, and
+    `mesh_count` meshes, which `times` holds padded with their last knots, and
     holds `counts[b]` of them once it parks. Past the knots, column b holds
     the nodes of its initial history, whose grid `knots` keys after the
     meshes. The histories of one mesh whose initial histories share a grid and
@@ -150,36 +150,39 @@ class _BatchStore:
     planes = np.array([[0, 1, 0, 2, 0], [0, 1, 0, 2, 1], [0, 1, 0, 2, 2], [3, 4, 3, 5, 3], [3, 3, 3, 3, 3]])
     past_below = np.array([np.nextafter(0.0, 1.0), 0.0, np.nextafter(0.0, 1.0), -np.inf])
 
-    def __init__(self, histories, meshes, mesh_of):
-        self.histories, self.meshes, self.mesh_of = histories, meshes, np.asarray(mesh_of)
-        groups = {}
-        self.group_of = np.array([groups.setdefault((m, xi0.interp, xi0.grid.tobytes()), len(groups))
-                                  for m, xi0 in zip(mesh_of, histories)])
-        self.firsts = [np.unique(a, return_index=True)[1] for a in (self.mesh_of, self.group_of)]
-        self.knots = _Knots([*meshes, *(xi0.grid for xi0 in histories)])
-        size = max(m.size for m in meshes)
+    def __init__(self, histories, meshes, sizes, mesh_of, firsts):
+        self.histories, self.mesh_of, self.mesh_count = histories, np.array(mesh_of), sizes.size
+        groups = {}  # (mesh, interpolation, grid) -> (group, its first history)
+        self.group_of = np.array([groups.setdefault((m, xi0.interp, xi0.grid.tobytes()), (len(groups), b))[0]
+                                  for b, (m, xi0) in enumerate(zip(mesh_of, histories))])
+        self.firsts = [np.array(firsts), np.array([b for _, b in groups.values()])]
+        nodes = np.array([xi0.num_nodes for xi0 in histories])
+        self.knots = _Knots(np.concatenate([meshes, *(xi0.grid for xi0 in histories)]),
+                            np.concatenate([sizes, nodes]))
+        size = np.maximum.reduce(sizes)
         self.shape = (len(histories), histories[0].n)
         # planes x, x' right, x' left, z, z' right, z' left: one gather reads a cubic
-        self.block = np.full((6, size + max(xi0.num_nodes for xi0 in histories), *self.shape), np.nan)
+        self.block = np.full((6, size + np.maximum.reduce(nodes), *self.shape), np.nan)
         accepted = self.block[:, :size]  # the knots; the initial histories' nodes follow them
         self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = accepted
         self.flat = self.block.reshape(-1, self.shape[1])
         # the initial histories' nodes: values, slopes in both slope planes (a linear history's
         # panel differences y1 - y0) and a linear history's slopes in plane 3, NaN past its last
         self.linear = np.array([xi0.interp != CUBIC for xi0 in histories])
-        nodes = self.knots.sizes[len(meshes) :]
-        cols = np.repeat(range(nodes.size), nodes)  # each node's history, then its row in the block
-        at = size + np.arange(cols.size) - (np.cumsum(nodes) - nodes)[cols], cols
-        diffs = [np.diff(xi0.values, axis=0, append=np.full((1, xi0.n), np.nan)) if lin else xi0.slopes
-                 for xi0, lin in zip(histories, self.linear)]
-        self.block[(0, *at)] = np.concatenate([xi0.values for xi0 in histories])
-        self.block[(1, *at)] = self.block[(2, *at)] = np.concatenate(diffs)
-        for b in np.flatnonzero(self.linear).tolist():
-            past = self.block[3, size : size + histories[b].num_nodes - 1, b]
-            past[:] = diffs[b][:-1] / np.diff(histories[b].grid)[:, None]
+        cols = np.arange(nodes.size).repeat(nodes)  # each node's history, then its row in the block
+        at = size + np.arange(cols.size) - (nodes.cumsum() - nodes).repeat(nodes), cols
+        values = np.concatenate([xi0.values for xi0 in histories])
+        diffs = np.concatenate([values[1:] - values[:-1], values[:1]])
+        diffs[at[0] == size + nodes[cols] - 1] = np.nan  # past each history's last node
+        lin = self.linear[cols, None]
+        grid = self.knots.times[self.knots.starts[self.mesh_count] :]
+        self.block[(0, *at)] = values
+        slopes = np.concatenate([xi0.values if xi0.slopes is None else xi0.slopes for xi0 in histories])
+        self.block[(1, *at)] = self.block[(2, *at)] = np.where(lin, diffs, slopes)
+        self.block[(3, *at)] = np.where(lin, diffs / np.append(grid[1:] - grid[:-1], 1.0)[:, None], np.nan)
         # each mesh's times, padded with its last knot
-        starts, last = self.knots.starts[: len(meshes)], self.knots.sizes[: len(meshes)] - 1
-        self.times = self.knots.times[starts + np.minimum(np.arange(size)[:, None], last)]
+        starts = self.knots.starts[: self.mesh_count]
+        self.times = self.knots.times[starts + np.minimum(np.arange(size)[:, None], sizes - 1)]
         self.counts = np.zeros(len(histories), dtype=int)
 
     def read(self, cols, ts, kind) -> np.ndarray:
@@ -194,7 +197,7 @@ class _BatchStore:
         within _BP_TOL outside are read at the end."""
         code = "x+-z".index(kind)
         t_end = float(self.times[self.counts[b] - 1, self.mesh_of[b]])
-        lo = 0.0 if code == 3 else float(self.knots.times[self.knots.starts[len(self.meshes) + b]]) - _BP_TOL
+        lo = 0.0 if code == 3 else float(self.knots.times[self.knots.starts[self.mesh_count + b]]) - _BP_TOL
         if ts.size and (ts.min() < lo or ts.max() > t_end + _BP_TOL):  # z starts at exactly 0
             raise PreconditionError(f"{kind} is defined for t >= {lo:g} and t <= {t_end:g} only")
         return self.read(b, np.minimum(ts, t_end), code)
@@ -214,7 +217,7 @@ def _place(store: _BatchStore, cols, ts, kind):
     past = ts < store.past_below[kind]
     some, row, lin = past.any(), store.mesh_of[cols], past & store.linear[cols]
     if some:  # reads of the initial histories, whose grids the knots key after the meshes
-        row = np.where(past, len(store.meshes) + cols, row)
+        row = np.where(past, store.mesh_count + cols, row)
         ts = np.maximum(ts, knots.times[knots.starts[row]])
     f, theta, length, at_left, at_right = knots.locate(row, ts, some and past & (kind == 2))
     k = f - knots.starts[row]
@@ -252,32 +255,32 @@ def _gather(flat, rows, coefs, node) -> np.ndarray:
 class _Reads:
     """The delayed reads of steps start..stop-1, placed before them (see `_place`): read p at
     step i is of kind kind[p] (x, x' from the right or left) at times[p, i, m] on mesh m. The
-    first `prefix` steps, which `early` marks, read back into the initial histories (t <= 0) and
-    place a read once per group of histories (see `_BatchStore`), the later steps once per mesh;
-    a gather broadcasts it over the group or mesh, so a block of steps gathers its reads with one
-    `take` (two across the prefix's end). reach[i] is the last knot steps start..start+i read."""
+    first `prefix` steps read back into the initial histories (t <= 0) and place a read once per
+    group of histories (see `_BatchStore`), the later steps once per mesh, parked or not (a
+    parked mesh's times are its last knot); a gather broadcasts it over the group or mesh, so a
+    block of steps gathers its reads with one `take` (two across the prefix's end). reach[i] is
+    the last knot steps start..start+i read."""
 
-    def __init__(self, store: _BatchStore, start: int, stop: int, times, kind, early, running, extra):
-        self.start, self.stop, self.prefix, self.flat = start, stop, int(np.count_nonzero(early)), store.flat
-        self.group_of, (meshes, groups), of, k = store.group_of, store.firsts, store.mesh_of, self.prefix
-        # (read, step, group) in the prefix, then (read, step, mesh): placed for their first history
-        parts = [np.nonzero(np.broadcast_to(r, (kind.size, *r.shape)))
-                 for r in (running[:k, of[groups]], running[k:])]
-        p, i = np.concatenate([parts[0][0], parts[1][0]]), np.concatenate([parts[0][1], parts[1][1] + k])
-        cols = np.concatenate([groups[parts[0][2]], meshes[parts[1][2]]])
+    def __init__(self, store: _BatchStore, start: int, stop: int, times, kind, early: int, extra):
+        prefix = min(max(early - start, 0), stop - start)  # this plan's share of the run's `early` steps
+        self.start, self.stop, self.prefix, self.flat = start, stop, prefix, store.flat
+        self.group_of, (meshes, groups) = store.group_of, store.firsts
+        # (read, step, group) in the prefix, then (read, step, mesh), each placed for its first history
+        parts = times[:, :prefix, store.mesh_of[groups]], times[:, prefix:]
+        units = np.concatenate([groups[np.arange(parts[0].size) % groups.size],
+                                meshes[np.arange(parts[1].size) % meshes.size]])
+        cut = parts[0].size, units.size
         # `extra` reads (cols, times, kinds) of the initial histories are placed along and read at once
-        place = [np.concatenate(pair) for pair in zip((cols, times[p, i, of[cols]], kind[p]), extra)]
-        rows, coefs, node, k1 = _place(store, *place)
-        self.extra = _gather(self.flat, rows[:, p.size :], coefs[:, p.size :, None], node[p.size :, None])
-        rows[:, : p.size] -= cols  # each for column 0
-        self.parts, cut = [], [0, parts[0][0].size, p.size]  # rows, coefs, node of the groups, the meshes
-        for at, lo, hi, size in zip(parts, cut, cut[1:], ((k, groups.size), (stop - start - k, meshes.size))):
-            self.parts.append([np.full((*a.shape[:-1], kind.size, *size), fill, a.dtype)
-                               for a, fill in ((rows, 0), (coefs, 1.0), (node, False), (k1, 0))])
-            for out, a in zip(self.parts[-1], (rows, coefs, node, k1)):
-                out[(..., *at)] = a[..., lo:hi]
-        reach = [part.pop().max(axis=(0, 2)) for part in self.parts]  # k1 of each step's reads
-        self.reach = np.maximum.accumulate(np.concatenate(reach))
+        rows, coefs, node, k1 = _place(store, np.concatenate([units, extra[0]]), np.concatenate(
+            [parts[0].ravel(), parts[1].ravel(), extra[1]]), np.concatenate(
+            [kind.repeat(parts[0][0].size), kind.repeat(parts[1][0].size), extra[2]]))
+        self.extra = _gather(self.flat, rows[:, cut[1] :], coefs[:, cut[1] :, None], node[cut[1] :, None])
+        rows[:, : cut[1]] -= units  # each for column 0
+        self.parts, reach = [], []  # rows, coefs, node of the groups, then of the meshes
+        for p, lo, hi in zip(parts, [0, cut[0]], cut):
+            self.parts.append([a[..., lo:hi].reshape(*a.shape[:-1], *p.shape) for a in (rows, coefs, node)])
+            reach.append(np.maximum.reduce(k1[lo:hi].reshape(p.shape), axis=(0, 2)))  # each step's last knot
+        self.reach = np.maximum.accumulate(np.concatenate(reach)).tolist()
 
     def steps(self, a: int, b: int, run) -> np.ndarray:
         """Every read of steps a..b-1 of the plan, (P, b - a, running histories, n).
@@ -308,7 +311,7 @@ class _Window:
 
     def __init__(self, store: _BatchStore, term, delta: float, tips, anchors, rows):
         # the initial history's grid points in [s - Delta, 0], then the knots in [s - Delta, a]
-        at = np.r_[len(store.meshes) + rows[2], store.mesh_of[rows[2]]]
+        at = np.r_[store.mesh_count + rows[2], store.mesh_of[rows[2]]]
         lo = np.searchsorted(store.knots.keys, at + 1j * (np.r_[tips, tips] - delta))
         hi = np.searchsorted(store.knots.keys, at + 1j * np.r_[0.0 * tips, anchors], "right")
         k = lo[:, None] + np.arange((hi - lo).max())  # NaN-padded
@@ -432,12 +435,10 @@ def integrate_batch(
     policy = step if isinstance(step, StepPolicy) else StepPolicy(step=step)
     if horizon <= 0.0:
         raise PreconditionError("horizon must be positive")
-    histories = list(histories)
+    histories, tol = list(histories), _BP_TOL * max(1.0, system.delta)
     for xi0 in histories:
-        if abs(xi0.delta - system.delta) > _BP_TOL * max(1.0, system.delta):
-            raise PreconditionError(
-                f"initial history horizon {xi0.delta} != system horizon {system.delta}"
-            )
+        if abs(xi0.delta - system.delta) > tol:
+            raise PreconditionError(f"initial history horizon {xi0.delta} != system horizon {system.delta}")
         if xi0.n != system.n:
             raise PreconditionError("initial history dimension disagrees with system")
     if system.m > 0 and u is None:
@@ -449,46 +450,31 @@ def integrate_batch(
     if h is None or h <= 0.0:
         raise PreconditionError("step must be positive")
     if h > min_delay / 4.0 + _BP_TOL:
-        raise PreconditionError(
-            f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}"
-        )
+        raise PreconditionError(f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}")
     if not histories:
         return []
 
     all_delays = list(system.dop.delays) + system.rhs.positive_delays()
     jumps = u.jump_times(horizon) if u is not None else np.empty(0)
-    lattices = {}  # kink seeds -> (breakpoints, truncated, mesh, mesh index)
-    rows = []
-    for xi0 in histories:
-        seeds = (0.0,) + tuple(float(s) for s in xi0.kink_times if s > -system.delta)
-        if seeds not in lattices:
-            bps, truncated = propagation_breakpoints(all_delays, horizon, seeds=seeds)
-            if truncated:  # the plain mesh, whose only anchors are 0 and the input's jumps
-                bps = np.concatenate([[0.0], jumps])
-            mesh = _build_mesh(h, horizon, np.concatenate([bps, jumps]))
-            lattices[seeds] = (bps, truncated, mesh, len(lattices))
-        rows.append(lattices[seeds])
-
-    store = _BatchStore(histories, [mesh for _, _, mesh, _ in lattices.values()], [r[3] for r in rows])
+    sets, mesh_of = {}, []  # kink times -> (their mesh, its first history)
+    for b, xi0 in enumerate(histories):
+        kinks = xi0.kink_times
+        mesh_of.append(sets.setdefault(tuple(kinks[kinks > -system.delta].tolist()), (len(sets), b))[0])
+    lattices = [propagation_breakpoints(all_delays, horizon, (0.0, *kinks)) for kinks in sets]
+    # a truncated lattice's mesh is the plain one, whose anchors are 0 and the input's jumps
+    anchors = [jumps if cut else np.concatenate([bps, jumps]) for bps, cut in lattices]
+    of = np.arange(len(anchors)).repeat([a.size for a in anchors])
+    meshes, sizes = _meshes(h, horizon, np.concatenate(anchors), of, len(anchors))
+    store = _BatchStore(histories, meshes, sizes, mesh_of, [b for _, b in sets.values()])
     blowups = _advance(system, store, u, jumps, policy.blowup_bound)
     out = []
-    for b, (bps, truncated, _, _) in enumerate(rows):
-        count = int(store.counts[b])
-        times = store.meshes[store.mesh_of[b]][:count]
+    for b, (m, xi0, count) in enumerate(zip(mesh_of, histories, store.counts.tolist())):
+        times = meshes[store.knots.starts[m] :][:count]
+        bps, cut = (np.r_[0.0, jumps], True) if lattices[m][1] else lattices[m]  # a cut one: the plain mesh's
         out.append(Trajectory(
-            system=system,
-            xi0=histories[b],
-            times=times,
-            x=store.x[:count, b],
-            z=store.z[:count, b],
-            breakpoints=bps[bps <= times[-1] + _BP_TOL],
-            t_end=float(times[-1]),
-            blowup=bool(blowups[b]),
-            order_reduced=truncated,
-            input=u,
-            _batch=store,
-            _row=b,
-        ))
+            system=system, xi0=xi0, times=times, x=store.x[:count, b], z=store.z[:count, b],
+            breakpoints=bps[bps <= times[-1] + _BP_TOL], t_end=float(times[-1]), blowup=bool(blowups[b]),
+            order_reduced=cut, input=u, _batch=store, _row=b))
     return out
 
 
@@ -510,22 +496,21 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     lengths = t1 - t0  # each mesh's step lengths
     mids = t0 + 0.5 * lengths
     ends = store.knots.sizes[store.mesh_of] - 1
-    running = np.arange(size - 1)[:, None] < store.knots.sizes[: len(store.meshes)] - 1  # each mesh's
 
     # the reads of each step: x at the midpoint and at the step end for each
     # offset, then x' from the left and from the right at the step end for
     # each D-term; placed ahead in runs of steps that place at most _PLAN_READS
-    offsets = sorted({d for d, _ in dop_terms} | set(rhs.positive_delays()))
-    cuts = np.cumsum([0, len(offsets), len(offsets), len(dop_terms), len(dop_terms)]).tolist()
-    read_times = np.stack([mids - d for d in offsets] + [t1 - d for d in offsets]
-                          + [t1 - d for _ in "-+" for d, _ in dop_terms])
-    read_kinds = np.repeat([0, 0, 2, 1], np.diff(cuts))
-    # the steps whose reads reach back into the initial histories, the first ones, place them per group
-    early = ((read_times < store.past_below[read_kinds][:, None, None]) & running).any(axis=(0, 2))
-    groups = running[:, store.mesh_of[store.firsts[1]]].sum(axis=1)
-    placed = np.cumsum(len(read_kinds) * np.where(early, groups, running.sum(axis=1)))  # up to each step
-    dop_at = [[o, o + len(offsets), cuts[3] + j, cuts[2] + j]  # D-term j's x at midpoints and ends,
-              for j, o in enumerate(offsets.index(d) for d, _ in dop_terms)]  # x' from the right, left
+    offsets = sorted({*system.dop.delays.tolist(), *rhs.positive_delays()})
+    lags = np.array(offsets)[:, None, None], system.dop.delays[:, None, None]
+    read_times = np.concatenate([mids - lags[0], t1 - lags[0], t1 - lags[1], t1 - lags[1]])
+    read_kinds = np.array([0] * (2 * len(offsets)) + [2] * len(dop_terms) + [1] * len(dop_terms))
+    # the first steps read back into the initial histories and place per group, the rest per mesh, parked too
+    early = np.logical_or.reduce(read_times < store.past_below[read_kinds][:, None, None], axis=(0, 2))
+    prefix = np.count_nonzero(early)
+    placed = (len(read_kinds) * np.where(early, store.firsts[1].size, store.mesh_count)).cumsum()
+    # D-term j's x at midpoints and step ends, then its x' from the right and from the left
+    dop_at = [[o, o + len(offsets), 2 * len(offsets) + len(dop_terms) + j, 2 * len(offsets) + j]
+              for j, o in enumerate(map(offsets.index, system.dop.delays.tolist()))]
 
     # the stage plan, rhs term by term: (0, j) block term j (an input, or a pointwise term with a
     # delay read at offsets[o]), (1, at) a pointwise term without delay, called on the stage tip,
@@ -557,18 +542,17 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
 
     def plan_reads(start: int, extra=(np.empty(0, dtype=int),) * 3) -> _Reads:
         budget = (placed[start - 1] if start else 0) + _PLAN_READS
-        stop = max(start + 1, int(np.searchsorted(placed, budget, "right")))
-        at = slice(start, stop)
-        return _Reads(store, start, stop, read_times[:, at], read_kinds, early[at], running[at], extra)
+        stop = max(start + 1, int(placed.searchsorted(budget, "right")))
+        return _Reads(store, start, stop, read_times[:, start:stop], read_kinds, prefix, extra)
 
     def loop_values(a: np.ndarray):
         """(..., running histories, n) values as the loop takes them: nested lists of floats for
         B n = 1, else of (running histories, n) rows, which a list indexes faster than an array."""
-        return a.reshape(a.shape[:-2]).tolist() if scalar else a if a.ndim == 2 else (
+        return a[..., 0, 0].tolist() if scalar else a if a.ndim == 2 else (
             list(a) if a.ndim == 3 else [list(b) for b in a])
 
     # what scales k1, k2, k3 in the stage tips and the RK sum in z, on each mesh
-    spans = np.stack([0.5 * lengths, 0.5 * lengths, lengths, lengths / 6.0])
+    spans = np.array([0.5 * lengths, 0.5 * lengths, lengths, lengths / 6.0])
 
     def block(i: int, stop: int, run) -> tuple:
         """Steps i..stop-1 of the running histories, as `loop_values` in sequences indexed by
@@ -576,7 +560,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         tips, each D-term at midpoints and step ends, the slope sums from the right and the
         left, and each block term at midpoints, step ends and new knots; then z and z' from
         the right at knot i, which the loop carries on from there."""
-        act, col, live, _ = run
+        act, col, live = run[:3]
         v = reads.steps(i - reads.start, stop - reads.start, run)  # (reads, steps, histories, n)
         dv = [_apply(a, v[at]) for (_, a), at in zip(dop_terms, dop_at)]
         dterms = tuple(loop_values(d[:2]) for d in dv)
@@ -591,9 +575,9 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
 
     # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z as
     # `dop_apply`; f is one `RhsMap.eval` on (B, n) stacks of x(-d), or one per history for a distributed term
-    at = np.repeat([0.0, 0.0] + [-d for d, _ in dop_terms] + [-d for d in offsets], width)
-    kinds = np.repeat([0, 2] + [1] * len(dop_terms) + [0] * len(offsets), width)
-    reads = plan_reads(0, (np.tile(np.arange(width), len(at) // width), at, kinds))
+    at = np.array([0.0, 0.0, *(-lags[1].ravel()), *(-lags[0].ravel())]).repeat(width)
+    kinds = np.array([0, 2] + [1] * len(dop_terms) + [0] * len(offsets)).repeat(width)
+    reads = plan_reads(0, (np.arange(at.size) % width, at, kinds))
     seeds = reads.extra.reshape(-1, width, n)
     x[0], xdl[0] = seeds[:2]
     back = dict(zip([0.0, *offsets], [seeds[0], *seeds[2 + len(dop_terms) :]]))  # x at -d
@@ -601,7 +585,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     for d, a in dop_terms:
         z[0] -= _apply(a, back[d])
     u0 = None if u_node is None else u_node[0]
-    if any(isinstance(t, DistributedTerm) for t in rhs.terms):
+    if dist:
         f = np.array([rhs.eval(xi0, None if u0 is None else u0[b]) for b, xi0 in enumerate(store.histories)])
     else:
         f = rhs.eval(SimpleNamespace(eval=lambda s: back[-s]), u0)
@@ -613,10 +597,11 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     zero, two = (0.0, 2.0) if scalar else (np.zeros(()), np.array(2.0))
 
     def running_rows(live):
-        """(act, col, live, put): the running histories' columns, meshes and indices, and where
-        the loop writes their knots in its planes."""
+        """(act, col, live, put, park): the running histories' columns, meshes and indices, where
+        the loop writes their knots in its planes, and the next knot where one's mesh ends."""
         act = slice(None) if live.size == width else live
-        return act, slice(None) if len(store.meshes) == 1 else store.mesh_of[live], live, 0 if scalar else act
+        col = slice(None) if store.mesh_count == 1 else store.mesh_of[live]
+        return act, col, live, 0 if scalar else act, int(np.minimum.reduce(ends[live], initial=size))
 
     if scalar:  # one float's planes are (rows, 1): numpy sets a fully indexed element fastest
         x, xdr, xdl, z, zdr, zdl = store.block[..., 0]
@@ -625,10 +610,9 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     if dist:
         # a bound on a history's reads at a stage of each step, two per panel and one of x'(a+):
         # the kernel grid, s and the grid points and knots in [midpoint - Delta, step end] cut them
-        lo = mids - system.delta
-        knots = np.stack([np.searchsorted(m, t1[:, k], "right") - np.searchsorted(m, lo[:, k])
-                          for k, m in enumerate(store.meshes)], axis=1)
-        first = len(store.meshes)  # history b's grid is row first + b of the knots
+        lo, first = mids - system.delta, store.mesh_count  # history b's grid is row first + b of the knots
+        knots = np.arange(first) + 1j * np.stack([t1, lo])
+        knots = store.knots.keys.searchsorted(knots[0], "right") - store.knots.keys.searchsorted(knots[1])
         past = (store.knots.starts + store.knots.sizes)[first:] - np.searchsorted(
             store.knots.keys, np.arange(first, first + width) + 1j * lo[:, store.mesh_of])
         bound = 2 * (past + knots[:, store.mesh_of] + max(t.grid.size for t in dist))
@@ -643,21 +627,20 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         tips, rows = np.where(e == 0, mids[j, m], t1[j, m]), np.stack([j - start, e, b])
         return stop, [_Window(store, t, system.delta, tips, t0[j, m], rows) for t in dist]
 
-    run = act, col, live, put = running_rows(np.arange(width))
+    run = act, col, live, put, park = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
     windows, slope = [], None
     for i in range(size - 1):
         if i == stop:  # a new block: park the histories whose meshes end here
-            if (ends[live] == i).any():
+            if i == park:
                 store.counts[live[ends[live] == i]] = i + 1
-                run = act, col, live, put = running_rows(live[ends[live] > i])
+                run = act, col, live, put, park = running_rows(live[ends[live] > i])
                 if live.size == 0:  # the longer meshes' histories all blew up
                     break
             if i == reads.stop:
                 reads = plan_reads(i)
             # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
-            ready = reads.start + int(np.searchsorted(reads.reach, i, "right"))
-            start, stop = i, min(ready, int(ends[live].min()))
+            start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
             scales, dterms, tails, terms, base, k1 = block(i, stop, run)
         if dist and i == wstop:
             wstart, (wstop, windows) = i, plan_windows(i, live)
@@ -681,7 +664,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
                     mag2 = np.einsum("bi,bi->b", tips, tips)
                     keep = np.isfinite(mag2) & (mag2 <= bound2)
                     store.counts[live[~keep]] = i + 1
-                    run = act, col, live, put = running_rows(live[keep])
+                    run = act, col, live, put, park = running_rows(live[keep])
                     if live.size == 0:
                         break
                     base, tip = base[keep], tip[keep]
@@ -704,7 +687,7 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
         # z' and then x' at the new knot, from the right and the left: they differ where an input
         # jumps (for every running float); z' from the right is the next step's k1
         k1 = zl = f
-        if len(stages) == 5:
+        if stages is _STAGES:
             k1, zl = prev, f if scalar else np.where(jump[i, act][:, None], f, prev)
         zdr[i + 1, put], zdl[i + 1, put] = k1, zl
         xdr[i + 1, put], xdl[i + 1, put] = k1 + tails[0][k], zl + tails[1][k]

@@ -37,6 +37,7 @@ from haleform import (
     fit_constants,
     iss_probe,
     reverify_counterexample,
+    sample_history,
     sample_shells,
     verify_gas_conditions,
     verify_ges_conditions,
@@ -670,6 +671,29 @@ def test_iss_probe_integrates_the_zero_input_batch_once(input_system):
     assert loops == [(4, "zero"), (4, "constant")]
     assert est.ges == estimate_ges(input_system, ics, 4.0, step=0.125)
     assert est.is_iss
+
+
+def test_iss_probe_and_estimate_ges_take_each_sample_sup_once(input_system):
+    """The sup of every initial history comes from one `_hermite_sups` call per sample
+    list, linear histories taking their largest node, each equal to its `sup_norm`. The
+    fitted M's envelope solve runs at the fitted rate, and the Lipschitz estimate's one
+    sample takes one `sup_norm_diff`."""
+    ics = [sample_history(1, 1.0, 1.0, 1 + k % 4, 40 + k) for k in range(5)]
+    ics.append(HistorySegment(1.0, ics[0].grid, ics[0].values, "linear"))
+    histories_module, calls = sys.modules["haleform.histories"], []
+    hermite_sups = histories_module._hermite_sups
+
+    def spy(times, values, right, left, owners=None, rate=0.0):
+        calls.append(rate)
+        return hermite_sups(times, values, right, left, owners, rate)
+
+    with mock.patch.object(histories_module, "_hermite_sups", spy), mock.patch.object(certify, "_hermite_sups", spy):
+        est = iss_probe(input_system, ics, [InputSignal.zero(1), InputSignal.constant([0.5])],
+                        horizon=4.0, step=0.125, lipschitz_samples=1, seed=3)
+        assert est.ges.is_ges and calls.count(0.0) == 2
+        calls.clear()
+        assert estimate_ges(input_system, ics, 4.0, step=0.125).is_ges and calls.count(0.0) == 1
+    assert certify._sup_norms(ics).tolist() == [phi.sup_norm() for phi in ics]
 
 
 def _planar():

@@ -11,6 +11,7 @@ from haleform import (
     HistorySegment,
     InputSignal,
     InputTerm,
+    LadderSpec,
     LinearTerm,
     NfdeSystem,
     PreconditionError,
@@ -26,7 +27,8 @@ from haleform import (
     trajectory_grid,
 )
 from haleform.cli import main
-from haleform.integrate import _breakpoint_gap, _build_mesh, propagation_breakpoints
+from haleform.functionals import phi_h_extend
+from haleform.integrate import _breakpoint_gap, _meshes, propagation_breakpoints
 from haleform.serialization import history_to_dict, read_json, system_to_dict, write_json
 
 
@@ -218,7 +220,7 @@ class TestBreakpoints:
         for a, b in zip(points[:-1], points[1:]):
             k = max(1, int(np.ceil((b - a) / step - 1e-12)))
             loop.append(a + (b - a) * np.arange(1, k + 1) / k)
-        mesh = _build_mesh(step, horizon, anchors)
+        mesh = _meshes(step, horizon, anchors, np.zeros(anchors.size, dtype=int), 1)[0]
         assert np.concatenate(loop).tobytes() == mesh.tobytes()
 
     def test_commensurate_lattice(self):
@@ -358,3 +360,50 @@ class TestStepFrames:
     def test_cubic_system_at_most_sixteen_frames_per_step(self, cubic_system):
         """A nonlinear term's primitive is bound to its params: one call per value."""
         assert self.frames_per_step(cubic_system, 1.5, 1.0 / 32.0) <= 16.0
+
+
+class TestSetupEvents:
+    """An integration's set-up, counted rather than timed, as `TestStepFrames` counts
+    the step loop: profile events, that is haleform and numpy Python frames entered
+    and C functions called."""
+
+    @staticmethod
+    def events(call) -> int:
+        roots = tuple(str(Path(module.__file__).parent) for module in (haleform, np))
+        count = 0
+
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event == "c_call" or event == "call" and frame.f_code.co_filename.startswith(roots)
+
+        call()  # imports and first-call work are not set-up
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            call()
+        finally:
+            sys.setprofile(previous)
+        return count
+
+    def test_one_step_run_stays_within_three_fifths_of_its_former_set_up(self, neutral_system):
+        """A one-step run is set-up only: it makes at most 60% of the 522 events it made
+        when every mesh had a pass of its own and each read plan scattered its reads."""
+        phi = sample_history(1, 1.0, 1.0, 2, 3)
+        assert self.events(lambda: integrate(neutral_system, phi, 0.125, step=0.125)) <= 0.6 * 522
+
+    def test_ragged_ladder_costs_as_its_rows_on_one_mesh_past_its_lattices(self, neutral_system):
+        """phi and its six levels-5 rungs, on 7 meshes, against the same rows on one
+        mesh: past the breakpoints that the rungs' own kinks add, which the heap
+        enumerates point by point, the ragged batch makes at most 1.3x the events."""
+        system, phi = neutral_system, sample_history(1, 1.0, 1.0, 2, 3)
+        rows = [phi, *(phi_h_extend(system, phi, float(h)) for h in LadderSpec(levels=5).steps(1.0))]
+        one_mesh = [HistorySegment(r.delta, r.grid, r.values, r.interp, r.slopes, rows[-1].kink_times) for r in rows]
+
+        def runs(batch):
+            return self.events(lambda: integrate_batch(system, batch, 10.0, step=0.125))
+
+        def lattices(batch):
+            return self.events(lambda: [propagation_breakpoints([1.0], 10.0, (0.0, *r.kink_times)) for r in batch])
+
+        assert integrate_batch(system, rows, 10.0, step=0.125)[0]._batch.mesh_count == 7
+        assert runs(rows) - (lattices(rows) - lattices(one_mesh[:1])) <= 1.3 * runs(one_mesh)
