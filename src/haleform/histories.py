@@ -266,15 +266,15 @@ def _hermite_sups(times, values, right, left, owners=None, rate: float = 0.0):
     owners = np.zeros(times.size, dtype=int) if owners is None else owners
     norms = np.linalg.norm(values, axis=1)
     g = norms * np.exp(rate * times)
-    j = np.flatnonzero(owners[:-1] == owners[1:])  # panel j spans knots j and j + 1
+    j = (owners[:-1] == owners[1:]).nonzero()[0]  # panel j spans knots j and j + 1
     length = (times[j + 1] - times[j])[:, None]
     s0, s1 = right[j], left[j + 1]
     bound = np.maximum(norms[j], norms[j + 1])  # the Bernstein control points, one at a time
     bound = np.maximum(bound, np.linalg.norm(values[j] + length * s0 / 3.0, axis=1))
     bound = np.maximum(bound, np.linalg.norm(values[j + 1] - length * s1 / 3.0, axis=1))
-    starts = np.flatnonzero(np.concatenate([[True], owners[1:] != owners[:-1]]))
+    starts = np.concatenate([[True], owners[1:] != owners[:-1]]).nonzero()[0]
     best = np.maximum.reduceat(g, starts)[starts.searchsorted(j, "right") - 1]
-    keep = np.flatnonzero(bound * np.exp(rate * times[j + 1]) > best)
+    keep = (bound * np.exp(rate * times[j + 1]) > best).nonzero()[0]
     if not keep.size:  # every sup is at a knot
         return g, times, owners
     j, length, s0, s1 = j[keep], length[keep], s0[keep], s1[keep]
