@@ -29,7 +29,7 @@ from .functionals import (
 )
 from .histories import HistorySegment, _hermite_sups, _sup_norms, sample_history, sup_norm_diff
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
-from .integrate import StepPolicy, Trajectory, integrate, integrate_batch  # noqa: F401
+from .integrate import StepPolicy, Trajectory, _store_knots, integrate, integrate_batch  # noqa: F401
 from .operators import NfdeSystem, dop_apply, rhs_eval
 from .signals import ZERO, InputSignal
 
@@ -87,7 +87,7 @@ class _Row:
 
     With a ladder, V is the ladder's v0, so V(phi) runs once per sample; a
     row without one evaluates V(phi) alone and never runs the h-ladder.
-    `_rows` fills D+V for a whole sample list with one batched call.
+    `_rows` fills D+V and the sup norm of a whole sample list, each in one call.
     """
 
     def __init__(self, system, V, phi, ladder: LadderSpec | None, seminorm: SemiNorm | None):
@@ -152,10 +152,13 @@ _CONDITIONS = {
 
 
 def _rows(system, V, samples, ladder: LadderSpec, seminorm: SemiNorm | None) -> list[_Row]:
-    """One row per sample, every row's D+V estimate from one batched ladder evaluation."""
+    """One row per sample, with every row's D+V estimate from one batched ladder
+    evaluation and its sup norm from one `_sup_norms` call."""
     rows = [_Row(system, V, phi, ladder, seminorm) for phi in samples]
-    for row, est in zip(rows, driver_derivatives(system, V, [r.phi for r in rows], None, ladder)):
-        row.est = est
+    phis = [row.phi for row in rows]
+    ests, sups = driver_derivatives(system, V, phis, None, ladder), _sup_norms(phis).tolist()
+    for row, est, sup in zip(rows, ests, sups):
+        row.est, row.sup = est, sup
     return rows
 
 
@@ -549,21 +552,10 @@ def _ges_fit(samples: list[HistorySegment], sups, trajs: list[Trajectory], horiz
             np.inf, lam, float(np.max(resids)), len(trajs), False, samples[worst],
             note="fitted decay rate is not positive",
         )
-    value, _, owner = _hermite_sups(*_store_knots(trajs, "x"), lam)
-    sup0 = sups[owner]
-    kept = sup0 >= 1e-300  # a zero history gives no ratio
-    big_m = max(1.0, float(np.max(value[kept] / sup0[kept], initial=1.0)))
+    sup = _hermite_sups(*_store_knots(trajs, "x"), lam)[0]
+    kept = sups >= 1e-300  # a zero history gives no ratio
+    big_m = max(1.0, float(np.max(sup[kept] / sups[kept], initial=1.0)))
     return GesEstimate(big_m, lam, float(np.max(resids)), len(trajs), True)
-
-
-def _store_knots(trajs: list[Trajectory], y: str):
-    """`_hermite_sups`' (times, values, right slopes, left slopes, owners) of y
-    ("x" or "z") on trajs, all of one batch: owner r is trajectory trajs[r]."""
-    store, cols = trajs[0]._batch, np.array([traj._row for traj in trajs])
-    r, k = np.nonzero(np.arange(store.z.shape[0]) < store.counts[cols][:, None])  # knot k of trajectory r
-    col = cols[r]
-    planes = (getattr(store, y + side)[k, col] for side in ("", "dot_right", "dot_left"))
-    return store.times[k, store.mesh_of[col]], *planes, r
 
 
 @dataclass
@@ -656,16 +648,12 @@ class ConverseFunctional(Functional):
 
     def _sups(self, trajs) -> list[tuple[float, float]]:
         """(sup, its time) of |z(t)| e^(a t) on each trajectory of trajs, all of
-        one batch, whose kept panels are solved together; the earliest time
-        wins a tie, so z = 0 gives (0, 0)."""
+        one batch, from one `_hermite_sups` call. The time is that of the first
+        candidate at the sup, the knots in time order coming before the critical
+        points, so z = 0 gives (0, 0)."""
         if not trajs:
             return []
-        value, when, owner = _hermite_sups(*_store_knots(trajs, "z"), self.rate)
-        best, top = np.full(len(trajs), -np.inf), np.full(len(trajs), value.size)
-        np.maximum.at(best, owner, value)
-        hits = np.flatnonzero(value == best[owner])  # the candidates at their trajectory's sup, in order
-        np.minimum.at(top, owner[hits], hits)  # the first of each: the knots come first, in time order
-        return list(zip(value[top].tolist(), when[top].tolist()))
+        return list(zip(*(a.tolist() for a in _hermite_sups(*_store_knots(trajs, "z"), self.rate))))
 
     def __call__(self, phi: HistorySegment) -> float:
         return self.many([phi])[0]
@@ -721,8 +709,6 @@ def construct_converse_ges(
     """Build the trajectory-based witness functional for an exponentially
     stable system; the horizon defaults to the truncation margin rule."""
     if ges is not None:
-        if not 0.0 < rate < ges.lam:
-            raise PreconditionError(f"rate must lie in (0, {ges.lam})")
         needed = converse_horizon(ges, rate)
         horizon = needed if horizon is None else max(horizon, needed)
     if horizon is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import _freeze
+from .histories import _freeze, _own
 
 K = "K"
 K_INF = "Kinf"
@@ -43,6 +43,7 @@ class ComparisonFunction:
     def __post_init__(self):
         if self.kind not in (K, K_INF, KL, L):
             raise PreconditionError(f"unknown comparison class {self.kind!r}")
+        object.__setattr__(self, "params", _own(self.params))
         check = getattr(self, f"_check_{self.form.replace('-', '_')}", None)
         if check is None:
             raise PreconditionError(f"unknown representation {self.form!r}")

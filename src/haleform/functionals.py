@@ -105,11 +105,21 @@ class IntegralQuadraticFunctional(Functional):
             raise DimensionError("functional dimensions disagree with operator")
 
     def __call__(self, phi):
-        d = dop_apply(self.dop, phi)
-        nodes, weights, kmats = self._term._quadrature(phi)
-        vals = phi.eval(nodes)
-        integral = float(np.einsum("k,kj,kij,ki->", weights, vals, kmats, vals))
-        return float(d @ self.P @ d) + integral
+        return self.many([phi])[0]
+
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order: one `_rule` call places the
+        quadratures of all their grids, each row's as on its own."""
+        phis = list(phis)
+        grids = np.full((len(phis), max((phi.num_nodes for phi in phis), default=0)), np.nan)
+        for row, phi in zip(grids, phis):
+            row[: phi.num_nodes] = phi.grid
+        *rules, counts = self._term._rule(grids)
+        out = []
+        for phi, nodes, weights, kmats in zip(phis, *(np.split(r, np.cumsum(counts)[:-1]) for r in rules)):
+            d, vals = dop_apply(self.dop, phi), phi.eval(nodes)
+            out.append(float(d @ self.P @ d) + float(np.einsum("k,kj,kij,ki->", weights, vals, kmats, vals)))
+        return out
 
 
 class SupNormFunctional(Functional):

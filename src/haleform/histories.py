@@ -7,6 +7,7 @@ reproduces the stored values exactly.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,16 @@ def _freeze(a) -> np.ndarray:
     a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
+
+
+def _own(params: dict) -> dict:
+    """A value's copy of the caller's params, its arrays frozen: as `_freeze` does for
+    arrays, so that no later edit of the caller's dict, lists or arrays reaches the value."""
+    own = {key: copy.deepcopy(v) if isinstance(v, (np.ndarray, list)) else v for key, v in params.items()}
+    for v in own.values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return own
 
 
 def _columns(a) -> np.ndarray:
@@ -196,12 +207,8 @@ class HistorySegment:
         return kernel(theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1])
 
     def sup_norm(self) -> float:
-        """Sup of |phi(s)| (Euclidean) over [-delta, 0], exact: the largest node of
-        a linear history (|phi| is convex on its panels), else the largest
-        candidate of `_hermite_sups`."""
-        if self.interp == LINEAR:
-            return float(np.linalg.norm(self.values, axis=1).max())
-        return float(_hermite_sups(self.grid, self.values, self.slopes, self.slopes)[0].max())
+        """Sup of |phi(s)| (Euclidean) over [-delta, 0], exact: `_sup_norms` of this history."""
+        return float(_sup_norms([self])[0])
 
     @classmethod
     def constant(cls, value, delta: float, interp: str = CUBIC) -> "HistorySegment":
@@ -227,7 +234,7 @@ def sup_norm_diff(phi: HistorySegment, psi: HistorySegment) -> float:
     left end and its left slope at the right end, a linear operand's too."""
     grid = _union_grid(phi, psi)
     diff = (phi._interpolate(grid, side) - psi._interpolate(grid, side) for side in (None, "+", "-"))
-    return float(_hermite_sups(grid, *diff)[0].max())
+    return float(_hermite_sups(grid, *diff, np.zeros(grid.size, dtype=int))[0][0])
 
 
 def _union_grid(phi: HistorySegment, psi: HistorySegment) -> np.ndarray:
@@ -240,54 +247,54 @@ def _union_grid(phi: HistorySegment, psi: HistorySegment) -> np.ndarray:
 
 
 def _sup_norms(histories) -> np.ndarray:
-    """`sup_norm` of each history: a linear one's largest node, the cubic ones' panels in one
-    `_hermite_sups` call, each owned by its history's index."""
-    sups = np.array([np.linalg.norm(h.values, axis=1).max() for h in histories])
-    cubic = [k for k, h in enumerate(histories) if h.interp == CUBIC]
-    if cubic:
-        grid, values, slopes = (np.concatenate([getattr(histories[k], name) for k in cubic])
-                                for name in ("grid", "values", "slopes"))
-        owners = np.repeat(cubic, [histories[k].num_nodes for k in cubic])
-        value, _, owner = _hermite_sups(grid, values, slopes, slopes, owners)
-        sups[cubic] = -np.inf
-        np.maximum.at(sups, owner, value)
-    return sups
+    """The exact sup of |phi| of each history, the i-th owning knots i of one `_hermite_sups`
+    call. A linear history's slopes are taken as 0, so that no panel of it passes the hull
+    test: its sup is its largest node, as |phi| is convex on its panels."""
+    if not histories:
+        return np.zeros(0)
+    grid, values = (np.concatenate([getattr(h, name) for h in histories]) for name in ("grid", "values"))
+    slopes = np.concatenate([np.zeros_like(h.values) if h.slopes is None else h.slopes for h in histories])
+    owners = np.arange(len(histories)).repeat([h.num_nodes for h in histories])
+    return _hermite_sups(grid, values, slopes, slopes, owners)[0]
 
 
-def _hermite_sups(times, values, right, left, owners=None, rate: float = 0.0):
-    """(value, time, owner) of every candidate for the sup of |y(t)| e^(rate t),
-    rate >= 0, on cubic Hermite panels: y is values[i] at times[i] and has slope
+def _hermite_sups(times, values, right, left, owners, rate: float = 0.0):
+    """(sup, time) of |y(t)| e^(rate t), rate >= 0, for each owner 0..K-1 of the
+    knots, on cubic Hermite panels: y is values[i] at times[i] and has slope
     right[i] on the right of knot i and left[i] on its left; a panel joins two
-    consecutive knots of one owner (all of one owner by default), whose knots
-    are in time order. The candidates are the knots and the critical points
-    inside the panels whose Bernstein hull (Farouki, CAGD 29, 2012) rises above
-    their owner's best knot.
+    consecutive knots of one owner, whose knots are contiguous and in time
+    order. The candidates are the knots and the critical points inside the
+    panels whose Bernstein hull (Farouki, CAGD 29, 2012) rises above their
+    owner's best knot; the time is that of the first candidate at the sup,
+    the knots coming first, then the critical points panel by panel.
     """
-    owners = np.zeros(times.size, dtype=int) if owners is None else owners
     norms = np.linalg.norm(values, axis=1)
-    g = norms * np.exp(rate * times)
+    value = norms * np.exp(rate * times)
     j = (owners[:-1] == owners[1:]).nonzero()[0]  # panel j spans knots j and j + 1
     length = (times[j + 1] - times[j])[:, None]
     s0, s1 = right[j], left[j + 1]
     bound = np.maximum(norms[j], norms[j + 1])  # the Bernstein control points, one at a time
     bound = np.maximum(bound, np.linalg.norm(values[j] + length * s0 / 3.0, axis=1))
     bound = np.maximum(bound, np.linalg.norm(values[j + 1] - length * s1 / 3.0, axis=1))
-    starts = np.concatenate([[True], owners[1:] != owners[:-1]]).nonzero()[0]
-    best = np.maximum.reduceat(g, starts)[starts.searchsorted(j, "right") - 1]
-    keep = (bound * np.exp(rate * times[j + 1]) > best).nonzero()[0]
-    if not keep.size:  # every sup is at a knot
-        return g, times, owners
-    j, length, s0, s1 = j[keep], length[keep], s0[keep], s1[keep]
-    y0, y1 = values[j], values[j + 1]
-    ls0, ls1 = length * s0, length * s1
-    coefs = np.stack([y0, ls0, 3.0 * (y1 - y0) - 2.0 * ls0 - ls1, 2.0 * (y0 - y1) + ls0 + ls1], axis=1)
-    theta = _critical_points(coefs, rate * length[:, 0]).real
-    p, q = np.nonzero((theta > 0.0) & (theta < 1.0))  # root q of kept panel p
-    theta, length = theta[p, q][:, None], length[p]
-    tc = times[j[p]] + length[:, 0] * theta[:, 0]
-    yc = _hermite(theta, length, y0[p], y1[p], s0[p], s1[p])
-    value = np.concatenate([g, np.linalg.norm(yc, axis=1) * np.exp(rate * tc)])
-    return value, np.concatenate([times, tc]), np.concatenate([owners, owners[j[p]]])
+    best = np.maximum.reduceat(value, np.concatenate([[True], owners[1:] != owners[:-1]]).nonzero()[0])
+    keep = (bound * np.exp(rate * times[j + 1]) > best[owners[j]]).nonzero()[0]
+    if keep.size:  # else every sup is at a knot
+        j, length, s0, s1 = j[keep], length[keep], s0[keep], s1[keep]
+        y0, y1 = values[j], values[j + 1]
+        ls0, ls1 = length * s0, length * s1
+        coefs = np.stack([y0, ls0, 3.0 * (y1 - y0) - 2.0 * ls0 - ls1, 2.0 * (y0 - y1) + ls0 + ls1], axis=1)
+        theta = _critical_points(coefs, rate * length[:, 0]).real
+        p, q = np.nonzero((theta > 0.0) & (theta < 1.0))  # root q of kept panel p
+        theta, length = theta[p, q][:, None], length[p]
+        tc = times[j[p]] + length[:, 0] * theta[:, 0]
+        yc = _hermite(theta, length, y0[p], y1[p], s0[p], s1[p])
+        value = np.concatenate([value, np.linalg.norm(yc, axis=1) * np.exp(rate * tc)])
+        times, owners = np.concatenate([times, tc]), np.concatenate([owners, owners[j[p]]])
+        np.maximum.at(best, owners[-tc.size :], value[-tc.size :])  # the critical points
+    hits = (value == best[owners]).nonzero()[0]  # the candidates at their owner's sup, in order
+    first = np.full(best.size, value.size)
+    np.minimum.at(first, owners[hits], hits)
+    return best, times[first]
 
 
 def _critical_points(coefs: np.ndarray, rate_length: np.ndarray) -> np.ndarray:
@@ -332,12 +339,8 @@ def sample_history(
         raise PreconditionError("roughness must be >= 0")
     rng = np.random.default_rng(seed)
     amplitude = bound * rng.uniform(0.3, 1.0)
-    if roughness == 0:
-        direction = rng.standard_normal(n)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        return HistorySegment.constant(amplitude * direction, delta)
-
-    kind = rng.choice(["constant", "fourier", "piecewise-cubic"], p=[0.15, 0.45, 0.4])
+    kinds = ["constant", "fourier", "piecewise-cubic"]
+    kind = "constant" if roughness == 0 else rng.choice(kinds, p=[0.15, 0.45, 0.4])  # roughness 0 draws no kind
     if kind == "constant":
         direction = rng.standard_normal(n)
         direction /= max(np.linalg.norm(direction), 1e-300)

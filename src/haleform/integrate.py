@@ -400,6 +400,16 @@ class Trajectory:
         return out[0] if np.ndim(t) == 0 else out
 
 
+def _store_knots(trajs: list[Trajectory], y: str):
+    """`_hermite_sups`' (times, values, right slopes, left slopes, owners) of y
+    ("x" or "z") on trajs, all of one batch: owner r is trajectory trajs[r]."""
+    store, cols = trajs[0]._batch, np.array([traj._row for traj in trajs])
+    r, k = np.nonzero(np.arange(store.z.shape[0]) < store.counts[cols][:, None])  # knot k of trajectory r
+    col = cols[r]
+    planes = (getattr(store, y + side)[k, col] for side in ("", "dot_right", "dot_left"))
+    return store.times[k, store.mesh_of[col]], *planes, r
+
+
 def integrate(
     system: NfdeSystem,
     xi0: HistorySegment,

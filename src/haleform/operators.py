@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, HorizonError, PreconditionError
-from .histories import HistorySegment, _freeze, _gauss
+from .histories import HistorySegment, _freeze, _gauss, _own
 
 _TOL = 1e-9
 
@@ -168,6 +168,7 @@ class NonlinearTerm:
 
     def __post_init__(self):
         _pointwise(self)
+        object.__setattr__(self, "params", None if self.params is None else _own(self.params))
         object.__setattr__(self, "_g", primitive_nonlinearity(self.fn, self.params))
 
     @property
@@ -190,9 +191,7 @@ class DistributedTerm:
     Gauss-Legendre (cubic-exact) on the panels that the kernel grid and the
     history's cut points make, so on a linear history, where K phi is
     piecewise quadratic, it is exact. The integrator places its stages' Gauss
-    nodes ahead through it; evaluations on histories (a segment's rhs, the
-    integral-quadratic functional, which samples many histories on one grid)
-    keep the quadrature of each grid, a bounded number of them at once.
+    nodes ahead through it.
     """
 
     type = "distributed"
@@ -214,7 +213,6 @@ class DistributedTerm:
             raise PreconditionError("kernel grid must lie in [-Delta, 0]")
         object.__setattr__(self, "grid", _freeze(grid))
         object.__setattr__(self, "kernel", _freeze(kernel))
-        object.__setattr__(self, "_cache", {})
 
     @property
     def n(self):
@@ -242,18 +240,8 @@ class DistributedTerm:
         nodes, weights, counts = _gauss(edges)
         return nodes, weights, self._kernel_at(nodes), counts
 
-    def _quadrature(self, seg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Nodes, weights and kernel matrices of the integral against history
-        `seg`, whose grid points cut the panels."""
-        key = seg.grid.tobytes()
-        if key not in self._cache:
-            if len(self._cache) >= 64:
-                self._cache.clear()
-            self._cache[key] = self._rule(seg.grid[None])[:3]
-        return self._cache[key]
-
     def eval(self, seg, u):
-        nodes, weights, kmats = self._quadrature(seg)
+        nodes, weights, kmats, _ = self._rule(seg.grid[None])
         return np.einsum("k,kij,kj->i", weights, kmats, seg.eval(nodes))
 
 
@@ -271,7 +259,7 @@ class InputTerm:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2:
             raise DimensionError("input term matrix must be n x m")
-        object.__setattr__(self, "params", (self.params or {}) if self.fn else None)
+        object.__setattr__(self, "params", _own(self.params or {}) if self.fn else None)
         object.__setattr__(self, "matrix", _freeze(m))
         object.__setattr__(self, "_g", primitive_nonlinearity(self.fn, self.params) if self.fn else None)
 

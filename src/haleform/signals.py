@@ -8,7 +8,7 @@ A signal is read once, when it is built, into pieces: switching or table
 times and one value row per time, copied and frozen. Zero and constant
 signals are one-piece step signals from t = 0, evaluated, bounded and jumped
 exactly as piecewise-constant ones; a sinusoid's one row is its amplitude.
-`params` is kept as given, since a signal file holds it whole.
+`params` is copied, its arrays frozen, since a signal file holds it whole.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .histories import _freeze
+from .histories import _freeze, _own
 
 ZERO = "zero"
 CONSTANT = "constant"
@@ -42,6 +42,7 @@ class InputSignal:
     def __post_init__(self):
         if self.kind not in _PIECES:
             raise PreconditionError(f"unknown input kind {self.kind!r}")
+        object.__setattr__(self, "params", _own(self.params))
         times, values = _PIECES[self.kind](self.params)
         values = _freeze(values)
         # the pieces' norms, then each the sup so far; a constant's is the vector norm

@@ -25,9 +25,11 @@ from haleform import (
     LadderSpec,
     LinearTerm,
     NfdeSystem,
+    NonlinearTerm,
     PreconditionError,
     QuadraticDopFunctional,
     RhsMap,
+    StepPolicy,
     check_uniform_attraction,
     construct_converse_ges,
     converse_horizon,
@@ -388,6 +390,16 @@ class TestEstimateGes:
         assert not est.is_ges
         assert "blowup" in est.note
 
+    @pytest.mark.parametrize("history, horizon", [
+        (HistorySegment.zero(1, 1.0), 4.0),  # |x| = 0 leaves no window above the floor
+        (HistorySegment.constant([1.0], 1.0), 1.0),  # 5 knots in [0.5, 1], fewer than the 8 windows
+    ])
+    def test_no_envelope_fit_is_not_ges(self, scalar_ode_system, history, horizon):
+        est = estimate_ges(scalar_ode_system, [history], horizon, step=0.125)
+        assert not est.is_ges and est.counterexample is None
+        assert (est.M, est.lam, est.trajectories_used) == (np.inf, 0.0, 1)
+        assert est.note == "no trajectory admitted an envelope fit"
+
 
 class TestAttraction:
     def test_scalar_ode_settle_time(self, scalar_ode_system):
@@ -463,6 +475,14 @@ class TestConverse:
         assert t == pytest.approx((np.log(2.0) + 2.0) / 0.5)
         with pytest.raises(PreconditionError):
             converse_horizon(ges, 1.5)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, 1.5])
+    def test_construct_refuses_a_rate_outside_zero_to_lambda(self, scalar_ode_system, rate):
+        from haleform import GesEstimate
+
+        ges = GesEstimate(M=2.0, lam=1.0, fit_residual=0.0, trajectories_used=5, is_ges=True)
+        with pytest.raises(PreconditionError, match=r"rate must lie in \(0, 1.0\)"):
+            construct_converse_ges(scalar_ode_system, rate, horizon=50.0, ges=ges)
 
     def test_blowup_evaluation_raises(self, unstable_system, unit_history):
         from haleform import EvaluationBlowupError, StepPolicy
@@ -556,6 +576,59 @@ class TestIssProbe:
         signals = [InputSignal.sinusoid([1.0], omega=2.0)]
         est = iss_probe(input_system, ics, signals, horizon=8.0, step=0.125, seed=17)
         assert est.violations == 0
+
+
+def _input_system(*terms):
+    """x' = -x + the given terms, an input among them."""
+    rhs = RhsMap(n=1, m=1, terms=(LinearTerm(0.0, [[-1.0]]), *terms))
+    return NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]), rhs)
+
+
+def _saturated_input(gain: float, width: float) -> InputTerm:
+    """gain g(u), with g a table that rises from 0 to 1 over |u| <= width and holds 1
+    past it, so an input of size width already gives a response of size gain."""
+    return InputTerm([[gain]], "table", {"x": [-width, 0.0, width], "y": [-1.0, 0.0, 1.0]})
+
+
+class TestIssExits:
+    ICS = sample_shells(1, 1.0, 2, seed=3, shells=(0.1, 0.5))
+
+    def probe(self, system, amplitudes, step=0.125):
+        signals = [InputSignal.zero(1)] + [InputSignal.constant([a]) for a in amplitudes]
+        return iss_probe(system, self.ICS, signals, horizon=4.0, step=step, lipschitz_samples=2)
+
+    def test_power_law_gain_past_the_linear_cap(self):
+        """A response of about 1 to an input of 1e-7 puts the linear gain near 1e7,
+        past the cap; c s^(1/2) covers every probe with c about 3.1e3."""
+        est = self.probe(_input_system(_saturated_input(1.0, 1e-9)), [1e-7, 1.0])
+        assert est.gamma_form == "power" and est.gamma_slope is None
+        assert est.gamma.params["q"] == 0.5 and 1e3 < est.gamma.params["c"] <= certify._SLOPE_CAP
+        assert est.is_iss and est.violations == 0 and est.counterexample is None
+
+    def test_no_power_law_below_the_cap_is_not_iss(self):
+        """A response of about 100 to an input of 1e-11 needs c above the cap for every q."""
+        est = self.probe(_input_system(_saturated_input(100.0, 1e-14)), [1e-11, 1.0])
+        assert (est.gamma, est.gamma_slope, est.gamma_form) == (None, None, "none")
+        assert not est.is_iss and est.violations == est.probes == 12  # 4 histories, 3 signals
+        xi0, sig = est.counterexample
+        assert xi0 in self.ICS and sig.kind == "constant"
+
+    def test_an_input_below_the_fit_floor_is_a_violation(self):
+        """An input of 1e-13 is below the 1e-12 floor of the gain fit, so its response
+        of about 100 is left out of the linear gain and then violates the bound."""
+        est = self.probe(_input_system(_saturated_input(100.0, 1e-14)), [1e-13, 1.0])
+        assert est.gamma_form == "linear" and 90.0 < est.gamma_slope < 110.0
+        assert not est.is_iss and est.violations > 0
+        assert float(est.counterexample[1].sup_norm(1.0)) == 1e-13
+
+    def test_an_escape_under_input_is_not_iss(self):
+        """With x' = -x + x^3 + u the zero-input runs decay, but u = 2 drives x past the
+        blowup bound: the probe stops at the first escape."""
+        system = _input_system(NonlinearTerm(0.0, "cubic", [[1.0]]), InputTerm([[1.0]]))
+        est = self.probe(system, [2.0], step=StepPolicy(0.125, blowup_bound=10.0))
+        assert est.ges.is_ges and not est.is_iss
+        assert (est.gamma, est.gamma_form, est.violations, est.probes) == (None, "none", 1, 2)
+        assert est.counterexample[0] is self.ICS[0] and est.counterexample[1].kind == "constant"
 
 
 class TestBandSemantics:
@@ -694,6 +767,24 @@ def test_iss_probe_and_estimate_ges_take_each_sample_sup_once(input_system):
         calls.clear()
         assert estimate_ges(input_system, ics, 4.0, step=0.125).is_ges and calls.count(0.0) == 1
     assert certify._sup_norms(ics).tolist() == [phi.sup_norm() for phi in ics]
+
+
+def test_fit_takes_every_sample_sup_in_one_call(neutral_system):
+    """A fit's rows take their sup norms together: 9 samples make one `_hermite_sups`
+    call (a closed-form functional makes no other), each sup equal to its `sup_norm`."""
+    samples = sample_shells(1, 1.0, 3, seed=5)
+    V = QuadraticDopFunctional(neutral_system.dop, [[1.0]])
+    histories_module, calls = sys.modules["haleform.histories"], []
+    hermite_sups = histories_module._hermite_sups
+
+    def spy(*args):
+        calls.append(len(args))
+        return hermite_sups(*args)
+
+    with mock.patch.object(histories_module, "_hermite_sups", spy), mock.patch.object(certify, "_hermite_sups", spy):
+        fit = fit_constants(neutral_system, V, "ges", samples, LadderSpec(levels=6))
+    assert len(samples) == 9 and len(calls) == 1
+    assert [m["sup"] for m in fit.report.margins] == [phi.sup_norm() for phi in samples]
 
 
 def _planar():

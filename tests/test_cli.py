@@ -5,7 +5,7 @@ import pytest
 
 from haleform.cli import main
 from haleform import InputSignal
-from haleform.serialization import read_json, signal_to_dict, write_json
+from haleform.serialization import history_from_dict, read_json, signal_to_dict, write_json
 
 SYSTEM = {
     "n": 1,
@@ -609,3 +609,49 @@ def test_malformed_block_values_are_clean_errors(workdir, capsys, scenario, erro
     assert code == 1
     assert capsys.readouterr().err.startswith(f"error: {error}")
     assert read_json(workdir / "bad" / "report.json")["error"].startswith(error)
+
+
+def test_construct_converse_on_a_system_that_is_not_ges_writes_the_escaping_history(workdir):
+    out = workdir / "conv-unstable"
+    code = main(["construct-converse", str(workdir / "unstable.json"), "--step", "0.125", "--out", str(out)])
+    assert code == 2
+    result = read_json(out / "report.json")["result"]
+    assert result["is_ges"] is False and result["note"] == "fitted decay rate is not positive"
+    assert result["counterexample_file"] == "escaping_history.json"
+    assert history_from_dict(read_json(out / "escaping_history.json")).delta == 1.0
+    assert not (out / "functional.json").exists()
+
+
+def test_attraction_that_does_not_settle_writes_the_worst_history(workdir):
+    """x' = -x from |phi| up to 1 is still above 1e-3 at t = 2."""
+    ode = dict(SYSTEM, dop={"delays": [1.0], "matrices": [[[0.0]]]})
+    write_json(workdir / "ode.json", ode)
+    out = workdir / "att-open"
+    code = main(["attraction", str(workdir / "ode.json"), "--bound", "1.0", "--eps", "1e-3",
+                 "--samples", "4", "-T", "2", "--step", "0.125", "--out", str(out)])
+    assert code == 3
+    result = read_json(out / "report.json")["result"]
+    assert (result["status"], result["settle_time"], result["delta_hat"]) == ("inconclusive", None, None)
+    assert result["worst_history_file"] == "worst_history.json"
+    assert history_from_dict(read_json(out / "worst_history.json")).sup_norm() <= 1.0
+
+
+def test_iss_probe_that_finds_a_violation_writes_the_probe_history(tmp_path):
+    """The input term saturates by |u| = 1e-14: an input of 1e-13, below the gain
+    fit's floor of 1e-12, moves x by about 1 and violates the fitted bound."""
+    write_json(tmp_path / "sys.json", {
+        "n": 1, "m": 1, "delta": 1.0, "dop": {"delays": [1.0], "matrices": [[[0.0]]]},
+        "rhs": {"terms": [{"type": "linear", "matrix": [[-1.0]]}, {
+            "type": "input", "matrix": [[1.0]], "fn": "table",
+            "params": {"x": [-1e-14, 0.0, 1e-14], "y": [-1.0, 0.0, 1.0]}}]},
+    })
+    signals = [InputSignal.zero(1), InputSignal.constant([1e-13]), InputSignal.constant([1.0])]
+    write_json(tmp_path / "u.json", [signal_to_dict(sig) for sig in signals])
+    out = tmp_path / "iss"
+    code = main(["iss-probe", str(tmp_path / "sys.json"), "--signals", str(tmp_path / "u.json"),
+                 "-T", "4", "--step", "0.125", "--per-shell", "2", "--out", str(out)])
+    assert code == 2
+    result = read_json(out / "report.json")["result"]
+    assert result["is_iss"] is False and result["violations"] > 0
+    assert result["counterexample_file"] == "probe_history.json"
+    assert history_from_dict(read_json(out / "probe_history.json")).delta == 1.0

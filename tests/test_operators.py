@@ -183,3 +183,19 @@ class TestApply:
             for alone in (_apply(a, rows[k : k + 1])[0], _apply(a, rows[k]), a[0, 0] * rows[k]):
                 assert stacked[k].tobytes() == alone.tobytes()
         assert np.signbit(_apply(np.array([[-1.0]]), rows))[[0, 4]].all()
+
+
+def test_evaluations_leave_a_distributed_term_as_built():
+    """Evaluating a distributed term, directly or as an integral-quadratic functional's
+    kernel, keeps nothing on the term: its attributes read as they did when it was built."""
+    from haleform import IntegralQuadraticFunctional
+
+    grid, kernel = np.linspace(-1.0, 0.0, 5), np.linspace(0.1, 0.5, 5)
+    term = DistributedTerm(grid, kernel)
+    V = IntegralQuadraticFunctional(DifferenceOperator([1.0], [[[0.5]]]), [[1.0]], grid, kernel[:, None, None])
+    before = [{key: repr(value) for key, value in vars(t).items()} for t in (term, V._term)]
+    for phi in (ramp_history(), ramp_history(num=5), ramp_history()):
+        term.eval(phi, None)
+        V(phi)
+    V.many([ramp_history(num=7)] * 3)
+    assert [{key: repr(value) for key, value in vars(t).items()} for t in (term, V._term)] == before

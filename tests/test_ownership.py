@@ -15,6 +15,7 @@ from haleform import (
     NonlinearTerm,
     QuadraticDopFunctional,
 )
+from haleform.serialization import read_json, signal_from_dict, signal_to_dict, write_json
 from haleform.stability import StabilityMargin
 
 TIMES = np.linspace(0.0, 3.0, 13)
@@ -104,3 +105,48 @@ def test_kept_arrays_are_read_only():
     kept = [seg.grid, seg.values, seg.slopes, seg.kink_times, table.params["x"], table.params["y"],
             dop.delays, dop.matrices, LinearTerm(0.0, [[1.0]]).matrix]
     assert not any(a.flags.writeable for a in kept)
+
+
+def _signal_params():
+    return {"times": np.array([0.0, 1.0]), "values": np.array([[1.0], [2.0]])}
+
+
+# name -> (the caller's params, the value built from them, an edit of them, what the value gives)
+PARAMS = {
+    "signal-array": (_signal_params, lambda d: InputSignal("piecewise-constant", d),
+                     lambda d: d["values"].__imul__(-3.0), lambda s: (s.eval(0.5), s.params["values"])),
+    "signal-list": (lambda: {"times": [0.0, 1.0], "values": [[1.0], [2.0]]},
+                    lambda d: InputSignal("piecewise-constant", d),
+                    lambda d: d["values"][0].__setitem__(0, 5.0), lambda s: (s.eval(0.5), s.params["values"])),
+    "comparison": (lambda: {"c": 1.5}, lambda d: ComparisonFunction("Kinf", "linear", d),
+                   lambda d: d.__setitem__("c", -5.0), lambda c: (c(2.0), c.params["c"])),
+    "nonlinear-term": (lambda: {"limit": 0.5}, lambda d: NonlinearTerm(0.0, "saturation", [[1.0]], d),
+                       lambda d: d.__setitem__("limit", 3.0),
+                       lambda t: (t.at(np.full(1, 2.0)), t.params["limit"])),
+    "input-term": (lambda: {"x": np.array([-1.0, 0.0, 1.0]), "y": np.array([-2.0, 0.0, 2.0])},
+                   lambda d: InputTerm([[1.0]], "table", d),
+                   lambda d: d["y"].__imul__(-3.0), lambda t: (t.at(np.array([0.5])), t.params["y"])),
+}
+
+
+@pytest.mark.parametrize("name", list(PARAMS))
+def test_value_is_unchanged_by_edits_of_the_callers_params(name):
+    """A value keeps its own copy of `params`, as it does of its arrays: neither a key
+    set anew nor an array or list edited in place reaches it."""
+    params, build, edit, read = PARAMS[name]
+    d = params()
+    value = build(d)
+    before = [np.array(x, copy=True) for x in read(value)]
+    edit(d)
+    assert all(np.array_equal(b, x) for b, x in zip(before, read(value)))
+    assert not any(v.flags.writeable for v in value.params.values() if isinstance(v, np.ndarray))
+
+
+def test_written_signal_reads_back_as_built(tmp_path):
+    """A signal's file holds the params it was built with, not the caller's later edit."""
+    d = _signal_params()
+    sig = InputSignal("piecewise-constant", d)
+    d["values"] *= -3.0
+    write_json(tmp_path / "u.json", signal_to_dict(sig))
+    back = signal_from_dict(read_json(tmp_path / "u.json"))
+    assert back.eval(0.5)[0] == sig.eval(0.5)[0] == 1.0
