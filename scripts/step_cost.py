@@ -5,7 +5,10 @@ golden systems, and cost of the converse witness (layer L4) on the neutral one.
 
 L0: the median, over 30 random histories of n = 1 and of n = 2 components,
 seeded 0..29, of the wall time of `sup_norm` and of `sup_norm_diff` between
-each history and the next, in microseconds.
+each history and the next, in microseconds. The "read" line is the one-row
+cost of the history read: the median, over the L2 histories of the neutral
+system, of a `HistorySegment.eval` at the two points 0 and -1 and of a
+`dop_apply` of its operator, in microseconds.
 
 L2: each system integrates 30 random histories, seeded 0..29, one at a time,
 after one warm-up run; the line per system gives the median, over those
@@ -55,6 +58,7 @@ from haleform import (
     NonlinearTerm,
     QuadraticDopFunctional,
     RhsMap,
+    dop_apply,
     driver_derivative,
     integrate_batch,
     phi_h_extend,
@@ -110,6 +114,15 @@ def sup_costs(n: int) -> tuple[float, float]:
     sup = _median_call_s(lambda phi: phi.sup_norm(), phis)
     diff = _median_call_s(lambda pair: sup_norm_diff(*pair), pairs)
     return 1e6 * sup, 1e6 * diff
+
+
+def read_costs() -> tuple[float, float]:
+    """Median microseconds of a 2-point `HistorySegment.eval` and of a
+    `dop_apply` over the neutral system's 30 seeded histories."""
+    system = systems()["neutral"][0]
+    phis, ends = _histories(system), np.array([0.0, -system.delta])
+    evals = _median_call_s(lambda phi: phi.eval(ends), phis)
+    return 1e6 * evals, 1e6 * _median_call_s(lambda phi: dop_apply(system.dop, phi), phis)
 
 
 def step_cost(system, horizon: float, step: float, size: int = 1) -> float:
@@ -176,6 +189,8 @@ def main() -> int:
         sup, diff = sup_costs(n)
         label = f"sup n={n}"
         print(f"L0 {label:<12} {sup:8.1f} us/sup_norm, {diff:6.1f} us/sup_norm_diff  (30 sampled histories)")
+    read, dop = read_costs()
+    print(f"L0 {'read':<12} {read:8.1f} us/2-point eval, {dop:6.1f} us/dop_apply  (30 sampled histories, neutral)")
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
         print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")

@@ -160,8 +160,8 @@ def monotone_envelope(
     side "lower": greatest nondecreasing table with table(x_i) <= y_i for every
     sample, scaled down by `headroom`. side "upper": least nondecreasing table
     with table(x_i) >= y_i, scaled up by `headroom`. A (0, 0) knot is always
-    prepended, and flats are broken by a tiny ramp in the safe direction so the
-    table qualifies as class K at table resolution.
+    prepended, and flats are broken by a tiny ramp, of an ulp at least, in the
+    safe direction so the table qualifies as class K at table resolution.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -193,17 +193,17 @@ def monotone_envelope(
         env = np.r_[0.0, env]
     else:
         env[0] = 0.0
-    # break flats: shrink earlier knots (lower) or grow later knots (upper)
+    # break flats: shrink earlier knots (lower) or grow later knots (upper), by an ulp at least
     eps = 1e-9 * max(1.0, float(np.max(env)))
     if side == "lower":
         for i in range(env.size - 2, -1, -1):
-            env[i] = min(env[i], env[i + 1] - eps * (xs[i + 1] - xs[i]))
+            env[i] = min(env[i], env[i + 1] - eps * (xs[i + 1] - xs[i]), np.nextafter(env[i + 1], -np.inf))
         env = np.maximum(env, 0.0)
         env[0] = 0.0
         ok = np.all(np.diff(env) > 0)
     else:
         for i in range(1, env.size):
-            env[i] = max(env[i], env[i - 1] + eps * (xs[i] - xs[i - 1]))
+            env[i] = max(env[i], env[i - 1] + eps * (xs[i] - xs[i - 1]), np.nextafter(env[i - 1], np.inf))
         ok = True
     if not ok:
         raise PreconditionError("lower envelope is not positive on its domain")

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .histories import CUBIC, HistorySegment, _freeze, _gauss
+from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out
 from .integrate import _clear_times, segment
-from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, dop_apply, rhs_eval
+from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _dop_rows, dop_apply, rhs_eval
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
@@ -56,12 +56,12 @@ def _parts_and_weights(parts, weights) -> tuple[list, list[float]]:
 
 
 class Functional:
-    """Evaluatable V: C -> R+ with V(0) = 0. Subclasses implement __call__."""
+    """Evaluatable V: C -> R+ with V(0) = 0. Subclasses implement __call__ or `many`."""
 
     kind = "abstract"
 
     def __call__(self, phi: HistorySegment) -> float:
-        raise NotImplementedError
+        return self.many([phi])[0]
 
     def many(self, phis) -> list[float]:
         """V at every history of phis, in order; subclasses may share work across them."""
@@ -79,9 +79,9 @@ class QuadraticDopFunctional(Functional):
         if self.P.shape[0] != dop.n:
             raise DimensionError("P dimension disagrees with operator")
 
-    def __call__(self, phi):
-        d = dop_apply(self.dop, phi)
-        return float(d @ self.P @ d)
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order, from one read of them all."""
+        return [float(d @ self.P @ d) for d in _dop_rows(self.dop, list(phis))[0]]
 
 
 class IntegralQuadraticFunctional(Functional):
@@ -104,22 +104,19 @@ class IntegralQuadraticFunctional(Functional):
         if self.P.shape[0] != dop.n or self._term.n != dop.n:
             raise DimensionError("functional dimensions disagree with operator")
 
-    def __call__(self, phi):
-        return self.many([phi])[0]
-
     def many(self, phis) -> list[float]:
         """V at every history of phis, in order: one `_rule` call places the
-        quadratures of all their grids, each row's as on its own."""
+        quadratures of all their grids, each row's as on its own, and one read
+        takes every history at D's times and at its quadrature nodes."""
         phis = list(phis)
         grids = np.full((len(phis), max((phi.num_nodes for phi in phis), default=0)), np.nan)
         for row, phi in zip(grids, phis):
             row[: phi.num_nodes] = phi.grid
-        *rules, counts = self._term._rule(grids)
-        out = []
-        for phi, nodes, weights, kmats in zip(phis, *(np.split(r, np.cumsum(counts)[:-1]) for r in rules)):
-            d, vals = dop_apply(self.dop, phi), phi.eval(nodes)
-            out.append(float(d @ self.P @ d) + float(np.einsum("k,kj,kij,ki->", weights, vals, kmats, vals)))
-        return out
+        nodes, weights, kmats, counts = self._term._rule(grids)
+        ds, vals = _dop_rows(self.dop, phis, nodes, counts)
+        cuts = np.cumsum(counts)[:-1]
+        return [float(d @ self.P @ d) + float(np.einsum("k,kj,kij,ki->", w, v, k, v))
+                for d, w, v, k in zip(ds, *(np.split(r, cuts) for r in (weights, vals, kmats)))]
 
 
 class SupNormFunctional(Functional):
@@ -147,8 +144,9 @@ class DopNormFunctional(Functional):
         self.dop = dop
         self.c = float(c)
 
-    def __call__(self, phi):
-        return self.c * float(np.linalg.norm(dop_apply(self.dop, phi)))
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order, from one read of them all."""
+        return [self.c * float(np.linalg.norm(d)) for d in _dop_rows(self.dop, list(phis))[0]]
 
 
 class WeightedCompositeFunctional(Functional):
@@ -301,23 +299,26 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
     cuts = left.sum() + s_right.size * np.arange(dop.delays.size + 1)
 
     def rungs(reads, acc):
-        """Per rung: phi read at the shifted nodes, then the sliver's sum."""
+        """At every rung's nodes: phi read at the shifted nodes, then the sliver's sum."""
         out = np.empty((grid.size, phi.n))
         out[left] = reads[: cuts[0]]
         for j, a in enumerate(dop.matrices):
             acc += reads[cuts[j] : cuts[j + 1]] @ a.T
         out[~left] = acc
-        return [out[i:j] for i, j in zip(starts, ends)]
+        return out
 
     values = rungs(phi.eval(points), dphi[None, :] + np.outer(s_right, fval))
+    if not np.isfinite(values).all():
+        raise PreconditionError("history values must be finite")
     # the junction -h maps to s = 0, where both sides of phi' agree
     slopes = (rungs(phi.deriv(points, "+"), np.broadcast_to(fval, (s_right.size, phi.n)).copy())
-              if phi.interp == CUBIC else [None] * hs.size)
-    kinks = np.concatenate([phi.kink_times - h, -h], axis=1)  # increasing, as phi's are
-    return [
-        HistorySegment(delta, grid[i:j], values[k], phi.interp, slopes[k], kink_times=kinks[k])
-        for k, (i, j) in enumerate(zip(starts, ends))
-    ]
+              if phi.interp == CUBIC else None)
+    kinks = np.concatenate([phi.kink_times - h, -h], axis=1)  # nondecreasing, as phi's increase
+    # each rung's distinct kinks in [-Delta, 0], as construction keeps them
+    keep = (kinks >= -delta) & (np.diff(kinks, axis=1, prepend=-np.inf) > 0.0)
+    # the rungs are built sorted, thinned and checked finite: they skip construction's checks
+    return [_lay_out(object.__new__(HistorySegment), delta, grid[i:j], values[i:j],
+                     None if slopes is None else slopes[i:j], kinks[k][keep[k]]) for k, (i, j) in enumerate(zip(starts, ends))]
 
 
 @dataclass(frozen=True)

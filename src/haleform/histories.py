@@ -22,17 +22,20 @@ _DEGREE_TOL = 1e-13  # scaled coefficients below it are dropped from a panel's c
 
 
 def _hermite_basis(theta):
-    """Weights of y0, s0 * length, y1 and s1 * length in `_hermite` at theta."""
+    """Weights of y0, s0 * length, y1 and s1 * length in the cubic Hermite value
+    at theta in [0, 1] of a panel with end values y0, y1 and end slopes s0, s1."""
     t2 = theta * theta
     t3 = t2 * theta
-    return 2.0 * t3 - 3.0 * t2 + 1.0, t3 - 2.0 * t2 + theta, -2.0 * t3 + 3.0 * t2, t3 - t2
+    a, b = 2.0 * t3, 3.0 * t2
+    return a - b + 1.0, t3 - 2.0 * t2 + theta, b - a, t3 - t2
 
 
 def _hermite_deriv_basis(theta):
-    """The same weights for `_hermite_deriv`, before its division by the length."""
+    """The same weights for its time derivative, before the division by the length."""
     t2 = theta * theta
-    return (6.0 * t2 - 6.0 * theta, 3.0 * t2 - 4.0 * theta + 1.0,
-            -6.0 * t2 + 6.0 * theta, 3.0 * t2 - 2.0 * theta)
+    a, b = 6.0 * t2, 6.0 * theta
+    c = 3.0 * t2
+    return a - b, c - 4.0 * theta + 1.0, b - a, c - 2.0 * theta
 
 
 def _hermite_sum(c, length, y0, y1, s0, s1):
@@ -40,15 +43,109 @@ def _hermite_sum(c, length, y0, y1, s0, s1):
     return c[0] * y0 + c[1] * (s0 * length) + c[2] * y1 + c[3] * (s1 * length)
 
 
-def _hermite(theta, length, y0, y1, s0, s1):
-    """Cubic Hermite value at theta in [0, 1] of a panel of the given length
-    with end values y0, y1 and end slopes s0, s1 (scalars or broadcast arrays)."""
-    return _hermite_sum(_hermite_basis(theta), length, y0, y1, s0, s1)
+class _Knots:
+    """Increasing grids of two knots or more as one array ordered by (row,
+    time), keyed exactly as row + i * time: numpy orders complex numbers
+    lexicographically, so one searchsorted places the times of every row (one
+    row is keyed by its times alone)."""
+
+    def __init__(self, times, sizes):
+        self.times, self.sizes = times, sizes
+        if sizes.size == 1:
+            self.starts, self.last, self.keys = np.zeros(1, dtype=int), sizes - 2, times
+        else:
+            ends = sizes.cumsum()
+            self.starts, self.last = ends - sizes, ends - 2  # each row's first knot and last interval
+            self.keys = np.arange(sizes.size).repeat(sizes) + 1j * times
+
+    def locate(self, rows, ts, left=False):
+        """(f, theta, length, lo, hi) of time ts[k] on row rows[k], f
+        being the flat index of the left knot of its interval (the row's last
+        interval for times past it; no time is before its row's first) and lo,
+        hi its ends; where `left` is set, a knot time takes the interval on its
+        left."""
+        f = np.searchsorted(self.keys, ts if self.keys is self.times else rows + 1j * ts, side="right") - 1
+        if left is not False:
+            f -= left & (self.times[f] == ts) & (f > self.starts[rows])
+        f = np.minimum(f, self.last[rows])
+        lo, hi = self.times[f], self.times[f + 1]
+        return f, (ts - lo) / (hi - lo), hi - lo, lo, hi
 
 
-def _hermite_deriv(theta, length, y0, y1, s0, s1):
-    """Time derivative of `_hermite` with the same arguments."""
-    return _hermite_sum(_hermite_deriv_basis(theta), length, y0, y1, s0, s1) / length
+def _weights(theta, length, deriv, linear) -> tuple:
+    """The weights of y0, s0 * length, y1 and s1 * length in the cubic Hermite
+    value at theta (in its derivative where `deriv` is set), the length, and
+    the divisor of their sum: the length for a derivative, else 1 (None when
+    no read is a derivative). A linear read (`linear` is True for every read,
+    False for none, or a mask), whose s0 is the panel's difference y1 - y0,
+    weighs (1, theta, 0, 0) for its value and (0, 1, 0, 0) for its derivative,
+    with a length of 1."""
+    mixed = np.ndim(deriv) > 0
+    divisor = np.where(deriv, length, 1.0) if mixed else length if deriv else None
+    if linear is True:
+        return np.where(deriv, 0.0, 1.0), np.where(deriv, 1.0, theta), 0.0, 0.0, 1.0, divisor
+    basis = (np.where(deriv, _hermite_deriv_basis(theta), _hermite_basis(theta)) if mixed
+             else (_hermite_deriv_basis if deriv else _hermite_basis)(theta))
+    if linear is not False:  # some reads linear: each takes its weights
+        zero = 0.0 * theta
+        lin = (np.where(deriv, zero, 1.0 + zero), np.where(deriv, 1.0 + zero, theta), zero, zero, 1.0 + zero)
+        *basis, length = np.where(linear, lin, [*basis, length])
+    return (*basis, length, divisor)
+
+
+def _gather(flat, rows, coefs, node=None) -> np.ndarray:
+    """The reads placed at `rows` (of y0, s0, y1, s1 and, where `node` is set,
+    of the node each copies) with `coefs` (`_weights`), from the flat buffer."""
+    g = flat.take(rows, axis=0)
+    out = _hermite_sum(coefs, coefs[4], g[0], g[2], g[1], g[3])
+    if coefs[5] is not None:
+        out /= coefs[5]
+    if node is not None:
+        np.copyto(out, g[4], where=node)
+    return out
+
+
+def _read(histories, which, ts, kind) -> np.ndarray:
+    """x (kind 0) or x' from the right or the left (1, 2) of histories[which[k]]
+    at time ts[k], one (n,) row each (`which` or `kind` may be one for all):
+    the one read of a history. Times are clamped to [-delta, 0] past a tolerance
+    and refused beyond it; a node read from the left takes the panel on its left.
+    One history reads its own layout (see `_lay_out`), several their concatenation.
+    """
+    if len(histories) == 1:
+        knots, nodes = histories[0]._knots, histories[0]._nodes
+    else:
+        knots = _Knots(np.concatenate([h.grid for h in histories]), np.array([h.num_nodes for h in histories]))
+        nodes = np.concatenate([*(h.values for h in histories), *(h._nodes[h.num_nodes :] for h in histories)])
+    lo = knots.times[knots.starts[which]]  # each read's -delta
+    tol = _DOMAIN_TOL * max(1.0, *(h.delta for h in histories))
+    if ts.size and ((ts - lo).min() < -tol or ts.max() > tol):
+        raise PreconditionError(f"evaluation outside [-delta, 0]: range [{np.min(ts)}, {np.max(ts)}]")
+    ts = np.minimum(np.maximum(ts, lo), 0.0)
+    f, theta, length, _, _ = knots.locate(which, ts, kind == 2)
+    flags = [h.slopes is None for h in histories]
+    linear = all(flags) or any(flags) and np.array(flags)[which][:, None]
+    coefs = _weights(theta[:, None], length[:, None], kind > 0 if np.ndim(kind) == 0 else (kind > 0)[:, None], linear)
+    half = knots.times.size  # the slopes follow the values
+    return _gather(nodes, f + np.array((0, half, 1, half + 1))[:, None], coefs)
+
+
+def _lay_out(seg, delta, grid, values, slopes, kinks):
+    """A history `seg` with these fields (slopes None for a linear one), and
+    the one-row layout that `_read` takes: the knots of its grid, and its values
+    then its slopes as one frozen array, which `values` and `slopes` view. A
+    linear history's slopes there are its differences y1 - y0 to the next node,
+    0 at its last. No field is checked: construction checks them first."""
+    size = grid.size
+    nodes = np.concatenate([values, slopes if slopes is not None else
+                            np.concatenate([values[1:] - values[:-1], np.zeros((1, values.shape[1]))])], dtype=float)
+    nodes.setflags(write=False)  # a fresh array, frozen as `_freeze` does
+    grid = _freeze(grid)
+    for name, value in (("delta", delta), ("grid", grid), ("values", nodes[:size]), ("interp", LINEAR if slopes is
+                        None else CUBIC), ("slopes", None if slopes is None else nodes[size:]),
+                        ("kink_times", _freeze(kinks)), ("_knots", _Knots(grid, np.array([size]))), ("_nodes", nodes)):
+        object.__setattr__(seg, name, value)
+    return seg
 
 
 def _gauss(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -154,18 +251,13 @@ class HistorySegment:
             slopes = fd_slopes(grid, values) if self.slopes is None else _columns(self.slopes)
             if slopes.shape != values.shape:
                 raise DimensionError("slopes shape must match values shape")
-            slopes = _freeze(slopes)
-        object.__setattr__(self, "slopes", slopes)
         kinks = np.empty(0)
         if self.kink_times is not None:
             kinks = np.asarray(self.kink_times, dtype=float).ravel()
             if not (kinks[1:] > kinks[:-1]).all():  # else np.unique returns them as they are
                 kinks = np.unique(kinks)
             kinks = kinks[np.searchsorted(kinks, -delta) : np.searchsorted(kinks, 0.0, "right")]
-        object.__setattr__(self, "kink_times", _freeze(kinks))
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "grid", _freeze(grid))
-        object.__setattr__(self, "values", _freeze(values))
+        _lay_out(self, delta, grid, values, slopes, kinks)
 
     @property
     def n(self) -> int:
@@ -177,34 +269,16 @@ class HistorySegment:
 
     def eval(self, s) -> np.ndarray:
         """Value at s in [-delta, 0]; scalar s gives (n,), array (m,) gives (m, n)."""
-        return self._interpolate(s, None)
+        return self._at(s, 0)
 
     def deriv(self, s, side: str = "+") -> np.ndarray:
         """Interpolant derivative at s. `side` picks the branch at interior nodes
         (relevant for linear interpolation, where the slope jumps at nodes)."""
-        return self._interpolate(s, side)
+        return self._at(s, 2 if side == "-" else 1)
 
-    def _interpolate(self, s, side: str | None) -> np.ndarray:
-        """The value (side None) or the derivative from `side` at s."""
+    def _at(self, s, kind: int) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if s.ndim == 0:
-            return self._interpolate(s[None], side)[0]
-        tol = _DOMAIN_TOL * max(1.0, self.delta)
-        if s.size and (s.min() < -self.delta - tol or s.max() > tol):
-            raise PreconditionError(
-                f"evaluation outside [-{self.delta}, 0]: range [{np.min(s)}, {np.max(s)}]"
-            )
-        s = np.minimum(np.maximum(s, -self.delta), 0.0)
-        idx = np.minimum(np.maximum(np.searchsorted(self.grid, s, side="right") - 1, 0), self.num_nodes - 2)
-        if side == "-":  # a node takes the interval on its left
-            idx = np.where((s == self.grid[idx]) & (idx > 0), idx - 1, idx)
-        length = self.grid[idx + 1] - self.grid[idx]
-        theta = (s - self.grid[idx]) / length
-        y0, y1 = self.values[idx], self.values[idx + 1]
-        if self.interp == LINEAR:
-            return y0 + theta[:, None] * (y1 - y0) if side is None else (y1 - y0) / length[:, None]
-        kernel = _hermite if side is None else _hermite_deriv
-        return kernel(theta[:, None], length[:, None], y0, y1, self.slopes[idx], self.slopes[idx + 1])
+        return _read([self], 0, s[None], kind)[0] if s.ndim == 0 else _read([self], 0, s, kind)
 
     def sup_norm(self) -> float:
         """Sup of |phi(s)| (Euclidean) over [-delta, 0], exact: `_sup_norms` of this history."""
@@ -233,8 +307,11 @@ def sup_norm_diff(phi: HistorySegment, psi: HistorySegment) -> float:
     difference is the cubic Hermite of its end values, its right slope at the
     left end and its left slope at the right end, a linear operand's too."""
     grid = _union_grid(phi, psi)
-    diff = (phi._interpolate(grid, side) - psi._interpolate(grid, side) for side in (None, "+", "-"))
-    return float(_hermite_sups(grid, *diff, np.zeros(grid.size, dtype=int))[0][0])
+    size = grid.size
+    # values and slopes from the right and the left of each operand at the grid, in one read
+    reads = _read([phi, psi], np.arange(6 * size) // (3 * size), np.tile(grid, 6), np.tile(np.arange(3).repeat(size), 2))
+    diff = reads[: 3 * size] - reads[3 * size :]
+    return float(_hermite_sups(grid, *np.split(diff, 3), np.zeros(size, dtype=int))[0][0])
 
 
 def _union_grid(phi: HistorySegment, psi: HistorySegment) -> np.ndarray:
@@ -287,7 +364,7 @@ def _hermite_sups(times, values, right, left, owners, rate: float = 0.0):
         p, q = np.nonzero((theta > 0.0) & (theta < 1.0))  # root q of kept panel p
         theta, length = theta[p, q][:, None], length[p]
         tc = times[j[p]] + length[:, 0] * theta[:, 0]
-        yc = _hermite(theta, length, y0[p], y1[p], s0[p], s1[p])
+        yc = _hermite_sum(_hermite_basis(theta), length, y0[p], y1[p], s0[p], s1[p])
         value = np.concatenate([value, np.linalg.norm(yc, axis=1) * np.exp(rate * tc)])
         times, owners = np.concatenate([times, tc]), np.concatenate([owners, owners[j[p]]])
         np.maximum.at(best, owners[-tc.size :], value[-tc.size :])  # the critical points

@@ -10,24 +10,25 @@ mesh so derivative jumps stay aligned with step boundaries.
 
 A batch of histories advances in one step loop whatever their meshes (each
 history's kinks seed its own breakpoints): knot k of every history is row k
-of (longest mesh, B, n) arrays, and a history parks where its mesh ends or
-it blows up. A trajectory is a column of that batch store, whose rows past
-the knots hold its initial history: `_place` places a read of either (x, x'
-from either side, z) and one `take` gathers it; the converse witness reads
-the z panels of a batch at once. A step is at most a quarter of the smallest
-delay, so the delayed reads of the loop are placed ahead, and a block of
-steps gathers them at once as soon as they touch accepted knots only. The
-stage plan, made once per integration, sorts the rhs terms: block terms
-(inputs, delayed pointwise terms) then apply to the whole block, as do the
-D-terms A_j x(s - Delta_j) and slope sums; tip terms (delay-0 pointwise ones)
-take one `at` call per stage; window terms (distributed ones) are linear in x,
-so a step gathers their accepted part with one `take` and a stage's value is
-affine in its tip (at the new knot, in the tip and its left slope), with
-matrices fixed ahead. The loop stores final values only. A stage is the tip
-from z, its scale and D-term rows, and the left fold 0 + v_0 + v_1 + ... of
-the terms in order, as `RhsMap.eval` rounds. One history of one component
-steps on Python floats, any other batch on (B, n) arrays, through the same
-loop.
+of (longest mesh, B, n) arrays, and a history parks where its mesh ends or it
+blows up. A trajectory is a column of that batch store, whose rows past the
+knots hold its initial history as a history lays out its nodes: `_place`
+places a read of either (x, x' from either side, z) through the one read
+kernel of histories (`histories._Knots.locate`, `_weights`, `_gather`) and
+one `take` gathers it; the converse witness reads the z panels of a batch at
+once. A step is at most a quarter of the smallest delay, so the delayed reads
+of the loop are placed ahead, and a block of steps gathers them at once as
+soon as they touch accepted knots only. The stage plan, made once per
+integration, sorts the rhs terms: block terms (inputs, delayed pointwise
+terms) then apply to the whole block, as do the D-terms A_j x(s - Delta_j)
+and slope sums; tip terms (delay-0 pointwise ones) take one `at` call per
+stage; window terms (distributed ones) are linear in x, so a step gathers
+their accepted part with one `take` and a stage's value is affine in its tip
+(at the new knot, in the tip and its left slope), with matrices fixed ahead.
+The loop stores final values only. A stage is the tip from z, its scale and
+D-term rows, and the left fold 0 + v_0 + v_1 + ... of the terms in order, as
+`RhsMap.eval` rounds. One history of one component steps on Python floats,
+any other batch on (B, n) arrays, through the same loop.
 """
 from __future__ import annotations
 
@@ -41,7 +42,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment, _hermite_basis, _hermite_deriv_basis, _hermite_sum
+from .histories import CUBIC, HistorySegment, _gather, _hermite_basis, _Knots, _weights
 from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, rhs_eval
 from .signals import InputSignal
 
@@ -110,29 +111,6 @@ def _meshes(step: float, horizon: float, anchors: np.ndarray, of: np.ndarray, co
     return a.repeat(c) + width.repeat(c) * j / k.repeat(c), np.add.reduceat(c, head.nonzero()[0])
 
 
-class _Knots:
-    """Increasing meshes of two knots or more as one array ordered by (row,
-    time), keyed exactly as row + i * time: numpy orders complex numbers
-    lexicographically, so one searchsorted places the times of every row."""
-
-    def __init__(self, times, sizes):
-        self.times, self.sizes = times, sizes
-        self.starts = sizes.cumsum() - sizes
-        self.last = self.starts + sizes - 2  # each row's last interval
-        self.keys = np.arange(sizes.size).repeat(sizes) + 1j * times
-
-    def locate(self, rows, ts, left):
-        """(f, theta, length, at_left, at_right) of time ts[k] on row rows[k], f
-        being the flat index of the left knot of its interval (the row's first
-        or last interval for times outside it); where `left` is set, a knot
-        time takes the interval on its left."""
-        f = np.searchsorted(self.keys, rows + 1j * ts, side="right") - 1
-        f -= left & (self.times[f] == ts) & (f > self.starts[rows])
-        f = np.minimum(np.maximum(f, self.starts[rows]), self.last[rows])
-        lo, hi = self.times[f], self.times[f + 1]
-        return f, (ts - lo) / (hi - lo), hi - lo, ts == lo, ts == hi
-
-
 class _BatchStore:
     """Accepted knots of B histories as (longest mesh, B, n) arrays, knot k of
     every history in row k. History b runs on mesh `mesh_of[b]` of the
@@ -145,9 +123,9 @@ class _BatchStore:
     column of this store, read through `lookup`.
     """
 
-    # per kind of read (x, x' right, x' left, z, a linear history's x'), the planes of y0, s0, y1,
-    # s1 and of a knot time's knot; below which time it reads the initial history (t <= 0 or t < 0)
-    planes = np.array([[0, 1, 0, 2, 0], [0, 1, 0, 2, 1], [0, 1, 0, 2, 2], [3, 4, 3, 5, 3], [3, 3, 3, 3, 3]])
+    # per kind of read (x, x' right, x' left, z), the planes of y0, s0, y1, s1 and of a knot
+    # time's knot; below which time it reads the initial history (t <= 0 or t < 0)
+    planes = np.array([[0, 1, 0, 2, 0], [0, 1, 0, 2, 1], [0, 1, 0, 2, 2], [3, 4, 3, 5, 3]])
     past_below = np.array([np.nextafter(0.0, 1.0), 0.0, np.nextafter(0.0, 1.0), -np.inf])
 
     def __init__(self, histories, meshes, sizes, mesh_of, firsts):
@@ -166,20 +144,14 @@ class _BatchStore:
         accepted = self.block[:, :size]  # the knots; the initial histories' nodes follow them
         self.x, self.xdot_right, self.xdot_left, self.z, self.zdot_right, self.zdot_left = accepted
         self.flat = self.block.reshape(-1, self.shape[1])
-        # the initial histories' nodes: values, slopes in both slope planes (a linear history's
-        # panel differences y1 - y0) and a linear history's slopes in plane 3, NaN past its last
+        # the initial histories' nodes as a history reads them (`histories._read`): values in
+        # plane 0, slopes in both slope planes
         self.linear = np.array([xi0.interp != CUBIC for xi0 in histories])
         cols = np.arange(nodes.size).repeat(nodes)  # each node's history, then its row in the block
         at = size + np.arange(cols.size) - (nodes.cumsum() - nodes).repeat(nodes), cols
-        values = np.concatenate([xi0.values for xi0 in histories])
-        diffs = np.concatenate([values[1:] - values[:-1], values[:1]])
-        diffs[at[0] == size + nodes[cols] - 1] = np.nan  # past each history's last node
-        lin = self.linear[cols, None]
-        grid = self.knots.times[self.knots.starts[self.mesh_count] :]
-        self.block[(0, *at)] = values
-        slopes = np.concatenate([xi0.values if xi0.slopes is None else xi0.slopes for xi0 in histories])
-        self.block[(1, *at)] = self.block[(2, *at)] = np.where(lin, diffs, slopes)
-        self.block[(3, *at)] = np.where(lin, diffs / np.append(grid[1:] - grid[:-1], 1.0)[:, None], np.nan)
+        self.block[(0, *at)] = np.concatenate([xi0.values for xi0 in histories])
+        self.block[(1, *at)] = self.block[(2, *at)] = np.concatenate(
+            [xi0._nodes[xi0.num_nodes :] for xi0 in histories])
         # each mesh's times, padded with its last knot
         starts = self.knots.starts[: self.mesh_count]
         self.times = self.knots.times[starts + np.minimum(np.arange(size)[:, None], sizes - 1)]
@@ -210,46 +182,24 @@ def _place(store: _BatchStore, cols, ts, kind):
     `_weights`, knot reads, last knots touched). A knot time reads its knot,
     another time the cubic Hermite of its interval, right slopes at its left end
     and left slopes at its right. x and x' at t <= 0 (x' from the right: t < 0)
-    read the initial history as `HistorySegment` does: clamped to -Delta, a node
-    from the left in the panel on its left, a linear history with length 1 and
-    the weights (1, theta, 0, 0) for x and (0, 1, 0, 0) for x'."""
-    knots, kind = store.knots, np.asarray(kind)
+    read the initial history as `HistorySegment` does, from its nodes in the
+    layout it reads (see `histories._read`): clamped to -Delta, a node from the
+    left in the panel on its left."""
+    knots, kind = store.knots, np.broadcast_to(kind, np.shape(ts))
     past = ts < store.past_below[kind]
     some, row, lin = past.any(), store.mesh_of[cols], past & store.linear[cols]
     if some:  # reads of the initial histories, whose grids the knots key after the meshes
         row = np.where(past, store.mesh_count + cols, row)
         ts = np.maximum(ts, knots.times[knots.starts[row]])
-    f, theta, length, at_left, at_right = knots.locate(row, ts, some and past & (kind == 2))
-    k = f - knots.starts[row]
+    f, theta, length, lo, hi = knots.locate(row, ts, some and past & (kind == 2))
+    at_left, at_right, k = ts == lo, ts == hi, f - knots.starts[row]
     if some:
-        at_left, at_right, length = at_left & ~past, at_right & ~past, np.where(lin, 1.0, length)
+        at_left, at_right = at_left & ~past, at_right & ~past
         k = k + store.x.shape[0] * past  # a history's nodes follow its knots
-    k1 = k + ~(at_left | lin)  # a left-knot read keeps to its knot: its discarded Hermite stays finite
-    deriv = (kind == 1) | (kind == 2)
-    planes = store.planes[np.where(lin & deriv, 4, kind)].T * store.block.shape[1]
-    rows = (np.array([k, k, k1, k1, k + at_right]) + planes) * store.shape[0] + cols
-    coefs = _weights(theta, length, deriv)
-    if some and lin.any():
-        zero = 0.0 * theta
-        coefs[:4, lin] = np.array([zero + ~deriv, np.where(deriv, 1.0, theta), zero, zero])[:, lin]
-    return rows, coefs, at_left | at_right, np.where(past, 0, k1) if some else k1
-
-
-def _weights(theta, length, deriv) -> np.ndarray:
-    """The weights of y0, s0 * length, y1 and s1 * length in `_hermite` at theta
-    (in `_hermite_deriv` where `deriv` is set), the length, and the divisor of
-    their sum: the length for a derivative, else 1."""
-    basis = np.where(deriv, _hermite_deriv_basis(theta), _hermite_basis(theta))
-    return np.array([*basis, length, np.where(deriv, length, 1.0)])
-
-
-def _gather(flat, rows, coefs, node) -> np.ndarray:
-    """The reads placed at `rows` with `coefs` (see `_place`), from the flat buffer."""
-    g = flat.take(rows, axis=0)
-    out = _hermite_sum(coefs, coefs[4], g[0], g[2], g[1], g[3])
-    out /= coefs[5]
-    np.copyto(out, g[4], where=node)
-    return out
+    k1 = k + ~at_left  # a left-knot read keeps to its knot: its discarded Hermite stays finite
+    rows = (np.array([k, k, k1, k1, k + at_right]) + store.planes[kind].T * store.block.shape[1]) * store.shape[0]
+    coefs = _weights(theta, length, (kind == 1) | (kind == 2), lin if some and lin.any() else False)
+    return rows + cols, np.array(coefs), at_left | at_right, np.where(past, 0, k1) if some else k1
 
 
 class _Reads:
@@ -640,67 +590,69 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     run = act, col, live, put, park = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
     windows, slope = [], None
-    for i in range(size - 1):
-        if i == stop:  # a new block: park the histories whose meshes end here
-            if i == park:
-                store.counts[live[ends[live] == i]] = i + 1
-                run = act, col, live, put, park = running_rows(live[ends[live] > i])
-                if live.size == 0:  # the longer meshes' histories all blew up
-                    break
-            if i == reads.stop:
-                reads = plan_reads(i)
-            # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
-            start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
-            scales, dterms, tails, terms, base, k1 = block(i, stop, run)
-        if dist and i == wstop:
-            wstart, (wstop, windows) = i, plan_windows(i, live)
-        k, w = i - start, i - wstart
-        for window in windows:
-            window.gather(w)
-
-        z_cur = base
-        f = acc = k1  # k1, and the sum k1 + 2 k2 + 2 k3 + k4
-        stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
-        for s, (c, e) in enumerate(stages):
-            if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
-                base = tip = z_cur + scales[s][k] * (acc if s == 3 else f)
-                for d in dterms:
-                    tip = tip + d[s >> 1][k]  # the midpoint's, then the step end's
-            if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
-                # no row can exceed the bound while the batch stays below it
-                mag = tip * tip if scalar else np.vdot(tip, tip)
-                if not math.isfinite(mag) or mag > bound2:
-                    tips = np.reshape(tip, (live.size, n))
-                    mag2 = np.einsum("bi,bi->b", tips, tips)
-                    keep = np.isfinite(mag2) & (mag2 <= bound2)
-                    store.counts[live[~keep]] = i + 1
-                    run = act, col, live, put, park = running_rows(live[keep])
-                    if live.size == 0:
+    # a stage may overflow within a step: the new knot's finiteness test parks its history
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(size - 1):
+            if i == stop:  # a new block: park the histories whose meshes end here
+                if i == park:
+                    store.counts[live[ends[live] == i]] = i + 1
+                    run = act, col, live, put, park = running_rows(live[ends[live] > i])
+                    if live.size == 0:  # the longer meshes' histories all blew up
                         break
-                    base, tip = base[keep], tip[keep]
-                    f = f[keep] if windows else f  # k4, for the tip's slope (an empty rhs folds to 0-d)
-                    tails = [[r[keep] for r in v] for v in tails]
-                    terms = [[[r[keep] for r in v] for v in t] for t in terms]
-                    stop = i + 1  # the block ends with the running histories
-                x[i + 1, put], z[i + 1, put] = tip, base
-                slope = f + tails[1][k] if windows else None  # the tip's left slope, for the windows
-            prev, f = f, zero
-            for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
-                v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
-                     else windows[j].value(w, e, tip, live, slope))
-                f = f + v
-            if s < 3:
-                acc = acc + (two * f if s < 2 else f)
-        if live.size == 0:  # every running history blew up
-            break
+                if i == reads.stop:
+                    reads = plan_reads(i)
+                # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
+                start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
+                scales, dterms, tails, terms, base, k1 = block(i, stop, run)
+            if dist and i == wstop:
+                wstart, (wstop, windows) = i, plan_windows(i, live)
+            k, w = i - start, i - wstart
+            for window in windows:
+                window.gather(w)
 
-        # z' and then x' at the new knot, from the right and the left: they differ where an input
-        # jumps (for every running float); z' from the right is the next step's k1
-        k1 = zl = f
-        if stages is _STAGES:
-            k1, zl = prev, f if scalar else np.where(jump[i, act][:, None], f, prev)
-        zdr[i + 1, put], zdl[i + 1, put] = k1, zl
-        xdr[i + 1, put], xdl[i + 1, put] = k1 + tails[0][k], zl + tails[1][k]
+            z_cur = base
+            f = acc = k1  # k1, and the sum k1 + 2 k2 + 2 k3 + k4
+            stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
+            for s, (c, e) in enumerate(stages):
+                if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
+                    base = tip = z_cur + scales[s][k] * (acc if s == 3 else f)
+                    for d in dterms:
+                        tip = tip + d[s >> 1][k]  # the midpoint's, then the step end's
+                if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
+                    # no row can exceed the bound while the batch stays below it
+                    mag = tip * tip if scalar else np.vdot(tip, tip)
+                    if not math.isfinite(mag) or mag > bound2:
+                        tips = np.reshape(tip, (live.size, n))
+                        mag2 = np.einsum("bi,bi->b", tips, tips)
+                        keep = np.isfinite(mag2) & (mag2 <= bound2)
+                        store.counts[live[~keep]] = i + 1
+                        run = act, col, live, put, park = running_rows(live[keep])
+                        if live.size == 0:
+                            break
+                        base, tip = base[keep], tip[keep]
+                        f = f[keep] if windows else f  # k4, for the tip's slope (an empty rhs folds to 0-d)
+                        tails = [[r[keep] for r in v] for v in tails]
+                        terms = [[[r[keep] for r in v] for v in t] for t in terms]
+                        stop = i + 1  # the block ends with the running histories
+                    x[i + 1, put], z[i + 1, put] = tip, base
+                    slope = f + tails[1][k] if windows else None  # the tip's left slope, for the windows
+                prev, f = f, zero
+                for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
+                    v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
+                         else windows[j].value(w, e, tip, live, slope))
+                    f = f + v
+                if s < 3:
+                    acc = acc + (two * f if s < 2 else f)
+            if live.size == 0:  # every running history blew up
+                break
+
+            # z' and then x' at the new knot, from the right and the left: they differ where an input
+            # jumps (for every running float); z' from the right is the next step's k1
+            k1 = zl = f
+            if stages is _STAGES:
+                k1, zl = prev, f if scalar else np.where(jump[i, act][:, None], f, prev)
+            zdr[i + 1, put], zdl[i + 1, put] = k1, zl
+            xdr[i + 1, put], xdl[i + 1, put] = k1 + tails[0][k], zl + tails[1][k]
 
     store.counts[live] = i + 2
     return store.counts <= ends  # a history that parks before its mesh ends blew up

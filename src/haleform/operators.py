@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, HorizonError, PreconditionError
-from .histories import HistorySegment, _freeze, _gauss, _own
+from .histories import HistorySegment, _freeze, _gauss, _own, _read
 
 _TOL = 1e-9
 
@@ -81,17 +81,39 @@ class DifferenceOperator:
 
 def dop_apply(dop: DifferenceOperator, phi) -> np.ndarray:
     """Apply the difference operator to a history, using its interpolation."""
-    if phi.delta < dop.max_delay - _TOL * max(1.0, dop.max_delay):
-        raise HorizonError(
-            f"history horizon {phi.delta} shorter than max delay {dop.max_delay}"
-        )
-    pts = phi.eval(np.concatenate(([0.0], -dop.delays)))
-    if pts.shape[1] != dop.n:
-        raise DimensionError(f"history dimension {pts.shape[1]} != operator dimension {dop.n}")
-    out = pts[0].copy()
+    return _dop_of(dop, phi.eval(_dop_times(dop, [phi])))
+
+
+def _dop_times(dop: DifferenceOperator, phis) -> np.ndarray:
+    """The times at which D reads a history, 0 and then each -Delta_j, once every
+    history of phis is checked to have the horizon and the dimension D needs."""
+    for phi in phis:
+        if phi.delta < dop.max_delay - _TOL * max(1.0, dop.max_delay):
+            raise HorizonError(f"history horizon {phi.delta} shorter than max delay {dop.max_delay}")
+        if phi.n != dop.n:
+            raise DimensionError(f"history dimension {phi.n} != operator dimension {dop.n}")
+    return np.concatenate(([0.0], -dop.delays))
+
+
+def _dop_of(dop: DifferenceOperator, pts: np.ndarray) -> np.ndarray:
+    """D phi from phi at `_dop_times`, (p + 1, n), or of each history of a stack
+    (R, p + 1, n), each row rounding as the history alone does."""
+    out = pts[..., 0, :].copy()
     for j in range(dop.p):
-        out -= _apply(dop.matrices[j], pts[j + 1])
+        out -= _apply(dop.matrices[j], pts[..., j + 1, :])
     return out
+
+
+def _dop_rows(dop: DifferenceOperator, phis, times=(), counts=0) -> tuple[np.ndarray, np.ndarray]:
+    """D phi of every history of phis, (R, n), and history r's values at its
+    counts[r] times of `times`, in order, from one read of them all."""
+    at = _dop_times(dop, phis)
+    if not phis:
+        return np.zeros((0, dop.n)), np.zeros((0, dop.n))
+    rows = np.arange(len(phis))
+    reads = _read(phis, np.concatenate([rows.repeat(at.size), rows.repeat(counts)]),
+                  np.concatenate([*[at] * rows.size, times]), 0)
+    return _dop_of(dop, reads[: rows.size * at.size].reshape(rows.size, at.size, dop.n)), reads[rows.size * at.size :]
 
 
 # -- primitive pointwise nonlinearities ---------------------------------------

@@ -16,8 +16,18 @@ from haleform import (
     segment,
     trajectory_grid,
 )
-from haleform.histories import _hermite, _hermite_deriv
+from haleform.histories import _hermite_basis, _hermite_deriv_basis, _hermite_sum
 from haleform.integrate import _BP_TOL, _breakpoint_gap
+
+
+def _hermite(theta, length, y0, y1, s0, s1):
+    """The cubic Hermite value at theta of a panel with end values y0, y1 and end slopes s0, s1."""
+    return _hermite_sum(_hermite_basis(theta), length, y0, y1, s0, s1)
+
+
+def _hermite_deriv(theta, length, y0, y1, s0, s1):
+    """Its time derivative."""
+    return _hermite_sum(_hermite_deriv_basis(theta), length, y0, y1, s0, s1) / length
 
 
 def _point(grid, values, slopes, s, deriv=False, side="+"):

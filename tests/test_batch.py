@@ -40,11 +40,18 @@ from haleform import (
 from haleform.certify import CertificateConstants
 from haleform.comparison import ComparisonFunction
 from haleform.functionals import DopSemiNorm, phi_h_extend
-from haleform.histories import _hermite
+from haleform.histories import _hermite_basis, _hermite_sum
 from haleform.operators import _apply
 from test_golden import _systems
 
 integrate_module = sys.modules["haleform.integrate"]
+histories_module = sys.modules["haleform.histories"]
+
+
+def _hermite(theta, length, y0, y1, s0, s1):
+    """The cubic Hermite value at theta of a panel with end values y0, y1 and end slopes s0, s1."""
+    return _hermite_sum(_hermite_basis(theta), length, y0, y1, s0, s1)
+
 
 SYSTEMS = _systems()
 
@@ -609,8 +616,8 @@ def _count_plans():
 def test_knot_zero_reads_no_history_one_at_a_time(name):
     """z(0) and f at knot 0 come from one read of every initial history and
     one `RhsMap.eval` on the batch, with no per-history `dop_apply`, `RhsMap.eval`
-    or `HistorySegment.eval`, and equal those bit for bit (a zero history's
-    signed zeros included)."""
+    or history read (`histories._read`, which `HistorySegment.eval` calls), and
+    equal those bit for bit (a zero history's signed zeros included)."""
     system, pwc = WITH_PRIMITIVES[name]
     u = pwc if system.m else None
     histories = [_history(system, seed, 1.0, kink) for seed, kink in ((1, None), (2, -0.3), (3, None))]
@@ -621,7 +628,7 @@ def test_knot_zero_reads_no_history_one_at_a_time(name):
     def spy(name, real):
         return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
 
-    with mock.patch.object(HistorySegment, "_interpolate", spy("eval", HistorySegment._interpolate)), \
+    with mock.patch.object(histories_module, "_read", spy("eval", histories_module._read)), \
             mock.patch.object(RhsMap, "eval", spy("rhs", RhsMap.eval)):
         batch = integrate_batch(system, histories, 1.0, step=1.0 / 16.0, u=u)
     assert calls == ["rhs"]

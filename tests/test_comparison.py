@@ -82,3 +82,15 @@ def test_monotone_envelope_headroom_scales():
     assert low(2.0) == pytest.approx(1.8, rel=1e-6)
     up = monotone_envelope(x, y, "upper", headroom=0.1)
     assert up(2.0) == pytest.approx(2.2, rel=1e-6)
+
+
+@pytest.mark.parametrize("side, y", [("upper", [0.0, 5.0, 5.0]), ("lower", [5.0, 5.0, 5.0])])
+def test_monotone_envelope_breaks_a_flat_below_an_ulp(side, y):
+    """Knots 1e-11 apart make the flat-breaking ramp smaller than an ulp of the
+    envelope: each flat still rises by an ulp, so the table is class K and
+    keeps to its side of the cloud."""
+    x = np.array([0.0, 1e-11, 2e-11])
+    env = monotone_envelope(x, y, side)
+    assert np.all(np.diff(env.params["y"]) > 0.0)
+    values = np.array([env(v) for v in x])
+    assert np.all(values >= y) if side == "upper" else np.all(values <= y)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import sys
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,9 @@ from haleform import (
     trajectory_grid,
 )
 from haleform.histories import LINEAR
+
+histories_module = sys.modules["haleform.histories"]
+operators_module = sys.modules["haleform.operators"]
 
 
 class TestPhiHExtend:
@@ -139,21 +144,67 @@ class TestLadderRungs:
         assert self._rung_digest() == self.DIGEST
 
     def test_rungs_read_phi_once_per_kind(self, planar_system):
-        """A levels-14 query's 15 rungs read phi through one value call and one
-        slope call together; D phi and f(phi), computed once each and read
+        """A levels-14 query's 15 rungs read phi through one value read and one
+        slope read of the kernel; D phi and f(phi), computed once each and read
         here from mocks, make their own reads."""
         phi = sample_history(2, 0.7, 1.0, 3, seed=4)
         hs = LadderSpec(levels=14).steps(planar_system.dop.min_delay)
         dphi, fval = dop_apply(planar_system.dop, phi), rhs_eval(planar_system.rhs, phi)
         with mock.patch.object(functionals, "dop_apply", return_value=dphi) as dop_calls, \
                 mock.patch.object(functionals, "rhs_eval", return_value=fval) as rhs_calls, \
-                mock.patch.object(HistorySegment, "_interpolate", autospec=True,
-                                  side_effect=HistorySegment._interpolate) as reads:
+                _count_reads() as reads:
             rungs = functionals._extensions(planar_system, phi, hs, None)
         assert len(rungs) == 15
         assert (dop_calls.call_count, rhs_calls.call_count) == (1, 1)
-        sides = [c.args[2] for c in reads.call_args_list if c.args[0] is phi]
-        assert sorted(sides, key=str) == ["+", None]
+        assert [(len(histories), histories[0] is phi) for histories, _ in reads] == [(1, True)] * 2
+        assert sorted(kind for _, kind in reads) == [0, 1]  # x, and x' from the right
+
+
+@contextlib.contextmanager
+def _count_reads():
+    """Record (histories, kinds) of every call of the one read of a history,
+    `histories._read`, from any module."""
+    calls, read = [], histories_module._read
+
+    def spy(histories, which, ts, kind):
+        calls.append((histories, kind))
+        return read(histories, which, ts, kind)
+
+    with contextlib.ExitStack() as stack:
+        for module in (histories_module, operators_module):
+            stack.enter_context(mock.patch.object(module, "_read", spy))
+        yield calls
+
+
+class TestOneRead:
+    """A point functional's `many` and `sup_norm_diff` read all their histories
+    with one call of the read kernel, and give what reads one at a time give."""
+
+    @pytest.mark.parametrize("kind", ["quadratic", "dop-norm", "integral"])
+    def test_many_reads_phi_and_its_rungs_at_once(self, planar_system, kind):
+        phi = sample_history(2, 0.7, 1.0, 3, seed=4)
+        rows = [phi, *functionals._extensions(planar_system, phi, LadderSpec(levels=14).steps(0.7), None)]
+        grid = np.linspace(-0.7, 0.0, 5)
+        V = {"quadratic": QuadraticDopFunctional(planar_system.dop, [[2.0, 0.5], [0.5, 1.0]]),
+             "dop-norm": DopNormFunctional(planar_system.dop, 1.5),
+             "integral": IntegralQuadraticFunctional(planar_system.dop, np.eye(2), grid,
+                                                     np.repeat(0.3 * np.eye(2)[None], 5, axis=0))}[kind]
+        with _count_reads() as reads:
+            values = V.many(rows)
+        assert len(reads) == 1 and len(reads[0][0]) == 16
+        assert values == [V.many([row])[0] for row in rows]
+        if kind != "integral":
+            d = [dop_apply(planar_system.dop, row) for row in rows]
+            assert np.array_equal([V(row) for row in rows], values)
+            assert np.array_equal(np.array(d), functionals._dop_rows(planar_system.dop, rows)[0])
+
+    def test_sup_norm_diff_reads_both_histories_at_once(self):
+        phi, psi = sample_history(2, 1.0, 1.0, 3, seed=4), sample_history(2, 1.0, 1.0, 2, seed=5)
+        with _count_reads() as reads:
+            sup = sup_norm_diff(phi, psi)
+        assert len(reads) == 1
+        fine = np.linspace(-1.0, 0.0, 2001)
+        assert sup >= np.max(np.linalg.norm(phi.eval(fine) - psi.eval(fine), axis=1))
 
 
 class TestDriverDerivative:

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -14,6 +15,7 @@ from haleform import (
     LadderSpec,
     LinearTerm,
     NfdeSystem,
+    NonlinearTerm,
     PreconditionError,
     RhsMap,
     StepPolicy,
@@ -193,6 +195,19 @@ class TestGuards:
         )
         assert traj.blowup
         assert traj.t_end < 12.0
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_overflow_within_a_step_is_a_blowup(self, count):
+        """From x = 1e5, x' = -x + x^3 + 2 overflows inside the first step's
+        stages: each history parks with the blowup flag, and no warning is
+        raised on the way (one float history and a batch of two)."""
+        terms = (LinearTerm(0.0, [[-1.0]]), NonlinearTerm(0.0, "cubic", [[1.0]]), InputTerm([[1.0]]))
+        system = NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]), RhsMap(n=1, m=1, terms=terms))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trajs = integrate_batch(system, [HistorySegment.constant([1e5], 1.0)] * count, 2.0,
+                                    step=0.125, u=InputSignal.constant([2.0]))
+        assert [(traj.blowup, traj.t_end) for traj in trajs] == [(True, 0.0)] * count
 
     def test_horizon_mismatch(self, neutral_system):
         short = HistorySegment.constant([1.0], 0.5)
