@@ -39,6 +39,16 @@ the batch that fitting certificate constants on 15 samples evaluates. The
 and its 6 rungs in one `integrate_batch` on 7 meshes, next to the same 7
 rows on one mesh (each given the last rung's kinks, so each takes 90 steps).
 
+L5: the probes on the benchmark's input system x' = -x + u, at the
+benchmark's settings. The line gives the median, over 7 rounds of 5 calls
+after one warm-up, of the mean wall time of a `sample_shells` draw (n = 1, 10 per shell on three
+shells, per draw, in microseconds), and in milliseconds of
+`estimate_lipschitz` with 30 samples, of `iss_probe` (4 histories under a
+zero, a switching and a table signal, horizon 10, step 0.025, 30 Lipschitz
+samples), of `check_uniform_attraction` (6 samples, 7 shells of 4, horizon
+10, step 0.125) and of a 50-sample `residual_check` on a planar trajectory
+(horizon 8, step 0.01).
+
 Timings depend on the machine; compare runs made on one.
 
     PYTHONPATH=src python scripts/step_cost.py
@@ -53,16 +63,24 @@ from haleform import (
     DistributedTerm,
     HistorySegment,
     LadderSpec,
+    InputSignal,
+    InputTerm,
     LinearTerm,
     NfdeSystem,
     NonlinearTerm,
     QuadraticDopFunctional,
     RhsMap,
+    check_uniform_attraction,
     dop_apply,
     driver_derivative,
+    estimate_lipschitz,
+    integrate,
     integrate_batch,
+    iss_probe,
     phi_h_extend,
+    residual_check,
     sample_history,
+    sample_shells,
     sup_norm_diff,
 )
 from haleform.functionals import _extensions
@@ -184,6 +202,30 @@ def converse_costs() -> tuple[float, float, float, float]:
     return 1e3 * query, 1e3 * batch, *(1e3 * float(np.median(cost)) for cost in costs)
 
 
+def probe_costs() -> tuple[float, ...]:
+    """Median wall times of the L5 probes: microseconds per `sample_shells` draw,
+    then milliseconds per `estimate_lipschitz`, `iss_probe`,
+    `check_uniform_attraction` and `residual_check` call."""
+    system = NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]),
+                        RhsMap(n=1, m=1, terms=(LinearTerm(0.0, [[-1.0]]), InputTerm([[1.0]]))))
+    rng = np.random.default_rng(0)  # signals drawn as the benchmark draws its own
+    switching = np.concatenate([[0.0], np.sort(rng.uniform(0.5, 9.5, 5))])
+    signals = [InputSignal.zero(1), InputSignal.piecewise_constant(switching, rng.uniform(-1.0, 1.0, (6, 1))),
+               InputSignal.from_table(np.linspace(0.0, 10.0, 11), rng.uniform(-1.0, 1.0, (11, 1)))]
+    ics = sample_shells(1, 1.0, 2, 0, shells=(0.1, 1.0))
+    planar, horizon, step = systems()["planar"]
+    traj = integrate(planar, _histories(planar)[0], horizon, step=step)
+    calls = [
+        lambda: sample_shells(1, 1.0, 10, 0),
+        lambda: estimate_lipschitz(system.rhs, 1.0, 1.0, samples=30),
+        lambda: iss_probe(system, ics, signals, horizon=10.0, step=0.025, lipschitz_samples=30),
+        lambda: check_uniform_attraction(system, 1.0, 0.05, samples=6, horizon=10.0, step=0.125),
+        lambda: residual_check(traj, 50),
+    ]
+    costs = [_median_call_s(lambda _: call(), [None] * 7) for call in calls]
+    return 1e6 * costs[0] / 30, *(1e3 * cost for cost in costs[1:])
+
+
 def main() -> int:
     for n in (1, 2):
         sup, diff = sup_costs(n)
@@ -209,6 +251,9 @@ def main() -> int:
     print(f"L4 {'query':<12} {query:8.2f} ms/query  (neutral, V(phi) and levels-5 D+V, step 0.125, horizon 10)")
     print(f"L4 {'x105':<12} {batch:8.2f} ms/batch  (V.many on 15 histories with their levels-5 rungs)")
     print(f"L4 {'ladder x7':<12} {ragged:8.2f} ms/batch  (phi and its 6 rungs on 7 meshes; {flat:.2f} on one mesh)")
+    draw, lipschitz, iss, attraction, residual = probe_costs()
+    print(f"L5 {'probes':<12} {draw:8.1f} us/draw, estimate_lipschitz {lipschitz:.2f} ms, iss_probe {iss:.2f} ms, "
+          f"attraction {attraction:.2f} ms, residual_check {residual:.2f} ms  (input system, planar residual)")
     return 0
 
 

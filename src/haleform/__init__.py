@@ -58,7 +58,7 @@ from .functionals import (
     trajectory_consistency,
     trajectory_grid,
 )
-from .histories import HistorySegment, combine, sample_history, sup_norm_diff
+from .histories import HistorySegment, combine, sample_histories, sample_history, sup_norm_diff
 from .integrate import (
     StepPolicy,
     Trajectory,

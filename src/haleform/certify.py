@@ -27,10 +27,19 @@ from .functionals import (
     driver_derivative,
     driver_derivatives,
 )
-from .histories import HistorySegment, _hermite_sups, _sup_norms, sample_history, sup_norm_diff
+from .histories import (
+    HistorySegment,
+    _check_seed,
+    _hermite_sups,
+    _read,
+    _sup_norm_diffs,
+    _sup_norms,
+    sample_histories,
+    sup_norm_diff,
+)
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, _store_knots, integrate, integrate_batch  # noqa: F401
-from .operators import NfdeSystem, dop_apply, rhs_eval
+from .operators import NfdeSystem, _rhs_rows, dop_apply, rhs_eval
 from .signals import ZERO, InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
@@ -263,23 +272,19 @@ def sample_shells(
     shell starts with a constant history pinned at the shell radius (the worst
     case for several estimates).
     """
+    return sample_histories(n, delta, _shell_draws(per_shell, seed, shells, max_roughness))
+
+
+def _shell_draws(per_shell: int, seed: int, shells, max_roughness: int = 4) -> list[tuple]:
+    """`sample_shells`' draws for `histories.sample_histories`, shell by shell: its
+    constant pinned at the radius, then per_shell - 1 samples of roughness 0, 1, ...,
+    max_roughness, 0, ...; draw i is seeded seed + i."""
     if per_shell < 1:
         raise PreconditionError(f"per_shell must be at least 1, got {per_shell}")
     if not shells:
         raise PreconditionError("no shells to sample, so nothing would be checked")
-    out = []
-    counter = 0
-    for shell in shells:
-        rng = np.random.default_rng(seed + counter)
-        direction = rng.standard_normal(n)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        out.append(HistorySegment.constant(shell * direction, delta))
-        counter += 1
-        for k in range(per_shell - 1):
-            roughness = k % (max_roughness + 1)
-            out.append(sample_history(n, delta, shell, roughness, seed + counter))
-            counter += 1
-    return out
+    return [(shell, None if k == 0 else (k - 1) % (max_roughness + 1), seed + s * per_shell + k)
+            for s, shell in enumerate(shells) for k in range(per_shell)]
 
 
 # -- condition verification -------------------------------------------------------
@@ -515,6 +520,7 @@ def estimate_ges(
     clamped to at least 1. Blowup or a nonpositive decay rate yields a
     not-GES verdict with the escaping history attached.
     """
+    _check_seed(seed)
     if isinstance(seeds, int):
         # sample_shells refuses an empty shell list before anything divides by its length
         per_shell = max(1, int(np.ceil(seeds / len(shells)))) if shells else 1
@@ -584,10 +590,14 @@ def check_uniform_attraction(
     """
     if bound <= 0 or eps <= 0:
         raise PreconditionError("bound and eps must be positive")
-    shells = [bound]
-    histories = sample_shells(system.n, system.delta, samples, seed, shells)
+    # the samples, then a shell of radius eps 2^k for each k = -6..0, all drawn and integrated at once
+    radii, per = [eps * 2.0**k for k in range(-6, 1)], max(4, samples // 4)
+    draws = _shell_draws(samples, seed, [bound]) + [
+        draw for cand in radii for draw in _shell_draws(per, seed + 777, [cand])]
+    histories = sample_histories(system.n, system.delta, draws)
+    trajs = integrate_batch(system, histories, horizon, step=step)
     settle = 0.0
-    for xi0, traj in zip(histories, integrate_batch(system, histories, horizon, step=step)):
+    for xi0, traj in zip(histories[:samples], trajs):
         if traj.blowup:
             return AttractionResult(None, None, "inconclusive", xi0)
         mags = np.linalg.norm(traj.x, axis=1)
@@ -599,12 +609,9 @@ def check_uniform_attraction(
         settle = max(settle, float(traj.times[above[-1] + 1]))
     delta_hat = None
     # a shell starts with a constant history at its radius, so radii above eps fail at t = 0
-    for cand in [eps * 2.0**k for k in range(-6, 1)]:
-        shell = sample_shells(system.n, system.delta, max(4, samples // 4), seed + 777, [cand])
-        if not any(
-            traj.blowup or np.any(np.linalg.norm(traj.x, axis=1) >= eps)
-            for traj in integrate_batch(system, shell, horizon, step=step)
-        ):
+    for i, cand in enumerate(radii):
+        shell = trajs[samples + i * per : samples + (i + 1) * per]
+        if not any(traj.blowup or np.any(np.linalg.norm(traj.x, axis=1) >= eps) for traj in shell):
             delta_hat = cand
     return AttractionResult(settle, delta_hat, "settled")
 
@@ -744,50 +751,64 @@ def estimate_lipschitz(
     """
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
+    _check_seed(seed)
     if delta is None:
         delta = max(rhs.max_delay, 1.0)
     rng = np.random.default_rng(seed)
     n, m = rhs.n, rhs.m
-    u0 = np.zeros(m) if m > 0 else None
+    inputs = m > 0 and input_bound != 0.0
+    # every history in one draw: each pair's first, the random pairs' second (k even), then the
+    # input samples; the bump pairs' parameters (k odd) come first from the generator, in k order
+    ks = range(samples)
+    draws = [(bound, k % 5, seed * 1009 + 2 * k) for k in ks]
+    draws += [(bound, (k + 2) % 5, seed * 1009 + 2 * k + 1) for k in ks[::2]]
+    draws += [(bound, k % 5, seed * 2027 + k) for k in ks] if inputs else []
+    drawn = sample_histories(n, delta, draws)
+    firsts, seconds = drawn[:samples], [None] * samples
+    seconds[::2] = drawn[samples : samples + len(ks[::2])]
+    bumps = []  # the bump pairs: concentrate the difference around one grid node
+    for k in ks[1::2]:
+        center = 0.0 if k % 4 == 1 else float(rng.uniform(-delta, 0.0))
+        width = delta * rng.uniform(0.05, 0.2)
+        direction = rng.standard_normal(n)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        grid = np.union1d(firsts[k].grid, np.clip(center + width * np.linspace(-3, 3, 13), -delta, 0.0))
+        bumps.append((grid, 0.2 * bound * np.exp(-(((grid - center) / width) ** 2)), direction))
+    if bumps:  # their first histories read at their grids at once
+        sizes = [grid.size for grid, _, _ in bumps]
+        reads = _read(firsts[1::2], np.arange(len(bumps)).repeat(sizes), np.concatenate([b[0] for b in bumps]), 0)
+        seconds[1::2] = [HistorySegment(delta, grid, values + np.outer(bump, direction))
+                         for (grid, bump, direction), values in zip(bumps, np.split(reads, np.cumsum(sizes)[:-1]))]
+    phis, us, scaled = [*firsts, *seconds], [np.zeros(m)] * (2 * samples), []
+    if inputs:  # each input sample under its input, then under none
+        for k in ks:
+            u = rng.standard_normal(m)
+            u *= input_bound * rng.uniform(0.05, 1.0) / max(np.linalg.norm(u), 1e-300)
+            scaled.append(u)
+        phis += drawn[-samples:] * 2
+        us += scaled + [np.zeros(m)] * samples
+    f = _rhs_rows(rhs, phis, np.array(us) if m > 0 else None)  # every f at once
+    gaps = _sup_norm_diffs(firsts, seconds)
     l0 = 0.0
     pairs = 0
-    for k in range(samples):
-        phi1 = sample_history(n, delta, bound, k % 5, seed * 1009 + 2 * k)
-        if k % 2 == 0:
-            phi2 = sample_history(n, delta, bound, (k + 2) % 5, seed * 1009 + 2 * k + 1)
-        else:
-            # bump pair: concentrate the difference around one grid node
-            center = 0.0 if k % 4 == 1 else float(rng.uniform(-delta, 0.0))
-            width = delta * rng.uniform(0.05, 0.2)
-            size = 0.2 * bound
-            direction = rng.standard_normal(n)
-            direction /= max(np.linalg.norm(direction), 1e-300)
-            grid = np.union1d(phi1.grid, np.clip(center + width * np.linspace(-3, 3, 13), -delta, 0.0))
-            bump = size * np.exp(-(((grid - center) / width) ** 2))
-            values = phi1.eval(grid) + np.outer(bump, direction)
-            phi2 = HistorySegment(delta, grid, values)
-        gap = sup_norm_diff(phi1, phi2)
+    for k, gap in enumerate(gaps.tolist()):
         if gap < 1e-9:
             continue
-        diff = rhs_eval(rhs, phi1, u0) - rhs_eval(rhs, phi2, u0)
-        l0 = max(l0, float(np.linalg.norm(diff)) / gap)
+        l0 = max(l0, float(np.linalg.norm(f[k] - f[samples + k])) / gap)
         pairs += 1
-    if m == 0 or input_bound == 0.0:  # no input to sample
+    if not inputs:  # no input to sample
         return LipschitzEstimate(l0, None, 0.0, pairs)
-    us, gaps = [0.0], [0.0]
+    us_mag, gains = [0.0], [0.0]
     slope = 0.0
-    for k in range(samples):
-        phi = sample_history(n, delta, bound, k % 5, seed * 2027 + k)
-        u = rng.standard_normal(m)
-        u *= input_bound * rng.uniform(0.05, 1.0) / max(np.linalg.norm(u), 1e-300)
-        diff = rhs_eval(rhs, phi, u) - rhs_eval(rhs, phi, u0)
+    for k, u in enumerate(scaled):
+        diff = f[2 * samples + k] - f[3 * samples + k]
         mag_u = float(np.linalg.norm(u))
         mag_d = float(np.linalg.norm(diff))
-        us.append(mag_u)
-        gaps.append(mag_d)
+        us_mag.append(mag_u)
+        gains.append(mag_d)
         if mag_u > 1e-12:
             slope = max(slope, mag_d / mag_u)
-    gain = monotone_envelope(np.asarray(us), np.asarray(gaps), "upper")
+    gain = monotone_envelope(np.asarray(us_mag), np.asarray(gains), "upper")
     return LipschitzEstimate(l0, gain, slope, pairs)
 
 
@@ -830,14 +851,20 @@ def iss_probe(
         if not given:
             raise PreconditionError(f"{name} is empty, so nothing would be probed")
 
-    def runs(sig):
-        return integrate_batch(system, initial_histories, horizon, step=step, u=sig)
-
-    # a zero signal among the probes serves as the zero-input batch, run once
+    _check_seed(seed)
+    # every probe in one batch, history-major: a zero signal among the probes serves as the
+    # zero-input run, else a zero signal joins them for it; equal zero signals run once
     zero = next((sig for sig in input_signals if sig.kind == ZERO), InputSignal.zero(system.m))
-    zero_runs = runs(zero)
+    batch, column = [zero], []  # the batch's signals; each probe signal's place among them
+    for sig in input_signals:
+        column.append(0 if sig == zero else len(batch))
+        if sig != zero:
+            batch.append(sig)
+    trajs = integrate_batch(system, [xi0 for xi0 in initial_histories for _ in batch], horizon, step=step,
+                            u=batch * len(initial_histories))
+    by_history = [trajs[i : i + len(batch)] for i in range(0, len(trajs), len(batch))]
     sups = _sup_norms(initial_histories)  # each history's sup, once
-    ges = _ges_fit(initial_histories, sups, zero_runs, horizon)
+    ges = _ges_fit(initial_histories, sups, [runs[0] for runs in by_history], horizon)
     if not ges.is_ges:
         raise PreconditionError("system is not exponentially stable at zero input")
     beta = ComparisonFunction.exponential_bound(ges.M, ges.lam)
@@ -848,13 +875,12 @@ def iss_probe(
         samples=lipschitz_samples,
         seed=seed,
     )
-    # one batch per signal; the probes are then read in history-major order
-    by_signal = [zero_runs if sig == zero else runs(sig) for sig in input_signals]
     records = []
     probes = 0
     usups = {}  # each signal's cumulative sup, once per mesh
-    for xi0, sup0, *runs_k in zip(initial_histories, sups.tolist(), *by_signal):
-        for j, (sig, traj) in enumerate(zip(input_signals, runs_k)):
+    for xi0, sup0, runs in zip(initial_histories, sups.tolist(), by_history):
+        for j, (sig, c) in enumerate(zip(input_signals, column)):
+            traj = runs[c]
             probes += 1
             if traj.blowup:
                 return IssEstimate(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,20 +133,25 @@ def _read(histories, which, ts, kind) -> np.ndarray:
 
 def _lay_out(seg, delta, grid, values, slopes, kinks):
     """A history `seg` with these fields (slopes None for a linear one), and
-    the one-row layout that `_read` takes: the knots of its grid, and its values
-    then its slopes as one frozen array, which `values` and `slopes` view. A
-    linear history's slopes there are its differences y1 - y0 to the next node,
-    0 at its last. No field is checked: construction checks them first."""
+    the one-row layout that `_read` takes: its values then its slopes as one
+    frozen array, which `values` and `slopes` view (the knots of its grid are
+    built on its first read alone). A linear history's slopes there are its
+    differences y1 - y0 to the next node, 0 at its last. No field is checked:
+    construction checks them first."""
     size = grid.size
     nodes = np.concatenate([values, slopes if slopes is not None else
                             np.concatenate([values[1:] - values[:-1], np.zeros((1, values.shape[1]))])], dtype=float)
     nodes.setflags(write=False)  # a fresh array, frozen as `_freeze` does
-    grid = _freeze(grid)
-    for name, value in (("delta", delta), ("grid", grid), ("values", nodes[:size]), ("interp", LINEAR if slopes is
-                        None else CUBIC), ("slopes", None if slopes is None else nodes[size:]),
-                        ("kink_times", _freeze(kinks)), ("_knots", _Knots(grid, np.array([size]))), ("_nodes", nodes)):
+    for name, value in (("delta", delta), ("grid", _freeze(grid)), ("values", nodes[:size]), ("interp", LINEAR if
+                        slopes is None else CUBIC), ("slopes", None if slopes is None else nodes[size:]),
+                        ("kink_times", _freeze(kinks)), ("_nodes", nodes)):
         object.__setattr__(seg, name, value)
     return seg
+
+
+def _cubic(delta: float, grid, values, slopes) -> HistorySegment:
+    """A cubic history without kinks whose nodes are built valid, laid out without construction's checks."""
+    return _lay_out(object.__new__(HistorySegment), delta, grid, values, slopes, np.empty(0))
 
 
 def _gauss(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,18 +170,19 @@ def _gauss(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def fd_slopes(grid: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Node slopes from three-point finite differences, exact for quadratics."""
+    """Node slopes from three-point finite differences, exact for quadratics:
+    of values (nodes, n), or of each history of a stack (..., nodes, n) on the grid."""
     n_nodes = grid.shape[0]
     if n_nodes == 2:
-        d = (values[1] - values[0]) / (grid[1] - grid[0])
-        return np.stack([d, d])
+        d = (values[..., 1, :] - values[..., 0, :]) / (grid[1] - grid[0])
+        return np.stack([d, d], axis=-2)
     h = np.diff(grid)
-    d = np.diff(values, axis=0) / h[:, None]
+    d = np.diff(values, axis=-2) / h[:, None]
     slopes = np.empty_like(values)
     hl, hr = h[:-1, None], h[1:, None]
-    slopes[1:-1] = (d[:-1] * hr + d[1:] * hl) / (hl + hr)
-    slopes[0] = ((2.0 * h[0] + h[1]) * d[0] - h[0] * d[1]) / (h[0] + h[1])
-    slopes[-1] = ((2.0 * h[-1] + h[-2]) * d[-1] - h[-1] * d[-2]) / (h[-1] + h[-2])
+    slopes[..., 1:-1, :] = (d[..., :-1, :] * hr + d[..., 1:, :] * hl) / (hl + hr)
+    slopes[..., 0, :] = ((2.0 * h[0] + h[1]) * d[..., 0, :] - h[0] * d[..., 1, :]) / (h[0] + h[1])
+    slopes[..., -1, :] = ((2.0 * h[-1] + h[-2]) * d[..., -1, :] - h[-1] * d[..., -2, :]) / (h[-1] + h[-2])
     return slopes
 
 
@@ -259,6 +266,11 @@ class HistorySegment:
             kinks = kinks[np.searchsorted(kinks, -delta) : np.searchsorted(kinks, 0.0, "right")]
         _lay_out(self, delta, grid, values, slopes, kinks)
 
+    @cached_property
+    def _knots(self) -> _Knots:
+        """The knots of the grid, which a read of this history alone takes (see `_read`)."""
+        return _Knots(self.grid, np.array([self.grid.size]))
+
     @property
     def n(self) -> int:
         return self.values.shape[1]
@@ -306,12 +318,23 @@ def sup_norm_diff(phi: HistorySegment, psi: HistorySegment) -> float:
     """Sup-norm of phi - psi, exact: on each panel of the union grid the
     difference is the cubic Hermite of its end values, its right slope at the
     left end and its left slope at the right end, a linear operand's too."""
-    grid = _union_grid(phi, psi)
-    size = grid.size
-    # values and slopes from the right and the left of each operand at the grid, in one read
-    reads = _read([phi, psi], np.arange(6 * size) // (3 * size), np.tile(grid, 6), np.tile(np.arange(3).repeat(size), 2))
-    diff = reads[: 3 * size] - reads[3 * size :]
-    return float(_hermite_sups(grid, *np.split(diff, 3), np.zeros(size, dtype=int))[0][0])
+    return float(_sup_norm_diffs([phi], [psi])[0])
+
+
+def _sup_norm_diffs(phis, psis) -> np.ndarray:
+    """`sup_norm_diff` of phis[k] and psis[k] for each k, from one read of every
+    operand and one `_hermite_sups` call, pair k owning its union grid's knots."""
+    grids = [_union_grid(phi, psi) for phi, psi in zip(phis, psis)]
+    if not grids:
+        return np.zeros(0)
+    sizes = [grid.size for grid in grids]
+    grid, pair = np.concatenate(grids), np.arange(len(grids)).repeat(sizes)
+    # values and slopes from the right and the left of each operand at its pair's grid, in one read
+    which = np.concatenate([pair + o * len(grids) for o in (0, 1) for _ in range(3)])
+    kinds = np.tile(np.arange(3).repeat(grid.size), 2)
+    reads = _read([*phis, *psis], which, np.tile(grid, 6), kinds).reshape(2, 3, grid.size, -1)
+    diff = reads[0] - reads[1]
+    return _hermite_sups(grid, *diff, pair)[0]
 
 
 def _union_grid(phi: HistorySegment, psi: HistorySegment) -> np.ndarray:
@@ -400,6 +423,12 @@ def _critical_points(coefs: np.ndarray, rate_length: np.ndarray) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def _check_seed(seed) -> None:
+    """Refuse a negative seed, which `numpy.random.default_rng` cannot take."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be non-negative, got {seed}")
+
+
 def sample_history(
     n: int, delta: float, bound: float, roughness: int, seed: int
 ) -> HistorySegment:
@@ -409,41 +438,89 @@ def sample_history(
     mixes constants, random piecewise-cubic profiles and truncated Fourier
     series with decaying coefficients; the result is rescaled so that its
     sup-norm (measured on a 20x refined grid) lands in (0, bound].
+    This is `sample_histories` of one draw.
     """
-    if bound <= 0.0:
-        raise PreconditionError("bound must be positive")
-    if roughness < 0:
-        raise PreconditionError("roughness must be >= 0")
-    rng = np.random.default_rng(seed)
-    amplitude = bound * rng.uniform(0.3, 1.0)
-    kinds = ["constant", "fourier", "piecewise-cubic"]
-    kind = "constant" if roughness == 0 else rng.choice(kinds, p=[0.15, 0.45, 0.4])  # roughness 0 draws no kind
-    if kind == "constant":
-        direction = rng.standard_normal(n)
-        direction /= max(np.linalg.norm(direction), 1e-300)
-        return HistorySegment.constant(amplitude * direction, delta)
+    return sample_histories(n, delta, [(bound, roughness, seed)])[0]
 
-    num = max(17, 8 * roughness + 1)
-    grid = np.linspace(-delta, 0.0, num)
-    if kind == "fourier":
-        values = np.zeros((num, n))
-        values += rng.standard_normal(n)[None, :]
-        for k in range(1, roughness + 1):
-            decay = 1.0 / (1.0 + k * k)
-            phase = 2.0 * np.pi * k * (grid + delta) / delta
-            values += decay * np.outer(np.cos(phase), rng.standard_normal(n))
-            values += decay * np.outer(np.sin(phase), rng.standard_normal(n))
-        seg = HistorySegment(delta, grid, values)
-    else:
-        knots = np.linspace(-delta, 0.0, roughness + 2)
-        kv = rng.standard_normal((roughness + 2, n))
-        ks = rng.standard_normal((roughness + 2, n)) / delta
-        seg = HistorySegment(delta, knots, kv, CUBIC, ks)
-        seg = HistorySegment(delta, grid, seg.eval(grid), CUBIC)
 
-    fine = seg.grid[:-1] + np.arange(1, 20)[:, None] / 20 * np.diff(seg.grid)  # the 20x refined grid
-    sup = float(np.max(np.linalg.norm(seg.eval(np.concatenate([seg.grid, fine.ravel()])), axis=1)))
-    if sup < 1e-300:
-        return HistorySegment.zero(n, delta)
-    scale = amplitude / sup
-    return HistorySegment(delta, grid, seg.values * scale, CUBIC, seg.slopes * scale)
+_KINDS = ["constant", "fourier", "piecewise-cubic"]
+
+
+def sample_histories(n: int, delta: float, draws) -> list[HistorySegment]:
+    """The histories of draws (bound, roughness, seed), in order, each the one
+    `sample_history` draws alone; roughness None pins a constant history at
+    the bound, drawing its direction only (a shell's first sample).
+
+    Each draw reads its own generator, default_rng(seed), so its bits do not
+    depend on the others. The draws of one kind and roughness share a grid:
+    their values are computed as one stack, and the reads of their
+    piecewise-cubic profiles and of the 20x refined grid, for the sups, take
+    one set of Hermite weights (`_on_grid`); only the drawn histories are
+    laid out.
+    """
+    delta, draws = float(delta), list(draws)
+    for bound, roughness, seed in draws:
+        if roughness is not None and bound <= 0.0:
+            raise PreconditionError("bound must be positive")
+        if roughness is not None and roughness < 0:
+            raise PreconditionError("roughness must be >= 0")
+        _check_seed(seed)
+    out = [None] * len(draws)
+    constants, groups = [], {}  # (index, value); (kind, roughness) -> [(index, amplitude, drawn values)]
+    for i, (bound, roughness, seed) in enumerate(draws):
+        rng = np.random.default_rng(seed)
+        amplitude = bound if roughness is None else bound * rng.uniform(0.3, 1.0)
+        kind = "constant" if not roughness else rng.choice(_KINDS, p=[0.15, 0.45, 0.4])  # roughness 0 draws no kind
+        if kind == "constant":
+            direction = rng.standard_normal(n)
+            direction /= max(np.linalg.norm(direction), 1e-300)
+            constants.append((i, amplitude * direction))
+            continue
+        if kind == "fourier":  # the offset, then each mode's cosine and sine coefficients
+            drawn = rng.standard_normal((2 * roughness + 1, n))
+        else:  # the knot values, then the knot slopes
+            drawn = rng.standard_normal((roughness + 2, n)), rng.standard_normal((roughness + 2, n)) / delta
+        groups.setdefault((kind, roughness), []).append((i, amplitude, drawn))
+    if constants:
+        grid = np.array([-delta, 0.0])
+        values = np.stack([[v, v] for _, v in constants])
+        for (i, _), v, s in zip(constants, values, fd_slopes(grid, values)):
+            out[i] = _cubic(delta, grid, v, s)
+
+    # each group's profiles before rescaling, one stack of values on one grid, and
+    # their sups on the grid refined 20x; a group shares its grid, so its reads share
+    # one set of weights
+    for (kind, roughness), group in groups.items():
+        index, amplitude, drawn = zip(*group)
+        num = max(17, 8 * roughness + 1)
+        grid = np.linspace(-delta, 0.0, num)
+        if kind == "fourier":
+            drawn = np.stack(drawn)
+            values = np.zeros((len(group), num, n))
+            values += drawn[:, None, 0]
+            for k in range(1, roughness + 1):
+                decay = 1.0 / (1.0 + k * k)
+                phase = 2.0 * np.pi * k * (grid + delta) / delta
+                values += decay * (np.cos(phase)[:, None] * drawn[:, None, 2 * k - 1])
+                values += decay * (np.sin(phase)[:, None] * drawn[:, None, 2 * k])
+        else:  # the cubic Hermite of the knots, read on the grid
+            values = _on_grid(np.linspace(-delta, 0.0, roughness + 2), *map(np.stack, zip(*drawn)), grid)
+        slopes = fd_slopes(grid, values)
+        fine = np.concatenate([grid, (grid[:-1] + np.arange(1, 20)[:, None] / 20 * np.diff(grid)).ravel()])
+        sups = np.linalg.norm(_on_grid(grid, values, slopes, fine), axis=-1).max(axis=1).tolist()
+        for i, v, s, amp, sup in zip(index, values, slopes, amplitude, sups):
+            if sup < 1e-300:
+                out[i] = HistorySegment.zero(n, delta)
+            else:
+                scale = amp / sup
+                out[i] = _cubic(delta, grid, v * scale, s * scale)
+    return out
+
+
+def _on_grid(grid: np.ndarray, values: np.ndarray, slopes: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """The values at times ts of a stack of cubic histories (..., nodes, n) on one grid,
+    each as `_read` reads it: one locate and one set of weights for the stack."""
+    f, theta, length, _, _ = _Knots(grid, np.array([grid.size])).locate(0, ts)
+    coefs = _weights(theta[:, None], length[:, None], False, False)
+    return _hermite_sum(coefs, coefs[4], values[..., f, :], values[..., f + 1, :], slopes[..., f, :],
+                        slopes[..., f + 1, :])

@@ -9,8 +9,9 @@ and never extrapolate. Breakpoints sum_j k_j Delta_j are inserted into the
 mesh so derivative jumps stay aligned with step boundaries.
 
 A batch of histories advances in one step loop whatever their meshes (each
-history's kinks seed its own breakpoints): knot k of every history is row k
-of (longest mesh, B, n) arrays, and a history parks where its mesh ends or it
+history's kinks seed its own breakpoints, and its input signal's jumps, which
+may be its own, anchor its mesh): knot k of every history is row k of
+(longest mesh, B, n) arrays, and a history parks where its mesh ends or it
 blows up. A trajectory is a column of that batch store, whose rows past the
 knots hold its initial history as a history lays out its nodes: `_place`
 places a read of either (x, x' from either side, z) through the one read
@@ -35,6 +36,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from types import SimpleNamespace
@@ -42,8 +44,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import PreconditionError
-from .histories import CUBIC, HistorySegment, _gather, _hermite_basis, _Knots, _weights
-from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, rhs_eval
+from .histories import CUBIC, HistorySegment, _cubic, _gather, _hermite_basis, _Knots, _weights
+from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, _rhs_rows
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -382,14 +384,16 @@ def integrate_batch(
     histories,
     horizon: float,
     step: StepPolicy | float | None = None,
-    u: InputSignal | None = None,
+    u: InputSignal | Sequence[InputSignal] | None = None,
 ) -> list[Trajectory]:
     """Integrate the system from every history of `histories`; one Trajectory each, in order.
 
-    All histories share the input, horizon and step, and advance in one step
-    loop on (B, n) stacks, each on its own mesh. Matrices apply row by row,
-    with the matrix-vector product a single run uses, so each trajectory is
-    the one `integrate` gives its history alone. A history that blows up
+    All histories share the horizon and step and the input u, or, where u is a
+    sequence of signals, history b takes u[b]. They advance in one step loop on
+    (B, n) stacks, each on its own mesh: a history's kinks and its signal's
+    jumps anchor its mesh, not the others'. Matrices apply row by row, with the
+    matrix-vector product a single run uses, so each trajectory is the one
+    `integrate` gives its history and signal alone. A history that blows up
     stops there, as it would alone, while the others go on.
     """
     policy = step if isinstance(step, StepPolicy) else StepPolicy(step=step)
@@ -411,35 +415,48 @@ def integrate_batch(
         raise PreconditionError("step must be positive")
     if h > min_delay / 4.0 + _BP_TOL:
         raise PreconditionError(f"step {h} exceeds min positive delay / 4 = {min_delay / 4.0}")
+    signals, signal_of = [u], [0] * len(histories)  # the distinct signals, by identity, and each history's
+    if u is not None and not isinstance(u, InputSignal):
+        if len(u) != len(histories):
+            raise PreconditionError(f"{len(u)} input signals for {len(histories)} histories")
+        index = {}
+        signal_of = [index.setdefault(id(sig), len(index)) for sig in u]
+        signals = list({id(sig): sig for sig in u}.values())
     if not histories:
         return []
 
     all_delays = list(system.dop.delays) + system.rhs.positive_delays()
-    jumps = u.jump_times(horizon) if u is not None else np.empty(0)
-    sets, mesh_of = {}, []  # kink times -> (their mesh, its first history)
-    for b, xi0 in enumerate(histories):
+    jumps = [np.empty(0) if sig is None else sig.jump_times(horizon) for sig in signals]
+    sets, mesh_of = {}, []  # (kink times, signal) -> (their mesh, its first history)
+    for b, (xi0, j) in enumerate(zip(histories, signal_of)):
         kinks = xi0.kink_times
-        mesh_of.append(sets.setdefault(tuple(kinks[kinks > -system.delta].tolist()), (len(sets), b))[0])
-    lattices = [propagation_breakpoints(all_delays, horizon, (0.0, *kinks)) for kinks in sets]
+        mesh_of.append(sets.setdefault((tuple(kinks[kinks > -system.delta].tolist()), j), (len(sets), b))[0])
+    # each mesh's lattice and its signal's jumps
+    lattices = [(*propagation_breakpoints(all_delays, horizon, (0.0, *kinks)), jumps[j]) for kinks, j in sets]
     # a truncated lattice's mesh is the plain one, whose anchors are 0 and the input's jumps
-    anchors = [jumps if cut else np.concatenate([bps, jumps]) for bps, cut in lattices]
+    anchors = [jump if cut else np.concatenate([bps, jump]) for bps, cut, jump in lattices]
     of = np.arange(len(anchors)).repeat([a.size for a in anchors])
     meshes, sizes = _meshes(h, horizon, np.concatenate(anchors), of, len(anchors))
     store = _BatchStore(histories, meshes, sizes, mesh_of, [b for _, b in sets.values()])
-    blowups = _advance(system, store, u, jumps, policy.blowup_bound)
+    inputs = None if signals[0] is None else (signals, np.array([j for _, j in sets]), jumps)
+    blowups = _advance(system, store, inputs, policy.blowup_bound)
     out = []
-    for b, (m, xi0, count) in enumerate(zip(mesh_of, histories, store.counts.tolist())):
+    for b, (m, xi0, count, j) in enumerate(zip(mesh_of, histories, store.counts.tolist(), signal_of)):
         times = meshes[store.knots.starts[m] :][:count]
-        bps, cut = (np.r_[0.0, jumps], True) if lattices[m][1] else lattices[m]  # a cut one: the plain mesh's
+        bps, cut, jump = lattices[m]
+        if cut:  # a cut lattice: the plain mesh's
+            bps = np.r_[0.0, jump]
         out.append(Trajectory(
             system=system, xi0=xi0, times=times, x=store.x[:count, b], z=store.z[:count, b],
             breakpoints=bps[bps <= times[-1] + _BP_TOL], t_end=float(times[-1]), blowup=bool(blowups[b]),
-            order_reduced=cut, input=u, _batch=store, _row=b))
+            order_reduced=cut, input=signals[j], _batch=store, _row=b))
     return out
 
 
-def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
+def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     """The method-of-steps loop for every history of the store; returns their blowup flags.
+    `inputs` is None for an input-free system, else (signals, each mesh's signal, each
+    signal's jump times).
 
     Step i takes every running history from its knot i to knot i + 1. A history parks,
     keeping its knots, where its mesh ends or its state blows up; the rest go on. A block
@@ -492,13 +509,17 @@ def _advance(system, store: _BatchStore, u, jumps, blowup_bound) -> np.ndarray:
     # the input on each mesh: "+" at nodes and midpoints, "-" at step ends
     # (the step integrates the branch active on (t, t_next))
     u_node = u_mid = u_end = jump = None
-    if u is not None:
-        u_node, u_mid, u_end = (
-            u.eval(times.ravel(), side).reshape(*times.shape, -1)[:, store.mesh_of]
-            for times, side in ((store.times, "+"), (mids, "+"), (t1, "-"))
-        )
-        jump_keys = np.round(jumps / _BP_TOL).astype(np.int64)
-        jump = np.isin(np.round(t1 / _BP_TOL).astype(np.int64), jump_keys)[:, store.mesh_of]
+    if inputs is not None:
+        signals, signal_of, jumps = inputs
+        cols = [slice(None)] if len(signals) == 1 else [(signal_of == j).nonzero()[0] for j in range(len(signals))]
+        u_node, u_mid, u_end = (np.empty((*times.shape, system.m)) for times in (store.times, mids, t1))
+        jump = np.empty(t1.shape, dtype=bool)
+        for sig, c, keys in zip(signals, cols, jumps):  # each signal on its meshes
+            for out, times, side in ((u_node, store.times, "+"), (u_mid, mids, "+"), (u_end, t1, "-")):
+                out[:, c] = sig.eval(times[:, c].ravel(), side).reshape(times.shape[0], -1, system.m)
+            keys = np.round(keys / _BP_TOL).astype(np.int64)
+            jump[:, c] = np.isin(np.round(t1[:, c] / _BP_TOL).astype(np.int64), keys)
+        u_node, u_mid, u_end, jump = (a[:, store.mesh_of] for a in (u_node, u_mid, u_end, jump))
 
     def plan_reads(start: int, extra=(np.empty(0, dtype=int),) * 3) -> _Reads:
         budget = (placed[start - 1] if start else 0) + _PLAN_READS
@@ -669,25 +690,47 @@ def segment(traj: Trajectory, t: float) -> HistorySegment:
     Interior nodes carry right-sided slopes; a derivative kink strictly inside
     the window is therefore smoothed within its single mesh interval.
     """
-    delta = traj.system.delta
     if t < -_BP_TOL or t > traj.t_end + _BP_TOL:
         raise PreconditionError(f"segment time {t} outside [0, {traj.t_end}]")
     t = min(max(t, 0.0), traj.t_end)
-    if t == 0.0:
-        return traj.xi0
-    lo = t - delta
-    past = traj.xi0.grid + 0.0
-    pos = traj.times
-    grid = np.unique(np.concatenate([
-        [lo], past[(past > lo) & (past < t)], pos[(pos > lo) & (pos < t) & (pos > 0.0)], [t]
-    ]))
-    keep = np.r_[True, np.diff(grid) > _BP_TOL * max(1.0, delta)]
+    return traj.xi0 if t == 0.0 else _segments(traj, np.array([t]))[0]
+
+
+def _segments(traj: Trajectory, ts: np.ndarray) -> list[HistorySegment]:
+    """`segment` at each time of ts in (0, t_end]. Segment k's nodes are ts[k] -
+    Delta, the initial history's nodes and the positive knots strictly between,
+    and ts[k]; a node within _BP_TOL max(1, Delta) of the one kept before it is
+    dropped, and the last one kept moves to ts[k]. One store read takes a run of
+    segments that places at most _PLAN_READS reads (one segment at least), as a
+    plan of the step loop does, so short segments share a read and long ones
+    hold no more memory than one alone."""
+    delta = traj.system.delta
+    lo, inner = ts - delta, np.concatenate([traj.xi0.grid + 0.0, traj.times[traj.times > 0.0]])
+    first, stop = np.searchsorted(inner, lo, "right"), np.searchsorted(inner, ts)
+    counts = stop - first + 2  # lo, inner[first:stop], t
+    ends = counts.cumsum()
+    grid = inner[np.minimum(np.arange(ends[-1]) - (ends - counts - first + 1).repeat(counts), inner.size - 1)]
+    grid[ends - counts], grid[ends - 1] = lo, ts
+    keep = np.diff(grid, prepend=-np.inf) > _BP_TOL * max(1.0, delta)
+    keep[ends - counts] = True
+    sizes = np.add.reduceat(keep, ends - counts)
     grid = grid[keep]
-    grid[-1] = t
-    # x at the nodes, then x' from the right at all but the last, from the left there
-    kinds = np.repeat([0, 1, 2], [grid.size, grid.size - 1, 1])
-    reads = traj._batch.read(traj._row, np.concatenate([grid, grid]), kinds)
-    return HistorySegment(delta, grid - t, reads[: grid.size], CUBIC, reads[grid.size :])
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    grid[ends - 1] = ts
+    shifted = grid - ts.repeat(sizes)
+    shifted[starts], shifted[ends - 1] = -delta, 0.0
+    out, k = [], 0
+    while k < sizes.size:  # segments k..last-1: x at their nodes, then x' from the right, from the left at each end
+        last = k + max(1, int(np.searchsorted(2 * (ends[k:] - starts[k]), _PLAN_READS, "right")))
+        a, size = starts[k], ends[last - 1] - starts[k]
+        kinds = np.repeat([0, 1], size)
+        kinds[size + ends[k:last] - 1 - a] = 2
+        reads = traj._batch.read(traj._row, np.tile(grid[a : a + size], 2), kinds)
+        out += [_cubic(delta, shifted[i:j], reads[i - a : j - a], reads[size + i - a : size + j - a])
+                for i, j in zip(starts[k:last].tolist(), ends[k:last].tolist())]
+        k = last
+    return out
 
 
 def _breakpoint_gap(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
@@ -709,8 +752,9 @@ def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
     """Max |centered difference of D x_t - f(x_t)| at midpoints between breakpoints.
 
     Candidate times keep at least two mesh steps away from every breakpoint;
-    the centered difference of the dense z store is compared against a direct
-    right-hand-side evaluation on the extracted segment.
+    the centered difference of the dense z store is compared against f on the
+    extracted segments (`_segments`: one store read for short ones), evaluated
+    at once through the rhs terms, not through the step loop's stage plan.
     """
     if traj.blowup:
         raise PreconditionError("residual check on a blown-up trajectory")
@@ -722,8 +766,5 @@ def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
         return 0.0
     d = 0.5 * np.min(np.diff(times))
     z = traj.z_dense(np.concatenate([sel + d, sel - d])).reshape(2, sel.size, -1)  # one lookup
-    worst = 0.0
-    for tm, zdot_fd in zip(sel.tolist(), (z[0] - z[1]) / (2.0 * d)):
-        u = None if traj.input is None else traj.input.eval(tm)
-        worst = max(worst, float(np.linalg.norm(zdot_fd - rhs_eval(traj.system.rhs, segment(traj, tm), u))))
-    return worst
+    f = _rhs_rows(traj.system.rhs, _segments(traj, sel), None if traj.input is None else traj.input.eval(sel))
+    return max([0.0, *(float(np.linalg.norm(r)) for r in (z[0] - z[1]) / (2.0 * d) - f)])

@@ -116,6 +116,41 @@ def _dop_rows(dop: DifferenceOperator, phis, times=(), counts=0) -> tuple[np.nda
     return _dop_of(dop, reads[: rows.size * at.size].reshape(rows.size, at.size, dop.n)), reads[rows.size * at.size :]
 
 
+def _rhs_checks(rhs: RhsMap, phis, u) -> None:
+    """Refuse an input to an input-free map, and a history shorter than its delays."""
+    if rhs.m == 0 and u is not None:
+        raise DimensionError("input passed to an input-free right-hand side")
+    for phi in phis:
+        if phi.delta < rhs.max_delay - _TOL:
+            raise HorizonError(f"history horizon {phi.delta} shorter than rhs max delay {rhs.max_delay}")
+
+
+def _rhs_rows(rhs: RhsMap, phis, us=None) -> np.ndarray:
+    """f on every history of phis, (R, n), history r at input us[r] (us (R, m), or None):
+    each row the one `rhs_eval` gives, from one read of every history at the pointwise
+    terms' delays; a distributed term evaluates history by history."""
+    if rhs.m > 0 and us is not None:
+        us = np.asarray(us, dtype=float)
+        if us.shape != (len(phis), rhs.m):
+            raise DimensionError(f"inputs have shape {us.shape}, expected ({len(phis)}, {rhs.m})")
+    _rhs_checks(rhs, phis, us)
+    if not phis:
+        return np.zeros((0, rhs.n))
+    delays = list({-t.delay: None for t in rhs.terms if isinstance(t, (LinearTerm, NonlinearTerm))})
+    rows = np.arange(len(phis))
+    reads = _read(phis, np.tile(rows, len(delays)), np.repeat(delays, rows.size), 0)
+    at = dict(zip(delays, reads.reshape(len(delays), rows.size, rhs.n)))
+    f = np.zeros((rows.size, rhs.n))
+    for t in rhs.terms:  # 0 + v_0 + v_1 + ..., as `RhsMap.eval` folds
+        if isinstance(t, DistributedTerm):
+            f = f + np.array([t.eval(phi, None) for phi in phis])
+        elif isinstance(t, InputTerm):
+            f = f + t.eval(None, us)
+        else:
+            f = f + t.at(at[-t.delay])
+    return f
+
+
 # -- primitive pointwise nonlinearities ---------------------------------------
 
 _PRIMITIVES = {  # each takes (its parsed params, x) for a float array x
@@ -349,12 +384,7 @@ def rhs_eval(rhs: RhsMap, phi, u=None) -> np.ndarray:
         u = np.atleast_1d(np.asarray(u, dtype=float))
         if u.shape != (rhs.m,):
             raise DimensionError(f"input has shape {u.shape}, expected ({rhs.m},)")
-    if rhs.m == 0 and u is not None:
-        raise DimensionError("input passed to an input-free right-hand side")
-    if phi.delta < rhs.max_delay - _TOL:
-        raise HorizonError(
-            f"history horizon {phi.delta} shorter than rhs max delay {rhs.max_delay}"
-        )
+    _rhs_checks(rhs, [phi], u)
     return rhs.eval(phi, u)
 
 

@@ -63,8 +63,11 @@ class InputSignal:
         scalar = np.isscalar(t) or np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if self.kind == SINUSOID:
+            # sin(omega t + phase) by angle addition: summing a phase large beside omega t
+            # first would round omega t to the phase's last bit and make u a staircase
             omega, phase = self._wave
-            out = np.outer(np.sin(omega * ts + phase), self._values[0])
+            wt = omega * ts
+            out = np.outer(np.sin(phase) * np.cos(wt) + np.cos(phase) * np.sin(wt), self._values[0])
         elif self.kind == TABLE:
             out = np.stack([np.interp(ts, self._times, column) for column in self._values.T], axis=1)
         else:

@@ -681,3 +681,106 @@ def test_mixed_linear_and_cubic_histories_agree_with_single_runs(name):
     batch = integrate_batch(system, histories, 2.0, step=1.0 / 32.0, u=pwc)
     for history, traj in zip(histories, batch):
         _assert_agree(traj, integrate(system, history, 2.0, step=1.0 / 32.0, u=pwc), system.n)
+
+
+# signals with jumps of their own: a history's mesh is anchored at its signal's only
+PER_HISTORY_SIGNALS = {
+    **{key: sig for key, sig in SIGNALS.items() if sig is not None},
+    "pwc": SYSTEMS["input"][1],
+    "switching": InputSignal.piecewise_constant([0.0, 0.3, 1.25], [[-0.4], [0.7], [0.1]]),
+    "zero": InputSignal.zero(1),
+}
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(draws=st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from([0.1, 1.0]),
+                                st.sampled_from([None, -0.3, -1.0 / 16.0]),
+                                st.sampled_from(sorted(PER_HISTORY_SIGNALS))), min_size=1, max_size=6))
+@example(draws=[(3, 1.0, None, "pwc"), (4, 0.1, -0.3, "switching"), (5, 1.0, None, "table"), (3, 1.0, None, "zero")])
+@example(draws=[(7, 1.0, None, "switching")])
+def test_one_signal_per_history_equals_per_signal_batches(draws):
+    """integrate_batch with u[b] for history b gives each trajectory bitwise as the
+    batch of its signal's histories does, mesh and breakpoints included: another
+    signal's jumps do not reach it."""
+    system, _ = SYSTEMS["input"]
+    histories = [_history(system, seed, bound, kink) for seed, bound, kink, _ in draws]
+    signals = [PER_HISTORY_SIGNALS[key] for *_, key in draws]
+    batch = integrate_batch(system, histories, 2.0, step=1.0 / 16.0, u=signals)
+    for key in {key for *_, key in draws}:
+        rows = [b for b, (*_, k) in enumerate(draws) if k == key]
+        alone = integrate_batch(system, [histories[b] for b in rows], 2.0, step=1.0 / 16.0,
+                                u=PER_HISTORY_SIGNALS[key])
+        for b, traj in zip(rows, alone):
+            assert batch[b].input is PER_HISTORY_SIGNALS[key] and batch[b].xi0 is histories[b]
+            _assert_agree(batch[b], traj, 1)
+
+
+def test_one_signal_per_history_is_checked():
+    system, pwc = SYSTEMS["input"]
+    phi = _history(system, 1, 1.0, None)
+    with pytest.raises(PreconditionError, match="2 input signals for 1 histories"):
+        integrate_batch(system, [phi], 2.0, step=0.125, u=[pwc, pwc])
+    neutral, _ = SYSTEMS["neutral"]
+    with pytest.raises(PreconditionError, match="input-free"):
+        integrate_batch(neutral, [phi], 2.0, step=0.125, u=[pwc])
+    [traj] = integrate_batch(system, [phi], 2.0, step=0.125, u=(pwc,))
+    _assert_agree(traj, integrate(system, phi, 2.0, step=0.125, u=pwc), 1)
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PRIMITIVES))
+def test_batched_rhs_equals_rhs_eval_row_by_row(name):
+    """`operators._rhs_rows` on many histories, one read of them all, gives each row
+    bitwise as `rhs_eval` on its history does, under an input per row."""
+    from haleform.operators import _rhs_rows
+
+    system, _ = WITH_PRIMITIVES[name]
+    phis = [_history(system, seed, 1.0, None) for seed in range(7)]
+    phis.append(HistorySegment(system.delta, phis[1].grid, phis[1].values, "linear"))
+    us = np.linspace(-1.0, 1.0, len(phis) * system.m).reshape(len(phis), system.m) if system.m else None
+    rows = _rhs_rows(system.rhs, phis, us)
+    for r, phi in enumerate(phis):
+        assert _same(rows[r], rhs_eval(system.rhs, phi, None if us is None else us[r]))
+    assert _rhs_rows(system.rhs, [], None if us is None else us[:0]).shape == (0, system.n)
+
+
+def _residual_one_at_a_time(traj, count):
+    """`residual_check` as a loop over its sample times: one segment and one f each."""
+    from haleform import segment
+    from haleform.integrate import _clear_times
+
+    times = traj.times
+    sel = _clear_times(traj, 0.5 * (times[:-1] + times[1:]), count)
+    d = 0.5 * np.min(np.diff(times))
+    worst = 0.0
+    for tm in sel.tolist():
+        zdot = (traj.z_at(tm + d) - traj.z_at(tm - d)) / (2.0 * d)
+        u = None if traj.input is None else traj.input.eval(tm)
+        worst = max(worst, float(np.linalg.norm(zdot - rhs_eval(traj.system.rhs, segment(traj, tm), u))))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(WITH_PRIMITIVES))
+def test_residual_check_equals_its_loop_and_reads_segments_in_runs(name):
+    """z's centered differences take one store read, and the samples' segments take
+    one per run of segments that places at most _PLAN_READS reads: all 50 at once
+    where they are short; the residual is the loop's, bitwise."""
+    from haleform import residual_check
+
+    system, u = WITH_PRIMITIVES[name]
+    budget = integrate_module._PLAN_READS
+    short = min(1.0 / 8.0, system.min_positive_delay() / 4.0)
+    for seed, horizon, step in ((3, 3.0, short), (8, 0.9, 1.0 / 32.0), (5, 3.0, 1.0 / 64.0)):
+        traj = integrate(system, _history(system, seed, 1.0, -0.3), horizon, step=step, u=u)
+        reads = []
+        read = integrate_module._BatchStore.read
+
+        def spy(store, cols, ts, kind):
+            reads.append(ts.size)
+            return read(store, cols, ts, kind)
+
+        with mock.patch.object(integrate_module._BatchStore, "read", spy):
+            got = residual_check(traj, 50)
+        placed = reads[1:]  # none where no time is clear of the breakpoints
+        assert max(placed, default=0) <= budget and all(a + b > budget for a, b in zip(placed, placed[1:]))
+        assert len(placed) <= 1 or step < short
+        assert got == _residual_one_at_a_time(traj, 50)

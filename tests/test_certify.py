@@ -427,11 +427,12 @@ class TestAttraction:
 
     def test_probes_only_radii_that_can_pass(self, scalar_ode_system):
         """A shell starts with a constant history at its radius, so a radius above eps
-        fails at t = 0: one batch of samples, then one per radius eps 2^-6 ... eps."""
-        radii = []
+        fails at t = 0: one batch holds the samples, then a shell of 4 per radius eps
+        2^-6 ... eps."""
+        batches = []
 
         def spy(system, histories, *args, **kwargs):
-            radii.append(max(h.sup_norm() for h in histories))
+            batches.append([h.sup_norm() for h in histories])
             return integrate_batch(system, histories, *args, **kwargs)
 
         eps = float(np.exp(-2.0))
@@ -439,8 +440,10 @@ class TestAttraction:
             res = check_uniform_attraction(
                 scalar_ode_system, 1.0, eps, samples=10, horizon=12.0, step=0.125, seed=5
             )
-        assert len(radii) == 8
-        assert radii[1:] == pytest.approx([eps * 2.0**k for k in range(-6, 1)], rel=1e-12)
+        [sups] = batches
+        assert len(sups) == 10 + 7 * 4 and max(sups[:10]) == 1.0
+        radii = [max(sups[10 + 4 * i : 14 + 4 * i]) for i in range(7)]
+        assert radii == pytest.approx([eps * 2.0**k for k in range(-6, 1)], rel=1e-12)
         assert res.delta_hat == eps / 2.0
 
 
@@ -735,13 +738,13 @@ def test_iss_probe_integrates_the_zero_input_batch_once(input_system):
     loops = []
     advance = integrate_module._advance
 
-    def counted(system, store, u, *args):
-        loops.append((store.shape[0], u.kind))
-        return advance(system, store, u, *args)
+    def counted(system, store, *args):
+        loops.append(store.shape[0])
+        return advance(system, store, *args)
 
     with mock.patch.object(integrate_module, "_advance", counted):
         est = iss_probe(input_system, ics, signals, horizon=4.0, step=0.125, seed=3)
-    assert loops == [(4, "zero"), (4, "constant")]
+    assert loops == [8]  # 4 histories under each signal; the zero signal's runs are the zero-input runs
     assert est.ges == estimate_ges(input_system, ics, 4.0, step=0.125)
     assert est.is_iss
 
@@ -850,3 +853,118 @@ def test_no_fitting_row_fails_its_own_condition(variant, planar, quadratic, seed
             if entered:
                 lhs, rhs, band = certify._sides(condition, row, fit.constants)
                 assert not certify._exceeds(lhs, rhs, -band), (condition, lhs, rhs, band)
+
+
+def _lipschitz_one_at_a_time(rhs, bound, input_bound, samples, seed, delta):
+    """`estimate_lipschitz` as a loop over its samples: one draw, one sup of a
+    difference and one f at a time, the reference of its batched pass."""
+    from haleform import rhs_eval, sup_norm_diff
+
+    rng = np.random.default_rng(seed)
+    n, m = rhs.n, rhs.m
+    u0 = np.zeros(m) if m > 0 else None
+    l0, pairs = 0.0, 0
+    for k in range(samples):
+        phi1 = sample_history(n, delta, bound, k % 5, seed * 1009 + 2 * k)
+        if k % 2 == 0:
+            phi2 = sample_history(n, delta, bound, (k + 2) % 5, seed * 1009 + 2 * k + 1)
+        else:
+            center = 0.0 if k % 4 == 1 else float(rng.uniform(-delta, 0.0))
+            width = delta * rng.uniform(0.05, 0.2)
+            direction = rng.standard_normal(n)
+            direction /= max(np.linalg.norm(direction), 1e-300)
+            grid = np.union1d(phi1.grid, np.clip(center + width * np.linspace(-3, 3, 13), -delta, 0.0))
+            bump = 0.2 * bound * np.exp(-(((grid - center) / width) ** 2))
+            phi2 = HistorySegment(delta, grid, phi1.eval(grid) + np.outer(bump, direction))
+        gap = sup_norm_diff(phi1, phi2)
+        if gap < 1e-9:
+            continue
+        l0 = max(l0, float(np.linalg.norm(rhs_eval(rhs, phi1, u0) - rhs_eval(rhs, phi2, u0))) / gap)
+        pairs += 1
+    if m == 0 or input_bound == 0.0:
+        return l0, None, 0.0, pairs
+    us, gaps, slope = [0.0], [0.0], 0.0
+    for k in range(samples):
+        phi = sample_history(n, delta, bound, k % 5, seed * 2027 + k)
+        u = rng.standard_normal(m)
+        u *= input_bound * rng.uniform(0.05, 1.0) / max(np.linalg.norm(u), 1e-300)
+        mag_u = float(np.linalg.norm(u))
+        mag_d = float(np.linalg.norm(rhs_eval(rhs, phi, u) - rhs_eval(rhs, phi, u0)))
+        us.append(mag_u)
+        gaps.append(mag_d)
+        if mag_u > 1e-12:
+            slope = max(slope, mag_d / mag_u)
+    return l0, certify.monotone_envelope(np.asarray(us), np.asarray(gaps), "upper"), slope, pairs
+
+
+@pytest.mark.parametrize("name", ["neutral", "planar", "cubic", "two_delay", "distributed", "input", "saturated"])
+def test_estimate_lipschitz_equals_its_loop(name):
+    """One draw, one `_hermite_sups` call and one batched f give the loop's constants
+    bitwise, the input gain's envelope too, on the golden systems."""
+    from test_golden import _systems
+
+    systems = {key: system for key, (system, _) in _systems().items()}
+    systems["saturated"] = _input_system(_saturated_input(2.0, 0.3))
+    system = systems[name]
+    for seed, samples, input_bound in ((0, 1, 1.0), (3, 8, 0.7), (11, 13, 0.0)):
+        est = estimate_lipschitz(system.rhs, 1.5, input_bound, samples=samples, seed=seed, delta=system.delta)
+        l0, gain, slope, pairs = _lipschitz_one_at_a_time(system.rhs, 1.5, input_bound, samples, seed, system.delta)
+        assert (est.L0, est.linear_slope, est.pairs_used) == (l0, slope, pairs)
+        assert type(est.L0) is float and type(est.linear_slope) is float
+        if gain is None:
+            assert est.input_gain is None
+        else:
+            assert [np.asarray(est.input_gain.params[key]).tobytes() for key in ("x", "y")] == \
+                [np.asarray(gain.params[key]).tobytes() for key in ("x", "y")]
+
+
+def _count_batches():
+    """Spy certify's integrate_batch: the batch widths, in order."""
+    widths = []
+
+    def spy(system, histories, *args, **kwargs):
+        histories = list(histories)
+        widths.append(len(histories))
+        return integrate_batch(system, histories, *args, **kwargs)
+
+    return widths, mock.patch.object(certify, "integrate_batch", spy)
+
+
+def test_iss_probe_integrates_every_probe_in_one_batch(input_system):
+    """Three histories under a zero signal, a switching one and a table: one batch of
+    9; without a zero signal among the probes, the zero-input runs join the batch."""
+    ics = sample_shells(1, 1.0, 3, seed=5, shells=(0.5,))
+    switching = InputSignal.piecewise_constant([0.0, 0.8, 2.5], [[0.3], [-0.6], [0.2]])
+    table = InputSignal.from_table([0.0, 1.0, 2.0, 4.0], [[0.1], [-0.4], [0.5], [0.0]])
+    widths, spy = _count_batches()
+    with spy:
+        est = iss_probe(input_system, ics, [InputSignal.zero(1), switching, table], horizon=4.0, step=0.125,
+                        lipschitz_samples=3, seed=2)
+        assert widths == [9] and est.probes == 9 and est.is_iss
+        widths.clear()
+        est = iss_probe(input_system, ics, [switching, table], horizon=4.0, step=0.125, lipschitz_samples=3, seed=2)
+        assert widths == [9] and est.probes == 6 and est.is_iss
+
+
+def test_check_uniform_attraction_integrates_once(input_system):
+    widths, spy = _count_batches()
+    with spy:
+        res = check_uniform_attraction(input_system, 1.0, 0.05, samples=6, horizon=10.0, step=0.125, seed=4)
+    assert widths == [6 + 7 * 4] and res.status == "settled"
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_a_negative_seed_is_refused_by_name(input_system, seed):
+    """`numpy.random.default_rng` takes no negative seed: each entry point refuses it
+    as a precondition, naming `seed`, where it would raise a bare ValueError."""
+    ics = sample_shells(1, 1.0, 2, seed=3, shells=(0.5,))
+    calls = [
+        lambda: estimate_lipschitz(input_system.rhs, 1.0, 1.0, samples=4, seed=seed),
+        lambda: iss_probe(input_system, ics, [InputSignal.zero(1)], horizon=2.0, step=0.125, seed=seed),
+        lambda: check_uniform_attraction(input_system, 1.0, 0.05, samples=4, horizon=2.0, step=0.125, seed=seed),
+        lambda: estimate_ges(input_system, 4, horizon=2.0, step=0.125, seed=seed),
+        lambda: sample_shells(1, 1.0, 3, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="seed must be non-negative"):
+            call()

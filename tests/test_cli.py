@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -172,6 +173,27 @@ def test_counterexample_round_trip(workdir):
         "dplus", str(workdir / "sys.json"), str(workdir / "V.json"), str(ce),
         "--out", str(workdir / "ce_dp"),
     ]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate-ges", "sys.json", "--seed", "-3"],
+    ["attraction", "sys.json", "--seed", "-1", "--samples", "2", "-T", "1"],
+], ids=["estimate-ges", "attraction"])
+def test_a_negative_seed_is_a_clean_error(workdir, argv):
+    """The installed entry point on a negative seed: exit 1 and an `error:` line that
+    names the seed, not a numpy traceback."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import haleform
+
+    env = {**os.environ, "PYTHONPATH": str(Path(haleform.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "haleform.cli", *argv, "--out", "neg"], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: seed must be non-negative, got") and "Traceback" not in done.stderr
+    assert "seed" in read_json(workdir / "neg" / "report.json")["error"]
 
 
 def test_estimate_ges_exit_codes(workdir):

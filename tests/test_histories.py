@@ -218,3 +218,120 @@ def test_sup_of_a_constant_history_solves_no_panel():
         finally:
             sys.setprofile(previous)
     assert calls <= 117 / 3
+
+
+def _draw_alone(n, delta, bound, roughness, seed):
+    """One draw as `sample_history` makes it, history by history: the reference of the sampler."""
+    rng = np.random.default_rng(seed)
+    amplitude = bound * rng.uniform(0.3, 1.0)
+    kind = "constant" if roughness == 0 else rng.choice(["constant", "fourier", "piecewise-cubic"], p=[0.15, 0.45, 0.4])
+    if kind == "constant":
+        direction = rng.standard_normal(n)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        return HistorySegment.constant(amplitude * direction, delta)
+    num = max(17, 8 * roughness + 1)
+    grid = np.linspace(-delta, 0.0, num)
+    if kind == "fourier":
+        values = np.zeros((num, n))
+        values += rng.standard_normal(n)[None, :]
+        for k in range(1, roughness + 1):
+            decay = 1.0 / (1.0 + k * k)
+            phase = 2.0 * np.pi * k * (grid + delta) / delta
+            values += decay * np.outer(np.cos(phase), rng.standard_normal(n))
+            values += decay * np.outer(np.sin(phase), rng.standard_normal(n))
+        seg = HistorySegment(delta, grid, values)
+    else:
+        knots = np.linspace(-delta, 0.0, roughness + 2)
+        kv = rng.standard_normal((roughness + 2, n))
+        ks = rng.standard_normal((roughness + 2, n)) / delta
+        seg = HistorySegment(delta, knots, kv, "cubic-hermite", ks)
+        seg = HistorySegment(delta, grid, seg.eval(grid), "cubic-hermite")
+    fine = seg.grid[:-1] + np.arange(1, 20)[:, None] / 20 * np.diff(seg.grid)
+    sup = float(np.max(np.linalg.norm(seg.eval(np.concatenate([seg.grid, fine.ravel()])), axis=1)))
+    if sup < 1e-300:
+        return HistorySegment.zero(n, delta)
+    return HistorySegment(delta, grid, seg.values * (amplitude / sup), "cubic-hermite", seg.slopes * (amplitude / sup))
+
+
+def _shells_alone(n, delta, per_shell, seed, shells, max_roughness):
+    """`sample_shells` one draw at a time: each shell's pinned constant, then its draws."""
+    out, counter = [], 0
+    for shell in shells:
+        rng = np.random.default_rng(seed + counter)
+        direction = rng.standard_normal(n)
+        direction /= max(np.linalg.norm(direction), 1e-300)
+        out.append(HistorySegment.constant(shell * direction, delta))
+        counter += 1
+        for k in range(per_shell - 1):
+            out.append(_draw_alone(n, delta, shell, k % (max_roughness + 1), seed + counter))
+            counter += 1
+    return out
+
+
+def _same_history(a: HistorySegment, b: HistorySegment) -> bool:
+    return (a.delta == b.delta and a.interp == b.interp and a.grid.tobytes() == b.grid.tobytes()
+            and a.values.tobytes() == b.values.tobytes() and a.slopes.tobytes() == b.slopes.tobytes()
+            and a.kink_times.tobytes() == b.kink_times.tobytes())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("max_roughness", [0, 1, 2, 3, 4])
+def test_sample_shells_draws_equal_draws_alone(n, max_roughness):
+    """The sampler's one call gives each draw bitwise as one draw alone does, over
+    several shells, every roughness up to the cap and both sampled kinds."""
+    from haleform import sample_shells
+
+    for seed, shells in ((0, (0.1, 1.0, 10.0)), (17, (2.5,)), (301, (0.3, 4.0))):
+        drawn = sample_shells(n, 0.7 + 0.2 * n, 12, seed, shells, max_roughness)
+        alone = _shells_alone(n, 0.7 + 0.2 * n, 12, seed, shells, max_roughness)
+        assert len(drawn) == len(alone) == 12 * len(shells)
+        assert all(_same_history(a, b) for a, b in zip(drawn, alone))
+
+
+def test_sampler_draws_are_sample_history_draws():
+    from haleform import sample_histories
+
+    draws = [(0.5 + k % 3, k % 5, 1000 + k) for k in range(40)] + [(2.0, None, 7)]
+    drawn = sample_histories(2, 1.3, draws)
+    for (bound, roughness, seed), phi in zip(draws[:-1], drawn):
+        assert _same_history(phi, sample_history(2, 1.3, bound, roughness, seed))
+        assert _same_history(phi, _draw_alone(2, 1.3, bound, roughness, seed))
+    assert drawn[-1].sup_norm() == pytest.approx(2.0) and np.ptp(drawn[-1].values, axis=0).max() == 0.0
+    assert sample_histories(1, 1.0, []) == []
+
+
+@pytest.mark.parametrize("seed", [-1, -3])
+def test_sampler_refuses_a_negative_seed(seed):
+    from haleform import sample_histories, sample_shells
+
+    for call in (lambda: sample_history(1, 1.0, 1.0, 2, seed), lambda: sample_shells(1, 1.0, 3, seed),
+                 lambda: sample_histories(1, 1.0, [(1.0, 1, 4), (1.0, None, seed)])):
+        with pytest.raises(PreconditionError, match="seed"):
+            call()
+
+
+def test_knots_are_built_on_the_first_read_alone():
+    """Construction, a draw and `combine` build no `_Knots`; the first `eval` of a
+    history builds one, which later reads reuse, and reads the same values."""
+    histories_module = sys.modules["haleform.histories"]
+    built = []
+    knots = histories_module._Knots
+
+    def counted(*args):
+        built.append(args[1].size)
+        return knots(*args)
+
+    grid, values = np.linspace(-1.0, 0.0, 6), np.arange(12.0).reshape(6, 2) ** 2
+    ts = np.linspace(-1.0, 0.0, 11)
+    with mock.patch.object(histories_module, "_Knots", counted):
+        phi = HistorySegment(1.0, grid, values)
+        assert built == []
+        psi = combine(1.0, phi, 0.5, phi)  # reads phi twice, alone: one build
+        assert built == [1]
+        built.clear()
+        drawn = sample_history(2, 1.0, 1.0, 0, 3)  # a constant draw reads nothing
+        assert built == [] and "_knots" not in vars(psi) and "_knots" not in vars(drawn)
+        first = psi.eval(ts)
+        assert built == [1]
+        assert np.array_equal(psi.eval(ts), first) and built == [1]
+    assert np.array_equal(first, HistorySegment(1.0, psi.grid, psi.values).eval(ts))

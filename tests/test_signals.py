@@ -1,6 +1,6 @@
 """Exact sups of input signals."""
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haleform import InputSignal
@@ -33,6 +33,8 @@ def signals(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(sig=signals(), ts=st.lists(st.floats(0.01, 6.0), min_size=1, max_size=4))
+# a phase large beside omega t: summed first, omega t kept only the phase's last bit
+@example(sig=InputSignal.sinusoid([1.0], 1e-13, 7.0), ts=[5.786721143803204])
 def test_exact_sup_bounds_a_fine_grid(sig, ts):
     """The exact sup over [0, t) is at least every value on a fine grid of
     [0, t) (up to the rounding of the values), and above the grid's maximum by
