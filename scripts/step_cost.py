@@ -15,9 +15,10 @@ after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system. One history of one component steps on Python floats; the
-"x8" lines (neutral, planar, distributed) time batches of 8 histories
-(`integrate_batch`), which step on arrays: the median, over the 30 batches
+cubic system. One history steps on Python floats, a bare float for n = 1
+and a list of two for the planar system, and each line says so; the "x8"
+lines (neutral, planar, distributed) time batches of 8 histories
+(`integrate_batch`), which step on (8, n) arrays: the median, over the 30 batches
 that start at each history and take the next ones in turn, of wall time
 divided by the batch's number of steps. The "one-step" line times a run of
 one neutral history over one step of 0.125, which is all set-up: the median
@@ -235,12 +236,14 @@ def main() -> int:
     print(f"L0 {'read':<12} {read:8.1f} us/2-point eval, {dop:6.1f} us/dop_apply  (30 sampled histories, neutral)")
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
-        print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g})")
+        floats = "2 floats" if system.n == 2 else "a float"
+        print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; one history on {floats})")
     for name in ("neutral", "planar", "distributed"):
         system, horizon, step = systems()[name]
         cost = step_cost(system, horizon, step, BATCH)
         label = f"{name} x{BATCH}"
-        print(f"L2 {label:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}, {BATCH} histories)")
+        print(f"L2 {label:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; {BATCH} histories on "
+              f"({BATCH}, {system.n}) arrays)")
     system = systems()["neutral"][0]
     cost = step_cost(system, 0.125, 0.125)
     print(f"L2 {'one-step':<12} {cost:8.1f} us/run   (neutral, one step of 0.125: the set-up alone)")

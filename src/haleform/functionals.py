@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out
 from .integrate import _clear_times, segment
-from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _dop_rows, dop_apply, rhs_eval
+from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, dop_apply, rhs_eval
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
@@ -303,7 +303,7 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
         out = np.empty((grid.size, phi.n))
         out[left] = reads[: cuts[0]]
         for j, a in enumerate(dop.matrices):
-            acc += reads[cuts[j] : cuts[j + 1]] @ a.T
+            acc += _apply(a, reads[cuts[j] : cuts[j + 1]])
         out[~left] = acc
         return out
 

@@ -7,6 +7,7 @@ reproduces the stored values exactly.
 """
 from __future__ import annotations
 
+import bisect
 import copy
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -443,7 +444,9 @@ def sample_history(
     return sample_histories(n, delta, [(bound, roughness, seed)])[0]
 
 
-_KINDS = ["constant", "fourier", "piecewise-cubic"]
+_KINDS, _KIND_P = ["constant", "fourier", "piecewise-cubic"], np.array([0.15, 0.45, 0.4])
+# rng.choice(_KINDS, p=_KIND_P) bisects this cdf with the one uniform it draws
+_KIND_CDF = (_KIND_P.cumsum() / _KIND_P.cumsum()[-1]).tolist()
 
 
 def sample_histories(n: int, delta: float, draws) -> list[HistorySegment]:
@@ -470,7 +473,8 @@ def sample_histories(n: int, delta: float, draws) -> list[HistorySegment]:
     for i, (bound, roughness, seed) in enumerate(draws):
         rng = np.random.default_rng(seed)
         amplitude = bound if roughness is None else bound * rng.uniform(0.3, 1.0)
-        kind = "constant" if not roughness else rng.choice(_KINDS, p=[0.15, 0.45, 0.4])  # roughness 0 draws no kind
+        # roughness 0 draws no kind; the others draw the kind rng.choice(_KINDS, p=_KIND_P) would
+        kind = "constant" if not roughness else _KINDS[bisect.bisect_right(_KIND_CDF, rng.random())]
         if kind == "constant":
             direction = rng.standard_normal(n)
             direction /= max(np.linalg.norm(direction), 1e-300)

@@ -28,8 +28,9 @@ their accepted part with one `take` and a stage's value is affine in its tip
 (at the new knot, in the tip and its left slope), with matrices fixed ahead.
 The loop stores final values only. A stage is the tip from z, its scale and
 D-term rows, and the left fold 0 + v_0 + v_1 + ... of the terms in order, as
-`RhsMap.eval` rounds. One history of one component steps on Python floats,
-any other batch on (B, n) arrays, through the same loop.
+`RhsMap.eval` rounds. One history steps on Python floats (a list of n for n > 1),
+a batch on (B, n) arrays, through the same loop; every matrix product is the
+column fold of `operators._apply`, so both round alike whatever the BLAS kernel.
 """
 from __future__ import annotations
 
@@ -38,7 +39,9 @@ import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import add, mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -297,21 +300,23 @@ class _Window:
         a, b = self.steps[j : j + 2]
         lo, hi = self.starts[a], self.starts[b]
         v = _gather(self.flat, self.rows[:, lo:hi], self.coefs[:, lo:hi], self.node[lo:hi])
-        c = np.add.reduceat(np.einsum("kaij,kj->kai", self.mats[lo:hi], v), self.starts[a:b] - lo)
+        c = np.add.reduceat(_apply(self.mats[lo:hi], v[:, None]), self.starts[a:b] - lo)
         self.c, self.base = (c.reshape(-1, 2).tolist() if self.floats else c), a
 
     def value(self, j: int, e: int, tip, live, slope) -> np.ndarray:
         """The term at stage e of step j (2: the new knot, whose tip has the left slope
-        `slope`) for each live history, given its tip: (B, n) tips and slopes, or one float
-        tip and slope, which get one float."""
+        `slope`) for each live history, given its tip: (B, n) tips and slopes, or one history's
+        float tip and slope (lists of n for n > 1), which get a float (a list of n)."""
         if self.floats:
             (c, cn), (m, mn, s) = self.c[min(e, 1)], self.floats[self.base + min(e, 1)]
             return c + m * tip if e < 2 else cn + mn * tip + s * slope
+        if isinstance(tip, list):  # as a (1, n) row: numpy's elementwise + and * round as Python's
+            return self.value(j, e, np.array([tip]), live, np.array([slope]))[0].tolist()
         r = self.index[j, min(e, 1), live]
         c, mats = self.c[r - self.base, e >> 1], self.affine[r]
         if e < 2:
-            return c + np.einsum("bij,bj->bi", mats[:, 0], tip)
-        return c + np.einsum("bij,bj->bi", mats[:, 1], tip) + np.einsum("bij,bj->bi", mats[:, 2], slope)
+            return c + _apply(mats[:, 0], tip)
+        return c + _apply(mats[:, 1], tip) + _apply(mats[:, 2], slope)
 
 
 @dataclass
@@ -391,8 +396,8 @@ def integrate_batch(
     All histories share the horizon and step and the input u, or, where u is a
     sequence of signals, history b takes u[b]. They advance in one step loop on
     (B, n) stacks, each on its own mesh: a history's kinks and its signal's
-    jumps anchor its mesh, not the others'. Matrices apply row by row, with the
-    matrix-vector product a single run uses, so each trajectory is the one
+    jumps anchor its mesh, not the others'. Matrices apply as the column fold
+    of a single run on floats, so each trajectory is, bit for bit, the one
     `integrate` gives its history and signal alone. A history that blows up
     stops there, as it would alone, while the others go on.
     """
@@ -461,14 +466,15 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     Step i takes every running history from its knot i to knot i + 1. A history parks,
     keeping its knots, where its mesh ends or its state blows up; the rest go on. A block
     of steps ends where its plan of reads ends or the running histories change. One history
-    of one component (B n = 1) steps on Python floats, a wider batch on (B, n) arrays: the
+    (B = 1) steps on Python floats, a list of n for n > 1, whose products fold in the loop
+    (a nonlinear tip term's primitive reads a (1, n) array), a batch on (B, n) arrays: the
     same loop, whose float + and * round as numpy's elementwise ones.
     """
     rhs = system.rhs
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
     x, xdr, xdl, z, zdr, zdl = store.block
     size, (width, n) = store.x.shape[0], store.shape
-    scalar = width * n == 1
+    scalar, vector = width == 1, width == 1 and n > 1  # one history: bare floats, lists of n for n > 1
     t0, t1 = store.times[:-1], store.times[1:]
     lengths = t1 - t0  # each mesh's step lengths
     mids = t0 + 0.5 * lengths
@@ -500,11 +506,21 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         elif isinstance(t, InputTerm) or t.delay > 0:
             plan.append((0, len(block_terms)))
             block_terms.append((t, None if isinstance(t, InputTerm) else offsets.index(t.delay)))
-        elif scalar:  # on one float, C g(x) with a 1 x 1 C is one multiply
+        elif not scalar:
+            plan.append((1, t.at))
+        elif n == 1:  # on one float, C g(x) with a 1 x 1 C is one multiply
             c = float(t.matrix[0, 0])
             plan.append((1, c.__mul__ if isinstance(t, LinearTerm) else partial(_times_on_float, c, t._g)))
-        else:
-            plan.append((1, t.at))
+        else:  # (3, (g, C row by row)) on n floats: C x or C g(x), g on a (1, n) array, folded in the loop
+            plan.append((3, (None if isinstance(t, LinearTerm) else t._g, t.matrix.ravel().tolist())))
+    if not plan:  # f = 0 as a block term of zeros, which has the running histories' rows
+        plan.append((0, len(block_terms)))
+        block_terms.append((SimpleNamespace(at=np.zeros_like), 0))
+    # 0 + v_0 + v_1 rounds as 0 + v_1 + v_0, both being 0 + (v_0 + v_1), signed zeros too: a block term
+    # among the first two opens the fold, with its 0 added once a block
+    lead = next((j for kind, j in plan[:2] if kind == 0), None)
+    if lead is not None:
+        plan.remove((0, lead))
 
     # the input on each mesh: "+" at nodes and midpoints, "-" at step ends
     # (the step integrates the branch active on (t, t_next))
@@ -528,9 +544,11 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
 
     def loop_values(a: np.ndarray):
         """(..., running histories, n) values as the loop takes them: nested lists of floats for
-        B n = 1, else of (running histories, n) rows, which a list indexes faster than an array."""
-        return a[..., 0, 0].tolist() if scalar else a if a.ndim == 2 else (
-            list(a) if a.ndim == 3 else [list(b) for b in a])
+        B = 1 (of lists of n for n > 1), else of (running histories, n) rows, which a list indexes
+        faster than an array."""
+        if scalar:
+            return a[..., 0, 0 if a.shape[-1] == 1 else slice(None)].tolist()
+        return a if a.ndim == 2 else list(a) if a.ndim == 3 else [list(b) for b in a]
 
     # what scales k1, k2, k3 in the stage tips and the RK sum in z, on each mesh
     spans = np.array([0.5 * lengths, 0.5 * lengths, lengths, lengths / 6.0])
@@ -547,12 +565,14 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         dterms = tuple(loop_values(d[:2]) for d in dv)
         tails = loop_values(sum((d[2:] for d in dv), np.zeros((2, *v.shape[1:]))))
         terms = []
-        for t, o in block_terms:
+        for j, (t, o) in enumerate(block_terms):
             args = (v[o], v[o + len(offsets)], v[o + len(offsets)]) if o is not None else (  # an input, "-"
                 w[:, act] for w in (u_mid[i:stop], u_end[i:stop], u_node[i + 1 : stop + 1]))  # at step ends
-            terms.append([loop_values(t.at(arg)) for arg in args])
+            terms.append([loop_values(0.0 + t.at(arg) if j == lead else t.at(arg)) for arg in args])
         knot = (loop_values(a[i, act]) for a in (store.z, store.zdot_right))
-        return loop_values(spans[:, i:stop, col, None]), dterms, tails, terms, *knot
+        scales = spans[:, i:stop, col, None]  # for a batch (B, n) ones, the fastest operands of its stages
+        scales = scales if scalar else np.broadcast_to(scales, (4, *v.shape[1:])).copy()
+        return loop_values(scales), dterms, tails, terms, *knot
 
     # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z as
     # `dop_apply`; f is one `RhsMap.eval` on (B, n) stacks of x(-d), or one per history for a distributed term
@@ -575,7 +595,8 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
 
     bound2 = blowup_bound**2
     # the fold's start and the RK weight; for arrays, 0-d ones are cheaper operands, with the same sums
-    zero, two = (0.0, 2.0) if scalar else (np.zeros(()), np.array(2.0))
+    zero, two = ([0.0] * n if vector else 0.0, 2.0) if scalar else (np.zeros(()), np.array(2.0))
+    madd = partial(map, add)  # n floats plus n floats, lazily
 
     def running_rows(live):
         """(act, col, live, put, park): the running histories' columns, meshes and indices, where
@@ -584,8 +605,16 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         col = slice(None) if store.mesh_count == 1 else store.mesh_of[live]
         return act, col, live, 0 if scalar else act, int(np.minimum.reduce(ends[live], initial=size))
 
-    if scalar:  # one float's planes are (rows, 1): numpy sets a fully indexed element fastest
-        x, xdr, xdl, z, zdr, zdl = store.block[..., 0]
+    # a new knot (x, x' right, x' left, z, z' right, z' left) is one assignment to the planes; one
+    # history's knots wait in `pending` for one where its block ends (or its windows read them)
+    planes, pending = store.block[..., 0] if scalar and n == 1 else store.block, []
+
+    def write(end: int):
+        """Write the pending knots of the history, rows end - len(pending) .. end - 1."""
+        values = np.fromiter(chain.from_iterable(chain.from_iterable(pending)), float).reshape(-1, 6, n) if (
+            vector) else np.array(pending)
+        planes[:, end - len(values) : end, 0] = values.swapaxes(0, 1)
+        pending.clear()
 
     # each distributed term's window reads, placed in runs of steps (see `_Window`)
     if dist:
@@ -636,34 +665,42 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
             stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
             for s, (c, e) in enumerate(stages):
                 if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
-                    base = tip = z_cur + scales[s][k] * (acc if s == 3 else f)
-                    for d in dterms:
-                        tip = tip + d[s >> 1][k]  # the midpoint's, then the step end's
+                    h, g = scales[s][k], acc if s == 3 else f  # on n floats, each operation maps over them
+                    base = tip = [*madd(z_cur, map(h.__mul__, g))] if vector else z_cur + h * g
+                    for d in dterms:  # the midpoint's, then the step end's
+                        tip = [*madd(tip, d[s >> 1][k])] if vector else tip + d[s >> 1][k]
                 if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
-                    # no row can exceed the bound while the batch stays below it
-                    mag = tip * tip if scalar else np.vdot(tip, tip)
+                    # no row can exceed the bound while the batch stays below it; |x|^2 folds as `_apply`
+                    mag = (reduce(add, map(mul, tip, tip)) if vector else tip * tip) if scalar else np.vdot(tip, tip)
                     if not math.isfinite(mag) or mag > bound2:
                         tips = np.reshape(tip, (live.size, n))
-                        mag2 = np.einsum("bi,bi->b", tips, tips)
+                        mag2 = reduce(np.add, (tips * tips).T)
                         keep = np.isfinite(mag2) & (mag2 <= bound2)
                         store.counts[live[~keep]] = i + 1
+                        if pending:  # the block's knots so far
+                            write(i + 1)
                         run = act, col, live, put, park = running_rows(live[keep])
                         if live.size == 0:
                             break
                         base, tip = base[keep], tip[keep]
-                        f = f[keep] if windows else f  # k4, for the tip's slope (an empty rhs folds to 0-d)
+                        f = f[keep] if windows else f  # k4, for the tip's slope
                         tails = [[r[keep] for r in v] for v in tails]
                         terms = [[[r[keep] for r in v] for v in t] for t in terms]
                         stop = i + 1  # the block ends with the running histories
-                    x[i + 1, put], z[i + 1, put] = tip, base
-                    slope = f + tails[1][k] if windows else None  # the tip's left slope, for the windows
-                prev, f = f, zero
+                    if windows:  # the tip's left slope, for the windows
+                        slope = [*madd(f, tails[1][k])] if vector else f + tails[1][k]
+                prev, f = f, zero if lead is None else terms[lead][c][k]
                 for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
-                    v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
-                         else windows[j].value(w, e, tip, live, slope))
-                    f = f + v
-                if s < 3:
-                    acc = acc + (two * f if s < 2 else f)
+                    if kind == 3:  # `_apply`'s fold on n floats: C's products in order, n a row for its sum
+                        p = map(mul, j[1], (tip if j[0] is None else j[0](np.array([tip]))[0].tolist()) * n)
+                        v = reduce(madd, repeat(p, n - 1), p)
+                    else:
+                        v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
+                             else windows[j].value(w, e, tip, live, slope))
+                    f = madd(f, v) if vector else f + v
+                f = [*f] if vector else f
+                if s < 3:  # on n floats a map, which the new knot's tip reads once
+                    acc = madd(acc, map(two.__mul__, f) if s < 2 else f) if vector else acc + (two * f if s < 2 else f)
             if live.size == 0:  # every running history blew up
                 break
 
@@ -672,8 +709,14 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
             k1 = zl = f
             if stages is _STAGES:
                 k1, zl = prev, f if scalar else np.where(jump[i, act][:, None], f, prev)
-            zdr[i + 1, put], zdl[i + 1, put] = k1, zl
-            xdr[i + 1, put], xdl[i + 1, put] = k1 + tails[0][k], zl + tails[1][k]
+            xr, xl = ([*madd(k1, tails[0][k])], [*madd(zl, tails[1][k])]) if vector else (
+                k1 + tails[0][k], zl + tails[1][k])
+            if not scalar:
+                planes[:, i + 1, put] = tip, xr, xl, base, k1, zl
+            else:
+                pending.append((tip, xr, xl, base, k1, zl))
+                if i + 1 == stop or windows:
+                    write(i + 2)
 
     store.counts[live] = i + 2
     return store.counts <= ends  # a history that parks before its mesh ends blew up

@@ -21,15 +21,16 @@ _TOL = 1e-9
 
 
 def _apply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for one vector x (n,), or for each row of a (..., n) stack, where every row rounds
-    as the product with that row alone does, signed zeros included: a 1 x 1 matrix is one multiply
-    (a stacked matmul adds it to +0, so -1 times a zero row would be +0 there, -0 in one row)."""
-    if a.size == 1:
-        return a[0, 0] * x
-    if x.ndim == 1:
-        return a @ x
-    # one row: the same matrix-vector product, without the stacked-matmul overhead
-    return a.dot(x.T).T if x.ndim == 2 and len(x) == 1 else np.matmul(a, x[..., None])[..., 0]
+    """a x as the column fold a[:, 0] x_0 + a[:, 1] x_1 + ..., left to right: for one vector x
+    (m,), each row of a (..., m) stack, or each matrix of an (..., n, m) stack with its row of x.
+    Every entry is the sequential sum that row takes on Python floats, without a fused
+    multiply-add, so it does not depend on the rows around it or on the BLAS kernel, and signed
+    zeros are kept: -1 times a zero row is -0 for n = 1, where there is no sum."""
+    p = x[..., None, :] * a  # p[..., i, k] = a_ik x_k
+    out = p[..., 0]
+    for k in range(1, a.shape[-1]):
+        out = out + p[..., k]
+    return out
 
 
 @dataclass(frozen=True)

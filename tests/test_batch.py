@@ -71,10 +71,21 @@ def _distributed_2d() -> NfdeSystem:
         LinearTerm(0.0, [[-1.2, 0.3], [-0.2, -1.0]]), DistributedTerm(grid, kernel))))
 
 
+def _planar_with(term) -> NfdeSystem:
+    """The golden planar system with one more rhs term."""
+    planar, _ = SYSTEMS["planar"]
+    m = term.m if isinstance(term, InputTerm) else 0
+    return NfdeSystem(planar.dop, RhsMap(n=2, m=m, terms=(*planar.rhs.terms, term)), delta=planar.delta)
+
+
 TABLE = {"x": [-5.0, -1.0, 0.0, 1.0, 5.0], "y": [-3.0, -0.5, 0.0, 0.7, 2.0]}
 WITH_PRIMITIVES = {**SYSTEMS, **{fn: (_primitive_system(fn, params), None)
                                  for fn, params in (("sine", {}), ("saturation", {"limit": 0.5}), ("table", TABLE))},
-                   "distributed_2d": (_distributed_2d(), None)}
+                   "distributed_2d": (_distributed_2d(), None),
+                   # a coupled saturation tip term, and an input term under the golden input system's jumps
+                   "saturation_2d": (_planar_with(NonlinearTerm(0.0, "saturation", [[-0.6, 0.2], [0.1, -0.4]],
+                                                                {"limit": 0.3})), None),
+                   "input_2d": (_planar_with(InputTerm([[1.0], [-0.5]])), SYSTEMS["input"][1])}
 DISTRIBUTED = {"distributed", "distributed_2d"}
 SIGNALS = {
     "pwc": None,  # the golden input system's own piecewise-constant signal
@@ -96,11 +107,11 @@ def _history(system, seed: int, bound: float, kink: float | None):
     return HistorySegment(phi.delta, phi.grid, phi.values, phi.interp, phi.slopes, [kink])
 
 
-def _assert_agree(batch, single, n: int):
+def _assert_agree(batch, single):
     """Knots and lookups (x, x' from both sides, z) on [-Delta, t_end], knot
-    times and midpoints among them: bitwise for n = 1; within 1e-12 of the
-    scale for n > 1, where a stacked matrix product may round its last bit
-    differently."""
+    times and midpoints among them, bit for bit at every n: a single history
+    steps on Python floats and a batch on arrays, and every matrix product of
+    either is `_apply`'s column fold."""
     assert batch.blowup == single.blowup
     assert batch.order_reduced == single.order_reduced
     assert batch.t_end == single.t_end
@@ -112,10 +123,7 @@ def _assert_agree(batch, single, n: int):
     pairs += [(batch.xdot_at(ts, side), single.xdot_at(ts, side)) for side in "+-"]
     pairs.append((batch.z_at(ts[ts >= 0.0]), single.z_at(ts[ts >= 0.0])))
     for got, want in pairs:
-        if n == 1:
-            assert _same(got, want)
-        else:
-            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(want))))
+        assert _same(got, want)
 
 
 histories_st = st.lists(
@@ -143,6 +151,10 @@ TWO = [(3, 1.0, None), (4, 0.1, -0.3)]  # two rows: a batch on arrays, each alon
 @example(name="input", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))  # jumps at 0.7 and 1.6
 @example(name="distributed", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
 @example(name="distributed_2d", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="planar", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="saturation_2d", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))
+@example(name="input_2d", draws=TWO, signal="pwc", run=(2.0, 1.0 / 16.0))  # jumps at 0.7 and 1.6
+@example(name="planar", draws=[(28, 3.0, -0.3), *TWO], signal="pwc", run=(2.0, 1.0 / 16.0))  # row 0 blows up
 @example(name="distributed_2d", draws=[(5, 1.0, -1.0 / 16.0), *TWO, (6, 3.0, -0.55)], signal="pwc",
          run=(2.0, 1.0 / 16.0))
 # row 0 blows up; then a run across plans of 512 steps alone and of 256 in the batch
@@ -151,7 +163,8 @@ TWO = [(3, 1.0, None), (4, 0.1, -0.3)]  # two rows: a batch on arrays, each alon
 def test_batch_agrees_with_single_runs(name, draws, signal, run):
     """Rows drawn at sup-norm 3 can cross the blowup bound next to healthy ones,
     and rows with different kinks run on meshes of different lengths. A single
-    scalar run steps on floats and a batch of two or more on arrays."""
+    run steps on Python floats (a list of them for n > 1) and a batch of two or
+    more on arrays."""
     system, pwc = WITH_PRIMITIVES[name]
     u = (SIGNALS[signal] or pwc) if system.m else None
     histories = [_history(system, seed, bound, kink) for seed, bound, kink in draws]
@@ -161,7 +174,7 @@ def test_batch_agrees_with_single_runs(name, draws, signal, run):
     assert len(batch) == len(histories)
     for phi, traj in zip(histories, batch):
         assert traj.xi0 is phi
-        _assert_agree(traj, integrate(system, phi, horizon, step=policy, u=u), system.n)
+        _assert_agree(traj, integrate(system, phi, horizon, step=policy, u=u))
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
@@ -176,7 +189,7 @@ def test_blowing_up_row_leaves_its_neighbours_alone(name):
         batch = integrate_batch(system, histories, 3.0, step=policy, u=u)
     assert [t.blowup for t in batch] == [False, True, False]
     for phi, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(system, phi, 3.0, step=policy, u=u), system.n)
+        _assert_agree(traj, integrate(system, phi, 3.0, step=policy, u=u))
 
 
 def test_rhs_without_terms_parks_a_blown_up_row():
@@ -187,7 +200,7 @@ def test_rhs_without_terms_parks_a_blown_up_row():
     batch = integrate_batch(system, histories, 4.0, step=policy)
     assert [(t.blowup, t.t_end) for t in batch] == [(False, 4.0), (True, 0.5)]
     for phi, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(system, phi, 4.0, step=policy), 1)
+        _assert_agree(traj, integrate(system, phi, 4.0, step=policy))
 
 
 def test_histories_on_different_meshes_run_as_separate_groups():
@@ -385,7 +398,7 @@ def test_ragged_rows_park_at_their_own_ends_next_to_blowups():
     assert {(False, 81), (False, 91)} <= set(ends)
     assert len({size for blowup, size in ends if blowup}) >= 2
     for phi, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(growing, phi, 10.0, step=policy), growing.n)
+        _assert_agree(traj, integrate(growing, phi, 10.0, step=policy))
 
 
 def test_short_mesh_row_outlives_a_blown_up_long_one():
@@ -400,7 +413,7 @@ def test_short_mesh_row_outlives_a_blown_up_long_one():
     assert [(t.blowup, t.times.size) for t in batch] == [(True, 1), (False, 33)]
     assert integrate(system, kinked, 2.0, step=StepPolicy(step=1.0 / 16.0)).times.size > 33
     for phi, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(system, phi, 2.0, step=policy), system.n)
+        _assert_agree(traj, integrate(system, phi, 2.0, step=policy))
 
 
 @contextlib.contextmanager
@@ -463,7 +476,7 @@ def test_planar_blocks_cross_input_jumps():
     assert max(spans) > 100
     for phi, traj in zip(histories, batch):
         assert 0.81 in traj.times
-        _assert_agree(traj, integrate(system, phi, 1.5, step=1e-3, u=u), system.n)
+        _assert_agree(traj, integrate(system, phi, 1.5, step=1e-3, u=u))
 
 
 def test_a_row_that_blows_up_mid_block_ends_the_block():
@@ -480,7 +493,7 @@ def test_a_row_that_blows_up_mid_block_ends_the_block():
     assert (False, 385) in ends and len({size for blowup, size in ends if blowup}) >= 2
     assert sum(spans) > 384
     for phi, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(growing, phi, 6.0, step=policy), growing.n)
+        _assert_agree(traj, integrate(growing, phi, 6.0, step=policy))
 
 
 
@@ -532,7 +545,7 @@ def test_window_plans_keep_to_the_read_budget():
     for steps, reads in plans:
         assert steps == 1 or max(reads) <= integrate_module._PLAN_READS
     for phi, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(system, phi, 2.5, step=1.0 / 128.0), system.n)
+        _assert_agree(traj, integrate(system, phi, 2.5, step=1.0 / 128.0))
 
 
 def _windows_at(store, term, delta, start: int, stop: int):
@@ -562,13 +575,13 @@ def test_window_values_equal_the_sliver_substituted_sum(name, kinks):
     x(a) + w (tip - x(a)) at a stage, and the Hermite of [a, s] from x(a) and
     x'(a+) to the tip and its left slope at the new knot; the other nodes read
     x from the store. Tips and slopes are random, so the value is checked as a
-    function of them, on floats for one scalar history."""
+    function of them, on floats for one history (lists of them for n > 1)."""
     system, _ = WITH_PRIMITIVES[name]
     term = system.rhs.terms[-1]
     trajs = integrate_batch(system, [_history(system, 20 + k, 1.0, kink) for k, kink in enumerate(kinks)],
                             2.0, step=1.0 / 16.0)
     store, rng = trajs[0]._batch, np.random.default_rng(len(kinks))
-    scalar, live = store.shape == (1, 1), np.arange(len(trajs))
+    floats, live = store.shape[0] == 1, np.arange(len(trajs))
     for start, stop in ((0, 4), (17, 20)):  # windows over the initial histories, then over knots only
         window, tips, anchors, rows, (nodes, weights, kmats, counts) = _windows_at(
             store, term, system.delta, start, stop)
@@ -577,8 +590,9 @@ def test_window_values_equal_the_sliver_substituted_sum(name, kinks):
             window.gather(j)
             tip, slope = rng.standard_normal((2, len(trajs), system.n))
             for e in (0, 1, 2):
-                got = (window.value(j, e, float(tip[0, 0]), live, float(slope[0, 0])) if scalar
-                       else window.value(j, e, tip, live, slope))
+                t, sl = ([float(a[0, 0]) if system.n == 1 else a[0].tolist() for a in (tip, slope)] if floats
+                         else (tip, slope))
+                got = window.value(j, e, t, live, sl)
                 want = []
                 for b, traj in enumerate(trajs):
                     r = int(np.flatnonzero((rows[0] == j) & (rows[1] == min(e, 1)) & (rows[2] == b))[0])
@@ -667,7 +681,7 @@ def test_wide_batches_of_shared_grids_plan_as_one_history():
     assert len(wide) == len(alone) == 3
     assert wide[0] - 4 * len(shells) == alone[0] - 4 and wide[1:] == alone[1:]
     for phi, traj in zip(shells[::21], batch[::21]):
-        _assert_agree(traj, integrate(system, phi, 1.5, step=1e-3), system.n)
+        _assert_agree(traj, integrate(system, phi, 1.5, step=1e-3))
 
 
 @pytest.mark.parametrize("name", ["planar", "two_delay", "input"])
@@ -680,7 +694,7 @@ def test_mixed_linear_and_cubic_histories_agree_with_single_runs(name):
                  HistorySegment(system.delta, phi.grid, -phi.values, "linear", kink_times=[-0.3])]
     batch = integrate_batch(system, histories, 2.0, step=1.0 / 32.0, u=pwc)
     for history, traj in zip(histories, batch):
-        _assert_agree(traj, integrate(system, history, 2.0, step=1.0 / 32.0, u=pwc), system.n)
+        _assert_agree(traj, integrate(system, history, 2.0, step=1.0 / 32.0, u=pwc))
 
 
 # signals with jumps of their own: a history's mesh is anchored at its signal's only
@@ -712,7 +726,7 @@ def test_one_signal_per_history_equals_per_signal_batches(draws):
                                 u=PER_HISTORY_SIGNALS[key])
         for b, traj in zip(rows, alone):
             assert batch[b].input is PER_HISTORY_SIGNALS[key] and batch[b].xi0 is histories[b]
-            _assert_agree(batch[b], traj, 1)
+            _assert_agree(batch[b], traj)
 
 
 def test_one_signal_per_history_is_checked():
@@ -724,7 +738,7 @@ def test_one_signal_per_history_is_checked():
     with pytest.raises(PreconditionError, match="input-free"):
         integrate_batch(neutral, [phi], 2.0, step=0.125, u=[pwc])
     [traj] = integrate_batch(system, [phi], 2.0, step=0.125, u=(pwc,))
-    _assert_agree(traj, integrate(system, phi, 2.0, step=0.125, u=pwc), 1)
+    _assert_agree(traj, integrate(system, phi, 2.0, step=0.125, u=pwc))
 
 
 @pytest.mark.parametrize("name", sorted(WITH_PRIMITIVES))

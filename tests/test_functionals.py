@@ -120,8 +120,9 @@ def _rung_histories(system):
 
 class TestLadderRungs:
     # sha256 of every rung's grid, values, slopes and kinks over the cases of
-    # `_rung_digest`, as the rung-at-a-time construction computed them
-    DIGEST = "53154a1e01ad55ab89ec0731b9dc211791dce8ea1ced1a24b31a247d74c3eb62"
+    # `_rung_digest`; the sliver applies the D-terms as `_apply`'s column fold,
+    # so the digest does not depend on the BLAS kernel
+    DIGEST = "87dfe3e03a003d973ae9c588edbc815d189d51620289bbfd61c89e3fad418739"
 
     @staticmethod
     def _rung_digest() -> str:

@@ -1,3 +1,4 @@
+import bisect
 import sys
 from unittest import mock
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haleform import DimensionError, HistorySegment, PreconditionError, combine, sample_history, sup_norm_diff
+from haleform import DimensionError, HistorySegment, PreconditionError, combine, sample_histories, sample_history, sup_norm_diff
 from haleform.histories import LINEAR, fd_slopes
 
 
@@ -218,6 +219,23 @@ def test_sup_of_a_constant_history_solves_no_panel():
         finally:
             sys.setprofile(previous)
     assert calls <= 117 / 3
+
+
+def test_kind_pick_is_the_generators_choice():
+    """The sampler picks a draw's kind by bisecting, with one uniform, the cdf that
+    `Generator.choice` builds from p and bisects with the one uniform it draws: over
+    10,000 seeds the same kind, and the same generator stream after it. Whole draws
+    of 300 seeds, each after its amplitude, equal the reference sampler's, which
+    calls choice."""
+    histories_module = sys.modules["haleform.histories"]
+    kinds, cdf = histories_module._KINDS, histories_module._KIND_CDF
+    for seed in range(10_000):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert kinds[bisect.bisect_right(cdf, ours.random())] == theirs.choice(kinds, p=[0.15, 0.45, 0.4])
+        assert ours.random() == theirs.random()
+    drawn = sample_histories(2, 1.0, [(1.0, 1 + seed % 3, seed) for seed in range(300)])
+    for seed, phi in enumerate(drawn):
+        assert _same_history(phi, _draw_alone(2, 1.0, 1.0, 1 + seed % 3, seed))
 
 
 def _draw_alone(n, delta, bound, roughness, seed):

@@ -372,6 +372,12 @@ class TestStepFrames:
         function, and only a block of steps does."""
         assert self.frames_per_step(neutral_system, 1.5, 1e-3) <= 1.0
 
+    def test_one_planar_history_at_most_one_frame_per_step(self, planar_system):
+        """One history of two components steps on two floats: its linear tip term
+        and D-term fold on them in the loop itself, so a stage calls no haleform
+        function either."""
+        assert self.frames_per_step(planar_system, 4.0, 0.01) <= 1.0
+
     def test_cubic_system_at_most_sixteen_frames_per_step(self, cubic_system):
         """A nonlinear term's primitive is bound to its params: one call per value."""
         assert self.frames_per_step(cubic_system, 1.5, 1.0 / 32.0) <= 16.0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haleform import (
@@ -183,6 +183,45 @@ class TestApply:
             for alone in (_apply(a, rows[k : k + 1])[0], _apply(a, rows[k]), a[0, 0] * rows[k]):
                 assert stacked[k].tobytes() == alone.tobytes()
         assert np.signbit(_apply(np.array([[-1.0]]), rows))[[0, 4]].all()
+
+    @staticmethod
+    def _left_fold(a: list, x: list) -> list:
+        """a x on Python floats: entry i is a_i0 x_0 + a_i1 x_1 + ..., left to right."""
+        out = []
+        for row in a:
+            acc = row[0] * x[0]
+            for aik, xk in zip(row[1:], x[1:]):
+                acc = acc + aik * xk
+            out.append(acc)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 4), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, count=6, seed=0)
+    def test_every_entry_is_the_left_fold_over_columns(self, n, count, seed):
+        """Bit for bit, for a single vector, a single row, a stack of rows and a stack of
+        matrices with a row each, so that no product rounds through a fused multiply-add
+        or depends on the rows around it. Rows of signed zeros keep the fold's signs."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+        a[rng.random((n, n)) < 0.2] *= 0.0  # signed zeros in the matrix too
+        rows = rng.standard_normal((count, n)) * 10.0 ** rng.integers(-3, 4, (count, 1))
+        rows[rng.random(count) < 0.3] *= 0.0
+        want = np.array([self._left_fold(a.tolist(), row) for row in rows.tolist()])
+        assert _apply(a, rows).tobytes() == want.tobytes()
+        assert _apply(np.stack([a] * count), rows).tobytes() == want.tobytes()
+        assert _apply(a, np.stack([rows, rows])).tobytes() == np.stack([want, want]).tobytes()
+        for k in range(count):
+            assert _apply(a, rows[k]).tobytes() == want[k].tobytes()
+            assert _apply(a, rows[k : k + 1]).tobytes() == want[k : k + 1].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_minus_identity_keeps_a_zero_rows_sign(self, n):
+        """-I has -0 off its diagonal, so each entry of -I times a zero row folds -0 terms
+        only, and -1 times a zero row stays -0 at every n."""
+        rows = np.zeros((3, n))
+        assert np.signbit(_apply(-np.eye(n), rows)).all()
+        assert not np.signbit(_apply(-np.eye(n), -rows)).any()
 
 
 def test_evaluations_leave_a_distributed_term_as_built():
