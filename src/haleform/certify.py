@@ -39,7 +39,7 @@ from .histories import (
 )
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, _store_knots, integrate, integrate_batch  # noqa: F401
-from .operators import NfdeSystem, _rhs_rows, dop_apply, rhs_eval
+from .operators import NfdeSystem, dop_apply
 from .signals import ZERO, InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
@@ -662,8 +662,7 @@ class ConverseFunctional(Functional):
             return []
         return list(zip(*(a.tolist() for a in _hermite_sups(*_store_knots(trajs, "z"), self.rate))))
 
-    def __call__(self, phi: HistorySegment) -> float:
-        return self.many([phi])[0]
+    __call__ = Functional.__call__  # bound on the class as well: bench/tracing.py traces it by this name
 
     def many(self, phis) -> list[float]:
         """V at every history of phis, in order.
@@ -787,7 +786,7 @@ def estimate_lipschitz(
             scaled.append(u)
         phis += drawn[-samples:] * 2
         us += scaled + [np.zeros(m)] * samples
-    f = _rhs_rows(rhs, phis, np.array(us) if m > 0 else None)  # every f at once
+    f = rhs.eval(phis, np.array(us) if m > 0 else None)  # every f at once
     gaps = _sup_norm_diffs(firsts, seconds)
     l0 = 0.0
     pairs = 0

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out
 from .integrate import _clear_times, segment
-from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, dop_apply, rhs_eval
+from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, _grids, dop_apply, rhs_eval
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
@@ -109,10 +109,7 @@ class IntegralQuadraticFunctional(Functional):
         quadratures of all their grids, each row's as on its own, and one read
         takes every history at D's times and at its quadrature nodes."""
         phis = list(phis)
-        grids = np.full((len(phis), max((phi.num_nodes for phi in phis), default=0)), np.nan)
-        for row, phi in zip(grids, phis):
-            row[: phi.num_nodes] = phi.grid
-        nodes, weights, kmats, counts = self._term._rule(grids)
+        nodes, weights, kmats, counts = self._term._rule(_grids(phis))
         ds, vals = _dop_rows(self.dop, phis, nodes, counts)
         cuts = np.cumsum(counts)[:-1]
         return [float(d @ self.P @ d) + float(np.einsum("k,kj,kij,ki->", w, v, k, v))

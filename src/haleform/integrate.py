@@ -28,7 +28,8 @@ their accepted part with one `take` and a stage's value is affine in its tip
 (at the new knot, in the tip and its left slope), with matrices fixed ahead.
 The loop stores final values only. A stage is the tip from z, its scale and
 D-term rows, and the left fold 0 + v_0 + v_1 + ... of the terms in order, as
-`RhsMap.eval` rounds. One history steps on Python floats (a list of n for n > 1),
+`RhsMap.eval`, the one evaluation of f on histories, rounds; knot 0 is that
+call on the batch. One history steps on Python floats (a list of n for n > 1),
 a batch on (B, n) arrays, through the same loop; every matrix product is the
 column fold of `operators._apply`, so both round alike whatever the BLAS kernel.
 """
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .histories import CUBIC, HistorySegment, _cubic, _gather, _hermite_basis, _Knots, _weights
-from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply, _rhs_rows
+from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -575,7 +576,7 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         return loop_values(scales), dterms, tails, terms, *knot
 
     # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z as
-    # `dop_apply`; f is one `RhsMap.eval` on (B, n) stacks of x(-d), or one per history for a distributed term
+    # `dop_apply`; f is one `RhsMap.eval` on the batch, handed the (B, n) stacks of x(-d) as its delays' values
     at = np.array([0.0, 0.0, *(-lags[1].ravel()), *(-lags[0].ravel())]).repeat(width)
     kinds = np.array([0, 2] + [1] * len(dop_terms) + [0] * len(offsets)).repeat(width)
     reads = plan_reads(0, (np.arange(at.size) % width, at, kinds))
@@ -585,12 +586,7 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     z[0] = seeds[0]
     for d, a in dop_terms:
         z[0] -= _apply(a, back[d])
-    u0 = None if u_node is None else u_node[0]
-    if dist:
-        f = np.array([rhs.eval(xi0, None if u0 is None else u0[b]) for b, xi0 in enumerate(store.histories)])
-    else:
-        f = rhs.eval(SimpleNamespace(eval=lambda s: back[-s]), u0)
-    zdl[0] = zdr[0] = f
+    zdl[0] = zdr[0] = f = rhs.eval(store.histories, None if u_node is None else u_node[0], back)
     xdr[0] = f + sum((_apply(a, s) for (_, a), s in zip(dop_terms, seeds[2:])), np.zeros((width, n)))
 
     bound2 = blowup_bound**2
@@ -690,7 +686,7 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
                     if windows:  # the tip's left slope, for the windows
                         slope = [*madd(f, tails[1][k])] if vector else f + tails[1][k]
                 prev, f = f, zero if lead is None else terms[lead][c][k]
-                for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., as RhsMap.eval folds
+                for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., the fold of `RhsMap.eval`
                     if kind == 3:  # `_apply`'s fold on n floats: C's products in order, n a row for its sum
                         p = map(mul, j[1], (tip if j[0] is None else j[0](np.array([tip]))[0].tolist()) * n)
                         v = reduce(madd, repeat(p, n - 1), p)
@@ -809,5 +805,5 @@ def residual_check(traj: Trajectory, sample_count: int = 50) -> float:
         return 0.0
     d = 0.5 * np.min(np.diff(times))
     z = traj.z_dense(np.concatenate([sel + d, sel - d])).reshape(2, sel.size, -1)  # one lookup
-    f = _rhs_rows(traj.system.rhs, _segments(traj, sel), None if traj.input is None else traj.input.eval(sel))
+    f = traj.system.rhs.eval(_segments(traj, sel), None if traj.input is None else traj.input.eval(sel))
     return max([0.0, *(float(np.linalg.norm(r)) for r in (z[0] - z[1]) / (2.0 * d) - f)])

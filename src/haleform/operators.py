@@ -15,7 +15,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DimensionError, HorizonError, PreconditionError
-from .histories import HistorySegment, _freeze, _gauss, _own, _read
+from .histories import _freeze, _gauss, _own, _read
 
 _TOL = 1e-9
 
@@ -81,24 +81,13 @@ class DifferenceOperator:
 
 
 def dop_apply(dop: DifferenceOperator, phi) -> np.ndarray:
-    """Apply the difference operator to a history, using its interpolation."""
-    return _dop_of(dop, phi.eval(_dop_times(dop, [phi])))
-
-
-def _dop_times(dop: DifferenceOperator, phis) -> np.ndarray:
-    """The times at which D reads a history, 0 and then each -Delta_j, once every
-    history of phis is checked to have the horizon and the dimension D needs."""
-    for phi in phis:
-        if phi.delta < dop.max_delay - _TOL * max(1.0, dop.max_delay):
-            raise HorizonError(f"history horizon {phi.delta} shorter than max delay {dop.max_delay}")
-        if phi.n != dop.n:
-            raise DimensionError(f"history dimension {phi.n} != operator dimension {dop.n}")
-    return np.concatenate(([0.0], -dop.delays))
+    """Apply the difference operator to a history, using its interpolation: a batch of one."""
+    return _dop_rows(dop, [phi])[0][0]
 
 
 def _dop_of(dop: DifferenceOperator, pts: np.ndarray) -> np.ndarray:
-    """D phi from phi at `_dop_times`, (p + 1, n), or of each history of a stack
-    (R, p + 1, n), each row rounding as the history alone does."""
+    """D phi of each history of a stack (R, p + 1, n) of its values at 0 and each
+    -Delta_j, each row rounding as the history alone does."""
     out = pts[..., 0, :].copy()
     for j in range(dop.p):
         out -= _apply(dop.matrices[j], pts[..., j + 1, :])
@@ -107,49 +96,19 @@ def _dop_of(dop: DifferenceOperator, pts: np.ndarray) -> np.ndarray:
 
 def _dop_rows(dop: DifferenceOperator, phis, times=(), counts=0) -> tuple[np.ndarray, np.ndarray]:
     """D phi of every history of phis, (R, n), and history r's values at its
-    counts[r] times of `times`, in order, from one read of them all."""
-    at = _dop_times(dop, phis)
+    counts[r] times of `times`, in order, from one read of them all, once every
+    history is checked to have the horizon and the dimension D needs."""
+    for phi in phis:
+        if phi.delta < dop.max_delay - _TOL * max(1.0, dop.max_delay):
+            raise HorizonError(f"history horizon {phi.delta} shorter than max delay {dop.max_delay}")
+        if phi.n != dop.n:
+            raise DimensionError(f"history dimension {phi.n} != operator dimension {dop.n}")
     if not phis:
         return np.zeros((0, dop.n)), np.zeros((0, dop.n))
-    rows = np.arange(len(phis))
+    at, rows = np.concatenate(([0.0], -dop.delays)), np.arange(len(phis))
     reads = _read(phis, np.concatenate([rows.repeat(at.size), rows.repeat(counts)]),
                   np.concatenate([*[at] * rows.size, times]), 0)
     return _dop_of(dop, reads[: rows.size * at.size].reshape(rows.size, at.size, dop.n)), reads[rows.size * at.size :]
-
-
-def _rhs_checks(rhs: RhsMap, phis, u) -> None:
-    """Refuse an input to an input-free map, and a history shorter than its delays."""
-    if rhs.m == 0 and u is not None:
-        raise DimensionError("input passed to an input-free right-hand side")
-    for phi in phis:
-        if phi.delta < rhs.max_delay - _TOL:
-            raise HorizonError(f"history horizon {phi.delta} shorter than rhs max delay {rhs.max_delay}")
-
-
-def _rhs_rows(rhs: RhsMap, phis, us=None) -> np.ndarray:
-    """f on every history of phis, (R, n), history r at input us[r] (us (R, m), or None):
-    each row the one `rhs_eval` gives, from one read of every history at the pointwise
-    terms' delays; a distributed term evaluates history by history."""
-    if rhs.m > 0 and us is not None:
-        us = np.asarray(us, dtype=float)
-        if us.shape != (len(phis), rhs.m):
-            raise DimensionError(f"inputs have shape {us.shape}, expected ({len(phis)}, {rhs.m})")
-    _rhs_checks(rhs, phis, us)
-    if not phis:
-        return np.zeros((0, rhs.n))
-    delays = list({-t.delay: None for t in rhs.terms if isinstance(t, (LinearTerm, NonlinearTerm))})
-    rows = np.arange(len(phis))
-    reads = _read(phis, np.tile(rows, len(delays)), np.repeat(delays, rows.size), 0)
-    at = dict(zip(delays, reads.reshape(len(delays), rows.size, rhs.n)))
-    f = np.zeros((rows.size, rhs.n))
-    for t in rhs.terms:  # 0 + v_0 + v_1 + ..., as `RhsMap.eval` folds
-        if isinstance(t, DistributedTerm):
-            f = f + np.array([t.eval(phi, None) for phi in phis])
-        elif isinstance(t, InputTerm):
-            f = f + t.eval(None, us)
-        else:
-            f = f + t.at(at[-t.delay])
-    return f
 
 
 # -- primitive pointwise nonlinearities ---------------------------------------
@@ -210,9 +169,6 @@ class LinearTerm:
     def n(self):
         return self.matrix.shape[0]
 
-    def eval(self, seg, u):
-        return self.at(seg.eval(-self.delay))
-
 
 @dataclass(frozen=True)
 class NonlinearTerm:
@@ -236,8 +192,13 @@ class NonlinearTerm:
     def at(self, x):  # C g(x), for a state or a stack of them
         return _apply(self.matrix, self._g(x))
 
-    def eval(self, seg, u):
-        return self.at(seg.eval(-self.delay))
+
+def _grids(phis) -> np.ndarray:
+    """The grids of phis as NaN-padded rows (R, C), the cut points that `DistributedTerm._rule` takes."""
+    grids = np.full((len(phis), max((phi.num_nodes for phi in phis), default=0)), np.nan)
+    for row, phi in zip(grids, phis):
+        row[: phi.num_nodes] = phi.grid
+    return grids
 
 
 @dataclass(frozen=True)
@@ -298,9 +259,14 @@ class DistributedTerm:
         nodes, weights, counts = _gauss(edges)
         return nodes, weights, self._kernel_at(nodes), counts
 
-    def eval(self, seg, u):
-        nodes, weights, kmats, _ = self._rule(seg.grid[None])
-        return np.einsum("k,kij,kj->i", weights, kmats, seg.eval(nodes))
+    def _values(self, phis) -> np.ndarray:
+        """The integral against every history of phis, (R, n): one `_rule` over their
+        grids, each row's as on its own, and one read of them all at the nodes."""
+        nodes, weights, kmats, counts = self._rule(_grids(phis))
+        vals = _read(phis, np.arange(len(phis)).repeat(counts), nodes, 0)
+        ends = np.cumsum(counts).tolist()
+        return np.array([np.einsum("k,kij,kj->i", weights[a:b], kmats[a:b], vals[a:b])
+                         for a, b in zip([0, *ends], ends)])
 
 
 @dataclass(frozen=True)
@@ -331,11 +297,6 @@ class InputTerm:
 
     def at(self, u):  # G g(u), for an input value or a stack of them
         return _apply(self.matrix, u if self._g is None else self._g(u))
-
-    def eval(self, seg, u):
-        if u is None:
-            raise PreconditionError("input term evaluated without an input value")
-        return self.at(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -374,19 +335,42 @@ class RhsMap:
                 out.append(t.delay)
         return out
 
-    def eval(self, seg, u=None) -> np.ndarray:
-        """f on a history: 0 + v_0 + v_1 + ..., the terms' values in order."""
-        return sum((t.eval(seg, u) for t in self.terms), np.zeros(self.n))
+    def eval(self, phis, us=None, at=None) -> np.ndarray:
+        """f on every history of phis, (R, n), history r at input us[r] (us (R, m), or None):
+        0 + v_0 + v_1 + ..., the terms' values in order. One read takes every history at the
+        pointwise terms' delays, unless `at` maps each delay to those (R, n) values already
+        read; a distributed term's integrals take one quadrature and one read of them all."""
+        if us is not None:
+            if self.m == 0:
+                raise DimensionError("input passed to an input-free right-hand side")
+            us = np.asarray(us, dtype=float)
+            if us.shape != (len(phis), self.m):
+                raise DimensionError(f"inputs have shape {us.shape}, expected ({len(phis)}, {self.m})")
+        rows = len(phis)
+        if not rows:
+            return np.zeros((0, self.n))
+        if (short := min(phi.delta for phi in phis)) < self.max_delay - _TOL:
+            raise HorizonError(f"history horizon {short} shorter than rhs max delay {self.max_delay}")
+        if at is None:
+            delays = list({t.delay: None for t in self.terms if isinstance(t, (LinearTerm, NonlinearTerm))})
+            reads = _read(phis, np.arange(rows * len(delays)) % rows, -np.array(delays).repeat(rows), 0)
+            at = dict(zip(delays, reads.reshape(len(delays), rows, self.n)))
+        f = np.zeros((rows, self.n))
+        for t in self.terms:
+            if isinstance(t, DistributedTerm):
+                f = f + t._values(phis)
+            elif isinstance(t, InputTerm):
+                if us is None:
+                    raise PreconditionError("input term evaluated without an input value")
+                f = f + t.at(us)
+            else:
+                f = f + t.at(at[t.delay])
+        return f
 
 
 def rhs_eval(rhs: RhsMap, phi, u=None) -> np.ndarray:
-    """Evaluate the right-hand side on a history (and input value, if any)."""
-    if rhs.m > 0 and u is not None:
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.shape != (rhs.m,):
-            raise DimensionError(f"input has shape {u.shape}, expected ({rhs.m},)")
-    _rhs_checks(rhs, [phi], u)
-    return rhs.eval(phi, u)
+    """Evaluate the right-hand side on a history (and input value, if any): a batch of one."""
+    return rhs.eval([phi], None if u is None else np.atleast_1d(u)[None])[0]
 
 
 @dataclass(frozen=True)
@@ -416,9 +400,3 @@ class NfdeSystem:
 
     def min_positive_delay(self) -> float:
         return min([self.dop.min_delay] + self.rhs.positive_delays())
-
-    def check_zero_fixed_point(self) -> float:
-        """|f(0)| (or |f(0, 0)|); construction of the terms keeps this at 0."""
-        zero = HistorySegment.zero(self.n, self.delta)
-        u = np.zeros(self.m) if self.m > 0 else None
-        return float(np.linalg.norm(self.rhs.eval(zero, u)))

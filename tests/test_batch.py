@@ -652,6 +652,23 @@ def test_knot_zero_reads_no_history_one_at_a_time(name):
         assert _same(traj._batch.zdot_right[0, traj._row], f)
 
 
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_distributed_knot_zero_evaluates_f_once_per_batch(name):
+    """A distributed system's f at knot 0 is one `RhsMap.eval` on the whole batch,
+    not one per history, and equals `rhs_eval` on each history bit for bit."""
+    system, _ = WITH_PRIMITIVES[name]
+    histories = [_history(system, seed, 1.0, kink) for seed, kink in ((1, None), (2, -0.3), (3, None))]
+    histories += [HistorySegment.zero(system.n, system.delta),
+                  HistorySegment(system.delta, histories[0].grid, histories[0].values, "linear")]
+    calls = []
+    real = RhsMap.eval
+    with mock.patch.object(RhsMap, "eval", lambda *args, **kwargs: calls.append("rhs") or real(*args, **kwargs)):
+        batch = integrate_batch(system, histories, 1.0, step=1.0 / 16.0)
+    assert calls == ["rhs"]
+    for phi, traj in zip(histories, batch):
+        assert _same(traj._batch.zdot_right[0, traj._row], rhs_eval(system.rhs, phi))
+
+
 def test_converse_fit_batch_places_its_reads_in_three_plans():
     """The fit's batch of 15 samples with their levels-5 rungs, 105 rows on 7
     meshes: a knot read is placed once per mesh, and a read of the initial
@@ -743,18 +760,16 @@ def test_one_signal_per_history_is_checked():
 
 @pytest.mark.parametrize("name", sorted(WITH_PRIMITIVES))
 def test_batched_rhs_equals_rhs_eval_row_by_row(name):
-    """`operators._rhs_rows` on many histories, one read of them all, gives each row
+    """`RhsMap.eval` on many histories, one read of them all, gives each row
     bitwise as `rhs_eval` on its history does, under an input per row."""
-    from haleform.operators import _rhs_rows
-
     system, _ = WITH_PRIMITIVES[name]
     phis = [_history(system, seed, 1.0, None) for seed in range(7)]
     phis.append(HistorySegment(system.delta, phis[1].grid, phis[1].values, "linear"))
     us = np.linspace(-1.0, 1.0, len(phis) * system.m).reshape(len(phis), system.m) if system.m else None
-    rows = _rhs_rows(system.rhs, phis, us)
+    rows = system.rhs.eval(phis, us)
     for r, phi in enumerate(phis):
         assert _same(rows[r], rhs_eval(system.rhs, phi, None if us is None else us[r]))
-    assert _rhs_rows(system.rhs, [], None if us is None else us[:0]).shape == (0, system.n)
+    assert system.rhs.eval([], None if us is None else us[:0]).shape == (0, system.n)
 
 
 def _residual_one_at_a_time(traj, count):

@@ -19,6 +19,7 @@ from haleform import (
     rhs_eval,
 )
 from haleform.operators import _apply
+from test_batch import SYSTEMS as BATCH_SYSTEMS
 
 
 def ramp_history(delta=1.0, num=9):
@@ -149,9 +150,12 @@ class TestNfdeSystem:
     def test_delta_is_max_delay(self, neutral_system):
         assert neutral_system.delta == 1.0
 
-    def test_zero_fixed_point(self, neutral_system, cubic_system):
-        assert neutral_system.check_zero_fixed_point() == 0.0
-        assert cubic_system.check_zero_fixed_point() == 0.0
+    def test_zero_fixed_point(self):
+        """f(0) = 0, and f(0, 0) = 0 where there is an input, on every batch test system."""
+        for system, _ in BATCH_SYSTEMS.values():
+            zero = HistorySegment.zero(system.n, system.delta)
+            f = rhs_eval(system.rhs, zero, np.zeros(system.m) if system.m else None)
+            assert f.shape == (system.n,) and np.all(f == 0.0)
 
     def test_dimension_agreement(self):
         dop = DifferenceOperator([1.0], [np.eye(2)])
@@ -234,7 +238,7 @@ def test_evaluations_leave_a_distributed_term_as_built():
     V = IntegralQuadraticFunctional(DifferenceOperator([1.0], [[[0.5]]]), [[1.0]], grid, kernel[:, None, None])
     before = [{key: repr(value) for key, value in vars(t).items()} for t in (term, V._term)]
     for phi in (ramp_history(), ramp_history(num=5), ramp_history()):
-        term.eval(phi, None)
+        RhsMap(n=1, terms=(term,)).eval([phi])
         V(phi)
     V.many([ramp_history(num=7)] * 3)
     assert [{key: repr(value) for key, value in vars(t).items()} for t in (term, V._term)] == before
