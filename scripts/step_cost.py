@@ -15,8 +15,9 @@ after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system. One history steps on Python floats, a bare float for n = 1
-and a list of two for the planar system, and each line says so; the "x8"
+cubic system. One history steps through the system's block kernel, compiled
+from its stage plan at the warm-up run, one call per block of steps on float
+locals (one per state component), and each line says how many; the "x8"
 lines (neutral, planar, distributed) time batches of 8 histories
 (`integrate_batch`), which step on (8, n) arrays: the median, over the 30 batches
 that start at each history and take the next ones in turn, of wall time
@@ -236,8 +237,9 @@ def main() -> int:
     print(f"L0 {'read':<12} {read:8.1f} us/2-point eval, {dop:6.1f} us/dop_apply  (30 sampled histories, neutral)")
     for name, (system, horizon, step) in systems().items():
         cost = step_cost(system, horizon, step)
-        floats = "2 floats" if system.n == 2 else "a float"
-        print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; one history on {floats})")
+        floats = "2 float locals" if system.n == 2 else "a float local"
+        print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; one history's kernel on "
+              f"{floats})")
     for name in ("neutral", "planar", "distributed"):
         system, horizon, step = systems()[name]
         cost = step_cost(system, horizon, step, BATCH)

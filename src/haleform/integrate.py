@@ -29,27 +29,28 @@ their accepted part with one `take` and a stage's value is affine in its tip
 The loop stores final values only. A stage is the tip from z, its scale and
 D-term rows, and the left fold 0 + v_0 + v_1 + ... of the terms in order, as
 `RhsMap.eval`, the one evaluation of f on histories, rounds; knot 0 is that
-call on the batch. One history steps on Python floats (a list of n for n > 1),
-a batch on (B, n) arrays, through the same loop; every matrix product is the
-column fold of `operators._apply`, so both round alike whatever the BLAS kernel.
+call on the batch. A batch steps on (B, n) arrays, one history through a kernel
+compiled from the stage plan (`_kernel`) on float locals; every matrix product is
+the column fold of `operators._apply`, so both round alike whatever the BLAS kernel.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
+import linecache
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial, reduce
-from itertools import chain, repeat
-from operator import add, mul
+from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import PreconditionError
 from .histories import CUBIC, HistorySegment, _cubic, _gather, _hermite_basis, _Knots, _weights
-from .operators import DistributedTerm, InputTerm, LinearTerm, NfdeSystem, _apply
+from .operators import DistributedTerm, InputTerm, NfdeSystem, _apply
 from .signals import InputSignal
 
 _BP_TOL = 1e-9
@@ -459,6 +460,105 @@ def integrate_batch(
     return out
 
 
+def _stage_plan(system: NfdeSystem):
+    """(plan, block terms, distributed terms, lead). The plan has, term by term, (0, j) block term j (an
+    input, or a pointwise term with a delay), (1, t) the pointwise term t without delay, taken at the stage
+    tip, or (2, j) distributed term j, through its window. 0 + v_0 + v_1 rounds as 0 + v_1 + v_0, both being
+    0 + (v_0 + v_1), signed zeros too: a block term among the first two, `lead`, opens the fold with its 0
+    added once a block, and the plan leaves it out."""
+    plan, block_terms, dist = [], [], []
+    for t in system.rhs.terms:
+        if isinstance(t, DistributedTerm):
+            plan.append((2, len(dist)))
+            dist.append(t)
+        elif isinstance(t, InputTerm) or t.delay > 0:
+            plan.append((0, len(block_terms)))
+            block_terms.append(t)
+        else:
+            plan.append((1, t))
+    if not plan:  # f = 0 as a block term of zeros, which has the running histories' rows
+        plan.append((0, 0))
+        block_terms.append(SimpleNamespace(at=np.zeros_like, delay=float(system.dop.delays[0])))
+    lead = next((j for kind, j in plan[:2] if kind == 0), None)
+    return [step for step in plan if step != (0, lead)], block_terms, dist, lead
+
+
+def _kernel(system: NfdeSystem):
+    """One history's step loop, compiled from the system's stage plan on first use and kept on
+    the system (`inspect.getsource` prints it; see the module docstring). kernel(i, stop, k, w,
+    z, y, cols, windows, live, out, planes, b2) runs steps i..stop-1 from z and z' (y) at knot
+    i: step i reads row k of `cols` (a block's rows component by component, and an input
+    system's jump flags) and step w of the `windows`. New knots go to the list `out` as flat
+    floats, or into the store's `planes` each step where windows read them. It returns the step
+    reached and z, y there, or (i, None, None) where step i blew up."""
+    if "_kernel" in vars(system):
+        return system._kernel
+    plan, block_terms, dist, lead = _stage_plan(system)
+    n, p, comps = system.n, system.dop.p, range(system.n)
+    env = {"islice": islice, "empty": np.empty, "n": n}
+
+    def each(name: str) -> list[str]:  # the name's n components
+        return [*map(f"{name}{{}}".format, comps)]
+
+    row = ", ".join
+    cols, head = ["h0", "h1", "h2", "h3"], [f"{row(each('z'))}, = z", f"{row(each('y'))}, = y", "xs = empty((1, n))"]
+    cols += [v for d in range(p) for half in "me" for v in each(f"d{half}{d}_")] + each("tr") + each("tl")
+    cols += [v for j in range(len(block_terms)) for c in "mek" for v in each(f"b{j}{c}_")] + ["jump"] * (system.m > 0)
+    for q, (kind, t) in enumerate(plan):
+        if kind == 1:  # tip term q: its matrix's entries row by row, and its primitive
+            env[f"C{q}"], env[f"g{q}"] = tuple(t.matrix.ravel().tolist()), getattr(t, "_g", None)
+            head.append(f"{row([f'c{q}_{r}_{c}' for r in comps for c in comps])}, = C{q}")
+    head += [f"gather{j}, value{j} = windows[{j}].gather, windows[{j}].value" for j in range(len(dist))]
+
+    def fold(c: int, e: int) -> list[str]:
+        """f at the tip t: block terms at c (0 midpoint, 1 step end, 2 new knot), windows at e."""
+        at = "mek"[c]
+        lines, terms = [], [["0.0" if lead is None else f"b{lead}{at}_{i}" for i in comps]]
+        for q, (kind, j) in enumerate(plan):
+            if kind == 0:
+                values = each(f"b{j}{at}_")
+            elif kind == 1:
+                x = each("t")
+                if env[f"g{q}"] is not None:  # g on the tip as a (1, n) array
+                    lines += [f"xs[0, {i}] = t{i}" for i in comps] + [f"{row(each(f'q{q}_'))}, = g{q}(xs).tolist()[0]"]
+                    x = each(f"q{q}_")
+                values = ["(" + " + ".join([f"c{q}_{i}_{k} * {x[k]}" for k in comps]) + ")" for i in comps]
+            else:  # on floats for n = 1, else on lists of n
+                tip, slope = ("t0", "sl0") if n == 1 else [f"[{row(each(v))}]" for v in ("t", "sl")]
+                lines.append(f"{row(each(f'r{j}_'))} = value{j}(w, {e}, {tip}, live, {slope if e == 2 else None})")
+                values = each(f"r{j}_")
+            terms.append(values)
+        return lines + [f"f{i} = {' + '.join([values[i] for values in terms])}" for i in comps]
+
+    def tip(base: str, half: str) -> list[str]:  # t = base + each D-term at the midpoint (m) or step end (e)
+        return [f"t{i} = {base.format(i)}" + "".join([f" + d{half}{d}_{i}" for d in range(p)]) for i in comps]
+
+    body = [f"gather{j}(w)" for j in range(len(dist))]
+    body += tip("z{0} + h0 * y{0}", "m") + fold(0, 0) + [f"a{i} = y{i} + 2.0 * f{i}" for i in comps]  # k2
+    body += tip("z{0} + h1 * f{0}", "m") + fold(0, 0) + [f"a{i} = a{i} + 2.0 * f{i}" for i in comps]  # k3
+    body += tip("z{0} + h2 * f{0}", "e") + fold(1, 1) + [f"a{i} = a{i} + f{i}" for i in comps]  # k4
+    body += [f"n{i} = z{i} + h3 * a{i}" for i in comps] + tip("n{0}", "e")  # z and x at the new knot
+    body += [f"mag = {' + '.join([f'{t} * {t}' for t in each('t')])}",  # |x|^2 past the bound, or not finite
+             "if mag > b2 or mag - mag != 0.0:", "    return i, None, None"]
+    body += [f"sl{i} = f{i} + tl{i}" for i in comps] if dist else []  # the tip's left slope, for the windows
+    body += fold(2, 2) + [f"y{i} = f{i}" for i in comps]  # z' from the right: the next step's k1
+    body += ["if jump:", *["    " + line for line in fold(1, 2)]] if system.m else []  # z' from the left
+    knot = [each("t"), [f"y{i} + tr{i}" for i in comps], [f"f{i} + tl{i}" for i in comps], each("n"),
+            each("y"), each("f")]  # x, x' from the right and the left, z, z' from the right and the left
+    body.append(f"planes[:, i + 1] = {row([f'({row(v)},)' for v in knot])}" if dist else
+                f"out += {row([v for values in knot for v in values])},")
+    body += [f"{row(each('z'))} = {row(each('n'))}", "i += 1", *(["w += 1"] if dist else [])]
+    source = "\n    ".join([
+        "def kernel(i, stop, k, w, z, y, cols, windows, live, out, planes, b2):", *head,
+        f"for {row(cols)} in islice(zip(*cols), k, k + stop - i):", *["    " + line for line in body],
+        f"return i, [{row(each('z'))}], [{row(each('y'))}]"]) + "\n"
+    name = str(Path(__file__).with_name(f"<kernel {hash(source) & 0xFFFFFFFFFFFF:012x}>"))  # one per source
+    linecache.cache[name] = (len(source), None, source.splitlines(True), name)
+    exec(compile(source, name, "exec"), env)
+    object.__setattr__(system, "_kernel", env["kernel"])
+    return env["kernel"]
+
+
 def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     """The method-of-steps loop for every history of the store; returns their blowup flags.
     `inputs` is None for an input-free system, else (signals, each mesh's signal, each
@@ -467,15 +567,13 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     Step i takes every running history from its knot i to knot i + 1. A history parks,
     keeping its knots, where its mesh ends or its state blows up; the rest go on. A block
     of steps ends where its plan of reads ends or the running histories change. One history
-    (B = 1) steps on Python floats, a list of n for n > 1, whose products fold in the loop
-    (a nonlinear tip term's primitive reads a (1, n) array), a batch on (B, n) arrays: the
-    same loop, whose float + and * round as numpy's elementwise ones.
+    (B = 1) runs each block in one call of the system's compiled kernel (`_kernel`), on
+    float locals; a batch runs this loop on (B, n) arrays, whose elementwise + and * round
+    as the kernel's float ones, operation for operation.
     """
-    rhs = system.rhs
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
     x, xdr, xdl, z, zdr, zdl = store.block
     size, (width, n) = store.x.shape[0], store.shape
-    scalar, vector = width == 1, width == 1 and n > 1  # one history: bare floats, lists of n for n > 1
     t0, t1 = store.times[:-1], store.times[1:]
     lengths = t1 - t0  # each mesh's step lengths
     mids = t0 + 0.5 * lengths
@@ -484,7 +582,7 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     # the reads of each step: x at the midpoint and at the step end for each
     # offset, then x' from the left and from the right at the step end for
     # each D-term; placed ahead in runs of steps that place at most _PLAN_READS
-    offsets = sorted({*system.dop.delays.tolist(), *rhs.positive_delays()})
+    offsets = sorted({*system.dop.delays.tolist(), *system.rhs.positive_delays()})
     lags = np.array(offsets)[:, None, None], system.dop.delays[:, None, None]
     read_times = np.concatenate([mids - lags[0], t1 - lags[0], t1 - lags[1], t1 - lags[1]])
     read_kinds = np.array([0] * (2 * len(offsets)) + [2] * len(dop_terms) + [1] * len(dop_terms))
@@ -495,33 +593,8 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     # D-term j's x at midpoints and step ends, then its x' from the right and from the left
     dop_at = [[o, o + len(offsets), 2 * len(offsets) + len(dop_terms) + j, 2 * len(offsets) + j]
               for j, o in enumerate(map(offsets.index, system.dop.delays.tolist()))]
-
-    # the stage plan, rhs term by term: (0, j) block term j (an input, or a pointwise term with a
-    # delay read at offsets[o]), (1, at) a pointwise term without delay, called on the stage tip,
-    # or (2, j) distributed term j, through its window
-    plan, block_terms, dist = [], [], []
-    for t in rhs.terms:
-        if isinstance(t, DistributedTerm):
-            plan.append((2, len(dist)))
-            dist.append(t)
-        elif isinstance(t, InputTerm) or t.delay > 0:
-            plan.append((0, len(block_terms)))
-            block_terms.append((t, None if isinstance(t, InputTerm) else offsets.index(t.delay)))
-        elif not scalar:
-            plan.append((1, t.at))
-        elif n == 1:  # on one float, C g(x) with a 1 x 1 C is one multiply
-            c = float(t.matrix[0, 0])
-            plan.append((1, c.__mul__ if isinstance(t, LinearTerm) else partial(_times_on_float, c, t._g)))
-        else:  # (3, (g, C row by row)) on n floats: C x or C g(x), g on a (1, n) array, folded in the loop
-            plan.append((3, (None if isinstance(t, LinearTerm) else t._g, t.matrix.ravel().tolist())))
-    if not plan:  # f = 0 as a block term of zeros, which has the running histories' rows
-        plan.append((0, len(block_terms)))
-        block_terms.append((SimpleNamespace(at=np.zeros_like), 0))
-    # 0 + v_0 + v_1 rounds as 0 + v_1 + v_0, both being 0 + (v_0 + v_1), signed zeros too: a block term
-    # among the first two opens the fold, with its 0 added once a block
-    lead = next((j for kind, j in plan[:2] if kind == 0), None)
-    if lead is not None:
-        plan.remove((0, lead))
+    plan, block_terms, dist, lead = _stage_plan(system)  # a block term's delay is read at offsets[o]
+    block_at = [None if isinstance(t, InputTerm) else offsets.index(t.delay) for t in block_terms]
 
     # the input on each mesh: "+" at nodes and midpoints, "-" at step ends
     # (the step integrates the branch active on (t, t_next))
@@ -543,37 +616,27 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         stop = max(start + 1, int(placed.searchsorted(budget, "right")))
         return _Reads(store, start, stop, read_times[:, start:stop], read_kinds, prefix, extra)
 
-    def loop_values(a: np.ndarray):
-        """(..., running histories, n) values as the loop takes them: nested lists of floats for
-        B = 1 (of lists of n for n > 1), else of (running histories, n) rows, which a list indexes
-        faster than an array."""
-        if scalar:
-            return a[..., 0, 0 if a.shape[-1] == 1 else slice(None)].tolist()
-        return a if a.ndim == 2 else list(a) if a.ndim == 3 else [list(b) for b in a]
-
     # what scales k1, k2, k3 in the stage tips and the RK sum in z, on each mesh
     spans = np.array([0.5 * lengths, 0.5 * lengths, lengths, lengths / 6.0])
+    # a block's rows: the four scales, each D-term at midpoints and step ends, the slope sums from
+    # the right and the left, then each block term at midpoints, step ends and new knots
+    tails = 4 + 2 * len(dop_terms)
 
-    def block(i: int, stop: int, run) -> tuple:
-        """Steps i..stop-1 of the running histories, as `loop_values` in sequences indexed by
-        step last, which a stage indexes faster than one array: the scales of the four stage
-        tips, each D-term at midpoints and step ends, the slope sums from the right and the
-        left, and each block term at midpoints, step ends and new knots; then z and z' from
-        the right at knot i, which the loop carries on from there."""
+    def block(i: int, stop: int, run) -> np.ndarray:
+        """Steps i..stop-1 of the running histories, (rows, steps, running histories, n)."""
         act, col, live = run[:3]
         v = reads.steps(i - reads.start, stop - reads.start, run)  # (reads, steps, histories, n)
+        out = np.empty((tails + 2 + 3 * len(block_terms), *v.shape[1:]))
+        out[:4] = spans[:, i:stop, col, None]
         dv = [_apply(a, v[at]) for (_, a), at in zip(dop_terms, dop_at)]
-        dterms = tuple(loop_values(d[:2]) for d in dv)
-        tails = loop_values(sum((d[2:] for d in dv), np.zeros((2, *v.shape[1:]))))
-        terms = []
-        for j, (t, o) in enumerate(block_terms):
+        out[4:tails] = np.concatenate([d[:2] for d in dv])
+        out[tails : tails + 2] = sum((d[2:] for d in dv), np.zeros((2, *v.shape[1:])))
+        for j, (t, o) in enumerate(zip(block_terms, block_at)):
             args = (v[o], v[o + len(offsets)], v[o + len(offsets)]) if o is not None else (  # an input, "-"
                 w[:, act] for w in (u_mid[i:stop], u_end[i:stop], u_node[i + 1 : stop + 1]))  # at step ends
-            terms.append([loop_values(0.0 + t.at(arg) if j == lead else t.at(arg)) for arg in args])
-        knot = (loop_values(a[i, act]) for a in (store.z, store.zdot_right))
-        scales = spans[:, i:stop, col, None]  # for a batch (B, n) ones, the fastest operands of its stages
-        scales = scales if scalar else np.broadcast_to(scales, (4, *v.shape[1:])).copy()
-        return loop_values(scales), dterms, tails, terms, *knot
+            for c, arg in enumerate(args):
+                out[tails + 2 + 3 * j + c] = 0.0 + t.at(arg) if j == lead else t.at(arg)
+        return out
 
     # knot 0 from one read (x, x' from the left at 0, x' from the right at -Delta_j, x at each offset): z as
     # `dop_apply`; f is one `RhsMap.eval` on the batch, handed the (B, n) stacks of x(-d) as its delays' values
@@ -586,31 +649,8 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     z[0] = seeds[0]
     for d, a in dop_terms:
         z[0] -= _apply(a, back[d])
-    zdl[0] = zdr[0] = f = rhs.eval(store.histories, None if u_node is None else u_node[0], back)
+    zdl[0] = zdr[0] = f = system.rhs.eval(store.histories, None if u_node is None else u_node[0], back)
     xdr[0] = f + sum((_apply(a, s) for (_, a), s in zip(dop_terms, seeds[2:])), np.zeros((width, n)))
-
-    bound2 = blowup_bound**2
-    # the fold's start and the RK weight; for arrays, 0-d ones are cheaper operands, with the same sums
-    zero, two = ([0.0] * n if vector else 0.0, 2.0) if scalar else (np.zeros(()), np.array(2.0))
-    madd = partial(map, add)  # n floats plus n floats, lazily
-
-    def running_rows(live):
-        """(act, col, live, put, park): the running histories' columns, meshes and indices, where
-        the loop writes their knots in its planes, and the next knot where one's mesh ends."""
-        act = slice(None) if live.size == width else live
-        col = slice(None) if store.mesh_count == 1 else store.mesh_of[live]
-        return act, col, live, 0 if scalar else act, int(np.minimum.reduce(ends[live], initial=size))
-
-    # a new knot (x, x' right, x' left, z, z' right, z' left) is one assignment to the planes; one
-    # history's knots wait in `pending` for one where its block ends (or its windows read them)
-    planes, pending = store.block[..., 0] if scalar and n == 1 else store.block, []
-
-    def write(end: int):
-        """Write the pending knots of the history, rows end - len(pending) .. end - 1."""
-        values = np.fromiter(chain.from_iterable(chain.from_iterable(pending)), float).reshape(-1, 6, n) if (
-            vector) else np.array(pending)
-        planes[:, end - len(values) : end, 0] = values.swapaxes(0, 1)
-        pending.clear()
 
     # each distributed term's window reads, placed in runs of steps (see `_Window`)
     if dist:
@@ -633,23 +673,54 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         tips, rows = np.where(e == 0, mids[j, m], t1[j, m]), np.stack([j - start, e, b])
         return stop, [_Window(store, t, system.delta, tips, t0[j, m], rows) for t in dist]
 
-    run = act, col, live, put, park = running_rows(np.arange(width))
+    def running_rows(live):
+        """(act, col, live, park): the running histories' columns, meshes and indices, and the next park."""
+        act = slice(None) if live.size == width else live
+        col = slice(None) if store.mesh_count == 1 else store.mesh_of[live]
+        return act, col, live, int(np.minimum.reduce(ends[live], initial=size))
+
+    bound2 = blowup_bound**2
+    run = act, col, live, park = running_rows(np.arange(width))
     start = stop = wstart = wstop = 0
     windows, slope = [], None
     # a stage may overflow within a step: the new knot's finiteness test parks its history
     with np.errstate(over="ignore", invalid="ignore"):
+        if width == 1:  # one history: its mesh ends with the loop, and the kernel runs each block
+            kernel, planes, i = _kernel(system), store.block[:, :, 0], 0
+            zc, yc = z[0, 0].tolist(), zdr[0, 0].tolist()
+            while i < size - 1 and zc is not None:  # zc is None once step i blew up
+                if i == stop:
+                    if i == reads.stop:
+                        reads = plan_reads(i)
+                    start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
+                    values = block(i, stop, run)
+                    cols = [*map(memoryview, np.concatenate([values[:4, :, 0, 0], values[4:, :, 0].transpose(
+                        0, 2, 1).reshape(-1, stop - i), *(() if jump is None else (jump[None, i:stop, 0],))]))]
+                if dist and i == wstop:
+                    wstart, (wstop, windows) = i, plan_windows(i, live)
+                i, zc, yc = kernel(i, min(stop, wstop) if dist else stop, i - start, i - wstart, zc, yc, cols,
+                                   windows, live, knots := [], planes, bound2)
+                values = np.fromiter(knots, float, len(knots)).reshape(-1, 6, n).swapaxes(0, 1)
+                planes[:, i + 1 - values.shape[1] : i + 1] = values  # the new knots, up to knot i
+            store.counts[0] = i + 1  # i is the last knot, or the step that blew up
+            return store.counts <= ends
+        zero, two = np.zeros(()), np.array(2.0)  # the fold's start and the RK weight: 0-d arrays are cheaper operands
         for i in range(size - 1):
             if i == stop:  # a new block: park the histories whose meshes end here
                 if i == park:
                     store.counts[live[ends[live] == i]] = i + 1
-                    run = act, col, live, put, park = running_rows(live[ends[live] > i])
+                    run = act, col, live, park = running_rows(live[ends[live] > i])
                     if live.size == 0:  # the longer meshes' histories all blew up
                         break
                 if i == reads.stop:
                     reads = plan_reads(i)
                 # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
                 start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
-                scales, dterms, tails, terms, base, k1 = block(i, stop, run)
+                # each row a list of (running histories, n) arrays by step, which a list indexes faster
+                rows = [list(r) for r in block(i, stop, run)]
+                scales, dterms, sums = rows[:4], [rows[r : r + 2] for r in range(4, tails, 2)], rows[tails : tails + 2]
+                terms = [rows[r : r + 3] for r in range(tails + 2, len(rows), 3)]
+                base, k1 = z[i, act], zdr[i, act]
             if dist and i == wstop:
                 wstart, (wstop, windows) = i, plan_windows(i, live)
             k, w = i - start, i - wstart
@@ -661,66 +732,43 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
             stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
             for s, (c, e) in enumerate(stages):
                 if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
-                    h, g = scales[s][k], acc if s == 3 else f  # on n floats, each operation maps over them
-                    base = tip = [*madd(z_cur, map(h.__mul__, g))] if vector else z_cur + h * g
+                    base = tip = z_cur + scales[s][k] * (acc if s == 3 else f)
                     for d in dterms:  # the midpoint's, then the step end's
-                        tip = [*madd(tip, d[s >> 1][k])] if vector else tip + d[s >> 1][k]
+                        tip = tip + d[s >> 1][k]
                 if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
-                    # no row can exceed the bound while the batch stays below it; |x|^2 folds as `_apply`
-                    mag = (reduce(add, map(mul, tip, tip)) if vector else tip * tip) if scalar else np.vdot(tip, tip)
+                    mag = np.vdot(tip, tip)  # no row can exceed the bound while the batch stays below it
                     if not math.isfinite(mag) or mag > bound2:
-                        tips = np.reshape(tip, (live.size, n))
-                        mag2 = reduce(np.add, (tips * tips).T)
+                        mag2 = reduce(np.add, (tip * tip).T)  # |x|^2 row by row, folded as the kernel's
                         keep = np.isfinite(mag2) & (mag2 <= bound2)
                         store.counts[live[~keep]] = i + 1
-                        if pending:  # the block's knots so far
-                            write(i + 1)
-                        run = act, col, live, put, park = running_rows(live[keep])
+                        run = act, col, live, park = running_rows(live[keep])
                         if live.size == 0:
                             break
                         base, tip = base[keep], tip[keep]
                         f = f[keep] if windows else f  # k4, for the tip's slope
-                        tails = [[r[keep] for r in v] for v in tails]
+                        sums = [[r[keep] for r in v] for v in sums]
                         terms = [[[r[keep] for r in v] for v in t] for t in terms]
                         stop = i + 1  # the block ends with the running histories
                     if windows:  # the tip's left slope, for the windows
-                        slope = [*madd(f, tails[1][k])] if vector else f + tails[1][k]
+                        slope = f + sums[1][k]
                 prev, f = f, zero if lead is None else terms[lead][c][k]
                 for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., the fold of `RhsMap.eval`
-                    if kind == 3:  # `_apply`'s fold on n floats: C's products in order, n a row for its sum
-                        p = map(mul, j[1], (tip if j[0] is None else j[0](np.array([tip]))[0].tolist()) * n)
-                        v = reduce(madd, repeat(p, n - 1), p)
-                    else:
-                        v = (j(tip) if kind == 1 else terms[j][c][k] if kind == 0
+                    f = f + (j.at(tip) if kind == 1 else terms[j][c][k] if kind == 0
                              else windows[j].value(w, e, tip, live, slope))
-                    f = madd(f, v) if vector else f + v
-                f = [*f] if vector else f
-                if s < 3:  # on n floats a map, which the new knot's tip reads once
-                    acc = madd(acc, map(two.__mul__, f) if s < 2 else f) if vector else acc + (two * f if s < 2 else f)
+                if s < 3:
+                    acc = acc + (two * f if s < 2 else f)
             if live.size == 0:  # every running history blew up
                 break
 
             # z' and then x' at the new knot, from the right and the left: they differ where an input
-            # jumps (for every running float); z' from the right is the next step's k1
+            # jumps; z' from the right is the next step's k1
             k1 = zl = f
             if stages is _STAGES:
-                k1, zl = prev, f if scalar else np.where(jump[i, act][:, None], f, prev)
-            xr, xl = ([*madd(k1, tails[0][k])], [*madd(zl, tails[1][k])]) if vector else (
-                k1 + tails[0][k], zl + tails[1][k])
-            if not scalar:
-                planes[:, i + 1, put] = tip, xr, xl, base, k1, zl
-            else:
-                pending.append((tip, xr, xl, base, k1, zl))
-                if i + 1 == stop or windows:
-                    write(i + 2)
+                k1, zl = prev, np.where(jump[i, act][:, None], f, prev)
+            store.block[:, i + 1, act] = tip, k1 + sums[0][k], zl + sums[1][k], base, k1, zl
 
     store.counts[live] = i + 2
     return store.counts <= ends  # a history that parks before its mesh ends blew up
-
-
-def _times_on_float(c: float, g, x: float) -> float:
-    """c g(x) on one float x, for a primitive g of arrays, which reads x as a (1, 1) array."""
-    return c * g(np.array([[x]])).item()
 
 
 def segment(traj: Trajectory, t: float) -> HistorySegment:

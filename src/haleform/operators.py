@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -259,11 +260,10 @@ class DistributedTerm:
         nodes, weights, counts = _gauss(edges)
         return nodes, weights, self._kernel_at(nodes), counts
 
-    def _values(self, phis) -> np.ndarray:
-        """The integral against every history of phis, (R, n): one `_rule` over their
-        grids, each row's as on its own, and one read of them all at the nodes."""
-        nodes, weights, kmats, counts = self._rule(_grids(phis))
-        vals = _read(phis, np.arange(len(phis)).repeat(counts), nodes, 0)
+    def _integrals(self, rule, vals) -> np.ndarray:
+        """The integral against every history, (R, n), from `_rule` over their grids and
+        their values at its nodes, each row's as on its own."""
+        _, weights, kmats, counts = rule
         ends = np.cumsum(counts).tolist()
         return np.array([np.einsum("k,kij,kj->i", weights[a:b], kmats[a:b], vals[a:b])
                          for a, b in zip([0, *ends], ends)])
@@ -339,7 +339,7 @@ class RhsMap:
         """f on every history of phis, (R, n), history r at input us[r] (us (R, m), or None):
         0 + v_0 + v_1 + ..., the terms' values in order. One read takes every history at the
         pointwise terms' delays, unless `at` maps each delay to those (R, n) values already
-        read; a distributed term's integrals take one quadrature and one read of them all."""
+        read, and at the nodes of each distributed term's quadrature over their grids."""
         if us is not None:
             if self.m == 0:
                 raise DimensionError("input passed to an input-free right-hand side")
@@ -351,14 +351,23 @@ class RhsMap:
             return np.zeros((0, self.n))
         if (short := min(phi.delta for phi in phis)) < self.max_delay - _TOL:
             raise HorizonError(f"history horizon {short} shorter than rhs max delay {self.max_delay}")
-        if at is None:
-            delays = list({t.delay: None for t in self.terms if isinstance(t, (LinearTerm, NonlinearTerm))})
-            reads = _read(phis, np.arange(rows * len(delays)) % rows, -np.array(delays).repeat(rows), 0)
-            at = dict(zip(delays, reads.reshape(len(delays), rows, self.n)))
+        dist = [t for t in self.terms if isinstance(t, DistributedTerm)]
+        if at is None or dist:  # one read: every history at each delay, then at each distributed term's nodes
+            delays = [] if at is not None else [
+                *{t.delay: None for t in self.terms if isinstance(t, (LinearTerm, NonlinearTerm))}]
+            which, times, rules = np.arange(rows * len(delays)) % rows, -np.array(delays).repeat(rows), []
+            if dist:
+                rules = [t._rule(_grids(phis)) for t in dist]
+                which = np.concatenate([which, *(np.arange(rows).repeat(rule[3]) for rule in rules)])
+                times = np.concatenate([times, *(rule[0] for rule in rules)])
+            reads = _read(phis, which, times, 0)
+            ends = [*accumulate([rule[0].size for rule in rules], initial=rows * len(delays))]
+            at = at if at is not None else dict(zip(delays, reads[: ends[0]].reshape(len(delays), rows, self.n)))
+            integrals = iter([t._integrals(rule, reads[a:b]) for t, rule, a, b in zip(dist, rules, ends, ends[1:])])
         f = np.zeros((rows, self.n))
         for t in self.terms:
             if isinstance(t, DistributedTerm):
-                f = f + t._values(phis)
+                f = f + next(integrals)
             elif isinstance(t, InputTerm):
                 if us is None:
                     raise PreconditionError("input term evaluated without an input value")
@@ -389,6 +398,9 @@ class NfdeSystem:
         if delta < needed - _TOL:
             raise PreconditionError(f"delta {delta} smaller than largest delay {needed}")
         object.__setattr__(self, "delta", delta)
+
+    def __getstate__(self):  # the step kernel that `integrate._kernel` keeps here is compiled again, not pickled
+        return {key: value for key, value in vars(self).items() if key != "_kernel"}
 
     @property
     def n(self) -> int:

@@ -813,3 +813,126 @@ def test_residual_check_equals_its_loop_and_reads_segments_in_runs(name):
         assert max(placed, default=0) <= budget and all(a + b > budget for a, b in zip(placed, placed[1:]))
         assert len(placed) <= 1 or step < short
         assert got == _residual_one_at_a_time(traj, 50)
+
+
+@st.composite
+def kernel_systems(draw):
+    """A small system of n = 1..3 components for the block kernel: 1-2 D-terms, tip terms
+    linear (decaying or growing) and nonlinear in random order, a delayed block term first,
+    second or third (where it no longer opens the fold), and optionally an input term (under
+    a signal with jumps) and a distributed term."""
+    n, rng = draw(st.integers(1, 3)), np.random.default_rng(draw(st.integers(0, 2**16)))
+    rate = draw(st.sampled_from([-0.5, 1.5]))
+
+    def matrix(scale):
+        return scale * rng.uniform(-1.0, 1.0, (n, n)) / n
+
+    delays = [1.0, 0.6][: draw(st.integers(1, 2))]
+    dop = DifferenceOperator(delays, [matrix(0.4) for _ in delays])
+    tips = draw(st.lists(st.sampled_from(["linear", "saturation", "sine", "cubic", "table"]), min_size=1, max_size=3))
+    params = {"saturation": {"limit": 0.5}, "table": TABLE}
+    terms = [LinearTerm(0.0, matrix(1.0) + rate * np.eye(n)) if fn == "linear"
+             else NonlinearTerm(0.0, fn, matrix(-1.0), params.get(fn, {})) for fn in tips]
+    terms.insert(draw(st.integers(0, 2)), LinearTerm(0.5, matrix(0.3)))
+    m = int(draw(st.booleans()))
+    if m:
+        terms.append(InputTerm(rng.uniform(-1.0, 1.0, (n, 1))))
+    if draw(st.booleans()):
+        grid = np.linspace(-0.9, 0.0, 4)
+        terms.insert(draw(st.integers(0, len(terms))), DistributedTerm(grid, np.array([matrix(0.3) for _ in grid])))
+    return NfdeSystem(dop, RhsMap(n=n, m=m, terms=tuple(terms)), delta=1.0)
+
+
+# a growing planar system that blows up mid-run, and one whose fold opens at 0 (signed zeros)
+GROWING = NfdeSystem(DifferenceOperator([1.0], [[[0.3, 0.0], [0.1, -0.2]]]), RhsMap(n=2, terms=(
+    NonlinearTerm(0.0, "sine", [[0.2, -0.1], [0.0, 0.3]]), LinearTerm(0.5, [[0.1, 0.0], [0.0, -0.1]]),
+    LinearTerm(0.0, [[1.5, 0.2], [-0.1, 1.2]]))))
+OPENS_AT_ZERO = NfdeSystem(DifferenceOperator([0.6, 1.0], [[[-0.3]], [[0.2]]]), RhsMap(n=1, terms=(
+    LinearTerm(0.0, [[-1.0]]), NonlinearTerm(0.0, "cubic", [[-0.5]]), LinearTerm(0.5, [[-0.2]]))))
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(system=kernel_systems(), seed=st.integers(0, 10_000), bound=st.sampled_from([0.1, 1.0, 3.0]),
+       blowup=st.sampled_from([2.5, 1e12]), zero=st.booleans())
+@example(system=GROWING, seed=3, bound=1.0, blowup=2.5, zero=False)
+@example(system=OPENS_AT_ZERO, seed=3, bound=1.0, blowup=1e12, zero=True)
+def test_block_kernel_equals_the_array_loop(system, seed, bound, blowup, zero):
+    """Each history run alone steps through the system's compiled block kernel, and in a
+    batch of two through the array loop: its trajectory, and every plane of its knots
+    (z' too), is the same bit for bit, signed zeros of a zero history and a blowup under a
+    small bound included."""
+    u = InputSignal.piecewise_constant([0.0, 0.37, 0.81, 1.26], [[0.5], [-1.0], [0.25], [2.0]]) if system.m else None
+    other = HistorySegment.zero(system.n, system.delta) if zero else _history(system, seed + 1, 1.0, -0.3)
+    histories = [_history(system, seed, bound, None), other]
+    policy = StepPolicy(step=1.0 / 16.0, blowup_bound=blowup)
+    batch = integrate_batch(system, histories, 2.0, step=policy, u=u)
+    for phi, traj in zip(histories, batch):
+        single = integrate(system, phi, 2.0, step=policy, u=u)
+        _assert_agree(traj, single)
+        assert _same(*(t._batch.block[:, : t.times.size, t._row] for t in (traj, single)))
+    if system is GROWING:
+        assert [(traj.blowup, traj.times.size) for traj in batch] == [(False, 33), (True, 22)]
+
+
+@contextlib.contextmanager
+def _count_compiles():
+    """Record the file name of every source compiled inside the block."""
+    names, real = [], compile
+
+    def spy(source, filename, *args, **kwargs):
+        names.append(filename)
+        return real(source, filename, *args, **kwargs)
+
+    with mock.patch("builtins.compile", spy):
+        yield names
+
+
+def test_a_system_compiles_its_block_kernel_once():
+    """The kernel is compiled at a system's first single-history integration and kept
+    on it: another integration, a converse V(phi) and its D+V compile nothing, a batch
+    of several histories compiles none, and an equal system compiles its own."""
+    system, other = (NfdeSystem(DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),)))
+                     for _ in range(2))
+    phis = [_history(system, seed, 1.0, None) for seed in (3, 4)]
+    with _count_compiles() as names:
+        integrate_batch(system, phis, 2.0, step=0.125)
+    assert names == []
+    with _count_compiles() as names:
+        integrate(system, phis[0], 2.0, step=0.125)
+    assert len(names) == 1
+    kernel, V = integrate_module._kernel(system), ConverseFunctional(system, 0.3, 10.0, step=0.125)
+    with _count_compiles() as names:
+        integrate(system, phis[1], 3.0, step=0.25)
+        V(phis[0])
+        driver_derivative(system, V, phis[0], None, LadderSpec(levels=5))
+    assert names == [] and integrate_module._kernel(system) is kernel
+    with _count_compiles() as names:
+        integrate(other, phis[0], 2.0, step=0.125)
+    assert len(names) == 1 and integrate_module._kernel(other) is not kernel
+
+
+@pytest.mark.parametrize("name", sorted(DISTRIBUTED))
+def test_rhs_with_a_distributed_term_reads_the_histories_once(name):
+    """`RhsMap.eval` reads every history at the pointwise terms' delays and at the
+    distributed term's Gauss nodes with one `_read`, one history or several."""
+    system, _ = WITH_PRIMITIVES[name]
+    phis = [_history(system, seed, 1.0, kink) for seed, kink in ((1, None), (2, -0.3), (3, None))]
+    reads, real = [], sys.modules["haleform.operators"]._read
+    with mock.patch.object(sys.modules["haleform.operators"], "_read", lambda *args: reads.append(1) or real(*args)):
+        system.rhs.eval(phis)
+        rhs_eval(system.rhs, phis[0])
+    assert len(reads) == 2
+
+
+def test_a_system_with_a_kernel_pickles_without_it():
+    """Pickling leaves the compiled kernel behind: the copy compiles its own, which
+    integrates alike."""
+    import pickle
+
+    system, _ = SYSTEMS["planar"]
+    phi = _history(system, 5, 1.0, None)
+    traj = integrate(system, phi, 2.0, step=1.0 / 16.0)
+    copy = pickle.loads(pickle.dumps(system))
+    assert "_kernel" in vars(system) and "_kernel" not in vars(copy)
+    _assert_agree(integrate(copy, phi, 2.0, step=1.0 / 16.0), traj)
+    assert integrate_module._kernel(copy) is not integrate_module._kernel(system)

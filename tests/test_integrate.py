@@ -336,7 +336,10 @@ class TestInputSignals:
 class TestStepFrames:
     """The step loop's Python overhead, counted rather than timed: wall-clock step
     costs swing by tens of percent between runs of the same code on one host, while
-    the number of haleform frames a step enters does not depend on the host."""
+    the number of haleform frames a step enters does not depend on the host. A
+    single history's block kernel is compiled from source whose file name lies in
+    the package, so its frames (one per block) and the compile, on a system's first
+    single-history run, count too."""
 
     @staticmethod
     def frames_per_step(system, horizon, step, size: int = 1) -> float:
@@ -368,18 +371,19 @@ class TestStepFrames:
         assert self.frames_per_step(neutral_system, 1.5, 1e-3, size=4) <= 8.0
 
     def test_one_neutral_history_at_most_one_frame_per_step(self, neutral_system):
-        """One history of one component steps on floats: a stage calls no haleform
-        function, and only a block of steps does."""
+        """One history steps through the system's block kernel, one call per block of
+        steps on float locals: a stage calls no haleform function."""
         assert self.frames_per_step(neutral_system, 1.5, 1e-3) <= 1.0
 
     def test_one_planar_history_at_most_one_frame_per_step(self, planar_system):
-        """One history of two components steps on two floats: its linear tip term
-        and D-term fold on them in the loop itself, so a stage calls no haleform
-        function either."""
+        """One history of two components steps on two float locals: the kernel writes
+        its linear tip term's column fold and its D-terms out, so a stage calls no
+        haleform function either."""
         assert self.frames_per_step(planar_system, 4.0, 0.01) <= 1.0
 
     def test_cubic_system_at_most_sixteen_frames_per_step(self, cubic_system):
-        """A nonlinear term's primitive is bound to its params: one call per value."""
+        """A nonlinear term's primitive is bound to its params: one call per value, which
+        the kernel makes on a (1, n) array of the stage tip."""
         assert self.frames_per_step(cubic_system, 1.5, 1.0 / 32.0) <= 16.0
 
 
