@@ -50,6 +50,14 @@ zero, a switching and a table signal, horizon 10, step 0.025, 30 Lipschitz
 samples), of `check_uniform_attraction` (6 samples, 7 shells of 4, horizon
 10, step 0.125) and of a 50-sample `residual_check` on a planar trajectory
 (horizon 8, step 0.01).
+Two more L5 lines time certificate checks shaped like the benchmark's: the
+median, over 7 sample sets seeded 0..6, of the mean wall time of 5 calls, in
+milliseconds. "verify-lk" is the simulate_cli `verify-lk` scenario's
+`verify_ges_conditions`: x' = -x, V(phi) = |D phi|, 12 samples on the shells
+0.1, 1 and 10, levels 6, where every sample's rungs, |D phi| and Lipschitz
+gaps come from one batched pass. "fit_gas" is the certify workload's
+`fit_constants`: the neutral system, an integral quadratic V, the gas variant,
+18 samples, levels 8.
 
 Timings depend on the machine; compare runs made on one.
 
@@ -60,13 +68,16 @@ import time
 import numpy as np
 
 from haleform import (
+    CertificateConstants,
     ConverseFunctional,
+    DopNormFunctional,
     DifferenceOperator,
     DistributedTerm,
     HistorySegment,
     LadderSpec,
     InputSignal,
     InputTerm,
+    IntegralQuadraticFunctional,
     LinearTerm,
     NfdeSystem,
     NonlinearTerm,
@@ -76,6 +87,7 @@ from haleform import (
     dop_apply,
     driver_derivative,
     estimate_lipschitz,
+    fit_constants,
     integrate,
     integrate_batch,
     iss_probe,
@@ -84,6 +96,7 @@ from haleform import (
     sample_history,
     sample_shells,
     sup_norm_diff,
+    verify_ges_conditions,
 )
 from haleform.functionals import _extensions
 
@@ -179,7 +192,7 @@ def ladder_cost(system) -> tuple[float, float]:
     hs = ladder.steps(system.dop.min_delay)
     phis = _histories(system)
     query = _median_call_s(lambda phi: driver_derivative(system, V, phi, ladder=ladder), phis)
-    rungs = _median_call_s(lambda phi: _extensions(system, phi, hs, None), phis)
+    rungs = _median_call_s(lambda phi: _extensions(system, [phi], hs, None), phis)
     return 1e3 * query, rungs / query
 
 
@@ -228,6 +241,21 @@ def probe_costs() -> tuple[float, ...]:
     return 1e6 * costs[0] / 30, *(1e3 * cost for cost in costs[1:])
 
 
+def certificate_costs() -> tuple[float, float]:
+    """Median milliseconds of the benchmark's verify-lk check and of its fit_gas
+    fit, each over 7 seeded sample sets."""
+    ode = NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),)))
+    neutral = systems()["neutral"][0]
+    kgrid = np.linspace(-1.0, 0.0, 5)
+    V = IntegralQuadraticFunctional(neutral.dop, [[1.0]], kgrid, (0.2 + 0.3 * (kgrid + 1.0))[:, None, None])
+    W, constants = DopNormFunctional(ode.dop, 1.0), CertificateConstants("ges", a1=0.9, a2=1.1, a3=0.9)
+    verify = _median_call_s(lambda samples: verify_ges_conditions(ode, W, constants, samples, LadderSpec(levels=6)),
+                            [sample_shells(1, 1.0, 4, seed) for seed in range(7)])
+    fit = _median_call_s(lambda samples: fit_constants(neutral, V, "gas", samples, LadderSpec(levels=8)),
+                         [sample_shells(1, 1.0, 6, seed) for seed in range(7)])
+    return 1e3 * verify, 1e3 * fit
+
+
 def main() -> int:
     for n in (1, 2):
         sup, diff = sup_costs(n)
@@ -259,6 +287,9 @@ def main() -> int:
     draw, lipschitz, iss, attraction, residual = probe_costs()
     print(f"L5 {'probes':<12} {draw:8.1f} us/draw, estimate_lipschitz {lipschitz:.2f} ms, iss_probe {iss:.2f} ms, "
           f"attraction {attraction:.2f} ms, residual_check {residual:.2f} ms  (input system, planar residual)")
+    verify, fit = certificate_costs()
+    print(f"L5 {'verify-lk':<12} {verify:8.2f} ms/run    (x' = -x, |D phi|, 12 samples on shells 0.1/1/10, levels 6)")
+    print(f"L5 {'fit_gas':<12} {fit:8.2f} ms/run    (neutral, integral quadratic, gas, 18 samples, levels 8)")
     return 0
 
 

@@ -35,11 +35,10 @@ from .histories import (
     _sup_norm_diffs,
     _sup_norms,
     sample_histories,
-    sup_norm_diff,
 )
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, _store_knots, integrate, integrate_batch  # noqa: F401
-from .operators import NfdeSystem, dop_apply
+from .operators import NfdeSystem, _dop_rows, dop_apply
 from .signals import ZERO, InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
@@ -162,12 +161,13 @@ _CONDITIONS = {
 
 def _rows(system, V, samples, ladder: LadderSpec, seminorm: SemiNorm | None) -> list[_Row]:
     """One row per sample, with every row's D+V estimate from one batched ladder
-    evaluation and its sup norm from one `_sup_norms` call."""
+    evaluation, its sup norm from one `_sup_norms` call and its |D phi| from one
+    `_dop_rows` call."""
     rows = [_Row(system, V, phi, ladder, seminorm) for phi in samples]
     phis = [row.phi for row in rows]
     ests, sups = driver_derivatives(system, V, phis, None, ladder), _sup_norms(phis).tolist()
-    for row, est, sup in zip(rows, ests, sups):
-        row.est, row.sup = est, sup
+    for row, est, sup, d in zip(rows, ests, sups, _dop_rows(system.dop, phis)[0]):
+        row.est, row.sup, row.dnorm = est, sup, float(np.linalg.norm(d))
     return rows
 
 
@@ -318,9 +318,8 @@ def verify_ges_conditions(
         raise PreconditionError("verify_ges_conditions needs ges-variant constants")
     rows = _rows(system, V, samples, ladder, None)
     report = _check_rows(constants, rows)
-    lip = 0.0
-    for a, b in zip(rows, rows[1:]):
-        gap = sup_norm_diff(a.phi, b.phi)
+    lip, phis = 0.0, [row.phi for row in rows]
+    for a, b, gap in zip(rows, rows[1:], _sup_norm_diffs(phis[:-1], phis[1:]).tolist()):
         if gap > 1e-9:
             lip = max(lip, abs(a.v - b.v) / gap)
     report.lipschitz_estimate = lip

@@ -142,19 +142,11 @@ def _write_margins_csv(report, out_dir: Path) -> str | None:
 
 
 def _trajectory_csv(traj, path: Path) -> None:
+    """t, x and D x at every node, one row each, every value as `_fmt` writes it."""
     n = traj.system.n
-    header = (
-        "t,"
-        + ",".join(f"x_{j + 1}" for j in range(n))
-        + ","
-        + ",".join(f"Dx_{j + 1}" for j in range(n))
-    )
-    lines = [header]
-    for k in range(traj.times.size):
-        row = [_fmt(traj.times[k])]
-        row += [_fmt(v) for v in traj.x[k]]
-        row += [_fmt(v) for v in traj.z[k]]
-        lines.append(",".join(row))
+    lines = [",".join(["t", *(f"x_{j + 1}" for j in range(n)), *(f"Dx_{j + 1}" for j in range(n))])]
+    row = ",".join(["%.17g"] * (2 * n + 1))  # "%.17g" % v is format(v, ".17g")
+    lines += [row % tuple(values) for values in np.column_stack([traj.times, traj.x, traj.z]).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PreconditionError
-from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out
+from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out, _read
 from .integrate import _clear_times, segment
-from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, _grids, dop_apply, rhs_eval
+from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, _grids, dop_apply
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
@@ -246,35 +246,42 @@ def phi_h_extend(system: NfdeSystem, phi: HistorySegment, h: float, u=None) -> H
     derivative kink at the junction is confined to a microscopic interval
     right after -h.
     """
-    return _extensions(system, phi, [h], u)[0]
+    return _extensions(system, [phi], [h], u)[0]
 
 
-def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
-    """`phi_h_extend` at every step of hs, in one pass: each rung's candidate
-    nodes are a row of one array (NaN where a rung drops one), sorted and
-    thinned row by row, and phi is read once for the values and once for the
-    slopes at the points of every rung. D phi and f(phi, u) are computed once."""
-    delta = phi.delta
+def _extensions(system: NfdeSystem, phis, hs, u):
+    """`phi_h_extend` of every history of phis at every step of hs, history by
+    history, in one pass: each rung's candidate nodes are a row of one array
+    (NaN where a rung drops one, or past its history's grid), sorted and thinned
+    row by row, and the histories are read once for the values and once for the
+    slopes at the points of every rung. D phi and f(phi, u) are computed once
+    for all, by one `_dop_rows` and one `RhsMap.eval` call."""
     dop = system.dop
     dmin = dop.min_delay
     hs = np.asarray(hs, dtype=float)
     for h in hs:
         if not 0.0 < h < dmin:
             raise PreconditionError(f"h must lie in (0, {dmin}), got {h}")
-    if abs(delta - system.delta) > _TOL * max(1.0, delta):
-        raise PreconditionError("history horizon disagrees with system horizon")
-    dphi = dop_apply(dop, phi)
-    fval = rhs_eval(system.rhs, phi, u)
-    h = hs[:, None]  # one row per rung
-    shifted = phi.grid - h
-    back = (phi.grid[None, :] + dop.delays[:, None]).ravel()
-    back = back[(back > 0.0) & (back < hs.max())] - h  # the nodes some rung puts in (-h, 0)
+    for phi in phis:
+        if abs(phi.delta - system.delta) > _TOL * max(1.0, phi.delta):
+            raise PreconditionError("history horizon disagrees with system horizon")
+    if not phis:
+        return []
+    dphi = _dop_rows(dop, phis)[0]
+    fval = system.rhs.eval(phis, None if u is None else np.atleast_1d(u)[None].repeat(len(phis), 0))
+    owner = np.arange(len(phis)).repeat(hs.size)  # one row per rung, history by history
+    h, delta = np.tile(hs, len(phis))[:, None], np.array([phi.delta for phi in phis])[owner, None]
+    grids = _grids(phis)
+    shifted = grids[owner] - h
+    back = (grids[:, None, :] + dop.delays[:, None]).reshape(len(phis), -1)
+    inside = (back > 0.0) & (back < hs.max())  # the nodes some rung puts in (-h, 0), NaN-padded
+    back = np.where(inside, back, np.nan)[:, inside.any(axis=0)][owner] - h
     rhs_delays = np.array(system.rhs.positive_delays(), dtype=float)
     rows = np.sort(np.concatenate([
-        np.full_like(h, -delta),
+        -delta,
         -h,
         np.where((shifted > -delta) & (shifted < -h), shifted, np.nan),
-        np.broadcast_to(-dop.delays, (hs.size, dop.delays.size)),
+        np.broadcast_to(-dop.delays, (owner.size, dop.delays.size)),
         np.where(rhs_delays >= h, -rhs_delays, np.nan),
         np.where((back > -h) & (back < 0.0), back, np.nan),
         -h + 1e-3 * h,
@@ -282,40 +289,49 @@ def _extensions(system: NfdeSystem, phi: HistorySegment, hs, u):
         np.zeros_like(h),
     ], axis=1), axis=1)
     # on sorted rows with repeats this rule keeps what it keeps after np.unique; NaN fails it
-    keep = np.diff(rows, axis=1, prepend=-np.inf) > 1e-14 * max(1.0, delta)
+    keep = np.ones(rows.shape, dtype=bool)  # each row's first node, -Delta
+    keep[:, 1:] = rows[:, 1:] - rows[:, :-1] > 1e-14 * np.maximum(1.0, delta)
     counts = keep.sum(axis=1)
     ends = np.cumsum(counts)
     starts = ends - counts
     grid = rows[keep]
-    grid[starts], grid[ends - 1] = -delta, 0.0
+    grid[starts], grid[ends - 1] = -delta[:, 0], 0.0
 
-    hh = np.repeat(hs, counts)
+    hh, at = h[:, 0].repeat(counts), owner.repeat(counts)
     left = grid <= -hh
-    s_right = grid[~left] + hh[~left]
+    s_right, right = grid[~left] + hh[~left], at[~left]
     points = np.concatenate([grid[left] + hh[left]] + [s_right - d for d in dop.delays])
-    cuts = left.sum() + s_right.size * np.arange(dop.delays.size + 1)
+    which = np.concatenate([at[left]] + [right] * dop.delays.size)
+    cuts = np.count_nonzero(left) + s_right.size * np.arange(dop.delays.size + 1)
+    del rows, shifted, back, hh, at  # freed before the reads, which hold some 200 bytes a point at their peak
 
-    def rungs(reads, acc):
-        """At every rung's nodes: phi read at the shifted nodes, then the sliver's sum."""
-        out = np.empty((grid.size, phi.n))
+    def rungs(kind, acc):
+        """At every rung's nodes: its history read at the shifted nodes, then the sliver's sum."""
+        reads = _read(phis, which, points, kind)
+        out = np.empty((grid.size, dop.n))
         out[left] = reads[: cuts[0]]
         for j, a in enumerate(dop.matrices):
             acc += _apply(a, reads[cuts[j] : cuts[j + 1]])
         out[~left] = acc
         return out
 
-    values = rungs(phi.eval(points), dphi[None, :] + np.outer(s_right, fval))
+    values = rungs(0, dphi[right] + s_right[:, None] * fval[right])
     if not np.isfinite(values).all():
         raise PreconditionError("history values must be finite")
-    # the junction -h maps to s = 0, where both sides of phi' agree
-    slopes = (rungs(phi.deriv(points, "+"), np.broadcast_to(fval, (s_right.size, phi.n)).copy())
-              if phi.interp == CUBIC else None)
-    kinks = np.concatenate([phi.kink_times - h, -h], axis=1)  # nondecreasing, as phi's increase
-    # each rung's distinct kinks in [-Delta, 0], as construction keeps them
-    keep = (kinks >= -delta) & (np.diff(kinks, axis=1, prepend=-np.inf) > 0.0)
+    # the junction -h maps to s = 0, where both sides of phi' agree; a linear history's rungs drop theirs
+    cubic = [phi.interp == CUBIC for phi in phis]
+    slopes = rungs(1, fval[right]) if any(cubic) else None
+    # each history's kinks, after -inf pads, nondecreasing; each rung's distinct ones in [-Delta, 0]
+    kinks = np.full((len(phis), max(phi.kink_times.size for phi in phis)), -np.inf)
+    for row, phi in zip(kinks, phis):
+        row[row.size - phi.kink_times.size :] = phi.kink_times
+    kinks = np.concatenate([kinks[owner] - h, -h], axis=1)
+    keep = kinks >= -delta
+    keep[:, 1:] &= kinks[:, 1:] > kinks[:, :-1]
     # the rungs are built sorted, thinned and checked finite: they skip construction's checks
-    return [_lay_out(object.__new__(HistorySegment), delta, grid[i:j], values[i:j],
-                     None if slopes is None else slopes[i:j], kinks[k][keep[k]]) for k, (i, j) in enumerate(zip(starts, ends))]
+    return [_lay_out(object.__new__(HistorySegment), phis[r].delta, grid[i:j], values[i:j],
+                     slopes[i:j] if cubic[r] else None, kinks[k][keep[k]])
+            for k, (r, i, j) in enumerate(zip(owner.tolist(), starts.tolist(), ends.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -385,34 +401,25 @@ def driver_derivatives(
     a functional that batches its evaluations shares them across all the
     histories and a failing evaluation surfaces as it would one at a time.
     """
-    hs = ladder.steps(system.dop.min_delay)
-    queries = []
-    for phi in phis:
-        queries.append(phi)
-        queries.extend(_extensions(system, phi, hs, u))
-    values = V.many(queries)
-    per = hs.size + 1
-    return [
-        _estimate(hs, values[k], values[k + 1 : k + per], ladder)
-        for k in range(0, len(values), per)
-    ]
+    hs, phis = ladder.steps(system.dop.min_delay), list(phis)
+    rungs = _extensions(system, phis, hs, u)
+    values = V.many([query for k, phi in enumerate(phis) for query in (phi, *rungs[k * hs.size : (k + 1) * hs.size])])
+    rung_values = np.array(values, dtype=float).reshape(len(phis), hs.size + 1)[:, 1:]
+    return _estimates(hs, values[:: hs.size + 1], rung_values, ladder)
 
 
-def _estimate(hs: np.ndarray, v0: float, rung_values, ladder: LadderSpec) -> DerivativeEstimate:
-    """The tail-max estimate from V(phi) and V at each rung's extension."""
-    quotients = (np.asarray(rung_values, dtype=float) - v0) / hs
-    tail = quotients[-ladder.tail :]
+def _estimates(hs: np.ndarray, v0s, rung_values: np.ndarray, ladder: LadderSpec) -> list[DerivativeEstimate]:
+    """The tail-max estimate of each history from V(phi), v0s[k], and V at each
+    rung's extension, the row rung_values[k]: every row's as on its own."""
+    quotients = (rung_values - np.array(v0s, dtype=float)[:, None]) / hs
+    tail = quotients[:, -ladder.tail :]
     tail_h = hs[-ladder.tail :]
-    value = float(np.max(tail))
     coverage = float(tail_h[0] / (tail_h[0] - tail_h[-1]))
-    band = coverage * float(np.max(tail) - np.min(tail))
-    spreads = [
-        float(np.max(quotients[i : i + ladder.tail]) - np.min(quotients[i : i + ladder.tail]))
-        for i in range(quotients.size - ladder.tail + 1)
-    ]
-    med = float(np.median(spreads))
-    nonsmooth = bool(band > 10.0 * med) if med > 0 else False
-    return DerivativeEstimate(value, hs, quotients, band, v0, nonsmooth)
+    windows = np.lib.stride_tricks.sliding_window_view(quotients, ladder.tail, axis=1)
+    meds = np.median(windows.max(axis=2) - windows.min(axis=2), axis=1).tolist()
+    bands = (coverage * (tail.max(axis=1) - tail.min(axis=1))).tolist()
+    return [DerivativeEstimate(value, hs, q, band, v0, bool(band > 10.0 * med) if med > 0 else False)
+            for value, q, band, v0, med in zip(tail.max(axis=1).tolist(), quotients, bands, v0s, meds)]
 
 
 @dataclass(frozen=True)

@@ -114,8 +114,8 @@ def _read(histories, which, ts, kind) -> np.ndarray:
     and refused beyond it; a node read from the left takes the panel on its left.
     One history reads its own layout (see `_lay_out`), several their concatenation.
     """
-    if len(histories) == 1:
-        knots, nodes = histories[0]._knots, histories[0]._nodes
+    if len(histories) == 1:  # every read is of row 0
+        knots, nodes, which = histories[0]._knots, histories[0]._nodes, 0
     else:
         knots = _Knots(np.concatenate([h.grid for h in histories]), np.array([h.num_nodes for h in histories]))
         nodes = np.concatenate([*(h.values for h in histories), *(h._nodes[h.num_nodes :] for h in histories)])
@@ -143,10 +143,8 @@ def _lay_out(seg, delta, grid, values, slopes, kinks):
     nodes = np.concatenate([values, slopes if slopes is not None else
                             np.concatenate([values[1:] - values[:-1], np.zeros((1, values.shape[1]))])], dtype=float)
     nodes.setflags(write=False)  # a fresh array, frozen as `_freeze` does
-    for name, value in (("delta", delta), ("grid", _freeze(grid)), ("values", nodes[:size]), ("interp", LINEAR if
-                        slopes is None else CUBIC), ("slopes", None if slopes is None else nodes[size:]),
-                        ("kink_times", _freeze(kinks)), ("_nodes", nodes)):
-        object.__setattr__(seg, name, value)
+    vars(seg).update(delta=delta, grid=_freeze(grid), values=nodes[:size], interp=LINEAR if slopes is None else CUBIC,
+                     slopes=None if slopes is None else nodes[size:], kink_times=_freeze(kinks), _nodes=nodes)
     return seg
 
 

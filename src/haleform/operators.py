@@ -107,19 +107,36 @@ def _dop_rows(dop: DifferenceOperator, phis, times=(), counts=0) -> tuple[np.nda
     if not phis:
         return np.zeros((0, dop.n)), np.zeros((0, dop.n))
     at, rows = np.concatenate(([0.0], -dop.delays)), np.arange(len(phis))
-    reads = _read(phis, np.concatenate([rows.repeat(at.size), rows.repeat(counts)]),
-                  np.concatenate([*[at] * rows.size, times]), 0)
+    # the row and time arrays go to the read unnamed: held by no name here, the read can free them as it goes
+    if len(times):  # each history at D's times, then each at its own
+        reads = _read(phis, np.concatenate([rows.repeat(at.size), rows.repeat(counts)]),
+                      np.concatenate([*[at] * rows.size, times]), 0)
+    else:
+        reads = _read(phis, rows.repeat(at.size), np.concatenate([at] * rows.size), 0)
     return _dop_of(dop, reads[: rows.size * at.size].reshape(rows.size, at.size, dop.n)), reads[rows.size * at.size :]
 
 
 # -- primitive pointwise nonlinearities ---------------------------------------
 
-_PRIMITIVES = {  # each takes (its parsed params, x) for a float array x
-    "saturation": lambda limit, x: np.clip(x, -limit, limit),
-    "sine": lambda _, x: np.sin(x),
-    "cubic": lambda _, x: x**3,
-    "table": lambda table, x: np.interp(x, *table),
-}
+# each takes (its parsed params, x) for a float array x; a module function, so that a system binding it pickles
+
+def _saturation(limit, x):
+    return np.clip(x, -limit, limit)
+
+
+def _sine(_, x):
+    return np.sin(x)
+
+
+def _cube(_, x):
+    return x**3
+
+
+def _table(table, x):
+    return np.interp(x, *table)
+
+
+_PRIMITIVES = {"saturation": _saturation, "sine": _sine, "cubic": _cube, "table": _table}
 
 
 def primitive_nonlinearity(name: str, params: dict):

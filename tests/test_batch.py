@@ -1,5 +1,6 @@
 """integrate_batch and its consumers agree with one history at a time."""
 import contextlib
+import itertools
 import sys
 import warnings
 from unittest import mock
@@ -13,6 +14,7 @@ from haleform import (
     ConverseFunctional,
     DifferenceOperator,
     DistributedTerm,
+    DopNormFunctional,
     EvaluationBlowupError,
     HistorySegment,
     InputSignal,
@@ -269,13 +271,14 @@ def test_converse_many_raises_for_the_first_blowup_in_order():
 
 @pytest.mark.parametrize("name", ["neutral", "planar"])
 def test_driver_derivatives_equal_per_history_estimates(name):
+    """Odd and even window counts (levels 4 and 5) for the median of the spreads, and
+    V = |D phi|, whose levels-4 ladder flags one neutral history nonsmooth."""
     system, _ = SYSTEMS[name]
-    ladder = LadderSpec(levels=4)
     phis = [_history(system, seed, 1.0, None) for seed in (2, 9, 14)]
-    Vs = [QuadraticDopFunctional(system.dop, np.eye(system.n))]
+    Vs = [QuadraticDopFunctional(system.dop, np.eye(system.n)), DopNormFunctional(system.dop)]
     if system.n == 1:
         Vs.append(ConverseFunctional(system, 0.3, 4.0, step=0.125))
-    for V in Vs:
+    for V, ladder in itertools.product(Vs, (LadderSpec(levels=4), LadderSpec(levels=5))):
         for est, phi in zip(driver_derivatives(system, V, phis, None, ladder), phis):
             ref = driver_derivative(system, V, phi, None, ladder)
             assert _same(est.quotients, ref.quotients) and _same(est.h_ladder, ref.h_ladder)

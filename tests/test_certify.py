@@ -41,6 +41,7 @@ from haleform import (
     reverify_counterexample,
     sample_history,
     sample_shells,
+    sup_norm_diff,
     verify_gas_conditions,
     verify_ges_conditions,
     verify_ges_seminorm,
@@ -96,6 +97,24 @@ class TestVerifyGes:
         assert report.violations == 0
         assert report.lipschitz_estimate is not None
         assert report.lipschitz_estimate <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("kind", ["dop-norm", "quadratic"])
+    def test_lipschitz_estimate_is_the_pairwise_loop(self, scalar_ode_system, planar_system, kind):
+        """The estimate is the max of |V(a) - V(b)| / ||a - b|| over adjacent samples with
+        a gap above 1e-9, each gap a `sup_norm_diff`, bit for bit; a repeated sample gives none."""
+        system = planar_system if kind == "quadratic" else scalar_ode_system
+        V = (QuadraticDopFunctional(system.dop, [[2.0, 0.5], [0.5, 1.0]]) if kind == "quadratic"
+             else DopNormFunctional(system.dop, 1.5))
+        samples = sample_shells(system.n, system.delta, 4, seed=21)
+        samples.insert(3, samples[2])
+        constants = CertificateConstants("ges", a1=0.1, a2=10.0, a3=0.1)
+        report = verify_ges_conditions(system, V, constants, samples, LadderSpec(levels=6))
+        lip = 0.0
+        for a, b in zip(samples, samples[1:]):
+            gap = sup_norm_diff(a, b)
+            if gap > 1e-9:
+                lip = max(lip, abs(V(a) - V(b)) / gap)
+        assert lip > 0.0 and report.lipschitz_estimate == lip
 
     def test_too_small_a2_fails_upper_bound(self, neutral_system, unit_history):
         V = DopNormFunctional(neutral_system.dop)

@@ -5,6 +5,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from test_golden import _systems
 
 from haleform import functionals
@@ -17,11 +19,13 @@ from haleform import (
     EndpointSemiNorm,
     Functional,
     HistorySegment,
+    InputTerm,
     IntegralQuadraticFunctional,
     L2SemiNorm,
     LadderSpec,
     LinearTerm,
     NfdeSystem,
+    NonlinearTerm,
     PreconditionError,
     QuadraticDopFunctional,
     RhsMap,
@@ -38,7 +42,7 @@ from haleform import (
     trajectory_consistency,
     trajectory_grid,
 )
-from haleform.histories import LINEAR
+from haleform.histories import CUBIC, LINEAR
 
 histories_module = sys.modules["haleform.histories"]
 operators_module = sys.modules["haleform.operators"]
@@ -132,7 +136,7 @@ class TestLadderRungs:
             for phi in _rung_histories(system):
                 for levels in (3, 5, 8, 12, 14):
                     hs = LadderSpec(levels=levels).steps(system.dop.min_delay)
-                    for rung in functionals._extensions(system, phi, hs, u):
+                    for rung in functionals._extensions(system, [phi], hs, u):
                         slopes = b"linear" if rung.slopes is None else rung.slopes.tobytes()
                         for part in (rung.grid.tobytes(), rung.values.tobytes(), slopes,
                                      rung.kink_times.tobytes()):
@@ -145,20 +149,49 @@ class TestLadderRungs:
         assert self._rung_digest() == self.DIGEST
 
     def test_rungs_read_phi_once_per_kind(self, planar_system):
-        """A levels-14 query's 15 rungs read phi through one value read and one
-        slope read of the kernel; D phi and f(phi), computed once each and read
-        here from mocks, make their own reads."""
-        phi = sample_history(2, 0.7, 1.0, 3, seed=4)
+        """A levels-14 ladder's 15 rungs of each history of a list read the histories
+        through one value read and one slope read of the kernel; D phi and f(phi) are
+        computed for all of them with one read each."""
+        phis = [sample_history(2, 0.7, 1.0, 1 + k % 4, seed=4 + k) for k in range(3)]
         hs = LadderSpec(levels=14).steps(planar_system.dop.min_delay)
-        dphi, fval = dop_apply(planar_system.dop, phi), rhs_eval(planar_system.rhs, phi)
-        with mock.patch.object(functionals, "dop_apply", return_value=dphi) as dop_calls, \
-                mock.patch.object(functionals, "rhs_eval", return_value=fval) as rhs_calls, \
-                _count_reads() as reads:
-            rungs = functionals._extensions(planar_system, phi, hs, None)
-        assert len(rungs) == 15
-        assert (dop_calls.call_count, rhs_calls.call_count) == (1, 1)
-        assert [(len(histories), histories[0] is phi) for histories, _ in reads] == [(1, True)] * 2
-        assert sorted(kind for _, kind in reads) == [0, 1]  # x, and x' from the right
+        with _count_reads() as reads:
+            rungs = functionals._extensions(planar_system, phis, hs, None)
+        assert len(rungs) == 45
+        assert [(histories is phis, kind) for histories, kind in reads] == [(True, 0)] * 3 + [(True, 1)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 4), st.booleans(), st.integers(0, 2**31))
+    @example(1, 1, 3, False, 0)
+    @example(2, 2, 4, True, 5)
+    def test_a_list_gives_each_history_its_own_rungs(self, n, p, count, inputs, seed):
+        """`_extensions` on a list gives, history by history, the rungs it gives on each
+        history alone, bit for bit: grid, values, slopes and kinks. The histories mix
+        linear and cubic, kinked and not, grids of different sizes and horizons a few
+        ulps apart; f has rhs delays and, with `inputs`, an input term under a value."""
+        rng = np.random.default_rng(seed)
+        delays = np.sort(rng.choice([0.3, 0.5, 0.8, 1.0], p, replace=False))
+        dop = DifferenceOperator(delays, 0.4 * rng.uniform(-1.0, 1.0, (p, n, n)))
+        terms = [LinearTerm(0.0, -np.eye(n)), LinearTerm(0.2, rng.uniform(-0.5, 0.5, (n, n))),
+                 NonlinearTerm(float(delays[-1]), "cubic", rng.uniform(-0.5, 0.5, (n, n)))]
+        terms += [InputTerm(rng.uniform(-1.0, 1.0, (n, 1)), "saturation", {"limit": 0.5})] if inputs else []
+        system = NfdeSystem(dop, RhsMap(n=n, m=int(inputs), terms=tuple(terms)))
+        delta, phis = system.delta, []
+        for k in range(count):
+            d = delta * (1.0 + rng.choice([0.0, 1e-15, -1e-15]))
+            grid = np.union1d(rng.uniform(-d, 0.0, rng.integers(0, 12)), [-d, 0.0])
+            kinks = np.sort(rng.choice(grid, rng.integers(0, 3), replace=False))
+            phis.append(HistorySegment(d, grid, rng.uniform(-1.0, 1.0, (grid.size, n)),
+                                       LINEAR if rng.random() < 0.4 else CUBIC, kink_times=kinks))
+        hs = LadderSpec(levels=int(rng.integers(3, 9))).steps(system.dop.min_delay)
+        u = rng.uniform(-1.0, 1.0, 1) if inputs else None
+        together = functionals._extensions(system, phis, hs, u)
+        alone = [rung for phi in phis for rung in functionals._extensions(system, [phi], hs, u)]
+        assert len(together) == len(alone) == count * hs.size
+        for a, b in zip(together, alone):
+            assert (a.delta, a.interp, a.slopes is None) == (b.delta, b.interp, b.slopes is None)
+            for name in ("grid", "values", "slopes", "kink_times"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x is y is None or x.tobytes() == y.tobytes(), name
 
 
 @contextlib.contextmanager
@@ -172,7 +205,7 @@ def _count_reads():
         return read(histories, which, ts, kind)
 
     with contextlib.ExitStack() as stack:
-        for module in (histories_module, operators_module):
+        for module in (histories_module, operators_module, functionals):
             stack.enter_context(mock.patch.object(module, "_read", spy))
         yield calls
 
@@ -184,7 +217,7 @@ class TestOneRead:
     @pytest.mark.parametrize("kind", ["quadratic", "dop-norm", "integral"])
     def test_many_reads_phi_and_its_rungs_at_once(self, planar_system, kind):
         phi = sample_history(2, 0.7, 1.0, 3, seed=4)
-        rows = [phi, *functionals._extensions(planar_system, phi, LadderSpec(levels=14).steps(0.7), None)]
+        rows = [phi, *functionals._extensions(planar_system, [phi], LadderSpec(levels=14).steps(0.7), None)]
         grid = np.linspace(-0.7, 0.0, 5)
         V = {"quadratic": QuadraticDopFunctional(planar_system.dop, [[2.0, 0.5], [0.5, 1.0]]),
              "dop-norm": DopNormFunctional(planar_system.dop, 1.5),
@@ -251,15 +284,19 @@ class TestDriverDerivative:
                 assert abs(est.value - expected) <= 1e-3 * max(1.0, abs(expected))
 
     def test_query_applies_d_and_f_once_per_history(self, planar_system):
-        """D phi and f(phi) depend on phi alone: a levels-14 query computes
-        each once for its 15 extensions (V here calls neither)."""
-        phi = sample_history(2, 0.7, 1.0, 3, seed=4)
+        """D phi and f(phi) depend on phi alone: a levels-14 query on k histories computes
+        them for all with one `_dop_rows` and one `RhsMap.eval` call, and builds all 15 k
+        rungs with one read of the histories per kind, whatever k (V here reads nothing)."""
         ladder = LadderSpec(levels=14)
-        with mock.patch.object(functionals, "dop_apply", wraps=dop_apply) as dop_calls, \
-                mock.patch.object(functionals, "rhs_eval", wraps=rhs_eval) as rhs_calls:
-            est = driver_derivative(planar_system, SupNormFunctional(1.0), phi, ladder=ladder)
-        assert est.quotients.size == 15
-        assert (dop_calls.call_count, rhs_calls.call_count) == (1, 1)
+        for k in (1, 3, 12):
+            phis = [sample_history(2, 0.7, 1.0, 1 + i % 4, seed=4 + i) for i in range(k)]
+            with mock.patch.object(functionals, "_dop_rows", wraps=functionals._dop_rows) as dop_calls, \
+                    mock.patch.object(RhsMap, "eval", autospec=True, side_effect=RhsMap.eval) as rhs_calls, \
+                    mock.patch.object(functionals, "_read", wraps=functionals._read) as reads:
+                ests = functionals.driver_derivatives(planar_system, SupNormFunctional(1.0), phis, ladder=ladder)
+            assert [est.quotients.size for est in ests] == [15] * k
+            assert (dop_calls.call_count, rhs_calls.call_count) == (1, 1)
+            assert sorted(call.args[3] for call in reads.call_args_list) == [0, 1]  # x, and x' from the right
 
     def test_homogeneity_degree_two(self, neutral_system):
         V = QuadraticDopFunctional(neutral_system.dop, [[1.0]])

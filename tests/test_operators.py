@@ -17,6 +17,7 @@ from haleform import (
     RhsMap,
     dop_apply,
     rhs_eval,
+    sample_history,
 )
 from haleform.operators import _apply
 from test_batch import SYSTEMS as BATCH_SYSTEMS
@@ -173,6 +174,25 @@ class TestNfdeSystem:
         dop = DifferenceOperator([1.0], [[[0.5]]])
         rhs = RhsMap(n=1, terms=(LinearTerm(0.25, [[-1.0]]),))
         assert NfdeSystem(dop, rhs).min_positive_delay() == 0.25
+
+    @pytest.mark.parametrize("kind", ["cubic", "saturated-input"])
+    def test_systems_with_primitives_pickle(self, cubic_system, kind):
+        """Every primitive binds a module function, so a system holding one round-trips
+        through pickle, and its copy's f is the original's bit for bit."""
+        import pickle
+
+        dop = DifferenceOperator([1.0], [[[0.2]]])
+        table = {"x": [-2.0, 0.0, 2.0], "y": [-1.0, 0.0, 0.5]}
+        system, u = {
+            "cubic": (cubic_system, None),
+            "saturated-input": (NfdeSystem(dop, RhsMap(n=1, m=1, terms=(
+                NonlinearTerm(0.0, "sine", [[-1.0]]), NonlinearTerm(0.5, "table", [[0.3]], table),
+                InputTerm([[1.0]], "saturation", {"limit": 0.5})))), np.array([0.8])),
+        }[kind]
+        copy = pickle.loads(pickle.dumps(system))
+        for seed in range(5):
+            phi = sample_history(1, system.delta, 2.0, 1 + seed % 4, seed)
+            assert rhs_eval(copy.rhs, phi, u).tobytes() == rhs_eval(system.rhs, phi, u).tobytes()
 
 
 class TestApply:
