@@ -21,10 +21,11 @@ from .comparison import ComparisonFunction, K, K_INF, TAIL_EXTRAPOLATE, monotone
 from .errors import EvaluationBlowupError, FitImpossibleError, PreconditionError
 from .functionals import (
     DerivativeEstimate,
+    DopSemiNorm,
     Functional,
     LadderSpec,
     SemiNorm,
-    driver_derivative,
+    _positive,
     driver_derivatives,
 )
 from .histories import (
@@ -38,7 +39,7 @@ from .histories import (
 )
 # integrate stays bound here as well: bench/tracing.py traces it as certify.integrate
 from .integrate import StepPolicy, Trajectory, _store_knots, integrate, integrate_batch  # noqa: F401
-from .operators import NfdeSystem, _dop_rows, dop_apply
+from .operators import NfdeSystem
 from .signals import ZERO, InputSignal
 
 DEFAULT_SHELLS = (0.1, 1.0, 10.0)
@@ -83,59 +84,56 @@ class CertificateConstants:
                 if c is None or c.kind not in kinds:
                     kinds = " or ".join(kinds)
                     raise PreconditionError(f"gas variant needs {name} of class {kinds}")
-            elif c is None or c <= 0:
+            elif c is None or not c > 0:
                 raise PreconditionError(f"{self.variant} variant needs a positive {name}")
         if self.variant == "ges-seminorm" and self.seminorm is None:
             raise PreconditionError("ges-seminorm needs a semi-norm")
 
 
-class _Row:
-    """One sample's evaluations, each made on first use and then kept:
-    |D phi|, the sup norm, the semi-norm, D+V and V.
+class _Columns:
+    """The evaluations of one sample list, a column each: |D phi|, the sup
+    norm, the semi-norm, D+V and V. Each column is one batched call over the
+    whole list, made on first use and then kept.
 
-    With a ladder, V is the ladder's v0, so V(phi) runs once per sample; a
-    row without one evaluates V(phi) alone and never runs the h-ladder.
-    `_rows` fills D+V and the sup norm of a whole sample list, each in one call.
+    With a ladder, V is the ladder's v0, so V runs once per sample; without
+    one, V is one `V.many` call and the h-ladder never runs.
     """
 
-    def __init__(self, system, V, phi, ladder: LadderSpec | None, seminorm: SemiNorm | None):
-        self.system = system
-        self.V = V
-        self.phi = phi
-        self.ladder = ladder
-        self.seminorm = seminorm
+    def __init__(self, system, V, phis, ladder: LadderSpec | None, seminorm: SemiNorm | None):
+        self.system, self.V, self.phis = system, V, list(phis)
+        self.ladder, self.seminorm = ladder, seminorm
 
     @cached_property
-    def dnorm(self) -> float:
-        return float(np.linalg.norm(dop_apply(self.system.dop, self.phi)))
+    def dnorm(self) -> list[float]:
+        return DopSemiNorm(self.system.dop).many(self.phis)
 
     @cached_property
-    def sup(self) -> float:
-        return self.phi.sup_norm()
+    def sup(self) -> list[float]:
+        return _sup_norms(self.phis).tolist()
 
     @cached_property
-    def anorm(self) -> float:
-        return float(self.seminorm(self.phi))
+    def anorm(self) -> list[float]:
+        return self.seminorm.many(self.phis)
 
     @cached_property
-    def est(self) -> DerivativeEstimate:
-        return driver_derivative(self.system, self.V, self.phi, None, self.ladder)
+    def est(self) -> list[DerivativeEstimate]:
+        return driver_derivatives(self.system, self.V, self.phis, None, self.ladder)
 
     @cached_property
-    def v(self) -> float:
-        return self.est.v0 if self.ladder is not None else self.V(self.phi)
+    def v(self) -> list[float]:
+        return [est.v0 for est in self.est] if self.ladder is not None else self.V.many(self.phis)
 
-    def margins(self) -> dict:
-        out = {"|Dphi|": self.dnorm, "sup": self.sup}
+    def margins(self, k: int) -> dict:
+        out = {"|Dphi|": self.dnorm[k], "sup": self.sup[k]}
         if self.seminorm is not None:
-            out["seminorm"] = self.anorm
-        out.update({"V": self.v, "D+V": self.est.value, "band": self.est.error_band})
+            out["seminorm"] = self.anorm[k]
+        out.update({"V": self.v[k], "D+V": self.est[k].value, "band": self.est[k].error_band})
         return out
 
 
 # Every certificate condition per variant, in report order, as data:
-# (name, constant, scale, value, side), where scale and value name _Row
-# attributes. With c(s) the constant's comparison function on gas and the
+# (name, constant, scale, value, side), where scale and value name _Columns
+# columns. With c(s) the constant's comparison function on gas and the
 # linear map constant * s otherwise, side "lower" states c(scale) <= value,
 # "upper" value <= c(scale), and "decay" D+V <= -c(scale), where value names
 # the D+V estimate, judged against its ladder error band.
@@ -159,29 +157,17 @@ _CONDITIONS = {
 }
 
 
-def _rows(system, V, samples, ladder: LadderSpec, seminorm: SemiNorm | None) -> list[_Row]:
-    """One row per sample, with every row's D+V estimate from one batched ladder
-    evaluation, its sup norm from one `_sup_norms` call and its |D phi| from one
-    `_dop_rows` call."""
-    rows = [_Row(system, V, phi, ladder, seminorm) for phi in samples]
-    phis = [row.phi for row in rows]
-    ests, sups = driver_derivatives(system, V, phis, None, ladder), _sup_norms(phis).tolist()
-    for row, est, sup, d in zip(rows, ests, sups, _dop_rows(system.dop, phis)[0]):
-        row.est, row.sup, row.dnorm = est, sup, float(np.linalg.norm(d))
-    return rows
-
-
-def _sides(condition, row: _Row, constants: CertificateConstants) -> tuple[float, float, float]:
-    """(lhs, rhs, band) of one table entry on one row."""
+def _sides(condition, cols: _Columns, k: int, constants: CertificateConstants) -> tuple[float, float, float]:
+    """(lhs, rhs, band) of one table entry on sample k. The value column is read
+    first, so a verification runs its ladder before any other column."""
     _, name, scale, value, side = condition
-    c, s = getattr(constants, name), getattr(row, scale)
+    v, c, s = getattr(cols, value)[k], getattr(constants, name), getattr(cols, scale)[k]
     bound = float(c(s)) if constants.variant == "gas" else c * s
     if side == "lower":
-        return bound, getattr(row, value), 0.0
+        return bound, v, 0.0
     if side == "upper":
-        return getattr(row, value), bound, 0.0
-    est = getattr(row, value)
-    return est.value, -bound, est.error_band
+        return v, bound, 0.0
+    return v.value, -bound, v.error_band
 
 
 def _exceeds(lhs: float, rhs: float, band: float = 0.0) -> bool:
@@ -234,27 +220,27 @@ class CertificateReport:
         raise KeyError(name)
 
 
-def _check_rows(constants: CertificateConstants, rows: list[_Row]) -> CertificateReport:
-    """Every condition of the constants' variant on every row, in sample order,
+def _check_rows(constants: CertificateConstants, cols: _Columns) -> CertificateReport:
+    """Every condition of the constants' variant on every sample, in order,
     keeping up to _MAX_COUNTEREXAMPLES violations of each condition."""
-    if not rows:
+    if not cols.phis:
         raise PreconditionError("verification needs at least one sample")
-    report = CertificateReport(samples_checked=len(rows))
+    report = CertificateReport(samples_checked=len(cols.phis))
     conditions = _CONDITIONS[constants.variant]
     report.conditions = [ConditionStats(condition[0]) for condition in conditions]
-    for row in rows:
+    for k, phi in enumerate(cols.phis):
         for stats, condition in zip(report.conditions, conditions):
-            lhs, rhs, band = _sides(condition, row, constants)
+            lhs, rhs, band = _sides(condition, cols, k, constants)
             stats.checked += 1
             stats.worst_margin = max(stats.worst_margin, lhs - rhs - band)
             if _exceeds(lhs, rhs, band):
                 stats.violations += 1
                 if stats.violations <= _MAX_COUNTEREXAMPLES:
                     details = {"lhs": lhs, "rhs": rhs, "band": band}
-                    report.counterexamples.append(Counterexample(stats.name, row.phi, details))
+                    report.counterexamples.append(Counterexample(stats.name, phi, details))
             elif _exceeds(lhs, rhs, -band):
                 stats.inconclusive += 1
-        report.margins.append(row.margins())
+        report.margins.append(cols.margins(k))
     return report
 
 
@@ -299,7 +285,7 @@ def verify_gas_conditions(
     """Check the asymptotic-stability certificate conditions on a sample set."""
     if constants.variant != "gas":
         raise PreconditionError("verify_gas_conditions needs gas-variant constants")
-    return _check_rows(constants, _rows(system, V, samples, ladder, None))
+    return _check_rows(constants, _Columns(system, V, samples, ladder, None))
 
 
 def verify_ges_conditions(
@@ -316,12 +302,12 @@ def verify_ges_conditions(
     """
     if constants.variant != "ges":
         raise PreconditionError("verify_ges_conditions needs ges-variant constants")
-    rows = _rows(system, V, samples, ladder, None)
-    report = _check_rows(constants, rows)
-    lip, phis = 0.0, [row.phi for row in rows]
-    for a, b, gap in zip(rows, rows[1:], _sup_norm_diffs(phis[:-1], phis[1:]).tolist()):
+    cols = _Columns(system, V, samples, ladder, None)
+    report = _check_rows(constants, cols)
+    lip, phis = 0.0, cols.phis
+    for a, b, gap in zip(cols.v, cols.v[1:], _sup_norm_diffs(phis[:-1], phis[1:]).tolist()):
         if gap > 1e-9:
-            lip = max(lip, abs(a.v - b.v) / gap)
+            lip = max(lip, abs(a - b) / gap)
     report.lipschitz_estimate = lip
     return report
 
@@ -343,7 +329,7 @@ def verify_ges_seminorm(
         raise PreconditionError("verify_ges_seminorm needs ges-seminorm constants")
     if seminorm is not constants.seminorm:
         raise PreconditionError("verify_ges_seminorm needs seminorm to be constants.seminorm")
-    return _check_rows(constants, _rows(system, V, samples, ladder, seminorm))
+    return _check_rows(constants, _Columns(system, V, samples, ladder, seminorm))
 
 
 def reverify_counterexample(
@@ -352,17 +338,14 @@ def reverify_counterexample(
     constants: CertificateConstants,
     ce: Counterexample,
     ladder: LadderSpec = LadderSpec(),
-    seminorm: SemiNorm | None = None,
 ) -> bool:
-    """Re-evaluate the violated condition on the stored history; only a
-    derivative condition runs the h-ladder."""
+    """Re-evaluate the violated condition on the stored history, with the
+    constants' semi-norm; only a derivative condition runs the h-ladder."""
     for condition in _CONDITIONS[constants.variant]:
         if condition[0] == ce.condition:
             banded = condition[4] == "decay"
-            row = _Row(
-                system, V, ce.history, ladder if banded else None, seminorm or constants.seminorm
-            )
-            return _exceeds(*_sides(condition, row, constants))
+            cols = _Columns(system, V, [ce.history], ladder if banded else None, constants.seminorm)
+            return _exceeds(*_sides(condition, cols, 0, constants))
     raise PreconditionError(
         f"the {constants.variant} certificate has no condition {ce.condition!r}"
     )
@@ -404,26 +387,23 @@ def fit_constants(
         raise PreconditionError(f"unknown certificate variant {variant!r}")
     if variant == "ges-seminorm" and seminorm is None:
         raise PreconditionError("ges-seminorm fitting needs a semi-norm")
-    rows = _rows(system, V, samples, ladder, seminorm)
+    cols = _Columns(system, V, samples, ladder, seminorm)
+    checked = len(cols.phis)
     # a wrong sign counts where the decay condition's scale is above the floor
     decay, _, scale, value, _ = next(c for c in _CONDITIONS[variant] if c[4] == "decay")
-    wrong = [(r, getattr(r, value)) for r in rows]
-    wrong = [(r, est) for r, est in wrong if est.value - est.error_band > 0.0]
-    if any(getattr(r, scale) > _DOP_NORM_FLOOR for r, _ in wrong):
-        report = CertificateReport(
-            samples_checked=len(rows), failure="derivative has the wrong sign on a sample"
-        )
-        for r, est in wrong[:_MAX_COUNTEREXAMPLES]:
+    wrong = [(k, est) for k, est in enumerate(getattr(cols, value)) if est.value - est.error_band > 0.0]
+    if any(getattr(cols, scale)[k] > _DOP_NORM_FLOOR for k, _ in wrong):
+        report = CertificateReport(samples_checked=checked, failure="derivative has the wrong sign on a sample")
+        for k, est in wrong[:_MAX_COUNTEREXAMPLES]:
             details = {"lhs": est.value, "rhs": 0.0, "band": est.error_band, "V": est.v0}
-            report.counterexamples.append(Counterexample(decay, r.phi, details))
-        report.conditions.append(ConditionStats(decay, checked=len(rows), violations=len(wrong)))
+            report.counterexamples.append(Counterexample(decay, cols.phis[k], details))
+        report.conditions.append(ConditionStats(decay, checked=checked, violations=len(wrong)))
         return FitResult(None, report)
 
     fitted = {}
     try:
         for _, constant, scale, value, side in _CONDITIONS[variant]:
-            x = np.array([getattr(r, scale) for r in rows])
-            y = [getattr(r, value) for r in rows]
+            x, y = np.array(getattr(cols, scale)), getattr(cols, value)
             y = np.array([-(est.value + est.error_band) for est in y] if side == "decay" else y)
             keep = (x > _DOP_NORM_FLOOR) & ((y > 0.0) | (side != "decay"))
             if not np.any(keep):
@@ -433,8 +413,8 @@ def fit_constants(
             variant, seminorm=seminorm if variant == "ges-seminorm" else None, **fitted
         )
     except PreconditionError as exc:
-        return FitResult(None, CertificateReport(samples_checked=len(rows), failure=str(exc)))
-    report = _check_rows(constants, rows)
+        return FitResult(None, CertificateReport(samples_checked=checked, failure=str(exc)))
+    report = _check_rows(constants, cols)
     report.fitted = constants
     return FitResult(constants, report)
 
@@ -642,13 +622,9 @@ class ConverseFunctional(Functional):
         horizon: float,
         step: StepPolicy | float | None = StepPolicy(),
     ):
-        if rate <= 0.0:
-            raise PreconditionError("rate must be positive")
-        if horizon <= 0.0:
-            raise PreconditionError("horizon must be positive")
         self.system = system
-        self.rate = float(rate)
-        self.horizon = float(horizon)
+        self.rate = _positive(rate, "rate")
+        self.horizon = _positive(horizon, "horizon")
         self.policy = step if isinstance(step, StepPolicy) else StepPolicy(step)
         self.step = self.policy.step
 

@@ -171,16 +171,9 @@ def monotone_envelope(
         raise PreconditionError("envelope clouds must be nonnegative")
     order = np.argsort(x)
     xs, ys = x[order], y[order]
-    keep = np.r_[np.diff(xs) > 1e-12 * max(1.0, xs[-1]), True]
-    agg = np.empty(int(np.sum(keep)))
-    pos = 0
-    start = 0
-    for i in range(xs.size):
-        if keep[i]:
-            block = ys[start : i + 1]
-            agg[pos] = np.min(block) if side == "lower" else np.max(block)
-            pos += 1
-            start = i + 1
+    keep = np.r_[np.diff(xs) > 1e-12 * max(1.0, xs[-1]), True]  # the last sample of each run of equal x
+    starts = np.r_[0, np.flatnonzero(keep)[:-1] + 1]
+    agg = (np.minimum if side == "lower" else np.maximum).reduceat(ys, starts)
     xs = xs[keep]
     if side == "lower":
         env = np.minimum.accumulate(agg[::-1])[::-1] * (1.0 - headroom)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out, _read
 from .integrate import _clear_times, segment
-from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, _grids, dop_apply
+from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, _grids
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
@@ -45,13 +45,20 @@ def _psd_check(mat: np.ndarray, name: str) -> np.ndarray:
     return _freeze(m)
 
 
+def _positive(value, name: str) -> float:
+    """value as a float, refused unless positive and finite; NaN fails the test."""
+    if not 0.0 < float(value) < np.inf:
+        raise PreconditionError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 def _parts_and_weights(parts, weights) -> tuple[list, list[float]]:
-    """A weighted sum's parts and their nonnegative weights, one per part."""
+    """A weighted sum's parts and their nonnegative finite weights, one per part."""
     weights = [float(w) for w in weights]
     if len(parts) != len(weights) or not parts:
         raise PreconditionError("need matching nonempty parts and weights")
-    if any(w < 0 for w in weights):
-        raise PreconditionError("weights must be nonnegative")
+    if not all(0.0 <= w < np.inf for w in weights):
+        raise PreconditionError(f"weights must be nonnegative and finite, got {weights}")
     return list(parts), weights
 
 
@@ -122,9 +129,7 @@ class SupNormFunctional(Functional):
     kind = "sup-norm"
 
     def __init__(self, c: float):
-        if c <= 0:
-            raise PreconditionError("coefficient must be positive")
-        self.c = float(c)
+        self.c = _positive(c, "coefficient")
 
     def __call__(self, phi):
         return self.c * phi.sup_norm()
@@ -136,10 +141,8 @@ class DopNormFunctional(Functional):
     kind = "dop-norm"
 
     def __init__(self, dop: DifferenceOperator, c: float = 1.0):
-        if c <= 0:
-            raise PreconditionError("coefficient must be positive")
         self.dop = dop
-        self.c = float(c)
+        self.c = _positive(c, "coefficient")
 
     def many(self, phis) -> list[float]:
         """V at every history of phis, in order, from one read of them all."""
@@ -154,33 +157,31 @@ class WeightedCompositeFunctional(Functional):
     def __init__(self, parts, weights):
         self.parts, self.weights = _parts_and_weights(parts, weights)
 
-    def __call__(self, phi):
-        return float(sum(w * v(phi) for w, v in zip(self.weights, self.parts)))
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order, from one `many` call per part."""
+        phis = list(phis)
+        columns = [part.many(phis) for part in self.parts]
+        return [float(sum(w * v for w, v in zip(self.weights, row))) for row in zip(*columns)]
 
 
 # -- semi-norms ----------------------------------------------------------------
 
-class SemiNorm:
-    kind = "abstract"
-
-    def __call__(self, phi: HistorySegment) -> float:
-        raise NotImplementedError
+class SemiNorm(Functional):
+    """A semi-norm ||phi||_a: a functional with a domination constant."""
 
     def domination_constant(self) -> float:
         """A constant a4 with ||phi||_a <= a4 ||phi|| for every history."""
         raise NotImplementedError
 
 
-class DopSemiNorm(SemiNorm):
-    """||phi||_a = |D phi|; dominated by (1 + sum ||A_j||) ||phi||."""
+class DopSemiNorm(DopNormFunctional, SemiNorm):
+    """||phi||_a = |D phi|, the dop-norm functional with c = 1; dominated by
+    (1 + sum ||A_j||) ||phi||."""
 
     kind = "dop-seminorm"
 
-    def __init__(self, dop: DifferenceOperator):
-        self.dop = dop
-
-    def __call__(self, phi):
-        return float(np.linalg.norm(dop_apply(self.dop, phi)))
+    def __init__(self, dop: DifferenceOperator):  # no c: a file holds no key for it
+        super().__init__(dop)
 
     def domination_constant(self):
         return 1.0 + self.dop.coefficient_norm_sum()
@@ -191,8 +192,11 @@ class EndpointSemiNorm(SemiNorm):
 
     kind = "endpoint"
 
-    def __call__(self, phi):
-        return float(np.linalg.norm(phi.eval(0.0)))
+    def many(self, phis) -> list[float]:
+        """|phi(0)| of every history of phis, in order, from one read of them all."""
+        phis = list(phis)
+        reads = _read(phis, np.arange(len(phis)), np.zeros(len(phis)), 0) if phis else []
+        return [float(np.linalg.norm(x)) for x in reads]
 
     def domination_constant(self):
         return 1.0
@@ -206,7 +210,7 @@ class L2SemiNorm(SemiNorm):
     kind = "l2"
 
     def __init__(self, delta: float):
-        self.delta = float(delta)
+        self.delta = _positive(delta, "delta")
 
     def __call__(self, phi):
         lo = -min(self.delta, phi.delta)
@@ -218,14 +222,10 @@ class L2SemiNorm(SemiNorm):
         return float(np.sqrt(self.delta))
 
 
-class WeightedSemiNorm(SemiNorm):
+class WeightedSemiNorm(WeightedCompositeFunctional, SemiNorm):
+    """A nonnegative combination of semi-norms; dominated by the same combination of theirs."""
+
     kind = "weighted"
-
-    def __init__(self, parts, weights):
-        self.parts, self.weights = _parts_and_weights(parts, weights)
-
-    def __call__(self, phi):
-        return float(sum(w * s(phi) for w, s in zip(self.weights, self.parts)))
 
     def domination_constant(self):
         return float(

@@ -862,16 +862,42 @@ def test_no_fitting_row_fails_its_own_condition(variant, planar, quadratic, seed
     fit = fit_constants(system, V, variant, samples, ladder, seminorm=seminorm, headroom=headroom)
     if not fit.ok:
         return
-    rows = certify._rows(system, V, samples, ladder, seminorm)
+    cols = certify._Columns(system, V, samples, ladder, seminorm)
     for condition in certify._CONDITIONS[variant]:
         _, _, scale, value, side = condition
-        for row in rows:
-            entered = getattr(row, scale) > certify._DOP_NORM_FLOOR
+        for k in range(len(samples)):
+            entered = getattr(cols, scale)[k] > certify._DOP_NORM_FLOOR
             if side == "decay":
-                entered &= getattr(row, value).value + getattr(row, value).error_band < 0.0
+                entered &= getattr(cols, value)[k].value + getattr(cols, value)[k].error_band < 0.0
             if entered:
-                lhs, rhs, band = certify._sides(condition, row, fit.constants)
+                lhs, rhs, band = certify._sides(condition, cols, k, fit.constants)
                 assert not certify._exceeds(lhs, rhs, -band), (condition, lhs, rhs, band)
+
+
+@pytest.mark.parametrize("ladder", [LadderSpec(levels=6), None])
+@pytest.mark.parametrize("planar", [True, False])
+def test_columns_of_a_list_are_those_of_each_sample_alone(planar, ladder):
+    """Every column of a sample list's record holds, bit for bit, what a record
+    of that sample alone holds: |D phi|, the sup norm, a weighted semi-norm, V
+    and, with a ladder, D+V; without one, V is one `V.many` and no ladder runs."""
+    from haleform import L2SemiNorm, WeightedCompositeFunctional, WeightedSemiNorm
+
+    system = _planar() if planar else _neutral()
+    V = WeightedCompositeFunctional(
+        [QuadraticDopFunctional(system.dop, np.eye(system.n)), DopNormFunctional(system.dop)], [1.0, 0.5])
+    seminorm = WeightedSemiNorm([EndpointSemiNorm(), L2SemiNorm(0.5), DopSemiNorm(system.dop)], [1.0, 0.5, 2.0])
+    samples = sample_shells(system.n, system.delta, 3, 7)
+    together = certify._Columns(system, V, samples, ladder, seminorm)
+    names = ["dnorm", "sup", "anorm", "v"]
+    for k, phi in enumerate(samples):
+        alone = certify._Columns(system, V, [phi], ladder, seminorm)
+        for name in names:
+            assert np.array(getattr(together, name)[k]).tobytes() == np.array(getattr(alone, name)[0]).tobytes()
+        if ladder is not None:
+            a, b = together.est[k], alone.est[0]
+            assert (a.value, a.error_band, a.v0, a.nonsmooth) == (b.value, b.error_band, b.v0, b.nonsmooth)
+            assert a.quotients.tobytes() == b.quotients.tobytes()
+    assert ("est" in vars(together)) is (ladder is not None)
 
 
 def _lipschitz_one_at_a_time(rhs, bound, input_bound, samples, seed, delta):

@@ -677,3 +677,35 @@ def test_iss_probe_that_finds_a_violation_writes_the_probe_history(tmp_path):
     assert result["is_iss"] is False and result["violations"] > 0
     assert result["counterexample_file"] == "probe_history.json"
     assert history_from_dict(read_json(out / "probe_history.json")).delta == 1.0
+
+
+_DPLUS = ["dplus", "bad.json", "hist.json"]
+_FIT_SEMINORM = ["fit-lk", "--functional", "V.json", "--variant", "ges-seminorm", "--seminorm", "bad.json", "--per-shell", "2"]
+
+
+@pytest.mark.parametrize("argv, text, error", [
+    (_DPLUS, '{"kind": "converse", "rate": NaN, "horizon": 2.0}', "rate must be positive and finite"),
+    (_DPLUS, '{"kind": "converse", "rate": 0.1, "horizon": Infinity}', "horizon must be positive and finite"),
+    (_DPLUS, '{"kind": "sup-norm", "c": NaN}', "coefficient must be positive and finite"),
+    (_DPLUS, '{"kind": "dop-norm", "c": NaN}', "coefficient must be positive and finite"),
+    (_DPLUS, '{"kind": "weighted-composite", "parts": [{"kind": "dop-norm"}], "weights": [NaN]}',
+     "weights must be nonnegative and finite"),
+    (_FIT_SEMINORM, '{"kind": "l2", "delta": -1.0}', "delta must be positive and finite"),
+    (_FIT_SEMINORM, '{"kind": "l2", "delta": 0.0}', "delta must be positive and finite"),
+    (_FIT_SEMINORM, '{"kind": "l2", "delta": NaN}', "delta must be positive and finite"),
+    (_FIT_SEMINORM, '{"kind": "l2", "delta": Infinity}', "delta must be positive and finite"),
+    (_FIT_SEMINORM, '{"kind": "weighted", "parts": [{"kind": "endpoint"}], "weights": [NaN]}',
+     "weights must be nonnegative and finite"),
+    (["verify-lk", "--functional", "V.json", "--constants", "bad.json", "--per-shell", "2"],
+     '{"variant": "ges", "a1": NaN, "a2": 1.0, "a3": 1.0}', "needs a positive a1"),
+])
+def test_a_bad_parameter_in_a_file_is_refused_when_built(workdir, capsys, argv, text, error):
+    """A NaN, infinite or nonpositive parameter of a functional, semi-norm or
+    constants file exits 1 with an error naming it, before anything evaluates."""
+    (workdir / "bad.json").write_text(text)
+    command, *rest = argv
+    rest = [str(workdir / a) if a.endswith(".json") else a for a in rest]
+    code = main([command, str(workdir / "sys.json"), *rest, "--out", str(workdir / "bad")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert error in read_json(workdir / "bad" / "report.json")["error"]

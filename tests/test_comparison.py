@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haleform import ComparisonFunction, PreconditionError, monotone_envelope
 from haleform.comparison import K, K_INF, KL, L, TAIL_EXTRAPOLATE
@@ -94,3 +96,43 @@ def test_monotone_envelope_breaks_a_flat_below_an_ulp(side, y):
     assert np.all(np.diff(env.params["y"]) > 0.0)
     values = np.array([env(v) for v in x])
     assert np.all(values >= y) if side == "upper" else np.all(values <= y)
+
+
+def _per_run_cloud(x, y, side):
+    """The cloud with each run of equal x (neighbours within the envelope's
+    tolerance, once sorted) replaced by its last x and its min (lower) or max
+    (upper) y, one run at a time."""
+    order = sorted(range(len(x)), key=lambda i: x[i])
+    tol = 1e-12 * max(1.0, x[order[-1]])
+    runs = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if x[i] - x[prev] > tol:
+            runs.append([])
+        runs[-1].append(i)
+    pick = min if side == "lower" else max
+    return [max(x[i] for i in run) for run in runs], [pick(y[i] for i in run) for run in runs]
+
+
+def _envelope_or_error(x, y, side, headroom):
+    try:
+        env = monotone_envelope(x, y, side, headroom)
+    except PreconditionError as exc:
+        return str(exc)
+    return env.params["x"].tolist(), env.params["y"].tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cloud=st.lists(
+        st.tuples(st.sampled_from([0.0, 0.5, 1.0, 1.0 + 1e-13, 2.0, 3.5]) | st.floats(0.0, 4.0),
+                  st.floats(0.0, 10.0)),
+        min_size=1, max_size=30),
+    side=st.sampled_from(["lower", "upper"]),
+    headroom=st.sampled_from([0.0, 0.01]),
+)
+def test_monotone_envelope_takes_each_run_of_equal_x_as_one_sample(cloud, side, headroom):
+    """The envelope of a cloud with repeated x is, bit for bit, the envelope of
+    its per-run reduction, whose x are all distinct."""
+    x, y = (np.array(column) for column in zip(*cloud))
+    rx, ry = _per_run_cloud(x.tolist(), y.tolist(), side)
+    assert _envelope_or_error(x, y, side, headroom) == _envelope_or_error(np.array(rx), np.array(ry), side, headroom)

@@ -407,6 +407,32 @@ class TestSemiNorms:
         sn = EndpointSemiNorm()
         assert sn(phi) == pytest.approx(sn.domination_constant() * phi.sup_norm())
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 4), st.integers(0, 2**31))
+    @example(2, 3, 0)
+    def test_many_gives_each_history_its_own_value(self, n, count, seed):
+        """Every semi-norm kind's `many` on a list gives, bit for bit, what each
+        history gives alone, and alone the D-norm and the endpoint give their
+        formulas; the histories are linear and cubic, n = 1..3, on grids of
+        different sizes, and a weighted semi-norm sits inside another."""
+        rng = np.random.default_rng(seed)
+        dop = DifferenceOperator([0.5, 1.0], 0.4 * rng.uniform(-1.0, 1.0, (2, n, n)))
+        phis = []
+        for _ in range(count):
+            grid = np.union1d(rng.uniform(-1.0, 0.0, rng.integers(0, 12)), [-1.0, 0.0])
+            phis.append(HistorySegment(1.0, grid, rng.uniform(-1.0, 1.0, (grid.size, n)),
+                                       LINEAR if rng.random() < 0.4 else CUBIC))
+        inner = WeightedSemiNorm([DopSemiNorm(dop), L2SemiNorm(0.6)], [0.5, 2.0])
+        outer = WeightedSemiNorm([inner, EndpointSemiNorm()], [0.25, 1.0])
+        for sn in (DopSemiNorm(dop), EndpointSemiNorm(), L2SemiNorm(0.6), L2SemiNorm(1.5), inner, outer):
+            alone = [sn(phi) for phi in phis]
+            assert np.array(sn.many(phis)).tobytes() == np.array(alone).tobytes(), sn.kind
+            assert sn.many([]) == []
+        for phi in phis:
+            assert DopSemiNorm(dop)(phi) == float(np.linalg.norm(dop_apply(dop, phi)))
+            assert EndpointSemiNorm()(phi) == float(np.linalg.norm(phi.eval(0.0)))
+            assert outer(phi) == 0.25 * inner(phi) + 1.0 * EndpointSemiNorm()(phi)
+
 
 class TestTrajectoryConsistency:
     def test_zero_rhs_both_sides_vanish(self, unit_history):
