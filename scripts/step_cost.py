@@ -15,15 +15,16 @@ after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
 (neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system. One history steps through the system's block kernel, compiled
-from its stage plan at the warm-up run, one call per block of steps on float
-locals (one per state component), and each line says how many; the "x8"
-lines (neutral, planar, distributed) time batches of 8 histories
-(`integrate_batch`), which step on (8, n) arrays: the median, over the 30 batches
-that start at each history and take the next ones in turn, of wall time
-divided by the batch's number of steps. The "one-step" line times a run of
-one neutral history over one step of 0.125, which is all set-up: the median
-wall time per run, in microseconds.
+cubic system. One history steps through the single-history variant of the
+system's block kernel, compiled from its stage plan at the warm-up run, one
+call per block of steps on float locals (one per state component), and each
+line says how many; the "x8" lines (neutral, planar, distributed) time
+batches of 8 histories (`integrate_batch`), which step through the batch
+variant of the same kernel, on one (8,) array per state component: the
+median, over the 30 batches that start at each history and take the next
+ones in turn, of wall time divided by the batch's number of steps. The
+"one-step" line times a run of one neutral history over one step of 0.125,
+which is all set-up: the median wall time per run, in microseconds.
 
 L3: on the same histories, the median wall time of a levels-14
 `driver_derivative` of V(phi) = |D phi|^2 (the bench's `dplus_quadratic`
@@ -272,8 +273,9 @@ def main() -> int:
         system, horizon, step = systems()[name]
         cost = step_cost(system, horizon, step, BATCH)
         label = f"{name} x{BATCH}"
-        print(f"L2 {label:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; {BATCH} histories on "
-              f"({BATCH}, {system.n}) arrays)")
+        arrays = f"{system.n} ({BATCH},) arrays" if system.n > 1 else f"an ({BATCH},) array"
+        print(f"L2 {label:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; {BATCH} histories' kernel on "
+              f"{arrays})")
     system = systems()["neutral"][0]
     cost = step_cost(system, 0.125, 0.125)
     print(f"L2 {'one-step':<12} {cost:8.1f} us/run   (neutral, one step of 0.125: the set-up alone)")

@@ -63,9 +63,14 @@ def _parts_and_weights(parts, weights) -> tuple[list, list[float]]:
 
 
 class Functional:
-    """Evaluatable V: C -> R+ with V(0) = 0. Subclasses implement __call__ or `many`."""
+    """Evaluatable V: C -> R+ with V(0) = 0. Subclasses implement __call__ or `many`, each defined through
+    the other here: a class with neither is refused, unless it is `abstract=True` (as `SemiNorm`)."""
 
     kind = "abstract"
+
+    def __init_subclass__(cls, abstract: bool = False):
+        if not abstract and cls.__call__ is Functional.__call__ and cls.many is Functional.many:
+            raise TypeError(f"{cls.__name__} implements neither __call__ nor many")
 
     def __call__(self, phi: HistorySegment) -> float:
         return self.many([phi])[0]
@@ -166,7 +171,7 @@ class WeightedCompositeFunctional(Functional):
 
 # -- semi-norms ----------------------------------------------------------------
 
-class SemiNorm(Functional):
+class SemiNorm(Functional, abstract=True):
     """A semi-norm ||phi||_a: a functional with a domination constant."""
 
     def domination_constant(self) -> float:

@@ -29,19 +29,18 @@ their accepted part with one `take` and a stage's value is affine in its tip
 The loop stores final values only. A stage is the tip from z, its scale and
 D-term rows, and the left fold 0 + v_0 + v_1 + ... of the terms in order, as
 `RhsMap.eval`, the one evaluation of f on histories, rounds; knot 0 is that
-call on the batch. A batch steps on (B, n) arrays, one history through a kernel
-compiled from the stage plan (`_kernel`) on float locals; every matrix product is
-the column fold of `operators._apply`, so both round alike whatever the BLAS kernel.
+call on the batch. One loop runs a kernel compiled from the stage plan (`_kernel`), whose
+locals are one history's floats or a batch's (B,) arrays, which round alike; every matrix
+product is `operators._apply`'s column fold, so nothing depends on the BLAS kernel.
 """
 from __future__ import annotations
 
 import bisect
 import heapq
 import linecache
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
@@ -57,9 +56,6 @@ _BP_TOL = 1e-9
 _PLAN_READS = 2560  # delayed reads (of all histories) placed at once ahead of the step loop; a converse
 # query's levels-5 ladder, 7 meshes over 10 delays at 8 steps a delay, places 2,548
 _BREAKPOINT_LIMIT = 20000  # lattice points enumerated before a mesh falls back to plain steps
-# a step's evaluations of f: k2, k3 (midpoint), k4 (step end), f at the new knot and, where an
-# input jumps, its left limit; as (block-term values taken: 0 midpoint, 1 end, 2 knot; window stage)
-_STAGES = ((0, 0), (0, 0), (1, 1), (2, 2), (1, 2))
 
 
 @dataclass(frozen=True)
@@ -483,49 +479,53 @@ def _stage_plan(system: NfdeSystem):
     return [step for step in plan if step != (0, lead)], block_terms, dist, lead
 
 
-def _kernel(system: NfdeSystem):
-    """One history's step loop, compiled from the system's stage plan on first use and kept on
-    the system (`inspect.getsource` prints it; see the module docstring). kernel(i, stop, k, w,
-    z, y, cols, windows, live, out, planes, b2) runs steps i..stop-1 from z and z' (y) at knot
-    i: step i reads row k of `cols` (a block's rows component by component, and an input
-    system's jump flags) and step w of the `windows`. New knots go to the list `out` as flat
-    floats, or into the store's `planes` each step where windows read them. It returns the step
-    reached and z, y there, or (i, None, None) where step i blew up."""
-    if "_kernel" in vars(system):
-        return system._kernel
+def _kernel(system: NfdeSystem, batch: bool = False):
+    """The step loop of one history on float locals or, for `batch`, of several on (B,) arrays, compiled
+    from the system's stage plan on first use and kept on the system (`inspect.getsource` prints it; see
+    the module docstring). kernel(i, stop, k, w, z, y, cols, windows, live, out, planes, b2) runs steps
+    i..stop-1 from z and z' (y) at knot i, step i reading row k of a block's `cols` and step w of the
+    `windows`; new knots go to `out` flat (a batch's without x'), or to `planes` where windows read them.
+    It returns the step reached and z, y there, or (i, None, keep) where step i blew up (keep: a batch's)."""
+    if (attr := "_batch_kernel" if batch else "_kernel") in vars(system):
+        return vars(system)[attr]
     plan, block_terms, dist, lead = _stage_plan(system)
     n, p, comps = system.n, system.dop.p, range(system.n)
-    env = {"islice": islice, "empty": np.empty, "n": n}
+    env = {"islice": islice, "empty": np.empty, "n": n, "array": np.array, "where": np.where, "zero": np.array(0.0),
+           "two": np.array(2.0)}  # a batch's numbers are 0-d arrays, which numpy takes faster than floats
 
     def each(name: str) -> list[str]:  # the name's n components
         return [*map(f"{name}{{}}".format, comps)]
 
-    row = ", ".join
-    cols, head = ["h0", "h1", "h2", "h3"], [f"{row(each('z'))}, = z", f"{row(each('y'))}, = y", "xs = empty((1, n))"]
+    row = ", ".join  # a batch hands g and the windows (B, n) tips, not (1, n), and unpacks their columns
+    zero, two, B, put, take, number = ("zero", "two", "live.size", "[:, ", ".T", np.array) if batch else (
+        "0.0", "2.0", "1", "[0, ", ".tolist()[0]", float)
+    cols, head = ["h0", "h1", "h2", "h3"], [f"{row(each('z'))}, = z", f"{row(each('y'))}, = y", f"xs = empty(({B}, n))"]
     cols += [v for d in range(p) for half in "me" for v in each(f"d{half}{d}_")] + each("tr") + each("tl")
     cols += [v for j in range(len(block_terms)) for c in "mek" for v in each(f"b{j}{c}_")] + ["jump"] * (system.m > 0)
     for q, (kind, t) in enumerate(plan):
         if kind == 1:  # tip term q: its matrix's entries row by row, and its primitive
-            env[f"C{q}"], env[f"g{q}"] = tuple(t.matrix.ravel().tolist()), getattr(t, "_g", None)
+            env[f"C{q}"], env[f"g{q}"] = tuple(map(number, t.matrix.ravel().tolist())), getattr(t, "_g", None)
             head.append(f"{row([f'c{q}_{r}_{c}' for r in comps for c in comps])}, = C{q}")
     head += [f"gather{j}, value{j} = windows[{j}].gather, windows[{j}].value" for j in range(len(dist))]
 
     def fold(c: int, e: int) -> list[str]:
         """f at the tip t: block terms at c (0 midpoint, 1 step end, 2 new knot), windows at e."""
         at = "mek"[c]
-        lines, terms = [], [["0.0" if lead is None else f"b{lead}{at}_{i}" for i in comps]]
+        lines, terms = [], [[zero if lead is None else f"b{lead}{at}_{i}" for i in comps]]
         for q, (kind, j) in enumerate(plan):
             if kind == 0:
                 values = each(f"b{j}{at}_")
             elif kind == 1:
                 x = each("t")
-                if env[f"g{q}"] is not None:  # g on the tip as a (1, n) array
-                    lines += [f"xs[0, {i}] = t{i}" for i in comps] + [f"{row(each(f'q{q}_'))}, = g{q}(xs).tolist()[0]"]
+                if env[f"g{q}"] is not None:  # g on the tip as an array of xs's rows
+                    lines += [f"xs{put}{i}] = t{i}" for i in comps] + [f"{row(each(f'q{q}_'))}, = g{q}(xs){take}"]
                     x = each(f"q{q}_")
                 values = ["(" + " + ".join([f"c{q}_{i}_{k} * {x[k]}" for k in comps]) + ")" for i in comps]
-            else:  # on floats for n = 1, else on lists of n
-                tip, slope = ("t0", "sl0") if n == 1 else [f"[{row(each(v))}]" for v in ("t", "sl")]
-                lines.append(f"{row(each(f'r{j}_'))} = value{j}(w, {e}, {tip}, live, {slope if e == 2 else None})")
+            else:  # on floats for n = 1, else on lists of n; a batch's as (B, n) rows
+                tip, slope = ("t0", "sl0") if n == 1 and not batch else [
+                    f"array(({row(each(v))},)).T" if batch else f"[{row(each(v))}]" for v in ("t", "sl")]
+                lines.append(f"{row(each(f'r{j}_'))}{',' if batch else ''} = value{j}(w, {e}, {tip}, live, "
+                             f"{slope if e == 2 else None}){take if batch else ''}")
                 values = each(f"r{j}_")
             terms.append(values)
         return lines + [f"f{i} = {' + '.join([values[i] for values in terms])}" for i in comps]
@@ -534,19 +534,23 @@ def _kernel(system: NfdeSystem):
         return [f"t{i} = {base.format(i)}" + "".join([f" + d{half}{d}_{i}" for d in range(p)]) for i in comps]
 
     body = [f"gather{j}(w)" for j in range(len(dist))]
-    body += tip("z{0} + h0 * y{0}", "m") + fold(0, 0) + [f"a{i} = y{i} + 2.0 * f{i}" for i in comps]  # k2
-    body += tip("z{0} + h1 * f{0}", "m") + fold(0, 0) + [f"a{i} = a{i} + 2.0 * f{i}" for i in comps]  # k3
+    body += tip("z{0} + h0 * y{0}", "m") + fold(0, 0) + [f"a{i} = y{i} + {two} * f{i}" for i in comps]  # k2
+    body += tip("z{0} + h1 * f{0}", "m") + fold(0, 0) + [f"a{i} = a{i} + {two} * f{i}" for i in comps]  # k3
     body += tip("z{0} + h2 * f{0}", "e") + fold(1, 1) + [f"a{i} = a{i} + f{i}" for i in comps]  # k4
     body += [f"n{i} = z{i} + h3 * a{i}" for i in comps] + tip("n{0}", "e")  # z and x at the new knot
-    body += [f"mag = {' + '.join([f'{t} * {t}' for t in each('t')])}",  # |x|^2 past the bound, or not finite
-             "if mag > b2 or mag - mag != 0.0:", "    return i, None, None"]
+    body.append(f"mag = {' + '.join([f'{t} * {t}' for t in each('t')])}")  # |x|^2 past the bound, or not finite
+    body += [  # a batch's rows all pass where their sum does (finite, at most b2), else each row's own test
+        "if ((s := sum(mag.tolist())) > b2 or s - s != 0.0) and not (keep := (mag <= b2) & (mag - mag == 0.0)).all():",
+        "    return i, None, keep"] if batch else ["if mag > b2 or mag - mag != 0.0:", "    return i, None, None"]
     body += [f"sl{i} = f{i} + tl{i}" for i in comps] if dist else []  # the tip's left slope, for the windows
     body += fold(2, 2) + [f"y{i} = f{i}" for i in comps]  # z' from the right: the next step's k1
-    body += ["if jump:", *["    " + line for line in fold(1, 2)]] if system.m else []  # z' from the left
+    left = [f"f{i} = where(jump, f{i}, y{i})" for i in comps] if batch else []  # z' from the left, where u jumps
+    body += [f"if jump{'.any()' if batch else ''}:", *["    " + line for line in fold(1, 2) + left]] if system.m else []
     knot = [each("t"), [f"y{i} + tr{i}" for i in comps], [f"f{i} + tl{i}" for i in comps], each("n"),
             each("y"), each("f")]  # x, x' from the right and the left, z, z' from the right and the left
-    body.append(f"planes[:, i + 1] = {row([f'({row(v)},)' for v in knot])}" if dist else
-                f"out += {row([v for values in knot for v in values])},")
+    knot[1:3] = [] if batch and not dist else knot[1:3]  # a batch's caller adds the slope sums to z' at once
+    body.append(f"planes[:, i + 1]{'[..., live]' if batch else ''} = {row([f'({row(v)},)' for v in knot])}"
+                if dist else f"out += {row([v for values in knot for v in values])},")
     body += [f"{row(each('z'))} = {row(each('n'))}", "i += 1", *(["w += 1"] if dist else [])]
     source = "\n    ".join([
         "def kernel(i, stop, k, w, z, y, cols, windows, live, out, planes, b2):", *head,
@@ -555,7 +559,7 @@ def _kernel(system: NfdeSystem):
     name = str(Path(__file__).with_name(f"<kernel {hash(source) & 0xFFFFFFFFFFFF:012x}>"))  # one per source
     linecache.cache[name] = (len(source), None, source.splitlines(True), name)
     exec(compile(source, name, "exec"), env)
-    object.__setattr__(system, "_kernel", env["kernel"])
+    object.__setattr__(system, attr, env["kernel"])
     return env["kernel"]
 
 
@@ -566,10 +570,9 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
 
     Step i takes every running history from its knot i to knot i + 1. A history parks,
     keeping its knots, where its mesh ends or its state blows up; the rest go on. A block
-    of steps ends where its plan of reads ends or the running histories change. One history
-    (B = 1) runs each block in one call of the system's compiled kernel (`_kernel`), on
-    float locals; a batch runs this loop on (B, n) arrays, whose elementwise + and * round
-    as the kernel's float ones, operation for operation.
+    of steps ends where its plan of reads ends or the running histories change; one call of the
+    system's compiled kernel (`_kernel`) runs it, or the part one plan of windows covers. Where
+    some histories of a batch blow up at a step, they park, and a block starts there for the rest.
     """
     dop_terms = list(zip(system.dop.delays.tolist(), system.dop.matrices))
     x, xdr, xdl, z, zdr, zdl = store.block
@@ -624,7 +627,7 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
 
     def block(i: int, stop: int, run) -> np.ndarray:
         """Steps i..stop-1 of the running histories, (rows, steps, running histories, n)."""
-        act, col, live = run[:3]
+        act, col = run[:2]
         v = reads.steps(i - reads.start, stop - reads.start, run)  # (reads, steps, histories, n)
         out = np.empty((tails + 2 + 3 * len(block_terms), *v.shape[1:]))
         out[:4] = spans[:, i:stop, col, None]
@@ -679,95 +682,47 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
         col = slice(None) if store.mesh_count == 1 else store.mesh_of[live]
         return act, col, live, int(np.minimum.reduce(ends[live], initial=size))
 
-    bound2 = blowup_bound**2
+    batch, planes = width > 1, store.block.swapaxes(2, 3)  # a batch's kernel runs on (B,) arrays; (6, knots, n, B)
+    kernel, own = _kernel(system, batch), planes if batch else planes[..., 0]  # one history's writes (6, knots, n)
     run = act, col, live, park = running_rows(np.arange(width))
+    bound2, windows, i = blowup_bound**2, [], 0
     start = stop = wstart = wstop = 0
-    windows, slope = [], None
     # a stage may overflow within a step: the new knot's finiteness test parks its history
     with np.errstate(over="ignore", invalid="ignore"):
-        if width == 1:  # one history: its mesh ends with the loop, and the kernel runs each block
-            kernel, planes, i = _kernel(system), store.block[:, :, 0], 0
-            zc, yc = z[0, 0].tolist(), zdr[0, 0].tolist()
-            while i < size - 1 and zc is not None:  # zc is None once step i blew up
-                if i == stop:
-                    if i == reads.stop:
-                        reads = plan_reads(i)
-                    start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
-                    values = block(i, stop, run)
-                    cols = [*map(memoryview, np.concatenate([values[:4, :, 0, 0], values[4:, :, 0].transpose(
-                        0, 2, 1).reshape(-1, stop - i), *(() if jump is None else (jump[None, i:stop, 0],))]))]
-                if dist and i == wstop:
-                    wstart, (wstop, windows) = i, plan_windows(i, live)
-                i, zc, yc = kernel(i, min(stop, wstop) if dist else stop, i - start, i - wstart, zc, yc, cols,
-                                   windows, live, knots := [], planes, bound2)
-                values = np.fromiter(knots, float, len(knots)).reshape(-1, 6, n).swapaxes(0, 1)
-                planes[:, i + 1 - values.shape[1] : i + 1] = values  # the new knots, up to knot i
-            store.counts[0] = i + 1  # i is the last knot, or the step that blew up
-            return store.counts <= ends
-        zero, two = np.zeros(()), np.array(2.0)  # the fold's start and the RK weight: 0-d arrays are cheaper operands
-        for i in range(size - 1):
+        while i < size - 1 and live.size:  # the histories running at the last knot park there
             if i == stop:  # a new block: park the histories whose meshes end here
                 if i == park:
                     store.counts[live[ends[live] == i]] = i + 1
                     run = act, col, live, park = running_rows(live[ends[live] > i])
-                    if live.size == 0:  # the longer meshes' histories all blew up
-                        break
+                    continue
                 if i == reads.stop:
                     reads = plan_reads(i)
                 # the steps whose reads touch knots 0..i only, up to the plan's end and the next park
                 start, stop = i, min(reads.start + bisect.bisect_right(reads.reach, i), park)
-                # each row a list of (running histories, n) arrays by step, which a list indexes faster
-                rows = [list(r) for r in block(i, stop, run)]
-                scales, dterms, sums = rows[:4], [rows[r : r + 2] for r in range(4, tails, 2)], rows[tails : tails + 2]
-                terms = [rows[r : r + 3] for r in range(tails + 2, len(rows), 3)]
-                base, k1 = z[i, act], zdr[i, act]
+                values = block(i, stop, run)  # the kernel reads each component's rows, then the jump flags
+                rows = np.concatenate([values[:4, ..., 0], values[4:].transpose(0, 3, 1, 2).reshape(
+                    -1, stop - i, live.size), *(() if jump is None else (jump[None, i:stop, act],))])
+                cols = [*rows] if batch else [*map(memoryview, rows[..., 0])]
+                if batch or i == 0:  # z and z' at knot i: one history carries them from call to call
+                    zc, yc = ([*z[i, act].T], [*zdr[i, act].T]) if batch else (z[0, 0].tolist(), zdr[0, 0].tolist())
             if dist and i == wstop:
                 wstart, (wstop, windows) = i, plan_windows(i, live)
-            k, w = i - start, i - wstart
-            for window in windows:
-                window.gather(w)
-
-            z_cur = base
-            f = acc = k1  # k1, and the sum k1 + 2 k2 + 2 k3 + k4
-            stages = _STAGES if jump is not None and jump[i, act].any() else _STAGES[:4]
-            for s, (c, e) in enumerate(stages):
-                if s < 4:  # the tip: z at the stage (z_new at the new knot), then the D-terms
-                    base = tip = z_cur + scales[s][k] * (acc if s == 3 else f)
-                    for d in dterms:  # the midpoint's, then the step end's
-                        tip = tip + d[s >> 1][k]
-                if s == 3:  # the new knot: x_new = tip; rows that blow up park, the rest store it
-                    mag = np.vdot(tip, tip)  # no row can exceed the bound while the batch stays below it
-                    if not math.isfinite(mag) or mag > bound2:
-                        mag2 = reduce(np.add, (tip * tip).T)  # |x|^2 row by row, folded as the kernel's
-                        keep = np.isfinite(mag2) & (mag2 <= bound2)
-                        store.counts[live[~keep]] = i + 1
-                        run = act, col, live, park = running_rows(live[keep])
-                        if live.size == 0:
-                            break
-                        base, tip = base[keep], tip[keep]
-                        f = f[keep] if windows else f  # k4, for the tip's slope
-                        sums = [[r[keep] for r in v] for v in sums]
-                        terms = [[[r[keep] for r in v] for v in t] for t in terms]
-                        stop = i + 1  # the block ends with the running histories
-                    if windows:  # the tip's left slope, for the windows
-                        slope = f + sums[1][k]
-                prev, f = f, zero if lead is None else terms[lead][c][k]
-                for kind, j in plan:  # f at the tip: 0 + v_0 + v_1 + ..., the fold of `RhsMap.eval`
-                    f = f + (j.at(tip) if kind == 1 else terms[j][c][k] if kind == 0
-                             else windows[j].value(w, e, tip, live, slope))
-                if s < 3:
-                    acc = acc + (two * f if s < 2 else f)
-            if live.size == 0:  # every running history blew up
-                break
-
-            # z' and then x' at the new knot, from the right and the left: they differ where an input
-            # jumps; z' from the right is the next step's k1
-            k1 = zl = f
-            if stages is _STAGES:
-                k1, zl = prev, np.where(jump[i, act][:, None], f, prev)
-            store.block[:, i + 1, act] = tip, k1 + sums[0][k], zl + sums[1][k], base, k1, zl
-
-    store.counts[live] = i + 2
+            i, zc, yc = kernel(i, min(stop, wstop) if dist else stop, i - start, i - wstart, zc, yc, cols,
+                               windows, live, knots := [], own, bound2)
+            if knots and batch:  # the new knots, up to knot i: x' is z' plus the slope sums of the call's block
+                new = np.concatenate(knots).reshape(-1, 4, n, live.size)
+                xdot = new[:, 2:] + values[tails : tails + 2, : len(new)].transpose(1, 0, 3, 2)
+                new = np.concatenate([new[:, :1], xdot, new[:, 1:]], 1)
+                planes[:, i + 1 - len(new) : i + 1][..., act] = new.swapaxes(0, 1)
+            elif knots:
+                new = np.fromiter(knots, float, len(knots)).reshape(-1, 6, n).swapaxes(0, 1)
+                own[:, i + 1 - new.shape[1] : i + 1] = new
+            if zc is None:  # step i blew up: the rows yc keeps (none of one history) take it again
+                keep = yc if batch else np.zeros(1, dtype=bool)
+                store.counts[live[~keep]] = i + 1
+                run = act, col, live, park = running_rows(live[keep])
+                stop = i
+    store.counts[live] = i + 1
     return store.counts <= ends  # a history that parks before its mesh ends blew up
 
 

@@ -416,8 +416,8 @@ class NfdeSystem:
             raise PreconditionError(f"delta {delta} smaller than largest delay {needed}")
         object.__setattr__(self, "delta", delta)
 
-    def __getstate__(self):  # the step kernel that `integrate._kernel` keeps here is compiled again, not pickled
-        return {key: value for key, value in vars(self).items() if key != "_kernel"}
+    def __getstate__(self):  # the step kernels that `integrate._kernel` keeps here are compiled again, not pickled
+        return {key: value for key, value in vars(self).items() if key not in ("_kernel", "_batch_kernel")}
 
     @property
     def n(self) -> int:

@@ -846,35 +846,87 @@ def kernel_systems(draw):
     return NfdeSystem(dop, RhsMap(n=n, m=m, terms=tuple(terms)), delta=1.0)
 
 
-# a growing planar system that blows up mid-run, and one whose fold opens at 0 (signed zeros)
+# a growing planar system that blows up mid-run, one whose fold opens at 0 (signed zeros), and one of
+# three components whose tip terms are nonlinear
 GROWING = NfdeSystem(DifferenceOperator([1.0], [[[0.3, 0.0], [0.1, -0.2]]]), RhsMap(n=2, terms=(
     NonlinearTerm(0.0, "sine", [[0.2, -0.1], [0.0, 0.3]]), LinearTerm(0.5, [[0.1, 0.0], [0.0, -0.1]]),
     LinearTerm(0.0, [[1.5, 0.2], [-0.1, 1.2]]))))
 OPENS_AT_ZERO = NfdeSystem(DifferenceOperator([0.6, 1.0], [[[-0.3]], [[0.2]]]), RhsMap(n=1, terms=(
     LinearTerm(0.0, [[-1.0]]), NonlinearTerm(0.0, "cubic", [[-0.5]]), LinearTerm(0.5, [[-0.2]]))))
+THREE = NfdeSystem(DifferenceOperator([1.0, 0.6], [np.eye(3) * 0.3, [[0.0, 0.1, 0.0], [0.0, 0.0, 0.1], [0.1, 0.0, 0.0]]]),
+                   RhsMap(n=3, terms=(
+                       NonlinearTerm(0.0, "saturation", [[-0.8, 0.2, 0.0], [0.1, -0.7, 0.2], [0.0, 0.1, -0.9]],
+                                     {"limit": 0.5}),
+                       LinearTerm(0.5, np.full((3, 3), 0.05)),
+                       NonlinearTerm(0.0, "sine", [[0.1, 0.0, -0.2], [0.0, 0.2, 0.0], [-0.1, 0.0, 0.1]]),
+                       NonlinearTerm(0.0, "cubic", -0.3 * np.eye(3)))))
+# signals whose jumps fall at different times, so that a step's jumps hit some histories of a batch only
+JUMPS = [InputSignal.piecewise_constant([0.0, 0.37, 0.81, 1.26], [[0.5], [-1.0], [0.25], [2.0]]),
+         InputSignal.piecewise_constant([0.0, 0.5, 1.1], [[-0.3], [0.8], [-1.5]])]
 
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(system=kernel_systems(), seed=st.integers(0, 10_000), bound=st.sampled_from([0.1, 1.0, 3.0]),
        blowup=st.sampled_from([2.5, 1e12]), zero=st.booleans())
 @example(system=GROWING, seed=3, bound=1.0, blowup=2.5, zero=False)
+@example(system=GROWING, seed=6, bound=0.1, blowup=2.5, zero=False)
 @example(system=OPENS_AT_ZERO, seed=3, bound=1.0, blowup=1e12, zero=True)
-def test_block_kernel_equals_the_array_loop(system, seed, bound, blowup, zero):
-    """Each history run alone steps through the system's compiled block kernel, and in a
-    batch of two through the array loop: its trajectory, and every plane of its knots
-    (z' too), is the same bit for bit, signed zeros of a zero history and a blowup under a
-    small bound included."""
-    u = InputSignal.piecewise_constant([0.0, 0.37, 0.81, 1.26], [[0.5], [-1.0], [0.25], [2.0]]) if system.m else None
+@example(system=THREE, seed=5, bound=3.0, blowup=1e12, zero=False)
+@example(system=WITH_PRIMITIVES["input_2d"][0], seed=7, bound=1.0, blowup=1e12, zero=False)
+def test_a_batch_steps_each_history_as_it_steps_alone(system, seed, bound, blowup, zero):
+    """A batch of three histories steps through the system's batch kernel, on (B,) arrays,
+    and each history alone through its single-history kernel, on floats: each trajectory of
+    the batch, and every plane of its knots (z' too), is the one its history gives alone, bit
+    for bit. The histories' kinks differ, so they run on meshes of their own (ragged ones);
+    an input system's histories take signals whose jumps fall at different steps; signed
+    zeros of a zero history and blowups under a small bound are included: GROWING's
+    histories blow up partway through blocks (the last at step 11 and the middle one at
+    step 21 from seed 3; from seed 6, the middle one alone at step 18), and the others go on."""
+    u = [JUMPS[0], JUMPS[1], JUMPS[0]] if system.m else [None] * 3
     other = HistorySegment.zero(system.n, system.delta) if zero else _history(system, seed + 1, 1.0, -0.3)
-    histories = [_history(system, seed, bound, None), other]
+    histories = [_history(system, seed, bound, None), other, _history(system, seed + 2, bound, -0.55)]
     policy = StepPolicy(step=1.0 / 16.0, blowup_bound=blowup)
-    batch = integrate_batch(system, histories, 2.0, step=policy, u=u)
-    for phi, traj in zip(histories, batch):
-        single = integrate(system, phi, 2.0, step=policy, u=u)
+    batch = integrate_batch(system, histories, 2.0, step=policy, u=u if system.m else None)
+    for phi, sig, traj in zip(histories, u, batch):
+        single = integrate(system, phi, 2.0, step=policy, u=sig)
         _assert_agree(traj, single)
         assert _same(*(t._batch.block[:, : t.times.size, t._row] for t in (traj, single)))
     if system is GROWING:
-        assert [(traj.blowup, traj.times.size) for traj in batch] == [(False, 33), (True, 22)]
+        sizes = {3: [(False, 33), (True, 22), (True, 12)], 6: [(False, 33), (True, 19), (False, 37)]}[seed]
+        assert [(traj.blowup, traj.times.size) for traj in batch] == sizes
+
+
+def test_a_row_that_overflows_parks_under_an_infinite_bound():
+    """Under blowup_bound = inf only a state that is not finite blows up. x' = x^3 from 3
+    overflows within a few steps; in a batch that row parks at the step where it does alone,
+    although the rows' |x|^2 then sum to inf, which is no more than the bound."""
+    system = NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]), RhsMap(n=1, terms=(NonlinearTerm(0.0, "cubic", [[1.0]]),)))
+    phis = [HistorySegment.constant([c], 1.0) for c in (0.1, 3.0, -0.2)]
+    policy = StepPolicy(step=1.0 / 16.0, blowup_bound=np.inf)
+    batch = integrate_batch(system, phis, 1.0, step=policy)
+    for phi, traj in zip(phis, batch):
+        _assert_agree(traj, integrate(system, phi, 1.0, step=policy))
+    assert [traj.blowup for traj in batch] == [False, True, False] and batch[1].times.size < 8
+
+
+def test_a_jump_takes_the_left_limit_in_its_own_rows_only():
+    """z' from the left takes an input's left limit only in the histories whose signal jumps
+    at the step. The first signal switches exactly at the horizon, which is not one of its
+    jumps (a signal jumps in (0, horizon)), in the step where the second one jumps: there
+    the first history's z' from the left is its z' from the right, as it is alone."""
+    system, _ = SYSTEMS["input"]
+    u = [InputSignal.piecewise_constant([0.0, 2.0], [[0.5], [-1.0]]),
+         InputSignal.piecewise_constant([0.0, 1.95], [[0.2], [0.9]])]
+    phi = _history(system, 3, 1.0, None)
+    batch = integrate_batch(system, [phi, phi], 2.0, step=1.0 / 16.0, u=u)
+    for sig, traj in zip(u, batch):
+        single = integrate(system, phi, 2.0, step=1.0 / 16.0, u=sig)
+        _assert_agree(traj, single)
+        assert _same(*(t._batch.block[:, : t.times.size, t._row] for t in (traj, single)))
+    last = batch[0].times.size - 1  # the first history's last knot, at the horizon, is the second's jump
+    assert batch[0].times[last] == 2.0 and batch[1].times[last] == 1.95
+    zdot = batch[0]._batch.block[4:, last, 0]
+    assert _same(zdot[0], zdot[1]) and not _same(*batch[1]._batch.block[4:, last, 1])
 
 
 @contextlib.contextmanager
@@ -891,24 +943,32 @@ def _count_compiles():
 
 
 def test_a_system_compiles_its_block_kernel_once():
-    """The kernel is compiled at a system's first single-history integration and kept
-    on it: another integration, a converse V(phi) and its D+V compile nothing, a batch
-    of several histories compiles none, and an equal system compiles its own."""
+    """Each variant of the kernel is compiled at a system's first run of its kind (one
+    history, or a batch) and kept on it: another integration, a converse V(phi) and its
+    D+V compile nothing, a batch compiles its variant once and reuses it, and an equal
+    system compiles its own."""
     system, other = (NfdeSystem(DifferenceOperator([1.0], [[[0.5]]]), RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.0]]),)))
                      for _ in range(2))
-    phis = [_history(system, seed, 1.0, None) for seed in (3, 4)]
+    phis = [_history(system, seed, 1.0, None) for seed in (3, 4, 5)]
     with _count_compiles() as names:
-        integrate_batch(system, phis, 2.0, step=0.125)
-    assert names == []
+        integrate_batch(system, phis[:2], 2.0, step=0.125)
+    assert len(names) == 1
+    batch_kernel = integrate_module._kernel(system, True)
+    with _count_compiles() as names:
+        integrate_batch(system, phis, 3.0, step=0.25)
+    assert names == [] and integrate_module._kernel(system, True) is batch_kernel
     with _count_compiles() as names:
         integrate(system, phis[0], 2.0, step=0.125)
     assert len(names) == 1
     kernel, V = integrate_module._kernel(system), ConverseFunctional(system, 0.3, 10.0, step=0.125)
+    assert kernel is not batch_kernel
     with _count_compiles() as names:
         integrate(system, phis[1], 3.0, step=0.25)
+        integrate_batch(system, phis, 2.0, step=0.125)
         V(phis[0])
         driver_derivative(system, V, phis[0], None, LadderSpec(levels=5))
     assert names == [] and integrate_module._kernel(system) is kernel
+    assert integrate_module._kernel(system, True) is batch_kernel
     with _count_compiles() as names:
         integrate(other, phis[0], 2.0, step=0.125)
     assert len(names) == 1 and integrate_module._kernel(other) is not kernel
@@ -928,14 +988,19 @@ def test_rhs_with_a_distributed_term_reads_the_histories_once(name):
 
 
 def test_a_system_with_a_kernel_pickles_without_it():
-    """Pickling leaves the compiled kernel behind: the copy compiles its own, which
-    integrates alike."""
+    """Pickling leaves both compiled kernels behind: the copy compiles its own, which
+    integrate alike, one history and a batch."""
     import pickle
 
     system, _ = SYSTEMS["planar"]
-    phi = _history(system, 5, 1.0, None)
-    traj = integrate(system, phi, 2.0, step=1.0 / 16.0)
+    phis = [_history(system, seed, 1.0, None) for seed in (5, 6)]
+    traj = integrate(system, phis[0], 2.0, step=1.0 / 16.0)
+    batch = integrate_batch(system, phis, 2.0, step=1.0 / 16.0)
     copy = pickle.loads(pickle.dumps(system))
-    assert "_kernel" in vars(system) and "_kernel" not in vars(copy)
-    _assert_agree(integrate(copy, phi, 2.0, step=1.0 / 16.0), traj)
-    assert integrate_module._kernel(copy) is not integrate_module._kernel(system)
+    kernels = ("_kernel", "_batch_kernel")
+    assert all(name in vars(system) and name not in vars(copy) for name in kernels)
+    _assert_agree(integrate(copy, phis[0], 2.0, step=1.0 / 16.0), traj)
+    for got, want in zip(integrate_batch(copy, phis, 2.0, step=1.0 / 16.0), batch):
+        _assert_agree(got, want)
+    for flag in (False, True):
+        assert integrate_module._kernel(copy, flag) is not integrate_module._kernel(system, flag)

@@ -370,6 +370,31 @@ class TestFunctionalKinds:
             assert V(phi) >= 0.0
         assert V(HistorySegment.zero(1, 1.0)) == 0.0
 
+    def test_a_functional_that_implements_neither_call_nor_many_is_refused(self):
+        """`Functional.__call__` and `many` are each defined through the other, so a class
+        with neither would recurse at its first evaluation: it is refused where it is
+        defined. One of the two suffices, and an abstract base may leave both to its own
+        subclasses, as `SemiNorm` does."""
+        with pytest.raises(TypeError, match="Bare implements neither"):
+            class Bare(Functional):
+                kind = "bare"
+        with pytest.raises(TypeError, match="BareSemiNorm implements neither"):
+            class BareSemiNorm(functionals.SemiNorm):
+                def domination_constant(self):
+                    return 1.0
+
+        class Single(Functional):
+            def __call__(self, phi):
+                return 2.0
+
+        class Batch(Functional):
+            def many(self, phis):
+                return [3.0 for _ in phis]
+
+        phi = HistorySegment.constant([1.0], 1.0)
+        assert (Single()(phi), Single().many([phi, phi]), Batch()(phi)) == (2.0, [2.0, 2.0], 3.0)
+        assert L2SemiNorm(1.0)(phi) == 1.0 and SupNormFunctional(1.0)(phi) == 1.0
+
 
 class TestSemiNorms:
     def test_kinds_and_domination(self, neutral_system):

@@ -336,10 +336,10 @@ class TestInputSignals:
 class TestStepFrames:
     """The step loop's Python overhead, counted rather than timed: wall-clock step
     costs swing by tens of percent between runs of the same code on one host, while
-    the number of haleform frames a step enters does not depend on the host. A
-    single history's block kernel is compiled from source whose file name lies in
-    the package, so its frames (one per block) and the compile, on a system's first
-    single-history run, count too."""
+    the number of haleform frames a step enters does not depend on the host. Both
+    variants of the block kernel, one history's and a batch's, are compiled from
+    source whose file name lies in the package, so their frames (one per block) and
+    the compile, on a system's first run of each kind, count too."""
 
     @staticmethod
     def frames_per_step(system, horizon, step, size: int = 1) -> float:
@@ -367,8 +367,14 @@ class TestStepFrames:
         assert self.frames_per_step(system, horizon, step) <= 8.0
 
     def test_batch_of_neutral_histories_at_most_eight_frames_per_step(self, neutral_system):
-        """Four histories step on (4, 1) arrays."""
+        """Four histories step through the batch kernel, on (4,) arrays."""
         assert self.frames_per_step(neutral_system, 1.5, 1e-3, size=4) <= 8.0
+
+    def test_batch_of_planar_histories_at_most_one_frame_per_step(self, planar_system):
+        """Four planar histories step through the system's batch kernel, one call per
+        block of steps on (4,) arrays, one per component, compile included: a stage
+        calls no haleform function, as one history's does not."""
+        assert self.frames_per_step(planar_system, 4.0, 0.01, size=4) <= 1.0
 
     def test_one_neutral_history_at_most_one_frame_per_step(self, neutral_system):
         """One history steps through the system's block kernel, one call per block of
