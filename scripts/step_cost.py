@@ -14,11 +14,13 @@ L2: each system integrates 30 random histories, seeded 0..29, one at a time,
 after one warm-up run; the line per system gives the median, over those
 histories, of wall time divided by the number of steps, in microseconds.
 Steps and horizons are the benchmark's where it simulates the system
-(neutral, planar, two-delay, distributed) and the golden fixture's for the
-cubic system. One history steps through the single-history variant of the
-system's block kernel, compiled from its stage plan at the warm-up run, one
-call per block of steps on float locals (one per state component), and each
-line says how many; the "x8" lines (neutral, planar, distributed) time
+(neutral, planar, cubic, two-delay, distributed). The sine, saturation and
+table lines swap the cubic system's tip primitive for theirs, at its step and
+horizon, so the four lines give each primitive's per-step cost. One history
+steps through the single-history variant of the system's block kernel,
+compiled from its stage plan at the warm-up run, one call per block of steps
+on float locals (one per state component; a primitive is called on each),
+and each line says how many; the "x8" lines (neutral, planar, distributed) time
 batches of 8 histories (`integrate_batch`), which step through the batch
 variant of the same kernel, on one (8,) array per state component: the
 median, over the 30 batches that start at each history and take the next
@@ -103,6 +105,14 @@ from haleform.functionals import _extensions
 
 REPEATS = 5  # L3 calls timed together per history
 BATCH = 8  # histories of an "x8" line's batches
+PRIMITIVES = {"sine": {}, "saturation": {"limit": 0.5},  # the other tip primitives' params
+              "table": {"x": [-2.0, -1.0, 0.0, 1.0, 2.0], "y": [-1.2, -0.8, 0.0, 0.8, 1.2]}}
+
+
+def tip_system(fn: str, params: dict | None = None) -> NfdeSystem:
+    """The benchmark's cubic system with the primitive fn as its tip term."""
+    return NfdeSystem(DifferenceOperator([1.0], [[[0.4]]]), RhsMap(n=1, terms=(
+        NonlinearTerm(0.0, fn, [[-1.0]], params or {}), LinearTerm(1.0, [[-0.3]]))))
 
 
 def systems():
@@ -121,10 +131,7 @@ def systems():
             )),
             delta=0.7,
         ), 8.0, 0.01),
-        "cubic": (NfdeSystem(
-            DifferenceOperator([1.0], [[[0.4]]]),
-            RhsMap(n=1, terms=(NonlinearTerm(0.0, "cubic", [[-1.0]]), LinearTerm(1.0, [[-0.3]]))),
-        ), 2.5, 1.0 / 32.0),
+        "cubic": (tip_system("cubic"), 1.5, 1e-3),
         "two_delay": (NfdeSystem(
             DifferenceOperator([0.5, 1.0], [[[0.3]], [[0.2]]]),
             RhsMap(n=1, terms=(LinearTerm(0.0, [[-1.2]]), LinearTerm(0.25, [[0.2]]))),
@@ -269,6 +276,11 @@ def main() -> int:
         floats = "2 float locals" if system.n == 2 else "a float local"
         print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; one history's kernel on "
               f"{floats})")
+    _, horizon, step = systems()["cubic"]
+    for name, params in PRIMITIVES.items():
+        cost = step_cost(tip_system(name, params), horizon, step)
+        print(f"L2 {name:<12} {cost:8.1f} us/step  (step {step:g}, horizon {horizon:g}; the cubic system with a "
+              f"{name} tip term, on a float local)")
     for name in ("neutral", "planar", "distributed"):
         system, horizon, step = systems()[name]
         cost = step_cost(system, horizon, step, BATCH)

@@ -217,11 +217,16 @@ class L2SemiNorm(SemiNorm):
     def __init__(self, delta: float):
         self.delta = _positive(delta, "delta")
 
-    def __call__(self, phi):
-        lo = -min(self.delta, phi.delta)
-        nodes, weights, _ = _gauss(np.r_[lo, phi.grid[phi.grid > lo]][None])
-        vals = phi.eval(nodes)
-        return float(np.sqrt(np.einsum("k,ki,ki->", weights, vals, vals)))
+    def many(self, phis) -> list[float]:
+        """The semi-norm of every history of phis, in order: one `_gauss` call places the
+        nodes of all their panels, each row's as on its own, and one read takes them."""
+        if not (phis := list(phis)):
+            return []
+        lo, grids = -np.minimum(self.delta, [phi.delta for phi in phis])[:, None], _grids(phis)
+        nodes, weights, counts = _gauss(np.sort(np.concatenate([lo, np.where(grids > lo, grids, np.nan)], 1)))
+        vals, cuts = _read(phis, np.arange(len(phis)).repeat(counts), nodes, 0), np.cumsum(counts)[:-1]
+        return [float(np.sqrt(np.einsum("k,ki,ki->", w, v, v)))
+                for w, v in zip(np.split(weights, cuts), np.split(vals, cuts))]
 
     def domination_constant(self):
         return float(np.sqrt(self.delta))

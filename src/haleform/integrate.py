@@ -22,9 +22,10 @@ of the loop are placed ahead, and a block of steps gathers them at once as
 soon as they touch accepted knots only. The stage plan, made once per
 integration, sorts the rhs terms: block terms (inputs, delayed pointwise
 terms) then apply to the whole block, as do the D-terms A_j x(s - Delta_j)
-and slope sums; tip terms (delay-0 pointwise ones) take one `at` call per
-stage; window terms (distributed ones) are linear in x, so a step gathers
-their accepted part with one `take` and a stage's value is affine in its tip
+and slope sums; tip terms (delay-0 pointwise ones) are written into each
+stage, a primitive as one call per component; window terms (distributed
+ones) are linear in x, so a step gathers their accepted part with one
+`take` and a stage's value is affine in its tip
 (at the new knot, in the tip and its left slope), with matrices fixed ahead.
 The loop stores final values only. A stage is the tip from z, its scale and
 D-term rows, and the left fold 0 + v_0 + v_1 + ... of the terms in order, as
@@ -485,21 +486,21 @@ def _kernel(system: NfdeSystem, batch: bool = False):
     the module docstring). kernel(i, stop, k, w, z, y, cols, windows, live, out, planes, b2) runs steps
     i..stop-1 from z and z' (y) at knot i, step i reading row k of a block's `cols` and step w of the
     `windows`; new knots go to `out` flat (a batch's without x'), or to `planes` where windows read them.
-    It returns the step reached and z, y there, or (i, None, keep) where step i blew up (keep: a batch's)."""
+    It returns the step reached and z, y there, or (i, None, keep) where step i blew up (keep: a batch's).
+    A tip term's primitive takes each tip component, a float or a batch's (B,) array, and rounds both alike."""
     if (attr := "_batch_kernel" if batch else "_kernel") in vars(system):
         return vars(system)[attr]
     plan, block_terms, dist, lead = _stage_plan(system)
     n, p, comps = system.n, system.dop.p, range(system.n)
-    env = {"islice": islice, "empty": np.empty, "n": n, "array": np.array, "where": np.where, "zero": np.array(0.0),
+    env = {"islice": islice, "array": np.array, "where": np.where, "zero": np.array(0.0),
            "two": np.array(2.0)}  # a batch's numbers are 0-d arrays, which numpy takes faster than floats
 
     def each(name: str) -> list[str]:  # the name's n components
         return [*map(f"{name}{{}}".format, comps)]
 
-    row = ", ".join  # a batch hands g and the windows (B, n) tips, not (1, n), and unpacks their columns
-    zero, two, B, put, take, number = ("zero", "two", "live.size", "[:, ", ".T", np.array) if batch else (
-        "0.0", "2.0", "1", "[0, ", ".tolist()[0]", float)
-    cols, head = ["h0", "h1", "h2", "h3"], [f"{row(each('z'))}, = z", f"{row(each('y'))}, = y", f"xs = empty(({B}, n))"]
+    row = ", ".join  # a batch hands the windows (B, n) tips, not (1, n), and unpacks their columns
+    zero, two, number = ("zero", "two", np.array) if batch else ("0.0", "2.0", float)
+    cols, head = ["h0", "h1", "h2", "h3"], [f"{row(each('z'))}, = z", f"{row(each('y'))}, = y"]
     cols += [v for d in range(p) for half in "me" for v in each(f"d{half}{d}_")] + each("tr") + each("tl")
     cols += [v for j in range(len(block_terms)) for c in "mek" for v in each(f"b{j}{c}_")] + ["jump"] * (system.m > 0)
     for q, (kind, t) in enumerate(plan):
@@ -517,15 +518,16 @@ def _kernel(system: NfdeSystem, batch: bool = False):
                 values = each(f"b{j}{at}_")
             elif kind == 1:
                 x = each("t")
-                if env[f"g{q}"] is not None:  # g on the tip as an array of xs's rows
-                    lines += [f"xs{put}{i}] = t{i}" for i in comps] + [f"{row(each(f'q{q}_'))}, = g{q}(xs){take}"]
+                if (g := env[f"g{q}"]) is not None:  # g on each tip component; on a float, kept a Python float
+                    call = "float(g{}(t{}))" if not batch and type(g(0.0)) is not float else "g{}(t{})"
+                    lines += [f"q{q}_{i} = {call.format(q, i)}" for i in comps]
                     x = each(f"q{q}_")
                 values = ["(" + " + ".join([f"c{q}_{i}_{k} * {x[k]}" for k in comps]) + ")" for i in comps]
             else:  # on floats for n = 1, else on lists of n; a batch's as (B, n) rows
                 tip, slope = ("t0", "sl0") if n == 1 and not batch else [
                     f"array(({row(each(v))},)).T" if batch else f"[{row(each(v))}]" for v in ("t", "sl")]
                 lines.append(f"{row(each(f'r{j}_'))}{',' if batch else ''} = value{j}(w, {e}, {tip}, live, "
-                             f"{slope if e == 2 else None}){take if batch else ''}")
+                             f"{slope if e == 2 else None}){'.T' if batch else ''}")
                 values = each(f"r{j}_")
             terms.append(values)
         return lines + [f"f{i} = {' + '.join([values[i] for values in terms])}" for i in comps]
@@ -685,7 +687,7 @@ def _advance(system, store: _BatchStore, inputs, blowup_bound) -> np.ndarray:
     batch, planes = width > 1, store.block.swapaxes(2, 3)  # a batch's kernel runs on (B,) arrays; (6, knots, n, B)
     kernel, own = _kernel(system, batch), planes if batch else planes[..., 0]  # one history's writes (6, knots, n)
     run = act, col, live, park = running_rows(np.arange(width))
-    bound2, windows, i = blowup_bound**2, [], 0
+    bound2, windows, i = blowup_bound * blowup_bound, [], 0
     start = stop = wstart = wstop = 0
     # a stage may overflow within a step: the new knot's finiteness test parks its history
     with np.errstate(over="ignore", invalid="ignore"):

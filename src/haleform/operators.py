@@ -118,10 +118,11 @@ def _dop_rows(dop: DifferenceOperator, phis, times=(), counts=0) -> tuple[np.nda
 
 # -- primitive pointwise nonlinearities ---------------------------------------
 
-# each takes (its parsed params, x) for a float array x; a module function, so that a system binding it pickles
+# each takes (its parsed params, x) for a float or a float array x, and is one elementwise expression that
+# rounds a float as it rounds the same entry of an array; a module function, so that a system binding it pickles
 
 def _saturation(limit, x):
-    return np.clip(x, -limit, limit)
+    return np.minimum(np.maximum(x, -limit), limit)
 
 
 def _sine(_, x):
@@ -129,7 +130,7 @@ def _sine(_, x):
 
 
 def _cube(_, x):
-    return x**3
+    return x * x * x  # not x**3: numpy's power and Python's differ in the last bit, and numpy's by SIMD dispatch
 
 
 def _table(table, x):
@@ -140,9 +141,11 @@ _PRIMITIVES = {"saturation": _saturation, "sine": _sine, "cubic": _cube, "table"
 
 
 def primitive_nonlinearity(name: str, params: dict):
-    """g(x), the primitive bound to its params (one Python call per value),
-    checked to vanish at 0. The params are parsed here, once: a table's points
-    are copied, so a later edit of `params` does not reach g."""
+    """g(x), the primitive bound to its params, checked to vanish at 0: on a
+    float it gives the bits that an array gives the same entry, so the one-history
+    kernel calls it on float locals and the batch kernel on arrays. The params are
+    parsed here, once: a table's points are copied, so a later edit of `params`
+    does not reach g."""
     if name not in _PRIMITIVES:
         raise PreconditionError(
             f"unknown primitive nonlinearity {name!r}; known: {sorted(_PRIMITIVES)}"

@@ -860,6 +860,13 @@ THREE = NfdeSystem(DifferenceOperator([1.0, 0.6], [np.eye(3) * 0.3, [[0.0, 0.1, 
                        LinearTerm(0.5, np.full((3, 3), 0.05)),
                        NonlinearTerm(0.0, "sine", [[0.1, 0.0, -0.2], [0.0, 0.2, 0.0], [-0.1, 0.0, 0.1]]),
                        NonlinearTerm(0.0, "cubic", -0.3 * np.eye(3)))))
+# a planar system whose tip terms take all four primitives, the cube's large enough at a history bound of 3
+# that its last bit reaches the state
+ALL_PRIMITIVES = NfdeSystem(DifferenceOperator([1.0], [[[0.3, 0.1], [0.0, -0.2]]]), RhsMap(n=2, terms=(
+    NonlinearTerm(0.0, "cubic", [[-0.4, 0.1], [0.05, -0.3]]), NonlinearTerm(0.0, "sine", [[0.2, -0.1], [0.0, 0.3]]),
+    LinearTerm(0.5, [[0.1, 0.0], [-0.1, 0.1]]), NonlinearTerm(0.0, "saturation", [[-0.5, 0.2], [0.1, -0.4]],
+                                                             {"limit": 0.5}),
+    NonlinearTerm(0.0, "table", [[0.3, 0.0], [-0.2, 0.1]], TABLE))))
 # signals whose jumps fall at different times, so that a step's jumps hit some histories of a batch only
 JUMPS = [InputSignal.piecewise_constant([0.0, 0.37, 0.81, 1.26], [[0.5], [-1.0], [0.25], [2.0]]),
          InputSignal.piecewise_constant([0.0, 0.5, 1.1], [[-0.3], [0.8], [-1.5]])]
@@ -873,6 +880,7 @@ JUMPS = [InputSignal.piecewise_constant([0.0, 0.37, 0.81, 1.26], [[0.5], [-1.0],
 @example(system=OPENS_AT_ZERO, seed=3, bound=1.0, blowup=1e12, zero=True)
 @example(system=THREE, seed=5, bound=3.0, blowup=1e12, zero=False)
 @example(system=WITH_PRIMITIVES["input_2d"][0], seed=7, bound=1.0, blowup=1e12, zero=False)
+@example(system=ALL_PRIMITIVES, seed=4, bound=3.0, blowup=1e12, zero=False)
 def test_a_batch_steps_each_history_as_it_steps_alone(system, seed, bound, blowup, zero):
     """A batch of three histories steps through the system's batch kernel, on (B,) arrays,
     and each history alone through its single-history kernel, on floats: each trajectory of
@@ -897,16 +905,19 @@ def test_a_batch_steps_each_history_as_it_steps_alone(system, seed, bound, blowu
 
 
 def test_a_row_that_overflows_parks_under_an_infinite_bound():
-    """Under blowup_bound = inf only a state that is not finite blows up. x' = x^3 from 3
-    overflows within a few steps; in a batch that row parks at the step where it does alone,
-    although the rows' |x|^2 then sum to inf, which is no more than the bound."""
+    """Under blowup_bound = inf only a state that is not finite blows up, as under a bound
+    past about 1.3e154, whose square is inf (a float power of it would raise OverflowError).
+    x' = x^3 from 3 overflows within a few steps; in a batch that row parks at the step where
+    it does alone, although the rows' |x|^2 then sum to inf, which is no more than the bound.
+    With steps of 0.125, one history's kernel cubes floats past 1e300, where a float power
+    would raise too."""
     system = NfdeSystem(DifferenceOperator([1.0], [[[0.0]]]), RhsMap(n=1, terms=(NonlinearTerm(0.0, "cubic", [[1.0]]),)))
     phis = [HistorySegment.constant([c], 1.0) for c in (0.1, 3.0, -0.2)]
-    policy = StepPolicy(step=1.0 / 16.0, blowup_bound=np.inf)
-    batch = integrate_batch(system, phis, 1.0, step=policy)
-    for phi, traj in zip(phis, batch):
-        _assert_agree(traj, integrate(system, phi, 1.0, step=policy))
-    assert [traj.blowup for traj in batch] == [False, True, False] and batch[1].times.size < 8
+    for policy in (StepPolicy(step=1.0 / 16.0, blowup_bound=np.inf), StepPolicy(step=0.125, blowup_bound=1e200)):
+        batch = integrate_batch(system, phis, 1.0, step=policy)
+        for phi, traj in zip(phis, batch):
+            _assert_agree(traj, integrate(system, phi, 1.0, step=policy))
+        assert [traj.blowup for traj in batch] == [False, True, False] and batch[1].times.size < 8
 
 
 def test_a_jump_takes_the_left_limit_in_its_own_rows_only():

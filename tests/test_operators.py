@@ -19,8 +19,8 @@ from haleform import (
     rhs_eval,
     sample_history,
 )
-from haleform.operators import _apply
-from test_batch import SYSTEMS as BATCH_SYSTEMS
+from haleform.operators import _PRIMITIVES, _apply, primitive_nonlinearity
+from test_batch import SYSTEMS as BATCH_SYSTEMS, TABLE
 
 
 def ramp_history(delta=1.0, num=9):
@@ -145,6 +145,38 @@ class TestRhsEval:
     def test_input_term_requires_m(self):
         with pytest.raises(DimensionError):
             RhsMap(n=1, m=0, terms=(InputTerm([[1.0]]),))
+
+
+PARAMS = {"saturation": {"limit": 0.5}, "table": TABLE}
+# signed zeros, infinities, NaN, subnormals, the cube's overflow (past about 5.6e102) and ordinary values
+EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310, 6e102, -6e102, 1e300, -1e300, 0.5, -1.5]
+
+
+class TestPrimitives:
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(sorted(_PRIMITIVES)), b=st.integers(1, 4), n=st.integers(1, 3), data=st.data())
+    def test_a_float_rounds_as_its_entry_of_an_array(self, name, b, n, data):
+        """g on a Python float gives, bit for bit, what g on a (B, n) array gives that entry,
+        and what g gives it on a batch's (B,) column: one history's kernel calls g on float
+        locals and a batch's on columns, and they must step alike. The cube of a float past
+        its overflow is inf, as on an array (a float power would raise OverflowError)."""
+        g = primitive_nonlinearity(name, PARAMS.get(name, {}))
+        values = data.draw(st.lists(st.one_of(st.sampled_from(EDGES), st.floats()), min_size=b * n, max_size=b * n))
+        x = np.array(values).reshape(b, n)
+        with np.errstate(all="ignore"):
+            rows, columns, alone = g(x), [g(column.copy()) for column in x.T], [g(v) for v in values]
+        assert all(isinstance(v, float) for v in alone)
+        assert np.array(alone).tobytes() == rows.tobytes() == np.array(columns).T.tobytes()
+
+    def test_the_cube_is_the_product(self):
+        """The cube is x * x * x, on arrays and on floats: numpy's x**3 takes its SIMD pow,
+        which differs from the product in the last bit on many values (and from numpy's own
+        baseline dispatch), and Python's v**3 differs from both."""
+        rng = np.random.default_rng(0)
+        x = np.concatenate([rng.uniform(0.1, 1.5, 20_000), rng.standard_normal(20_000), [-0.0, 0.0, 1e-120]])
+        cube = primitive_nonlinearity("cubic", {})
+        assert cube(x).tobytes() == (x * x * x).tobytes()
+        assert all(cube(v) == v * v * v for v in x[:2000].tolist())
 
 
 class TestNfdeSystem:
