@@ -30,8 +30,15 @@ which is all set-up: the median wall time per run, in microseconds.
 
 L3: on the same histories, the median wall time of a levels-14
 `driver_derivative` of V(phi) = |D phi|^2 (the bench's `dplus_quadratic`
-query), and the share of it spent building the 15 rungs phi_h
-(`functionals._extensions`), the ratio of the two medians.
+query). Its "rungs" share is the median wall time of building the 15 rungs
+phi_h (`functionals._extensions`) over that of the query: a point functional
+such as this V reads its rungs at its lags straight off phi and builds none,
+so the share is what the rung path, which integral, converse, sup and L2
+functionals still take, would spend on the rungs alone, and it may pass 100%.
+The "dop-norm" line is the same query of V(phi) = |D phi| on the neutral
+system. The "consistency" line is the bench's `trajectory_consistency` check:
+|D phi|^2 on a neutral trajectory from a constant history, step 1e-3 and
+horizon 3, at four of its mesh times, the median of 7 rounds of 5 calls.
 
 L4: the converse witness V(phi) = sup |D x_t(phi)| e^(a t) of the neutral
 system at rate 0.2, horizon 10 and step 0.125, as the benchmark's certify
@@ -99,6 +106,8 @@ from haleform import (
     sample_history,
     sample_shells,
     sup_norm_diff,
+    trajectory_consistency,
+    trajectory_grid,
     verify_ges_conditions,
 )
 from haleform.functionals import _extensions
@@ -204,6 +213,22 @@ def ladder_cost(system) -> tuple[float, float]:
     return 1e3 * query, rungs / query
 
 
+def dop_norm_cost() -> float:
+    """Median milliseconds of a levels-14 |D phi| D+V query over the neutral system's 30 seeded histories."""
+    system = systems()["neutral"][0]
+    V, ladder = DopNormFunctional(system.dop), LadderSpec(levels=14)
+    return 1e3 * _median_call_s(lambda phi: driver_derivative(system, V, phi, ladder=ladder), _histories(system))
+
+
+def consistency_cost() -> float:
+    """Median milliseconds of a `trajectory_consistency` check shaped like the bench's."""
+    system = systems()["neutral"][0]
+    traj = integrate(system, HistorySegment.constant([1.3], 1.0), 3.0, step=1e-3)
+    times = np.sort(np.random.default_rng(0).choice(trajectory_grid(traj, 50)[:-1], 4, replace=False))
+    V = QuadraticDopFunctional(system.dop, np.eye(1))
+    return 1e3 * _median_call_s(lambda _: trajectory_consistency(system, V, traj, times, 1e-4), [None] * 7)
+
+
 def converse_costs() -> tuple[float, float, float, float]:
     """Median milliseconds of a converse query (V(phi) and a levels-5 D+V) over
     30 seeded histories, of `V.many` on 15 of them with their rungs, and of the
@@ -294,6 +319,8 @@ def main() -> int:
     for name, (system, _, _) in systems().items():
         query, share = ladder_cost(system)
         print(f"L3 {name:<12} {query:8.2f} ms/query, rungs {100 * share:4.1f}%  (levels 14, |D phi|^2)")
+    print(f"L3 {'dop-norm':<12} {dop_norm_cost():8.2f} ms/query  (neutral, levels 14, |D phi|)")
+    print(f"L3 {'consistency':<12} {consistency_cost():8.2f} ms/check  (neutral, step 1e-3, horizon 3, 4 times)")
     query, batch, ragged, flat = converse_costs()
     print(f"L4 {'query':<12} {query:8.2f} ms/query  (neutral, V(phi) and levels-5 D+V, step 0.125, horizon 10)")
     print(f"L4 {'x105':<12} {batch:8.2f} ms/batch  (V.many on 15 histories with their levels-5 rungs)")

@@ -15,7 +15,10 @@ which for h below the smallest operator delay collapses to
 
 Difference quotients (V(phi_h) - V(phi)) / h over a geometric h-ladder stand
 in for the limsup; the reported value is the max over the ladder tail, with
-the tail spread as an error band.
+the tail spread as an error band. A point functional, one that reads a history
+at a few lags only (|D phi|, (D phi)^T P (D phi), |phi(0)| and weighted sums of
+them), takes phi_h at those lags straight from phi, the same bits as the rung
+phi_h gives there, and no phi_h is built; every other functional reads the rungs.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ import numpy as np
 from .errors import DimensionError, PreconditionError
 from .histories import CUBIC, HistorySegment, _freeze, _gauss, _lay_out, _read
 from .integrate import _clear_times, segment
-from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_rows, _grids
+from .operators import DifferenceOperator, DistributedTerm, NfdeSystem, _apply, _dop_of, _dop_rows, _grids
 
 _TOL = 1e-12
 _EXTRA_NODES = 5  # uniform nodes inside each extension sliver (-h, 0]
@@ -79,8 +82,28 @@ class Functional:
         """V at every history of phis, in order; subclasses may share work across them."""
         return [self(phi) for phi in phis]
 
+    def _lags(self, n: int):
+        """The lags at which V reads a history of n components where V is a function of its values
+        there alone (a point functional), whose `_at(x)` is V at each history of a stack x (R,
+        lags, n) of those values, as `many` gives it; None, where V reads it anywhere else."""
+        return None
 
-class QuadraticDopFunctional(Functional):
+
+class _OfDop(Functional, abstract=True):
+    """V(phi) = W(D phi), W being `_w`: a point functional at 0 and each -Delta_j of its operator."""
+
+    def _lags(self, n):
+        return np.concatenate(([0.0], -self.dop.delays)) if n == self.dop.n else None
+
+    def _at(self, x) -> list[float]:
+        return [self._w(d) for d in _dop_of(self.dop, x)]
+
+    def many(self, phis) -> list[float]:
+        """V at every history of phis, in order, from one read of them all."""
+        return [self._w(d) for d in _dop_rows(self.dop, list(phis))[0]]
+
+
+class QuadraticDopFunctional(_OfDop):
     """V(phi) = (D phi)^T P (D phi) with P symmetric positive semidefinite."""
 
     kind = "point-quadratic"
@@ -91,9 +114,8 @@ class QuadraticDopFunctional(Functional):
         if self.P.shape[0] != dop.n:
             raise DimensionError("P dimension disagrees with operator")
 
-    def many(self, phis) -> list[float]:
-        """V at every history of phis, in order, from one read of them all."""
-        return [float(d @ self.P @ d) for d in _dop_rows(self.dop, list(phis))[0]]
+    def _w(self, d) -> float:
+        return float(d @ self.P @ d)
 
 
 class IntegralQuadraticFunctional(Functional):
@@ -140,7 +162,7 @@ class SupNormFunctional(Functional):
         return self.c * phi.sup_norm()
 
 
-class DopNormFunctional(Functional):
+class DopNormFunctional(_OfDop):
     """V(phi) = c |D phi|."""
 
     kind = "dop-norm"
@@ -149,9 +171,8 @@ class DopNormFunctional(Functional):
         self.dop = dop
         self.c = _positive(c, "coefficient")
 
-    def many(self, phis) -> list[float]:
-        """V at every history of phis, in order, from one read of them all."""
-        return [self.c * float(np.linalg.norm(d)) for d in _dop_rows(self.dop, list(phis))[0]]
+    def _w(self, d) -> float:
+        return self.c * float(np.linalg.norm(d))
 
 
 class WeightedCompositeFunctional(Functional):
@@ -165,7 +186,18 @@ class WeightedCompositeFunctional(Functional):
     def many(self, phis) -> list[float]:
         """V at every history of phis, in order, from one `many` call per part."""
         phis = list(phis)
-        columns = [part.many(phis) for part in self.parts]
+        return self._sum([part.many(phis) for part in self.parts])
+
+    def _lags(self, n):  # every part's lags, increasing
+        lags = [part._lags(n) for part in self.parts]
+        return None if any(lag is None for lag in lags) else np.unique(np.concatenate(lags))
+
+    def _at(self, x) -> list[float]:
+        lags = self._lags(x.shape[-1])
+        return self._sum([part._at(x[:, np.searchsorted(lags, part._lags(x.shape[-1]))]) for part in self.parts])
+
+    def _sum(self, columns) -> list[float]:
+        """The weighted sum of the parts' columns, row by row, in the parts' order."""
         return [float(sum(w * v for w, v in zip(self.weights, row))) for row in zip(*columns)]
 
 
@@ -200,8 +232,13 @@ class EndpointSemiNorm(SemiNorm):
     def many(self, phis) -> list[float]:
         """|phi(0)| of every history of phis, in order, from one read of them all."""
         phis = list(phis)
-        reads = _read(phis, np.arange(len(phis)), np.zeros(len(phis)), 0) if phis else []
-        return [float(np.linalg.norm(x)) for x in reads]
+        return self._at(_read(phis, np.arange(len(phis)), np.zeros(len(phis)), 0)[:, None]) if phis else []
+
+    def _lags(self, n):
+        return np.zeros(1)
+
+    def _at(self, x) -> list[float]:
+        return [float(np.linalg.norm(v)) for v in x[:, 0]]
 
     def domination_constant(self):
         return 1.0
@@ -344,6 +381,50 @@ def _extensions(system: NfdeSystem, phis, hs, u):
             for k, (r, i, j) in enumerate(zip(owner.tolist(), starts.tolist(), ends.tolist()))]
 
 
+def _point_ladder(system: NfdeSystem, V: Functional, phis, hs: np.ndarray, u):
+    """V at each history of phis, then at each of its rungs at the ladder's steps hs, as
+    `V.many` gives it on them, by `V._at` on their values at V's lags, read off phi by one
+    `_dop_rows` read (which takes f's reads too) without the rungs: a rung keeps each lag < 0
+    as a node holding phi(h + lag), and holds D phi + h f(phi, u) + sum_j A_j phi(h - Delta_j)
+    at 0, summed as `_extensions` sums it. None, for the rung path, where V is no point
+    functional, `_extensions` would refuse the ladder, a history is linear (a linear rung's
+    read at 0 takes its node before 0 too), f reads past a history's horizon (`RhsMap.eval`
+    refuses that first), or a rung may not keep a lag as that node: a lag not among -Delta,
+    D's delays and the rhs delays >= h, or one that the thinning by 1e-14 max(1, Delta) may
+    drop, for a candidate node below it or, at a step under a row's width of such gaps, for
+    leaving it the rung's last node."""
+    if (lags := V._lags(system.n)) is None or not phis:
+        return None
+    dop, rows, delays = system.dop, len(phis), system.rhs.positive_delays()
+    grids, delta = _grids(phis), np.array([phi.delta for phi in phis])[:, None, None]
+    eps = 1e-14 * np.maximum(1.0, delta)
+    if not 0.0 < hs[-1] <= hs[0] < dop.min_delay or any(abs(phi.delta - system.delta) > _TOL * max(1.0, phi.delta)
+            or phi.slopes is None or phi.delta < max(delays, default=0.0) for phi in phis) \
+            or hs[-1] <= eps.max() * (grids.shape[1] * (dop.p + 1) + dop.p + len(delays) + 9):
+        return None
+    neg, nodes, cands = lags[lags < 0], (-dop.delays).tolist(), [-r for r in delays]  # -r > -h precedes no lag
+    keeps = nodes + [c for c in cands if -c >= hs[0]]
+    below = [max([c for c in nodes + cands if c < lag], default=-np.inf) if lag in keeps else np.inf for lag in neg]
+    grids = grids[:, None, :, None] - hs[:, None, None]  # (R, L, nodes, 1): the shifted candidates
+    below = np.maximum(np.where(grids < neg, grids, -np.inf).max(axis=2), np.maximum(below, -delta))
+    if not ((neg == -delta) | (neg - below > eps)).all():  # each lag a kept node, or the first
+        return None
+    at = nodes + [lag for lag in neg.tolist() if lag not in nodes]
+    times = np.concatenate([lags, [-0.0, *cands], (hs[:, None] + at).ravel()])  # phi at the lags, f's, and h + at
+    dphi, reads = _dop_rows(dop, phis, np.tile(times, rows), times.size)
+    reads = reads.reshape(rows, times.size, dop.n)
+    us = None if u is None else np.atleast_1d(u)[None].repeat(rows, 0)
+    f = system.rhs.eval(phis, us, dict(zip([0.0, *delays], reads.swapaxes(0, 1)[lags.size :])))
+    shifted = reads[:, lags.size + len(cands) + 1 :].reshape(rows, hs.size, len(at), dop.n)
+    zero = dphi[:, None] + hs[:, None] * f[:, None]
+    for j, a in enumerate(dop.matrices):
+        zero += _apply(a, shifted[:, :, j])
+    if not (np.isfinite(zero).all() and np.isfinite(shifted).all()):
+        raise PreconditionError("history values must be finite")
+    rungs = np.concatenate([zero[:, :, None], shifted], axis=2)[:, :, [[0.0, *at].index(lag) for lag in lags.tolist()]]
+    return V._at(np.concatenate([reads[:, None, : lags.size], rungs], axis=1).reshape(-1, lags.size, dop.n))
+
+
 @dataclass(frozen=True)
 class LadderSpec:
     """Geometric h-ladder h0 * 2^-k, k = 0..levels; h0 defaults to min delay / 8."""
@@ -410,10 +491,13 @@ def driver_derivatives(
     ladder extension, ordered history by history (phi, then its rungs), so
     a functional that batches its evaluations shares them across all the
     histories and a failing evaluation surfaces as it would one at a time.
+    A point functional gives the same values from its lags alone, without
+    the rungs (`_point_ladder`).
     """
     hs, phis = ladder.steps(system.dop.min_delay), list(phis)
-    rungs = _extensions(system, phis, hs, u)
-    values = V.many([query for k, phi in enumerate(phis) for query in (phi, *rungs[k * hs.size : (k + 1) * hs.size])])
+    if (values := _point_ladder(system, V, phis, hs, u)) is None:
+        rungs, size = _extensions(system, phis, hs, u), hs.size
+        values = V.many([query for k, phi in enumerate(phis) for query in (phi, *rungs[k * size : (k + 1) * size])])
     rung_values = np.array(values, dtype=float).reshape(len(phis), hs.size + 1)[:, 1:]
     return _estimates(hs, values[:: hs.size + 1], rung_values, ladder)
 

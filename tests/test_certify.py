@@ -879,15 +879,21 @@ def test_no_fitting_row_fails_its_own_condition(variant, planar, quadratic, seed
 def test_columns_of_a_list_are_those_of_each_sample_alone(planar, ladder):
     """Every column of a sample list's record holds, bit for bit, what a record
     of that sample alone holds: |D phi|, the sup norm, a weighted semi-norm, V
-    and, with a ladder, D+V; without one, V is one `V.many` and no ladder runs."""
-    from haleform import L2SemiNorm, WeightedCompositeFunctional, WeightedSemiNorm
+    and, with a ladder, D+V; without one, V is one `V.many` and no ladder runs.
+    V and the semi-norm are point functionals, so V's ladder builds no rung."""
+    from haleform import WeightedCompositeFunctional, WeightedSemiNorm
+    from haleform import functionals
 
     system = _planar() if planar else _neutral()
     V = WeightedCompositeFunctional(
         [QuadraticDopFunctional(system.dop, np.eye(system.n)), DopNormFunctional(system.dop)], [1.0, 0.5])
-    seminorm = WeightedSemiNorm([EndpointSemiNorm(), L2SemiNorm(0.5), DopSemiNorm(system.dop)], [1.0, 0.5, 2.0])
+    seminorm = WeightedSemiNorm([EndpointSemiNorm(), DopSemiNorm(system.dop)], [1.0, 2.0])
     samples = sample_shells(system.n, system.delta, 3, 7)
     together = certify._Columns(system, V, samples, ladder, seminorm)
+    with mock.patch.object(functionals, "_extensions", wraps=functionals._extensions) as rungs:
+        if ladder is not None:
+            assert len(together.est) == len(samples)
+    assert rungs.call_count == 0
     names = ["dnorm", "sup", "anorm", "v"]
     for k, phi in enumerate(samples):
         alone = certify._Columns(system, V, [phi], ladder, seminorm)

@@ -241,6 +241,149 @@ class TestOneRead:
         assert sup >= np.max(np.linalg.norm(phi.eval(fine) - psi.eval(fine), axis=1))
 
 
+def _rung_path(system, V, phis, u, ladder):
+    """`driver_derivatives` as the rung path computes it: V.many on every history and
+    each of its rungs built by `_extensions`, then the ladder's estimates."""
+    hs = ladder.steps(system.dop.min_delay)
+    rungs = functionals._extensions(system, phis, hs, u)
+    values = V.many([q for k, phi in enumerate(phis) for q in (phi, *rungs[k * hs.size : (k + 1) * hs.size])])
+    rung_values = np.array(values, dtype=float).reshape(len(phis), hs.size + 1)[:, 1:]
+    return functionals._estimates(hs, values[:: hs.size + 1], rung_values, ladder)
+
+
+def _bits(ests):
+    """Every field of a list of estimates, as bytes: value, quotients, band, v0 and nonsmooth."""
+    return [b"".join(np.array(getattr(est, name), dtype=float).tobytes()
+                     for name in ("value", "quotients", "error_band", "v0", "nonsmooth")) for est in ests]
+
+
+def _point_functionals(system, rng):
+    """One functional of each point kind on the system's operator, with drawn constants."""
+    n, dop = system.n, system.dop
+    root = rng.uniform(-1.0, 1.0, (n, n))
+    quadratic, norm = QuadraticDopFunctional(dop, root @ root.T), DopNormFunctional(dop, rng.uniform(0.5, 2.0))
+    return {
+        "point-quadratic": quadratic,
+        "dop-norm": norm,
+        "dop-seminorm": DopSemiNorm(dop),
+        "endpoint": EndpointSemiNorm(),
+        "weighted-composite": WeightedCompositeFunctional([quadratic, norm, EndpointSemiNorm()],
+                                                          rng.uniform(0.0, 2.0, 3)),
+        "weighted": WeightedSemiNorm([EndpointSemiNorm(), DopSemiNorm(dop)], rng.uniform(0.0, 2.0, 2)),
+    }
+
+
+@contextlib.contextmanager
+def _count_extensions():
+    """Record every call of `functionals._extensions`, the rung path's rungs."""
+    with mock.patch.object(functionals, "_extensions", wraps=functionals._extensions) as spy:
+        yield spy
+
+
+class TestPointLadder:
+    """A point functional's ladder (`functionals._point_ladder`) reads phi at its lags
+    and at h plus them, and builds no rung: every estimate is, bit for bit, what the rung
+    path gives, and wherever a rung may not keep a lag as a node, the rung path runs."""
+
+    KINDS = ["point-quadratic", "dop-norm", "dop-seminorm", "endpoint", "weighted-composite", "weighted"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(sorted(_systems())), st.sampled_from(KINDS), st.integers(1, 3), st.booleans(),
+           st.integers(3, 14), st.integers(0, 2**31))
+    @example("input", "weighted-composite", 3, True, 14, 0)
+    @example("two_delay", "point-quadratic", 2, False, 3, 1)
+    def test_equals_the_rung_path(self, name, kind, count, linear, levels, seed):
+        """Every golden system (the input system under a drawn u) and every point kind,
+        on lists of cubic histories, sampled or drawn on random grids with and without
+        kinks, and, with `linear`, linear ones too, at levels 3 to 14: the ladder gives
+        what `_extensions` and `V.many` give, and each history alone gives its own. The
+        drawn histories' horizons may lie a few ulps from the system's."""
+        system, signal = _systems()[name]
+        rng = np.random.default_rng(seed)
+        u = None if signal is None else rng.uniform(-1.0, 1.0, 1)
+        delta, n = system.delta, system.n
+        phis = []
+        for k in range(count):
+            if k == 0:
+                phis.append(sample_history(n, delta, 1.0, int(rng.integers(0, 5)), int(rng.integers(0, 2**31))))
+                continue
+            d = delta * (1.0 + rng.choice([0.0, 1e-15, -1e-15]))
+            grid = np.union1d(rng.uniform(-d, 0.0, rng.integers(0, 12)), [-d, 0.0])
+            kinks = np.sort(rng.choice(grid, rng.integers(0, 3), replace=False))
+            interp = LINEAR if linear and rng.random() < 0.5 else CUBIC
+            phis.append(HistorySegment(d, grid, rng.uniform(-1.0, 1.0, (grid.size, n)), interp, kink_times=kinks))
+        V, ladder = _point_functionals(system, rng)[kind], LadderSpec(levels=levels)
+        assert _bits(functionals.driver_derivatives(system, V, phis, u, ladder)) == _bits(
+            _rung_path(system, V, phis, u, ladder))
+        for phi in phis:
+            assert _bits([driver_derivative(system, V, phi, u, ladder)]) == _bits(
+                _rung_path(system, V, [phi], u, ladder))
+
+    @pytest.mark.parametrize("name", sorted(_systems()))
+    def test_builds_no_rung_and_reads_phi_at_most_twice(self, name):
+        """On cubic histories no point kind calls `_extensions`, and a list's ladder reads
+        its histories at most twice, f's read included (twice only where f integrates)."""
+        system, signal = _systems()[name]
+        u = None if signal is None else signal.eval(0.3)
+        phis = [sample_history(system.n, system.delta, 1.0, 1 + k % 4, seed=k) for k in range(3)]
+        for kind, V in _point_functionals(system, np.random.default_rng(1)).items():
+            with _count_extensions() as rungs, _count_reads() as reads:
+                ests = functionals.driver_derivatives(system, V, phis, u, LadderSpec(levels=14))
+            assert [est.quotients.size for est in ests] == [15] * 3
+            assert rungs.call_count == 0, kind
+            assert 1 <= len(reads) <= 2, kind
+            assert all(list(map(id, histories)) == list(map(id, phis)) for histories, _ in reads), kind
+
+    def test_a_lag_that_is_no_rung_node_takes_the_rung_path(self, neutral_system):
+        """V's own operator has a delay, 0.6, that no rung keeps as a node: the rungs are built."""
+        V = QuadraticDopFunctional(DifferenceOperator([0.6, 1.0], [[[0.3]], [[0.5]]]), [[2.0]])
+        phis = [sample_history(1, 1.0, 1.0, 3, seed=k) for k in range(2)]
+        with _count_extensions() as rungs:
+            ests = functionals.driver_derivatives(neutral_system, V, phis, None, LadderSpec(levels=8))
+        assert rungs.call_count == 1
+        assert _bits(ests) == _bits(_rung_path(neutral_system, V, phis, None, LadderSpec(levels=8)))
+
+    @pytest.mark.parametrize("gap", [0.0, 4e-15, 2e-14])
+    def test_a_node_just_below_a_lag_is_thinned_as_the_rungs_thin_it(self, two_delay_system, gap):
+        """A history node t whose shift t - h lands `gap` below the lag -0.5 of one rung:
+        within 1e-14 the rung drops its node -0.5, and the rung path runs; exactly on it
+        or beyond, the point path runs. Either way the estimate is the rung path's."""
+        ladder = LadderSpec(levels=6)
+        h = float(ladder.steps(0.5)[3])
+        grid = np.union1d(np.linspace(-1.0, 0.0, 9), [(-0.5 + h) - gap])
+        phi = HistorySegment(1.0, grid, np.cos(3.0 * grid)[:, None])
+        assert np.abs((grid - h) - (-0.5 - gap)).min() <= 1e-16
+        V = DopNormFunctional(two_delay_system.dop)
+        with _count_extensions() as rungs:
+            ests = functionals.driver_derivatives(two_delay_system, V, [phi], None, ladder)
+        assert rungs.call_count == (1 if 0.0 < gap <= 1e-14 else 0)
+        assert _bits(ests) == _bits(_rung_path(two_delay_system, V, [phi], None, ladder))
+
+    def test_refusals_are_the_rung_paths(self, neutral_system, cubic_system):
+        """Each refusal of the rung path, with its type and message: a ladder step of 0, a
+        history horizon other than the system's, a history of the wrong dimension, one
+        shorter than V's operator needs, and a sliver that is not finite."""
+        phi = sample_history(1, 1.0, 1.0, 3, seed=2)
+        V = QuadraticDopFunctional(neutral_system.dop, [[1.0]])
+        long_V = DopNormFunctional(DifferenceOperator([2.0], [[[0.5]]]))
+        huge = HistorySegment(1.0, [-1.0, 0.0], [[1e110], [1e110]])
+        cases = [
+            (neutral_system, V, [phi], LadderSpec(levels=1100)),  # 0.125 * 2^-1100 is 0
+            (neutral_system, V, [phi, sample_history(1, 1.5, 1.0, 2, seed=3)], LadderSpec()),
+            (neutral_system, V, [sample_history(2, 1.0, 1.0, 2, seed=3)], LadderSpec()),
+            (neutral_system, long_V, [phi], LadderSpec()),
+            (cubic_system, QuadraticDopFunctional(cubic_system.dop, [[1.0]]), [huge], LadderSpec()),
+        ]
+        for system, W, phis, ladder in cases:
+            outcomes = []
+            for run in (lambda: functionals.driver_derivatives(system, W, phis, None, ladder),
+                        lambda: _rung_path(system, W, phis, None, ladder)):
+                with np.errstate(all="ignore"), pytest.raises(Exception) as raised:
+                    run()
+                outcomes.append((type(raised.value), str(raised.value)))
+            assert outcomes[0] == outcomes[1], outcomes
+
+
 class TestDriverDerivative:
     def test_quadratic_chain_rule_hand_case(self, neutral_system, unit_history):
         V = QuadraticDopFunctional(neutral_system.dop, [[1.0]])
